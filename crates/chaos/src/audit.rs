@@ -13,6 +13,9 @@
 //! 3. **Lifecycle legality** — observed group-state transitions respect
 //!    [`GroupState::can_transition_to`] (e.g. a promoted group never
 //!    silently reactivates).
+//! 8. **Running totals** — the fabric's O(1) replication totals (journal
+//!    occupancy, RPO lag) equal a full rescan of groups, journals and
+//!    pairs, whatever the faults and recoveries did in between.
 //!
 //! At final quiescence it additionally checks:
 //!
@@ -288,7 +291,7 @@ impl Auditor {
         });
     }
 
-    /// The mid-run invariant set (checks 1–3). Call at fault starts,
+    /// The mid-run invariant set (checks 1–3 and 8). Call at fault starts,
     /// heals, and on the periodic sample grid.
     pub fn audit_point(&mut self, rig: &TwoSiteRig) {
         self.audits += 1;
@@ -350,6 +353,19 @@ impl Auditor {
                     format!("group g{}: {prev:?} -> {cur:?}", gid.0),
                 );
             }
+        }
+
+        // 8. The incrementally maintained totals match a full rescan.
+        let (running, scanned) = (
+            st.fabric.replication_totals(),
+            st.fabric.scan_replication_totals(),
+        );
+        if running != scanned {
+            self.violate(
+                now,
+                "replication-totals",
+                format!("running {running:?} != rescanned {scanned:?}"),
+            );
         }
     }
 

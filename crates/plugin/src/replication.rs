@@ -180,8 +180,7 @@ impl Reconciler<StorageWorld> for ReplicationPlugin {
         // keeps reconciliation idempotent across restarts: without this,
         // the pairing loop below would try to re-pair volumes that already
         // replicate.
-        let live_groups: std::collections::BTreeSet<GroupId> =
-            st.fabric.group_ids().into_iter().collect();
+        let live_groups: std::collections::BTreeSet<GroupId> = st.fabric.group_ids().collect();
         let rg_handles: Vec<(String, Vec<u32>)> = api
             .replication_groups
             .list()
@@ -201,8 +200,7 @@ impl Reconciler<StorageWorld> for ReplicationPlugin {
                 self.groups_by_cr.insert(rg_key, gids);
             }
         }
-        let live_pairs: std::collections::BTreeSet<PairId> =
-            st.fabric.pair_ids().into_iter().collect();
+        let live_pairs: std::collections::BTreeSet<PairId> = st.fabric.pair_ids().collect();
         let vr_handles: Vec<(String, u32)> = api
             .replications
             .list()
@@ -306,8 +304,7 @@ impl Reconciler<StorageWorld> for ReplicationPlugin {
         // Each VolumeReplication mirrors its pair's group health: a
         // suspension the supervisor is actively healing reads `Recovering`,
         // a circuit-breaker park reads `Parked` (operator action needed).
-        let live_pairs: std::collections::BTreeSet<PairId> =
-            st.fabric.pair_ids().into_iter().collect();
+        let live_pairs: std::collections::BTreeSet<PairId> = st.fabric.pair_ids().collect();
         let vr_states: BTreeMap<String, ReplicationState> = self
             .pairs_by_cr
             .iter()

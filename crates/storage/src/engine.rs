@@ -328,8 +328,9 @@ pub(crate) fn persist<S, E>(
                                 if st.fabric.journal(jid).has_space(data.len()) {
                                     let seq = st
                                         .fabric
-                                        .journal_mut(jid)
-                                        .append(pid, lba, data.clone(), hash)
+                                        .update_primary_journal(gid, |j| {
+                                            j.append(pid, lba, data.clone(), hash)
+                                        })
                                         .expect("invariant: space was checked immediately above");
                                     if st.tracer.is_enabled() {
                                         let jspan = st.tracer.span_complete(
@@ -346,7 +347,7 @@ pub(crate) fn persist<S, E>(
                                         );
                                         st.fabric.journal_mut(jid).set_last_span(jspan);
                                     }
-                                    st.fabric.pair_mut(pid).acked_writes += 1;
+                                    st.fabric.update_pair(pid, |p| p.acked_writes += 1);
                                     adc_kicks.push(gid);
                                 } else {
                                     // Suspend policy (Block was handled in
@@ -508,7 +509,7 @@ pub(crate) fn sdc_leg_send<S, E>(
     let r = {
         let st = state.storage_mut();
         if !st.fabric.group(gid).is_active() {
-            st.fabric.pair_mut(pid).acked_writes += 1;
+            st.fabric.update_pair(pid, |p| p.acked_writes += 1);
             st.fabric.pair_mut(pid).dirty_since_suspend.insert(lba);
             R::Degraded
         } else {
@@ -522,7 +523,7 @@ pub(crate) fn sdc_leg_send<S, E>(
                         .group_mut(gid)
                         .suspend(now, SuspendReason::LinkDown);
                     st.fabric.pair_mut(pid).dirty_since_suspend.insert(lba);
-                    st.fabric.pair_mut(pid).acked_writes += 1;
+                    st.fabric.update_pair(pid, |p| p.acked_writes += 1);
                     R::Degraded
                 }
             }
@@ -584,7 +585,7 @@ pub(crate) fn sdc_leg_arrive<S, E>(
                 .group_mut(gid)
                 .suspend(now, SuspendReason::LinkDown);
             st.fabric.pair_mut(pid).dirty_since_suspend.insert(lba);
-            st.fabric.pair_mut(pid).acked_writes += 1;
+            st.fabric.update_pair(pid, |p| p.acked_writes += 1);
             A::Degraded
         } else {
             let service = st.array(sec.array).perf().apply_service;
@@ -632,7 +633,7 @@ pub(crate) fn sdc_leg_done<S, E>(
         let st = state.storage_mut();
         let sec = st.fabric.pair(pid).secondary;
         st.array_mut(sec.array).write_block(sec.volume, lba, data);
-        st.fabric.pair_mut(pid).applied_writes += 1;
+        st.fabric.update_pair(pid, |p| p.applied_writes += 1);
         st.fabric.group_mut(gid).stats.entries_applied += 1;
         let reverse = st.fabric.group(gid).reverse;
         let ack_bytes = st.config.ack_frame_bytes;
@@ -653,7 +654,10 @@ pub(crate) fn sdc_leg_done<S, E>(
             sim.schedule_event_at(at, E::storage(StorageOp::SdcAck { pid, cb: leg_cb }));
         }
         D::Degraded => {
-            state.storage_mut().fabric.pair_mut(pid).acked_writes += 1;
+            state
+                .storage_mut()
+                .fabric
+                .update_pair(pid, |p| p.acked_writes += 1);
             leg_cb(state, sim, LegDone::Degraded);
         }
     }
@@ -1014,7 +1018,7 @@ pub(crate) fn finish_apply<S, E>(
             let sec = st.fabric.pair(e.pair).secondary;
             let parent = e.span;
             st.array_mut(sec.array).write_block(sec.volume, e.lba, e.data);
-            st.fabric.pair_mut(e.pair).applied_writes += 1;
+            st.fabric.update_pair(e.pair, |p| p.applied_writes += 1);
             let drained = st.fabric.journal(sjid).is_empty();
             let seq = e.seq;
             st.tracer.span_complete(spans::BACKUP_APPLY, started, now, parent, || {
@@ -1057,8 +1061,9 @@ pub(crate) fn release_primary_upto<S: HasStorage>(state: &mut S, gid: GroupId, g
     if st.fabric.group(gid).generation != gen {
         return;
     }
-    if let Some(jid) = st.fabric.group(gid).primary_jnl {
-        st.fabric.journal_mut(jid).release_upto(upto);
+    if st.fabric.group(gid).primary_jnl.is_some() {
+        st.fabric
+            .update_primary_journal(gid, |j| j.release_upto(upto));
     }
 }
 
@@ -1068,8 +1073,7 @@ where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
 {
-    let gids = state.storage_mut().fabric.group_ids();
-    for gid in gids {
+    for gid in state.storage().fabric.group_ids() {
         kick_transfer(state, sim, gid, Some(SimDuration::ZERO));
         kick_apply(state, sim, gid, None);
     }

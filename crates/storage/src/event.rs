@@ -250,7 +250,10 @@ where
                 cb,
             } => engine::sdc_leg_done(state, sim, gid, pid, lba, data, cb),
             StorageOp::SdcAck { pid, cb } => {
-                state.storage_mut().fabric.pair_mut(pid).acked_writes += 1;
+                state
+                    .storage_mut()
+                    .fabric
+                    .update_pair(pid, |p| p.acked_writes += 1);
                 cb(state, sim, LegDone::Ok)
             }
             StorageOp::RunTransfer { gid, gen } => engine::run_transfer(state, sim, gid, gen),

@@ -113,6 +113,14 @@ pub struct Pair {
     pub dirty_since_suspend: std::collections::BTreeSet<u64>,
 }
 
+impl Pair {
+    /// Acked-but-unapplied writes (saturating: an SDC leg applies at the
+    /// backup before the ack crosses back).
+    pub fn lag_writes(&self) -> u64 {
+        self.acked_writes.saturating_sub(self.applied_writes)
+    }
+}
+
 /// Per-group replication statistics.
 #[derive(Debug, Default, Clone)]
 pub struct GroupStats {
@@ -191,13 +199,32 @@ impl Group {
     }
 }
 
+/// Fabric-wide replication aggregates (the `journal.occupancy_bytes` and
+/// `rpo.lag_writes` series).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ReplicationTotals {
+    /// `used_bytes` summed over every group's current primary journal.
+    pub journal_bytes: u64,
+    /// `acked_writes.saturating_sub(applied_writes)` summed over attached
+    /// pairs.
+    pub lag_writes: u64,
+}
+
 /// Registry of groups, pairs and journals.
+///
+/// `totals` is kept exact incrementally: pair progress of attached pairs
+/// and primary-journal bytes may only change through
+/// [`ReplicationFabric::update_pair`] / [`ReplicationFabric::update_primary_journal`]
+/// (or the registration calls below), never through `pair_mut` /
+/// `journal_mut`. [`ReplicationFabric::scan_replication_totals`] is the
+/// oracle.
 #[derive(Debug, Default)]
 pub struct ReplicationFabric {
     groups: Vec<Group>,
     pairs: Vec<Pair>,
     journals: Vec<Journal>,
     by_primary: PrimaryIndex,
+    totals: ReplicationTotals,
 }
 
 impl ReplicationFabric {
@@ -239,6 +266,7 @@ impl ReplicationFabric {
         );
         self.by_primary.attach(pair.primary, id);
         self.group_mut(pair.group).pairs.push(id);
+        self.totals.lag_writes += pair.lag_writes();
         self.pairs.push(pair);
         id
     }
@@ -250,12 +278,92 @@ impl ReplicationFabric {
     /// Remove a pair from replication (operator teardown). The pair record
     /// is retained for statistics but no longer matches host writes.
     pub fn detach_pair(&mut self, id: PairId) {
-        let (primary, gid) = {
+        let (primary, gid, lag) = {
             let p = self.pair(id);
-            (p.primary, p.group)
+            (p.primary, p.group, p.lag_writes())
         };
+        if self.is_attached(id) {
+            self.totals.lag_writes -= lag;
+        }
         self.by_primary.detach(primary, id);
         self.group_mut(gid).pairs.retain(|&p| p != id);
+    }
+
+    fn is_attached(&self, id: PairId) -> bool {
+        self.by_primary.legs(self.pair(id).primary).contains(&id)
+    }
+
+    // ----- running totals ---------------------------------------------------
+
+    /// Change a pair's replication progress, adjusting the lag total by the
+    /// difference of the pair's saturating contribution (so the SDC order
+    /// "applied before acked" stays exact). A detached pair can still see a
+    /// late apply; it no longer counts.
+    pub(crate) fn update_pair(&mut self, id: PairId, f: impl FnOnce(&mut Pair)) {
+        let attached = self.is_attached(id);
+        let p = self.pair_mut(id);
+        let before = p.lag_writes();
+        f(p);
+        let after = p.lag_writes();
+        if attached {
+            self.totals.lag_writes = self.totals.lag_writes - before + after;
+        }
+    }
+
+    /// Mutate group `gid`'s current primary journal, adjusting the occupancy
+    /// total by the change in `used_bytes`.
+    pub(crate) fn update_primary_journal<R>(
+        &mut self,
+        gid: GroupId,
+        f: impl FnOnce(&mut Journal) -> R,
+    ) -> R {
+        let jid = self
+            .group(gid)
+            .primary_jnl
+            .expect("invariant: only ADC groups append or release, and they carry a journal");
+        let j = self.journal_mut(jid);
+        let before = j.used_bytes();
+        let r = f(j);
+        let after = j.used_bytes();
+        self.totals.journal_bytes = self.totals.journal_bytes - before + after;
+        r
+    }
+
+    /// Point a group at fresh, empty journals (resync); the orphaned
+    /// primary journal's bytes leave the occupancy total.
+    pub(crate) fn swap_journals(&mut self, gid: GroupId, primary: JournalId, secondary: JournalId) {
+        if let Some(old) = self.group(gid).primary_jnl {
+            self.totals.journal_bytes -= self.journal(old).used_bytes();
+        }
+        let g = self.group_mut(gid);
+        g.primary_jnl = Some(primary);
+        g.secondary_jnl = Some(secondary);
+    }
+
+    /// The running totals — O(1).
+    pub fn replication_totals(&self) -> ReplicationTotals {
+        self.totals
+    }
+
+    /// The same aggregates recomputed by walking `groups` (one shard lane's
+    /// share, or everything).
+    pub fn scan_totals(&self, groups: impl IntoIterator<Item = GroupId>) -> ReplicationTotals {
+        let mut t = ReplicationTotals::default();
+        for gid in groups {
+            let g = self.group(gid);
+            t.journal_bytes += g.primary_jnl.map_or(0, |j| self.journal(j).used_bytes());
+            for &pid in &g.pairs {
+                t.lag_writes += self.pair(pid).lag_writes();
+            }
+        }
+        t
+    }
+
+    /// The full walk: the oracle the running totals are asserted against
+    /// (debug builds at every sample, the model-check proptest, the chaos
+    /// auditor). Never on a hot path.
+    pub fn scan_replication_totals(&self) -> ReplicationTotals {
+        self.scan_totals(self.group_ids())
     }
 
     // ----- lookups ----------------------------------------------------------
@@ -302,16 +410,16 @@ impl ReplicationFabric {
         self.journals.get_mut(id.0 as usize).expect("invariant: JournalId is only minted by register_journal")
     }
 
-    /// All group ids.
-    pub fn group_ids(&self) -> Vec<GroupId> {
-        (0..self.groups.len() as u32).map(GroupId).collect()
+    /// All group ids, ascending. The iterator does not borrow the fabric.
+    pub fn group_ids(&self) -> impl Iterator<Item = GroupId> {
+        (0..self.groups.len() as u32).map(GroupId)
     }
 
-    /// All pair ids.
-    pub fn pair_ids(&self) -> Vec<PairId> {
-        (0..self.pairs.len() as u32).map(PairId).collect()
+    /// All pair ids (attached or not), ascending. The iterator does not
+    /// borrow the fabric.
+    pub fn pair_ids(&self) -> impl Iterator<Item = PairId> {
+        (0..self.pairs.len() as u32).map(PairId)
     }
-
 }
 
 #[cfg(test)]

@@ -54,7 +54,8 @@ pub use engine::{
 };
 pub use event::{LegCb, ReadCb, StorageEvents, StorageOp, WriteCb};
 pub use fabric::{
-    Group, GroupMode, GroupState, GroupStats, Pair, ReplicationFabric, SuspendReason,
+    Group, GroupMode, GroupState, GroupStats, Pair, ReplicationFabric, ReplicationTotals,
+    SuspendReason,
 };
 pub use journal::{Journal, JournalEntry};
 pub use pool::{Pool, PoolId};

@@ -33,7 +33,6 @@ pub struct GroupStatus {
 pub fn group_status(st: &StorageWorld) -> Vec<GroupStatus> {
     st.fabric
         .group_ids()
-        .into_iter()
         .map(|gid| {
             let g = st.fabric.group(gid);
             let lag: u64 = g

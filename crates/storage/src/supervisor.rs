@@ -687,8 +687,7 @@ where
         return;
     };
     sv.stats.probes += 1;
-    let gids = state.storage().fabric.group_ids();
-    for gid in gids {
+    for gid in state.storage().fabric.group_ids() {
         step_group(state, sim, &mut sv, gid);
     }
     state.storage_mut().put_supervisor(sv);

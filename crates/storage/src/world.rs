@@ -17,7 +17,7 @@ use crate::array::{ArrayPerf, StorageArray, WriteError};
 use crate::block::{block_from, ArrayId, BlockBuf, GroupId, PairId, SnapshotId, VolRef, VolumeId};
 use crate::config::{EngineConfig, JournalFullPolicy};
 use crate::fabric::{
-    Group, GroupMode, GroupState, Pair, ReplicationFabric, SuspendReason,
+    Group, GroupMode, GroupState, Pair, ReplicationFabric, ReplicationTotals, SuspendReason,
 };
 use crate::hot::TicketLanes;
 use crate::shard::ShardLayout;
@@ -219,7 +219,6 @@ impl StorageWorld {
         let parts: Vec<String> = self
             .fabric
             .group_ids()
-            .into_iter()
             .map(|gid| format!("g{}={}", gid.0, sv.stage(gid).label()))
             .collect();
         if parts.is_empty() {
@@ -234,27 +233,22 @@ impl StorageWorld {
     /// degraded groups. Runs only on SLO ticks, so the series exist only
     /// while the alert engine is armed.
     fn sample_health_series(&mut self, now: SimTime) {
-        let mut occupancy = 0u64;
-        let mut lag = 0u64;
-        let mut degraded = 0u64;
-        for gid in self.fabric.group_ids() {
-            let g = self.fabric.group(gid);
-            if let Some(jid) = g.primary_jnl {
-                occupancy += self.fabric.journal(jid).used_bytes();
-            }
-            for &pid in &g.pairs {
-                let p = self.fabric.pair(pid);
-                lag += p.acked_writes.saturating_sub(p.applied_writes);
-            }
-            if !g.pairs.is_empty() && !g.is_active() {
-                degraded += 1;
-            }
-        }
+        let totals = self.checked_replication_totals();
+        let degraded = self
+            .fabric
+            .group_ids()
+            .map(|gid| self.fabric.group(gid))
+            .filter(|g| !g.pairs.is_empty() && !g.is_active())
+            .count() as u64;
         let links_down = self.net.iter().filter(|(_, l)| !l.is_up(now)).count() as u64;
         let arrays_failed = self.arrays.iter().filter(|a| a.is_failed()).count() as u64;
-        self.metrics.sample(names::HEALTH_RPO_LAG, now, lag as f64);
         self.metrics
-            .sample(names::HEALTH_JOURNAL_OCCUPANCY, now, occupancy as f64);
+            .sample(names::HEALTH_RPO_LAG, now, totals.lag_writes as f64);
+        self.metrics.sample(
+            names::HEALTH_JOURNAL_OCCUPANCY,
+            now,
+            totals.journal_bytes as f64,
+        );
         self.metrics
             .sample(names::HEALTH_LINKS_DOWN, now, links_down as f64);
         self.metrics
@@ -504,13 +498,7 @@ impl StorageWorld {
             let lbas: Vec<u64> = if delta {
                 let mut set = std::mem::take(&mut self.fabric.pair_mut(pid).dirty_since_suspend);
                 if let Some(jid) = self.fabric.group(id).primary_jnl {
-                    let jnl = self.fabric.journal(jid);
-                    let mut e = jnl.peek_front().map(|x| x.seq);
-                    // Walk the retained entries of this pair.
-                    let _ = &mut e;
-                    for entry in jnl.entries_for(pid) {
-                        set.insert(entry);
-                    }
+                    set.extend(self.fabric.journal(jid).entries_for(pid));
                 }
                 set.into_iter().collect()
             } else {
@@ -541,12 +529,13 @@ impl StorageWorld {
                 .volume(primary.volume)
                 .content_hashes();
             let offset = self.ack_log.count_for(primary);
-            let p = self.fabric.pair_mut(pid);
-            p.initial_hashes = hashes;
-            p.ack_offset = offset;
-            p.acked_writes = 0;
-            p.applied_writes = 0;
-            p.dirty_since_suspend.clear();
+            self.fabric.update_pair(pid, |p| {
+                p.initial_hashes = hashes;
+                p.ack_offset = offset;
+                p.acked_writes = 0;
+                p.applied_writes = 0;
+                p.dirty_since_suspend.clear();
+            });
         }
         // Fresh journals and a new replication epoch: in-flight frames and
         // pump events from the old epoch are discarded by their generation
@@ -561,9 +550,7 @@ impl StorageWorld {
         if let Some((capacity, overhead)) = capacity_overhead {
             let pj = self.fabric.add_journal(capacity, overhead);
             let sj = self.fabric.add_journal(capacity, overhead);
-            let g = self.fabric.group_mut(id);
-            g.primary_jnl = Some(pj);
-            g.secondary_jnl = Some(sj);
+            self.fabric.swap_journals(id, pj, sj);
         }
         let g = self.fabric.group_mut(id);
         g.generation += 1;
@@ -601,7 +588,7 @@ impl StorageWorld {
                 let secondary = self.fabric.pair(e.pair).secondary;
                 self.array_mut(secondary.array)
                     .write_block(secondary.volume, e.lba, e.data);
-                self.fabric.pair_mut(e.pair).applied_writes += 1;
+                self.fabric.update_pair(e.pair, |p| p.applied_writes += 1);
                 applied += 1;
             }
         }
@@ -806,7 +793,7 @@ impl StorageWorld {
             for &pid in &self.fabric.group(gid).pairs {
                 let p = self.fabric.pair(pid);
                 acked += p.acked_writes;
-                lost += p.acked_writes.saturating_sub(p.applied_writes);
+                lost += p.lag_writes();
             }
         }
         let applied = self.applied_counts(groups);
@@ -886,29 +873,29 @@ impl StorageWorld {
         self.config.journal_full_policy
     }
 
+    /// The fabric's running totals, checked against the full-walk oracle
+    /// in debug builds — every sample edge of every test run audits them.
+    fn checked_replication_totals(&self) -> ReplicationTotals {
+        let totals = self.fabric.replication_totals();
+        debug_assert_eq!(totals, self.fabric.scan_replication_totals());
+        totals
+    }
+
     /// Sample the derived replication time series (total primary-journal
     /// occupancy, acked-but-unapplied RPO lag) at a transfer or apply
     /// edge. No-op unless sampling was enabled by
-    /// [`StorageWorld::set_tracer`].
+    /// [`StorageWorld::set_tracer`], [`StorageWorld::enable_alerts`] or a
+    /// builder that calls `metrics.enable_sampling()` itself (`tsuru-core`'s
+    /// `build_tenant_world`).
     pub(crate) fn sample_replication_series(&mut self, now: SimTime) {
         if !self.metrics.sampling_enabled() {
             return;
         }
-        let mut occupancy = 0u64;
-        let mut lag = 0u64;
-        for gid in self.fabric.group_ids() {
-            let g = self.fabric.group(gid);
-            if let Some(jid) = g.primary_jnl {
-                occupancy += self.fabric.journal(jid).used_bytes();
-            }
-            for &pid in &g.pairs {
-                let p = self.fabric.pair(pid);
-                lag += p.acked_writes.saturating_sub(p.applied_writes);
-            }
-        }
+        let totals = self.checked_replication_totals();
         self.metrics
-            .sample(names::JOURNAL_OCCUPANCY, now, occupancy as f64);
-        self.metrics.sample(names::RPO_LAG, now, lag as f64);
+            .sample(names::JOURNAL_OCCUPANCY, now, totals.journal_bytes as f64);
+        self.metrics
+            .sample(names::RPO_LAG, now, totals.lag_writes as f64);
     }
 
     /// Sample per-shard journal occupancy and apply lag into the metrics
@@ -919,31 +906,27 @@ impl StorageWorld {
         if !self.metrics.sampling_enabled() {
             return;
         }
-        let mut total_occupancy = 0u64;
-        let mut total_lag = 0u64;
+        let mut total = ReplicationTotals::default();
         for (shard, lane) in layout.iter() {
-            let mut occupancy = 0u64;
-            let mut lag = 0u64;
-            for &gid in &lane.groups {
-                let g = self.fabric.group(gid);
-                if let Some(jid) = g.primary_jnl {
-                    occupancy += self.fabric.journal(jid).used_bytes();
-                }
-                for &pid in &g.pairs {
-                    let p = self.fabric.pair(pid);
-                    lag += p.acked_writes.saturating_sub(p.applied_writes);
-                }
-            }
+            let t = self.fabric.scan_totals(lane.groups.iter().copied());
+            self.metrics.sample_shard(
+                names::SHARD_JOURNAL_OCCUPANCY,
+                shard,
+                now,
+                t.journal_bytes as f64,
+            );
             self.metrics
-                .sample_shard(names::SHARD_JOURNAL_OCCUPANCY, shard, now, occupancy as f64);
-            self.metrics
-                .sample_shard(names::SHARD_APPLY_LAG, shard, now, lag as f64);
-            total_occupancy += occupancy;
-            total_lag += lag;
+                .sample_shard(names::SHARD_APPLY_LAG, shard, now, t.lag_writes as f64);
+            total.journal_bytes += t.journal_bytes;
+            total.lag_writes += t.lag_writes;
         }
-        self.metrics.sample(names::HEALTH_RPO_LAG, now, total_lag as f64);
         self.metrics
-            .sample(names::HEALTH_JOURNAL_OCCUPANCY, now, total_occupancy as f64);
+            .sample(names::HEALTH_RPO_LAG, now, total.lag_writes as f64);
+        self.metrics.sample(
+            names::HEALTH_JOURNAL_OCCUPANCY,
+            now,
+            total.journal_bytes as f64,
+        );
     }
 }
 

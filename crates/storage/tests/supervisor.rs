@@ -215,7 +215,7 @@ fn supervisor_drives_failover_then_failback() {
     // The original group is a detached husk; the re-established forward
     // group replicates main → backup again.
     assert!(world.st.fabric.group(g).pairs.is_empty());
-    let fwd = *world
+    let fwd = world
         .st
         .fabric
         .group_ids()

@@ -113,11 +113,8 @@ impl MetricsRegistry {
     }
 
     /// The shard-`shard` lane of series `name`, if ever sampled.
-    pub fn shard_series(&self, name: &str, shard: u32) -> Option<&TimeSeries> {
-        self.shard_series
-            .iter()
-            .find(|(&(n, s), _)| n == name && s == shard)
-            .map(|(_, ts)| ts)
+    pub fn shard_series<'a>(&'a self, name: &'a str, shard: u32) -> Option<&'a TimeSeries> {
+        self.shard_series.get(&(name, shard))
     }
 
     /// All sampled lanes of series `name`, in ascending shard order.
@@ -126,8 +123,7 @@ impl MetricsRegistry {
         name: &'a str,
     ) -> impl Iterator<Item = (u32, &'a TimeSeries)> + 'a {
         self.shard_series
-            .iter()
-            .filter(move |(&(n, _), _)| n == name)
+            .range((name, 0)..=(name, u32::MAX))
             .map(|(&(_, s), ts)| (s, ts))
     }
 
@@ -278,6 +274,9 @@ mod tests {
         m.sample_shard("shard.apply_lag_writes", 1, SimTime::ZERO, 3.0);
         m.sample_shard("shard.apply_lag_writes", 0, SimTime::from_millis(1), 2.0);
         m.sample_shard("shard.apply_lag_writes", 1, SimTime::from_millis(1), 5.0);
+        // Neighbouring names on either side must not leak into the lanes.
+        m.sample_shard("shard.apply_lag", u32::MAX, SimTime::ZERO, 9.0);
+        m.sample_shard("shard.journal_occupancy_bytes", 0, SimTime::ZERO, 9.0);
         assert_eq!(
             m.shard_series("shard.apply_lag_writes", 1).map(|s| s.len()),
             Some(2)
@@ -292,7 +291,12 @@ mod tests {
         let names: Vec<&str> = snap.series.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
-            vec!["shard.apply_lag_writes#0", "shard.apply_lag_writes#1"]
+            vec![
+                "shard.apply_lag#4294967295",
+                "shard.apply_lag_writes#0",
+                "shard.apply_lag_writes#1",
+                "shard.journal_occupancy_bytes#0"
+            ]
         );
     }
 
