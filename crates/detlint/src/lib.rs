@@ -407,6 +407,7 @@ impl Config {
                 "Journal::*",
                 "AckLog::append",
                 "WalWriter::append",
+                "WalWriter::resume",
                 "wal::scan_wal",
                 "StorageOp::dispatch",
             ]

@@ -14,7 +14,7 @@ use crate::btree::{BTree, PageAllocator};
 use crate::io::{DbVol, IoPlan, IoRequest};
 use crate::node::PageError;
 use crate::superblock::Superblock;
-use crate::wal::{scan_wal, WalOp, WalRecord, WalWriter};
+use crate::wal::{scan_wal, WalOp, WalRecord, WalScan, WalWriter};
 use tsuru_storage::BlockDevice;
 
 /// A table identifier chosen by the application (folded into tree keys).
@@ -158,17 +158,16 @@ impl MiniDb {
         let tree = BTree::new(&mut alloc);
         let mut db = MiniDb {
             name: name.into(),
+            wal: WalWriter::new(config.wal_blocks, 0),
             config,
             tree,
             alloc,
-            wal: WalWriter::new(0, 1), // replaced below
             next_lsn: 1,
             next_txid: 1,
             ckpt_lsn: 0,
             active: BTreeMap::new(),
             stats: DbStats::default(),
         };
-        db.wal = WalWriter::new(db.config.wal_blocks, 0);
         // The initial image is checkpoint #1 of an empty tree.
         let plan = db.checkpoint_plan();
         (db, plan)
@@ -401,7 +400,7 @@ impl MiniDb {
             BTree::load(data_dev, sb.root).map_err(RecoveryError::Page)?;
         let pages_loaded = tree.node_count();
 
-        let records = scan_wal(wal_dev, sb.wal_blocks, sb.epoch);
+        let WalScan { records, end, tail } = scan_wal(wal_dev, sb.wal_blocks, sb.epoch);
         // Records must be strictly increasing and strictly newer than the
         // checkpoint they follow.
         let mut prev = sb.ckpt_lsn;
@@ -422,23 +421,23 @@ impl MiniDb {
             });
         }
 
-        let mut alloc = PageAllocator::restore(sb.next_page, sb.free_list.clone());
+        let mut alloc = PageAllocator::restore(sb.next_page, sb.free_list);
         let mut max_txid = sb.next_txid;
-        // Rebuild the WAL writer by replaying the surviving records so a
-        // promoted backup can continue service exactly where the log ends.
-        let mut wal = WalWriter::new(sb.wal_blocks, sb.epoch);
-        for r in &records {
-            for op in &r.ops {
-                match &op.value {
-                    Some(v) => tree.put(&mut alloc, op.key, v.clone()),
+        let redo_records = records.len();
+        for r in records {
+            for op in r.ops {
+                match op.value {
+                    Some(v) => tree.put(&mut alloc, op.key, v),
                     None => {
                         tree.delete(op.key);
                     }
                 }
             }
             max_txid = max_txid.max(r.txid + 1);
-            let _ = wal.append(r);
         }
+        // Resume the log where the scan found it ending, so a promoted
+        // backup continues service exactly there.
+        let wal = WalWriter::resume(sb.wal_blocks, sb.epoch, end, tail);
         tree.validate()
             .map_err(|e| RecoveryError::BadWal(format!("post-redo validation: {e}")))?;
 
@@ -446,7 +445,7 @@ impl MiniDb {
             epoch: sb.epoch,
             ckpt_lsn: sb.ckpt_lsn,
             wal_end,
-            redo_records: records.len(),
+            redo_records,
             pages_loaded,
         };
         let db = MiniDb {

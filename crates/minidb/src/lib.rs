@@ -30,4 +30,4 @@ pub use db::{DbConfig, DbStats, MiniDb, RecoveryError, RecoveryReport, TableId, 
 pub use io::{DbVol, IoPlan, IoRequest};
 pub use node::{Node, PageError, MAX_VALUE, PAGE_SIZE};
 pub use superblock::{Superblock, MAX_FREE_LIST};
-pub use wal::{encode_record, scan_wal, WalOp, WalRecord, WalWriter};
+pub use wal::{encode_record, scan_wal, WalOp, WalRecord, WalScan, WalWriter};

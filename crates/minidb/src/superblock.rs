@@ -4,7 +4,7 @@
 //! pages are durable (driver phase barrier), so a prefix-consistent cut
 //! always contains a superblock whose whole tree is present.
 
-use crate::checksum::crc32;
+use crate::checksum::{crc32, crc32_update};
 use crate::node::PAGE_SIZE;
 
 const SB_MAGIC: u32 = 0x54_535542; // "TSUB"
@@ -70,9 +70,12 @@ impl Superblock {
         }
         let stored =
             u32::from_le_bytes(buf[CRC_OFFSET..CRC_OFFSET + 4].try_into().expect("sized"));
-        let mut check = buf.to_vec();
-        check[CRC_OFFSET..CRC_OFFSET + 4].copy_from_slice(&[0; 4]);
-        if crc32(&check) != stored {
+        // The CRC covers the page with its own field zeroed; stream over
+        // the surrounding spans instead of building a zeroed copy.
+        let st = crc32_update(0xFFFF_FFFF, &buf[..CRC_OFFSET]);
+        let st = crc32_update(st, &[0u8; 4]);
+        let st = crc32_update(st, &buf[CRC_OFFSET + 4..]);
+        if st ^ 0xFFFF_FFFF != stored {
             return Err("superblock: checksum mismatch".into());
         }
         if u32::from_le_bytes(buf[0..4].try_into().expect("sized")) != SB_MAGIC {

@@ -127,14 +127,20 @@ pub fn encode_record_into(epoch: u32, rec: &WalRecord, out: &mut Vec<u8>) {
         .copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The in-memory WAL tail: an image of the WAL volume for the current
-/// epoch, from which block writes are cut as records are appended.
+/// The in-memory end of the log: the epoch, how far the log reaches, and
+/// the bytes of the one block it currently ends in. Everything before that
+/// block is on the volume already and is never needed again, so the writer
+/// costs one block of memory whatever the size of the WAL volume, and a
+/// checkpoint ([`WalWriter::reset`]) clears one block.
 #[derive(Debug)]
 pub struct WalWriter {
     epoch: u32,
     capacity: usize,
-    image: Vec<u8>,
     offset: usize,
+    // The block holding byte `offset`: log bytes up to `offset % BLOCK_SIZE`,
+    // zeros beyond — so every emitted block carries the earlier records of
+    // that block before the new one and zeros after it.
+    tail: Vec<u8>,
     // Encode scratch, reused across appends (capacity persists over epoch
     // resets): steady-state appends allocate nothing for encoding.
     scratch: Vec<u8>,
@@ -144,12 +150,31 @@ impl WalWriter {
     /// A writer over a WAL volume of `wal_blocks` blocks, starting at the
     /// given epoch with an empty log.
     pub fn new(wal_blocks: u64, epoch: u32) -> Self {
+        Self::resume(wal_blocks, epoch, 0, Vec::new())
+    }
+
+    /// A writer that continues the log a scan found ([`scan_wal`]): `end`
+    /// is where the valid log stops and `tail` the bytes of the block it
+    /// stops in, up to `end`. Because every record a scan accepts re-encodes
+    /// to the bytes it was decoded from, this writer emits exactly what one
+    /// that had appended the scanned records itself would emit.
+    ///
+    /// # Panics
+    /// Panics if `tail` is not the `end % BLOCK_SIZE` bytes before `end` or
+    /// `end` lies beyond the volume.
+    pub fn resume(wal_blocks: u64, epoch: u32, end: usize, mut tail: Vec<u8>) -> Self {
         let capacity = wal_blocks as usize * BLOCK_SIZE;
+        assert!(
+            end <= capacity && tail.len() == end % BLOCK_SIZE,
+            "a {}-byte tail does not end a {end}-byte log on a {capacity}-byte WAL volume",
+            tail.len()
+        );
+        tail.resize(BLOCK_SIZE, 0);
         WalWriter {
             epoch,
             capacity,
-            image: vec![0; capacity],
-            offset: 0,
+            offset: end,
+            tail,
             scratch: Vec::new(),
         }
     }
@@ -174,8 +199,8 @@ impl WalWriter {
         self.offset + rec.encoded_len() <= self.capacity
     }
 
-    /// Append a record, returning the block writes (whole tail blocks) the
-    /// driver must perform to make it durable.
+    /// Append a record, returning the block writes (every block the record
+    /// touches, whole) the driver must perform to make it durable.
     ///
     /// # Panics
     /// Panics if the record does not fit — callers must checkpoint first
@@ -190,26 +215,28 @@ impl WalWriter {
         );
         self.scratch.clear();
         encode_record_into(self.epoch, rec, &mut self.scratch);
-        let start = self.offset;
-        self.image
-            .get_mut(start..start + self.scratch.len())
-            .expect("invariant: fits() was asserted above")
-            .copy_from_slice(&self.scratch);
-        self.offset += self.scratch.len();
-
-        let first_block = start / BLOCK_SIZE;
-        let last_block = (self.offset - 1) / BLOCK_SIZE;
-        (first_block..=last_block)
-            .map(|b| IoRequest {
+        let last = (self.offset + self.scratch.len() - 1) / BLOCK_SIZE;
+        let mut ios = Vec::with_capacity(last - self.offset / BLOCK_SIZE + 1);
+        let mut rest = self.scratch.as_slice();
+        while !rest.is_empty() {
+            let fill = self.offset % BLOCK_SIZE;
+            let (now, later) = rest.split_at(rest.len().min(BLOCK_SIZE - fill));
+            self.tail
+                .get_mut(fill..fill + now.len())
+                .expect("invariant: the tail is one block and `now` ends within it")
+                .copy_from_slice(now);
+            ios.push(IoRequest {
                 vol: DbVol::Wal,
-                lba: b as u64,
-                data: tsuru_storage::block_from(
-                    self.image
-                        .get(b * BLOCK_SIZE..(b + 1) * BLOCK_SIZE)
-                        .expect("invariant: tail blocks lie within the image"),
-                ),
-            })
-            .collect()
+                lba: (self.offset / BLOCK_SIZE) as u64,
+                data: tsuru_storage::block_from(&self.tail),
+            });
+            self.offset += now.len();
+            if self.offset % BLOCK_SIZE == 0 {
+                self.tail.fill(0); // the block is full: the log ends in the next one
+            }
+            rest = later;
+        }
+        ios
     }
 
     /// Start a fresh epoch (after a checkpoint): the log restarts at block
@@ -218,67 +245,109 @@ impl WalWriter {
         assert!(new_epoch > self.epoch, "epoch must increase");
         self.epoch = new_epoch;
         self.offset = 0;
-        self.image.iter_mut().for_each(|b| *b = 0);
+        self.tail.fill(0);
     }
 }
 
-/// Scan a WAL volume image for epoch `epoch`, returning every valid record
-/// in order. Stops at the first record that is absent, torn (CRC), from a
-/// different epoch, or structurally invalid — everything after a damaged
-/// record is unreachable, exactly as in a production redo scan.
-pub fn scan_wal(dev: &dyn BlockDevice, wal_blocks: u64, epoch: u32) -> Vec<WalRecord> {
-    let capacity = wal_blocks as usize * BLOCK_SIZE;
-    // Materialize the byte stream (absent blocks read as zeros, which
-    // terminate the scan at the length field).
-    let mut image = vec![0u8; capacity];
-    for b in 0..wal_blocks {
-        if let Some(data) = dev.read_block(b) {
-            let at = b as usize * BLOCK_SIZE;
-            image
-                .get_mut(at..at + BLOCK_SIZE)
-                .expect("invariant: image is sized to wal_blocks blocks")
-                .copy_from_slice(&data);
+/// What a scan of the WAL volume found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalScan {
+    /// Every valid record of the epoch, in log order.
+    pub records: Vec<WalRecord>,
+    /// Byte offset at which the valid log ends.
+    pub end: usize,
+    /// The bytes of the block the log ends in, up to `end` (so
+    /// `end % BLOCK_SIZE` of them). Whatever follows on the volume — a torn
+    /// record, stale bytes of an earlier epoch — is not part of the log and
+    /// is not carried over.
+    pub tail: Vec<u8>,
+}
+
+/// The bytes of the WAL volume from a block-aligned `base` on, read block by
+/// block as the scan asks for them (an absent block reads as zeros, which
+/// terminate the scan at the length field).
+struct LogWindow<'d> {
+    dev: &'d dyn BlockDevice,
+    base: usize,
+    bytes: Vec<u8>,
+}
+
+impl LogWindow<'_> {
+    /// Volume bytes `from..to` (`from >= base`), reading the blocks up to
+    /// `to` that are not in the window yet.
+    fn span(&mut self, from: usize, to: usize) -> &[u8] {
+        while self.base + self.bytes.len() < to {
+            let loaded = self.bytes.len() + BLOCK_SIZE;
+            let lba = (self.base + self.bytes.len()) / BLOCK_SIZE;
+            if let Some(block) = self.dev.read_block(lba as u64) {
+                self.bytes.extend_from_slice(&block);
+            }
+            self.bytes.resize(loaded, 0);
         }
+        self.bytes
+            .get(from - self.base..to - self.base)
+            .expect("invariant: the window was just extended to cover `to`")
     }
-    let read_u32 = |at: usize| -> u32 {
-        u32::from_le_bytes(
-            image
-                .get(at..at + 4)
-                .expect("invariant: header bounds checked against capacity")
-                .try_into()
-                .expect("invariant: a 4-byte slice"),
-        )
+
+    /// Forget the whole blocks before `pos`: the scan never looks back.
+    fn advance_to(&mut self, pos: usize) {
+        let done = (pos - self.base) / BLOCK_SIZE * BLOCK_SIZE;
+        self.bytes.drain(..done);
+        self.base += done;
+    }
+}
+
+fn le_u32(header: &[u8], at: usize) -> u32 {
+    let word = header.get(at..at + 4).and_then(|w| w.try_into().ok());
+    u32::from_le_bytes(word.expect("invariant: callers pass a whole record header"))
+}
+
+/// Scan a WAL volume for epoch `epoch`. Stops at the first record that is
+/// absent, torn (CRC), from a different epoch, or structurally invalid —
+/// everything after a damaged record is unreachable, exactly as in a
+/// production redo scan. Blocks are read on demand, each at most once and
+/// only as far as the record being checked reaches: a scan costs what the
+/// live log holds, not what the volume could hold.
+pub fn scan_wal(dev: &dyn BlockDevice, wal_blocks: u64, epoch: u32) -> WalScan {
+    let capacity = wal_blocks as usize * BLOCK_SIZE;
+    let mut window = LogWindow {
+        dev,
+        base: 0,
+        bytes: Vec::new(),
     };
-    let mut out = Vec::new();
+    let mut records = Vec::new();
     let mut pos = 0usize;
-    loop {
-        if pos + HEADER_BYTES > capacity {
+    while pos + HEADER_BYTES <= capacity {
+        let header = window.span(pos, pos + HEADER_BYTES);
+        let rec_epoch = le_u32(header, 0);
+        let len = le_u32(header, 4) as usize;
+        let crc = le_u32(header, 8);
+        let next = pos + HEADER_BYTES + len;
+        if rec_epoch != epoch || len == 0 || next > capacity {
             break;
         }
-        let rec_epoch = read_u32(pos);
-        let len = read_u32(pos + 4) as usize;
-        let crc = read_u32(pos + 8);
-        if rec_epoch != epoch || len == 0 || pos + HEADER_BYTES + len > capacity {
-            break;
-        }
-        let payload = image
-            .get(pos + HEADER_BYTES..pos + HEADER_BYTES + len)
-            .expect("invariant: record bounds checked against capacity");
-        // Stream the CRC over the two covered spans — no scratch buffer.
-        let header = image
-            .get(pos..pos + 8)
-            .expect("invariant: header bounds checked against capacity");
-        let st = crc32_update(crc32_update(0xFFFF_FFFF, header), payload);
+        // The CRC covers epoch + length and the payload, not its own field.
+        let (header, payload) = window.span(pos, next).split_at(HEADER_BYTES);
+        let (covered, _) = header.split_at(8);
+        let st = crc32_update(crc32_update(0xFFFF_FFFF, covered), payload);
         if st ^ 0xFFFF_FFFF != crc {
             break;
         }
         match WalRecord::decode_payload(payload) {
-            Some(rec) => out.push(rec),
+            Some(rec) => records.push(rec),
             None => break,
         }
-        pos += HEADER_BYTES + len;
+        pos = next;
+        window.advance_to(pos);
     }
-    out
+    // The window starts at the block `pos` lies in: cut at `pos`, it is the tail.
+    let mut tail = window.bytes;
+    tail.truncate(pos - window.base);
+    WalScan {
+        records,
+        end: pos,
+        tail,
+    }
 }
 
 #[cfg(test)]
@@ -328,7 +397,7 @@ mod tests {
             assert!(!ios.is_empty());
             apply(&mut dev, &ios);
         }
-        let scanned = scan_wal(&dev, 16, 1);
+        let scanned = scan_wal(&dev, 16, 1).records;
         assert_eq!(scanned, records);
     }
 
@@ -337,8 +406,8 @@ mod tests {
         let mut w = WalWriter::new(4, 3);
         let mut dev = MemDevice::new(4);
         apply(&mut dev, &w.append(&rec(1, 2)));
-        assert!(scan_wal(&dev, 4, 4).is_empty());
-        assert_eq!(scan_wal(&dev, 4, 3).len(), 1);
+        assert!(scan_wal(&dev, 4, 4).records.is_empty());
+        assert_eq!(scan_wal(&dev, 4, 3).records.len(), 1);
     }
 
     #[test]
@@ -349,7 +418,7 @@ mod tests {
         apply(&mut dev, &w.append(&rec(2, 3)));
         // Third record's blocks never reach the device (lost tail).
         let _ = w.append(&rec(3, 3));
-        let scanned = scan_wal(&dev, 8, 1);
+        let scanned = scan_wal(&dev, 8, 1).records;
         assert_eq!(scanned.len(), 2);
         assert_eq!(scanned[1].lsn, 2);
     }
@@ -363,7 +432,7 @@ mod tests {
         apply(&mut dev, &w.append(&rec(3, 1)));
         // Flip one byte in the middle record's payload region.
         dev.corrupt(0, rec(1, 1).encoded_len() + HEADER_BYTES + 3);
-        let scanned = scan_wal(&dev, 8, 1);
+        let scanned = scan_wal(&dev, 8, 1).records;
         assert_eq!(scanned.len(), 1, "scan must stop at the damaged record");
     }
 
@@ -383,7 +452,7 @@ mod tests {
         let ios = w.append(&big);
         assert!(ios.len() >= 2, "6 KB record must span blocks");
         apply(&mut dev, &ios);
-        let scanned = scan_wal(&dev, 8, 1);
+        let scanned = scan_wal(&dev, 8, 1).records;
         assert_eq!(scanned, vec![big]);
     }
 
@@ -410,7 +479,7 @@ mod tests {
         assert_eq!(w.used_bytes(), 0);
         apply(&mut dev, &w.append(&rec(10, 1)));
         // Epoch-2 scan sees only the new record; epoch-1 history is dead.
-        let scanned = scan_wal(&dev, 8, 2);
+        let scanned = scan_wal(&dev, 8, 2).records;
         assert_eq!(scanned.len(), 1);
         assert_eq!(scanned[0].lsn, 10);
     }

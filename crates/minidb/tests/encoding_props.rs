@@ -59,11 +59,11 @@ proptest! {
         for b in 0..blocks {
             dev.write_block(b, &image[b as usize * 4096..(b as usize + 1) * 4096]);
         }
-        let scanned = tsuru_minidb::scan_wal(&dev, blocks, 7);
+        let scanned = tsuru_minidb::scan_wal(&dev, blocks, 7).records;
         prop_assert_eq!(scanned.len(), 1);
         prop_assert_eq!(&scanned[0], &rec);
         // Wrong epoch: invisible.
-        prop_assert!(tsuru_minidb::scan_wal(&dev, blocks, 8).is_empty());
+        prop_assert!(tsuru_minidb::scan_wal(&dev, blocks, 8).records.is_empty());
     }
 
     #[test]
@@ -79,7 +79,7 @@ proptest! {
         for b in 0..blocks {
             dev.write_block(b, &image[b as usize * 4096..(b as usize + 1) * 4096]);
         }
-        let scanned = tsuru_minidb::scan_wal(&dev, blocks, 3);
+        let scanned = tsuru_minidb::scan_wal(&dev, blocks, 3).records;
         // A flipped record must never decode to something different.
         if let Some(got) = scanned.first() {
             prop_assert_eq!(got, &rec, "corruption yielded a different record");

@@ -124,10 +124,14 @@ pub fn block_from(data: &[u8]) -> BlockBuf {
     if data.len() == BLOCK_SIZE {
         return Bytes::copy_from_slice(data);
     }
-    let mut buf = Vec::with_capacity(BLOCK_SIZE);
-    buf.extend_from_slice(data);
-    buf.resize(BLOCK_SIZE, 0);
-    Bytes::from(buf)
+    // Pad on the stack and copy once: `Bytes::from(Vec)` would allocate and
+    // copy a second time.
+    let mut block = [0u8; BLOCK_SIZE];
+    block
+        .get_mut(..data.len())
+        .expect("invariant: length asserted above")
+        .copy_from_slice(data);
+    Bytes::copy_from_slice(&block)
 }
 
 #[cfg(test)]
