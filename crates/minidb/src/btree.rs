@@ -8,7 +8,7 @@
 //! pages are therefore never overwritten, which is what makes any
 //! prefix-consistent storage cut recoverable (DESIGN.md §5).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use tsuru_storage::BlockDevice;
 
@@ -74,29 +74,46 @@ impl PageAllocator {
     }
 }
 
+/// One resident node and its checkpoint state.
+#[derive(Debug)]
+struct Slot {
+    node: Node,
+    /// Changed since the last checkpoint.
+    dirty: bool,
+    /// The last checkpoint wrote this node under this page id, so the next
+    /// one must move it to a fresh page instead of overwriting it.
+    on_disk: bool,
+}
+
+/// The child at `idx` of an internal node's child list.
+fn child_at(children: &[u64], idx: usize) -> u64 {
+    *children
+        .get(idx)
+        .expect("invariant: an internal node has one more child than keys")
+}
+
 /// The B+tree.
+///
+/// Nodes live in a table indexed by page id — the allocator mints ids
+/// densely from a counter and the database asserts them below
+/// `data_blocks` at every checkpoint — so following a child pointer is an
+/// array read. A page id that names no resident node is a vacant slot.
 #[derive(Debug)]
 pub struct BTree {
-    nodes: BTreeMap<u64, Node>,
+    slots: Vec<Option<Slot>>,
     root: u64,
-    dirty: BTreeSet<u64>,
-    on_disk: BTreeSet<u64>,
 }
 
 impl BTree {
     /// A new tree with a single empty leaf as root.
     pub fn new(alloc: &mut PageAllocator) -> Self {
         let root = alloc.alloc();
-        let mut nodes = BTreeMap::new();
-        nodes.insert(root, Node::empty_leaf());
-        let mut dirty = BTreeSet::new();
-        dirty.insert(root);
-        BTree {
-            nodes,
+        let mut tree = BTree {
+            slots: Vec::new(),
             root,
-            dirty,
-            on_disk: BTreeSet::new(),
-        }
+        };
+        tree.place(root, Node::empty_leaf(), false);
+        tree
     }
 
     /// Root page id.
@@ -107,16 +124,52 @@ impl BTree {
     /// Number of nodes currently cached (== all nodes; the tree is fully
     /// memory-resident).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.slots.iter().flatten().count()
     }
 
     /// Are there unflushed changes?
     pub fn is_dirty(&self) -> bool {
-        !self.dirty.is_empty()
+        self.slots.iter().flatten().any(|s| s.dirty)
+    }
+
+    /// The slot of page `id`, if a node is resident under that id.
+    fn resident(&self, id: u64) -> Option<&Slot> {
+        self.slots.get(id as usize)?.as_ref()
+    }
+
+    fn slot(&self, id: u64) -> &Slot {
+        self.resident(id)
+            .expect("invariant: every page id the tree holds names a resident node")
+    }
+
+    fn slot_mut(&mut self, id: u64) -> &mut Slot {
+        self.slots
+            .get_mut(id as usize)
+            .and_then(Option::as_mut)
+            .expect("invariant: every page id the tree holds names a resident node")
     }
 
     fn node(&self, id: u64) -> &Node {
-        self.nodes.get(&id).unwrap_or_else(|| panic!("btree node {id} missing from cache"))
+        &self.slot(id).node
+    }
+
+    /// Make `node` resident under the vacant page id `id`; a node is born
+    /// dirty unless it was just read from disk.
+    fn place(&mut self, id: u64, node: Node, on_disk: bool) {
+        let at = id as usize;
+        if self.slots.len() <= at {
+            self.slots.resize_with(at + 1, || None);
+        }
+        let slot = self
+            .slots
+            .get_mut(at)
+            .expect("invariant: the table was just grown past this id");
+        debug_assert!(slot.is_none(), "page {id} placed over a resident node");
+        *slot = Some(Slot {
+            node,
+            dirty: !on_disk,
+            on_disk,
+        });
     }
 
     // ----- reads -------------------------------------------------------------
@@ -127,14 +180,11 @@ impl BTree {
         loop {
             match self.node(id) {
                 Node::Leaf { entries } => {
-                    return entries
-                        .binary_search_by_key(&key, |(k, _)| *k)
-                        .ok()
-                        .map(|i| entries[i].1.as_slice());
+                    let i = entries.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+                    return entries.get(i).map(|(_, v)| v.as_slice());
                 }
                 Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&k| k <= key);
-                    id = children[idx];
+                    id = child_at(children, keys.partition_point(|&k| k <= key));
                 }
             }
         }
@@ -159,8 +209,11 @@ impl BTree {
             Node::Internal { keys, children } => {
                 let first = keys.partition_point(|&k| k <= lo);
                 let last = keys.partition_point(|&k| k <= hi);
-                for child in &children[first..=last] {
-                    self.scan_into(*child, lo, hi, out);
+                let covered = children
+                    .get(first..=last)
+                    .expect("invariant: an internal node has one more child than keys");
+                for &child in covered {
+                    self.scan_into(child, lo, hi, out);
                 }
             }
         }
@@ -199,14 +252,11 @@ impl BTree {
         if let Some((sep, right)) = self.insert_rec(self.root, key, value, alloc) {
             // Root split: grow the tree by one level.
             let new_root = alloc.alloc();
-            self.nodes.insert(
-                new_root,
-                Node::Internal {
-                    keys: vec![sep],
-                    children: vec![self.root, right],
-                },
-            );
-            self.dirty.insert(new_root);
+            let node = Node::Internal {
+                keys: vec![sep],
+                children: vec![self.root, right],
+            };
+            self.place(new_root, node, false);
             self.root = new_root;
         }
     }
@@ -219,28 +269,30 @@ impl BTree {
         value: Vec<u8>,
         alloc: &mut PageAllocator,
     ) -> Option<(u64, u64)> {
-        let descend = match self.nodes.get_mut(&id).expect("node in cache") {
-            Node::Leaf { .. } => None,
-            Node::Internal { keys, .. } => Some(keys.partition_point(|&k| k <= key)),
-        };
-        self.dirty.insert(id);
-        if let Some(idx) = descend {
-            let child = match self.node(id) {
-                Node::Internal { children, .. } => children[idx],
-                Node::Leaf { .. } => unreachable!(),
-            };
-            if let Some((sep, right)) = self.insert_rec(child, key, value, alloc) {
-                if let Node::Internal { keys, children } =
-                    self.nodes.get_mut(&id).expect("node in cache")
-                {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
+        let slot = self.slot_mut(id);
+        slot.dirty = true;
+        let (idx, child) = match &mut slot.node {
+            Node::Leaf { entries } => {
+                match entries.binary_search_by_key(&key, |(k, _)| *k) {
+                    Ok(i) => {
+                        entries
+                            .get_mut(i)
+                            .expect("invariant: binary_search found the key at i")
+                            .1 = value;
+                    }
+                    Err(i) => entries.insert(i, (key, value)),
                 }
+                return self.maybe_split(id, alloc);
             }
-        } else if let Node::Leaf { entries } = self.nodes.get_mut(&id).expect("node in cache") {
-            match entries.binary_search_by_key(&key, |(k, _)| *k) {
-                Ok(i) => entries[i].1 = value,
-                Err(i) => entries.insert(i, (key, value)),
+            Node::Internal { keys, children } => {
+                let idx = keys.partition_point(|&k| k <= key);
+                (idx, child_at(children, idx))
+            }
+        };
+        if let Some((sep, right)) = self.insert_rec(child, key, value, alloc) {
+            if let Node::Internal { keys, children } = &mut self.slot_mut(id).node {
+                keys.insert(idx, sep);
+                children.insert(idx + 1, right);
             }
         }
         self.maybe_split(id, alloc)
@@ -248,11 +300,12 @@ impl BTree {
 
     /// Split `id` if it overflows a page; returns the promotion.
     fn maybe_split(&mut self, id: u64, alloc: &mut PageAllocator) -> Option<(u64, u64)> {
-        if self.node(id).serialized_size() <= PAGE_SIZE {
+        let slot = self.slot_mut(id);
+        if slot.node.serialized_size() <= PAGE_SIZE {
             return None;
         }
-        let right_id = alloc.alloc();
-        let (sep, right) = match self.nodes.get_mut(&id).expect("node in cache") {
+        slot.dirty = true;
+        let (sep, right) = match &mut slot.node {
             Node::Leaf { entries } => {
                 // Split at the byte midpoint so variably-sized values
                 // balance reasonably.
@@ -267,7 +320,10 @@ impl BTree {
                     }
                 }
                 let right_entries = entries.split_off(cut);
-                let sep = right_entries[0].0;
+                let sep = right_entries
+                    .first()
+                    .expect("invariant: an overflowing leaf splits into two non-empty halves")
+                    .0;
                 (
                     sep,
                     Node::Leaf {
@@ -277,9 +333,11 @@ impl BTree {
             }
             Node::Internal { keys, children } => {
                 let mid = keys.len() / 2;
-                let sep = keys[mid];
                 let right_keys = keys.split_off(mid + 1);
-                keys.pop(); // `sep` moves up, not right
+                // `sep` moves up, not right.
+                let sep = keys
+                    .pop()
+                    .expect("invariant: an overflowing internal node has keys on both sides");
                 let right_children = children.split_off(mid + 1);
                 (
                     sep,
@@ -290,9 +348,8 @@ impl BTree {
                 )
             }
         };
-        self.nodes.insert(right_id, right);
-        self.dirty.insert(right_id);
-        self.dirty.insert(id);
+        let right_id = alloc.alloc();
+        self.place(right_id, right, false);
         Some((sep, right_id))
     }
 
@@ -302,20 +359,18 @@ impl BTree {
     pub fn delete(&mut self, key: u64) -> bool {
         let mut id = self.root;
         loop {
-            match self.nodes.get_mut(&id).expect("node in cache") {
+            let slot = self.slot_mut(id);
+            match &mut slot.node {
                 Node::Leaf { entries } => {
-                    return match entries.binary_search_by_key(&key, |(k, _)| *k) {
-                        Ok(i) => {
-                            entries.remove(i);
-                            self.dirty.insert(id);
-                            true
-                        }
-                        Err(_) => false,
+                    let Ok(i) = entries.binary_search_by_key(&key, |(k, _)| *k) else {
+                        return false;
                     };
+                    entries.remove(i);
+                    slot.dirty = true;
+                    return true;
                 }
                 Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&k| k <= key);
-                    id = children[idx];
+                    id = child_at(children, keys.partition_point(|&k| k <= key));
                 }
             }
         }
@@ -327,9 +382,9 @@ impl BTree {
     /// space — the engine's `VACUUM`.
     pub fn rebuild(&mut self, alloc: &mut PageAllocator) {
         let entries = self.scan_range(0, u64::MAX);
-        for (&id, _) in self.nodes.iter() {
-            if self.on_disk.contains(&id) {
-                alloc.free_later(id);
+        for (id, slot) in self.slots.iter().enumerate() {
+            if slot.as_ref().is_some_and(|s| s.on_disk) {
+                alloc.free_later(id as u64);
             }
         }
         *self = BTree::new(alloc);
@@ -343,19 +398,17 @@ impl BTree {
     /// Shadow-paging flush: serialize every dirty node (and every ancestor
     /// of a remapped node) to fresh page ids, stamping them with `lsn`.
     /// Returns the page writes and updates the root id.
-    pub fn checkpoint_flush(
-        &mut self,
-        alloc: &mut PageAllocator,
-        lsn: u64,
-    ) -> Vec<IoRequest> {
+    pub fn checkpoint_flush(&mut self, alloc: &mut PageAllocator, lsn: u64) -> Vec<IoRequest> {
         let mut ios = Vec::new();
         let root = self.root;
         // One scratch page serves every node flushed this checkpoint.
         let mut scratch = vec![0u8; crate::node::PAGE_SIZE];
         let (new_root, _) = self.flush_rec(root, alloc, lsn, &mut ios, &mut scratch);
         self.root = new_root;
-        self.dirty.clear();
-        self.on_disk = self.nodes.keys().copied().collect();
+        for slot in self.slots.iter_mut().flatten() {
+            slot.dirty = false;
+            slot.on_disk = true;
+        }
         ios
     }
 
@@ -370,21 +423,22 @@ impl BTree {
     ) -> (u64, bool) {
         // Recurse into children first (post-order) so parents can pick up
         // remapped ids.
-        let mut self_dirty = self.dirty.contains(&id);
-        if let Node::Internal { children, .. } = self.node(id) {
-            let child_ids = children.clone();
-            let mut new_children = Vec::with_capacity(child_ids.len());
-            let mut any_child_changed = false;
-            for c in child_ids {
-                let (nc, changed) = self.flush_rec(c, alloc, lsn, ios, scratch);
-                any_child_changed |= changed;
-                new_children.push(nc);
-            }
-            if any_child_changed {
-                if let Node::Internal { children, .. } =
-                    self.nodes.get_mut(&id).expect("node in cache")
-                {
-                    *children = new_children;
+        let mut self_dirty = self.slot(id).dirty;
+        let fanout = match self.node(id) {
+            Node::Internal { children, .. } => children.len(),
+            Node::Leaf { .. } => 0,
+        };
+        for i in 0..fanout {
+            let Node::Internal { children, .. } = self.node(id) else {
+                break;
+            };
+            let child = child_at(children, i);
+            let (new_child, changed) = self.flush_rec(child, alloc, lsn, ios, scratch);
+            if changed {
+                if let Node::Internal { children, .. } = &mut self.slot_mut(id).node {
+                    if let Some(c) = children.get_mut(i) {
+                        *c = new_child;
+                    }
                 }
                 self_dirty = true;
             }
@@ -394,11 +448,15 @@ impl BTree {
         }
         // Path copy: a node with an on-disk incarnation moves to a fresh
         // page; a node born since the last checkpoint keeps its id.
-        let new_id = if self.on_disk.contains(&id) {
+        let new_id = if self.slot(id).on_disk {
             let fresh = alloc.alloc();
             alloc.free_later(id);
-            let node = self.nodes.remove(&id).expect("node in cache");
-            self.nodes.insert(fresh, node);
+            let moved = self
+                .slots
+                .get_mut(id as usize)
+                .and_then(Option::take)
+                .expect("invariant: every page id the tree holds names a resident node");
+            self.place(fresh, moved.node, false);
             fresh
         } else {
             id
@@ -417,12 +475,20 @@ impl BTree {
     /// Load a tree from a device, starting at `root`. Every reachable page
     /// must be present and intact.
     pub fn load(dev: &dyn BlockDevice, root: u64) -> Result<(BTree, u64), PageError> {
-        let mut nodes = BTreeMap::new();
+        let mut tree = BTree {
+            slots: Vec::new(),
+            root,
+        };
         let mut max_lsn = 0u64;
         let mut queue = VecDeque::from([root]);
         while let Some(id) = queue.pop_front() {
-            if nodes.contains_key(&id) {
+            if tree.resident(id).is_some() {
                 return Err(PageError::BadStructure(id, "page referenced twice"));
+            }
+            // Page ids come off the disk: one past the end of the device
+            // names no page, and must not size the node table.
+            if id >= dev.size_blocks() {
+                return Err(PageError::Missing(id));
             }
             let buf = dev.read_block(id).ok_or(PageError::Missing(id))?;
             let (node, lsn) = Node::deserialize(&buf, id)?;
@@ -430,18 +496,9 @@ impl BTree {
             if let Node::Internal { children, .. } = &node {
                 queue.extend(children.iter().copied());
             }
-            nodes.insert(id, node);
+            tree.place(id, node, true);
         }
-        let on_disk = nodes.keys().copied().collect();
-        Ok((
-            BTree {
-                nodes,
-                root,
-                dirty: BTreeSet::new(),
-                on_disk,
-            },
-            max_lsn,
-        ))
+        Ok((tree, max_lsn))
     }
 
     /// Check structural invariants (tests and recovery verification):
@@ -452,7 +509,7 @@ impl BTree {
     }
 
     fn validate_rec(&self, id: u64, lo: Option<u64>, hi: Option<u64>) -> Result<(), String> {
-        match self.nodes.get(&id) {
+        match self.resident(id).map(|s| &s.node) {
             None => Err(format!("node {id} missing")),
             Some(Node::Leaf { entries }) => {
                 for w in entries.windows(2) {
@@ -490,6 +547,7 @@ impl BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tsuru_storage::{BlockDeviceMut, MemDevice};
 
     fn tree() -> (BTree, PageAllocator) {
@@ -640,6 +698,128 @@ mod tests {
             "point update rewrote {incremental} pages (expected a root-to-leaf path)"
         );
         assert!(incremental < full / 10);
+    }
+
+    /// Page ids of the resident nodes and of those flagged on-disk.
+    fn table(t: &BTree) -> (BTreeSet<u64>, BTreeSet<u64>) {
+        let ids = |keep: fn(&Slot) -> bool| {
+            t.slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.as_ref().is_some_and(keep))
+                .map(|(i, _)| i as u64)
+                .collect()
+        };
+        (ids(|_| true), ids(|s| s.on_disk))
+    }
+
+    /// Page ids reachable from the root.
+    fn reachable(t: &BTree) -> BTreeSet<u64> {
+        let mut seen = BTreeSet::new();
+        let mut stack = vec![t.root()];
+        while let Some(id) = stack.pop() {
+            assert!(seen.insert(id), "page {id} reachable twice");
+            if let Node::Internal { children, .. } = t.node(id) {
+                stack.extend(children);
+            }
+        }
+        seen
+    }
+
+    /// The node table through a tree's whole life: splits fill it, a
+    /// checkpoint's path copy vacates every moved id, and a rebuild frees
+    /// exactly the on-disk pages. At every step the resident ids are the
+    /// ids reachable from the root — no orphan slots, no dangling children.
+    #[test]
+    fn node_table_tracks_split_path_copy_and_rebuild() {
+        let (mut t, mut a) = tree();
+        for i in 0..2000u64 {
+            t.put(&mut a, i, vec![7u8; 40]);
+        }
+        let (live, on_disk) = table(&t);
+        assert!(live.len() > 10, "tree must have split");
+        assert_eq!(live, reachable(&t));
+        assert_eq!(t.node_count(), live.len());
+        assert!(on_disk.is_empty(), "nothing is on disk before a checkpoint");
+        assert!(t.is_dirty());
+
+        // First checkpoint: every node is new, so none moves.
+        let ios = t.checkpoint_flush(&mut a, 1);
+        a.promote_pending();
+        let (live1, on_disk1) = table(&t);
+        assert_eq!(live1, live);
+        assert_eq!(
+            on_disk1, live1,
+            "a checkpoint leaves exactly the live ids on disk"
+        );
+        assert_eq!(ios.iter().map(|io| io.lba).collect::<BTreeSet<_>>(), live1);
+        assert!(!t.is_dirty());
+
+        // Point updates, then a checkpoint: each rewritten node moves to a
+        // fresh id and its old slot is vacated.
+        let root1 = t.root();
+        for i in (0..2000u64).step_by(400) {
+            t.put(&mut a, i, vec![9u8; 40]);
+        }
+        let ios = t.checkpoint_flush(&mut a, 2);
+        let moved_to: BTreeSet<u64> = ios.iter().map(|io| io.lba).collect();
+        let (live2, on_disk2) = table(&t);
+        assert_eq!(live2, reachable(&t));
+        assert_eq!(on_disk2, live2);
+        assert_eq!(
+            live2.len(),
+            live1.len(),
+            "a path copy moves nodes, it adds none"
+        );
+        let vacated: BTreeSet<u64> = live1.difference(&live2).copied().collect();
+        assert_eq!(vacated.len(), moved_to.len());
+        assert!(vacated.contains(&root1) && t.resident(root1).is_none());
+        assert!(
+            moved_to.is_disjoint(&live1),
+            "live pages are never overwritten"
+        );
+        assert!(moved_to.is_subset(&live2));
+        a.promote_pending();
+        assert_eq!(
+            a.free_list().iter().copied().collect::<BTreeSet<_>>(),
+            vacated,
+            "the vacated ids are what the allocator may hand out next"
+        );
+
+        // Rebuild: every on-disk page is queued for reuse, the new tree
+        // holds the same entries in fresh slots.
+        let before = t.scan_range(0, u64::MAX);
+        t.rebuild(&mut a);
+        let (live3, on_disk3) = table(&t);
+        assert_eq!(live3, reachable(&t));
+        assert!(on_disk3.is_empty());
+        assert_eq!(t.scan_range(0, u64::MAX), before);
+        t.validate().unwrap();
+        let _ = t.checkpoint_flush(&mut a, 3);
+        a.promote_pending();
+        let free: BTreeSet<u64> = a.free_list().iter().copied().collect();
+        assert!(
+            live2.is_subset(&free),
+            "the old generation is reusable after the rebuild"
+        );
+    }
+
+    /// A child pointer read off the disk that names no block of the device
+    /// is a missing page; it must not size the node table.
+    #[test]
+    fn load_rejects_page_ids_past_the_device() {
+        let mut dev = MemDevice::new(4);
+        let node = Node::Internal {
+            keys: vec![10],
+            children: vec![2, u64::MAX / 2],
+        };
+        dev.write_block(1, &node.serialize(1, 0));
+        dev.write_block(2, &Node::empty_leaf().serialize(2, 0));
+        assert!(matches!(
+            BTree::load(&dev, 1),
+            Err(PageError::Missing(p)) if p == u64::MAX / 2
+        ));
+        assert!(matches!(BTree::load(&dev, 4), Err(PageError::Missing(4))));
     }
 
     #[test]

@@ -303,19 +303,20 @@ impl MiniDb {
                 "single transaction larger than the WAL volume"
             );
         }
+        self.next_lsn += 1;
+        let wal_ios = self.wal.append(&record);
+        self.stats.wal_bytes_written += record.encoded_len() as u64;
+        plan.push_phase(wal_ios);
         // Apply to the in-memory tree; recovery redoes this from the WAL.
-        for op in &record.ops {
-            match &op.value {
-                Some(v) => self.tree.put(&mut self.alloc, op.key, v.clone()),
+        // The record is encoded by now, so its values move into the tree.
+        for op in record.ops {
+            match op.value {
+                Some(v) => self.tree.put(&mut self.alloc, op.key, v),
                 None => {
                     self.tree.delete(op.key);
                 }
             }
         }
-        self.next_lsn += 1;
-        let wal_ios = self.wal.append(&record);
-        self.stats.wal_bytes_written += record.encoded_len() as u64;
-        plan.push_phase(wal_ios);
         plan
     }
 
@@ -395,6 +396,14 @@ impl MiniDb {
             .read_block(0)
             .ok_or_else(|| RecoveryError::BadSuperblock("missing".into()))?;
         let sb = Superblock::deserialize(&sb_img).map_err(RecoveryError::BadSuperblock)?;
+        // Page ids index the tree's node table, so the allocator state read
+        // off the disk must stay inside the volume it describes.
+        if sb.next_page > data_dev.size_blocks() || sb.free_list.iter().any(|&p| p >= sb.next_page)
+        {
+            return Err(RecoveryError::BadSuperblock(
+                "page allocator state outside the data volume".into(),
+            ));
+        }
 
         let (mut tree, max_page_lsn) =
             BTree::load(data_dev, sb.root).map_err(RecoveryError::Page)?;
@@ -673,6 +682,39 @@ mod tests {
             Err(RecoveryError::BadSuperblock(w)) => assert!(w.contains("missing")),
             other => panic!("expected BadSuperblock, got {other:?}"),
         }
+    }
+
+    /// Page ids index the tree's node table: a checksummed superblock
+    /// whose allocator state points outside the data volume is refused
+    /// before any id from it is used.
+    #[test]
+    fn superblock_allocator_state_must_fit_the_data_volume() {
+        let (db, wal, data) = fresh();
+        let good = Superblock::deserialize(&data.read_block(0).unwrap()).unwrap();
+        let forged = [
+            Superblock {
+                next_page: data.size_blocks() + 1,
+                ..good.clone()
+            },
+            Superblock {
+                free_list: vec![good.next_page],
+                ..good.clone()
+            },
+            Superblock {
+                next_page: u64::MAX,
+                free_list: vec![1 << 60],
+                ..good.clone()
+            },
+        ];
+        for sb in forged {
+            let mut data = data.clone();
+            data.write_block(0, &sb.serialize());
+            match MiniDb::recover("r", &wal, &data, db.config().clone()) {
+                Err(RecoveryError::BadSuperblock(w)) => assert!(w.contains("allocator"), "{w}"),
+                other => panic!("expected BadSuperblock, got {other:?}"),
+            }
+        }
+        assert!(MiniDb::recover("r", &wal, &data, db.config().clone()).is_ok());
     }
 
     #[test]

@@ -1,21 +1,20 @@
 //! A registry of named inter-site links.
 
-use std::collections::BTreeMap;
-
 use tsuru_sim::{DetRng, SimTime};
 use tsuru_telemetry::Tracer;
 
 use crate::link::{Link, LinkConfig, LinkId};
 
-/// A collection of unidirectional links indexed by [`LinkId`].
+/// A collection of unidirectional links indexed by [`LinkId`]: ids are
+/// minted in registration order and links are never removed, so `LinkId(n)`
+/// is element `n`.
 ///
 /// The demonstration system uses one link per replication direction between
 /// the main and backup arrays; larger topologies (fan-in consolidation,
 /// three-data-centre) simply register more links.
 #[derive(Debug, Default)]
 pub struct Network {
-    links: BTreeMap<LinkId, Link>,
-    next_id: u32,
+    links: Vec<Link>,
     tracer: Tracer,
 }
 
@@ -28,19 +27,18 @@ impl Network {
     /// Register a new link and return its id. `rng` seeds the link's
     /// jitter/loss stream.
     pub fn add_link(&mut self, config: LinkConfig, rng: DetRng) -> LinkId {
-        let id = LinkId(self.next_id);
-        self.next_id += 1;
+        let id = LinkId(self.links.len() as u32);
         let mut link = Link::new(config, rng);
         link.set_tracer(self.tracer.clone(), id.0 as u64);
-        self.links.insert(id, link);
+        self.links.push(link);
         id
     }
 
     /// Install a tracing handle on the network and every link —
     /// existing and future ones alike.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        for (&id, l) in self.links.iter_mut() {
-            l.set_tracer(tracer.clone(), id.0 as u64);
+        for (i, l) in self.links.iter_mut().enumerate() {
+            l.set_tracer(tracer.clone(), i as u64);
         }
         self.tracer = tracer;
     }
@@ -52,14 +50,14 @@ impl Network {
     /// miss is a programming error, not a runtime condition.
     pub fn link(&self, id: LinkId) -> &Link {
         self.links
-            .get(&id)
+            .get(id.0 as usize)
             .expect("invariant: LinkId is only minted by add_link")
     }
 
     /// Mutably borrow a link.
     pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
         self.links
-            .get_mut(&id)
+            .get_mut(id.0 as usize)
             .expect("invariant: LinkId is only minted by add_link")
     }
 
@@ -75,21 +73,24 @@ impl Network {
 
     /// Take every link down at `now` (site-wide network failure).
     pub fn partition_all(&mut self, now: SimTime, until: Option<SimTime>) {
-        for l in self.links.values_mut() {
+        for l in &mut self.links {
             l.set_down(now, until);
         }
     }
 
     /// Restore every link.
     pub fn heal_all(&mut self) {
-        for l in self.links.values_mut() {
+        for l in &mut self.links {
             l.set_up();
         }
     }
 
     /// Iterate over `(id, link)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (LinkId, &Link)> {
-        self.links.iter().map(|(&id, l)| (id, l))
+        self.links
+            .iter()
+            .enumerate()
+            .map(|(i, l)| (LinkId(i as u32), l))
     }
 }
 

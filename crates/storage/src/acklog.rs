@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use tsuru_sim::SimTime;
 
 use crate::block::VolRef;
+use crate::hot::VolLists;
 
 /// One acknowledged write in global ack order.
 #[derive(Debug, Clone)]
@@ -46,7 +47,8 @@ pub struct PrefixReport {
 #[derive(Debug, Default)]
 pub struct AckLog {
     entries: Vec<AckEntry>,
-    per_vol: BTreeMap<VolRef, Vec<u64>>,
+    /// Global indices of each volume's acked writes, in ack order.
+    per_vol: VolLists<u64>,
 }
 
 impl AckLog {
@@ -65,7 +67,7 @@ impl AckLog {
             hash,
             time,
         });
-        self.per_vol.entry(vol).or_default().push(global);
+        self.per_vol.push(vol, global);
         global
     }
 
@@ -86,7 +88,7 @@ impl AckLog {
 
     /// Acked writes for one volume, in ack order.
     pub fn writes_for(&self, vol: VolRef) -> &[u64] {
-        self.per_vol.get(&vol).map(Vec::as_slice).unwrap_or(&[])
+        self.per_vol.list(vol)
     }
 
     /// Number of acked writes for one volume.
@@ -279,6 +281,26 @@ mod tests {
         // Zero replay returns just the image.
         let e = l.expected_content(v(1), 1, 0, &initial);
         assert_eq!(e.len(), 1);
+    }
+
+    #[test]
+    fn unknown_volumes_have_no_acked_writes() {
+        let l = log();
+        let far = VolRef::new(ArrayId(7), VolumeId(0));
+        let beyond = VolRef::new(ArrayId(0), VolumeId(u64::MAX));
+        for vol in [v(0), v(3), far, beyond] {
+            assert!(l.writes_for(vol).is_empty(), "{vol}");
+            assert_eq!(l.count_for(vol), 0);
+        }
+        // Such a volume in a cut is consistent at 0 and over-applied above.
+        let cut: BTreeMap<_, _> = [(v(1), 2), (v(2), 1), (far, 0)].into();
+        assert!(l.check_prefix(&cut).consistent);
+        let cut: BTreeMap<_, _> = [(beyond, 1)].into();
+        assert!(l.check_prefix(&cut).violations[0].contains("only 0 were acknowledged"));
+        assert_eq!(
+            l.expected_content(far, 0, 5, &BTreeMap::new()),
+            BTreeMap::new()
+        );
     }
 
     #[test]

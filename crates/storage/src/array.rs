@@ -6,11 +6,8 @@
 //! is driven by the replication engine and host-port functions in
 //! [`crate::engine`].
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 use tsuru_sim::{ServiceStation, SimDuration, SimTime};
-
 
 use crate::block::{ArrayId, BlockBuf, SnapshotId, VolumeId};
 use crate::pool::{Pool, PoolId};
@@ -56,26 +53,65 @@ pub enum WriteError {
     NoSuchVolume,
     /// The volume's thin-provisioning pool has no capacity for a new block.
     PoolExhausted,
+    /// The block address lies past the end of the volume.
+    OutOfRange,
+}
+
+/// Everything the array keeps per volume, in one slot of the volume table.
+#[derive(Debug)]
+struct VolumeSlot {
+    volume: Volume,
+    /// The volume's FIFO service station.
+    station: ServiceStation,
+    /// The thin-provisioning pool backing the volume.
+    pool: PoolId,
+    /// Active snapshots based on this volume, in creation order.
+    snaps: Vec<SnapshotId>,
 }
 
 /// A virtualized block-storage array.
+///
+/// Volumes and snapshots live in tables indexed by the ids the array mints
+/// (`VolumeId(n)` is slot `n`): a data-plane call resolves its volume with
+/// one bounds-checked array read. Ids are never reused, so a deleted
+/// volume's slot stays vacant and a stale id resolves to nothing.
 #[derive(Debug)]
 pub struct StorageArray {
     id: ArrayId,
     name: String,
     perf: ArrayPerf,
-    volumes: BTreeMap<VolumeId, Volume>,
-    /// Active snapshots, and which base volume each belongs to.
-    snapshots: BTreeMap<SnapshotId, Snapshot>,
-    by_base: BTreeMap<VolumeId, Vec<SnapshotId>>,
-    stations: BTreeMap<VolumeId, ServiceStation>,
+    volumes: Vec<Option<VolumeSlot>>,
+    snapshots: Vec<Option<Snapshot>>,
     pools: Vec<Pool>,
-    vol_pool: BTreeMap<VolumeId, PoolId>,
-    next_volume: u64,
-    next_snapshot: u64,
     next_snap_group: u64,
     failed_at: Option<SimTime>,
     cow_saves: u64,
+}
+
+/// The occupant of slot `id` of an id-indexed table. Free functions over
+/// the field, not methods on the array, so a caller can hold a volume slot
+/// while it updates the snapshot table and the pools.
+fn slot<T>(table: &[Option<T>], id: u64) -> Option<&T> {
+    table.get(usize::try_from(id).ok()?)?.as_ref()
+}
+
+/// Mutable twin of [`slot`].
+fn slot_mut<T>(table: &mut [Option<T>], id: u64) -> Option<&mut T> {
+    table.get_mut(usize::try_from(id).ok()?)?.as_mut()
+}
+
+/// Vacate slot `id`, returning its occupant.
+fn take_slot<T>(table: &mut [Option<T>], id: u64) -> Option<T> {
+    table.get_mut(usize::try_from(id).ok()?)?.take()
+}
+
+/// Ids of the occupied slots, ascending.
+fn live_ids<T>(table: &[Option<T>]) -> impl Iterator<Item = u64> + '_ {
+    table
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.is_some())
+        .map(|(i, _)| i as u64)
 }
 
 impl StorageArray {
@@ -85,14 +121,9 @@ impl StorageArray {
             id,
             name: name.into(),
             perf,
-            volumes: BTreeMap::new(),
-            snapshots: BTreeMap::new(),
-            by_base: BTreeMap::new(),
-            stations: BTreeMap::new(),
+            volumes: Vec::new(),
+            snapshots: Vec::new(),
             pools: vec![Pool::new(PoolId(0), "default", DEFAULT_POOL_CAPACITY)],
-            vol_pool: BTreeMap::new(),
-            next_volume: 0,
-            next_snapshot: 0,
             next_snap_group: 0,
             failed_at: None,
             cow_saves: 0,
@@ -169,7 +200,13 @@ impl StorageArray {
 
     /// The pool backing a volume.
     pub fn pool_of(&self, vol: VolumeId) -> PoolId {
-        self.vol_pool.get(&vol).copied().unwrap_or(PoolId(0))
+        slot(&self.volumes, vol.0).map_or(PoolId(0), |s| s.pool)
+    }
+
+    fn pool_mut(&mut self, id: PoolId) -> &mut Pool {
+        self.pools
+            .get_mut(id.0 as usize)
+            .expect("invariant: PoolId is only minted by create_pool")
     }
 
     // ----- volume lifecycle ------------------------------------------------
@@ -187,30 +224,29 @@ impl StorageArray {
         pool: PoolId,
     ) -> VolumeId {
         assert!((pool.0 as usize) < self.pools.len(), "unknown pool");
-        let id = VolumeId(self.next_volume);
-        self.next_volume += 1;
-        self.volumes.insert(id, Volume::new(id, name, size_blocks));
-        self.stations.insert(id, ServiceStation::new());
-        self.vol_pool.insert(id, pool);
+        let id = VolumeId(self.volumes.len() as u64);
+        self.volumes.push(Some(VolumeSlot {
+            volume: Volume::new(id, name, size_blocks),
+            station: ServiceStation::new(),
+            pool,
+            snaps: Vec::new(),
+        }));
         id
     }
 
     /// Delete a volume and any snapshots based on it, releasing the pool
     /// capacity both held.
     pub fn delete_volume(&mut self, id: VolumeId) {
-        let pool = self.pool_of(id);
-        if let Some(v) = self.volumes.remove(&id) {
-            self.pools[pool.0 as usize].release(v.allocated_blocks() as u64);
-        }
-        self.stations.remove(&id);
-        self.vol_pool.remove(&id);
-        if let Some(snaps) = self.by_base.remove(&id) {
-            for s in snaps {
-                if let Some(snap) = self.snapshots.remove(&s) {
-                    self.pools[pool.0 as usize].release(snap.saved_blocks() as u64);
-                }
+        let Some(s) = take_slot(&mut self.volumes, id.0) else {
+            return;
+        };
+        let mut released = s.volume.allocated_blocks() as u64;
+        for sid in s.snaps {
+            if let Some(snap) = take_slot(&mut self.snapshots, sid.0) {
+                released += snap.saved_blocks() as u64;
             }
         }
+        self.pool_mut(s.pool).release(released);
     }
 
     /// Borrow a volume.
@@ -218,29 +254,27 @@ impl StorageArray {
     /// # Panics
     /// Panics on an unknown id; ids come from [`StorageArray::create_volume`].
     pub fn volume(&self, id: VolumeId) -> &Volume {
-        self.volumes
-            .get(&id)
+        &slot(&self.volumes, id.0)
             .expect("invariant: VolumeId is only minted by create_volume")
+            .volume
     }
 
     /// Mutably borrow a volume (control-plane use; data-plane writes must go
     /// through [`StorageArray::write_block`] for COW bookkeeping).
     pub fn volume_mut(&mut self, id: VolumeId) -> &mut Volume {
-        self.volumes
-            .get_mut(&id)
+        &mut slot_mut(&mut self.volumes, id.0)
             .expect("invariant: VolumeId is only minted by create_volume")
+            .volume
     }
 
     /// Does the volume exist?
     pub fn has_volume(&self, id: VolumeId) -> bool {
-        self.volumes.contains_key(&id)
+        slot(&self.volumes, id.0).is_some()
     }
 
     /// Ids of all volumes, sorted.
     pub fn volume_ids(&self) -> Vec<VolumeId> {
-        let mut v: Vec<_> = self.volumes.keys().copied().collect();
-        v.sort_unstable();
-        v
+        live_ids(&self.volumes).map(VolumeId).collect()
     }
 
     // ----- data plane ------------------------------------------------------
@@ -248,9 +282,9 @@ impl StorageArray {
     /// Admit an operation of `service` duration on `vol`'s FIFO station at
     /// `now`, returning the completion instant.
     pub fn admit(&mut self, vol: VolumeId, now: SimTime, service: SimDuration) -> SimTime {
-        self.stations
-            .get_mut(&vol)
-            .expect("invariant: every volume gets a station at create_volume")
+        slot_mut(&mut self.volumes, vol.0)
+            .expect("invariant: VolumeId is only minted by create_volume")
+            .station
             .admit(now, service)
     }
 
@@ -261,42 +295,38 @@ impl StorageArray {
         if self.is_failed() {
             return Err(WriteError::ArrayFailed);
         }
-        match self.volumes.get(&vol) {
-            None => Err(WriteError::NoSuchVolume),
-            Some(v) if v.role() == VolumeRole::Secondary => Err(WriteError::VolumeFenced),
-            Some(v) => {
-                let allocates = lba < v.size_blocks() && v.read(lba).is_none();
-                let pool = self.pool_of(vol);
-                let p = self
-                    .pools
-                    .get_mut(pool.0 as usize)
-                    .expect("invariant: PoolId is only minted by add_pool");
-                if allocates && !p.has_room(1) {
-                    p.count_rejection();
-                    return Err(WriteError::PoolExhausted);
-                }
-                Ok(())
+        let Some(s) = slot(&self.volumes, vol.0) else {
+            return Err(WriteError::NoSuchVolume);
+        };
+        if s.volume.role() == VolumeRole::Secondary {
+            return Err(WriteError::VolumeFenced);
+        }
+        if lba >= s.volume.size_blocks() {
+            return Err(WriteError::OutOfRange);
+        }
+        if s.volume.read(lba).is_none() {
+            let p = self
+                .pools
+                .get_mut(s.pool.0 as usize)
+                .expect("invariant: PoolId is only minted by create_pool");
+            if !p.has_room(1) {
+                p.count_rejection();
+                return Err(WriteError::PoolExhausted);
             }
         }
+        Ok(())
     }
 
     /// How many active snapshots would need a copy-on-write preservation if
     /// `lba` on `vol` were overwritten now (pre-charge for service time).
     pub fn cow_would_save(&self, vol: VolumeId, lba: u64) -> u32 {
-        self.by_base
-            .get(&vol)
-            .map(|snaps| {
-                snaps
-                    .iter()
-                    .filter(|sid| {
-                        self.snapshots
-                            .get(sid)
-                            .expect("invariant: by_base ids always exist in the snapshot table")
-                            .needs_preserve(lba)
-                    })
-                    .count() as u32
-            })
-            .unwrap_or(0)
+        let Some(s) = slot(&self.volumes, vol.0) else {
+            return 0;
+        };
+        s.snaps
+            .iter()
+            .filter(|sid| self.snapshot(**sid).needs_preserve(lba))
+            .count() as u32
     }
 
     /// Persist a block write, performing copy-on-write preservation for any
@@ -304,39 +334,27 @@ impl StorageArray {
     /// required a COW save (each costs [`ArrayPerf::cow_penalty`]). New
     /// thin-block allocations and data-bearing COW saves charge the pool.
     pub fn write_block(&mut self, vol: VolumeId, lba: u64, data: BlockBuf) -> u32 {
+        let s = slot_mut(&mut self.volumes, vol.0)
+            .expect("invariant: VolumeId is only minted by create_volume");
         let mut cow = 0u32;
         let mut cow_with_data = 0u64;
-        if let Some(snaps) = self.by_base.get(&vol) {
-            if !snaps.is_empty() {
-                // Preserve old content before the overwrite lands.
-                let old = self
-                    .volumes
-                    .get(&vol)
-                    .expect("invariant: VolumeId is only minted by create_volume")
-                    .read(lba)
-                    .cloned();
-                for sid in snaps {
-                    let snap = self.snapshots.get_mut(sid).expect("invariant: by_base ids always exist in the snapshot table");
-                    if snap.preserve(lba, old.as_ref()) {
-                        cow += 1;
-                        if old.is_some() {
-                            cow_with_data += 1;
-                        }
-                    }
+        if !s.snaps.is_empty() {
+            // Preserve old content before the overwrite lands.
+            let old = s.volume.read(lba);
+            for sid in &s.snaps {
+                let snap = slot_mut(&mut self.snapshots, sid.0)
+                    .expect("invariant: a volume's snapshot list only names live snapshots");
+                if snap.preserve(lba, old) {
+                    cow += 1;
+                    cow_with_data += u64::from(old.is_some());
                 }
             }
         }
         self.cow_saves += cow as u64;
-        let previous = self
-            .volumes
-            .get_mut(&vol)
-            .expect("invariant: VolumeId is only minted by create_volume")
-            .write(lba, data);
+        let previous = s.volume.write(lba, data);
         let newly_allocated = u64::from(previous.is_none());
-        let pool = self.pool_of(vol);
-        self.pools
-            .get_mut(pool.0 as usize)
-            .expect("invariant: PoolId is only minted by add_pool")
+        let pool = s.pool;
+        self.pool_mut(pool)
             .force_charge(newly_allocated + cow_with_data);
         cow
     }
@@ -384,38 +402,37 @@ impl StorageArray {
         now: SimTime,
         group: Option<u64>,
     ) -> SnapshotId {
-        assert!(self.volumes.contains_key(&vol), "snapshot of unknown volume");
-        let id = SnapshotId(self.next_snapshot);
-        self.next_snapshot += 1;
+        let s = slot_mut(&mut self.volumes, vol.0)
+            .expect("invariant: VolumeId is only minted by create_volume");
+        let id = SnapshotId(self.snapshots.len() as u64);
+        let size = s.volume.size_blocks();
         self.snapshots
-            .insert(id, Snapshot::new(id, name, vol, now, group));
-        self.by_base.entry(vol).or_default().push(id);
+            .push(Some(Snapshot::new(id, name, vol, size, now, group)));
+        s.snaps.push(id);
         id
     }
 
     /// Borrow a snapshot.
     pub fn snapshot(&self, id: SnapshotId) -> &Snapshot {
-        self.snapshots
-            .get(&id)
+        slot(&self.snapshots, id.0)
             .expect("invariant: SnapshotId is only minted by create_snapshot")
     }
 
     /// Delete a snapshot, releasing its preserved blocks back to the pool.
     pub fn delete_snapshot(&mut self, id: SnapshotId) {
-        if let Some(s) = self.snapshots.remove(&id) {
-            let pool = self.pool_of(s.base_volume());
-            self.pools[pool.0 as usize].release(s.saved_blocks() as u64);
-            if let Some(list) = self.by_base.get_mut(&s.base_volume()) {
-                list.retain(|&x| x != id);
-            }
+        let Some(snap) = take_slot(&mut self.snapshots, id.0) else {
+            return;
+        };
+        if let Some(s) = slot_mut(&mut self.volumes, snap.base_volume().0) {
+            s.snaps.retain(|&x| x != id);
+            let pool = s.pool;
+            self.pool_mut(pool).release(snap.saved_blocks() as u64);
         }
     }
 
     /// All snapshot ids, sorted.
     pub fn snapshot_ids(&self) -> Vec<SnapshotId> {
-        let mut v: Vec<_> = self.snapshots.keys().copied().collect();
-        v.sort_unstable();
-        v
+        live_ids(&self.snapshots).map(SnapshotId).collect()
     }
 
     /// Materialize a snapshot as a new, writable volume (restore/clone).
@@ -484,6 +501,10 @@ mod tests {
             a.check_host_write(VolumeId(99), 0),
             Err(WriteError::NoSuchVolume)
         );
+        assert_eq!(a.check_host_write(v, 9), Ok(()));
+        assert_eq!(a.check_host_write(v, 10), Err(WriteError::OutOfRange));
+        a.delete_volume(v);
+        assert_eq!(a.check_host_write(v, 0), Err(WriteError::NoSuchVolume));
     }
 
     #[test]

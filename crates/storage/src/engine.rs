@@ -36,7 +36,7 @@ use crate::config::JournalFullPolicy;
 use crate::event::{LegCb, StorageEvents, StorageOp, WriteCb};
 use crate::fabric::{GroupMode, SuspendReason};
 use crate::journal::JournalEntry;
-use crate::world::HasStorage;
+use crate::world::{HasStorage, StorageWorld};
 
 /// Host-visible completion of a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,15 +212,68 @@ pub fn host_read_snapshot<S, E, F>(
     );
 }
 
+/// The follow-ups one persisted write hands on per kind of leg: the first
+/// inline, the rest — multi-target volumes only — on the heap, so the
+/// common single-leg write allocates nothing here. Order is push order.
+struct Legs<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Legs<T> {
+    fn new() -> Self {
+        Legs {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, leg: T) {
+        if self.first.is_none() {
+            self.first = Some(leg);
+        } else {
+            self.rest.push(leg);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+}
+
+impl<T> IntoIterator for Legs<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
 enum PersistNext {
     Ack(WriteAck),
     Stall(SimDuration, BlockBuf),
     Legs {
         data: BlockBuf,
-        adc_kicks: Vec<GroupId>,
-        sdc_legs: Vec<(GroupId, PairId)>,
+        adc_kicks: Legs<GroupId>,
+        sdc_legs: Legs<(GroupId, PairId)>,
         any_degraded: bool,
     },
+}
+
+/// Replication leg `i` of `vol`, read from the fabric at each use:
+/// [`persist`] walks the legs by index so that it holds neither a borrow
+/// nor a copy of the list while it updates pairs, groups and journals.
+fn leg_of(st: &StorageWorld, vol: VolRef, i: usize) -> PairId {
+    st.fabric
+        .pairs_by_primary(vol)
+        .get(i)
+        .copied()
+        .expect("invariant: legs are neither attached nor detached while a write persists")
 }
 
 /// The array's cache-persist step, at the end of the front-end service
@@ -260,115 +313,114 @@ pub(crate) fn persist<S, E>(
             st.retire_write_ticket(vol);
             st.metrics.inc(names::WRITES_FAILED);
             PersistNext::Ack(WriteAck::Failed(WriteError::ArrayFailed))
+        } else if st.fabric.pairs_by_primary(vol).is_empty() {
+            st.retire_write_ticket(vol);
+            let global = st.commit_local(now, vol, lba, data, hash);
+            PersistNext::Ack(WriteAck::Ok {
+                latency: now - issued,
+                global,
+            })
         } else {
-            let pids: Vec<PairId> = st.fabric.pairs_by_primary(vol).to_vec();
-            if pids.is_empty() {
-                st.retire_write_ticket(vol);
-                let global = st.commit_local(now, vol, lba, data, hash);
-                PersistNext::Ack(WriteAck::Ok {
-                    latency: now - issued,
-                    global,
-                })
-            } else {
-                // Pass 1 — admission: under the Block policy, every active
-                // ADC leg must have journal space before ANY side effect
-                // happens, so a stalled write can retry without
-                // double-appending.
-                let mut stall = false;
-                if st.journal_full_policy() == JournalFullPolicy::Block {
-                    for &pid in &pids {
-                        let gid = st.fabric.pair(pid).group;
-                        let g = st.fabric.group(gid);
-                        if g.is_active() && g.mode == GroupMode::Adc {
-                            let jid = g.primary_jnl.expect("invariant: active ADC groups always carry a primary journal");
-                            if !st.fabric.journal(jid).has_space(data.len()) {
-                                stall = true;
-                            }
+            let legs = st.fabric.pairs_by_primary(vol).len();
+            // Pass 1 — admission: under the Block policy, every active
+            // ADC leg must have journal space before ANY side effect
+            // happens, so a stalled write can retry without
+            // double-appending.
+            let mut stall = false;
+            if st.journal_full_policy() == JournalFullPolicy::Block {
+                for i in 0..legs {
+                    let gid = st.fabric.pair(leg_of(st, vol, i)).group;
+                    let g = st.fabric.group(gid);
+                    if g.is_active() && g.mode == GroupMode::Adc {
+                        let jid = g.primary_jnl.expect("invariant: active ADC groups always carry a primary journal");
+                        if !st.fabric.journal(jid).has_space(data.len()) {
+                            stall = true;
                         }
                     }
                 }
-                if stall {
-                    st.metrics.inc(names::JOURNAL_STALL_RETRIES);
-                    st.metrics.inc(names::JOURNAL_OVERFLOW);
-                    st.tracer.instant(spans::JOURNAL_STALL, now, span, || {
-                        vec![("ticket", ticket.into())]
-                    });
-                    for &pid in &pids {
-                        let gid = st.fabric.pair(pid).group;
-                        st.fabric.group_mut(gid).stats.journal_stalls += 1;
+            }
+            if stall {
+                st.metrics.inc(names::JOURNAL_STALL_RETRIES);
+                st.metrics.inc(names::JOURNAL_OVERFLOW);
+                st.tracer.instant(spans::JOURNAL_STALL, now, span, || {
+                    vec![("ticket", ticket.into())]
+                });
+                for i in 0..legs {
+                    let gid = st.fabric.pair(leg_of(st, vol, i)).group;
+                    st.fabric.group_mut(gid).stats.journal_stalls += 1;
+                }
+                PersistNext::Stall(st.config.journal_stall_retry, data)
+            } else {
+                // Pass 2 — persist the primary copy once. The write is
+                // past admission, so the volume's turn advances.
+                st.retire_write_ticket(vol);
+                st.array_mut(vol.array).write_block(vol.volume, lba, data.clone());
+                // Pass 3 — drive each leg.
+                let mut adc_kicks = Legs::new();
+                let mut sdc_legs = Legs::new();
+                let mut any_degraded = false;
+                for i in 0..legs {
+                    let pid = leg_of(st, vol, i);
+                    let gid = st.fabric.pair(pid).group;
+                    let (mode, active) = {
+                        let g = st.fabric.group(gid);
+                        (g.mode, g.is_active())
+                    };
+                    if !active {
+                        st.fabric.group_mut(gid).stats.writes_while_suspended += 1;
+                        st.fabric.pair_mut(pid).dirty_since_suspend.insert(lba);
+                        any_degraded = true;
+                        continue;
                     }
-                    PersistNext::Stall(st.config.journal_stall_retry, data)
-                } else {
-                    // Pass 2 — persist the primary copy once. The write is
-                    // past admission, so the volume's turn advances.
-                    st.retire_write_ticket(vol);
-                    st.array_mut(vol.array).write_block(vol.volume, lba, data.clone());
-                    // Pass 3 — drive each leg.
-                    let mut adc_kicks = Vec::new();
-                    let mut sdc_legs = Vec::new();
-                    let mut any_degraded = false;
-                    for &pid in &pids {
-                        let gid = st.fabric.pair(pid).group;
-                        let (mode, active) = {
-                            let g = st.fabric.group(gid);
-                            (g.mode, g.is_active())
-                        };
-                        if !active {
-                            st.fabric.group_mut(gid).stats.writes_while_suspended += 1;
-                            st.fabric.pair_mut(pid).dirty_since_suspend.insert(lba);
-                            any_degraded = true;
-                            continue;
-                        }
-                        match mode {
-                            GroupMode::Adc => {
-                                let jid = {
-                                    let g = st.fabric.group(gid);
-                                    g.primary_jnl.expect("invariant: active ADC groups always carry a primary journal")
-                                };
-                                if st.fabric.journal(jid).has_space(data.len()) {
-                                    let seq = st
-                                        .fabric
-                                        .update_primary_journal(gid, |j| {
-                                            j.append(pid, lba, data.clone(), hash)
-                                        })
-                                        .expect("invariant: space was checked immediately above");
-                                    if st.tracer.is_enabled() {
-                                        let jspan = st.tracer.span_complete(
-                                            spans::JOURNAL_APPEND,
-                                            now,
-                                            now,
-                                            span,
-                                            || {
-                                                vec![
-                                                    ("seq", seq.into()),
-                                                    ("group", (gid.0 as u64).into()),
-                                                ]
-                                            },
-                                        );
-                                        st.fabric.journal_mut(jid).set_last_span(jspan);
-                                    }
-                                    st.fabric.update_pair(pid, |p| p.acked_writes += 1);
-                                    adc_kicks.push(gid);
-                                } else {
-                                    // Suspend policy (Block was handled in
-                                    // pass 1).
-                                    st.metrics.inc(names::JOURNAL_OVERFLOW);
-                                    st.fabric
-                                        .group_mut(gid)
-                                        .suspend(now, SuspendReason::JournalFull);
-                                    st.fabric.pair_mut(pid).dirty_since_suspend.insert(lba);
-                                    any_degraded = true;
+                    match mode {
+                        GroupMode::Adc => {
+                            let jid = {
+                                let g = st.fabric.group(gid);
+                                g.primary_jnl.expect("invariant: active ADC groups always carry a primary journal")
+                            };
+                            if st.fabric.journal(jid).has_space(data.len()) {
+                                let seq = st
+                                    .fabric
+                                    .update_primary_journal(gid, |j| {
+                                        j.append(pid, lba, data.clone(), hash)
+                                    })
+                                    .expect("invariant: space was checked immediately above");
+                                if st.tracer.is_enabled() {
+                                    let jspan = st.tracer.span_complete(
+                                        spans::JOURNAL_APPEND,
+                                        now,
+                                        now,
+                                        span,
+                                        || {
+                                            vec![
+                                                ("seq", seq.into()),
+                                                ("group", (gid.0 as u64).into()),
+                                            ]
+                                        },
+                                    );
+                                    st.fabric.journal_mut(jid).set_last_span(jspan);
                                 }
+                                st.fabric.update_pair(pid, |p| p.acked_writes += 1);
+                                adc_kicks.push(gid);
+                            } else {
+                                // Suspend policy (Block was handled in
+                                // pass 1).
+                                st.metrics.inc(names::JOURNAL_OVERFLOW);
+                                st.fabric
+                                    .group_mut(gid)
+                                    .suspend(now, SuspendReason::JournalFull);
+                                st.fabric.pair_mut(pid).dirty_since_suspend.insert(lba);
+                                any_degraded = true;
                             }
-                            GroupMode::Sdc => sdc_legs.push((gid, pid)),
                         }
+                        GroupMode::Sdc => sdc_legs.push((gid, pid)),
                     }
-                    PersistNext::Legs {
-                        data,
-                        adc_kicks,
-                        sdc_legs,
-                        any_degraded,
-                    }
+                }
+                PersistNext::Legs {
+                    data,
+                    adc_kicks,
+                    sdc_legs,
+                    any_degraded,
                 }
             }
         }

@@ -98,15 +98,70 @@ impl TicketLanes {
     }
 }
 
+/// One list per volume in a two-level table, `lists[array][volume]`.
+///
+/// Stands in for a `BTreeMap<VolRef, Vec<T>>`: a lookup is two array reads
+/// instead of a tree descent, a volume nothing was pushed for reads as the
+/// empty list (exactly as a missing key did), and order within a list is
+/// push order.
+#[derive(Debug)]
+pub struct VolLists<T> {
+    lists: Vec<Vec<Vec<T>>>,
+}
+
+impl<T> Default for VolLists<T> {
+    fn default() -> Self {
+        VolLists { lists: Vec::new() }
+    }
+}
+
+impl<T> VolLists<T> {
+    /// Append `item` to `vol`'s list, growing the table to reach it.
+    pub fn push(&mut self, vol: VolRef, item: T) {
+        let a = vol.array.0 as usize;
+        let v = vol.volume.0 as usize;
+        if self.lists.len() <= a {
+            self.lists.resize_with(a + 1, Vec::new);
+        }
+        let lane = self
+            .lists
+            .get_mut(a)
+            .expect("invariant: the lane vector was just resized past a");
+        if lane.len() <= v {
+            lane.resize_with(v + 1, Vec::new);
+        }
+        lane.get_mut(v)
+            .expect("invariant: the lane was just resized past v")
+            .push(item);
+    }
+
+    /// `vol`'s list, in push order; empty for a volume never pushed to.
+    pub fn list(&self, vol: VolRef) -> &[T] {
+        self.lists
+            .get(vol.array.0 as usize)
+            .and_then(|l| l.get(vol.volume.0 as usize))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Keep only the items of `vol`'s list that satisfy `keep`.
+    pub fn retain(&mut self, vol: VolRef, keep: impl FnMut(&T) -> bool) {
+        if let Some(list) = self
+            .lists
+            .get_mut(vol.array.0 as usize)
+            .and_then(|l| l.get_mut(vol.volume.0 as usize))
+        {
+            list.retain(keep);
+        }
+    }
+}
+
 /// Dense primary-volume → replication-leg index.
 ///
-/// Replaces the fabric's `BTreeMap<VolRef, Vec<PairId>>`: `check_host_write`
-/// resolves the fan-out of every host write through this index, so the
-/// lookup is two array reads instead of a tree descent. Leg order within a
-/// slot is insertion order, exactly as the map's `Vec` payload kept it.
+/// `check_host_write` resolves the fan-out of every host write through
+/// this index. Leg order within a slot is attach order.
 #[derive(Debug, Default)]
 pub struct PrimaryIndex {
-    legs: Vec<Vec<Vec<PairId>>>,
+    legs: VolLists<PairId>,
 }
 
 impl PrimaryIndex {
@@ -117,41 +172,17 @@ impl PrimaryIndex {
 
     /// Register a replication leg whose primary is `vol`.
     pub fn attach(&mut self, vol: VolRef, pair: PairId) {
-        let a = vol.array.0 as usize;
-        let v = vol.volume.0 as usize;
-        if self.legs.len() <= a {
-            self.legs.resize_with(a + 1, Vec::new);
-        }
-        let lane = self
-            .legs
-            .get_mut(a)
-            .expect("invariant: the lane vector was just resized past a");
-        if lane.len() <= v {
-            lane.resize_with(v + 1, Vec::new);
-        }
-        lane.get_mut(v)
-            .expect("invariant: the lane was just resized past v")
-            .push(pair);
+        self.legs.push(vol, pair);
     }
 
     /// Remove a leg (operator teardown); no-op if absent.
     pub fn detach(&mut self, vol: VolRef, pair: PairId) {
-        if let Some(slot) = self
-            .legs
-            .get_mut(vol.array.0 as usize)
-            .and_then(|l| l.get_mut(vol.volume.0 as usize))
-        {
-            slot.retain(|&p| p != pair);
-        }
+        self.legs.retain(vol, |&p| p != pair);
     }
 
     /// Every leg whose primary volume is `vol`, in attach order.
     pub fn legs(&self, vol: VolRef) -> &[PairId] {
-        self.legs
-            .get(vol.array.0 as usize)
-            .and_then(|l| l.get(vol.volume.0 as usize))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.legs.list(vol)
     }
 }
 

@@ -7,11 +7,15 @@
 //! the same instant across several volumes, giving a crash-consistent
 //! multi-volume image.
 
-use std::collections::BTreeMap;
-
 use tsuru_sim::SimTime;
 
+use crate::arena::{DenseArena, LbaIndex};
 use crate::block::{BlockBuf, SnapshotId, VolumeId};
+
+/// Index value of an LBA that was unwritten at snapshot time but has since
+/// been written on the base — reads of it must return "unwritten", not base
+/// data. Arena handles are minted from zero, so they never reach it.
+const WAS_EMPTY: u32 = u32::MAX - 1;
 
 /// One copy-on-write snapshot of a single volume.
 #[derive(Debug, Clone)]
@@ -20,11 +24,11 @@ pub struct Snapshot {
     name: String,
     base: VolumeId,
     created_at: SimTime,
-    /// Old content saved on first overwrite after creation, keyed by LBA.
-    saved: BTreeMap<u64, BlockBuf>,
-    /// LBAs that were unwritten at snapshot time but have since been written
-    /// on the base — reads of these must return "unwritten", not base data.
-    was_empty: BTreeMap<u64, ()>,
+    /// Every LBA preserved since creation: a handle into `saved`, or
+    /// [`WAS_EMPTY`]. Same paged table as the base volume's own index.
+    preserved: LbaIndex,
+    /// Old content saved on first overwrite after creation.
+    saved: DenseArena<BlockBuf>,
     group: Option<u64>,
 }
 
@@ -33,6 +37,7 @@ impl Snapshot {
         id: SnapshotId,
         name: impl Into<String>,
         base: VolumeId,
+        base_size_blocks: u64,
         created_at: SimTime,
         group: Option<u64>,
     ) -> Self {
@@ -41,8 +46,8 @@ impl Snapshot {
             name: name.into(),
             base,
             created_at,
-            saved: BTreeMap::new(),
-            was_empty: BTreeMap::new(),
+            preserved: LbaIndex::new(base_size_blocks),
+            saved: DenseArena::new(),
             group,
         }
     }
@@ -75,7 +80,7 @@ impl Snapshot {
 
     /// Number of blocks that have been preserved by copy-on-write so far.
     pub fn cow_blocks(&self) -> usize {
-        self.saved.len() + self.was_empty.len()
+        self.preserved.len()
     }
 
     /// Preserved blocks that hold actual data (consume pool capacity).
@@ -86,7 +91,7 @@ impl Snapshot {
     /// Would a write to `lba` on the base volume trigger a copy-on-write
     /// preservation into this snapshot?
     pub(crate) fn needs_preserve(&self, lba: u64) -> bool {
-        !self.saved.contains_key(&lba) && !self.was_empty.contains_key(&lba)
+        self.preserved.get(lba).is_none()
     }
 
     /// Called by the array before an overwrite of `lba` on the base volume.
@@ -95,17 +100,14 @@ impl Snapshot {
     /// (first overwrite of this LBA since the snapshot), which costs extra
     /// service time on the array.
     pub(crate) fn preserve(&mut self, lba: u64, old: Option<&BlockBuf>) -> bool {
-        if self.saved.contains_key(&lba) || self.was_empty.contains_key(&lba) {
+        if self.preserved.get(lba).is_some() {
             return false;
         }
-        match old {
-            Some(b) => {
-                self.saved.insert(lba, b.clone());
-            }
-            None => {
-                self.was_empty.insert(lba, ());
-            }
-        }
+        let state = match old {
+            Some(b) => self.saved.insert(b.clone()),
+            None => WAS_EMPTY,
+        };
+        self.preserved.insert(lba, state);
         true
     }
 
@@ -116,14 +118,12 @@ impl Snapshot {
         lba: u64,
         base_read: impl FnOnce(u64) -> Option<&'a BlockBuf>,
     ) -> Option<&'a BlockBuf> {
-        if let Some(saved) = self.saved.get(&lba) {
-            return Some(saved);
+        match self.preserved.get(lba) {
+            Some(WAS_EMPTY) => None,
+            Some(h) => Some(self.saved.slot(h)),
+            // Block untouched since snapshot: base content is snapshot content.
+            None => base_read(lba),
         }
-        if self.was_empty.contains_key(&lba) {
-            return None;
-        }
-        // Block untouched since snapshot: base content is snapshot content.
-        base_read(lba)
     }
 }
 
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn unchanged_blocks_read_through_to_base() {
-        let snap = Snapshot::new(SnapshotId(1), "s", VolumeId(1), SimTime::ZERO, None);
+        let snap = Snapshot::new(SnapshotId(1), "s", VolumeId(1), 16, SimTime::ZERO, None);
         let base = block_from(b"base");
         let got = snap.read_with(3, |_| Some(&base));
         assert_eq!(&got.unwrap()[..4], b"base");
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn preserved_blocks_shadow_base() {
-        let mut snap = Snapshot::new(SnapshotId(1), "s", VolumeId(1), SimTime::ZERO, None);
+        let mut snap = Snapshot::new(SnapshotId(1), "s", VolumeId(1), 16, SimTime::ZERO, None);
         let old = block_from(b"old");
         assert!(snap.preserve(3, Some(&old)));
         // Second overwrite of the same LBA does not re-save.
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn blocks_unwritten_at_snapshot_time_stay_unwritten() {
-        let mut snap = Snapshot::new(SnapshotId(1), "s", VolumeId(1), SimTime::ZERO, None);
+        let mut snap = Snapshot::new(SnapshotId(1), "s", VolumeId(1), 16, SimTime::ZERO, None);
         assert!(snap.preserve(9, None));
         let new = block_from(b"new");
         assert!(snap.read_with(9, |_| Some(&new)).is_none());
@@ -163,7 +163,14 @@ mod tests {
 
     #[test]
     fn group_membership_recorded() {
-        let snap = Snapshot::new(SnapshotId(2), "g", VolumeId(1), SimTime::from_secs(5), Some(7));
+        let snap = Snapshot::new(
+            SnapshotId(2),
+            "g",
+            VolumeId(1),
+            16,
+            SimTime::from_secs(5),
+            Some(7),
+        );
         assert_eq!(snap.group(), Some(7));
         assert_eq!(snap.created_at(), SimTime::from_secs(5));
     }

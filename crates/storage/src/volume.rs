@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::arena::DenseArena;
+use crate::arena::{DenseArena, LbaIndex};
 use crate::block::{content_hash, BlockBuf, VolumeId, BLOCK_SIZE};
 
 /// Role a volume plays in replication, mirroring array semantics: secondary
@@ -17,17 +17,18 @@ pub enum VolumeRole {
 
 /// A logical volume: sparse block store plus bookkeeping.
 ///
-/// Block payloads live in a dense-handle slab ([`DenseArena`]); the
-/// `BTreeMap` holds only `lba → handle`, which keeps the ascending-LBA
-/// iteration the consistency checkers rely on while overwrites — the hot
-/// path once a working set is allocated — update the slab in place without
-/// touching the tree.
+/// Block payloads live in a dense-handle slab ([`DenseArena`]); a paged
+/// direct table ([`LbaIndex`]) holds only `lba → handle`. Reads and
+/// overwrites — the hot path once a working set is allocated — are one
+/// page lookup and one slab access, iteration is ascending by LBA as the
+/// consistency checkers rely on, and memory follows the blocks written,
+/// not `size_blocks`.
 #[derive(Debug, Clone)]
 pub struct Volume {
     id: VolumeId,
     name: String,
     size_blocks: u64,
-    index: BTreeMap<u64, u32>,
+    index: LbaIndex,
     bufs: DenseArena<BlockBuf>,
     role: VolumeRole,
     writes: u64,
@@ -41,7 +42,7 @@ impl Volume {
             id,
             name: name.into(),
             size_blocks,
-            index: BTreeMap::new(),
+            index: LbaIndex::new(size_blocks),
             bufs: DenseArena::new(),
             role: VolumeRole::Primary,
             writes: 0,
@@ -88,10 +89,17 @@ impl Volume {
         self.writes
     }
 
+    /// Pages of the `lba → handle` table allocated so far: the footprint
+    /// of the index, which grows with the blocks written and not with the
+    /// volume's size.
+    pub fn index_pages(&self) -> usize {
+        self.index.page_count()
+    }
+
     /// Read a block; `None` if it was never written.
     pub fn read(&self, lba: u64) -> Option<&BlockBuf> {
         assert!(lba < self.size_blocks, "lba {lba} out of range on {}", self.name);
-        self.index.get(&lba).map(|&h| self.bufs.slot(h))
+        self.index.get(lba).map(|h| self.bufs.slot(h))
     }
 
     /// Overwrite a block, returning the previous content (for copy-on-write
@@ -104,7 +112,7 @@ impl Volume {
             "block write must be exactly {BLOCK_SIZE} bytes"
         );
         self.writes += 1;
-        if let Some(&h) = self.index.get(&lba) {
+        if let Some(h) = self.index.get(lba) {
             return Some(std::mem::replace(self.bufs.slot_mut(h), data));
         }
         let h = self.bufs.insert(data);
@@ -120,7 +128,7 @@ impl Volume {
 
     /// Iterate over `(lba, block)` in ascending LBA order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (u64, &BlockBuf)> {
-        self.index.iter().map(|(&lba, &h)| (lba, self.bufs.slot(h)))
+        self.index.iter().map(|(lba, h)| (lba, self.bufs.slot(h)))
     }
 
     /// Content fingerprint of every allocated block, keyed by LBA.
@@ -138,8 +146,13 @@ impl Volume {
             src.size_blocks <= self.size_blocks,
             "initial copy source larger than target"
         );
-        self.index = src.index.clone();
-        self.bufs = src.bufs.clone();
+        // The copy keeps this volume's own address space; the handles are
+        // re-minted densely (ascending LBA), not carried over.
+        self.wipe();
+        for (lba, b) in src.iter_blocks() {
+            let h = self.bufs.insert(b.clone());
+            self.index.insert(lba, h);
+        }
         self.writes += src.index.len() as u64;
     }
 }
@@ -215,6 +228,29 @@ mod tests {
         assert_eq!(a.content_hashes(), b.content_hashes());
         b.write(4, block_from(b"more"));
         assert_ne!(a.content_hashes(), b.content_hashes());
+    }
+
+    /// `size_blocks` is operator input: the index must cost what was
+    /// written, not what was provisioned.
+    #[test]
+    fn sparse_volume_pays_for_written_blocks_only() {
+        let size = 1u64 << 40;
+        let mut v = Volume::new(VolumeId(7), "sparse", size);
+        assert_eq!(v.index_pages(), 0);
+        v.write(0, block_from(b"first"));
+        v.write(size - 1, block_from(b"last"));
+        assert_eq!(v.index_pages(), 2);
+        assert_eq!(v.allocated_blocks(), 2);
+        assert!(v.read(1).is_none());
+        assert!(v.read(size / 2).is_none());
+        assert_eq!(&v.read(size - 1).unwrap()[..4], b"last");
+        let lbas: Vec<u64> = v.iter_blocks().map(|(lba, _)| lba).collect();
+        assert_eq!(lbas, vec![0, size - 1]);
+        // A copy into an equally sparse target stays sparse.
+        let mut copy = Volume::new(VolumeId(8), "copy", size);
+        copy.clone_content_from(&v);
+        assert_eq!(copy.index_pages(), 2);
+        assert_eq!(copy.content_hashes(), v.content_hashes());
     }
 
     #[test]

@@ -414,18 +414,20 @@ impl StorageWorld {
             "a volume cannot replicate to itself"
         );
         // Initial copy: snapshot of the primary's current content.
-        let (content, initial_hashes) = {
+        let (content, initial_hashes, primary_blocks) = {
             let pv = self.array(primary.array).volume(primary.volume);
             let blocks: Vec<(u64, BlockBuf)> =
                 pv.iter_blocks().map(|(lba, b)| (lba, b.clone())).collect();
-            (blocks, pv.content_hashes())
+            (blocks, pv.content_hashes(), pv.size_blocks())
         };
         {
             let sa = self.array_mut(secondary.array);
             let sv = sa.volume_mut(secondary.volume);
+            // Host writes are range-checked against the primary only; every
+            // address it admits must exist on the secondary too.
             assert!(
-                sv.size_blocks() >= initial_hashes.len() as u64,
-                "secondary too small for initial copy"
+                sv.size_blocks() >= primary_blocks,
+                "secondary smaller than its primary"
             );
             sv.wipe();
             for (lba, b) in content {

@@ -483,6 +483,53 @@ fn writes_to_fenced_secondary_and_failed_array_are_rejected() {
     assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::WRITES_FAILED), 2);
 }
 
+/// A host write past the end of a volume is refused at admission — typed,
+/// counted, and without taking a write-order ticket — whatever protects
+/// the volume; it used to pass admission and trip `Volume::write`'s range
+/// assert inside the kernel.
+#[test]
+fn writes_past_the_end_of_a_volume_are_rejected_at_admission() {
+    let mut r = rig();
+    let solo = r.world.st.create_volume(r.main, "solo", 64);
+    let adc_p = r.world.st.create_volume(r.main, "adc-p", 64);
+    let adc_s = r.world.st.create_volume(r.backup, "adc-s", 64);
+    let sdc_p = r.world.st.create_volume(r.main, "sdc-p", 64);
+    let sdc_s = r.world.st.create_volume(r.backup, "sdc-s", 64);
+    let adc = r.world.st.create_adc_group("adc", r.link, r.reverse, 1 << 24);
+    let sdc = r.world.st.create_sdc_group("sdc", r.link, r.reverse);
+    r.world.st.add_pair(adc, adc_p, adc_s);
+    r.world.st.add_pair(sdc, sdc_p, sdc_s);
+
+    let vols = [solo, adc_p, sdc_p];
+    for (i, &vol) in vols.iter().enumerate() {
+        let tag = i as u64 * 10;
+        write_at(&mut r.sim, SimTime::ZERO, vol, 64, tag); // first block past the end
+        write_at(&mut r.sim, SimTime::ZERO, vol, u64::MAX, tag + 1);
+        // Same instant, same volume, in range: it must not queue behind a
+        // ticket the rejected writes never took.
+        write_at(&mut r.sim, SimTime::ZERO, vol, 63, tag + 2);
+    }
+    r.sim.run(&mut r.world);
+
+    assert_eq!(r.world.acks.len(), 9);
+    for (tag, ack, at) in &r.world.acks {
+        if tag % 10 == 2 {
+            assert!(matches!(ack, WriteAck::Ok { .. }), "in-range write {tag}: {ack:?}");
+        } else {
+            assert_eq!(*ack, WriteAck::Failed(WriteError::OutOfRange), "write {tag}");
+            assert_eq!(*at, SimTime::ZERO, "rejected at admission, not after service");
+        }
+    }
+    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::WRITES_FAILED), 6);
+    for vol in vols {
+        assert_eq!(r.world.st.ack_log.count_for(vol), 1);
+        assert_eq!(r.world.st.array(vol.array).volume(vol.volume).allocated_blocks(), 1);
+    }
+    assert!(r.world.st.verify_consistency(&[adc, sdc]).is_consistent());
+    assert_eq!(r.world.st.read_direct(adc_s, 63), r.world.st.read_direct(adc_p, 63));
+    assert_eq!(r.world.st.read_direct(sdc_s, 63), r.world.st.read_direct(sdc_p, 63));
+}
+
 #[test]
 fn reads_complete_with_service_latency() {
     let mut r = rig();

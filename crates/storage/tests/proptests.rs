@@ -14,7 +14,8 @@ use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{
-    block_from, AckLog, ArrayPerf, DenseArena, EngineConfig, HasStorage, StorageWorld, VolRef,
+    block_from, AckLog, ArrayId, ArrayPerf, DenseArena, EngineConfig, HasStorage, PoolId,
+    SnapshotId, StorageArray, StorageWorld, VolRef, Volume, VolumeId, WriteError,
 };
 
 // ---------------------------------------------------------------------
@@ -263,6 +264,249 @@ proptest! {
         prop_assert_eq!(grp.stats.entries_applied, writes.len() as u64);
         let rep = world.st.verify_consistency(&[g]);
         prop_assert!(rep.is_consistent());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Id-indexed tables: the array's volume/snapshot tables and the volume's
+// paged LBA index, against ordered-map models
+// ---------------------------------------------------------------------
+
+/// One control- or data-plane call on a [`StorageArray`]. Targets are drawn
+/// over every id ever minted plus one, so deleted and never-minted ids are
+/// probed as often as live ones.
+#[derive(Debug, Clone)]
+enum TOp {
+    Create(u8),
+    Delete(prop::sample::Index),
+    Snapshot(prop::sample::Index),
+    DeleteSnapshot(prop::sample::Index),
+    Write(prop::sample::Index, u8, u16),
+    HostCheck(prop::sample::Index, u8),
+}
+
+fn top_strategy() -> impl Strategy<Value = TOp> {
+    prop_oneof![
+        3 => (1u8..=32).prop_map(TOp::Create),
+        2 => any::<prop::sample::Index>().prop_map(TOp::Delete),
+        2 => any::<prop::sample::Index>().prop_map(TOp::Snapshot),
+        1 => any::<prop::sample::Index>().prop_map(TOp::DeleteSnapshot),
+        5 => (any::<prop::sample::Index>(), 0u8..32, any::<u16>())
+            .prop_map(|(v, lba, tag)| TOp::Write(v, lba, tag)),
+        3 => (any::<prop::sample::Index>(), 0u8..40).prop_map(|(v, lba)| TOp::HostCheck(v, lba)),
+    ]
+}
+
+/// What the model knows of one live volume.
+#[derive(Debug, Default)]
+struct ModelVolume {
+    size: u64,
+    blocks: BTreeMap<u64, u16>,
+}
+
+/// What the model knows of one live snapshot: its base, the base's content
+/// when it was taken, and the LBAs overwritten (hence preserved) since.
+#[derive(Debug)]
+struct ModelSnapshot {
+    base: u64,
+    image: BTreeMap<u64, u16>,
+    preserved: std::collections::BTreeSet<u64>,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The array's slot tables agree with `BTreeMap` models keyed by the
+    /// ids the array mints: ids are never reused, a dead or unminted id
+    /// resolves to nothing (`NoSuchVolume`, not a panic and not a
+    /// neighbour), deleting a volume takes its snapshots along, the id
+    /// listings stay ascending, and every snapshot keeps reading the image
+    /// of its creation instant while charging each LBA's copy-on-write
+    /// exactly once.
+    #[test]
+    fn array_tables_match_map_models(ops in prop::collection::vec(top_strategy(), 1..120)) {
+        let mut a = StorageArray::new(ArrayId(0), "model", ArrayPerf::default());
+        let mut vols: BTreeMap<u64, ModelVolume> = BTreeMap::new();
+        let mut snaps: BTreeMap<u64, ModelSnapshot> = BTreeMap::new();
+        let (mut minted_vols, mut minted_snaps) = (0u64, 0u64);
+        for op in ops {
+            match op {
+                TOp::Create(size) => {
+                    let id = a.create_volume("v", size as u64);
+                    prop_assert_eq!(id.0, minted_vols, "ids are minted densely, never reused");
+                    minted_vols += 1;
+                    vols.insert(id.0, ModelVolume { size: size as u64, ..Default::default() });
+                }
+                TOp::Delete(ix) => {
+                    let id = ix.index(minted_vols as usize + 1) as u64;
+                    a.delete_volume(VolumeId(id));
+                    vols.remove(&id);
+                    snaps.retain(|_, s| s.base != id);
+                }
+                TOp::Snapshot(ix) => {
+                    let id = ix.index(minted_vols as usize + 1) as u64;
+                    if let Some(m) = vols.get(&id) {
+                        let sid = a.create_snapshot(VolumeId(id), "s", SimTime::ZERO);
+                        prop_assert_eq!(sid.0, minted_snaps);
+                        minted_snaps += 1;
+                        snaps.insert(sid.0, ModelSnapshot {
+                            base: id,
+                            image: m.blocks.clone(),
+                            preserved: Default::default(),
+                        });
+                    }
+                }
+                TOp::DeleteSnapshot(ix) => {
+                    let sid = ix.index(minted_snaps as usize + 1) as u64;
+                    a.delete_snapshot(SnapshotId(sid));
+                    snaps.remove(&sid);
+                }
+                TOp::Write(ix, lba, tag) => {
+                    let id = ix.index(minted_vols as usize + 1) as u64;
+                    if let Some(m) = vols.get_mut(&id) {
+                        let lba = lba as u64 % m.size;
+                        let due = snaps
+                            .values_mut()
+                            .filter(|s| s.base == id)
+                            .map(|s| s.preserved.insert(lba))
+                            .filter(|&first| first)
+                            .count() as u32;
+                        prop_assert_eq!(a.cow_would_save(VolumeId(id), lba), due);
+                        let cow = a.write_block(VolumeId(id), lba, block_from(&tag.to_le_bytes()));
+                        prop_assert_eq!(cow, due);
+                        prop_assert_eq!(a.cow_would_save(VolumeId(id), lba), 0);
+                        m.blocks.insert(lba, tag);
+                    }
+                }
+                TOp::HostCheck(ix, lba) => {
+                    let id = ix.index(minted_vols as usize + 1) as u64;
+                    let want = match vols.get(&id) {
+                        None => Err(WriteError::NoSuchVolume),
+                        Some(m) if lba as u64 >= m.size => Err(WriteError::OutOfRange),
+                        Some(_) => Ok(()),
+                    };
+                    prop_assert_eq!(a.check_host_write(VolumeId(id), lba as u64), want);
+                }
+            }
+            let ids: Vec<u64> = a.volume_ids().iter().map(|v| v.0).collect();
+            prop_assert_eq!(ids, vols.keys().copied().collect::<Vec<_>>());
+            let sids: Vec<u64> = a.snapshot_ids().iter().map(|s| s.0).collect();
+            prop_assert_eq!(sids, snaps.keys().copied().collect::<Vec<_>>());
+            for id in 0..=minted_vols {
+                prop_assert_eq!(a.has_volume(VolumeId(id)), vols.contains_key(&id));
+                if !vols.contains_key(&id) {
+                    prop_assert_eq!(a.cow_would_save(VolumeId(id), 0), 0);
+                }
+            }
+            for (&id, m) in &vols {
+                let got: Vec<(u64, u16)> = a
+                    .volume(VolumeId(id))
+                    .iter_blocks()
+                    .map(|(lba, b)| (lba, u16::from_le_bytes([b[0], b[1]])))
+                    .collect();
+                let want: Vec<(u64, u16)> = m.blocks.iter().map(|(&l, &t)| (l, t)).collect();
+                prop_assert_eq!(got, want, "volume {} content diverged", id);
+            }
+            // Pool accounting follows the tables: written blocks plus
+            // data-bearing copy-on-write saves, released on delete.
+            let charged: usize = vols.values().map(|m| m.blocks.len()).sum::<usize>()
+                + snaps
+                    .values()
+                    .map(|s| s.preserved.iter().filter(|l| s.image.contains_key(l)).count())
+                    .sum::<usize>();
+            prop_assert_eq!(a.pool(PoolId(0)).allocated_blocks(), charged as u64);
+            for (&sid, m) in &snaps {
+                let snap = a.snapshot(SnapshotId(sid));
+                prop_assert_eq!(snap.base_volume(), VolumeId(m.base));
+                prop_assert_eq!(snap.cow_blocks(), m.preserved.len());
+                let saved = m.preserved.iter().filter(|l| m.image.contains_key(l)).count();
+                prop_assert_eq!(snap.saved_blocks(), saved);
+                for lba in 0..vols[&m.base].size {
+                    let got = a
+                        .read_snapshot_block(SnapshotId(sid), lba)
+                        .map(|b| u16::from_le_bytes([b[0], b[1]]));
+                    prop_assert_eq!(got, m.image.get(&lba).copied(), "snapshot {} lba {}", sid, lba);
+                }
+            }
+        }
+    }
+}
+
+/// One operation on a pair of volumes sharing an address space that spans
+/// several index pages and ends in a short one.
+#[derive(Debug, Clone)]
+enum VOp {
+    Write(u16, u16),
+    Wipe,
+    CloneToOther,
+    Swap,
+}
+
+fn vop_strategy() -> impl Strategy<Value = VOp> {
+    prop_oneof![
+        12 => (0u16..VOL_BLOCKS as u16, any::<u16>()).prop_map(|(l, t)| VOp::Write(l, t)),
+        1 => Just(VOp::Wipe),
+        1 => Just(VOp::CloneToOther),
+        1 => Just(VOp::Swap),
+    ]
+}
+
+/// Two full index pages and a 176-slot tail.
+const VOL_BLOCKS: u64 = 1200;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A volume's paged LBA index agrees with a `BTreeMap<lba, tag>` model
+    /// through first writes, overwrites (which return the replaced block),
+    /// wipes and whole-content copies; unwritten addresses read as `None`
+    /// and iteration is ascending by LBA.
+    #[test]
+    fn volume_index_matches_map_model(ops in prop::collection::vec(vop_strategy(), 1..300)) {
+        let blk = |tag: u16| block_from(&tag.to_le_bytes());
+        let tag_of = |b: &tsuru_storage::BlockBuf| u16::from_le_bytes([b[0], b[1]]);
+        let mut vols = [
+            Volume::new(VolumeId(0), "a", VOL_BLOCKS),
+            Volume::new(VolumeId(1), "b", VOL_BLOCKS),
+        ];
+        let mut models: [BTreeMap<u64, u16>; 2] = [BTreeMap::new(), BTreeMap::new()];
+        let mut cur = 0usize;
+        for op in ops {
+            match op {
+                VOp::Write(lba, tag) => {
+                    let old = vols[cur].write(lba as u64, blk(tag));
+                    prop_assert_eq!(old.as_ref().map(tag_of), models[cur].insert(lba as u64, tag));
+                }
+                VOp::Wipe => {
+                    vols[cur].wipe();
+                    models[cur].clear();
+                    prop_assert_eq!(vols[cur].index_pages(), 0);
+                }
+                VOp::CloneToOther => {
+                    let (src, dst) = if cur == 0 {
+                        let (a, b) = vols.split_at_mut(1);
+                        (&a[0], &mut b[0])
+                    } else {
+                        let (a, b) = vols.split_at_mut(1);
+                        (&b[0], &mut a[0])
+                    };
+                    dst.clone_content_from(src);
+                    models[1 - cur] = models[cur].clone();
+                }
+                VOp::Swap => cur = 1 - cur,
+            }
+            for (v, m) in vols.iter().zip(&models) {
+                prop_assert_eq!(v.allocated_blocks(), m.len());
+                let got: Vec<(u64, u16)> = v.iter_blocks().map(|(l, b)| (l, tag_of(b))).collect();
+                let want: Vec<(u64, u16)> = m.iter().map(|(&l, &t)| (l, t)).collect();
+                prop_assert_eq!(got, want, "iteration order or content diverged");
+                prop_assert!(v.index_pages() <= 3);
+            }
+            // Point reads across the page seams and the short tail.
+            for lba in [0, 1, 511, 512, 1023, 1024, VOL_BLOCKS - 1] {
+                prop_assert_eq!(vols[cur].read(lba).map(tag_of), models[cur].get(&lba).copied());
+            }
+        }
     }
 }
 
