@@ -487,7 +487,9 @@ fn run_e12(harness: &TrialHarness, opts: &Options) {
         "\nexpect: 100 tenants keep the lanes idle (tiny probe backlog, sub-ms drain\n\
          tail); 10k tenants contend for the same 8 lanes, so probe backlog, peak\n\
          journal occupancy and apply lag all rise while entries/frame shows the\n\
-         transfer pumps batching harder. Every row must verify prefix-consistent.\n\
+         transfer pumps batching harder — and ev/write (data-plane events per acked\n\
+         write) falls with it: a pump blocked by lane backlog parks on the lane's wait\n\
+         list, it does not poll. Every row must verify prefix-consistent.\n\
          Byte-identical at any --threads value.\n"
     );
 }

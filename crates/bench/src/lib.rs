@@ -249,6 +249,7 @@ pub fn render_e12(rows: &[tsuru_core::E12Row]) -> String {
             "peak_lag",
             "ent/frame",
             "drain_ms",
+            "ev/write",
             "consistent",
         ],
         &rows
@@ -264,6 +265,7 @@ pub fn render_e12(rows: &[tsuru_core::E12Row]) -> String {
                     format!("{:.0}", r.peak_shard_lag),
                     f2(r.entries_per_frame),
                     f2(r.drain_ms),
+                    f2(r.events_per_write),
                     if r.consistent { "yes" } else { "NO" }.to_string(),
                 ]
             })

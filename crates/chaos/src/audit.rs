@@ -16,6 +16,11 @@
 //! 8. **Running totals** — the fabric's O(1) replication totals (journal
 //!    occupancy, RPO lag) equal a full rescan of groups, journals and
 //!    pairs, whatever the faults and recoveries did in between.
+//! 9. **Parked pumps are woken** — a pump waiting out link backlog holds
+//!    `pump_scheduled` (so check 2 skips it) without owning an event:
+//!    every such group has exactly one current-generation entry on its
+//!    link's wait list, and every non-empty wait list has a wake armed at
+//!    or after now (`StorageWorld::lane_wait_violations`).
 //!
 //! At final quiescence it additionally checks:
 //!
@@ -291,7 +296,7 @@ impl Auditor {
         });
     }
 
-    /// The mid-run invariant set (checks 1–3 and 8). Call at fault starts,
+    /// The mid-run invariant set (checks 1–3, 8 and 9). Call at fault starts,
     /// heals, and on the periodic sample grid.
     pub fn audit_point(&mut self, rig: &TwoSiteRig) {
         self.audits += 1;
@@ -366,6 +371,11 @@ impl Auditor {
                 "replication-totals",
                 format!("running {running:?} != rescanned {scanned:?}"),
             );
+        }
+
+        // 9. Every pump parked on link backlog is on a list that will wake.
+        for v in st.lane_wait_violations(now) {
+            self.violate(now, "lane-wait", v);
         }
     }
 

@@ -401,7 +401,7 @@ impl Config {
                 "engine::run_transfer",
                 "engine::receive_batch",
                 "engine::kick_apply",
-                "engine::run_apply",
+                "engine::link_wake",
                 "engine::finish_apply",
                 "engine::release_primary_upto",
                 "Journal::*",

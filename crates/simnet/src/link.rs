@@ -255,6 +255,15 @@ impl Link {
     pub fn backlog(&self, now: SimTime) -> SimDuration {
         self.pipe.backlog(now)
     }
+
+    /// The instant the transmit backlog will have drained to `threshold`
+    /// (`now` if it is already there). Exact, and never too late: the
+    /// backlog is the unsent tail of frames already admitted, so only the
+    /// passage of time shortens it — outages, heals and bandwidth changes
+    /// (which price later admissions) do not.
+    pub fn backlog_clears_at(&self, now: SimTime, threshold: SimDuration) -> SimTime {
+        now + self.backlog(now).saturating_sub(threshold)
+    }
 }
 
 #[cfg(test)]
@@ -291,6 +300,25 @@ mod tests {
             matches!(b, TransferOutcome::DeliveredAt { at, .. } if at == SimTime::from_millis(2001))
         );
         assert_eq!(l.backlog(SimTime::ZERO), SimDuration::from_secs(2));
+    }
+
+    #[test]
+    fn backlog_clears_at_is_exact_and_blind_to_outages_and_bandwidth() {
+        let mut l = link(LinkConfig::with(SimDuration::from_millis(1), 1000));
+        l.offer(SimTime::ZERO, 2000); // 2 s of backlog
+        let thr = SimDuration::from_millis(500);
+        let at = l.backlog_clears_at(SimTime::ZERO, thr);
+        assert_eq!(at, SimTime::from_millis(1500));
+        assert_eq!(l.backlog(at), thr);
+        // Already at or under the threshold: now.
+        assert_eq!(l.backlog_clears_at(SimTime::from_secs(3), thr), SimTime::from_secs(3));
+        // Neither an outage, a heal nor a bandwidth change moves it.
+        l.set_down(SimTime::ZERO, None);
+        l.set_bandwidth(20);
+        assert_eq!(l.backlog_clears_at(SimTime::ZERO, thr), at);
+        l.set_up();
+        l.set_bandwidth(1_000_000);
+        assert_eq!(l.backlog_clears_at(SimTime::from_millis(100), thr), at);
     }
 
     #[test]

@@ -317,6 +317,13 @@ impl StorageArray {
         Ok(())
     }
 
+    /// May a host read of `lba` on `vol` (or on a snapshot of it) be
+    /// admitted: live array, existing volume, address inside it?
+    pub fn admits_read(&self, vol: VolumeId, lba: u64) -> bool {
+        !self.is_failed()
+            && slot(&self.volumes, vol.0).is_some_and(|s| lba < s.volume.size_blocks())
+    }
+
     /// How many active snapshots would need a copy-on-write preservation if
     /// `lba` on `vol` were overwritten now (pre-charge for service time).
     pub fn cow_would_save(&self, vol: VolumeId, lba: u64) -> u32 {

@@ -27,13 +27,13 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use tsuru_sim::{Sim, SimDuration, SimTime};
-use tsuru_simnet::TransferOutcome;
+use tsuru_simnet::{LinkId, TransferOutcome};
 use tsuru_telemetry::{names, spans, SpanId};
 
 use crate::array::WriteError;
 use crate::block::{content_hash, BlockBuf, GroupId, PairId, VolRef, BLOCK_SIZE};
 use crate::config::JournalFullPolicy;
-use crate::event::{LegCb, StorageEvents, StorageOp, WriteCb};
+use crate::event::{LegCb, ReadCb, StorageEvents, StorageOp, WriteCb};
 use crate::fabric::{GroupMode, SuspendReason};
 use crate::journal::JournalEntry;
 use crate::world::{HasStorage, StorageWorld};
@@ -146,7 +146,9 @@ pub fn host_write<S, E, F>(
 }
 
 /// Submit a block read from a host; `cb` receives the content (`None` for a
-/// never-written block or a failed array).
+/// never-written block, and for a read rejected at admission — failed
+/// array, unknown volume, address past the end of the volume — which also
+/// counts as `reads.failed`).
 pub fn host_read<S, E, F>(state: &mut S, sim: &mut Sim<S, E>, vol: VolRef, lba: u64, cb: F)
 where
     S: HasStorage + 'static,
@@ -155,12 +157,8 @@ where
 {
     let now = sim.now();
     let st = state.storage_mut();
-    if st.array(vol.array).is_failed() {
-        sim.schedule_event_in(
-            SimDuration::ZERO,
-            E::storage(StorageOp::ReadFail { cb: Box::new(cb) }),
-        );
-        return;
+    if !st.array(vol.array).admits_read(vol.volume, lba) {
+        return reject_read(st, sim, Box::new(cb));
     }
     let service = st.array(vol.array).perf().read_service;
     let done = st.array_mut(vol.array).admit(vol.volume, now, service);
@@ -174,9 +172,21 @@ where
     );
 }
 
+/// A read refused at admission: counted, and `None` delivered on the next
+/// tick.
+fn reject_read<S, E>(st: &mut StorageWorld, sim: &mut Sim<S, E>, cb: ReadCb<S, E>)
+where
+    S: HasStorage + 'static,
+    E: StorageEvents<S>,
+{
+    st.metrics.inc(names::READS_FAILED);
+    sim.schedule_event_in(SimDuration::ZERO, E::storage(StorageOp::ReadFail { cb }));
+}
+
 /// Submit a block read against a snapshot image; timing is charged to the
 /// base volume's station (the snapshot shares the base's spindles). `cb`
-/// receives the point-in-time content.
+/// receives the point-in-time content; admission rejects what
+/// [`host_read`] rejects.
 pub fn host_read_snapshot<S, E, F>(
     state: &mut S,
     sim: &mut Sim<S, E>,
@@ -191,14 +201,10 @@ pub fn host_read_snapshot<S, E, F>(
 {
     let now = sim.now();
     let st = state.storage_mut();
-    if st.array(array).is_failed() {
-        sim.schedule_event_in(
-            SimDuration::ZERO,
-            E::storage(StorageOp::ReadFail { cb: Box::new(cb) }),
-        );
-        return;
-    }
     let base = st.array(array).snapshot(snap).base_volume();
+    if !st.array(array).admits_read(base, lba) {
+        return reject_read(st, sim, Box::new(cb));
+    }
     let service = st.array(array).perf().read_service;
     let done = st.array_mut(array).admit(base, now, service);
     sim.schedule_event_at(
@@ -686,8 +692,10 @@ pub(crate) fn sdc_leg_done<S, E>(
         let sec = st.fabric.pair(pid).secondary;
         st.array_mut(sec.array).write_block(sec.volume, lba, data);
         st.fabric.update_pair(pid, |p| p.applied_writes += 1);
-        st.fabric.group_mut(gid).stats.entries_applied += 1;
-        let reverse = st.fabric.group(gid).reverse;
+        let g = st.fabric.group_mut(gid);
+        g.stats.entries_applied += 1;
+        g.stats.last_applied_at = now;
+        let reverse = g.reverse;
         let ack_bytes = st.config.ack_frame_bytes;
         match st.offer_link(reverse, now, ack_bytes) {
             TransferOutcome::DeliveredAt { at, .. } => D::AckAt(at),
@@ -754,6 +762,9 @@ where
             arrive_at: SimTime,
             serialized: SimTime,
         },
+        /// Parked on `link`'s wait list; schedule the link's wake at
+        /// `wake`, if none was pending.
+        Parked { link: LinkId, wake: Option<SimTime> },
         RetryIn(SimDuration),
         RetryAt(SimTime),
     }
@@ -776,11 +787,10 @@ where
             let jid = jid.expect("invariant: active ADC groups always carry a primary journal");
             // Flow control: while the sender-side serialization backlog is
             // deep, hold back — bits not yet on the wire die with the site.
+            // The pump waits on the link's list for the wake that fires
+            // when the backlog has drained (`link_wake`); it does not poll.
             if st.net.link(link).backlog(now) > st.config.max_link_backlog {
-                st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
-                    vec![("group", (gid.0 as u64).into()), ("reason", "backlog".into())]
-                });
-                T::RetryIn(st.config.pump_interval)
+                T::Parked { link, wake: st.park_transfer(gid, gen, link, now) }
             } else {
             let (max_e, max_b) = (st.config.batch_max_entries, st.config.batch_max_bytes);
             let batch = st.fabric.journal(jid).peek_unsent(max_e, max_b);
@@ -838,8 +848,8 @@ where
                         });
                         T::RetryAt(up.max(now + SimDuration::from_nanos(1)))
                     }
-                    // Indefinite outage: the pump parks; a new append or an
-                    // explicit kick_all_pumps after healing restarts it.
+                    // Indefinite outage: the pump goes idle; a new append or
+                    // an explicit kick_all_pumps after healing restarts it.
                     TransferOutcome::Down(None) => {
                         st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
                             vec![
@@ -874,6 +884,11 @@ where
             let d = state.storage_mut().pump_delay(gid);
             kick_transfer(state, sim, gid, Some(d));
         }
+        T::Parked { link, wake } => {
+            if let Some(at) = wake {
+                sim.schedule_event_at(at, E::storage(StorageOp::LinkWake { link }));
+            }
+        }
         T::RetryIn(d) => {
             state.storage_mut().fabric.group_mut(gid).pump_scheduled = true;
             sim.schedule_event_in(d, E::storage(StorageOp::RunTransfer { gid, gen }));
@@ -882,6 +897,43 @@ where
             state.storage_mut().fabric.group_mut(gid).pump_scheduled = true;
             sim.schedule_event_at(t, E::storage(StorageOp::RunTransfer { gid, gen }));
         }
+    }
+}
+
+/// `link`'s backlog has drained to the flow-control threshold: run the
+/// transfer cycle of every pump parked on it, in arrival order, until the
+/// backlog is over the threshold again, then re-arm the wake for the rest.
+///
+/// The wake is a hint, re-validated here: frames that are not
+/// flow-controlled (SDC legs, applied-acks) may have deepened the backlog
+/// since it was armed, and an entry whose group was resynced or promoted
+/// since it parked is stale and dropped.
+pub(crate) fn link_wake<S, E>(state: &mut S, sim: &mut Sim<S, E>, link: LinkId)
+where
+    S: HasStorage + 'static,
+    E: StorageEvents<S>,
+{
+    let now = sim.now();
+    state.storage_mut().lane_waits.disarm(link);
+    loop {
+        let st = state.storage_mut();
+        if st.net.link(link).backlog(now) > st.config.max_link_backlog {
+            break;
+        }
+        let Some(w) = st.lane_waits.pop(link) else {
+            break;
+        };
+        if st.fabric.group(w.gid).generation != w.gen {
+            continue;
+        }
+        st.fabric.group_mut(w.gid).pump_parked = false;
+        st.tracer.span_complete(spans::LANE_WAIT, w.since, now, w.span, || {
+            vec![("group", (w.gid.0 as u64).into()), ("link", (link.0 as u64).into())]
+        });
+        run_transfer(state, sim, w.gid, w.gen);
+    }
+    if let Some(at) = state.storage_mut().arm_lane_wake(link, now) {
+        sim.schedule_event_at(at, E::storage(StorageOp::LinkWake { link }));
     }
 }
 
@@ -962,79 +1014,49 @@ pub(crate) fn receive_batch<S, E>(
             st.fabric.journal_mut(sjid).push_arrived(e);
         }
     }
-    kick_apply(state, sim, gid, None);
+    kick_apply(state, sim, gid);
 }
 
-/// Schedule an apply-pump cycle for an ADC group if one is not pending.
-pub fn kick_apply<S, E>(state: &mut S, sim: &mut Sim<S, E>, gid: GroupId, delay: Option<SimDuration>)
-where
-    S: HasStorage + 'static,
-    E: StorageEvents<S>,
-{
-    {
-        let st = state.storage_mut();
-        let g = st.fabric.group_mut(gid);
-        if g.apply_scheduled || g.mode != GroupMode::Adc || !g.is_active() {
-            return;
-        }
-        g.apply_scheduled = true;
-    }
-    let gen = state.storage().fabric.group(gid).generation;
-    sim.schedule_event_in(
-        delay.unwrap_or(SimDuration::ZERO),
-        E::storage(StorageOp::RunApply { gid, gen }),
-    );
-}
-
-pub(crate) fn run_apply<S, E>(state: &mut S, sim: &mut Sim<S, E>, gid: GroupId, gen: u32)
+/// Start an apply-pump cycle for an ADC group unless one is in flight:
+/// admit the backup journal's front entry to its secondary volume's
+/// station and schedule the completion. The cycle starts in the caller's
+/// event — an arrival or a completed apply — not in an event of its own.
+pub fn kick_apply<S, E>(state: &mut S, sim: &mut Sim<S, E>, gid: GroupId)
 where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
 {
     let now = sim.now();
-    if state.storage().fabric.group(gid).generation != gen {
+    let st = state.storage_mut();
+    let (gen, sjid) = {
+        let g = st.fabric.group(gid);
+        if g.apply_scheduled || g.mode != GroupMode::Adc || !g.is_active() {
+            return;
+        }
+        (g.generation, g.secondary_jnl)
+    };
+    let sjid = sjid.expect("invariant: active ADC groups always carry a secondary journal");
+    let Some(e) = st.fabric.journal(sjid).peek_front() else {
+        return;
+    };
+    let sec = st.fabric.pair(e.pair).secondary;
+    let lba = e.lba;
+    if st.array(sec.array).is_failed() {
         return;
     }
-    let done_at = {
-        let st = state.storage_mut();
-        st.fabric.group_mut(gid).apply_scheduled = false;
-        let (active, sjid) = {
-            let g = st.fabric.group(gid);
-            (g.is_active(), g.secondary_jnl)
-        };
-        if !active {
-            None
-        } else {
-            let sjid = sjid.expect("invariant: active ADC groups always carry a secondary journal");
-            match st.fabric.journal(sjid).peek_front() {
-                None => None,
-                Some(e) => {
-                    let sec = st.fabric.pair(e.pair).secondary;
-                    let lba = e.lba;
-                    if st.array(sec.array).is_failed() {
-                        None
-                    } else {
-                        let cow = st.array(sec.array).cow_would_save(sec.volume, lba);
-                        let perf = st.array(sec.array).perf();
-                        let service =
-                            perf.apply_service + perf.cow_penalty.saturating_mul(cow as u64);
-                        Some(st.array_mut(sec.array).admit(sec.volume, now, service))
-                    }
-                }
-            }
-        }
-    };
-    if let Some(done) = done_at {
-        state.storage_mut().fabric.group_mut(gid).apply_scheduled = true;
-        sim.schedule_event_at(
-            done,
-            E::storage(StorageOp::FinishApply {
-                gid,
-                gen,
-                started: now,
-            }),
-        );
-    }
+    let cow = st.array(sec.array).cow_would_save(sec.volume, lba);
+    let perf = st.array(sec.array).perf();
+    let service = perf.apply_service + perf.cow_penalty.saturating_mul(cow as u64);
+    let done = st.array_mut(sec.array).admit(sec.volume, now, service);
+    st.fabric.group_mut(gid).apply_scheduled = true;
+    sim.schedule_event_at(
+        done,
+        E::storage(StorageOp::FinishApply {
+            gid,
+            gen,
+            started: now,
+        }),
+    );
 }
 
 pub(crate) fn finish_apply<S, E>(
@@ -1080,6 +1102,7 @@ pub(crate) fn finish_apply<S, E>(
             let (reverse, ack_due) = {
                 let g = st.fabric.group_mut(gid);
                 g.stats.entries_applied += 1;
+                g.stats.last_applied_at = now;
                 (
                     g.reverse,
                     seq - g.applied_ack_sent >= st.config.applied_ack_every || drained,
@@ -1103,7 +1126,7 @@ pub(crate) fn finish_apply<S, E>(
     if let Some((upto, t)) = ack {
         sim.schedule_event_at(t, E::storage(StorageOp::ReleaseUpto { gid, gen, upto }));
     }
-    kick_apply(state, sim, gid, None);
+    kick_apply(state, sim, gid);
 }
 
 /// The applied-ack frame arrived: free primary-journal entries up to the
@@ -1119,7 +1142,10 @@ pub(crate) fn release_primary_upto<S: HasStorage>(state: &mut S, gid: GroupId, g
     }
 }
 
-/// Restart every parked pump (after healing links or resuming groups).
+/// Restart every idle pump (after healing links or resuming groups). A
+/// pump waiting on a lane's wait list is not idle — it holds its
+/// `pump_scheduled` claim and the lane's wake admits it — so the kick
+/// passes it by.
 pub fn kick_all_pumps<S, E>(state: &mut S, sim: &mut Sim<S, E>)
 where
     S: HasStorage + 'static,
@@ -1127,7 +1153,7 @@ where
 {
     for gid in state.storage().fabric.group_ids() {
         kick_transfer(state, sim, gid, Some(SimDuration::ZERO));
-        kick_apply(state, sim, gid, None);
+        kick_apply(state, sim, gid);
     }
 }
 

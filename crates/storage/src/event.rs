@@ -17,6 +17,7 @@
 //! the write takes (stall retries, SDC leg chains) without re-boxing.
 
 use tsuru_sim::{DynEvent, Event, Sim, SimTime};
+use tsuru_simnet::LinkId;
 use tsuru_telemetry::SpanId;
 
 use crate::block::{ArrayId, BlockBuf, GroupId, PairId, SnapshotId, VolRef};
@@ -147,6 +148,12 @@ pub enum StorageOp<S, E> {
         /// Replication generation the pump was armed in.
         gen: u32,
     },
+    /// A link's backlog has drained to the flow-control threshold: admit
+    /// the transfer pumps parked on its wait list, in arrival order.
+    LinkWake {
+        /// The link whose wait list to serve.
+        link: LinkId,
+    },
     /// A journal batch's WAN frame arrived at the backup site.
     ReceiveBatch {
         /// Replication group.
@@ -156,13 +163,6 @@ pub enum StorageOp<S, E> {
         /// Instant the frame's last bit left the main site.
         serialized: SimTime,
         /// Replication generation the frame was sent in.
-        gen: u32,
-    },
-    /// Run one apply-pump cycle (backup journal → secondary volume).
-    RunApply {
-        /// Replication group.
-        gid: GroupId,
-        /// Replication generation the pump was armed in.
         gen: u32,
     },
     /// Apply service completed for the backup journal's front entry.
@@ -186,6 +186,50 @@ pub enum StorageOp<S, E> {
     },
 }
 
+/// Names of the [`StorageOp`] kinds, in declaration order — the index
+/// space of [`StorageWorld::op_counts`](crate::StorageWorld::op_counts).
+pub const OP_KINDS: [&str; 14] = [
+    "ack_now",
+    "persist",
+    "read_fail",
+    "read_done",
+    "snap_read_done",
+    "sdc_send",
+    "sdc_arrive",
+    "sdc_persisted",
+    "sdc_ack",
+    "run_transfer",
+    "link_wake",
+    "receive_batch",
+    "finish_apply",
+    "release_upto",
+];
+
+/// One dispatch counter per [`OP_KINDS`] entry.
+pub type OpCounts = [u64; OP_KINDS.len()];
+
+impl<S, E> StorageOp<S, E> {
+    /// This step's index into [`OP_KINDS`].
+    pub fn kind(&self) -> usize {
+        match self {
+            StorageOp::AckNow { .. } => 0,
+            StorageOp::Persist { .. } => 1,
+            StorageOp::ReadFail { .. } => 2,
+            StorageOp::ReadDone { .. } => 3,
+            StorageOp::SnapReadDone { .. } => 4,
+            StorageOp::SdcSend { .. } => 5,
+            StorageOp::SdcArrive { .. } => 6,
+            StorageOp::SdcPersisted { .. } => 7,
+            StorageOp::SdcAck { .. } => 8,
+            StorageOp::RunTransfer { .. } => 9,
+            StorageOp::LinkWake { .. } => 10,
+            StorageOp::ReceiveBatch { .. } => 11,
+            StorageOp::FinishApply { .. } => 12,
+            StorageOp::ReleaseUpto { .. } => 13,
+        }
+    }
+}
+
 impl<S, E> StorageOp<S, E>
 where
     S: HasStorage + 'static,
@@ -194,6 +238,7 @@ where
     /// Fire this step: the typed-event analogue of the closure the old
     /// kernel would have boxed.
     pub fn dispatch(self, state: &mut S, sim: &mut Sim<S, E>) {
+        state.storage_mut().count_op(self.kind());
         match self {
             StorageOp::AckNow { ack, cb } => cb(state, sim, ack),
             StorageOp::Persist {
@@ -257,13 +302,13 @@ where
                 cb(state, sim, LegDone::Ok)
             }
             StorageOp::RunTransfer { gid, gen } => engine::run_transfer(state, sim, gid, gen),
+            StorageOp::LinkWake { link } => engine::link_wake(state, sim, link),
             StorageOp::ReceiveBatch {
                 gid,
                 batch,
                 serialized,
                 gen,
             } => engine::receive_batch(state, sim, gid, batch, serialized, gen),
-            StorageOp::RunApply { gid, gen } => engine::run_apply(state, sim, gid, gen),
             StorageOp::FinishApply { gid, gen, started } => {
                 engine::finish_apply(state, sim, gid, gen, started)
             }

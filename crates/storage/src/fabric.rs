@@ -132,6 +132,9 @@ pub struct GroupStats {
     pub frames_sent: u64,
     /// Entries applied at the backup site.
     pub entries_applied: u64,
+    /// Instant of the latest apply by the data plane (promotion's
+    /// synchronous drain does not move it).
+    pub last_applied_at: SimTime,
     /// Host writes that found the group suspended (local-only).
     pub writes_while_suspended: u64,
     /// Host write stalls due to a full journal (Block policy).
@@ -161,8 +164,12 @@ pub struct Group {
     pub pairs: Vec<PairId>,
     /// Lifecycle state.
     pub state: GroupState,
-    /// Transfer pump re-entrancy guard.
+    /// Transfer pump re-entrancy guard: a pending `RunTransfer` event or
+    /// a lane wait-list entry owns the pump's next cycle.
     pub pump_scheduled: bool,
+    /// The `pump_scheduled` claim is held by an entry on the link's wait
+    /// list (`StorageWorld::lane_waits`) rather than by a kernel event.
+    pub pump_parked: bool,
     /// Apply pump re-entrancy guard.
     pub apply_scheduled: bool,
     /// Highest seq for which an applied-ack frame was dispatched.
@@ -468,6 +475,7 @@ mod tests {
             pairs: Vec::new(),
             state: GroupState::Active,
             pump_scheduled: false,
+            pump_parked: false,
             apply_scheduled: false,
             applied_ack_sent: 0,
             generation: 0,

@@ -31,6 +31,7 @@ pub mod event;
 mod fabric;
 pub mod hot;
 mod journal;
+pub mod lanewait;
 mod pool;
 pub mod shard;
 mod snapshot;
@@ -52,12 +53,13 @@ pub use engine::{
     heal_all_links, heal_link, host_read, host_read_snapshot, host_write, kick_all_pumps, LegDone,
     WriteAck,
 };
-pub use event::{LegCb, ReadCb, StorageEvents, StorageOp, WriteCb};
+pub use event::{LegCb, ReadCb, StorageEvents, StorageOp, WriteCb, OP_KINDS};
 pub use fabric::{
     Group, GroupMode, GroupState, GroupStats, Pair, ReplicationFabric, ReplicationTotals,
     SuspendReason,
 };
 pub use journal::{Journal, JournalEntry};
+pub use lanewait::{LaneWaits, Waiter};
 pub use pool::{Pool, PoolId};
 pub use shard::{ShardLane, ShardLayout};
 pub use status::{group_status, render_pool_status, render_replication_status, GroupStatus};

@@ -398,7 +398,7 @@ where
         kick_transfer(state, sim, gid, Some(SimDuration::ZERO));
     }
     if kick_a {
-        kick_apply(state, sim, gid, None);
+        kick_apply(state, sim, gid);
     }
     kick_t || kick_a
 }
@@ -439,7 +439,7 @@ fn attempt_resync<S, E>(
     }
     state.storage_mut().metrics.inc(names::SUPERVISOR_ATTEMPTS);
     kick_transfer(state, sim, gid, Some(SimDuration::ZERO));
-    kick_apply(state, sim, gid, None);
+    kick_apply(state, sim, gid);
     sv.set_stage(
         gid,
         RecoveryStage::Recovering {

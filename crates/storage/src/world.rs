@@ -19,7 +19,9 @@ use crate::config::{EngineConfig, JournalFullPolicy};
 use crate::fabric::{
     Group, GroupMode, GroupState, Pair, ReplicationFabric, ReplicationTotals, SuspendReason,
 };
+use crate::event::{OpCounts, OP_KINDS};
 use crate::hot::TicketLanes;
+use crate::lanewait::{LaneWaits, Waiter};
 use crate::shard::ShardLayout;
 use crate::journal::JournalEntry;
 use crate::supervisor::{Supervisor, SupervisorPolicy};
@@ -113,6 +115,11 @@ pub struct StorageWorld {
     /// turn, so a stalled write can never be overtaken by a later one
     /// (tail-block rewrites would otherwise go back in time).
     write_order: TicketLanes,
+    /// Transfer pumps waiting out their link's backlog, per link, plus
+    /// each link's pending wake (see [`crate::lanewait`]).
+    pub(crate) lane_waits: LaneWaits,
+    /// Data-plane steps dispatched so far, per [`crate::StorageOp`] kind.
+    op_counts: OpCounts,
     /// Self-healing replication supervisor; absent unless armed via
     /// [`StorageWorld::enable_supervisor`] (experiments that hand-drive
     /// recovery keep it off).
@@ -137,6 +144,8 @@ impl StorageWorld {
             tracer: Tracer::disabled(),
             history: Recorder::disabled(),
             write_order: TicketLanes::new(),
+            lane_waits: LaneWaits::default(),
+            op_counts: [0; OP_KINDS.len()],
             supervisor: None,
             alerts: None,
             rng: DetRng::new(seed),
@@ -369,6 +378,7 @@ impl StorageWorld {
             pairs: Vec::new(),
             state: GroupState::Active,
             pump_scheduled: false,
+            pump_parked: false,
             apply_scheduled: false,
             applied_ack_sent: 0,
             generation: 0,
@@ -397,6 +407,7 @@ impl StorageWorld {
             pairs: Vec::new(),
             state: GroupState::Active,
             pump_scheduled: false,
+            pump_parked: false,
             apply_scheduled: false,
             applied_ack_sent: 0,
             generation: 0,
@@ -557,6 +568,7 @@ impl StorageWorld {
         let g = self.fabric.group_mut(id);
         g.generation += 1;
         g.pump_scheduled = false;
+        g.pump_parked = false;
         g.apply_scheduled = false;
         g.applied_ack_sent = 0;
         g.resume();
@@ -603,6 +615,7 @@ impl StorageWorld {
         let g = self.fabric.group_mut(id);
         g.state = GroupState::Promoted;
         g.generation += 1;
+        g.pump_parked = false; // a wait-list entry of the old epoch is stale
         g.stats.entries_applied += applied;
         applied
     }
@@ -786,6 +799,59 @@ impl StorageWorld {
         }
     }
 
+    /// The per-link wait lists of transfer pumps parked on link backlog.
+    pub fn lane_waits(&self) -> &LaneWaits {
+        &self.lane_waits
+    }
+
+    /// Data-plane steps dispatched so far, as `(kind, count)` in
+    /// [`OP_KINDS`] order — a deterministic count, identical at any
+    /// `--threads`.
+    pub fn op_counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        OP_KINDS.iter().copied().zip(self.op_counts.iter().copied())
+    }
+
+    /// Liveness of the pumps parked on link backlog — which own no kernel
+    /// event, only a wait-list entry: every group that claims to be parked
+    /// (`pump_parked`) holds the pump claim and has exactly one entry of
+    /// its current generation, on its own link's list; every such entry's
+    /// group claims it; and every non-empty list has a wake armed at or
+    /// after `now`. One line per violation; empty when the invariant holds.
+    pub fn lane_wait_violations(&self, now: SimTime) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut live: BTreeMap<GroupId, u32> = BTreeMap::new();
+        for link in self.lane_waits.links() {
+            let mut waiters = 0usize;
+            for w in self.lane_waits.waiters(link) {
+                waiters += 1;
+                let g = self.fabric.group(w.gid);
+                if g.generation != w.gen {
+                    continue; // stale: dropped when popped
+                }
+                *live.entry(w.gid).or_default() += 1;
+                if g.link != link {
+                    out.push(format!("group g{} waits on link {}, sends on {}", w.gid.0, link.0, g.link.0));
+                }
+            }
+            match self.lane_waits.wake_at(link) {
+                _ if waiters == 0 => {}
+                Some(at) if at >= now => {}
+                armed => out.push(format!("link {}: {waiters} waiters, wake {armed:?} at {now}", link.0)),
+            }
+        }
+        for gid in self.fabric.group_ids() {
+            let g = self.fabric.group(gid);
+            let n = live.get(&gid).copied().unwrap_or(0);
+            if n != u32::from(g.pump_parked) || (g.pump_parked && !g.pump_scheduled) {
+                out.push(format!(
+                    "group g{}: parked={} scheduled={} live wait-list entries={n}",
+                    gid.0, g.pump_parked, g.pump_scheduled
+                ));
+            }
+        }
+        out
+    }
+
     /// Recovery-point metrics for the given groups after a main-site
     /// failure at `failure_time`.
     pub fn rpo_report(&self, groups: &[GroupId], failure_time: SimTime) -> RpoReport {
@@ -868,6 +934,53 @@ impl StorageWorld {
         bytes: u64,
     ) -> TransferOutcome {
         self.net.link_mut(link).offer(now, bytes)
+    }
+
+    /// Count one dispatched step of kind `kind` (an [`OP_KINDS`] index).
+    pub(crate) fn count_op(&mut self, kind: usize) {
+        if let Some(n) = self.op_counts.get_mut(kind) {
+            *n += 1;
+        }
+    }
+
+    /// Park `gid`'s transfer pump behind `link`'s backlog: the group keeps
+    /// its `pump_scheduled` claim and joins the link's wait list. Returns
+    /// the instant the caller must schedule the link's wake at, if none is
+    /// pending.
+    pub(crate) fn park_transfer(
+        &mut self,
+        gid: GroupId,
+        gen: u32,
+        link: LinkId,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        let span = if self.tracer.is_enabled() {
+            // The write that waits longest: the oldest unsent entry's.
+            let jid = self.fabric.group(gid).primary_jnl;
+            jid.and_then(|j| self.fabric.journal(j).peek_unsent(1, u64::MAX).pop())
+                .map_or(SpanId::NONE, |e| e.span)
+        } else {
+            SpanId::NONE
+        };
+        self.tracer.instant(spans::PUMP_STALL, now, span, || {
+            vec![("group", (gid.0 as u64).into()), ("reason", "backlog".into())]
+        });
+        let g = self.fabric.group_mut(gid);
+        g.pump_scheduled = true;
+        g.pump_parked = true;
+        self.lane_waits.park(link, Waiter { gid, gen, since: now, span });
+        self.arm_lane_wake(link, now)
+    }
+
+    /// Arm `link`'s wake for the instant its backlog will have drained to
+    /// the flow-control threshold, unless one is pending or nobody waits.
+    /// Returns the instant to schedule `StorageOp::LinkWake` at.
+    pub(crate) fn arm_lane_wake(&mut self, link: LinkId, now: SimTime) -> Option<SimTime> {
+        let at = self
+            .net
+            .link(link)
+            .backlog_clears_at(now, self.config.max_link_backlog);
+        self.lane_waits.arm(link, at).then_some(at)
     }
 
     /// Journal-full policy accessor (engine convenience).

@@ -5,7 +5,7 @@
 
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
-use tsuru_storage::engine::{host_read, host_write, kick_all_pumps};
+use tsuru_storage::engine::{host_read, host_read_snapshot, host_write, kick_all_pumps};
 use tsuru_storage::{
     block_from, ArrayId, ArrayPerf, EngineConfig, GroupId, GroupState, HasStorage,
     JournalFullPolicy, StorageWorld, VolRef, WriteAck, WriteError,
@@ -94,6 +94,29 @@ fn unpaired_write_acks_at_local_service_time() {
     );
     assert_eq!(at, SimTime::from_micros(100));
     assert_eq!(&r.world.st.read_direct(vol, 0).unwrap()[..8], &1u64.to_le_bytes());
+}
+
+/// Every data-plane step the kernel dispatches is counted under its kind:
+/// the counts add up to the kernel's own event count (less the test's
+/// submit closures) and the per-write kinds fire once per write.
+#[test]
+fn op_counts_cover_every_dispatched_step() {
+    let mut r = rig();
+    let p = r.world.st.create_volume(r.main, "p", 64);
+    let s = r.world.st.create_volume(r.backup, "s", 64);
+    let g = r.world.st.create_adc_group("g", r.link, r.reverse, 1 << 24);
+    r.world.st.add_pair(g, p, s);
+    for i in 0..20u64 {
+        write_at(&mut r.sim, SimTime::from_micros(i * 300), p, i, i);
+    }
+    r.sim.run(&mut r.world);
+    let counts: std::collections::BTreeMap<_, _> = r.world.st.op_counts().collect();
+    assert_eq!(counts.len(), tsuru_storage::OP_KINDS.len(), "kind names are distinct");
+    assert_eq!(counts.values().sum::<u64>(), r.sim.events_executed() - 20);
+    assert_eq!(counts["persist"], 20);
+    assert_eq!(counts["finish_apply"], 20);
+    assert_eq!(counts["receive_batch"], r.world.st.fabric.group(g).stats.frames_sent);
+    assert_eq!(counts["link_wake"], 0, "an idle lane parks nobody");
 }
 
 #[test]
@@ -548,6 +571,39 @@ fn reads_complete_with_service_latency() {
     });
     r.sim.run(&mut r.world);
     assert_eq!(r.world.acks.len(), 2);
+}
+
+/// A host read past the end of a volume — directly or through a snapshot
+/// — is refused at admission: `None` at the submit instant, counted, no
+/// service time charged. It used to pass admission and trip
+/// `Volume::read`'s range assert inside `StorageOp::ReadDone`.
+#[test]
+fn reads_past_the_end_of_a_volume_are_rejected_at_admission() {
+    let mut r = rig();
+    let v = r.world.st.create_volume(r.main, "v", 64);
+    r.world.st.write_direct(v, 63, b"last");
+    let snap = r.world.st.snapshot(v, "snap", SimTime::ZERO);
+    let main = r.main;
+    let done = |tag: u64, want_data: bool, want_at: SimTime| {
+        move |w: &mut World, sim: &mut Sim<World>, data: Option<_>| {
+            assert_eq!(data.is_some(), want_data, "read {tag}");
+            assert_eq!(sim.now(), want_at, "read {tag}");
+            w.acks.push((tag, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
+        }
+    };
+    let (served, then) = (SimTime::from_micros(200), SimTime::from_micros(400));
+    r.sim.schedule_at(SimTime::ZERO, move |w: &mut World, sim| {
+        host_read(w, sim, v, 64, done(0, false, SimTime::ZERO)); // first block past the end
+        host_read(w, sim, v, u64::MAX, done(1, false, SimTime::ZERO));
+        // In range: served, not queued behind the rejects.
+        host_read(w, sim, v, 63, done(2, true, served));
+        host_read_snapshot(w, sim, main, snap, 64, done(3, false, SimTime::ZERO));
+        host_read_snapshot(w, sim, main, snap, u64::MAX, done(4, false, SimTime::ZERO));
+        host_read_snapshot(w, sim, main, snap, 63, done(5, true, then));
+    });
+    r.sim.run(&mut r.world);
+    assert_eq!(r.world.acks.len(), 6);
+    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::READS_FAILED), 4);
 }
 
 #[test]

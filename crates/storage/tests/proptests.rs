@@ -7,15 +7,15 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{
-    block_from, AckLog, ArrayId, ArrayPerf, DenseArena, EngineConfig, HasStorage, PoolId,
-    SnapshotId, StorageArray, StorageWorld, VolRef, Volume, VolumeId, WriteError,
+    block_from, AckLog, ArrayId, ArrayPerf, DenseArena, EngineConfig, GroupId, HasStorage,
+    PoolId, SnapshotId, StorageArray, StorageWorld, VolRef, Volume, VolumeId, WriteError,
 };
 
 // ---------------------------------------------------------------------
@@ -656,6 +656,136 @@ proptest! {
             if let Some(front) = j.peek_front() {
                 prop_assert_eq!(front.seq, released + 1);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The lane wait list vs a reference model of one saturated lane
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// N groups with random append schedules share one slow lane. The run
+    /// is stepped event by event beside a reference model — the link as a
+    /// single `busy_until` advanced by the bytes each step put on it, the
+    /// wait list as a plain FIFO fed by the groups' observed park and
+    /// admit edges — and after every event:
+    ///
+    /// (a) work-conserving: while anyone waits the lane's wake is armed no
+    ///     later than the instant the reference backlog reaches the
+    ///     threshold, and a waiter that sends is admitted at exactly that
+    ///     instant — the link never idles under the threshold with a
+    ///     sender parked, and nobody is let in early;
+    /// (b) admission order equals park order;
+    /// (c) the backlog never exceeds the threshold plus one maximal frame;
+    /// (d) at most one wake is pending per link: every `link_wake` that
+    ///     fires is the one the table had armed, for that instant.
+    #[test]
+    fn lane_wait_list_matches_reference_lane(
+        schedules in prop::collection::vec(
+            prop::collection::vec(0u64..20_000_000, 1..7), 2..11),
+        seed in any::<u64>(),
+        jitter_us in 0u64..800,
+    ) {
+        const NS_PER_BYTE: u64 = 1_000; // 1 MB/s: serialisation time is exact
+        let mut cfg = EngineConfig::default();
+        cfg.pump_jitter = SimDuration::from_micros(jitter_us);
+        cfg.batch_max_entries = 4;
+        let thr = cfg.max_link_backlog;
+        let max_frame = SimDuration::from_nanos(
+            (4 * (4096 + cfg.journal_entry_overhead) + cfg.frame_overhead) * NS_PER_BYTE,
+        );
+        let mut st = StorageWorld::new(seed, cfg);
+        let main = st.add_array("m", ArrayPerf::default());
+        let backup = st.add_array("b", ArrayPerf::default());
+        let link = st.add_link(LinkConfig::with(SimDuration::from_millis(1), 1_000_000));
+        let rev = st.add_link(LinkConfig::metro());
+        let mut groups = Vec::new();
+        let mut sim: Sim<World> = Sim::new();
+        for (i, appends) in schedules.iter().enumerate() {
+            let g = st.create_adc_group(format!("g{i}"), link, rev, 1 << 24);
+            let p = st.create_volume(main, format!("p{i}"), 16);
+            let s = st.create_volume(backup, format!("s{i}"), 16);
+            st.add_pair(g, p, s);
+            groups.push(g);
+            for (k, &at_ns) in appends.iter().enumerate() {
+                let (lba, tag) = (k as u64, (i * 100 + k) as u64);
+                sim.schedule_at(SimTime::from_nanos(at_ns), move |w: &mut World, sim| {
+                    host_write(w, sim, p, lba, block_from(&tag.to_le_bytes()), |_, _, _| {});
+                });
+            }
+        }
+        let mut world = World { st };
+        let wakes = |w: &World| {
+            w.st.op_counts().find(|(kind, _)| *kind == "link_wake").map_or(0, |(_, n)| n)
+        };
+
+        let mut ref_busy_until = SimTime::ZERO;
+        let mut ref_fifo: VecDeque<GroupId> = VecDeque::new();
+        let mut was_parked = vec![false; groups.len()];
+        let mut bytes_seen = 0u64;
+        loop {
+            let armed = world.st.lane_waits().wake_at(link);
+            let wakes_before = wakes(&world);
+            if !sim.step(&mut world) {
+                break;
+            }
+            let now = sim.now();
+            let st = &world.st;
+            let woke = wakes(&world) > wakes_before;
+            if woke {
+                prop_assert_eq!(armed, Some(now), "(d) an unarmed wake fired");
+            }
+            let backlog_before = ref_busy_until.saturating_since(now);
+
+            let mut admitted = Vec::new();
+            for (i, &g) in groups.iter().enumerate() {
+                let parked = st.fabric.group(g).pump_parked;
+                if was_parked[i] && !parked {
+                    admitted.push(g);
+                } else if !was_parked[i] && parked {
+                    prop_assert!(backlog_before > thr, "parked under the threshold");
+                    ref_fifo.push_back(g);
+                }
+                was_parked[i] = parked;
+            }
+            prop_assert!(admitted.is_empty() || woke, "admitted outside a wake");
+            let mut heads: Vec<GroupId> = ref_fifo.drain(..admitted.len()).collect();
+            heads.sort();
+            prop_assert_eq!(&admitted, &heads, "(b) admission order is park order");
+
+            let bytes = st.net.link(link).bytes_delivered();
+            if bytes > bytes_seen {
+                prop_assert!(backlog_before <= thr, "sent over the threshold");
+                if woke {
+                    prop_assert_eq!(backlog_before, thr, "(a) a waiter sends the instant the backlog clears");
+                }
+                let sent = SimDuration::from_nanos((bytes - bytes_seen) * NS_PER_BYTE);
+                ref_busy_until = ref_busy_until.max(now) + sent;
+                bytes_seen = bytes;
+            }
+            let backlog = ref_busy_until.saturating_since(now);
+            prop_assert_eq!(st.net.link(link).backlog(now), backlog, "reference link drifted");
+            prop_assert!(backlog <= thr + max_frame, "(c) backlog {} over cap + frame", backlog);
+
+            let violations = st.lane_wait_violations(now);
+            prop_assert!(violations.is_empty(), "{:?}", violations);
+            if !ref_fifo.is_empty() {
+                let clears = now + backlog.saturating_sub(thr);
+                let wake = st.lane_waits().wake_at(link);
+                prop_assert!(wake.is_some_and(|at| at <= clears), "(a) wake {:?} after {}", wake, clears);
+            }
+        }
+
+        prop_assert!(ref_fifo.is_empty());
+        prop_assert_eq!(world.st.lane_waits().wake_at(link), None);
+        for (g, appends) in groups.iter().zip(&schedules) {
+            let grp = world.st.fabric.group(*g);
+            prop_assert_eq!(grp.stats.entries_transferred, appends.len() as u64);
+            prop_assert_eq!(grp.stats.entries_applied, appends.len() as u64);
+            prop_assert!(world.st.verify_consistency(&[*g]).is_consistent());
         }
     }
 }

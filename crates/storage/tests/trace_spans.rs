@@ -2,7 +2,7 @@
 //! group must leave a well-formed span tree whose lifecycle chain is
 //! `host_write → journal_append → wan_transfer → backup_apply`.
 
-use tsuru_sim::{Sim, SimTime};
+use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{
@@ -141,4 +141,60 @@ fn traced_run_samples_replication_series_and_counts_metrics() {
         .map(|(_, s)| s.last)
         .expect("at least one rpo.lag_writes sample");
     assert_eq!(last_lag, 0.0);
+}
+
+/// A write that waits out a saturated lane gains its missing stage: one
+/// `pump_stall` instant when its group parks and one `lane_wait` span park
+/// → admit, both parented on the write's `journal_append`, the span ending
+/// the instant the write's `wan_transfer` begins — and no per-tick stall
+/// records in between.
+#[test]
+fn traced_lane_wait_fills_the_gap_between_append_and_transfer() {
+    let mut st = StorageWorld::new(7, EngineConfig::default());
+    let tracer = Tracer::enabled();
+    st.set_tracer(tracer.clone());
+    let main = st.add_array("main", ArrayPerf::default());
+    let backup = st.add_array("backup", ArrayPerf::default());
+    // One block per frame, 4.2 ms per frame at 1 MB/s against the 5 ms cap:
+    // the third group to send parks.
+    let link = st.add_link(LinkConfig::with(SimDuration::from_millis(1), 1_000_000));
+    let reverse = st.add_link(LinkConfig::metro());
+    let mut world = World { st, acks: 0 };
+    let mut sim: Sim<World> = Sim::new();
+    for i in 0..4u64 {
+        let g = world.st.create_adc_group(format!("g{i}"), link, reverse, 1 << 24);
+        let p = world.st.create_volume(main, format!("p{i}"), 16);
+        let s = world.st.create_volume(backup, format!("s{i}"), 16);
+        world.st.add_pair(g, p, s);
+        sim.schedule_at(SimTime::from_micros(i), move |w: &mut World, sim| {
+            host_write(w, sim, p, 0, block_from(b"queued"), |w, _, _| w.acks += 1);
+        });
+    }
+    sim.run(&mut world);
+    assert_eq!(world.acks, 4);
+
+    let records = tracer.records();
+    let waits: Vec<_> = records
+        .iter()
+        .filter(|r| r.name == span_names::LANE_WAIT && !r.parent.is_none())
+        .collect();
+    assert!(!waits.is_empty(), "someone waited with a write behind it");
+    for w in &waits {
+        let RecordKind::Span { end } = w.kind else {
+            panic!("lane_wait is a complete span, got {:?}", w.kind);
+        };
+        let append = records.iter().find(|r| r.id == w.parent).expect("parent recorded");
+        assert_eq!(append.name, span_names::JOURNAL_APPEND);
+        assert!(append.t <= w.t && w.t < end);
+        let transfer = records
+            .iter()
+            .find(|r| r.name == span_names::WAN_TRANSFER && r.parent == append.id)
+            .expect("the waiting write is shipped");
+        assert_eq!(transfer.t, end, "admitted and sent in the same instant");
+        let stalls = records
+            .iter()
+            .filter(|r| r.name == span_names::PUMP_STALL && r.parent == append.id)
+            .count();
+        assert_eq!(stalls, 1, "one stall instant per park, not one per tick");
+    }
 }

@@ -51,8 +51,12 @@ pub mod spans {
     pub const TICKET_WAIT: &str = "ticket_wait";
     /// Instant: a write stalled by a full journal (Block policy).
     pub const JOURNAL_STALL: &str = "journal_stall";
-    /// Instant: a transfer pump backing off (loss, outage, flow control).
+    /// Instant: a transfer pump backing off (loss, outage) or parking on
+    /// its link's wait list (flow control; once per park).
     pub const PUMP_STALL: &str = "pump_stall";
+    /// Span: a transfer pump parked on its link's wait list, park → admit;
+    /// its parent is the oldest write that waited behind it.
+    pub const LANE_WAIT: &str = "lane_wait";
     /// Instant: an in-flight batch discarded at the receive path.
     pub const FRAME_DISCARD: &str = "frame_discard";
     /// Instant: an array snapshot (or snapshot group) was taken.
@@ -77,6 +81,9 @@ pub mod spans {
 pub mod names {
     /// Host writes rejected because the target array failed.
     pub const WRITES_FAILED: &str = "writes.failed";
+    /// Host reads rejected at admission (failed array, unknown volume,
+    /// address past the end of the volume).
+    pub const READS_FAILED: &str = "reads.failed";
     /// Host write attempts stalled by a full journal (Block policy).
     pub const JOURNAL_STALL_RETRIES: &str = "writes.journal_stall_retries";
     /// Host write attempts parked by the per-volume ordering gate.
