@@ -47,6 +47,7 @@ fn bench_e1_batch(c: &mut Criterion) {
                     let set = e1_slowdown_with(
                         harness,
                         42,
+                        8,
                         &[1, 10, 25],
                         SimDuration::from_millis(100),
                     );

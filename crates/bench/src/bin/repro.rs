@@ -207,12 +207,26 @@ fn report(label: &str, stats: &HarnessStats) {
 fn run_e1(harness: &TrialHarness, opts: &Options) {
     println!("== E1: no system slowdown (claim C1) — latency/throughput vs backup mode ==");
     println!("   closed-loop order workload, 8 clients; link 1 Gbit/s; 400 ms simulated\n");
-    let set = e1_slowdown_with(harness, 42, &[1, 2, 10, 25, 50], SimDuration::from_millis(400));
+    let rtts = [1, 2, 10, 25, 50];
+    let set = e1_slowdown_with(harness, 42, 8, &rtts, SimDuration::from_millis(400));
     report("e1", &set.stats);
     let table = render_e1(&set.rows);
     println!("{table}");
     maybe_csv(opts, "e1", &table);
-    println!("expect: adc-cg ≈ none at every RTT; sdc p50 ≳ 2×RTT and tps collapses.\n");
+    println!(
+        "expect: adc-cg ≈ none at every RTT; sdc pays one to two log flushes (each a WAN\n\
+         round trip) per commit, two commits per order: p50 ≳ 2×RTT, and tps collapses.\n"
+    );
+    println!("   under load: 64 clients, 10 ms RTT, 10 s simulated (the ledger's oltp_rig)\n");
+    let set = e1_slowdown_with(harness, 42, 64, &[10], SimDuration::from_millis(10_000));
+    report("e1 (64 clients)", &set.stats);
+    let table = render_e1(&set.rows);
+    println!("{table}");
+    maybe_csv(opts, "e1_loaded", &table);
+    println!(
+        "expect: none = adc-cg, client-bound, a flush shared by ~1.5 commits; sdc groups\n\
+         ~20 commits per flush and still waits a WAN round trip or two for each.\n"
+    );
 }
 
 fn run_e2(harness: &TrialHarness, opts: &Options) {
@@ -225,7 +239,7 @@ fn run_e2(harness: &TrialHarness, opts: &Options) {
     maybe_csv(opts, "e2", &table);
     println!(
         "expect: adc-cg collapses 0/30 (both checks); adc-naive violates write-order\n\
-         fidelity in nearly every drill and corrupts the business state in many.\n"
+         fidelity in most drills and corrupts the business state in many.\n"
     );
 }
 
@@ -725,7 +739,10 @@ fn run_bench(harness: &TrialHarness, opts: &Options) -> bool {
     };
     time_exp(
         "e1",
-        time_secs(|| e1_slowdown_with(harness, 42, &[1, 2, 10, 25, 50], SimDuration::from_millis(400))).1,
+        time_secs(|| {
+            e1_slowdown_with(harness, 42, 8, &[1, 2, 10, 25, 50], SimDuration::from_millis(400))
+        })
+        .1,
     );
     time_exp(
         "e2",

@@ -22,17 +22,23 @@ use tsuru_core::{f2, render_table};
 /// Render the E1 (no-slowdown) table.
 pub fn render_e1(rows: &[E1Row]) -> String {
     render_table(
-        &["mode", "rtt_ms", "tps", "mean_ms", "p50_ms", "p99_ms"],
+        &[
+            "clients", "mode", "rtt_ms", "tps", "mean_ms", "p50_ms", "p99_ms", "c/flush",
+            "wr/order",
+        ],
         &rows
             .iter()
             .map(|r| {
                 vec![
+                    r.clients.to_string(),
                     r.mode.clone(),
                     f2(r.rtt_ms),
                     f2(r.tps),
                     format!("{:.3}", r.mean_ms),
                     format!("{:.3}", r.p50_ms),
                     format!("{:.3}", r.p99_ms),
+                    f2(r.commits_per_flush),
+                    f2(r.writes_per_order),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -296,12 +302,15 @@ mod tests {
     #[test]
     fn tables_render() {
         let rows = vec![E1Row {
+            clients: 8,
             mode: "none".into(),
             rtt_ms: 2.0,
             tps: 1000.0,
             mean_ms: 0.1,
             p50_ms: 0.1,
             p99_ms: 0.2,
+            commits_per_flush: 1.0,
+            writes_per_order: 2.0,
         }];
         let t = render_e1(&rows);
         assert!(t.contains("none"));
@@ -309,7 +318,10 @@ mod tests {
         let csv = table_to_csv(&t);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "mode,rtt_ms,tps,mean_ms,p50_ms,p99_ms");
-        assert!(lines[1].starts_with("none,2.00,"));
+        assert_eq!(
+            lines[0],
+            "clients,mode,rtt_ms,tps,mean_ms,p50_ms,p99_ms,c/flush,wr/order"
+        );
+        assert!(lines[1].starts_with("8,none,2.00,"));
     }
 }

@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 
 use tsuru_core::TwoSiteRig;
 use tsuru_ecom::driver::start_workload_clients;
-use tsuru_ecom::DbInstance;
 use tsuru_minidb::MiniDb;
 use tsuru_simnet::{LinkConfig, LinkId};
 use tsuru_storage::engine::{heal_link, kick_all_pumps};
@@ -264,18 +263,9 @@ impl Injector {
         };
         match recovered {
             (Ok((sales, _)), Ok((stock, _))) => {
-                let vols = rig.vols;
                 let app = rig.world.app_mut();
-                app.sales = DbInstance {
-                    db: sales,
-                    wal_vol: vols[0],
-                    data_vol: vols[1],
-                };
-                app.stock = DbInstance {
-                    db: stock,
-                    wal_vol: vols[2],
-                    data_vol: vols[3],
-                };
+                app.sales.restart(sales);
+                app.stock.restart(stock);
                 app.stopped = false;
                 start_workload_clients(&mut rig.world, &mut rig.sim);
             }
@@ -290,5 +280,103 @@ impl Injector {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tsuru_core::{BackupMode, RigConfig};
+    use tsuru_sim::{SimDuration, SimTime};
+
+    /// Under SDC a flush's write is on the main volume after 100 µs and its
+    /// acknowledgement comes back a WAN round trip later. Crash and restart
+    /// the main site inside that round trip and the acknowledgements of the
+    /// first life arrive while the second life's first flush is in flight:
+    /// they carry the old generation and must release nothing. What a
+    /// flusher calls durable must be on the *backup* at every instant —
+    /// the synchronous copy's whole contract.
+    ///
+    /// Mutation check (done by hand): with the generation comparison taken
+    /// out of `LogFlusher::write_done`, the durability assertion fails at
+    /// t = 10.184 ms ("stock: durable to 3, the backup holds 2").
+    #[test]
+    fn a_completion_from_before_the_crash_never_acknowledges_a_commit_after_it() {
+        let mut rig = TwoSiteRig::new(RigConfig {
+            seed: 5,
+            mode: BackupMode::Sdc,
+            // 5 ms one way: a flush started at t is acknowledged at t + 10.2 ms.
+            link: LinkConfig::with(SimDuration::from_millis(5), 1_000_000_000 / 8),
+            ..RigConfig::default()
+        });
+        let mut auditor = Auditor::new(&rig);
+        let mut injector = Injector::new(&rig, false);
+        start_workload_clients(&mut rig.world, &mut rig.sim);
+
+        // First life: flushes go out at t = 0; the array dies at 1 ms with
+        // their acknowledgements crossing the WAN and is back at 8 ms.
+        rig.sim.run_until(&mut rig.world, SimTime::from_millis(1));
+        assert!(rig.world.app().stock.flusher.in_flight());
+        let now = rig.sim.now();
+        let main = rig.main;
+        rig.world.st.fail_array(main, now);
+        rig.sim.run_until(&mut rig.world, SimTime::from_millis(8));
+        rig.world.st.array_mut(main).recover();
+        injector.restart_app(&mut rig, &mut auditor);
+        let app = rig.world.app();
+        assert!(!app.stopped && app.stock.flusher.waiting() == 0);
+
+        // Second life, event by event.
+        let state = |rig: &TwoSiteRig| {
+            let app = rig.world.app();
+            [&app.stock, &app.sales].map(|inst| {
+                let f = &inst.flusher;
+                (
+                    f.durable_lsn(),
+                    f.in_flight(),
+                    f.waiting(),
+                    inst.db.last_lsn(),
+                )
+            })
+        };
+        let mut dropped = 0;
+        while rig.sim.now() < SimTime::from_millis(30) {
+            let (before, acks) = (state(&rig), rig.world.st.ack_log.len());
+            assert!(rig.sim.step(&mut rig.world));
+            let on_backup = rig.recover_from_backup();
+            let app = rig.world.app();
+            for (name, inst, image) in [
+                ("stock", &app.stock, &on_backup.stock),
+                ("sales", &app.sales, &on_backup.sales),
+            ] {
+                let held = image
+                    .as_ref()
+                    .expect("the backup image recovers")
+                    .0
+                    .last_lsn();
+                assert!(
+                    inst.flusher.durable_lsn() <= held,
+                    "t = {}: {name}: durable to {}, the backup holds {held}",
+                    rig.sim.now(),
+                    inst.flusher.durable_lsn(),
+                );
+            }
+            // An acknowledgement reached the host and no flusher moved.
+            if rig.world.st.ack_log.len() > acks && state(&rig) == before {
+                dropped += 1;
+            }
+        }
+        assert!(
+            dropped >= 1,
+            "the first life's acknowledgements must arrive, and be dropped"
+        );
+        assert!(
+            rig.world.app().stock.flusher.durable_lsn() > 1,
+            "the second life commits"
+        );
+        assert!(
+            auditor.violations.is_empty(),
+            "the primary images recovered"
+        );
     }
 }

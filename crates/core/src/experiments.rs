@@ -33,6 +33,8 @@ use tsuru_sim::DetRng;
 /// One (mode, RTT) measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct E1Row {
+    /// Closed-loop clients.
+    pub clients: usize,
     /// Backup mode label.
     pub mode: String,
     /// Inter-site round-trip time in milliseconds.
@@ -45,11 +47,20 @@ pub struct E1Row {
     pub p50_ms: f64,
     /// 99th-percentile latency (ms).
     pub p99_ms: f64,
+    /// Commits per log flush over both databases (DESIGN.md §20).
+    pub commits_per_flush: f64,
+    /// Block writes the array acknowledged per committed order.
+    pub writes_per_order: f64,
 }
 
 /// Sweep backup modes across inter-site distances (serial).
-pub fn e1_slowdown(seed: u64, rtts_ms: &[u64], duration: SimDuration) -> Vec<E1Row> {
-    e1_slowdown_with(&TrialHarness::serial(), seed, rtts_ms, duration).rows
+pub fn e1_slowdown(
+    seed: u64,
+    clients: usize,
+    rtts_ms: &[u64],
+    duration: SimDuration,
+) -> Vec<E1Row> {
+    e1_slowdown_with(&TrialHarness::serial(), seed, clients, rtts_ms, duration).rows
 }
 
 /// [`e1_slowdown`] with each (RTT, mode) cell as one harness trial.
@@ -59,6 +70,7 @@ pub fn e1_slowdown(seed: u64, rtts_ms: &[u64], duration: SimDuration) -> Vec<E1R
 pub fn e1_slowdown_with(
     harness: &TrialHarness,
     seed: u64,
+    clients: usize,
     rtts_ms: &[u64],
     duration: SimDuration,
 ) -> TrialSet<E1Row> {
@@ -77,16 +89,21 @@ pub fn e1_slowdown_with(
         };
         let one_way = SimDuration::from_micros(rtt * 1000 / 2);
         cfg.link = LinkConfig::with(one_way, 1_000_000_000 / 8);
+        cfg.workload.clients = clients;
         let mut rig = TwoSiteRig::new(cfg);
         rig.run_workload_for(duration);
         let s = rig.latency_summary();
         E1Row {
+            clients,
             mode: mode.label().into(),
             rtt_ms: rtt as f64,
             tps: rig.throughput_tps(),
             mean_ms: s.mean / 1e6,
             p50_ms: s.p50 as f64 / 1e6,
             p99_ms: s.p99 as f64 / 1e6,
+            commits_per_flush: rig.world.app().commits_per_flush(),
+            writes_per_order: rig.world.st.ack_log.len() as f64
+                / rig.committed_orders().max(1) as f64,
         }
     })
 }

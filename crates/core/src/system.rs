@@ -388,11 +388,12 @@ impl DemoSystem {
         ));
         start_clients(&mut self.world, &mut self.sim);
         self.sim.run_for(&mut self.world, duration);
-        let m = &self.world.app().metrics;
-        let summary = m.txn_latency.summary();
-        let committed = m.committed_orders;
+        let app = self.world.app();
+        let summary = app.metrics.txn_latency.summary();
+        let committed = app.metrics.committed_orders;
+        let per_flush = app.commits_per_flush();
         self.log(format!(
-            "    committed={committed} latency: {}",
+            "    committed={committed} c/flush={per_flush:.2} latency: {}",
             summary.display_nanos()
         ));
     }

@@ -76,7 +76,7 @@ fn demo_naive_policy_creates_per_volume_groups() {
 
 #[test]
 fn e1_shape_adc_flat_sdc_grows_with_rtt() {
-    let rows = e1_slowdown(3, &[2, 20], SimDuration::from_millis(150));
+    let rows = e1_slowdown(3, 8, &[2, 20], SimDuration::from_millis(150));
     assert_eq!(rows.len(), 6);
     let find = |mode: &str, rtt: f64| {
         rows.iter()
@@ -106,14 +106,26 @@ fn e1_shape_adc_flat_sdc_grows_with_rtt() {
 
 #[test]
 fn e2_shape_cg_never_collapses_naive_often_does() {
-    let rows = e2_collapse(100, 8, SimDuration::from_millis(2));
+    // A naive drill collapses when the failure catches the per-volume
+    // sessions apart, a coin weighted about 0.6 per drill. The bars are the
+    // counts measured on this seed, as the old ones were: eight drills
+    // collapsed 6 times and the bar was 6; since commits share log flushes
+    // (DESIGN.md §20) fewer dependent writes are in flight and the same
+    // eight collapse 3 times, so the test takes sixteen — 8 storage and 4
+    // business collapses now, 9 and 6 before — to be clear of one short
+    // run's luck without asking less of naive mode than it delivers.
+    let rows = e2_collapse(100, 16, SimDuration::from_millis(2));
     let cg = rows.iter().find(|r| r.mode == "adc-cg").unwrap();
     let naive = rows.iter().find(|r| r.mode == "adc-naive").unwrap();
     assert_eq!(cg.storage_collapses, 0, "{cg:?}");
     assert_eq!(cg.business_collapses, 0, "{cg:?}");
     assert!(
-        naive.storage_collapses >= 6,
-        "naive should almost always violate fidelity: {naive:?}"
+        naive.storage_collapses >= 8,
+        "naive should violate fidelity in at least half the drills: {naive:?}"
+    );
+    assert!(
+        naive.business_collapses >= 4,
+        "and corrupt the business state in a quarter of them: {naive:?}"
     );
     // Both lose a tail of orders (ADC), but only naive corrupts.
     assert!(cg.avg_lost_orders >= 0.0);

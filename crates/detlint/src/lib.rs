@@ -407,6 +407,8 @@ impl Config {
                 "Journal::*",
                 "AckLog::append",
                 "WalWriter::append",
+                "WalWriter::flush",
+                "LogFlusher::*",
                 "WalWriter::resume",
                 "wal::scan_wal",
                 "StorageOp::dispatch",

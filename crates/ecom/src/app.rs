@@ -1,19 +1,24 @@
 //! Application state: two databases, metrics, setup helpers.
 
-use tsuru_minidb::{DbConfig, DbVol, IoPlan, MiniDb};
+use tsuru_minidb::{DbConfig, DbVol, IoPlan, LogFlusher, MiniDb};
 use tsuru_sim::{Histogram, SimTime};
 use tsuru_storage::{StorageWorld, VolRef};
 
 use crate::append::AppendState;
 use crate::bank::BankState;
+use crate::driver::{Waiter, Which};
 use crate::model::{StockRow, STOCK_TABLE};
 use crate::workload::WorkloadGen;
 
-/// One database instance and the volumes backing it.
+/// One database instance, its log flusher and the volumes backing it.
 #[derive(Debug)]
 pub struct DbInstance {
     /// The engine.
     pub db: MiniDb,
+    /// The database's one log flusher: every storage-timed commit and
+    /// every primary read waits here until the log position it depends on
+    /// is durable (see [`crate::driver`]).
+    pub flusher: LogFlusher<Waiter>,
     /// The WAL volume.
     pub wal_vol: VolRef,
     /// The data volume.
@@ -21,6 +26,26 @@ pub struct DbInstance {
 }
 
 impl DbInstance {
+    /// A database whose in-memory state is exactly what its volumes hold
+    /// (freshly created and written, or just recovered).
+    pub fn new(db: MiniDb, wal_vol: VolRef, data_vol: VolRef) -> Self {
+        DbInstance {
+            flusher: LogFlusher::new(db.last_lsn()),
+            db,
+            wal_vol,
+            data_vol,
+        }
+    }
+
+    /// Replace the engine with one just recovered from the volumes (the
+    /// application restarting after a crash). The flusher starts a new
+    /// generation, so an acknowledgement still on its way from before the
+    /// crash can never release a commit of the new life.
+    pub fn restart(&mut self, db: MiniDb) {
+        self.flusher.restart(db.last_lsn());
+        self.db = db;
+    }
+
     /// Map a database-relative I/O target to the backing array volume.
     pub fn volref(&self, vol: DbVol) -> VolRef {
         match vol {
@@ -69,6 +94,35 @@ pub struct EcomState {
     pub append: Option<AppendState>,
 }
 
+impl EcomState {
+    /// The instance of `which` database.
+    pub fn instance(&self, which: Which) -> &DbInstance {
+        match which {
+            Which::Sales => &self.sales,
+            Which::Stock => &self.stock,
+        }
+    }
+
+    /// The instance of `which` database, mutably.
+    pub fn instance_mut(&mut self, which: Which) -> &mut DbInstance {
+        match which {
+            Which::Sales => &mut self.sales,
+            Which::Stock => &mut self.stock,
+        }
+    }
+
+    /// Commits per log flush over both databases — the group-commit factor
+    /// (1 when every commit found its flusher idle; 0 before any flush).
+    pub fn commits_per_flush(&self) -> f64 {
+        let (sales, stock) = (self.sales.db.stats(), self.stock.db.stats());
+        let flushes = sales.flushes + stock.flushes;
+        if flushes == 0 {
+            return 0.0;
+        }
+        (sales.flushed_commits + stock.flushed_commits) as f64 / flushes as f64
+    }
+}
+
 /// Access to the application state from an arbitrary simulation world.
 pub trait HasEcom {
     /// Borrow the application.
@@ -101,11 +155,7 @@ pub fn install_db(
 ) -> DbInstance {
     let (db, plan) = MiniDb::create(name, config);
     apply_plan_direct(st, &plan, wal_vol, data_vol);
-    DbInstance {
-        db,
-        wal_vol,
-        data_vol,
-    }
+    DbInstance::new(db, wal_vol, data_vol)
 }
 
 /// Seed the stock catalogue with `items` rows of `initial_stock` units
@@ -123,6 +173,8 @@ pub fn seed_stock(st: &mut StorageWorld, stock: &mut DbInstance, items: usize, i
     // WAL tail.
     let plan = stock.db.checkpoint();
     apply_plan_direct(st, &plan, stock.wal_vol, stock.data_vol);
+    // Written directly, not through the flusher: it starts from here.
+    stock.flusher = LogFlusher::new(stock.db.last_lsn());
 }
 
 #[cfg(test)]

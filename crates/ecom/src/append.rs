@@ -16,7 +16,7 @@ use tsuru_sim::{DetRng, Sim, SimDuration};
 use tsuru_storage::HasStorage;
 
 use crate::app::HasEcom;
-use crate::driver::{drive_plan, Which};
+use crate::driver::{await_durable, Then, Waiter, Which, Workload};
 use crate::event::{EcomEvents, EcomOp};
 use crate::model::{decode_list, encode_list, LISTS_TABLE};
 
@@ -122,10 +122,22 @@ where
                 site: Site::Primary,
             },
         );
+        // Served from the in-memory state, answered once every append it
+        // observed is durable (at once when they all are): a list shown to
+        // a client must survive a crash of the main array.
         let values = current(state, key);
-        hist.ok(client, op, now, OpData::List { key, values });
-        let think = state.ecom_mut().gen.think_time();
-        sim.schedule_event_in(think, E::ecom(EcomOp::AppendThink { client }));
+        let lsn = state.ecom().sales.db.last_lsn();
+        let waiter = Waiter {
+            client,
+            op,
+            since: now,
+            then: Then::Answer {
+                workload: Workload::AppendList,
+                answer: OpData::List { key, values },
+                committed: false,
+            },
+        };
+        await_durable(state, sim, Which::Sales, Some(lsn), waiter);
         return;
     }
 
@@ -149,11 +161,11 @@ where
         });
     }
     values.push(value);
-    let plan = {
+    let lsn = {
         let e = state.ecom_mut();
         let tx = e.sales.db.begin();
         e.sales.db.put(tx, LISTS_TABLE, key, &encode_list(&values));
-        e.sales.db.commit(tx)
+        e.sales.db.stage(tx)
     };
     if hist.is_enabled() {
         txn.writes.push(KeyVer {
@@ -162,19 +174,15 @@ where
             version: hist.install_version(space::LISTS, key),
         });
     }
-    drive_plan(state, sim, Which::Sales, plan, move |s, sim, ok| {
-        if !ok {
-            // Site disaster: the op stays pending (indeterminate).
-            s.ecom_mut().stopped = true;
-            return;
-        }
-        hist.ok(client, op, sim.now(), OpData::Txn(txn));
-        let e = s.ecom_mut();
-        e.append
-            .as_mut()
-            .expect("invariant: append events are only scheduled once AppendState is installed")
-            .committed += 1;
-        let think = e.gen.think_time();
-        sim.schedule_event_in(think, E::ecom(EcomOp::AppendThink { client }));
-    });
+    let waiter = Waiter {
+        client,
+        op,
+        since: now,
+        then: Then::Answer {
+            workload: Workload::AppendList,
+            answer: OpData::Txn(txn),
+            committed: true,
+        },
+    };
+    await_durable(state, sim, Which::Sales, lsn, waiter);
 }

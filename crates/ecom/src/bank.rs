@@ -16,7 +16,7 @@ use tsuru_sim::{DetRng, Sim, SimDuration};
 use tsuru_storage::HasStorage;
 
 use crate::app::HasEcom;
-use crate::driver::{drive_plan, Which};
+use crate::driver::{await_durable, Then, Waiter, Which, Workload};
 use crate::event::{EcomEvents, EcomOp};
 use crate::model::{StockRow, STOCK_TABLE};
 
@@ -99,21 +99,24 @@ where
     };
 
     if is_read {
-        // A read is served synchronously from the committed in-memory
-        // state — no storage I/O, no latency, like any primary read.
+        // A read is served from the in-memory state — no storage I/O —
+        // but answered only once every transfer it observed is durable
+        // (at once when they all are): a client must never be shown a
+        // balance that a crash of the main array then un-happens.
         let op = hist.invoke(client, now, OpData::ReadBalances { site: Site::Primary });
-        let (count, total) = balances(state);
-        hist.ok(
+        let (accounts, total) = balances(state);
+        let lsn = state.ecom().stock.db.last_lsn();
+        let waiter = Waiter {
             client,
             op,
-            now,
-            OpData::Balances {
-                accounts: count,
-                total,
+            since: now,
+            then: Then::Answer {
+                workload: Workload::Bank,
+                answer: OpData::Balances { accounts, total },
+                committed: false,
             },
-        );
-        let think = state.ecom_mut().gen.think_time();
-        sim.schedule_event_in(think, E::ecom(EcomOp::BankThink { client }));
+        };
+        await_durable(state, sim, Which::Stock, Some(lsn), waiter);
         return;
     }
 
@@ -140,7 +143,7 @@ where
             });
         }
     }
-    let plan = {
+    let lsn = {
         let from_balance = balance(state, from);
         let to_balance = balance(state, to);
         let e = state.ecom_mut();
@@ -163,7 +166,7 @@ where
             }
             .encode(),
         );
-        e.stock.db.commit(tx)
+        e.stock.db.stage(tx)
     };
     if hist.is_enabled() {
         let endpoints = [from, to];
@@ -175,21 +178,17 @@ where
             });
         }
     }
-    drive_plan(state, sim, Which::Stock, plan, move |s, sim, ok| {
-        if !ok {
-            // Site disaster: the op stays pending (indeterminate).
-            s.ecom_mut().stopped = true;
-            return;
-        }
-        hist.ok(client, op, sim.now(), OpData::Txn(txn));
-        let e = s.ecom_mut();
-        e.bank
-            .as_mut()
-            .expect("invariant: bank events are only scheduled once BankState is installed")
-            .committed += 1;
-        let think = e.gen.think_time();
-        sim.schedule_event_in(think, E::ecom(EcomOp::BankThink { client }));
-    });
+    let waiter = Waiter {
+        client,
+        op,
+        since: now,
+        then: Then::Answer {
+            workload: Workload::Bank,
+            answer: OpData::Txn(txn),
+            committed: true,
+        },
+    };
+    await_durable(state, sim, Which::Stock, lsn, waiter);
 }
 
 /// Count and sum every committed account balance.

@@ -6,8 +6,9 @@
 //! commit).
 //!
 //! - [`EcomState`] + [`driver`] — closed-loop clients running on the
-//!   discrete-event kernel, pushing every commit's I/O through the
-//!   simulated array.
+//!   discrete-event kernel; every commit and every primary read waits on
+//!   its database's one log flusher, which pushes one flush at a time
+//!   through the simulated array.
 //! - [`WorkloadGen`] — deterministic Zipf-skewed order generation.
 //! - [`check_cross_db`] — the business-level collapse detector: an order
 //!   present in a recovered sales database without its stock decrement is

@@ -67,6 +67,13 @@ pub struct DbStats {
     pub wal_bytes_written: u64,
     /// Data-page writes emitted.
     pub page_writes: u64,
+    /// Log flushes that carried at least one commit.
+    pub flushes: u64,
+    /// Commits those flushes carried (`flushed_commits / flushes` is the
+    /// group-commit factor).
+    pub flushed_commits: u64,
+    /// Most commits carried by one flush.
+    pub max_group: u64,
 }
 
 /// Why recovery failed — each variant is a distinct way a backup image can
@@ -140,6 +147,11 @@ pub struct MiniDb {
     next_txid: u64,
     ckpt_lsn: u64,
     active: BTreeMap<u64, ActiveTx>,
+    // Checkpoint phases taken since the last flush; they go out ahead of
+    // the log written after them.
+    pending: IoPlan,
+    // Commits staged since the last flush.
+    staged: u64,
     stats: DbStats,
 }
 
@@ -166,10 +178,12 @@ impl MiniDb {
             next_txid: 1,
             ckpt_lsn: 0,
             active: BTreeMap::new(),
+            pending: IoPlan::empty(),
+            staged: 0,
             stats: DbStats::default(),
         };
         // The initial image is checkpoint #1 of an empty tree.
-        let plan = db.checkpoint_plan();
+        let plan = db.checkpoint();
         (db, plan)
     }
 
@@ -275,38 +289,40 @@ impl MiniDb {
         self.stats.aborts += 1;
     }
 
-    /// Commit: apply the write-set to the tree, append one redo record, and
-    /// return the ordered writes that make it durable. A commit whose WAL
-    /// record would not fit triggers a checkpoint first (earlier phases of
-    /// the same plan).
-    pub fn commit(&mut self, tx: TxId) -> IoPlan {
+    /// Stage a commit: apply the write-set to the tree and append its redo
+    /// record to the in-memory end of the log. Returns the record's LSN —
+    /// the transaction is durable once a [`MiniDb::flush`] issued after
+    /// this call has been written — or `None` for an empty transaction,
+    /// which logs nothing and has nothing to wait for. A commit whose
+    /// record would cross the WAL threshold takes a checkpoint first; its
+    /// phases go out ahead of the record in the next flush.
+    pub fn stage(&mut self, tx: TxId) -> Option<u64> {
         let t = self
             .active
             .remove(&tx.0)
             .expect("invariant: a TxId is minted by begin() and retired only at commit/abort");
         self.stats.commits += 1;
         if t.ops.is_empty() {
-            return IoPlan::empty();
+            return None;
         }
         let record = WalRecord {
             lsn: self.next_lsn,
             txid: tx.0,
             ops: t.ops,
         };
-        let mut plan = IoPlan::empty();
         let threshold =
             (self.wal.capacity_bytes() as f64 * self.config.checkpoint_threshold) as usize;
         if !self.wal.fits(&record) || self.wal.used_bytes() + record.encoded_len() > threshold {
-            plan.extend(self.checkpoint_plan());
+            self.stage_checkpoint();
             assert!(
                 self.wal.fits(&record),
                 "single transaction larger than the WAL volume"
             );
         }
         self.next_lsn += 1;
-        let wal_ios = self.wal.append(&record);
+        self.wal.append(&record);
         self.stats.wal_bytes_written += record.encoded_len() as u64;
-        plan.push_phase(wal_ios);
+        self.staged += 1;
         // Apply to the in-memory tree; recovery redoes this from the WAL.
         // The record is encoded by now, so its values move into the tree.
         for op in record.ops {
@@ -317,12 +333,42 @@ impl MiniDb {
                 }
             }
         }
+        Some(record.lsn)
+    }
+
+    /// The ordered writes that make everything staged so far durable, in
+    /// one plan: the phases of any checkpoint taken since the last flush,
+    /// then one phase holding the log blocks touched since (sealed blocks
+    /// and one image of the tail, however many records share it). Empty
+    /// when nothing was staged. The plan covers every commit up to
+    /// [`MiniDb::last_lsn`] at the time of the call, and plans must reach
+    /// the volumes one at a time, in the order they were taken: a later
+    /// plan's tail image supersedes an earlier one's.
+    pub fn flush(&mut self) -> IoPlan {
+        let mut plan = std::mem::take(&mut self.pending);
+        plan.push_phase(self.wal.flush());
+        if self.staged > 0 {
+            self.stats.flushes += 1;
+            self.stats.flushed_commits += self.staged;
+            self.stats.max_group = self.stats.max_group.max(self.staged);
+            self.staged = 0;
+        }
         plan
     }
 
-    /// Take a checkpoint now (also invoked automatically by `commit`).
+    /// Commit synchronously: [`MiniDb::stage`] then [`MiniDb::flush`], a
+    /// group of one. Returns the ordered writes that make the transaction
+    /// (and anything staged before it) durable.
+    pub fn commit(&mut self, tx: TxId) -> IoPlan {
+        self.stage(tx);
+        self.flush()
+    }
+
+    /// Take a checkpoint now (also taken automatically when a staged
+    /// commit crosses the WAL threshold) and flush it.
     pub fn checkpoint(&mut self) -> IoPlan {
-        self.checkpoint_plan()
+        self.stage_checkpoint();
+        self.flush()
     }
 
     /// Rebuild the tree densely and checkpoint: reclaims the space that
@@ -334,7 +380,7 @@ impl MiniDb {
             "vacuum requires no active transactions"
         );
         self.tree.rebuild(&mut self.alloc);
-        self.checkpoint_plan()
+        self.checkpoint()
     }
 
     /// Number of B+tree nodes currently resident (== pages the next full
@@ -343,7 +389,11 @@ impl MiniDb {
         self.tree.node_count()
     }
 
-    fn checkpoint_plan(&mut self) -> IoPlan {
+    /// Checkpoint the tree as of the last staged commit and queue the
+    /// phases `[pages][superblock]` for the next flush. Log staged in the
+    /// old epoch and not flushed yet is dropped: the tree image covers it,
+    /// and its commits become durable with the superblock.
+    fn stage_checkpoint(&mut self) {
         let lsn = self.last_lsn();
         let data_ios = self.tree.checkpoint_flush(&mut self.alloc, lsn);
         self.stats.page_writes += data_ios.len() as u64;
@@ -375,10 +425,8 @@ impl MiniDb {
         self.wal.reset(epoch);
         self.ckpt_lsn = lsn;
         self.stats.checkpoints += 1;
-        let mut plan = IoPlan::empty();
-        plan.push_phase(data_ios);
-        plan.push_phase(vec![sb_io]);
-        plan
+        self.pending.push_phase(data_ios);
+        self.pending.push_phase(vec![sb_io]);
     }
 
     // ----- recovery ---------------------------------------------------------------
@@ -470,6 +518,8 @@ impl MiniDb {
             next_txid: max_txid,
             ckpt_lsn: sb.ckpt_lsn,
             active: BTreeMap::new(),
+            pending: IoPlan::empty(),
+            staged: 0,
             stats: DbStats::default(),
         };
         Ok((db, report))

@@ -7,7 +7,10 @@
 //!
 //! MiniDB executes logically in memory and expresses its durability
 //! discipline as ordered [`IoPlan`] phases that a driver pushes through the
-//! simulated storage array (DESIGN.md §5.2). Its crash recovery
+//! simulated storage array (DESIGN.md §5.2), one plan at a time per
+//! database: commits are staged ([`MiniDb::stage`]), everything staged goes
+//! out in one flush ([`MiniDb::flush`]), and a [`LogFlusher`] keeps at most
+//! one flush in flight and releases waiters at durability (DESIGN.md §20). Its crash recovery
 //! ([`MiniDb::recover`]) is the behavioural oracle of the reproduction: it
 //! succeeds on every prefix-consistent backup image and surfaces exactly
 //! which physical property a collapsed image violates
@@ -19,6 +22,7 @@
 mod btree;
 mod checksum;
 mod db;
+mod flush;
 mod io;
 mod node;
 mod superblock;
@@ -27,6 +31,7 @@ mod wal;
 pub use btree::{BTree, PageAllocator};
 pub use checksum::{crc32, crc32_update};
 pub use db::{DbConfig, DbStats, MiniDb, RecoveryError, RecoveryReport, TableId, TxId};
+pub use flush::{LogFlusher, Progress};
 pub use io::{DbVol, IoPlan, IoRequest};
 pub use node::{Node, PageError, MAX_VALUE, PAGE_SIZE};
 pub use superblock::{Superblock, MAX_FREE_LIST};

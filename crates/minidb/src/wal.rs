@@ -127,10 +127,12 @@ pub fn encode_record_into(epoch: u32, rec: &WalRecord, out: &mut Vec<u8>) {
         .copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The in-memory end of the log: the epoch, how far the log reaches, and
-/// the bytes of the one block it currently ends in. Everything before that
-/// block is on the volume already and is never needed again, so the writer
-/// costs one block of memory whatever the size of the WAL volume, and a
+/// The in-memory end of the log: the epoch, how far the log reaches, the
+/// bytes of the one block it currently ends in, and what of it the driver
+/// has not been handed yet. Everything before the last flush is on its way
+/// to the volume already and is never needed again, so between flushes the
+/// writer holds the blocks that filled since ([`WalWriter::append`] *seals*
+/// them) plus one tail block, whatever the size of the WAL volume, and a
 /// checkpoint ([`WalWriter::reset`]) clears one block.
 #[derive(Debug)]
 pub struct WalWriter {
@@ -144,6 +146,11 @@ pub struct WalWriter {
     // Encode scratch, reused across appends (capacity persists over epoch
     // resets): steady-state appends allocate nothing for encoding.
     scratch: Vec<u8>,
+    // Blocks that filled since the last flush, in log order.
+    sealed: Vec<IoRequest>,
+    // How far the log reached at the last flush: the tail block needs an
+    // image only if it holds bytes past this point.
+    flushed: usize,
 }
 
 impl WalWriter {
@@ -176,6 +183,8 @@ impl WalWriter {
             offset: end,
             tail,
             scratch: Vec::new(),
+            sealed: Vec::new(),
+            flushed: end,
         }
     }
 
@@ -199,13 +208,15 @@ impl WalWriter {
         self.offset + rec.encoded_len() <= self.capacity
     }
 
-    /// Append a record, returning the block writes (every block the record
-    /// touches, whole) the driver must perform to make it durable.
+    /// Append a record to the in-memory end of the log. Nothing is handed to
+    /// the driver here: a block the record fills is sealed, the block the
+    /// log now ends in is imaged by the next [`WalWriter::flush`] — once,
+    /// however many records joined it since the last one.
     ///
     /// # Panics
     /// Panics if the record does not fit — callers must checkpoint first
     /// (see [`WalWriter::fits`]).
-    pub fn append(&mut self, rec: &WalRecord) -> Vec<IoRequest> {
+    pub fn append(&mut self, rec: &WalRecord) {
         assert!(
             self.fits(rec),
             "WAL record of {} bytes does not fit ({} of {} used)",
@@ -215,8 +226,6 @@ impl WalWriter {
         );
         self.scratch.clear();
         encode_record_into(self.epoch, rec, &mut self.scratch);
-        let last = (self.offset + self.scratch.len() - 1) / BLOCK_SIZE;
-        let mut ios = Vec::with_capacity(last - self.offset / BLOCK_SIZE + 1);
         let mut rest = self.scratch.as_slice();
         while !rest.is_empty() {
             let fill = self.offset % BLOCK_SIZE;
@@ -225,26 +234,46 @@ impl WalWriter {
                 .get_mut(fill..fill + now.len())
                 .expect("invariant: the tail is one block and `now` ends within it")
                 .copy_from_slice(now);
+            self.offset += now.len();
+            if self.offset % BLOCK_SIZE == 0 {
+                // The block is full: the log ends in the next one.
+                self.sealed.push(IoRequest {
+                    vol: DbVol::Wal,
+                    lba: (self.offset / BLOCK_SIZE - 1) as u64,
+                    data: tsuru_storage::block_from(&self.tail),
+                });
+                self.tail.fill(0);
+            }
+            rest = later;
+        }
+    }
+
+    /// The block writes (every block touched since the last flush, whole,
+    /// in log order) the driver must perform to make everything appended so
+    /// far durable. Empty when nothing was appended since.
+    pub fn flush(&mut self) -> Vec<IoRequest> {
+        let mut ios = std::mem::take(&mut self.sealed);
+        if self.offset > self.flushed && self.offset % BLOCK_SIZE != 0 {
             ios.push(IoRequest {
                 vol: DbVol::Wal,
                 lba: (self.offset / BLOCK_SIZE) as u64,
                 data: tsuru_storage::block_from(&self.tail),
             });
-            self.offset += now.len();
-            if self.offset % BLOCK_SIZE == 0 {
-                self.tail.fill(0); // the block is full: the log ends in the next one
-            }
-            rest = later;
         }
+        self.flushed = self.offset;
         ios
     }
 
     /// Start a fresh epoch (after a checkpoint): the log restarts at block
     /// zero and old blocks are logically invalidated by the epoch bump.
+    /// Whatever was appended but not flushed is dropped — the checkpoint
+    /// that calls this covers it.
     pub fn reset(&mut self, new_epoch: u32) {
         assert!(new_epoch > self.epoch, "epoch must increase");
         self.epoch = new_epoch;
         self.offset = 0;
+        self.flushed = 0;
+        self.sealed.clear();
         self.tail.fill(0);
     }
 }
@@ -372,6 +401,12 @@ mod tests {
         }
     }
 
+    /// A group of one: append, then flush.
+    fn append(w: &mut WalWriter, rec: &WalRecord) -> Vec<IoRequest> {
+        w.append(rec);
+        w.flush()
+    }
+
     fn apply(dev: &mut MemDevice, ios: &[IoRequest]) {
         for io in ios {
             assert_eq!(io.vol, DbVol::Wal);
@@ -393,7 +428,7 @@ mod tests {
         let records: Vec<_> = (1..=20).map(|i| rec(i, (i % 5) as usize)).collect();
         for r in &records {
             assert!(w.fits(r));
-            let ios = w.append(r);
+            let ios = append(&mut w, r);
             assert!(!ios.is_empty());
             apply(&mut dev, &ios);
         }
@@ -405,7 +440,7 @@ mod tests {
     fn scan_with_wrong_epoch_finds_nothing() {
         let mut w = WalWriter::new(4, 3);
         let mut dev = MemDevice::new(4);
-        apply(&mut dev, &w.append(&rec(1, 2)));
+        apply(&mut dev, &append(&mut w, &rec(1, 2)));
         assert!(scan_wal(&dev, 4, 4).records.is_empty());
         assert_eq!(scan_wal(&dev, 4, 3).records.len(), 1);
     }
@@ -414,10 +449,10 @@ mod tests {
     fn torn_tail_stops_the_scan_cleanly() {
         let mut w = WalWriter::new(8, 1);
         let mut dev = MemDevice::new(8);
-        apply(&mut dev, &w.append(&rec(1, 3)));
-        apply(&mut dev, &w.append(&rec(2, 3)));
+        apply(&mut dev, &append(&mut w, &rec(1, 3)));
+        apply(&mut dev, &append(&mut w, &rec(2, 3)));
         // Third record's blocks never reach the device (lost tail).
-        let _ = w.append(&rec(3, 3));
+        let _ = append(&mut w, &rec(3, 3));
         let scanned = scan_wal(&dev, 8, 1).records;
         assert_eq!(scanned.len(), 2);
         assert_eq!(scanned[1].lsn, 2);
@@ -427,9 +462,9 @@ mod tests {
     fn corrupted_record_stops_the_scan() {
         let mut w = WalWriter::new(8, 1);
         let mut dev = MemDevice::new(8);
-        apply(&mut dev, &w.append(&rec(1, 1)));
-        apply(&mut dev, &w.append(&rec(2, 1)));
-        apply(&mut dev, &w.append(&rec(3, 1)));
+        apply(&mut dev, &append(&mut w, &rec(1, 1)));
+        apply(&mut dev, &append(&mut w, &rec(2, 1)));
+        apply(&mut dev, &append(&mut w, &rec(3, 1)));
         // Flip one byte in the middle record's payload region.
         dev.corrupt(0, rec(1, 1).encoded_len() + HEADER_BYTES + 3);
         let scanned = scan_wal(&dev, 8, 1).records;
@@ -449,7 +484,7 @@ mod tests {
                 value: Some(vec![7u8; 6000]),
             }],
         };
-        let ios = w.append(&big);
+        let ios = append(&mut w, &big);
         assert!(ios.len() >= 2, "6 KB record must span blocks");
         apply(&mut dev, &ios);
         let scanned = scan_wal(&dev, 8, 1).records;
@@ -459,8 +494,8 @@ mod tests {
     #[test]
     fn tail_block_is_rewritten_as_it_fills() {
         let mut w = WalWriter::new(8, 1);
-        let ios1 = w.append(&rec(1, 1));
-        let ios2 = w.append(&rec(2, 1));
+        let ios1 = append(&mut w, &rec(1, 1));
+        let ios2 = append(&mut w, &rec(2, 1));
         // Both small records live in block 0: the block is rewritten.
         assert_eq!(ios1.len(), 1);
         assert_eq!(ios2.len(), 1);
@@ -473,11 +508,11 @@ mod tests {
     fn reset_starts_a_new_epoch_at_block_zero() {
         let mut w = WalWriter::new(8, 1);
         let mut dev = MemDevice::new(8);
-        apply(&mut dev, &w.append(&rec(1, 2)));
-        apply(&mut dev, &w.append(&rec(2, 2)));
+        apply(&mut dev, &append(&mut w, &rec(1, 2)));
+        apply(&mut dev, &append(&mut w, &rec(2, 2)));
         w.reset(2);
         assert_eq!(w.used_bytes(), 0);
-        apply(&mut dev, &w.append(&rec(10, 1)));
+        apply(&mut dev, &append(&mut w, &rec(10, 1)));
         // Epoch-2 scan sees only the new record; epoch-1 history is dead.
         let scanned = scan_wal(&dev, 8, 2).records;
         assert_eq!(scanned.len(), 1);
@@ -496,7 +531,7 @@ mod tests {
                 value: Some(vec![0u8; 5000]),
             }],
         };
-        let _ = w.append(&big);
+        let _ = append(&mut w, &big);
     }
 
     #[test]
@@ -515,7 +550,7 @@ mod tests {
         };
         assert_eq!(exact.encoded_len(), BLOCK_SIZE);
         assert!(w.fits(&exact));
-        let _ = w.append(&exact);
+        let _ = append(&mut w, &exact);
         assert!(!w.fits(&rec(2, 0)));
     }
 }

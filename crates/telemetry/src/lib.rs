@@ -121,6 +121,11 @@ pub mod names {
     /// Health series: replication groups whose pair state is degraded
     /// (any member not PAIR).
     pub const HEALTH_GROUPS_DEGRADED: &str = "health.groups_degraded";
+    /// Histogram: how long a database commit waited on its log flusher,
+    /// stage to durable, in nanoseconds of sim-time — the wait for the
+    /// flush in flight plus the flush that carried it (whose writes are
+    /// `host_write` spans).
+    pub const DB_FLUSH_WAIT: &str = "db.flush_wait";
     /// Per-shard series: primary-journal occupancy in bytes across the
     /// shard's groups (sampled via [`super::MetricsRegistry::sample_shard`]).
     pub const SHARD_JOURNAL_OCCUPANCY: &str = "shard.journal_occupancy_bytes";

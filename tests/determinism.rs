@@ -50,8 +50,8 @@ fn different_seeds_differ() {
 
 #[test]
 fn experiment_tables_are_reproducible() {
-    let a = e1_slowdown(5, &[2, 10], SimDuration::from_millis(100));
-    let b = e1_slowdown(5, &[2, 10], SimDuration::from_millis(100));
+    let a = e1_slowdown(5, 8, &[2, 10], SimDuration::from_millis(100));
+    let b = e1_slowdown(5, 8, &[2, 10], SimDuration::from_millis(100));
     let key = |rows: &[tsuru_core::experiments::E1Row]| -> Vec<(String, u64, u64)> {
         rows.iter()
             .map(|r| (r.mode.clone(), r.tps as u64, (r.p50_ms * 1e6) as u64))
