@@ -704,14 +704,15 @@ fn run_bench(harness: &TrialHarness, opts: &Options) -> bool {
             "bench",
             &format!(
                 "{:<11} {} events in {:.3} s -> {:.3e} events/s (peak queue depth {}, \
-                 {:.6} allocs/event, peak slab {})",
+                 {:.6} allocs/event, peak slab {}, {:.4} rehomes/event)",
                 r.kernel,
                 r.events,
                 r.secs,
                 r.events_per_sec,
                 r.peak_pending,
                 r.allocs_per_event,
-                r.peak_slab
+                r.peak_slab,
+                r.rehomes_per_event
             ),
         );
     };
@@ -838,14 +839,21 @@ fn bench_json(
     rig_peak: usize,
     experiments: &[(&str, f64)],
 ) -> String {
-    // `allocs_per_event` / `peak_slab` are additive to the schema: the
-    // baseline reader scans for named keys, so older BENCH.json baselines
-    // (without them) still parse and newer files gain the ratchet.
+    // `allocs_per_event` / `peak_slab` / `rehomes_per_event` are additive
+    // to the schema: the baseline reader scans for named keys, so older
+    // BENCH.json baselines (without them) still parse and newer files gain
+    // the ratchet.
     let rate = |r: &tsuru_bench::kernelbench::KernelRate| {
         format!(
             "{{\"events\": {}, \"secs\": {:.6}, \"events_per_sec\": {:.1}, \"peak_pending\": {}, \
-             \"allocs_per_event\": {:.8}, \"peak_slab\": {}}}",
-            r.events, r.secs, r.events_per_sec, r.peak_pending, r.allocs_per_event, r.peak_slab
+             \"allocs_per_event\": {:.8}, \"peak_slab\": {}, \"rehomes_per_event\": {:.6}}}",
+            r.events,
+            r.secs,
+            r.events_per_sec,
+            r.peak_pending,
+            r.allocs_per_event,
+            r.peak_slab,
+            r.rehomes_per_event
         )
     };
     let exps: Vec<String> = experiments

@@ -3,7 +3,9 @@
 //!
 //! The workload is a bundle of self-rescheduling event chains whose delays
 //! spread across several timer-wheel levels (so cascades are exercised, not
-//! just slot zero). The same chain runs on both kernels:
+//! just slot zero) and whose event is padded to the size of the largest
+//! production event — a wheel moves its entries, so what a design costs
+//! depends on what it carries. The same chain runs on both kernels:
 //!
 //! - [`run_typed_chain`] — the production [`tsuru_sim::Sim`] with a typed
 //!   event enum (zero allocations per event);
@@ -34,10 +36,15 @@ fn chain_delay(state: u64) -> u64 {
     1 + (state % 9973) * 101 + (state % 31) * 32_768
 }
 
+/// Ballast every chain event carries, on both kernels, so that one hop
+/// moves as many bytes as the largest production event
+/// (`tsuru_core::TenantOp`, 80 bytes; a test below holds the two together).
+type Ballast = [u64; 9];
+
 /// Typed chain event: each dispatch bumps the shared counter and
 /// reschedules itself until `left` runs out.
 enum Tick {
-    Step { left: u32 },
+    Step { left: u32, ballast: Ballast },
     #[allow(dead_code)]
     Dyn(EventFn<u64, Tick>),
 }
@@ -48,12 +55,13 @@ impl Event<u64> for Tick {
     }
     fn dispatch(self, state: &mut u64, sim: &mut Sim<u64, Self>) {
         match self {
-            Tick::Step { left } => {
+            Tick::Step { left, ballast } => {
                 *state += 1;
                 if left > 0 {
                     let d = chain_delay(*state);
                     sim.schedule_event_in(SimDuration::from_nanos(d), Tick::Step {
                         left: left - 1,
+                        ballast,
                     });
                 }
             }
@@ -73,9 +81,12 @@ pub struct ChainRun {
     pub peak_pending: usize,
     /// Pending-store capacity growths (≈ allocations) during the run.
     pub alloc_events: u64,
-    /// High-water mark of the wheel's batch slab (0 for the reference
-    /// kernel, which has no batch path).
+    /// High-water mark of the wheel's ready run (0 for the reference
+    /// kernel, which has none).
     pub peak_slab: usize,
+    /// Entries the wheel re-homed by cascading coarse slots (0 for the
+    /// reference kernel).
+    pub rehomed_events: u64,
 }
 
 /// Run ~`total_events` typed events through the production kernel.
@@ -85,6 +96,7 @@ pub fn run_typed_chain(total_events: u64) -> ChainRun {
     for c in 0..CHAINS {
         sim.schedule_event_at(SimTime::from_nanos(1 + c), Tick::Step {
             left: per_chain - 1,
+            ballast: [c; 9],
         });
     }
     let mut state = 0u64;
@@ -94,18 +106,21 @@ pub fn run_typed_chain(total_events: u64) -> ChainRun {
         peak_pending: sim.peak_pending(),
         alloc_events: sim.alloc_events(),
         peak_slab: sim.peak_slab(),
+        rehomed_events: sim.rehomed_events(),
     }
 }
 
 /// One hop of the boxed-closure chain on the reference kernel. Every
 /// reschedule allocates a fresh `Box<dyn FnOnce>` — the cost the typed
 /// kernel removed.
-fn boxed_hop(state: &mut u64, sim: &mut RefSim<u64>, left: u32) {
+// The ballast only rides along, from box to box: that is its job.
+#[allow(clippy::only_used_in_recursion)]
+fn boxed_hop(state: &mut u64, sim: &mut RefSim<u64>, left: u32, ballast: Ballast) {
     *state += 1;
     if left > 0 {
         let d = chain_delay(*state);
         sim.schedule_in(SimDuration::from_nanos(d), move |s, sim| {
-            boxed_hop(s, sim, left - 1)
+            boxed_hop(s, sim, left - 1, ballast)
         });
     }
 }
@@ -120,7 +135,7 @@ pub fn run_boxed_chain(total_events: u64) -> ChainRun {
     for c in 0..CHAINS {
         let left = per_chain - 1;
         sim.schedule_at(SimTime::from_nanos(1 + c), move |s, sim| {
-            boxed_hop(s, sim, left)
+            boxed_hop(s, sim, left, [c; 9])
         });
     }
     let mut state = 0u64;
@@ -130,6 +145,7 @@ pub fn run_boxed_chain(total_events: u64) -> ChainRun {
         peak_pending: sim.peak_pending(),
         alloc_events: sim.events_executed(),
         peak_slab: 0,
+        rehomed_events: 0,
     }
 }
 
@@ -149,8 +165,12 @@ pub struct KernelRate {
     /// Pending-store capacity growths per dispatched event — the kernel's
     /// allocation rate. Deterministic, so CI ratchets it.
     pub allocs_per_event: f64,
-    /// High-water mark of the wheel's batch slab during the run.
+    /// High-water mark of the wheel's ready run during the run.
     pub peak_slab: usize,
+    /// Entries re-homed by cascades per dispatched event — the wheel's
+    /// only per-event cost that is not O(1) by construction.
+    /// Deterministic.
+    pub rehomes_per_event: f64,
 }
 
 /// Time `f` and return its result plus elapsed wall-clock seconds. The one
@@ -181,6 +201,7 @@ fn best_of(kernel: &'static str, run: impl Fn() -> ChainRun) -> KernelRate {
             peak_pending: r.peak_pending,
             allocs_per_event: r.alloc_events as f64 / r.events.max(1) as f64,
             peak_slab: r.peak_slab,
+            rehomes_per_event: r.rehomed_events as f64 / r.events.max(1) as f64,
         };
         if best.as_ref().is_none_or(|b| rate.events_per_sec > b.events_per_sec) {
             best = Some(rate);
@@ -227,5 +248,14 @@ mod tests {
         assert_eq!(a.alloc_events, b.alloc_events);
         assert_eq!(a.peak_slab, b.peak_slab);
         assert_eq!(a.peak_pending, b.peak_pending);
+        assert_eq!(a.rehomed_events, b.rehomed_events);
+        assert!(a.rehomed_events > 0, "the delay spread must reach cascaded levels");
+    }
+
+    /// The microbench moves what production moves: a chain event is at
+    /// least as large as the metro world's.
+    #[test]
+    fn chain_event_is_as_large_as_the_largest_production_event() {
+        assert!(std::mem::size_of::<Tick>() >= std::mem::size_of::<tsuru_core::tenants::TenantOp>());
     }
 }

@@ -119,27 +119,43 @@ impl<S, E: Event<S>> Sim<S, E> {
         self.wheel.len()
     }
 
+    /// The instant of the earliest pending event, if any — what
+    /// [`Sim::run_until`] compares with its horizon before every step.
+    #[inline]
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.wheel.next_time().map(SimTime::from_nanos)
+    }
+
     /// High-water mark of the pending-event queue over the sim's lifetime.
     #[inline]
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
     }
 
-    /// High-water mark of the wheel's batch slab: the largest number of
-    /// same-deadline events drained from one wheel slot and served
-    /// contiguously. A proxy for how much the batch path is exercised.
+    /// High-water mark of the wheel's ready run: the largest number of
+    /// events drained from one wheel slot, sorted once and served
+    /// contiguously.
     #[inline]
     pub fn peak_slab(&self) -> usize {
         self.wheel.slab_peak()
     }
 
     /// Deterministic count of heap reallocations performed by the
-    /// pending-event store (wheel bucket / batch-slab capacity growths)
+    /// pending-event store (wheel bucket / ready-heap capacity growths)
     /// since construction. Depends only on the schedule — never on
     /// wall-clock or addresses — so the bench can ratchet it in CI.
     #[inline]
     pub fn alloc_events(&self) -> u64 {
         self.wheel.grow_events()
+    }
+
+    /// Deterministic count of pending entries the wheel has re-homed by
+    /// cascading a coarse slot one level down (one per entry per
+    /// cascaded level) since construction — the wheel's only per-event
+    /// cost that is not O(1) by construction.
+    #[inline]
+    pub fn rehomed_events(&self) -> u64 {
+        self.wheel.rehomed()
     }
 
     /// Schedule event `ev` at absolute time `t`. Zero-allocation for
@@ -235,10 +251,7 @@ impl<S, E: Event<S>> Sim<S, E> {
             "run_until horizon {horizon} is before current time {}",
             self.now
         );
-        while let Some(next) = self.wheel.next_time() {
-            if next > horizon.as_nanos() {
-                break;
-            }
+        while self.next_event_time().is_some_and(|next| next <= horizon) {
             self.step(state);
         }
         self.now = horizon;

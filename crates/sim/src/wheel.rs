@@ -5,32 +5,29 @@
 //! is 64× coarser. Insert is O(1): an event is hashed to a slot by the
 //! bits of its deadline that differ from the wheel's `elapsed` cursor.
 //!
-//! Ready events are served through a **batch slab**: when the wheel's
-//! front slot comes due, the *whole slot* — at whatever level — is drained
-//! into one contiguous `Vec` by a buffer swap, sorted once by
-//! `(when, seq)`, and handed out back-to-front with no bitmap scans,
-//! bucket probes, or per-event pointer chasing. This replaces the classic
-//! cascade (which re-homed every entry of a drained slot once per level,
-//! up to ten times over its lifetime) with a single sort: at drain time
-//! the front slot *is* the global minimum run — every other pending entry
-//! is strictly later than everything in it — so its sorted order is final.
+//! A pending entry lives in exactly one of three residences, split by
+//! `horizon` (the last deadline of the most recently drained slot):
 //!
-//! The only wrinkle is events scheduled *while* a batch is being served
-//! whose deadlines land inside the live batch's range. A push whose
-//! deadline is at or below `batch_max` goes **straight into the batch**
-//! at its sorted position (every wheel entry is strictly later, so the
-//! batch stays the global minimum run) — as long as the batch is small
-//! enough that the insert memmove is cheap. For oversized batches the
-//! push falls back to the wheel, and the wheel keeps a running lower
-//! bound on its earliest pending deadline (`wheel_min_bound`, lowered by
-//! every push, re-tightened by pops); while the batch head is at or
-//! below the bound, service is a bare `Vec::pop`, and only an overtaking
-//! push costs one exact front scan. The classic scan-and-cascade pop
-//! ([`TimerWheel::pop_wheel_single`]) survives for exactly that rare
-//! preemption path. The cursor stays **frozen at the drained
-//! slot's block start** for the whole batch service, so every wheel
-//! residence stays consistent with `elapsed` and cancellation remains a
-//! pure recomputation.
+//! - the **wheel** holds every entry *later* than `horizon`;
+//! - the **run** is one drained slot — a *fine* one (level ≤
+//!   [`DRAIN_MAX_LEVEL`], at most 4 096 ns wide) or a coarser one that
+//!   held a single entry — taken out of the wheel by a buffer swap, sorted
+//!   once by `(when, seq)` and served by `Vec::pop`;
+//! - the **heap** takes every push at or below `horizon` — a handler
+//!   scheduling inside the span the run covers, zero-delay hops included.
+//!
+//! [`TimerWheel::pop`] is the two-way merge of the run's tail and the
+//! heap's top. When both are empty the wheel's front slot comes forward
+//! ([`TimerWheel::refill`]): a coarse slot with more than one entry is
+//! *cascaded* — the cursor moves to its block start and each entry is
+//! re-homed once, to a lower level, with no sort — until the front slot
+//! can be drained, and that slot becomes the new run. One drain rule, one
+//! pop: nothing is ever inserted into the run, and nothing at or below
+//! `horizon` ever enters the wheel, so the run and the heap together are
+//! always the global minimum span and serving them never consults the
+//! wheel. (Draining *any* front slot whole, with sorted inserts into the
+//! live batch and a running wheel-minimum to catch what did not fit, lost
+//! to this in situ: DESIGN.md §15 has the counts.)
 //!
 //! Determinism contract: [`TimerWheel::pop`] yields entries in exactly
 //! ascending `(when, seq)` order — the same order a binary heap with a
@@ -38,24 +35,27 @@
 //! bit-identical to the old `BinaryHeap` kernel. The proof obligations:
 //!
 //! 1. *Drain soundness.* The front slot (lowest occupied slot of the
-//!    lowest occupied level) holds the pending minimum, and every entry
-//!    outside it is strictly later than every entry inside it — lower
-//!    levels are empty, same-level slots with higher indices and all
-//!    higher levels differ from `elapsed` in a more significant digit.
-//! 2. *Interleave soundness.* A post-drain push carries a strictly
-//!    higher `seq`, so on a deadline tie it sorts after every live batch
-//!    entry. An in-range push (`when ≤ batch_max`) lands at its exact
-//!    sorted position in the batch; an out-of-range push leaves the
-//!    batch the global minimum run. Only when the batch is too large to
-//!    insert into does an earlier push go to the wheel, where the
-//!    `wheel_min_bound` check catches it and serves it first through the
-//!    classic pop.
-//! 3. *Home stability.* `elapsed` only ever advances to a value that is
-//!    ≤ every pending wheel deadline, and only to (a) a drained slot's
-//!    block start, (b) a popped level-0 entry's deadline (same 64-block),
-//!    or (c) a cascaded slot's block start — each preserves every other
-//!    entry's `level_and_slot` residence, so [`TimerWheel::cancel`] and
-//!    [`TimerWheel::next_time`] stay pure recomputations.
+//!    lowest occupied level) holds the wheel's minimum, and every wheel
+//!    entry outside it is strictly later than every entry inside it —
+//!    lower levels are empty, same-level slots with higher indices and all
+//!    higher levels differ from `elapsed` in a more significant digit. So
+//!    after a drain every wheel entry is later than the new `horizon`.
+//! 2. *Interleave soundness.* A push goes to the heap iff its deadline is
+//!    at or below `horizon` ([`TimerWheel::place`] asserts the converse),
+//!    so by (1) every wheel entry stays later than every run and heap
+//!    entry, whether or not the run has been exhausted since. Keys are
+//!    unique (`seq` is), both the run and the heap yield their own
+//!    entries in key order, and the merge takes the smaller head — the
+//!    global minimum.
+//! 3. *Home stability.* `elapsed` moves only inside `refill`, only to the
+//!    block start of the front slot — a value ≤ every pending deadline
+//!    that keeps every digit above the slot's level — so every other wheel
+//!    entry keeps its `level_and_slot` residence, and
+//!    [`TimerWheel::cancel`] and [`TimerWheel::next_time`] stay pure
+//!    recomputations.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// log2 of the slot count per level.
 const LEVEL_BITS: u32 = 6;
@@ -67,18 +67,15 @@ const LEVELS: usize = 11;
 /// slot does not allocate. Steady-state workloads with fewer than this
 /// many co-resident entries per slot run allocation-free.
 const SLOT_PREALLOC: usize = 4;
-/// Largest live batch a push may sorted-insert into. Inserting keeps the
-/// wheel untouched (no preemption machinery on later pops) but costs an
-/// `O(batch)` memmove, so only small batches — the steady-state shape —
-/// take it; giant drains fall back to the wheel + min-bound path.
-const BATCH_INSERT_CAP: usize = 512;
-/// Highest drained level served by the radix sort (covering
-/// `RADIX_MAX_LEVEL * LEVEL_BITS` varying deadline bits, one distribution
-/// pass per level). Rarer, coarser drains fall back to the comparison
-/// sort — more passes would out-cost it.
-const RADIX_MAX_LEVEL: usize = 5;
-/// Below this batch size the comparison sort wins (pass setup dominates).
-const RADIX_MIN_LEN: usize = 32;
+/// The coarsest level whose slots are drained into the run whatever they
+/// hold; a coarser front slot is cascaded unless it holds a single entry
+/// (nothing to sort, and a sparse timeline — one timer per millisecond —
+/// would otherwise pay a cascade per level per event). A drained slot's
+/// width bounds how many handler pushes land inside the live run's span
+/// (and pay the heap instead of the wheel); a cascade costs one move per
+/// entry per level. Measured on the ledger's two metro workloads
+/// (EXPERIMENTS.md "Kernel wall-clock"): level 2 beats 1 and 3.
+const DRAIN_MAX_LEVEL: usize = 2;
 
 /// One pending event.
 struct Entry<T> {
@@ -87,16 +84,49 @@ struct Entry<T> {
     value: T,
 }
 
+impl<T> Entry<T> {
+    /// `(when, seq)` as one integer: one branch-light compare instead of
+    /// a lexicographic tuple compare inside sort and heap loops.
+    #[inline]
+    fn key(&self) -> u128 {
+        ((self.when as u128) << 64) | self.seq as u128
+    }
+}
+
+/// Entries order *earliest-greatest*: `BinaryHeap` is a max-heap and the
+/// run is served from its tail, so both want the earliest key last.
+impl<T> Ord for Entry<T> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+impl<T> PartialOrd for Entry<T> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
 /// A popped event: `(deadline, seq, value)`.
 pub(crate) type Popped<T> = (u64, u64, T);
 
 /// The wheel. `T` is the event payload type.
 pub(crate) struct TimerWheel<T> {
-    /// Cursor: the block start of the most recently drained slot, or the
-    /// deadline of the most recently wheel-popped entry. Never exceeds
-    /// any pending wheel deadline.
+    /// Cursor: the block start of the most recently drained or cascaded
+    /// slot. Never exceeds any pending deadline.
     elapsed: u64,
-    /// Total pending entries (batch slab included).
+    /// Total pending entries (run and heap included).
     len: usize,
     /// Level summary bitmap: bit `l` set ⇔ `occupied[l] != 0`. Finding
     /// the lowest occupied level is one `trailing_zeros`, not a scan.
@@ -106,37 +136,22 @@ pub(crate) struct TimerWheel<T> {
     occupied: [u64; LEVELS],
     /// `LEVELS * SLOTS` buckets, flattened; index `level * SLOTS + slot`.
     slots: Vec<Vec<Entry<T>>>,
-    /// The batch slab: one drained slot, sorted by `(when, seq)`
-    /// *descending* so service is `Vec::pop` from the tail.
-    batch: Vec<Entry<T>>,
-    /// Largest deadline in the live batch: cancellation probes the slab
-    /// only for keys at or below it. Stale while the batch is empty —
-    /// every reader checks emptiness first.
-    batch_max: u64,
-    /// A running lower bound on the earliest pending *wheel* deadline
-    /// (`u64::MAX` when provably empty). Maintained monotonically-safe:
-    /// every push lowers it if needed; pops re-tighten it. While the
-    /// batch head is ≤ this bound, no wheel entry can precede it and
-    /// batch service is a bare compare + `Vec::pop`; only when the bound
-    /// is overtaken does a serve pay one exact `wheel_next_time` scan.
-    wheel_min_bound: u64,
-    /// True while `wheel_min_bound` is the *exact* earliest pending wheel
-    /// deadline, not just a lower bound. Exactness holds after a full
-    /// `wheel_next_time` re-tighten and after every push-lowering (a push
-    /// below a sound lower bound IS the new minimum); it is lost when the
-    /// bound falls back to a bitmap block start (drain, cascade pop) or a
-    /// wheel-side cancel removes what might have been the minimum. While
-    /// exact, an overtaken batch head pops the wheel directly — no scan.
-    wheel_min_exact: bool,
-    /// 64 reusable distribution buckets for the drain-time radix sort,
-    /// flattened like `slots`. Empty between pops.
-    radix: Vec<Vec<Entry<T>>>,
-    /// High-water mark of the batch slab over the wheel's lifetime.
+    /// The ready run: one drained slot, sorted earliest-last so service
+    /// is `Vec::pop` from the tail.
+    run: Vec<Entry<T>>,
+    /// Pushes at or below `horizon`, earliest on top.
+    heap: BinaryHeap<Entry<T>>,
+    /// The last deadline of the most recently drained slot. Every wheel
+    /// entry is later; every run and heap entry is at or below it.
+    horizon: u64,
+    /// High-water mark of the run over the wheel's lifetime.
     slab_peak: usize,
     /// Deterministic allocation counter: how many times a bucket grew
     /// past its capacity (each growth is one heap reallocation). Zero in
     /// steady state — the bench ratchets this.
     grow_events: u64,
+    /// Deterministic count of entries re-homed by cascades.
+    rehomed: u64,
 }
 
 impl<T> TimerWheel<T> {
@@ -149,13 +164,12 @@ impl<T> TimerWheel<T> {
             slots: (0..LEVELS * SLOTS)
                 .map(|_| Vec::with_capacity(SLOT_PREALLOC))
                 .collect(),
-            batch: Vec::with_capacity(SLOT_PREALLOC),
-            radix: (0..SLOTS).map(|_| Vec::new()).collect(),
-            batch_max: 0,
-            wheel_min_bound: u64::MAX,
-            wheel_min_exact: true,
+            run: Vec::with_capacity(SLOT_PREALLOC),
+            heap: BinaryHeap::with_capacity(SLOT_PREALLOC),
+            horizon: 0,
             slab_peak: 0,
             grow_events: 0,
+            rehomed: 0,
         }
     }
 
@@ -164,7 +178,7 @@ impl<T> TimerWheel<T> {
         self.len
     }
 
-    /// High-water mark of the batch slab (peak entries drained from one
+    /// High-water mark of the ready run (peak entries drained from one
     /// slot and served contiguously).
     #[inline]
     pub(crate) fn slab_peak(&self) -> usize {
@@ -177,6 +191,13 @@ impl<T> TimerWheel<T> {
     #[inline]
     pub(crate) fn grow_events(&self) -> u64 {
         self.grow_events
+    }
+
+    /// How many entries cascades have re-homed since construction (one
+    /// per entry per cascaded level). Deterministic like `grow_events`.
+    #[inline]
+    pub(crate) fn rehomed(&self) -> u64 {
+        self.rehomed
     }
 
     /// The slot for a deadline, measured against the current cursor: the
@@ -192,11 +213,21 @@ impl<T> TimerWheel<T> {
         (level, slot)
     }
 
-    /// Insert without touching `len` (shared by push and cascade).
+    /// Insert into the wheel without touching `len` (shared by push and
+    /// cascade).
     #[inline]
     fn place(&mut self, e: Entry<T>) {
+        debug_assert!(
+            e.when > self.horizon,
+            "entry at {} would enter the wheel at or below the ready horizon {}",
+            e.when,
+            self.horizon
+        );
         let (level, slot) = self.level_and_slot(e.when);
-        self.occupied[level] |= 1 << slot;
+        *self
+            .occupied
+            .get_mut(level)
+            .expect("invariant: level_and_slot returns level < LEVELS") |= 1 << slot;
         self.levels |= 1 << level;
         let bucket = self
             .slots
@@ -210,45 +241,39 @@ impl<T> TimerWheel<T> {
         bucket.push(e);
     }
 
+    /// Mark `(level, slot)` empty in both bitmaps.
+    #[inline]
+    fn vacate(&mut self, level: usize, slot: usize) {
+        let occ = self
+            .occupied
+            .get_mut(level)
+            .expect("invariant: callers pass a level < LEVELS");
+        *occ &= !(1u64 << slot);
+        if *occ == 0 {
+            self.levels &= !(1u32 << level);
+        }
+    }
+
     /// Schedule `value` at `when`. `seq` must be the caller's unique,
     /// monotonically assigned tie-breaker. `when` must be ≥ every deadline
     /// popped so far (the kernel's schedule-into-the-past check enforces a
     /// stronger condition: `when ≥ now ≥ elapsed`).
+    #[inline]
     pub(crate) fn push(&mut self, when: u64, seq: u64, value: T) {
-        debug_assert!(when >= self.elapsed, "push({when}) behind cursor {}", self.elapsed);
+        debug_assert!(
+            when >= self.elapsed,
+            "push({when}) behind cursor {}",
+            self.elapsed
+        );
         self.len += 1;
-        // A push landing inside a small live batch's range goes straight
-        // into the batch at its sorted position: every wheel entry is
-        // strictly later than `batch_max`, so the batch stays the global
-        // minimum run and later pops never consult the wheel for it.
-        if !self.batch.is_empty() && when <= self.batch_max && self.batch.len() <= BATCH_INSERT_CAP
-        {
-            return self.insert_into_batch(when, seq, value);
+        let e = Entry { when, seq, value };
+        if when > self.horizon {
+            return self.place(e);
         }
-        self.place(Entry { when, seq, value });
-        if when < self.wheel_min_bound {
-            // Below a sound lower bound on the old minimum, so `when` IS
-            // the new exact minimum.
-            self.wheel_min_bound = when;
-            self.wheel_min_exact = true;
-        }
-    }
-
-    /// Sorted-insert into the live batch (see [`TimerWheel::push`]).
-    /// Out-of-line so the push fast path stays small enough to inline.
-    #[inline(never)]
-    fn insert_into_batch(&mut self, when: u64, seq: u64, value: T) {
-        let key = ((when as u128) << 64) | seq as u128;
-        let pos = self
-            .batch
-            .partition_point(|e| (((e.when as u128) << 64) | e.seq as u128) > key);
-        if self.batch.len() == self.batch.capacity() {
+        if self.heap.len() == self.heap.capacity() {
             self.grow_events += 1;
         }
-        self.batch.insert(pos, Entry { when, seq, value });
-        if self.batch.len() > self.slab_peak {
-            self.slab_peak = self.batch.len();
-        }
+        self.heap.push(e);
     }
 
     /// The block start of `(level, slot)` under the current cursor: the
@@ -265,81 +290,15 @@ impl<T> TimerWheel<T> {
         high | ((slot as u64) << shift)
     }
 
-    /// The earliest pending *wheel* deadline (ignores the batch slab).
-    ///
-    /// The global wheel minimum lives in the lowest occupied slot of the
-    /// lowest occupied level: entries at level L differ from `elapsed`
-    /// first at digit L (all higher digits equal), so a lower level
-    /// always means an earlier deadline, and within a level a lower slot
-    /// index does too.
-    fn wheel_next_time(&self) -> Option<u64> {
+    /// The wheel's front slot: the lowest occupied slot of the lowest
+    /// occupied level. It holds the wheel's minimum: entries at level L
+    /// differ from `elapsed` first at digit L (all higher digits equal),
+    /// so a lower level always means an earlier deadline, and within a
+    /// level a lower slot index does too.
+    #[inline]
+    fn front(&self) -> Option<(usize, usize)> {
         if self.levels == 0 {
             return None;
-        }
-        let level = self.levels.trailing_zeros() as usize;
-        let slot = self
-            .occupied
-            .get(level)
-            .expect("invariant: levels bit set only for level < LEVELS")
-            .trailing_zeros() as u64;
-        if level == 0 {
-            // A level-0 slot holds exactly one deadline per rotation:
-            // slot index == the deadline's low 6 bits, high bits == the
-            // cursor's. No scan needed.
-            Some((self.elapsed & !(SLOTS as u64 - 1)) | slot)
-        } else {
-            // Coarser slots mix deadlines; scan the bucket.
-            self.slots
-                .get(level * SLOTS + slot as usize)
-                .expect("invariant: level < LEVELS and slot < SLOTS, so the flat index is in range")
-                .iter()
-                .map(|e| e.when)
-                .min()
-        }
-    }
-
-    /// The earliest pending deadline, without mutating anything.
-    pub(crate) fn next_time(&self) -> Option<u64> {
-        match self.batch.last() {
-            None => self.wheel_next_time(),
-            Some(head) => {
-                if head.when <= self.wheel_min_bound {
-                    return Some(head.when);
-                }
-                if self.wheel_min_exact {
-                    // The bound is the exact wheel minimum and it precedes
-                    // the batch head (`head.when > bound` implies a
-                    // non-empty wheel: an empty one is bounded by MAX).
-                    return Some(self.wheel_min_bound);
-                }
-                match self.wheel_next_time() {
-                    Some(nt) if nt < head.when => Some(nt),
-                    _ => Some(head.when),
-                }
-            }
-        }
-    }
-
-    /// Serve the batch head. Callers guarantee no pending wheel entry
-    /// precedes it. The cursor does not move: it stays at the drained
-    /// slot's block start (≤ every pending deadline), keeping every
-    /// wheel residence valid.
-    #[inline]
-    fn serve_batch(&mut self) -> Option<Popped<T>> {
-        let e = self.batch.pop()?;
-        self.len -= 1;
-        Some((e.when, e.seq, e.value))
-    }
-
-    /// A cheap, sound lower bound on the earliest pending *wheel*
-    /// deadline: the block start of the front occupied slot. Bitmap-only —
-    /// no bucket scan — and immediately after a drain it is provably
-    /// ≥ `batch_max` (the next front slot's block lies entirely beyond the
-    /// drained block), so whole batches serve without any exact scans.
-    #[inline]
-    fn wheel_front_bound(&self) -> u64 {
-        if self.levels == 0 {
-            return u64::MAX;
         }
         let level = self.levels.trailing_zeros() as usize;
         let slot = self
@@ -347,300 +306,139 @@ impl<T> TimerWheel<T> {
             .get(level)
             .expect("invariant: levels bit set only for level < LEVELS")
             .trailing_zeros() as usize;
-        self.block_start(level, slot)
+        Some((level, slot))
+    }
+
+    /// The earliest pending deadline, without mutating anything.
+    pub(crate) fn next_time(&self) -> Option<u64> {
+        match (self.run.last(), self.heap.peek()) {
+            (Some(r), Some(h)) => Some(r.when.min(h.when)),
+            (Some(e), None) | (None, Some(e)) => Some(e.when),
+            (None, None) => {
+                // A slot mixes deadlines; scan the bucket. Once per run:
+                // the next pop drains or cascades this slot.
+                let (level, slot) = self.front()?;
+                self.slots
+                    .get(level * SLOTS + slot)
+                    .expect(
+                        "invariant: level < LEVELS and slot < SLOTS, so the flat index is in range",
+                    )
+                    .iter()
+                    .map(|e| e.when)
+                    .min()
+            }
+        }
     }
 
     /// Remove and return the earliest entry; ties broken by lowest `seq`.
-    ///
-    /// Service order: the batch slab (already sorted; see the module
-    /// docs) unless an interleaving wheel entry is strictly earlier, in
-    /// which case the classic single pop runs. When both slab and
-    /// interleavers are exhausted, the wheel's front slot is drained
-    /// whole into the slab — one buffer swap, one sort — and service
-    /// continues from there.
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<Popped<T>> {
-        if let Some(head) = self.batch.last() {
-            // A deadline tie goes to the batch entry: wheel entries at
-            // the same instant were pushed after the drain and carry
-            // strictly higher seqs.
-            if head.when <= self.wheel_min_bound {
-                return self.serve_batch();
-            }
-            return self.pop_contended();
+        let heads = (
+            self.run.last().map(Entry::key),
+            self.heap.peek().map(Entry::key),
+        );
+        let from_heap = match heads {
+            (Some(run), Some(heap)) => heap < run,
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+            (None, None) if self.refill() => false,
+            (None, None) => return None,
+        };
+        let e = if from_heap {
+            self.heap.pop()
+        } else {
+            self.run.pop()
         }
-        self.pop_drain()
+        .expect("invariant: the residence chosen above is non-empty");
+        self.len -= 1;
+        Some((e.when, e.seq, e.value))
     }
 
-    /// The overtaken-bound path: a post-drain push got ahead of the batch
-    /// head. Pay one exact scan, then either let the earlier wheel entry
-    /// go first or re-tighten the bound and serve the batch. Out-of-line
-    /// to keep [`TimerWheel::pop`]'s fast path inlinable.
+    /// Run and heap are both empty: cascade the wheel's front slot down
+    /// until it is fine or holds one entry, then drain it into the run.
+    /// Returns `false` when the wheel is empty too. Out-of-line: it runs
+    /// once per run, not once per pop.
     #[inline(never)]
-    fn pop_contended(&mut self) -> Option<Popped<T>> {
-        let head_when = self
-            .batch
-            .last()
-            .expect("invariant: pop_contended runs only with a live batch")
-            .when;
-        if self.wheel_min_exact {
-            // The bound is the exact wheel minimum and the batch head is
-            // strictly behind it: pop the wheel directly, no bucket scan.
-            debug_assert_eq!(self.wheel_next_time(), Some(self.wheel_min_bound));
-            let popped = self.pop_wheel_single();
-            self.wheel_min_bound = self.wheel_front_bound();
-            self.wheel_min_exact = false;
-            return popped;
-        }
-        let nt = self.wheel_next_time();
-        match nt {
-            Some(n) if n < head_when => {
-                let popped = self.pop_wheel_single();
-                self.wheel_min_bound = self.wheel_front_bound();
-                self.wheel_min_exact = false;
-                popped
-            }
-            _ => {
-                // The scan's result is the exact minimum — keep it.
-                self.wheel_min_bound = nt.unwrap_or(u64::MAX);
-                self.wheel_min_exact = true;
-                self.serve_batch()
-            }
-        }
-    }
-
-    /// The empty-batch path: drain the wheel's front slot into the slab
-    /// (or serve a single-entry slot directly). Out-of-line: it runs once
-    /// per batch, not once per pop.
-    #[inline(never)]
-    fn pop_drain(&mut self) -> Option<Popped<T>> {
-        if self.len == 0 {
-            return None;
-        }
-        // Drain the front slot — the global minimum run — into the slab.
-        let level = self.levels.trailing_zeros() as usize;
-        let occ = self
-            .occupied
-            .get_mut(level)
-            .expect("invariant: len > 0 implies a summary bit for some level < LEVELS");
-        let slot = occ.trailing_zeros() as usize;
-        *occ &= !(1u64 << slot);
-        if *occ == 0 {
-            self.levels &= !(1u32 << level);
-        }
-        let start = self.block_start(level, slot);
-        let bucket = self
-            .slots
-            .get_mut(level * SLOTS + slot)
-            .expect("invariant: level < LEVELS and slot < SLOTS, so the flat index is in range");
-        if bucket.len() == 1 {
-            // Single-entry slot: serve directly, skipping the slab. All
-            // lower levels are empty, so advancing the cursor to the
-            // entry's own deadline preserves every other residence.
-            let e = bucket.pop().expect("invariant: an occupied slot is never empty");
-            self.len -= 1;
-            self.elapsed = e.when;
-            // Still a valid lower bound: `e` was the wheel minimum.
-            self.wheel_min_bound = e.when;
-            self.wheel_min_exact = false;
-            return Some((e.when, e.seq, e.value));
-        }
-        self.elapsed = start;
-        std::mem::swap(&mut self.batch, bucket);
-        self.sort_batch(level);
-        self.batch_max = self
-            .batch
-            .first()
-            .expect("invariant: an occupied slot is never empty")
-            .when;
-        self.wheel_min_bound = self.wheel_front_bound();
-        self.wheel_min_exact = false;
-        if self.batch.len() > self.slab_peak {
-            self.slab_peak = self.batch.len();
-        }
-        self.serve_batch()
-    }
-
-    /// Sort the freshly drained batch descending by `(when, seq)` so
-    /// service is `Vec::pop` from the tail.
-    ///
-    /// Entries drained from a level-`level` slot agree on every deadline
-    /// digit at `level` and above, so only `level * LEVEL_BITS` low bits
-    /// order them: an LSD counting distribution over those 6-bit digits
-    /// (one stable pass per level through the 64 reusable `radix`
-    /// buckets) replaces the comparison sort's `O(n log n)` key
-    /// construction and compare chain with `2 * level` linear moves.
-    /// Same-deadline runs are then ordered by `seq` in a final pass —
-    /// bucket order is not seq order once cascades have interleaved
-    /// pushes. Coarse (rare) or tiny drains keep the comparison sort.
-    fn sort_batch(&mut self, level: usize) {
-        if level > RADIX_MAX_LEVEL || self.batch.len() < RADIX_MIN_LEN {
-            // One branch-light u128 key compare beats a lexicographic
-            // tuple compare inside the sort's hot loop.
-            self.batch
-                .sort_unstable_by_key(|e| std::cmp::Reverse(((e.when as u128) << 64) | e.seq as u128));
-            return;
-        }
-        for pass in 0..level {
-            let shift = (pass as u32) * LEVEL_BITS;
-            let mut grows = 0u64;
-            for e in self.batch.drain(..) {
-                let d = ((e.when >> shift) as usize) & (SLOTS - 1);
-                let b = self
-                    .radix
-                    .get_mut(d)
-                    .expect("invariant: a masked 6-bit digit indexes the 64 radix buckets");
-                if b.len() == b.capacity() {
-                    grows += 1;
-                }
-                b.push(e);
-            }
-            self.grow_events += grows;
-            // Collect descending (digit 63 first): after the last pass the
-            // batch is descending by deadline, ties in bucket order.
-            for d in (0..SLOTS).rev() {
-                let b = self
-                    .radix
-                    .get_mut(d)
-                    .expect("invariant: d < SLOTS indexes the 64 radix buckets");
-                self.batch.append(b);
-            }
-        }
-        // Order same-deadline runs by seq, descending like the whole slab.
-        for run in self.batch.chunk_by_mut(|a, b| a.when == b.when) {
-            if run.len() > 1 {
-                run.sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
-            }
-        }
-    }
-
-    /// The classic cascading pop, used only while a live batch has
-    /// interleaving wheel entries in front of its head. Cascades re-home
-    /// a drained slot's entries one level down per pass; the level-0 pop
-    /// scans its slot for the minimum seq.
-    fn pop_wheel_single(&mut self) -> Option<Popped<T>> {
-        loop {
-            if self.levels == 0 {
-                return None;
-            }
-            let level = self.levels.trailing_zeros() as usize;
-            let slot = self
-                .occupied
-                .get(level)
-                .expect("invariant: levels bit set only for level < LEVELS")
-                .trailing_zeros() as usize;
-            if level == 0 {
-                let bucket = self
-                    .slots
-                    .get_mut(slot)
-                    .expect("invariant: slot < SLOTS, so the level-0 index is in range");
-                let best = bucket
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, e)| e.seq)
-                    .map(|(i, _)| i)
-                    .expect("invariant: an occupied slot is never empty");
-                let e = bucket.swap_remove(best);
-                if bucket.is_empty() {
-                    let occ = self
-                        .occupied
-                        .get_mut(0)
-                        .expect("invariant: level 0 always exists");
-                    *occ &= !(1u64 << slot);
-                    if *occ == 0 {
-                        self.levels &= !1;
-                    }
-                }
-                self.len -= 1;
-                self.elapsed = e.when;
-                return Some((e.when, e.seq, e.value));
-            }
-            // Advance the cursor to the block start of this slot, then
-            // cascade its entries down. Every entry re-homes to a level
-            // strictly below `level` (it now agrees with `elapsed` on
-            // digit `level` and above), so the loop terminates.
+    fn refill(&mut self) -> bool {
+        while let Some((level, slot)) = self.front() {
+            self.vacate(level, slot);
+            // All lower levels are empty and every other entry keeps its
+            // digits above `level`, so moving the cursor here preserves
+            // every other residence.
             self.elapsed = self.block_start(level, slot);
-            let occ = self
-                .occupied
-                .get_mut(level)
-                .expect("invariant: levels bit set only for level < LEVELS");
-            *occ &= !(1u64 << slot);
-            if *occ == 0 {
-                self.levels &= !(1u32 << level);
-            }
             let idx = level * SLOTS + slot;
-            let mut moved = std::mem::take(
-                self.slots
-                    .get_mut(idx)
-                    .expect("invariant: level < LEVELS and slot < SLOTS, so the flat index is in range"),
+            let bucket = self.slots.get_mut(idx).expect(
+                "invariant: level < LEVELS and slot < SLOTS, so the flat index is in range",
             );
+            if level <= DRAIN_MAX_LEVEL || bucket.len() == 1 {
+                std::mem::swap(&mut self.run, bucket);
+                self.run.sort_unstable();
+                self.horizon = self
+                    .run
+                    .first()
+                    .expect("invariant: an occupied slot is never empty")
+                    .when;
+                self.slab_peak = self.slab_peak.max(self.run.len());
+                return true;
+            }
+            // Every entry re-homes strictly below `level` (it now agrees
+            // with `elapsed` on digit `level` and above), so this ends.
+            let mut moved = std::mem::take(bucket);
+            self.rehomed += moved.len() as u64;
             for e in moved.drain(..) {
                 self.place(e);
             }
             // Give the (now empty) bucket its allocation back so the
             // cascade path stays allocation-free in steady state.
-            *self
-                .slots
-                .get_mut(idx)
-                .expect("invariant: level < LEVELS and slot < SLOTS, so the flat index is in range") =
-                moved;
+            *self.slots.get_mut(idx).expect(
+                "invariant: level < LEVELS and slot < SLOTS, so the flat index is in range",
+            ) = moved;
         }
+        false
     }
 
     /// Cancel the pending entry `(when, seq)`. Returns its payload, or
     /// `None` if no such entry is pending (already fired or cancelled).
     ///
-    /// A live entry is either in the batch slab or exactly at
-    /// `level_and_slot(when)` under the current cursor (home stability,
-    /// module docs), so this is at most two bucket scans plus a remove —
-    /// the slot is reclaimed immediately. The slab remove is an
-    /// order-preserving `Vec::remove` (cancels are rare; slab order must
-    /// stay sorted).
+    /// `horizon` says where to look: at or below it a live entry is in the
+    /// run or the heap, above it exactly at `level_and_slot(when)` under
+    /// the current cursor (home stability, module docs). Cancels are rare;
+    /// the run keeps its order through `Vec::remove` and the heap is
+    /// rebuilt around the hole, in place.
     pub(crate) fn cancel(&mut self, when: u64, seq: u64) -> Option<T> {
-        if !self.batch.is_empty() && when <= self.batch_max {
-            if let Some(pos) = self.batch.iter().position(|e| e.seq == seq && e.when == when) {
-                let e = self.batch.remove(pos);
-                self.len -= 1;
-                return Some(e.value);
+        let hit = |e: &Entry<T>| e.seq == seq && e.when == when;
+        let e = if when > self.horizon {
+            let (level, slot) = self.level_and_slot(when);
+            let bucket = self
+                .slots
+                .get_mut(level * SLOTS + slot)
+                .expect("invariant: level_and_slot returns level < LEVELS and slot < SLOTS");
+            let e = bucket.swap_remove(bucket.iter().position(hit)?);
+            if bucket.is_empty() {
+                self.vacate(level, slot);
             }
-            // Not in the slab: may be a same-range entry pushed after
-            // the drain, which lives in the wheel — fall through.
-        }
-        if self.len == 0 || when < self.elapsed {
-            return None;
-        }
-        let (level, slot) = self.level_and_slot(when);
-        let idx = level * SLOTS + slot;
-        let bucket = self
-            .slots
-            .get_mut(idx)
-            .expect("invariant: level_and_slot returns level < LEVELS and slot < SLOTS");
-        let pos = bucket.iter().position(|e| e.seq == seq && e.when == when)?;
-        let e = bucket.swap_remove(pos);
-        if bucket.is_empty() {
-            self.occupied[level] &= !(1u64 << slot);
-            if self.occupied[level] == 0 {
-                self.levels &= !(1u32 << level);
-            }
-        }
+            e
+        } else if let Some(pos) = self.run.iter().position(hit) {
+            self.run.remove(pos)
+        } else {
+            let mut rest = std::mem::take(&mut self.heap).into_vec();
+            let found = rest.iter().position(hit).map(|pos| rest.swap_remove(pos));
+            self.heap = BinaryHeap::from(rest);
+            found?
+        };
         self.len -= 1;
-        // The removed entry may have been the exact minimum; the bound
-        // stays sound (a removal can only raise the true minimum) but is
-        // no longer known to be tight.
-        self.wheel_min_exact = false;
         Some(e.value)
     }
 
-    /// Drop every pending entry, retaining bucket and slab capacity. The
-    /// cursor is kept: deadlines already popped stay in the past.
+    /// Drop every pending entry, retaining bucket, run and heap capacity.
+    /// The cursor and the horizon are kept: deadlines already popped stay
+    /// in the past.
     pub(crate) fn clear(&mut self) {
         for b in &mut self.slots {
             b.clear();
         }
-        self.batch.clear();
-        self.batch_max = 0;
-        self.wheel_min_bound = u64::MAX;
-        self.wheel_min_exact = true;
+        self.run.clear();
+        self.heap.clear();
         self.occupied = [0; LEVELS];
         self.levels = 0;
         self.len = 0;
@@ -742,8 +540,8 @@ mod tests {
         assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((70, 0)));
         assert_eq!(w.cancel(70, 1), Some(11));
         assert_eq!(w.len(), 1);
-        // A same-deadline push after the drain is sorted-inserted into
-        // the live batch; cancel must find it there too.
+        // A same-deadline push after the drain goes to the heap; cancel
+        // must find it there too.
         w.push(70, 3, 13);
         assert_eq!(w.cancel(70, 3), Some(13));
         assert_eq!(drain(&mut w), vec![(70, 2)]);
@@ -758,8 +556,8 @@ mod tests {
         // First pop drains the slot into the slab.
         assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((40, 0)));
         // A handler pushes two more entries at the same deadline: they
-        // land in the wheel with higher seqs and must fire *after* the
-        // remaining slab entries.
+        // land in the heap with higher seqs and must fire *after* the
+        // remaining run entries.
         w.push(40, 4, 4);
         w.push(40, 5, 5);
         assert_eq!(w.next_time(), Some(40));
@@ -777,8 +575,8 @@ mod tests {
         w.push(base + 10, 1, 10);
         assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((base + 10, 1)));
         // Handler schedules *inside* the live batch's range, earlier
-        // than the remaining batch head: it must fire first (here via a
-        // sorted insert into the small live batch).
+        // than the remaining run head: it must fire first (from the
+        // heap).
         w.push(base + 100, 2, 1);
         w.push(base + 5000, 3, 50); // beyond nothing — also in range, later
         assert_eq!(w.next_time(), Some(base + 100));
@@ -789,33 +587,65 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batch_routes_earlier_pushes_through_the_wheel() {
-        // A batch too large for sorted inserts exercises the fallback:
-        // in-range pushes go to the wheel, lower `wheel_min_bound`, and
-        // preempt batch service through the classic cascading pop.
+    fn handler_pushes_inside_a_large_live_run_keep_exact_order() {
+        // A run far larger than anything a sorted insert could afford:
+        // pushes landing inside its span — before the head, on a tie, on
+        // its last deadline — go to the heap, never into the run or the
+        // wheel, and the merge serves them at their exact position.
         let mut w = TimerWheel::new();
-        let base = 1 << 18; // level-3 block under cursor 0
-        let n = (BATCH_INSERT_CAP + 2) as u64;
+        let base = 1 << 12; // one level-2 block under cursor 0
+        let n = 514u64;
         for seq in 0..n {
             w.push(base + 2 * seq + 10, seq, seq as u32);
         }
+        let last = base + 2 * (n - 1) + 10;
         assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((base + 10, 0)));
-        assert!(w.slab_peak() > BATCH_INSERT_CAP);
-        // Earlier than the remaining batch head — must fire next, from
-        // the wheel; a later in-range push must slot into place too.
-        w.push(base + 5, n, 1111);
-        w.push(base + 14, n + 1, 2222);
-        assert_eq!(w.next_time(), Some(base + 5));
+        assert_eq!(w.slab_peak(), n as usize);
+        w.push(base + 11, n, 1111); // ahead of the run's head
+        w.push(base + 14, n + 1, 2222); // ties with seq 2, fires after it
+        w.push(last, n + 2, 3333); // exactly on the run's last deadline
+        w.push(last + 1, n + 3, 4444); // past it: the wheel's
+        assert_eq!(
+            w.slab_peak(),
+            n as usize,
+            "nothing was inserted into the run"
+        );
+        assert_eq!(w.next_time(), Some(base + 11));
         let order = drain(&mut w);
-        assert_eq!(order.len(), (n + 1) as usize);
-        assert_eq!(order[0], (base + 5, n));
+        assert_eq!(order.len(), (n + 3) as usize);
+        assert_eq!(order[0], (base + 11, n));
         assert_eq!(order[1], (base + 12, 1));
         assert_eq!(order[2], (base + 14, 2));
         assert_eq!(order[3], (base + 14, n + 1));
-        // The tail stays in exact (when, seq) order.
+        assert_eq!(
+            order[order.len() - 3..],
+            [(last, n - 1), (last, n + 2), (last + 1, n + 3)]
+        );
         let mut sorted = order.clone();
         sorted.sort();
         assert_eq!(order, sorted);
+    }
+
+    #[test]
+    fn coarse_slots_cascade_unless_they_hold_one_entry() {
+        let mut w = TimerWheel::new();
+        // A sparse timeline — one timer a millisecond ahead at a time —
+        // is served straight from its coarse slot.
+        let mut t = 0;
+        for seq in 0..100 {
+            t += 1_000_000;
+            w.push(t, seq, 0u32);
+            assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((t, seq)));
+        }
+        assert_eq!(w.rehomed(), 0);
+        // Three entries sharing one level-3 slot (262 µs wide, under
+        // cursor 0) are re-homed once each, into three fine slots.
+        let mut w = TimerWheel::new();
+        for seq in 0..3 {
+            w.push(2_000_000 + 5_000 * seq, seq, 0u32);
+        }
+        assert_eq!(drain(&mut w).len(), 3);
+        assert_eq!(w.rehomed(), 3);
     }
 
     #[test]
@@ -872,4 +702,3 @@ mod tests {
         assert_eq!(drain(&mut w), vec![(0, 0), (u64::MAX, 1)]);
     }
 }
-

@@ -1,8 +1,9 @@
 //! Block-level primitives: identifiers, payload buffers and content hashing.
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// Size of one logical block, in bytes. Matches the database page size so a
@@ -56,10 +57,56 @@ pub struct GroupId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SnapshotId(pub u64);
 
-/// The payload of one block write. `Bytes` gives cheap reference-counted
-/// clones, which matters because a block travels host → volume → journal →
-/// link → remote journal → secondary volume without copying.
-pub type BlockBuf = Bytes;
+/// The payload of one block write: exactly [`BLOCK_SIZE`] immutable bytes
+/// and their fingerprint, in one reference-counted allocation. Clones are
+/// a refcount bump, which matters because a block travels host → volume →
+/// journal → link → remote journal → secondary volume without copying —
+/// and because the buffer can never change, its [`content_hash`] is
+/// computed at most once, by whoever asks first, and shared by every
+/// clone: a payload fingerprinted at the primary is not hashed again at
+/// the journal, the backup volume, a snapshot, a resync copy or any
+/// verify. Built only by [`block_from`], so a short block is
+/// unrepresentable.
+#[derive(Clone)]
+pub struct BlockBuf(Arc<Block>);
+
+struct Block {
+    fingerprint: OnceLock<u64>,
+    bytes: [u8; BLOCK_SIZE],
+}
+
+impl BlockBuf {
+    /// [`content_hash`] of the block, computed on first use.
+    #[inline]
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .0
+            .fingerprint
+            .get_or_init(|| content_hash(&self.0.bytes))
+    }
+}
+
+impl Deref for BlockBuf {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.0.bytes
+    }
+}
+
+impl PartialEq for BlockBuf {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.bytes == other.0.bytes
+    }
+}
+
+impl Eq for BlockBuf {}
+
+impl fmt::Debug for BlockBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "BlockBuf({:016x})", self.fingerprint())
+    }
+}
 
 /// 64-bit content fingerprint of a byte slice, eight bytes per step.
 ///
@@ -121,17 +168,28 @@ pub fn block_from(data: &[u8]) -> BlockBuf {
         "payload of {} bytes exceeds block size {BLOCK_SIZE}",
         data.len()
     );
-    if data.len() == BLOCK_SIZE {
-        return Bytes::copy_from_slice(data);
+    let fingerprint = OnceLock::new();
+    // A whole block — every database page image — is copied straight into
+    // its allocation, with no zeroing first.
+    if let Ok(whole) = <&[u8; BLOCK_SIZE]>::try_from(data) {
+        return BlockBuf(Arc::new(Block {
+            fingerprint,
+            bytes: *whole,
+        }));
     }
-    // Pad on the stack and copy once: `Bytes::from(Vec)` would allocate and
-    // copy a second time.
-    let mut block = [0u8; BLOCK_SIZE];
-    block
+    // A short payload is padded in place: padding on the stack and moving
+    // the array into the `Arc` would copy the block twice.
+    let mut block = Arc::new(Block {
+        fingerprint,
+        bytes: [0u8; BLOCK_SIZE],
+    });
+    Arc::get_mut(&mut block)
+        .expect("invariant: a freshly built Arc has one owner")
+        .bytes
         .get_mut(..data.len())
         .expect("invariant: length asserted above")
         .copy_from_slice(data);
-    Bytes::copy_from_slice(&block)
+    BlockBuf(block)
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ impl MemDevice {
         if let Some(b) = self.blocks.get_mut(&lba) {
             let mut v = b.to_vec();
             v[byte_offset] ^= 0xFF;
-            *b = BlockBuf::from(v);
+            *b = block_from(&v);
         }
     }
 

@@ -31,7 +31,7 @@ use tsuru_simnet::{LinkId, TransferOutcome};
 use tsuru_telemetry::{names, spans, SpanId};
 
 use crate::array::WriteError;
-use crate::block::{content_hash, BlockBuf, GroupId, PairId, VolRef, BLOCK_SIZE};
+use crate::block::{BlockBuf, GroupId, PairId, VolRef};
 use crate::config::JournalFullPolicy;
 use crate::event::{LegCb, ReadCb, StorageEvents, StorageOp, WriteCb};
 use crate::fabric::{GroupMode, SuspendReason};
@@ -107,7 +107,6 @@ pub fn host_write<S, E, F>(
     E: StorageEvents<S>,
     F: FnOnce(&mut S, &mut Sim<S, E>, WriteAck) + 'static,
 {
-    assert_eq!(data.len(), BLOCK_SIZE, "host writes are whole blocks");
     let now = sim.now();
     let st = state.storage_mut();
     // Root of the write's lifecycle trace: every downstream span
@@ -302,7 +301,7 @@ pub(crate) fn persist<S, E>(
     E: StorageEvents<S>,
 {
     let now = sim.now();
-    let hash = content_hash(&data);
+    let hash = data.fingerprint();
     let next = {
         let st = state.storage_mut();
         // Pass 0 — per-volume ordering: apply strictly in issue order. A

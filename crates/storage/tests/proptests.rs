@@ -14,8 +14,9 @@ use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{
-    block_from, AckLog, ArrayId, ArrayPerf, DenseArena, EngineConfig, GroupId, HasStorage,
-    PoolId, SnapshotId, StorageArray, StorageWorld, VolRef, Volume, VolumeId, WriteError,
+    block_from, content_hash, AckLog, ArrayId, ArrayPerf, BlockBuf, BlockDevice, BlockDeviceMut,
+    DenseArena, EngineConfig, GroupId, HasStorage, MemDevice, PairId, PoolId, SnapshotId,
+    StorageArray, StorageWorld, VolRef, Volume, VolumeId, WriteAck, WriteError,
 };
 
 // ---------------------------------------------------------------------
@@ -788,4 +789,229 @@ proptest! {
             prop_assert!(world.st.verify_consistency(&[*g]).is_consistent());
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The fingerprint that travels with the buffer vs the hash of the bytes
+// ---------------------------------------------------------------------
+
+/// One step of the fingerprint oracle's script.
+#[derive(Debug, Clone)]
+enum FOp {
+    /// Host write to business volume `vol`: one of four payload buffers
+    /// every writer shares (`Some`, as the tenant worlds do — the cell is
+    /// filled once and read through every clone) or a fresh one.
+    Write { vol: usize, lba: u64, shared: Option<usize>, tag: u16 },
+    /// Let the data plane run.
+    Run { us: u64 },
+    /// Snapshot backup volume `vol`: later applies copy-on-write into it.
+    Snapshot { vol: usize },
+    /// `Volume::clone_content_from` of primary `vol` into a scratch volume.
+    CloneOut { vol: usize },
+    Suspend,
+    Resync { full: bool },
+    /// Overwrite a block of backup volume `vol` behind replication's back,
+    /// so the consistency verdict takes both values.
+    Tamper { vol: usize, lba: u64 },
+    /// Fail the main array and promote the backup; ends the script.
+    Failover,
+}
+
+fn fop_strategy() -> impl Strategy<Value = FOp> {
+    prop_oneof![
+        12 => (0usize..3, 0u64..16, prop::option::of(0usize..4), any::<u16>())
+            .prop_map(|(vol, lba, shared, tag)| FOp::Write { vol, lba, shared, tag }),
+        6 => (0u64..3_000).prop_map(|us| FOp::Run { us }),
+        2 => (0usize..3).prop_map(|vol| FOp::Snapshot { vol }),
+        1 => (0usize..3).prop_map(|vol| FOp::CloneOut { vol }),
+        1 => Just(FOp::Suspend),
+        2 => any::<bool>().prop_map(|full| FOp::Resync { full }),
+        1 => (0usize..3, 0u64..16).prop_map(|(vol, lba)| FOp::Tamper { vol, lba }),
+        1 => Just(FOp::Failover),
+    ]
+}
+
+/// `lba → content_hash(bytes)` from the bytes alone.
+fn recomputed(v: &Volume) -> BTreeMap<u64, u64> {
+    v.iter_blocks().map(|(lba, b)| (lba, content_hash(b))).collect()
+}
+
+/// Everything the oracle compares against, kept outside the storage world
+/// and built from payload *bytes* only.
+#[derive(Default)]
+struct Recomputed {
+    /// Global ack index → hash of the payload the host handed in.
+    acked: BTreeMap<u64, u64>,
+    /// Pair → hashes of the primary's bytes at its last initial copy.
+    initial: BTreeMap<PairId, BTreeMap<u64, u64>>,
+}
+
+/// `verify_consistency`'s verdict, from recomputed hashes only: the cut is
+/// a prefix, and every backup volume holds its pair's initial image
+/// overlaid with the first `applied_writes` acked payloads.
+fn recomputed_verdict(st: &StorageWorld, re: &Recomputed, g: GroupId) -> bool {
+    let prefix = st.ack_log.check_prefix(&st.applied_counts(&[g])).consistent;
+    prefix
+        && st.fabric.group(g).pairs.iter().all(|&pid| {
+            let p = st.fabric.pair(pid);
+            let mut expect = re.initial[&pid].clone();
+            let replayed = st.ack_log.writes_for(p.primary).iter();
+            for &global in replayed.skip(p.ack_offset as usize).take(p.applied_writes as usize) {
+                expect.insert(st.ack_log.entries()[global as usize].lba, re.acked[&global]);
+            }
+            expect == recomputed(st.array(p.secondary.array).volume(p.secondary.volume))
+        })
+}
+
+/// A block's fingerprint is the hash of its bytes, on the handle and on
+/// every clone of it.
+fn fingerprint_is_hash(b: &BlockBuf) -> bool {
+    let h = content_hash(b);
+    b.fingerprint() == h && b.clone().fingerprint() == h
+}
+
+/// The oracle's after-every-step comparison; returns the (agreed)
+/// consistency verdict.
+fn check_fingerprints(
+    st: &StorageWorld,
+    re: &Recomputed,
+    g: GroupId,
+    pairs: &[(PairId, VolRef, VolRef)],
+    snapshots: &[SnapshotId],
+) -> Result<bool, String> {
+    for &(_, p, s) in pairs {
+        for v in [st.array(p.array).volume(p.volume), st.array(s.array).volume(s.volume)] {
+            prop_assert_eq!(v.content_hashes(), recomputed(v), "{}", v.name());
+            prop_assert!(v.iter_blocks().all(|(_, b)| fingerprint_is_hash(b)));
+        }
+    }
+    let backup = st.array(pairs[0].2.array);
+    for &snap in snapshots {
+        for lba in 0..16 {
+            let block = backup.read_snapshot_block(snap, lba);
+            prop_assert!(block.map_or(true, fingerprint_is_hash), "snapshot {:?} lba {}", snap, lba);
+        }
+    }
+    for e in st.ack_log.entries() {
+        prop_assert_eq!(e.hash, re.acked[&e.global], "ack {} carries a stale fingerprint", e.global);
+    }
+    let verdict = st.verify_consistency(&[g]).is_consistent();
+    prop_assert_eq!(verdict, recomputed_verdict(st, re, g));
+    Ok(verdict)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Over random host writes (shared and fresh payload buffers),
+    /// overwrites, snapshots + copy-on-write, `clone_content_from`,
+    /// suspend / delta and full resync, tampering and failover, after
+    /// every step: every volume's `content_hashes()` equals `content_hash`
+    /// recomputed from `iter_blocks()`' bytes; every block reachable
+    /// through a volume, a snapshot or a copy carries the fingerprint of
+    /// its bytes; every ack-log entry holds the hash of the payload the
+    /// host handed in; and `verify_consistency`'s verdict equals the
+    /// verdict recomputed from bytes.
+    #[test]
+    fn fingerprints_equal_recomputed_hashes(
+        ops in prop::collection::vec(fop_strategy(), 1..120),
+        seed in any::<u64>(),
+    ) {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        let mut st = StorageWorld::new(seed, EngineConfig::default());
+        let main = st.add_array("m", ArrayPerf::default());
+        let backup = st.add_array("b", ArrayPerf::default());
+        let (link, rev) = (st.add_link(LinkConfig::metro()), st.add_link(LinkConfig::metro()));
+        let g = st.create_adc_group("cg", link, rev, 1 << 24);
+        let re = Rc::new(RefCell::new(Recomputed::default()));
+        let mut pairs = Vec::new();
+        for i in 0..3u64 {
+            let p = st.create_volume(main, format!("p{i}"), 16);
+            let s = st.create_volume(backup, format!("s{i}"), 16);
+            // A non-empty initial image, one block of it shared.
+            st.write_direct(p, i, &i.to_le_bytes());
+            st.write_direct(p, 15, b"everywhere");
+            let pid = st.add_pair(g, p, s);
+            re.borrow_mut().initial.insert(pid, recomputed(st.array(main).volume(p.volume)));
+            pairs.push((pid, p, s));
+        }
+        let shared: Vec<BlockBuf> = (0..4u8).map(|i| block_from(&[i; 32])).collect();
+        let mut world = World { st };
+        let mut sim: Sim<World> = Sim::new();
+        let mut snapshots: Vec<SnapshotId> = Vec::new();
+        // Both verdicts must occur or the last comparison checks nothing:
+        // the initial copy is consistent, a tampered backup is not.
+        let mut verdicts = [0usize; 2];
+        verdicts[check_fingerprints(&world.st, &re.borrow(), g, &pairs, &snapshots)? as usize] += 1;
+
+        for op in &ops {
+            match *op {
+                FOp::Write { vol, lba, shared: which, tag } => {
+                    let data = match which {
+                        Some(i) => shared[i].clone(),
+                        None => block_from(&tag.to_le_bytes()),
+                    };
+                    let (hash, re) = (content_hash(&data), Rc::clone(&re));
+                    host_write(&mut world, &mut sim, pairs[vol].1, lba, data, move |_, _, ack| {
+                        if let WriteAck::Ok { global, .. } | WriteAck::Degraded { global, .. } = ack {
+                            re.borrow_mut().acked.insert(global, hash);
+                        }
+                    });
+                }
+                FOp::Run { us } => sim.run_for(&mut world, SimDuration::from_micros(us)),
+                FOp::Snapshot { vol } => {
+                    let id = world.st.array_mut(backup).create_snapshot(pairs[vol].2.volume, "snap", sim.now());
+                    snapshots.push(id);
+                }
+                FOp::CloneOut { vol } => {
+                    let src = world.st.array(main).volume(pairs[vol].1.volume);
+                    let mut copy = Volume::new(VolumeId(99), "copy", 16);
+                    copy.clone_content_from(src);
+                    prop_assert_eq!(copy.content_hashes(), recomputed(src));
+                    prop_assert!(copy.iter_blocks().all(|(_, b)| fingerprint_is_hash(b)));
+                }
+                FOp::Suspend => world.st.suspend_group(g, sim.now()),
+                FOp::Resync { full } => {
+                    world.st.resync_group_with(g, full);
+                    for &(pid, p, _) in &pairs {
+                        let image = recomputed(world.st.array(main).volume(p.volume));
+                        prop_assert_eq!(&world.st.fabric.pair(pid).initial_hashes, &image);
+                        re.borrow_mut().initial.insert(pid, image);
+                    }
+                }
+                FOp::Tamper { vol, lba } => world.st.write_direct(pairs[vol].2, lba, b"not what was acked"),
+                FOp::Failover => {
+                    world.st.fail_array(main, sim.now());
+                    sim.run_for(&mut world, SimDuration::from_millis(20));
+                    world.st.promote_group(g);
+                }
+            }
+
+            let verdict = check_fingerprints(&world.st, &re.borrow(), g, &pairs, &snapshots)?;
+            verdicts[verdict as usize] += 1;
+            if matches!(op, FOp::Failover) {
+                break;
+            }
+        }
+        prop_assert!(verdicts[1] > 0);
+    }
+}
+
+/// `MemDevice::corrupt` builds a new buffer, so the damaged block carries
+/// the fingerprint of the damaged bytes — and readers that cloned the
+/// block before keep the old one.
+#[test]
+fn corrupting_a_block_changes_its_fingerprint() {
+    let mut dev = MemDevice::new(4);
+    dev.write_block(2, b"intact");
+    let before = dev.read_block(2).unwrap();
+    let fp = before.fingerprint();
+    dev.corrupt(2, 3);
+    let after = dev.read_block(2).unwrap();
+    assert_ne!(after.fingerprint(), fp);
+    assert!(fingerprint_is_hash(&after));
+    assert_eq!(before.fingerprint(), fp);
+    assert!(fingerprint_is_hash(&before));
 }
