@@ -1,52 +1,37 @@
-//! The experiment reproduction harness.
-//!
-//! Regenerates every table/figure reproduction from DESIGN.md §4:
+//! The experiment reproduction harness: regenerates every table/figure
+//! reproduction from DESIGN.md §4.
 //!
 //! ```text
-//! cargo run -p tsuru-bench --release --bin repro           # everything
-//! cargo run -p tsuru-bench --release --bin repro e1 e5     # a subset
+//! cargo run -p tsuru-bench --release --bin repro           # the default set
 //! cargo run -p tsuru-bench --release --bin repro e2 --threads 8
-//! cargo run -p tsuru-bench --release --bin repro --chaos    # chaos sweep (E8)
-//! cargo run -p tsuru-bench --release --bin repro trace      # traced chaos trials
-//! cargo run -p tsuru-bench --release --bin repro history    # history sweep (E9)
-//! cargo run -p tsuru-bench --release --bin repro e10        # convergence sweep (E10)
-//! cargo run -p tsuru-bench --release --bin repro e11        # alert sweep (E11)
-//! cargo run -p tsuru-bench --release --bin repro e12        # tenant scaling (E12)
+//! cargo run -p tsuru-bench --release --bin repro --help    # every experiment and option
 //! ```
 //!
-//! `--threads N` sets the trial-harness worker count for the multi-trial
-//! experiments (E1, E2, E3, A1, A2); `--threads 0` (the default) uses one
-//! worker per available CPU, `--threads 1` is the serial reference. Tables
-//! are **byte-identical at any thread count** — trials are seeded purely
-//! from `(base_seed, trial_index)` and re-sorted by index. Wall-clock
+//! What can be run is one table, [`EXPERIMENTS`]: `main`, `--help` and
+//! argument validation all read it. Anything `repro` does not know — an
+//! option, an experiment name, a value it cannot parse — is an error:
+//! usage on stderr, exit status 2, nothing on stdout.
+//!
+//! Tables are **byte-identical at any `--threads` value** — trials are
+//! seeded purely from `(base_seed, trial_index)` and re-sorted by index —
+//! and so is every export (`--trace`, `--history`, `--alerts`). Wall-clock
 //! stats (`[harness] …`) go to stderr so stdout stays comparable.
-//!
-//! `--trace DIR` writes causal trace exports (JSONL + Chrome
-//! `trace_event`) under `DIR`: a representative traced rig run alongside
-//! the experiments, per-trial chaos traces with `chaos`/`trace`. The
-//! `trace` subcommand runs traced chaos trials and always exports.
-//!
-//! The `history` subcommand runs the workload-diversity sweep (E9):
-//! every chaos plan replayed under the order, bank-transfer and
-//! append-list workloads in both backup modes, each judged by the
-//! client-visible history checkers. `--history DIR` additionally writes
-//! every trial's op history as JSONL under `DIR` — byte-identical at
-//! any `--threads` value.
 
 #![forbid(unsafe_code)]
 
 use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use tsuru_bench::{
     render_a1, render_a2, render_e1, render_e2, render_e3, render_e4, render_e5, render_e7,
     render_e12,
 };
-use tsuru_core::tenants::e12_scale_with;
+use tsuru_core::tenants::e12_scale;
 use tsuru_core::experiments::{
-    a1_backup_lag_with, a2_journal_policy_with, e1_slowdown_with, e2_collapse_with, e3_rpo_with,
-    e4_snapshot, e5_operator, e6_demo, e7_three_dc,
+    a1_backup_lag, a2_journal_policy, e1_slowdown, e2_collapse, e3_rpo, e4_snapshot, e5_operator,
+    e6_demo, e7_three_dc,
 };
 use tsuru_chaos::{
     alert_sweep, chaos_sweep, convergence_sweep, history_sweep, render_alert_table,
@@ -56,131 +41,167 @@ use tsuru_chaos::{
 use tsuru_core::{BackupMode, HarnessStats, RigConfig, TrialHarness, TwoSiteRig};
 use tsuru_sim::SimDuration;
 
-/// Every command-line option, parsed once in `main` (single source of
-/// truth — no function re-scans `env::args`).
+/// One experiment `repro` can run.
+struct Experiment {
+    /// The selector on the command line.
+    name: &'static str,
+    /// [`DEFAULT`] or [`OPT_IN`].
+    default: bool,
+    /// One line for `--help`.
+    about: &'static str,
+    run: fn(&TrialHarness, &Options),
+}
+
+/// Part of the default set: plain `repro`, or `all`.
+const DEFAULT: bool = true;
+/// Runs only when named — each of these replays its fault plans several
+/// times over, or builds worlds of thousands of consistency groups.
+const OPT_IN: bool = false;
+
+/// Every experiment, in the order a run prints them.
+const EXPERIMENTS: &[Experiment] = &[
+    exp("e1", DEFAULT, "no system slowdown (C1): latency/throughput vs backup mode", run_e1),
+    exp("e2", DEFAULT, "backup collapse (C2/C3): consistency group vs naive ADC", run_e2),
+    exp("e3", DEFAULT, "recovery point vs link bandwidth and journal capacity", run_e3),
+    exp("e4", DEFAULT, "snapshot groups make backup data usable", run_e4),
+    exp("e5", DEFAULT, "namespace-operator automation", run_e5),
+    exp("e6", DEFAULT, "the full demonstration: three steps + disaster drill", run_e6),
+    exp("e7", DEFAULT, "three-data-centre: metro SDC + WAN ADC", run_e7),
+    exp("chaos", OPT_IN, "E8: seeded fault plans, CG vs naive, audited (--trace DIR)", run_chaos),
+    exp("trace", OPT_IN, "traced chaos trials, exports under --trace DIR", run_trace),
+    exp("history", OPT_IN, "E9: client-visible history sweep (--history DIR)", run_history),
+    exp("e10", OPT_IN, "self-healing convergence: plans x recovery policies", run_e10),
+    exp("e11", OPT_IN, "SLO alerting vs injected ground truth (--alerts DIR)", run_e11),
+    exp("e12", OPT_IN, "metro-scale tenant scaling (--tenants N,N,...)", run_e12),
+    exp("a1", DEFAULT, "ablation: backup lag vs transfer-pump parameters", run_a1),
+    exp("a2", DEFAULT, "ablation: journal-full policy, Block vs Suspend", run_a2),
+];
+
+const fn exp(
+    name: &'static str,
+    default: bool,
+    about: &'static str,
+    run: fn(&TrialHarness, &Options),
+) -> Experiment {
+    Experiment { name, default, about, run }
+}
+
+/// The `--help` text; after an error it goes to stderr instead.
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: repro [EXPERIMENT...] [OPTIONS]\n\n\
+         With no EXPERIMENT (or `all`) the default set runs.\n\n\
+         experiments:\n",
+    );
+    for e in EXPERIMENTS {
+        let set = if e.default { "default" } else { "opt-in" };
+        out.push_str(&format!("  {:<8} {:<8} {}\n", e.name, set, e.about));
+    }
+    out.push_str(
+        "\noptions:\n  \
+         --threads N     trial-harness workers; 0 = one per CPU (default), 1 = serial\n  \
+         --csv           also write each table under repro_out/\n  \
+         --trace DIR     write trace exports (JSONL + Chrome trace_event) under DIR\n  \
+         --history DIR   history: write each trial's op history as JSONL under DIR\n  \
+         --alerts DIR    e11: write each trial's incident log as JSONL under DIR\n  \
+         --tenants N,..  e12: tenant counts to sweep (default 100,1000,10000)\n  \
+         --chaos         same as naming `chaos`\n  \
+         -h, --help      print this and exit\n\n\
+         A valued option is written `--opt V` or `--opt=V`.\n",
+    );
+    out
+}
+
+/// Every command-line option, parsed and validated once in `main`.
+#[derive(Debug, Default, PartialEq)]
 struct Options {
-    /// Positional selectors: experiment names, `all`, `chaos`, `trace`.
+    /// `--help` / `-h`: print [`usage`] and exit.
+    help: bool,
+    /// Experiments named on the command line (`--chaos` names `chaos`),
+    /// and `all` if it was.
     names: Vec<String>,
-    /// `--chaos` (alias for the `chaos` selector).
-    chaos: bool,
     /// `--csv`: also write each table under `repro_out/`.
     csv: bool,
-    /// `--threads N` / `--threads=N`; `0` = one worker per CPU.
+    /// `--threads N`; `0` = one worker per CPU.
     threads: usize,
-    /// `--trace DIR` / `--trace=DIR`: write trace exports under `DIR`.
+    /// `--trace DIR`: write trace exports under `DIR`.
     trace_dir: Option<PathBuf>,
-    /// `--history DIR` / `--history=DIR`: write op-history JSONL exports
-    /// under `DIR` (used by the `history` subcommand).
+    /// `--history DIR`: write op-history JSONL exports under `DIR`.
     history_dir: Option<PathBuf>,
-    /// `--alerts DIR` / `--alerts=DIR`: write incident-log JSONL exports
-    /// under `DIR` (used by the `e11` subcommand).
+    /// `--alerts DIR`: write incident-log JSONL exports under `DIR`.
     alerts_dir: Option<PathBuf>,
-    /// `--json PATH` (bench): write the machine-readable `BENCH.json` here.
-    json: Option<PathBuf>,
-    /// `--baseline PATH` (bench): compare against a checked-in baseline and
-    /// exit nonzero if typed events/sec regresses more than 20 %.
-    baseline: Option<PathBuf>,
-    /// `--tenants N,N,…` (e12): override the tenant-count sweep (the
-    /// default is 100,1000,10000). CI smoke uses small counts here.
+    /// `--tenants N,N,…`: the E12 sweep (default 100,1000,10000).
     tenants: Option<Vec<u32>>,
 }
 
 impl Options {
-    /// Parse from an iterator over the raw arguments (program name
-    /// already skipped). Unknown `--flags` are ignored, as before.
-    fn parse(args: impl Iterator<Item = String>) -> Options {
-        let mut opts = Options {
-            names: Vec::new(),
-            chaos: false,
-            csv: false,
-            threads: 0,
-            trace_dir: None,
-            history_dir: None,
-            alerts_dir: None,
-            json: None,
-            baseline: None,
-            tenants: None,
-        };
-        let args: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
-            if a == "--chaos" {
-                opts.chaos = true;
-            } else if a == "--csv" {
-                opts.csv = true;
-            } else if a == "--threads" {
-                if let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    opts.threads = n;
-                    i += 1;
+    /// Parse the raw arguments (program name already skipped). `Err` says
+    /// what was wrong; nothing is ignored and nothing falls back.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+        let mut opts = Options::default();
+        let mut args = args.into_iter().peekable();
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) if flag.starts_with("--") => (flag, Some(v.to_string())),
+                _ => (arg.as_str(), None),
+            };
+            // The value of a valued option: `--opt=V`, or the next argument.
+            let mut value = || {
+                inline
+                    .clone()
+                    .or_else(|| args.next_if(|next| !next.starts_with('-')))
+                    .filter(|v| !v.is_empty())
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match (arg.as_str(), flag) {
+                ("--help" | "-h", _) => opts.help = true,
+                ("--csv", _) => opts.csv = true,
+                ("--chaos", _) => opts.names.push("chaos".into()),
+                (_, "--threads") => {
+                    let v = value()?;
+                    opts.threads = v
+                        .parse()
+                        .map_err(|_| format!("--threads: `{v}` is not a worker count"))?;
                 }
-            } else if let Some(v) = a.strip_prefix("--threads=") {
-                if let Ok(n) = v.parse() {
-                    opts.threads = n;
+                (_, "--trace") => opts.trace_dir = Some(PathBuf::from(value()?)),
+                (_, "--history") => opts.history_dir = Some(PathBuf::from(value()?)),
+                (_, "--alerts") => opts.alerts_dir = Some(PathBuf::from(value()?)),
+                (_, "--tenants") => opts.tenants = Some(parse_tenants(&value()?)?),
+                (option, _) if option.starts_with('-') => {
+                    return Err(format!("unknown option `{option}`"))
                 }
-            } else if a == "--trace" {
-                if let Some(dir) = args.get(i + 1) {
-                    opts.trace_dir = Some(PathBuf::from(dir));
-                    i += 1;
+                (name, _) if name == "all" || EXPERIMENTS.iter().any(|e| e.name == name) => {
+                    opts.names.push(arg.clone())
                 }
-            } else if let Some(v) = a.strip_prefix("--trace=") {
-                opts.trace_dir = Some(PathBuf::from(v));
-            } else if a == "--history" {
-                if let Some(dir) = args.get(i + 1) {
-                    opts.history_dir = Some(PathBuf::from(dir));
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--history=") {
-                opts.history_dir = Some(PathBuf::from(v));
-            } else if a == "--alerts" {
-                if let Some(dir) = args.get(i + 1) {
-                    opts.alerts_dir = Some(PathBuf::from(dir));
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--alerts=") {
-                opts.alerts_dir = Some(PathBuf::from(v));
-            } else if a == "--json" {
-                if let Some(p) = args.get(i + 1) {
-                    opts.json = Some(PathBuf::from(p));
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--json=") {
-                opts.json = Some(PathBuf::from(v));
-            } else if a == "--baseline" {
-                if let Some(p) = args.get(i + 1) {
-                    opts.baseline = Some(PathBuf::from(p));
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--baseline=") {
-                opts.baseline = Some(PathBuf::from(v));
-            } else if a == "--tenants" {
-                if let Some(v) = args.get(i + 1) {
-                    opts.tenants = parse_tenants(v);
-                    i += 1;
-                }
-            } else if let Some(v) = a.strip_prefix("--tenants=") {
-                opts.tenants = parse_tenants(v);
-            } else if !a.starts_with("--") {
-                opts.names.push(a.clone());
+                _ => return Err(format!("unknown experiment `{arg}`")),
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
-    /// No selector at all ⇒ run every default experiment; `all` forces it.
-    /// `chaos` and `trace` are opt-in and never part of the default set.
-    fn all(&self) -> bool {
-        self.names.iter().any(|n| n == "all") || (self.names.is_empty() && !self.chaos)
-    }
-
-    fn want(&self, name: &str) -> bool {
-        self.all() || self.names.iter().any(|n| n == name)
+    /// Does this run include `e`? No selector at all means the default
+    /// set, `all` forces it, and opt-in experiments run only when named.
+    fn selects(&self, e: &Experiment) -> bool {
+        let named = |name: &str| self.names.iter().any(|n| n == name);
+        named(e.name) || (e.default && (named("all") || self.names.is_empty()))
     }
 }
 
-/// When `--csv` is passed, tables are also written under `repro_out/`.
-fn maybe_csv(opts: &Options, name: &str, table: &str) {
+/// Parse a `--tenants` list (`"100,1000"`): every element a positive
+/// tenant count.
+fn parse_tenants(v: &str) -> Result<Vec<u32>, String> {
+    v.split(',')
+        .map(|s| match s.trim().parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("--tenants: `{s}` is not a positive tenant count")),
+        })
+        .collect()
+}
+
+/// Print one table; with `--csv` its series is also written under
+/// `repro_out/`.
+fn print_table(opts: &Options, name: &str, table: &str) {
+    println!("{table}");
     if opts.csv {
         let dir = Path::new("repro_out");
         let _ = fs::create_dir_all(dir);
@@ -191,10 +212,22 @@ fn maybe_csv(opts: &Options, name: &str, table: &str) {
     }
 }
 
+/// Write `files` (name, content) under `dir`, created if need be: the
+/// written paths joined by `" / "`, or `None` when one could not be.
+fn write_exports(dir: &Path, files: &[(String, &str)]) -> Option<String> {
+    let _ = fs::create_dir_all(dir);
+    let mut paths = Vec::new();
+    for (name, content) in files {
+        let path = dir.join(name);
+        fs::write(&path, content).ok()?;
+        paths.push(path.display().to_string());
+    }
+    Some(paths.join(" / "))
+}
+
 /// The single stderr reporting path: every diagnostic line — harness
-/// wall-clock stats, worker counts, bench measurements — goes through here,
-/// so stdout stays byte-identical at any `--threads` value and the bench
-/// output can never interleave with the comparable tables.
+/// wall-clock stats, worker counts — goes through here, so stdout stays
+/// byte-identical at any `--threads` value.
 fn note(tag: &str, msg: &str) {
     eprintln!("[{tag}] {msg}");
 }
@@ -208,21 +241,17 @@ fn run_e1(harness: &TrialHarness, opts: &Options) {
     println!("== E1: no system slowdown (claim C1) — latency/throughput vs backup mode ==");
     println!("   closed-loop order workload, 8 clients; link 1 Gbit/s; 400 ms simulated\n");
     let rtts = [1, 2, 10, 25, 50];
-    let set = e1_slowdown_with(harness, 42, 8, &rtts, SimDuration::from_millis(400));
+    let set = e1_slowdown(harness, 42, 8, &rtts, SimDuration::from_millis(400));
     report("e1", &set.stats);
-    let table = render_e1(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "e1", &table);
+    print_table(opts, "e1", &render_e1(&set.rows));
     println!(
         "expect: adc-cg ≈ none at every RTT; sdc pays one to two log flushes (each a WAN\n\
          round trip) per commit, two commits per order: p50 ≳ 2×RTT, and tps collapses.\n"
     );
     println!("   under load: 64 clients, 10 ms RTT, 10 s simulated (the ledger's oltp_rig)\n");
-    let set = e1_slowdown_with(harness, 42, 64, &[10], SimDuration::from_millis(10_000));
+    let set = e1_slowdown(harness, 42, 64, &[10], SimDuration::from_millis(10_000));
     report("e1 (64 clients)", &set.stats);
-    let table = render_e1(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "e1_loaded", &table);
+    print_table(opts, "e1_loaded", &render_e1(&set.rows));
     println!(
         "expect: none = adc-cg, client-bound, a flush shared by ~1.5 commits; sdc groups\n\
          ~20 commits per flush and still waits a WAN round trip or two for each.\n"
@@ -232,11 +261,9 @@ fn run_e1(harness: &TrialHarness, opts: &Options) {
 fn run_e2(harness: &TrialHarness, opts: &Options) {
     println!("== E2: backup collapse (claims C2/C3) — consistency group vs naive ADC ==");
     println!("   30 surprise-failure drills per mode; 2 ms replication-session skew\n");
-    let set = e2_collapse_with(harness, 1000, 30, SimDuration::from_millis(2));
+    let set = e2_collapse(harness, 1000, 30, SimDuration::from_millis(2));
     report("e2", &set.stats);
-    let table = render_e2(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "e2", &table);
+    print_table(opts, "e2", &render_e2(&set.rows));
     println!(
         "expect: adc-cg collapses 0/30 (both checks); adc-naive violates write-order\n\
          fidelity in most drills and corrupts the business state in many.\n"
@@ -246,24 +273,20 @@ fn run_e2(harness: &TrialHarness, opts: &Options) {
 fn run_e3(harness: &TrialHarness, opts: &Options) {
     println!("== E3: recovery point vs link bandwidth and journal capacity (§III-A1) ==");
     println!("   main-site failure at t=150 ms; ADC journal Block policy; SDC reference\n");
-    let set = e3_rpo_with(harness, 7, &[50, 100, 500, 1000], &[1, 64]);
+    let set = e3_rpo(harness, 7, &[50, 100, 500, 1000], &[1, 64]);
     report("e3", &set.stats);
-    let table = render_e3(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "e3", &table);
+    print_table(opts, "e3", &render_e3(&set.rows));
     println!(
         "expect: lost orders and RPO shrink as bandwidth grows; a tiny journal on a\n\
          slow link stalls the host (stalls > 0, p99 inflated); sdc loses nothing.\n"
     );
 }
 
-fn run_e4(opts: &Options) {
+fn run_e4(_: &TrialHarness, opts: &Options) {
     println!("== E4: snapshot groups make backup data usable (§III-A2, Figs. 5–6) ==");
     println!("   snapshots taken at the backup site at t=150 ms, workload continues\n");
     let rows = e4_snapshot(11);
-    let table = render_e4(&rows);
-    println!("{table}");
-    maybe_csv(opts, "e4", &table);
+    print_table(opts, "e4", &render_e4(&rows));
     println!(
         "expect: the atomic group snapshot yields a consistent analytics image while\n\
          replication keeps running (cow_saves > 0); non-atomic per-volume snapshots\n\
@@ -271,20 +294,18 @@ fn run_e4(opts: &Options) {
     );
 }
 
-fn run_e5(opts: &Options) {
+fn run_e5(_: &TrialHarness, opts: &Options) {
     println!("== E5: namespace-operator automation (§III-B1, Figs. 3–4) ==");
     println!("   tag one namespace; measure configuration effort as volumes scale\n");
     let rows = e5_operator(&[2, 4, 10, 50, 100, 200]);
-    let table = render_e5(&rows);
-    println!("{table}");
-    maybe_csv(opts, "e5", &table);
+    print_table(opts, "e5", &render_e5(&rows));
     println!(
         "expect: with the operator the user performs exactly 1 action at any scale;\n\
          the manual procedure grows linearly (4 + 3·volumes console steps).\n"
     );
 }
 
-fn run_e6() {
+fn run_e6(_: &TrialHarness, _: &Options) {
     println!("== E6: the full demonstration (§IV) — three steps + disaster drill ==\n");
     let out = e6_demo(2026);
     for line in &out.transcript {
@@ -304,13 +325,11 @@ fn run_e6() {
     println!("expect: consistent failover, recovered business process, bounded loss.\n");
 }
 
-fn run_e7(opts: &Options) {
+fn run_e7(_: &TrialHarness, opts: &Options) {
     println!("== E7 (extension): three-data-centre — metro SDC + WAN ADC combined ==");
     println!("   far link 25 ms one way; metro link 1 ms; disaster at t=200 ms\n");
     let rows = e7_three_dc(29);
-    let table = render_e7(&rows);
-    println!("{table}");
-    maybe_csv(opts, "e7", &table);
+    print_table(opts, "e7", &render_e7(&rows));
     println!(
         "expect: 3dc latency ≈ metro SDC (~2 ms), far below WAN SDC (~50 ms); its\n\
          metro copy loses nothing while the far copy stays a consistent prefix —\n\
@@ -325,9 +344,7 @@ fn run_chaos(harness: &TrialHarness, opts: &Options) {
     let cfg = ChaosConfig::default();
     let set = chaos_sweep(harness, 0xC0FFEE, 5, &cfg);
     report("chaos", &set.stats);
-    let table = render_chaos_table(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "chaos", &table);
+    print_table(opts, "chaos", &render_chaos_table(&set.rows));
     println!("-- auditor reports --");
     for pair in &set.rows {
         print!("{}", pair.cg.render());
@@ -354,9 +371,7 @@ fn run_history(harness: &TrialHarness, opts: &Options) {
     let cfg = ChaosConfig::default();
     let set = history_sweep(harness, 0xC0FFEE, 3, &cfg);
     report("history", &set.stats);
-    let table = render_history_table(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "history", &table);
+    print_table(opts, "history", &render_history_table(&set.rows));
     println!("-- judge reports --");
     for trial in &set.rows {
         for row in &trial.rows {
@@ -371,20 +386,17 @@ fn run_history(harness: &TrialHarness, opts: &Options) {
          single-database tears. Byte-identical at any --threads value.\n"
     );
     if let Some(dir) = &opts.history_dir {
-        let _ = fs::create_dir_all(dir);
         for (i, trial) in set.rows.iter().enumerate() {
             for row in &trial.rows {
+                let workload = row.workload.label();
                 for (mode, jsonl) in [("cg", &row.cg_export), ("naive", &row.naive_export)] {
-                    let path =
-                        dir.join(format!("history_t{i}_{}_{mode}.jsonl", row.workload.label()));
-                    match fs::write(&path, jsonl) {
-                        Ok(()) => println!(
-                            "  trial {i} {} {mode}: {} records -> {}",
-                            row.workload.label(),
-                            jsonl.lines().count(),
-                            path.display()
+                    let file = format!("history_t{i}_{workload}_{mode}.jsonl");
+                    match write_exports(dir, &[(file, jsonl)]) {
+                        Some(path) => println!(
+                            "  trial {i} {workload} {mode}: {} records -> {path}",
+                            jsonl.lines().count()
                         ),
-                        Err(_) => eprintln!(
+                        None => eprintln!(
                             "  trial {i}: failed to write export under {}",
                             dir.display()
                         ),
@@ -408,9 +420,7 @@ fn run_e10(harness: &TrialHarness, opts: &Options) {
     let cfg = ChaosConfig::default();
     let set = convergence_sweep(harness, 0xC0FFEE, 4, &cfg);
     report("e10", &set.stats);
-    let table = render_convergence_table(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "e10", &table);
+    print_table(opts, "e10", &render_convergence_table(&set.rows));
     println!("-- supervised auditor reports (default policy) --");
     for trial in &set.rows {
         if let Some(row) = trial.rows.iter().find(|r| r.policy == "default") {
@@ -439,9 +449,7 @@ fn run_e11(harness: &TrialHarness, opts: &Options) {
     let cfg = ChaosConfig::default();
     let set = alert_sweep(harness, 0xC0FFEE, 3, &cfg);
     report("e11", &set.stats);
-    let table = render_alert_table(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "e11", &table);
+    print_table(opts, "e11", &render_alert_table(&set.rows));
     println!("-- alert-armed auditor reports (default profile) --");
     for trial in &set.rows {
         if let Some(row) = trial.rows.iter().find(|r| r.profile == "default") {
@@ -455,18 +463,16 @@ fn run_e11(harness: &TrialHarness, opts: &Options) {
          --threads value.\n"
     );
     if let Some(dir) = &opts.alerts_dir {
-        let _ = fs::create_dir_all(dir);
         for (i, trial) in set.rows.iter().enumerate() {
             for row in &trial.rows {
-                let path = dir.join(format!("incidents_t{i}_{}.jsonl", row.profile));
-                match fs::write(&path, &row.export) {
-                    Ok(()) => println!(
-                        "  trial {i} {}: {} incidents -> {}",
+                let file = format!("incidents_t{i}_{}.jsonl", row.profile);
+                match write_exports(dir, &[(file, &row.export)]) {
+                    Some(path) => println!(
+                        "  trial {i} {}: {} incidents -> {path}",
                         row.profile,
-                        row.export.lines().count(),
-                        path.display()
+                        row.export.lines().count()
                     ),
-                    Err(_) => eprintln!(
+                    None => eprintln!(
                         "  trial {i}: failed to write export under {}",
                         dir.display()
                     ),
@@ -488,15 +494,10 @@ fn run_e12(harness: &TrialHarness, opts: &Options) {
     println!("== E12 (extension): metro-scale tenant scaling — sharded StorageWorld ==");
     println!("   one CG per tenant on 8 shard lanes; 2 writes/order, open loop;");
     println!("   RPO probed at t=25ms, per-shard series peaks over the full run\n");
-    let counts = opts
-        .tenants
-        .clone()
-        .unwrap_or_else(|| vec![100, 1_000, 10_000]);
-    let set = e12_scale_with(harness, 0xC0FFEE, &counts);
+    let counts = opts.tenants.as_deref().unwrap_or(&[100, 1_000, 10_000]);
+    let set = e12_scale(harness, 0xC0FFEE, counts);
     report("e12", &set.stats);
-    let table = render_e12(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "e12", &table);
+    print_table(opts, "e12", &render_e12(&set.rows));
     println!(
         "\nexpect: 100 tenants keep the lanes idle (tiny probe backlog, sub-ms drain\n\
          tail); 10k tenants contend for the same 8 lanes, so probe backlog, peak\n\
@@ -508,20 +509,6 @@ fn run_e12(harness: &TrialHarness, opts: &Options) {
     );
 }
 
-/// Parse a `--tenants` list (`"100,1000"`); `None` on any bad element.
-fn parse_tenants(v: &str) -> Option<Vec<u32>> {
-    let counts: Vec<u32> = v
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    if counts.is_empty() {
-        None
-    } else {
-        Some(counts)
-    }
-}
-
 /// The `trace` subcommand: replay seeded chaos plans with the causal
 /// tracer on and export each trial's trace (JSONL + Chrome
 /// `trace_event`). Exports are byte-identical at any `--threads` value.
@@ -529,11 +516,8 @@ fn run_trace(harness: &TrialHarness, opts: &Options) {
     println!("== trace: traced chaos trials — causal write-lifecycle spans ==");
     println!("   fault spans stamp concurrent write lifecycles; load the .chrome.json");
     println!("   files in chrome://tracing or https://ui.perfetto.dev\n");
-    let dir = opts
-        .trace_dir
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("repro_out"));
-    write_traced_chaos_trials(harness, &dir, 2);
+    let dir = opts.trace_dir.as_deref().unwrap_or(Path::new("repro_out"));
+    write_traced_chaos_trials(harness, dir, 2);
 }
 
 /// Run `trials` traced consistency-group chaos trials through the
@@ -545,22 +529,16 @@ fn write_traced_chaos_trials(harness: &TrialHarness, dir: &Path, trials: usize) 
         run_chaos_trial_traced(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &cfg)
     });
     report("trace", &set.stats);
-    let _ = fs::create_dir_all(dir);
     for (i, (rep, export)) in set.rows.iter().enumerate() {
         print!("{}", rep.render());
         let spans = export.jsonl.lines().count();
-        let jsonl = dir.join(format!("trace_t{i}_cg.jsonl"));
-        let chrome = dir.join(format!("trace_t{i}_cg.chrome.json"));
-        match (
-            fs::write(&jsonl, &export.jsonl),
-            fs::write(&chrome, &export.chrome),
-        ) {
-            (Ok(()), Ok(())) => println!(
-                "  trial {i}: {spans} records -> {} / {}",
-                jsonl.display(),
-                chrome.display()
-            ),
-            _ => eprintln!("  trial {i}: failed to write exports under {}", dir.display()),
+        let files = [
+            (format!("trace_t{i}_cg.jsonl"), export.jsonl.as_str()),
+            (format!("trace_t{i}_cg.chrome.json"), export.chrome.as_str()),
+        ];
+        match write_exports(dir, &files) {
+            Some(paths) => println!("  trial {i}: {spans} records -> {paths}"),
+            None => eprintln!("  trial {i}: failed to write exports under {}", dir.display()),
         }
     }
     println!();
@@ -576,331 +554,53 @@ fn write_rig_trace(dir: &Path) {
     };
     let mut rig = TwoSiteRig::new(cfg);
     rig.run_workload_for(SimDuration::from_millis(50));
-    let tracer = rig.world.st.tracer.clone();
-    let _ = fs::create_dir_all(dir);
-    let jsonl = dir.join("trace_rig.jsonl");
-    let chrome = dir.join("trace_rig.chrome.json");
-    match (
-        fs::write(&jsonl, tracer.export_jsonl()),
-        fs::write(&chrome, tracer.export_chrome()),
-    ) {
-        (Ok(()), Ok(())) => println!(
-            "traced rig run: {} records -> {} / {}\n",
-            tracer.len(),
-            jsonl.display(),
-            chrome.display()
-        ),
-        _ => eprintln!("failed to write rig trace under {}\n", dir.display()),
+    let tracer = &rig.world.st.tracer;
+    let (jsonl, chrome) = (tracer.export_jsonl(), tracer.export_chrome());
+    let files = [
+        ("trace_rig.jsonl".to_string(), jsonl.as_str()),
+        ("trace_rig.chrome.json".to_string(), chrome.as_str()),
+    ];
+    match write_exports(dir, &files) {
+        Some(paths) => println!("traced rig run: {} records -> {paths}\n", tracer.len()),
+        None => eprintln!("failed to write rig trace under {}\n", dir.display()),
     }
 }
 
-fn main() {
-    let opts = Options::parse(env::args().skip(1));
+fn main() -> ExitCode {
+    let opts = match Options::parse(env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("repro: {msg}\n\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    if opts.help {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let harness = TrialHarness::new(opts.threads);
 
     println!("Tsuru experiment reproduction (see DESIGN.md §4, EXPERIMENTS.md)\n");
     note("harness", &format!("trial workers: {}", harness.threads()));
-    if opts.want("e1") {
-        run_e1(&harness, &opts);
-    }
-    if opts.want("e2") {
-        run_e2(&harness, &opts);
-    }
-    if opts.want("e3") {
-        run_e3(&harness, &opts);
-    }
-    if opts.want("e4") {
-        run_e4(&opts);
-    }
-    if opts.want("e5") {
-        run_e5(&opts);
-    }
-    if opts.want("e6") {
-        run_e6();
-    }
-    if opts.want("e7") {
-        run_e7(&opts);
-    }
-    // Opt-in only (`repro chaos` or `repro --chaos`): a full sweep replays
-    // every plan twice, so it is not part of the default `all` set.
-    if opts.names.iter().any(|n| n == "chaos") || opts.chaos {
-        run_chaos(&harness, &opts);
-    }
-    if opts.names.iter().any(|n| n == "trace") {
-        run_trace(&harness, &opts);
-    }
-    // Opt-in only (`repro history`): every plan replays 6× (3 workloads ×
-    // 2 modes), so it is not part of the default `all` set either.
-    if opts.names.iter().any(|n| n == "history") {
-        run_history(&harness, &opts);
-    }
-    // Opt-in only (`repro e10`): every plan replays once per recovery
-    // policy with the supervisor armed.
-    if opts.names.iter().any(|n| n == "e10") {
-        run_e10(&harness, &opts);
-    }
-    // Opt-in only (`repro e11`): every plan replays once per rule profile
-    // with the supervisor and the alert engine armed.
-    if opts.names.iter().any(|n| n == "e11") {
-        run_e11(&harness, &opts);
-    }
-    // Opt-in only (`repro e12`): builds worlds up to 10k consistency
-    // groups — seconds of wall-clock, so not part of the default set.
-    if opts.names.iter().any(|n| n == "e12") {
-        run_e12(&harness, &opts);
-    }
-    // Opt-in only (`repro bench`): wall-clock kernel microbenchmarks and
-    // per-experiment timings. Everything goes to stderr / `--json`; exits
-    // nonzero if `--baseline` shows a >20 % events/sec regression.
-    if opts.names.iter().any(|n| n == "bench") && !run_bench(&harness, &opts) {
-        std::process::exit(1);
-    }
-    if opts.want("a1") {
-        run_a1(&harness, &opts);
-    }
-    if opts.want("a2") {
-        run_a2(&harness, &opts);
+    for e in EXPERIMENTS.iter().filter(|e| opts.selects(e)) {
+        (e.run)(&harness, &opts);
     }
     // `--trace DIR` with experiments (not just chaos/trace): also export
     // a representative traced rig run.
-    if let Some(dir) = opts.trace_dir.clone() {
-        let ran_experiments = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "a1", "a2"]
-            .iter()
-            .any(|e| opts.want(e));
-        if ran_experiments {
-            write_rig_trace(&dir);
+    if let Some(dir) = &opts.trace_dir {
+        if EXPERIMENTS.iter().any(|e| e.default && opts.selects(e)) {
+            write_rig_trace(dir);
         }
     }
-}
-
-/// The `bench` subcommand: wall-clock microbenchmarks of the event kernel
-/// (typed wheel vs the preserved boxed-closure reference kernel) plus
-/// per-experiment wall-clock timings and the rig's peak event-queue depth.
-///
-/// All human-readable output rides the shared stderr reporter ([`note`]),
-/// never stdout; `--json PATH` writes the machine-readable `BENCH.json`;
-/// `--baseline PATH` compares against a checked-in baseline and returns
-/// `false` (⇒ exit 1) if typed events/sec regressed by more than 20 %.
-fn run_bench(harness: &TrialHarness, opts: &Options) -> bool {
-    use tsuru_bench::kernelbench::{measure_boxed, measure_typed, time_secs, KernelRate};
-
-    const EVENTS: u64 = 4_000_000;
-    note(
-        "bench",
-        &format!(
-            "kernel microbench: {} self-rescheduling chains, delays spread over wheel levels",
-            tsuru_bench::kernelbench::CHAINS
-        ),
-    );
-    // Warm-up primes the allocator and the wheel's slot capacities so the
-    // measured runs see steady state.
-    let _ = measure_typed(EVENTS / 40);
-    let _ = measure_boxed(EVENTS / 40);
-    let typed = measure_typed(EVENTS);
-    let boxed = measure_boxed(EVENTS);
-    let speedup = typed.events_per_sec / boxed.events_per_sec;
-    let show = |r: &KernelRate| {
-        note(
-            "bench",
-            &format!(
-                "{:<11} {} events in {:.3} s -> {:.3e} events/s (peak queue depth {}, \
-                 {:.6} allocs/event, peak slab {}, {:.4} rehomes/event)",
-                r.kernel,
-                r.events,
-                r.secs,
-                r.events_per_sec,
-                r.peak_pending,
-                r.allocs_per_event,
-                r.peak_slab,
-                r.rehomes_per_event
-            ),
-        );
-    };
-    show(&typed);
-    show(&boxed);
-    note("bench", &format!("typed/boxed speedup: {speedup:.2}x"));
-
-    // Peak queue depth of the real workload, not just the microbench: one
-    // representative rig run (ADC consistency group, default config).
-    let (rig_peak, rig_secs) = time_secs(|| {
-        let mut rig = TwoSiteRig::new(RigConfig::default());
-        rig.run_workload_for(SimDuration::from_millis(50));
-        rig.sim.peak_pending()
-    });
-    note(
-        "bench",
-        &format!("rig 50 ms workload: peak queue depth {rig_peak} ({rig_secs:.3} s wall)"),
-    );
-
-    // Wall-clock per experiment, same parameters as the repro run itself.
-    let mut experiments: Vec<(&str, f64)> = Vec::new();
-    let mut time_exp = |name: &'static str, secs: f64| {
-        note("bench", &format!("experiment {name}: {secs:.3} s wall"));
-        experiments.push((name, secs));
-    };
-    time_exp(
-        "e1",
-        time_secs(|| {
-            e1_slowdown_with(harness, 42, 8, &[1, 2, 10, 25, 50], SimDuration::from_millis(400))
-        })
-        .1,
-    );
-    time_exp(
-        "e2",
-        time_secs(|| e2_collapse_with(harness, 1000, 30, SimDuration::from_millis(2))).1,
-    );
-    time_exp(
-        "e3",
-        time_secs(|| e3_rpo_with(harness, 7, &[50, 100, 500, 1000], &[1, 64])).1,
-    );
-    time_exp("e4", time_secs(|| e4_snapshot(11)).1);
-    time_exp("e5", time_secs(|| e5_operator(&[2, 4, 10, 50, 100, 200])).1);
-    time_exp("e6", time_secs(|| e6_demo(2026)).1);
-    time_exp("e7", time_secs(|| e7_three_dc(29)).1);
-    time_exp(
-        "a1",
-        time_secs(|| a1_backup_lag_with(harness, 19, &[200, 500, 2000, 5000], &[8, 64])).1,
-    );
-    time_exp(
-        "a2",
-        time_secs(|| a2_journal_policy_with(harness, 23, &[256, 1024, 16384])).1,
-    );
-
-    if let Some(path) = &opts.json {
-        let json = bench_json(&typed, &boxed, speedup, rig_peak, &experiments);
-        match fs::write(path, json) {
-            Ok(()) => note("bench", &format!("wrote {}", path.display())),
-            Err(e) => {
-                note("bench", &format!("failed to write {}: {e}", path.display()));
-                return false;
-            }
-        }
-    }
-
-    if let Some(path) = &opts.baseline {
-        let base = match fs::read_to_string(path).ok().as_deref().and_then(baseline_events_per_sec)
-        {
-            Some(b) => b,
-            None => {
-                note(
-                    "bench",
-                    &format!("baseline {} missing or unparsable", path.display()),
-                );
-                return false;
-            }
-        };
-        let floor = base * 0.8;
-        let mut ok = typed.events_per_sec >= floor;
-        note(
-            "bench",
-            &format!(
-                "baseline gate: typed {:.3e} events/s vs floor {:.3e} (0.8 x baseline {:.3e}) -> {}",
-                typed.events_per_sec,
-                floor,
-                base,
-                if ok { "pass" } else { "FAIL" }
-            ),
-        );
-        // Allocation ratchet: allocs/event is deterministic (schedule-only),
-        // so any growth over the checked-in baseline is a real regression.
-        // Baselines predating the field skip the ratchet (additive schema).
-        if let Some(base_alloc) = fs::read_to_string(path)
-            .ok()
-            .as_deref()
-            .and_then(baseline_allocs_per_event)
-        {
-            let ceil = base_alloc * 1.1 + 1e-9;
-            let alloc_ok = typed.allocs_per_event <= ceil;
-            note(
-                "bench",
-                &format!(
-                    "alloc ratchet: typed {:.8} allocs/event vs ceiling {:.8} (1.1 x baseline {:.8}) -> {}",
-                    typed.allocs_per_event,
-                    ceil,
-                    base_alloc,
-                    if alloc_ok { "pass" } else { "FAIL" }
-                ),
-            );
-            ok = ok && alloc_ok;
-        } else {
-            note("bench", "alloc ratchet: baseline has no allocs_per_event, skipped");
-        }
-        return ok;
-    }
-    true
-}
-
-/// Hand-rolled `BENCH.json` (the workspace vendors no JSON serializer; the
-/// format is flat enough that string assembly is the honest tool).
-fn bench_json(
-    typed: &tsuru_bench::kernelbench::KernelRate,
-    boxed: &tsuru_bench::kernelbench::KernelRate,
-    speedup: f64,
-    rig_peak: usize,
-    experiments: &[(&str, f64)],
-) -> String {
-    // `allocs_per_event` / `peak_slab` / `rehomes_per_event` are additive
-    // to the schema: the baseline reader scans for named keys, so older
-    // BENCH.json baselines (without them) still parse and newer files gain
-    // the ratchet.
-    let rate = |r: &tsuru_bench::kernelbench::KernelRate| {
-        format!(
-            "{{\"events\": {}, \"secs\": {:.6}, \"events_per_sec\": {:.1}, \"peak_pending\": {}, \
-             \"allocs_per_event\": {:.8}, \"peak_slab\": {}, \"rehomes_per_event\": {:.6}}}",
-            r.events,
-            r.secs,
-            r.events_per_sec,
-            r.peak_pending,
-            r.allocs_per_event,
-            r.peak_slab,
-            r.rehomes_per_event
-        )
-    };
-    let exps: Vec<String> = experiments
-        .iter()
-        .map(|(n, s)| format!("    {{\"name\": \"{n}\", \"secs\": {s:.3}}}"))
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"tsuru-bench/1\",\n  \"kernel\": {{\n    \"typed_wheel\": {},\n    \"boxed_heap\": {},\n    \"speedup\": {:.2}\n  }},\n  \"rig_peak_pending\": {},\n  \"experiments\": [\n{}\n  ]\n}}\n",
-        rate(typed),
-        rate(boxed),
-        speedup,
-        rig_peak,
-        exps.join(",\n")
-    )
-}
-
-/// Pull a numeric field of the `typed_wheel` object out of a `BENCH.json`
-/// without a JSON parser: locate `typed_wheel`, then the first `key` after
-/// it. Unknown keys simply return `None`, so the schema can grow fields
-/// without breaking older readers (and vice versa).
-fn typed_wheel_field(text: &str, key: &str) -> Option<f64> {
-    let obj = &text[text.find("\"typed_wheel\"")?..];
-    let marker = format!("\"{key}\":");
-    let rest = &obj[obj.find(&marker)? + marker.len()..];
-    let end = rest.find(|c: char| c == ',' || c == '}')?;
-    rest[..end].trim().parse().ok()
-}
-
-/// `kernel.typed_wheel.events_per_sec` from a `BENCH.json`.
-fn baseline_events_per_sec(text: &str) -> Option<f64> {
-    typed_wheel_field(text, "events_per_sec")
-}
-
-/// `kernel.typed_wheel.allocs_per_event` from a `BENCH.json`; `None` for
-/// baselines predating the field.
-fn baseline_allocs_per_event(text: &str) -> Option<f64> {
-    typed_wheel_field(text, "allocs_per_event")
+    ExitCode::SUCCESS
 }
 
 fn run_a1(harness: &TrialHarness, opts: &Options) {
     println!("== A1 (ablation): backup lag vs transfer-pump parameters ==");
     println!("   acked-but-unapplied backlog sampled every 5 ms over a 300 ms run\n");
-    let set = a1_backup_lag_with(harness, 19, &[200, 500, 2000, 5000], &[8, 64]);
+    let set = a1_backup_lag(harness, 19, &[200, 500, 2000, 5000], &[8, 64]);
     report("a1", &set.stats);
-    let table = render_a1(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "a1", &table);
+    print_table(opts, "a1", &render_a1(&set.rows));
     println!(
         "expect: lag grows with the pump interval (staleness is the price of\n\
          decoupling) while host p99 stays flat — the pump never touches the host path.\n"
@@ -910,14 +610,83 @@ fn run_a1(harness: &TrialHarness, opts: &Options) {
 fn run_a2(harness: &TrialHarness, opts: &Options) {
     println!("== A2 (ablation): journal-full policy — Block vs Suspend ==");
     println!("   undersized journal over a 20 Mbit/s link; failure at t=200 ms\n");
-    let set = a2_journal_policy_with(harness, 23, &[256, 1024, 16384]);
+    let set = a2_journal_policy(harness, 23, &[256, 1024, 16384]);
     report("a2", &set.stats);
-    let table = render_a2(&set.rows);
-    println!("{table}");
-    maybe_csv(opts, "a2", &table);
+    print_table(opts, "a2", &render_a2(&set.rows));
     println!(
         "expect: Block back-pressures the host (stalls > 0, p99 up) but keeps the\n\
          backup advancing; Suspend keeps the host fast but abandons the backup\n\
          (degraded acks, far larger loss at failover).\n"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        Options::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn both_spellings_of_every_valued_option_parse_alike() {
+        let spaced = parse(&[
+            "e2", "--threads", "8", "--trace", "t", "--history", "h", "--alerts", "a", "--tenants",
+            "64, 256",
+        ]);
+        let inline = parse(&[
+            "e2", "--threads=8", "--trace=t", "--history=h", "--alerts=a", "--tenants=64, 256",
+        ]);
+        assert_eq!(spaced, inline);
+        let opts = spaced.expect("valid");
+        assert_eq!((opts.threads, opts.names), (8, vec!["e2".to_string()]));
+        assert_eq!(opts.trace_dir, Some(PathBuf::from("t")));
+        assert_eq!(opts.tenants, Some(vec![64, 256]));
+    }
+
+    #[test]
+    fn the_default_set_is_the_table_s_and_opt_ins_run_only_when_named() {
+        let selected = |args: &[&str]| -> Vec<&str> {
+            let opts = parse(args).expect("valid");
+            EXPERIMENTS.iter().filter(|e| opts.selects(e)).map(|e| e.name).collect()
+        };
+        let defaults = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "a1", "a2"];
+        assert_eq!(selected(&[]), defaults);
+        assert_eq!(selected(&["all"]), defaults);
+        assert_eq!(selected(&["--threads", "1"]), defaults);
+        assert_eq!(selected(&["--chaos"]), ["chaos"]);
+        assert_eq!(selected(&["chaos"]), ["chaos"]);
+        // Table order, whatever the order on the command line.
+        assert_eq!(selected(&["a1", "e12", "e3"]), ["e3", "e12", "a1"]);
+        assert_eq!(selected(&["all", "history"]).len(), defaults.len() + 1);
+        assert!(parse(&["-h"]).expect("valid").help && parse(&["e1", "--help"]).expect("valid").help);
+    }
+
+    #[test]
+    fn what_repro_does_not_know_is_an_error() {
+        for (args, complaint) in [
+            (&["--bogus"][..], "unknown option `--bogus`"),
+            (&["--thread", "8"], "unknown option `--thread`"),
+            (&["-x"], "unknown option `-x`"),
+            (&["--csv=yes"], "unknown option `--csv=yes`"),
+            (&["e13"], "unknown experiment `e13`"),
+            (&["bench"], "unknown experiment `bench`"),
+            (&["e1", "8"], "unknown experiment `8`"),
+            (&["--threads"], "--threads needs a value"),
+            (&["--threads", "--csv"], "--threads needs a value"),
+            (&["--trace"], "--trace needs a value"),
+            (&["--history="], "--history needs a value"),
+            (&["--threads", "abc"], "`abc` is not a worker count"),
+            (&["--threads=-1"], "`-1` is not a worker count"),
+            (&["--tenants", "100,abc"], "`abc` is not a positive tenant count"),
+            (&["--tenants", "0"], "`0` is not a positive tenant count"),
+            (&["--tenants", "100,,200"], "`` is not a positive tenant count"),
+            (&["--tenants="], "--tenants needs a value"),
+        ] {
+            match parse(args) {
+                Err(msg) => assert!(msg.contains(complaint), "{args:?}: {msg}"),
+                Ok(opts) => panic!("{args:?} parsed: {opts:?}"),
+            }
+        }
+    }
 }

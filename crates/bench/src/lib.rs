@@ -1,20 +1,17 @@
-//! # tsuru-bench — benchmarks and the experiment reproduction harness
+//! # tsuru-bench — the experiment reproduction harness
 //!
-//! Two kinds of measurement live here:
+//! The **`repro` binary** (`cargo run -p tsuru-bench --release --bin repro
+//! [e1 … a2 | all]`, `--help` lists everything) regenerates every
+//! experiment table from DESIGN.md §4 in simulated time — the reproduction
+//! of the paper's figures/claims (results recorded in EXPERIMENTS.md).
+//! This library holds its table renderers.
 //!
-//! - the **`repro` binary** (`cargo run -p tsuru-bench --release --bin
-//!   repro [e1|e2|e3|e4|e5|e6|all]`) regenerates every experiment table
-//!   from DESIGN.md §4 in simulated time — the reproduction of the paper's
-//!   figures/claims (results recorded in EXPERIMENTS.md);
-//! - the **Criterion benches** (`cargo bench`) measure the *wall-clock*
-//!   cost of the simulator itself on scaled-down versions of the same
-//!   scenarios, so regressions in the substrate are caught.
+//! Wall-clock cost of the simulator itself is measured elsewhere: by the
+//! layered ledger in `benchmark/` (`BENCHMARK.json`), the repo's one
+//! measurement system.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod kernelbench;
-pub mod refkernel;
 
 use tsuru_core::experiments::{E1Row, E2Row, E3Row, E4Row, E5Row};
 use tsuru_core::{f2, render_table};

@@ -45,9 +45,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use tsuru_core::TwoSiteRig;
-use tsuru_minidb::MiniDb;
 use tsuru_sim::SimTime;
-use tsuru_storage::{GroupId, GroupState, SnapshotId, SnapshotView, Tracer};
+use tsuru_storage::{GroupId, GroupState, SnapshotId, Tracer};
 
 use crate::alert::AlertSummary;
 
@@ -525,22 +524,9 @@ impl Auditor {
             );
             return;
         }
-        let arr = rig.world.st.array(rig.backup);
-        let sales = MiniDb::recover(
-            "sales-chaos-snap",
-            &SnapshotView::new(arr, snaps[0]),
-            &SnapshotView::new(arr, snaps[1]),
-            rig.config.db.clone(),
-        );
-        let stock = MiniDb::recover(
-            "stock-chaos-snap",
-            &SnapshotView::new(arr, snaps[2]),
-            &SnapshotView::new(arr, snaps[3]),
-            rig.config.db.clone(),
-        );
-        match (sales, stock) {
+        match rig.open_snapshots(snaps) {
             (Ok((s, _)), Ok((t, _))) => {
-                let inv = tsuru_ecom::check_cross_db(&s, &t, rig.config.workload.initial_stock);
+                let inv = rig.world.app().check_image(&s, &t);
                 if !inv.consistent() {
                     self.violate(
                         now,

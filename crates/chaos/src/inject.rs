@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 
 use tsuru_core::TwoSiteRig;
 use tsuru_ecom::driver::start_workload_clients;
-use tsuru_minidb::MiniDb;
 use tsuru_simnet::{LinkConfig, LinkId};
 use tsuru_storage::engine::{heal_link, kick_all_pumps};
 use tsuru_storage::{span_names, GroupId, SpanId, VolumeView};
@@ -244,22 +243,10 @@ impl Injector {
     /// hole, so recovery of any later backup image stays well-defined.
     fn restart_app(&mut self, rig: &mut TwoSiteRig, auditor: &mut Auditor) {
         let now = rig.sim.now();
-        let db_cfg = rig.config.db.clone();
         let recovered = {
             let arr = rig.world.st.array(rig.main);
-            let sales = MiniDb::recover(
-                "sales",
-                &VolumeView::new(arr, rig.vols[0].volume),
-                &VolumeView::new(arr, rig.vols[1].volume),
-                db_cfg.clone(),
-            );
-            let stock = MiniDb::recover(
-                "stock",
-                &VolumeView::new(arr, rig.vols[2].volume),
-                &VolumeView::new(arr, rig.vols[3].volume),
-                db_cfg,
-            );
-            (sales, stock)
+            let vols = rig.vols.map(|v| VolumeView::new(arr, v.volume));
+            rig.world.app().open_image(vols)
         };
         match recovered {
             (Ok((sales, _)), Ok((stock, _))) => {

@@ -5,7 +5,7 @@
 //! experiment control plane (fault injection, lag sampling), plus the
 //! boxed-closure escape hatch for one-off glue. Dispatch is a `match`, so
 //! scheduling any typed step costs zero heap allocations on the kernel
-//! side — the speedup `repro bench` measures.
+//! side (the ledger's `sim.allocs_per_event`).
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -2,29 +2,23 @@
 //! (DESIGN.md §4). Each returns structured rows; the bench crate's `repro`
 //! binary renders them and EXPERIMENTS.md records the results.
 //!
-//! Every multi-trial experiment (E1, E2, E3, A1, A2) has two entry points:
-//! the original serial signature (`e1_slowdown`, …) and a `*_with` variant
-//! taking a [`TrialHarness`] that fans the independent trials out over a
-//! thread pool. Both produce identical rows at any thread count — trials
-//! are seeded purely from `(base_seed, trial_index)` and re-sorted by
-//! index (see `harness.rs`).
+//! Every multi-trial experiment (E1, E2, E3, A1, A2) takes the
+//! [`TrialHarness`] that fans its independent trials out over a thread
+//! pool (`&TrialHarness::serial()` for a plain in-order loop). Rows are
+//! identical at any thread count — trials are seeded purely from
+//! `(base_seed, trial_index)` and re-sorted by index (see `harness.rs`).
 
 use serde::{Deserialize, Serialize};
-use tsuru_container::{
-    ApiServer, ClaimPhase, ControllerManager, Namespace, ObjectMeta, PersistentVolumeClaim,
-    Provisioner, StorageClass, BACKUP_TAG_KEY, BACKUP_TAG_VALUE,
-};
-use tsuru_nso::{NamespaceOperator, NsoConfig};
-use tsuru_plugin::{
-    BackupSiteImporter, ReplicationPlugin, ReplicationPluginConfig, TsuruBlockDriver,
-};
-use tsuru_sim::{SimDuration, SimTime};
+use tsuru_container::{ControllerManager, ObjectMeta};
+use tsuru_nso::NsoConfig;
+use tsuru_sim::{DetRng, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
-use tsuru_storage::{ArrayPerf, EngineConfig, StorageWorld};
+use tsuru_storage::{ArrayPerf, EngineConfig};
 
 use crate::harness::{TrialHarness, TrialSet};
 use crate::rig::{BackupMode, RigConfig, TwoSiteRig};
-use tsuru_sim::DetRng;
+use crate::system::{tag_namespace, Platform, MAX_ROUNDS};
+use crate::world::Sites;
 
 // =====================================================================
 // E1 — no system slowdown (claim C1): latency/throughput vs backup mode
@@ -53,21 +47,12 @@ pub struct E1Row {
     pub writes_per_order: f64,
 }
 
-/// Sweep backup modes across inter-site distances (serial).
-pub fn e1_slowdown(
-    seed: u64,
-    clients: usize,
-    rtts_ms: &[u64],
-    duration: SimDuration,
-) -> Vec<E1Row> {
-    e1_slowdown_with(&TrialHarness::serial(), seed, clients, rtts_ms, duration).rows
-}
-
-/// [`e1_slowdown`] with each (RTT, mode) cell as one harness trial.
+/// Sweep backup modes across inter-site distances, each (RTT, mode) cell
+/// one harness trial.
 ///
 /// Every cell uses the same workload seed so modes stay directly
-/// comparable at a given RTT, exactly as the serial sweep did.
-pub fn e1_slowdown_with(
+/// comparable at a given RTT.
+pub fn e1_slowdown(
     harness: &TrialHarness,
     seed: u64,
     clients: usize,
@@ -146,17 +131,13 @@ pub struct E2Trial {
     pub lost_orders: u64,
 }
 
-/// Run `trials` surprise-failure drills per mode (serial).
-pub fn e2_collapse(base_seed: u64, trials: u32, session_jitter: SimDuration) -> Vec<E2Row> {
-    e2_collapse_with(&TrialHarness::serial(), base_seed, trials, session_jitter).rows
-}
-
-/// [`e2_collapse`] fanned over a harness: one trial per (mode, drill).
+/// Run `trials` surprise-failure drills per mode: one harness trial per
+/// (mode, drill).
 ///
 /// Drill `t` uses seed `DetRng::trial_seed(base_seed, t)` under *both*
 /// modes, so the comparison stays paired; aggregation runs over the
 /// index-sorted rows, making the table identical at any thread count.
-pub fn e2_collapse_with(
+pub fn e2_collapse(
     harness: &TrialHarness,
     base_seed: u64,
     trials: u32,
@@ -245,15 +226,10 @@ pub struct E3Row {
     pub p99_ms: f64,
 }
 
-/// Sweep ADC over bandwidths and journal sizes; one SDC reference row
-/// (serial).
-pub fn e3_rpo(seed: u64, bandwidths_mbps: &[u64], journal_mib: &[u64]) -> Vec<E3Row> {
-    e3_rpo_with(&TrialHarness::serial(), seed, bandwidths_mbps, journal_mib).rows
-}
-
-/// [`e3_rpo`] with each (mode, bandwidth, journal) cell as one harness
-/// trial. Every cell uses the same workload seed, as the serial sweep did.
-pub fn e3_rpo_with(
+/// Sweep ADC over bandwidths and journal sizes, plus one SDC reference
+/// row; each (mode, bandwidth, journal) cell is one harness trial and
+/// every cell uses the same workload seed.
+pub fn e3_rpo(
     harness: &TrialHarness,
     seed: u64,
     bandwidths_mbps: &[u64],
@@ -331,8 +307,6 @@ pub fn e4_snapshot(seed: u64) -> Vec<E4Row> {
             mode: BackupMode::AdcConsistencyGroup,
             ..Default::default()
         };
-        let db_cfg = cfg.db.clone();
-        let initial_stock = cfg.workload.initial_stock;
         let mut rig = TwoSiteRig::new(cfg);
         tsuru_ecom::driver::start_clients(&mut rig.world, &mut rig.sim);
         rig.sim.run_until(&mut rig.world, SimTime::from_millis(150));
@@ -357,23 +331,10 @@ pub fn e4_snapshot(seed: u64) -> Vec<E4Row> {
         // Keep the workload running while analytics read the image.
         rig.sim.run_until(&mut rig.world, SimTime::from_millis(300));
 
-        let arr = rig.world.st.array(rig.backup);
-        let sales = tsuru_minidb::MiniDb::recover(
-            "sales-snap",
-            &tsuru_storage::SnapshotView::new(arr, snaps[0]),
-            &tsuru_storage::SnapshotView::new(arr, snaps[1]),
-            db_cfg.clone(),
-        );
-        let stock = tsuru_minidb::MiniDb::recover(
-            "stock-snap",
-            &tsuru_storage::SnapshotView::new(arr, snaps[2]),
-            &tsuru_storage::SnapshotView::new(arr, snaps[3]),
-            db_cfg.clone(),
-        );
-        let (analytics_orders, image_consistent) = match (&sales, &stock) {
+        let (analytics_orders, image_consistent) = match rig.open_snapshots(&snaps) {
             (Ok((s, _)), Ok((t, _))) => {
-                let inv = tsuru_ecom::check_cross_db(s, t, initial_stock);
-                let rep = tsuru_analytics::run_analytics(s, t, 5);
+                let inv = rig.world.app().check_image(&s, &t);
+                let rep = tsuru_analytics::run_analytics(&s, &t, 5);
                 (rep.order_count, inv.consistent())
             }
             _ => (0, false),
@@ -429,79 +390,41 @@ pub fn manual_steps(volumes: u64) -> u64 {
 pub fn e5_operator(volume_counts: &[usize]) -> Vec<E5Row> {
     let mut rows = Vec::new();
     for &n in volume_counts {
-        let mut st = StorageWorld::new(7, EngineConfig::default());
-        let main_array = st.add_array("vsp-main", ArrayPerf::default());
-        let backup_array = st.add_array("vsp-backup", ArrayPerf::default());
-        let link = st.add_link(LinkConfig::metro());
-        let reverse = st.add_link(LinkConfig::metro());
-
-        let mut main_api = ApiServer::new();
-        main_api.storage_classes.create(StorageClass {
-            meta: ObjectMeta::cluster("tsuru-block"),
-            provisioner: "block.csi.tsuru.io".into(),
-            parameters: Default::default(),
-        });
-        main_api.namespaces.create(Namespace {
-            meta: ObjectMeta::cluster("shop"),
-        });
-        for i in 0..n {
-            main_api.pvcs.create(PersistentVolumeClaim {
-                meta: ObjectMeta::namespaced("shop", format!("vol-{i:04}")),
-                storage_class: "tsuru-block".into(),
-                size_blocks: 64,
-                phase: ClaimPhase::Pending,
-                volume_name: None,
-            });
-        }
-        let mut provisioner =
-            Provisioner::new(TsuruBlockDriver::new(main_array, "block.csi.tsuru.io"));
-        let mut repl = ReplicationPlugin::new(ReplicationPluginConfig {
-            main_array,
-            backup_array,
-            link,
-            reverse,
-            journal_capacity_bytes: 64 << 20,
-        });
-        let mut nso = NamespaceOperator::new(NsoConfig::default());
-        // Provision first (volumes exist before backup is requested).
-        ControllerManager::run_to_convergence(
-            &mut main_api,
-            &mut st,
-            &mut [&mut provisioner],
-            128,
+        let mut sites = Sites::new(
+            7,
+            EngineConfig::default(),
+            &ArrayPerf::default(),
+            &LinkConfig::metro(),
         );
-        let mutations_before = main_api.total_mutations();
+        let claims = (0..n).map(|i| (ObjectMeta::namespaced("shop", format!("vol-{i:04}")), 64));
+        let mut p = Platform::new(&sites, "shop", claims, 64 << 20, NsoConfig::default());
+        // Provision first (volumes exist before backup is requested).
+        p.provision(&mut sites.st);
+        let mutations_before = p.main_api.total_mutations();
 
         // The single user action: tag the namespace.
-        main_api.namespaces.update("shop", |ns| {
-            ns.meta
-                .labels
-                .insert(BACKUP_TAG_KEY.into(), BACKUP_TAG_VALUE.into());
-            true
-        });
+        tag_namespace(&mut p.main_api, "shop");
         let report = ControllerManager::run_to_convergence(
-            &mut main_api,
-            &mut st,
-            &mut [&mut nso, &mut provisioner, &mut repl],
-            256,
+            &mut p.main_api,
+            &mut sites.st,
+            &mut [&mut p.nso, &mut p.provisioner, &mut p.repl_plugin],
+            MAX_ROUNDS,
         );
         // Backup site surfaces the claims.
-        let mut backup_api = ApiServer::new();
-        let mut importer = BackupSiteImporter::new(backup_array);
         ControllerManager::run_to_convergence(
-            &mut backup_api,
-            &mut st,
-            &mut [&mut importer],
-            128,
+            &mut p.backup_api,
+            &mut sites.st,
+            &mut [&mut p.importer],
+            MAX_ROUNDS,
         );
         rows.push(E5Row {
             volumes: n,
             user_actions_operator: 1,
             user_actions_manual: manual_steps(n as u64),
             rounds: report.rounds,
-            api_mutations: main_api.total_mutations() - mutations_before,
-            pairs: repl.pairs_created,
-            backup_claims: backup_api.pvcs.len(),
+            api_mutations: p.main_api.total_mutations() - mutations_before,
+            pairs: p.repl_plugin.pairs_created,
+            backup_claims: p.backup_api.pvcs.len(),
             converged: report.converged,
         });
     }
@@ -589,17 +512,9 @@ pub struct A1Row {
 
 /// Sweep the transfer pump's interval and batch size, sampling the
 /// acked-minus-applied backlog. The backup-site *lag* is the price of the
-/// main site's zero slowdown; this quantifies the knob.
+/// main site's zero slowdown; this quantifies the knob. Each (interval,
+/// batch) cell is one harness trial.
 pub fn a1_backup_lag(
-    seed: u64,
-    pump_intervals_us: &[u64],
-    batches: &[usize],
-) -> Vec<A1Row> {
-    a1_backup_lag_with(&TrialHarness::serial(), seed, pump_intervals_us, batches).rows
-}
-
-/// [`a1_backup_lag`] with each (interval, batch) cell as one harness trial.
-pub fn a1_backup_lag_with(
     harness: &TrialHarness,
     seed: u64,
     pump_intervals_us: &[u64],
@@ -686,14 +601,9 @@ pub struct A2Row {
 
 /// Compare the two journal-overflow behaviours on an undersized journal
 /// over a slow link: Block trades primary latency for a bounded recovery
-/// point; Suspend keeps the primary fast but abandons the backup.
-pub fn a2_journal_policy(seed: u64, journal_kib: &[u64]) -> Vec<A2Row> {
-    a2_journal_policy_with(&TrialHarness::serial(), seed, journal_kib).rows
-}
-
-/// [`a2_journal_policy`] with each (capacity, policy) cell as one harness
-/// trial.
-pub fn a2_journal_policy_with(
+/// point; Suspend keeps the primary fast but abandons the backup. Each
+/// (capacity, policy) cell is one harness trial.
+pub fn a2_journal_policy(
     harness: &TrialHarness,
     seed: u64,
     journal_kib: &[u64],

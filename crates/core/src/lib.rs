@@ -26,9 +26,8 @@ mod world;
 pub use event::{ControlOp, DemoEvent, DemoSim};
 pub use harness::{HarnessStats, TrialCtx, TrialHarness, TrialSet};
 pub use report::{f2, f3, render_table};
-pub use rig::{BackupMode, RecoveryOutcome, RigConfig, TwoSiteRig, VOLUME_NAMES};
-pub use system::{
-    BusinessRecovery, DemoConfig, DemoSystem, FailoverReport, DRIVER_NAME, STORAGE_CLASS,
-};
-pub use tenants::{e12_scale_with, E12Row, TenantParams, TenantWorld};
-pub use world::DemoWorld;
+pub use rig::{BackupMode, RigConfig, TwoSiteRig};
+pub use system::{DemoConfig, DemoSystem, FailoverReport, DRIVER_NAME, STORAGE_CLASS};
+pub use tenants::{e12_scale, E12Row, TenantParams, TenantWorld};
+pub use tsuru_ecom::{Recovered, RecoveryOutcome};
+pub use world::{DemoWorld, VOLUME_NAMES};

@@ -10,12 +10,9 @@
 use serde::{Deserialize, Serialize};
 use tsuru_analytics::AnalyticsReport;
 use tsuru_ecom::driver::start_clients;
-use tsuru_ecom::{
-    check_cross_db, install_db, order_rpo, seed_stock, EcomMetrics, EcomState, InvariantReport,
-    OrderRpo, WorkloadConfig, WorkloadGen,
-};
-use tsuru_minidb::{DbConfig, MiniDb, RecoveryError, RecoveryReport};
-use tsuru_sim::{DetRng, Sim, SimDuration, SimTime, Summary};
+use tsuru_ecom::{Recovered, RecoveryOutcome, WorkloadConfig};
+use tsuru_minidb::{DbConfig, RecoveryError};
+use tsuru_sim::{Sim, SimDuration, SimTime, Summary};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::{
     ArrayId, ArrayPerf, ConsistencyReport, EngineConfig, GroupId, RpoReport, SnapshotId,
@@ -23,7 +20,7 @@ use tsuru_storage::{
 };
 
 use crate::event::{ControlOp, DemoEvent, DemoSim};
-use crate::world::DemoWorld;
+use crate::world::{volume_sizes, DemoWorld, Sites, VOLUME_NAMES};
 
 /// How the business process is protected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,6 +53,41 @@ impl BackupMode {
             BackupMode::ThreeDc => "3dc",
         }
     }
+
+    /// The replication groups this mode configures over the primary volumes.
+    fn legs(self) -> &'static [Leg] {
+        // The common case: all four volumes, ADC, to the backup array.
+        const BASE: Leg = Leg { group: "", vols: 0..4, sync: false, metro: false };
+        match self {
+            BackupMode::None => &[],
+            BackupMode::AdcConsistencyGroup => &[Leg { group: "cg-shop", ..BASE }],
+            BackupMode::AdcPerVolume => &[
+                Leg { group: "solo-sales-wal", vols: 0..1, ..BASE },
+                Leg { group: "solo-sales-data", vols: 1..2, ..BASE },
+                Leg { group: "solo-stock-wal", vols: 2..3, ..BASE },
+                Leg { group: "solo-stock-data", vols: 3..4, ..BASE },
+            ],
+            BackupMode::Sdc => &[Leg { group: "sdc-shop", sync: true, ..BASE }],
+            // The `backup` array plays the far site; a third array in the
+            // metro area is kept synchronously in step.
+            BackupMode::ThreeDc => &[
+                Leg { group: "cg-shop-far", ..BASE },
+                Leg { group: "sdc-shop-metro", sync: true, metro: true, ..BASE },
+            ],
+        }
+    }
+}
+
+/// One replication group of a protection mode.
+struct Leg {
+    /// Group name on the array.
+    group: &'static str,
+    /// The primary volumes it pairs, as [`VOLUME_NAMES`] indices.
+    vols: std::ops::Range<usize>,
+    /// Synchronous copy (SDC) instead of journal-based ADC.
+    sync: bool,
+    /// Lands on a third array over its own metro links, not on `backup`.
+    metro: bool,
 }
 
 /// Full configuration of a rig.
@@ -115,34 +147,6 @@ impl Default for RigConfig {
     }
 }
 
-/// Volume roles within the rig, in fixed order.
-pub const VOLUME_NAMES: [&str; 4] = ["sales-wal", "sales-data", "stock-wal", "stock-data"];
-
-/// Everything a recovery attempt can report.
-#[derive(Debug)]
-pub struct RecoveryOutcome {
-    /// Sales database recovery.
-    pub sales: Result<(MiniDb, RecoveryReport), RecoveryError>,
-    /// Stock database recovery.
-    pub stock: Result<(MiniDb, RecoveryReport), RecoveryError>,
-    /// Cross-database invariant, if both recovered.
-    pub invariant: Option<InvariantReport>,
-    /// Business-level RPO, if sales recovered.
-    pub orders: Option<OrderRpo>,
-}
-
-impl RecoveryOutcome {
-    /// Did both databases recover *and* pass the cross-DB check?
-    pub fn fully_consistent(&self) -> bool {
-        self.invariant.as_ref().is_some_and(|i| i.consistent())
-    }
-
-    /// Did either database hard-fail recovery?
-    pub fn hard_failure(&self) -> bool {
-        self.sales.is_err() || self.stock.is_err()
-    }
-}
-
 /// The assembled two-site deployment.
 pub struct TwoSiteRig {
     /// Discrete-event state.
@@ -169,125 +173,49 @@ impl TwoSiteRig {
     /// Build the deployment: arrays, link, volumes, formatted + seeded
     /// databases, replication per `config.mode`, workload clients ready.
     pub fn new(config: RigConfig) -> Self {
-        let mut st = StorageWorld::new(config.seed, config.engine.clone());
-        let main = st.add_array("vsp-main", config.perf.clone());
-        let backup = st.add_array("vsp-backup", config.perf.clone());
-        let link = st.add_link(config.link.clone());
-        let reverse = st.add_link(config.link.clone());
-
-        let sizes = [
-            config.db.wal_blocks,
-            config.db.data_blocks,
-            config.db.wal_blocks,
-            config.db.data_blocks,
-        ];
-        let vols: Vec<VolRef> = VOLUME_NAMES
-            .iter()
-            .zip(sizes)
-            .map(|(n, s)| st.create_volume(main, *n, s))
-            .collect();
-
-        let sales = install_db(&mut st, "sales", vols[0], vols[1], config.db.clone());
-        let mut stock = install_db(&mut st, "stock", vols[2], vols[3], config.db.clone());
-        seed_stock(
-            &mut st,
-            &mut stock,
-            config.workload.items,
-            config.workload.initial_stock,
+        let mut sites = Sites::new(config.seed, config.engine.clone(), &config.perf, &config.link);
+        let sizes = volume_sizes(&config.db);
+        let volumes = |st: &mut StorageWorld, array: ArrayId, suffix: &str| -> [VolRef; 4] {
+            std::array::from_fn(|i| {
+                st.create_volume(array, format!("{}{suffix}", VOLUME_NAMES[i]), sizes[i])
+            })
+        };
+        let vols = volumes(&mut sites.st, sites.main, "");
+        // The shop goes onto its volumes before any pair exists: the
+        // initial copy carries the formatted, seeded images across.
+        let mut world = DemoWorld::with_shop(
+            sites.st,
+            vols,
+            config.seed,
+            config.db.clone(),
+            config.workload.clone(),
         );
+        let st = &mut world.st;
 
-        let mut metro_site = None;
-        let (replicas, groups) = match config.mode {
-            BackupMode::None => (None, Vec::new()),
-            mode => {
-                let reps: Vec<VolRef> = VOLUME_NAMES
-                    .iter()
-                    .zip(sizes)
-                    .map(|(n, s)| st.create_volume(backup, format!("{n}-r"), s))
-                    .collect();
-                let mut groups = Vec::new();
-                match mode {
-                    BackupMode::AdcConsistencyGroup => {
-                        let g = st.create_adc_group(
-                            "cg-shop",
-                            link,
-                            reverse,
-                            config.journal_capacity,
-                        );
-                        for i in 0..4 {
-                            st.add_pair(g, vols[i], reps[i]);
-                        }
-                        groups.push(g);
-                    }
-                    BackupMode::AdcPerVolume => {
-                        for i in 0..4 {
-                            let g = st.create_adc_group(
-                                format!("solo-{}", VOLUME_NAMES[i]),
-                                link,
-                                reverse,
-                                config.journal_capacity,
-                            );
-                            st.add_pair(g, vols[i], reps[i]);
-                            groups.push(g);
-                        }
-                    }
-                    BackupMode::Sdc => {
-                        let g = st.create_sdc_group("sdc-shop", link, reverse);
-                        for i in 0..4 {
-                            st.add_pair(g, vols[i], reps[i]);
-                        }
-                        groups.push(g);
-                    }
-                    BackupMode::ThreeDc => {
-                        // Far leg: WAN ADC consistency group (the `backup`
-                        // array plays the far site).
-                        let g = st.create_adc_group(
-                            "cg-shop-far",
-                            link,
-                            reverse,
-                            config.journal_capacity,
-                        );
-                        for i in 0..4 {
-                            st.add_pair(g, vols[i], reps[i]);
-                        }
-                        groups.push(g);
-                        // Metro leg: a third array, synchronously in step.
-                        let metro = st.add_array("vsp-metro", config.perf.clone());
-                        let mlink = st.add_link(config.metro_link.clone());
-                        let mrev = st.add_link(config.metro_link.clone());
-                        let sg = st.create_sdc_group("sdc-shop-metro", mlink, mrev);
-                        let mreps: Vec<VolRef> = VOLUME_NAMES
-                            .iter()
-                            .zip(sizes)
-                            .map(|(n, s)| st.create_volume(metro, format!("{n}-m"), s))
-                            .collect();
-                        for i in 0..4 {
-                            st.add_pair(sg, vols[i], mreps[i]);
-                        }
-                        metro_site = Some((metro, [mreps[0], mreps[1], mreps[2], mreps[3]]));
-                        groups.push(sg);
-                    }
-                    BackupMode::None => unreachable!(),
-                }
-                (Some([reps[0], reps[1], reps[2], reps[3]]), groups)
+        let (mut replicas, mut metro, mut groups) = (None, None, Vec::new());
+        for leg in config.mode.legs() {
+            let (targets, fwd, rev) = if leg.metro {
+                let array = st.add_array("vsp-metro", config.perf.clone());
+                let fwd = st.add_link(config.metro_link.clone());
+                let rev = st.add_link(config.metro_link.clone());
+                let targets = volumes(st, array, "-m");
+                metro = Some((array, targets));
+                (targets, fwd, rev)
+            } else {
+                let targets = *replicas.get_or_insert_with(|| volumes(st, sites.backup, "-r"));
+                (targets, sites.link, sites.reverse)
+            };
+            let g = if leg.sync {
+                st.create_sdc_group(leg.group, fwd, rev)
+            } else {
+                st.create_adc_group(leg.group, fwd, rev, config.journal_capacity)
+            };
+            for i in leg.vols.clone() {
+                st.add_pair(g, vols[i], targets[i]);
             }
-        };
+            groups.push(g);
+        }
 
-        let app = EcomState {
-            sales,
-            stock,
-            gen: WorkloadGen::new(
-                config.workload.clone(),
-                DetRng::new(config.seed).derive(0xEC0),
-            ),
-            metrics: EcomMetrics::default(),
-            stopped: false,
-            stop_after_orders: None,
-            bank: None,
-            append: None,
-        };
-        let mut world = DemoWorld::new(st);
-        world.install_app(app);
         // Installed after construction: formatting and seeding above go
         // through write_direct and must not appear in the trace — and the
         // history likewise starts at the workload's first operation.
@@ -301,11 +229,11 @@ impl TwoSiteRig {
         TwoSiteRig {
             world,
             sim: Sim::new(),
-            main,
-            backup,
-            vols: [vols[0], vols[1], vols[2], vols[3]],
+            main: sites.main,
+            backup: sites.backup,
+            vols,
             replicas,
-            metro: metro_site,
+            metro,
             groups,
             config,
         }
@@ -400,36 +328,9 @@ impl TwoSiteRig {
     /// business-level checks.
     pub fn recover_from(&self, array: ArrayId, vols: &[VolRef; 4]) -> RecoveryOutcome {
         let arr = self.world.st.array(array);
-        let sales = MiniDb::recover(
-            "sales-recovered",
-            &VolumeView::new(arr, vols[0].volume),
-            &VolumeView::new(arr, vols[1].volume),
-            self.config.db.clone(),
-        );
-        let stock = MiniDb::recover(
-            "stock-recovered",
-            &VolumeView::new(arr, vols[2].volume),
-            &VolumeView::new(arr, vols[3].volume),
-            self.config.db.clone(),
-        );
-        let invariant = match (&sales, &stock) {
-            (Ok((s, _)), Ok((t, _))) => Some(check_cross_db(
-                s,
-                t,
-                self.config.workload.initial_stock,
-            )),
-            _ => None,
-        };
-        let orders = match &sales {
-            Ok((s, _)) => Some(order_rpo(&self.world.app().metrics.committed_log, s)),
-            Err(_) => None,
-        };
-        RecoveryOutcome {
-            sales,
-            stock,
-            invariant,
-            orders,
-        }
+        self.world
+            .app()
+            .recover_image(vols.map(|v| VolumeView::new(arr, v.volume)))
     }
 
     /// Recover from the backup site's replica volumes.
@@ -443,17 +344,19 @@ impl TwoSiteRig {
     pub fn snapshot_backup_group(&mut self, name: &str) -> Vec<SnapshotId> {
         let replicas = self.replicas.expect("rig has no replicas (mode=None)");
         let now = self.sim.now();
-        self.world.st.snapshot_group(
-            self.backup,
-            &[
-                replicas[0].volume,
-                replicas[1].volume,
-                replicas[2].volume,
-                replicas[3].volume,
-            ],
-            name,
-            now,
-        )
+        self.world
+            .st
+            .snapshot_group(self.backup, &replicas.map(|r| r.volume), name, now)
+    }
+
+    /// Open both databases from a snapshot group of the backup array (in
+    /// [`Self::snapshot_backup_group`] order), judging nothing.
+    pub fn open_snapshots(&self, snaps: &[SnapshotId]) -> (Recovered, Recovered) {
+        let snaps: [SnapshotId; 4] = snaps.try_into().expect("a 4-volume snapshot group");
+        let arr = self.world.st.array(self.backup);
+        self.world
+            .app()
+            .open_image(snaps.map(|s| SnapshotView::new(arr, s)))
     }
 
     /// Recover both databases from a snapshot group (in
@@ -464,20 +367,8 @@ impl TwoSiteRig {
         snaps: &[SnapshotId],
         top_k: usize,
     ) -> Result<AnalyticsReport, RecoveryError> {
-        assert_eq!(snaps.len(), 4, "expected a 4-volume snapshot group");
-        let arr = self.world.st.array(self.backup);
-        let (sales, _) = MiniDb::recover(
-            "sales-snap",
-            &SnapshotView::new(arr, snaps[0]),
-            &SnapshotView::new(arr, snaps[1]),
-            self.config.db.clone(),
-        )?;
-        let (stock, _) = MiniDb::recover(
-            "stock-snap",
-            &SnapshotView::new(arr, snaps[2]),
-            &SnapshotView::new(arr, snaps[3]),
-            self.config.db.clone(),
-        )?;
+        let (sales, stock) = self.open_snapshots(snaps);
+        let ((sales, _), (stock, _)) = (sales?, stock?);
         Ok(tsuru_analytics::run_analytics(&sales, &stock, top_k))
     }
 

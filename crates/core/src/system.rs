@@ -16,27 +16,23 @@ use tsuru_container::{
 };
 use tsuru_ecom::driver::start_clients;
 use tsuru_ecom::scan::record_shop_scan;
-use tsuru_ecom::{
-    check_cross_db, install_db, order_rpo, seed_stock, EcomMetrics, EcomState, InvariantReport,
-    OrderRpo, WorkloadConfig, WorkloadGen,
-};
+use tsuru_ecom::{RecoveryOutcome, WorkloadConfig};
 use tsuru_history::{check_history, process, CheckConfig, OpData, Site, Verdict};
-use tsuru_minidb::{DbConfig, MiniDb, RecoveryError};
+use tsuru_minidb::{DbConfig, RecoveryError};
 use tsuru_nso::{NamespaceOperator, NsoConfig};
 use tsuru_plugin::{
     BackupSiteImporter, ReplicationPlugin, ReplicationPluginConfig, SnapshotPlugin,
     SnapshotScheduler, TsuruBlockDriver,
 };
-use tsuru_sim::{DetRng, Sim, SimDuration, SimTime};
+use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::{
     ArrayId, ArrayPerf, ConsistencyReport, EngineConfig, GroupId, RpoReport, SnapshotId,
-    SnapshotView, StorageWorld, VolRef, VolumeId,
+    SnapshotView, StorageWorld, VolRef, VolumeId, VolumeView,
 };
 
 use crate::event::DemoSim;
-use crate::rig::VOLUME_NAMES;
-use crate::world::DemoWorld;
+use crate::world::{volume_sizes, DemoWorld, Sites, VOLUME_NAMES};
 
 /// The CSI driver name used by the demo storage class.
 pub const DRIVER_NAME: &str = "block.csi.tsuru.io";
@@ -90,6 +86,93 @@ impl Default for DemoConfig {
     }
 }
 
+/// Reconcile rounds allowed before a controller set is declared
+/// non-convergent (every shipped scenario converges in two or three).
+pub(crate) const MAX_ROUNDS: u32 = 256;
+
+/// The container platforms over a pair of sites and the controllers that
+/// turn a namespace tag into array pairs: what [`DemoSystem`] runs and
+/// what E5 measures.
+pub(crate) struct Platform {
+    pub main_api: ApiServer,
+    pub backup_api: ApiServer,
+    pub provisioner: Provisioner<TsuruBlockDriver>,
+    pub repl_plugin: ReplicationPlugin,
+    pub nso: NamespaceOperator,
+    pub importer: BackupSiteImporter,
+}
+
+impl Platform {
+    /// Both platforms with the storage class, namespace `ns` holding
+    /// `claims` (metadata, size in blocks) on the main one, and the
+    /// controllers over `sites`. Nothing is reconciled yet.
+    pub(crate) fn new(
+        sites: &Sites,
+        ns: &str,
+        claims: impl IntoIterator<Item = (ObjectMeta, u64)>,
+        journal_capacity_bytes: u64,
+        nso: NsoConfig,
+    ) -> Self {
+        let api_server = || {
+            let mut api = ApiServer::new();
+            api.storage_classes.create(StorageClass {
+                meta: ObjectMeta::cluster(STORAGE_CLASS),
+                provisioner: DRIVER_NAME.into(),
+                parameters: Default::default(),
+            });
+            api
+        };
+        let mut main_api = api_server();
+        main_api.namespaces.create(Namespace {
+            meta: ObjectMeta::cluster(ns),
+        });
+        for (meta, size_blocks) in claims {
+            main_api.pvcs.create(PersistentVolumeClaim {
+                meta,
+                storage_class: STORAGE_CLASS.into(),
+                size_blocks,
+                phase: ClaimPhase::Pending,
+                volume_name: None,
+            });
+        }
+        Platform {
+            main_api,
+            backup_api: api_server(),
+            provisioner: Provisioner::new(TsuruBlockDriver::new(sites.main, DRIVER_NAME)),
+            repl_plugin: ReplicationPlugin::new(ReplicationPluginConfig {
+                main_array: sites.main,
+                backup_array: sites.backup,
+                link: sites.link,
+                reverse: sites.reverse,
+                journal_capacity_bytes,
+            }),
+            nso: NamespaceOperator::new(nso),
+            importer: BackupSiteImporter::new(sites.backup),
+        }
+    }
+
+    /// Dynamically provision every pending claim on the main array (no
+    /// backup tag yet, so no replication).
+    pub(crate) fn provision(&mut self, st: &mut StorageWorld) {
+        ControllerManager::run_to_convergence(
+            &mut self.main_api,
+            st,
+            &mut [&mut self.provisioner],
+            MAX_ROUNDS,
+        );
+    }
+}
+
+/// The paper's single user action: tag namespace `ns` for backup.
+pub(crate) fn tag_namespace(main_api: &mut ApiServer, ns: &str) {
+    main_api.namespaces.update(ns, |n| {
+        n.meta
+            .labels
+            .insert(BACKUP_TAG_KEY.into(), BACKUP_TAG_VALUE.into());
+        true
+    });
+}
+
 /// The assembled demonstration system.
 pub struct DemoSystem {
     /// Discrete-event state (storage + application).
@@ -123,82 +206,35 @@ impl DemoSystem {
     /// Build the whole system: platforms, storage classes, namespace,
     /// claims, pods; provision volumes; install and seed the databases.
     pub fn new(config: DemoConfig) -> Self {
-        let mut st = StorageWorld::new(config.seed, config.engine.clone());
-        let main_array = st.add_array("vsp-main", config.perf.clone());
-        let backup_array = st.add_array("vsp-backup", config.perf.clone());
-        let link = st.add_link(config.link.clone());
-        let reverse = st.add_link(config.link.clone());
-
-        // --- main platform -------------------------------------------------
-        let mut main_api = ApiServer::new();
-        main_api.storage_classes.create(StorageClass {
-            meta: ObjectMeta::cluster(STORAGE_CLASS),
-            provisioner: DRIVER_NAME.into(),
-            parameters: Default::default(),
-        });
+        let mut sites = Sites::new(config.seed, config.engine.clone(), &config.perf, &config.link);
         let ns = config.namespace.clone();
-        main_api.namespaces.create(Namespace {
-            meta: ObjectMeta::cluster(&ns),
+        let claims = VOLUME_NAMES.iter().zip(volume_sizes(&config.db)).map(|(name, size)| {
+            let meta = ObjectMeta::namespaced(&ns, *name).with_label("app", "shop");
+            (meta, size)
         });
-        let sizes = [
-            config.db.wal_blocks,
-            config.db.data_blocks,
-            config.db.wal_blocks,
-            config.db.data_blocks,
-        ];
-        for (name, size) in VOLUME_NAMES.iter().zip(sizes) {
-            main_api.pvcs.create(PersistentVolumeClaim {
-                meta: ObjectMeta::namespaced(&ns, *name).with_label("app", "shop"),
-                storage_class: STORAGE_CLASS.into(),
-                size_blocks: size,
-                phase: ClaimPhase::Pending,
-                volume_name: None,
-            });
-        }
+        let mut platform = Platform::new(
+            &sites,
+            &ns,
+            claims,
+            config.journal_capacity,
+            config.nso.clone(),
+        );
         for (pod, claims) in [
             ("sales-db", vec!["sales-wal", "sales-data"]),
             ("stock-db", vec!["stock-wal", "stock-data"]),
             ("shop-app", vec![]),
         ] {
-            main_api.pods.create(Pod {
+            platform.main_api.pods.create(Pod {
                 meta: ObjectMeta::namespaced(&ns, pod),
                 pvc_names: claims.into_iter().map(String::from).collect(),
                 running: true,
             });
         }
-
-        // --- backup platform ------------------------------------------------
-        let mut backup_api = ApiServer::new();
-        backup_api.storage_classes.create(StorageClass {
-            meta: ObjectMeta::cluster(STORAGE_CLASS),
-            provisioner: DRIVER_NAME.into(),
-            parameters: Default::default(),
-        });
-
-        // --- controllers -----------------------------------------------------
-        let mut provisioner =
-            Provisioner::new(TsuruBlockDriver::new(main_array, DRIVER_NAME));
-        let repl_plugin = ReplicationPlugin::new(ReplicationPluginConfig {
-            main_array,
-            backup_array,
-            link,
-            reverse,
-            journal_capacity_bytes: config.journal_capacity,
-        });
-        let nso = NamespaceOperator::new(config.nso.clone());
-        let importer = BackupSiteImporter::new(backup_array);
-        let snap_plugin = SnapshotPlugin::new(backup_array);
-
-        // Provision the claims (no backup tag yet, so no replication).
-        ControllerManager::run_to_convergence(
-            &mut main_api,
-            &mut st,
-            &mut [&mut provisioner],
-            32,
-        );
+        platform.provision(&mut sites.st);
 
         // Resolve the claims to array volumes.
-        let resolve = |api: &ApiServer, name: &str| -> VolRef {
+        let vols = VOLUME_NAMES.map(|name| {
+            let api = &platform.main_api;
             let pvc = api
                 .pvcs
                 .get(&format!("{ns}/{name}"))
@@ -209,52 +245,26 @@ impl DemoSystem {
                 .get(pvc.volume_name.as_deref().expect("bound claim has pv"))
                 .expect("pv exists");
             VolRef::new(ArrayId(pv.handle.array), VolumeId(pv.handle.volume))
-        };
-        let vols = [
-            resolve(&main_api, VOLUME_NAMES[0]),
-            resolve(&main_api, VOLUME_NAMES[1]),
-            resolve(&main_api, VOLUME_NAMES[2]),
-            resolve(&main_api, VOLUME_NAMES[3]),
-        ];
-
-        // Install and seed the databases on the provisioned volumes.
-        let sales = install_db(&mut st, "sales", vols[0], vols[1], config.db.clone());
-        let mut stock = install_db(&mut st, "stock", vols[2], vols[3], config.db.clone());
-        seed_stock(
-            &mut st,
-            &mut stock,
-            config.workload.items,
-            config.workload.initial_stock,
-        );
-
-        let app = EcomState {
-            sales,
-            stock,
-            gen: WorkloadGen::new(
-                config.workload.clone(),
-                DetRng::new(config.seed).derive(0xEC0),
-            ),
-            metrics: EcomMetrics::default(),
-            stopped: false,
-            stop_after_orders: None,
-            bank: None,
-            append: None,
-        };
-        let mut world = DemoWorld::new(st);
-        world.install_app(app);
+        });
 
         let mut system = DemoSystem {
-            world,
+            world: DemoWorld::with_shop(
+                sites.st,
+                vols,
+                config.seed,
+                config.db.clone(),
+                config.workload.clone(),
+            ),
             sim: Sim::new(),
-            main_api,
-            backup_api,
-            main_array,
-            backup_array,
-            provisioner,
-            repl_plugin,
-            nso,
-            importer,
-            snap_plugin,
+            main_api: platform.main_api,
+            backup_api: platform.backup_api,
+            main_array: sites.main,
+            backup_array: sites.backup,
+            provisioner: platform.provisioner,
+            repl_plugin: platform.repl_plugin,
+            nso: platform.nso,
+            importer: platform.importer,
+            snap_plugin: SnapshotPlugin::new(sites.backup),
             schedulers: Vec::new(),
             namespace: ns,
             vols,
@@ -287,7 +297,7 @@ impl DemoSystem {
                 &mut self.provisioner,
                 &mut self.repl_plugin,
             ],
-            64,
+            MAX_ROUNDS,
         );
         self.charge_reconcile(report.rounds);
         report
@@ -306,7 +316,7 @@ impl DemoSystem {
             &mut self.backup_api,
             &mut self.world.st,
             &mut controllers,
-            64,
+            MAX_ROUNDS,
         );
         self.charge_reconcile(report.rounds);
         report
@@ -355,12 +365,7 @@ impl DemoSystem {
         ));
         let before = self.backup_api.pvcs.len();
         self.log(format!("    backup-site claims before tagging: {before}"));
-        self.main_api.namespaces.update(&ns, |n| {
-            n.meta
-                .labels
-                .insert(BACKUP_TAG_KEY.into(), BACKUP_TAG_VALUE.into());
-            true
-        });
+        tag_namespace(&mut self.main_api, &ns);
         let main = self.reconcile_main();
         let backup = self.reconcile_backup();
         let after = self.backup_api.pvcs.len();
@@ -442,18 +447,10 @@ impl DemoSystem {
                 .unwrap_or_else(|| panic!("snapshot for {name} missing"))
         };
         let arr = self.world.st.array(self.backup_array);
-        let (sales, _) = MiniDb::recover(
-            "sales-analytics",
-            &SnapshotView::new(arr, find(VOLUME_NAMES[0])),
-            &SnapshotView::new(arr, find(VOLUME_NAMES[1])),
-            self.config.db.clone(),
-        )?;
-        let (stock, _) = MiniDb::recover(
-            "stock-analytics",
-            &SnapshotView::new(arr, find(VOLUME_NAMES[2])),
-            &SnapshotView::new(arr, find(VOLUME_NAMES[3])),
-            self.config.db.clone(),
-        )?;
+        let app = self.world.app();
+        let (sales, stock) =
+            app.open_image(VOLUME_NAMES.map(|name| SnapshotView::new(arr, find(name))));
+        let ((sales, _), (stock, _)) = (sales?, stock?);
         // The analytics scan is a real client of the backup image: when
         // history recording is on, it enters the op history as a
         // mid-run backup observation.
@@ -464,7 +461,7 @@ impl DemoSystem {
             Site::Backup,
             &sales,
             &stock,
-            self.config.workload.initial_stock,
+            app.gen.config.initial_stock,
         );
         let report = tsuru_analytics::run_analytics(&sales, &stock, top_k);
         for line in report.render() {
@@ -516,72 +513,40 @@ impl DemoSystem {
 
     /// Recover the business process from the backup site's live replica
     /// volumes (after failover) and run the business-level checks.
-    pub fn recover_business(&mut self) -> BusinessRecovery {
+    pub fn recover_business(&mut self) -> RecoveryOutcome {
         let ns = self.namespace.clone();
         let arr = self.world.st.array(self.backup_array);
-        let vol_by_name = |name: &str| -> VolumeId {
+        let replica = |name: &str| {
             let claim_key = format!("{ns}/{name}");
-            arr.volume_ids()
+            let vol = arr
+                .volume_ids()
                 .into_iter()
                 .find(|&v| arr.volume(v).name() == claim_key)
-                .unwrap_or_else(|| panic!("replica volume for {claim_key} missing"))
+                .unwrap_or_else(|| panic!("replica volume for {claim_key} missing"));
+            VolumeView::new(arr, vol)
         };
-        let sales = MiniDb::recover(
-            "sales-dr",
-            &tsuru_storage::VolumeView::new(arr, vol_by_name(VOLUME_NAMES[0])),
-            &tsuru_storage::VolumeView::new(arr, vol_by_name(VOLUME_NAMES[1])),
-            self.config.db.clone(),
-        );
-        let stock = MiniDb::recover(
-            "stock-dr",
-            &tsuru_storage::VolumeView::new(arr, vol_by_name(VOLUME_NAMES[2])),
-            &tsuru_storage::VolumeView::new(arr, vol_by_name(VOLUME_NAMES[3])),
-            self.config.db.clone(),
-        );
+        let app = self.world.app();
+        let outcome = app.recover_image(VOLUME_NAMES.map(replica));
         // What a client of the promoted replica actually observes,
         // recorded into the op history (if enabled). A replica that
         // will not crash-recover is recorded as a failed observation —
         // the strongest client-visible collapse.
-        if let (Ok((s, _)), Ok((t, _))) = (&sales, &stock) {
-            record_shop_scan(
-                &self.world.st.history,
-                process::JUDGE,
-                self.sim.now(),
-                Site::Backup,
-                s,
-                t,
-                self.config.workload.initial_stock,
-            );
-        } else if self.world.st.history.is_enabled() {
-            let hist = &self.world.st.history;
-            let now = self.sim.now();
+        let hist = &self.world.st.history;
+        let now = self.sim.now();
+        if let (Ok((s, _)), Ok((t, _))) = (&outcome.sales, &outcome.stock) {
+            let initial_stock = app.gen.config.initial_stock;
+            record_shop_scan(hist, process::JUDGE, now, Site::Backup, s, t, initial_stock);
+        } else if hist.is_enabled() {
             let op = hist.invoke(process::JUDGE, now, OpData::ReadShop { site: Site::Backup });
             hist.fail(process::JUDGE, op, now, OpData::None);
         }
-        let invariant = match (&sales, &stock) {
-            (Ok((s, _)), Ok((t, _))) => Some(check_cross_db(
-                s,
-                t,
-                self.config.workload.initial_stock,
-            )),
-            _ => None,
-        };
-        let orders = match &sales {
-            Ok((s, _)) => Some(order_rpo(&self.world.app().metrics.committed_log, s)),
-            Err(_) => None,
-        };
-        let ok = invariant.as_ref().is_some_and(|i| i.consistent());
         self.log(format!(
-            "    business recovery: sales={}, stock={}, cross-db consistent={ok}",
-            sales.is_ok(),
-            stock.is_ok()
+            "    business recovery: sales={}, stock={}, cross-db consistent={}",
+            outcome.sales.is_ok(),
+            outcome.stock.is_ok(),
+            outcome.fully_consistent()
         ));
-        BusinessRecovery {
-            sales_ok: sales.is_ok(),
-            stock_ok: stock.is_ok(),
-            invariant,
-            orders,
-        }
+        outcome
     }
 
     /// Judge the recorded op history with the full checker suite.
@@ -648,26 +613,4 @@ pub struct FailoverReport {
     pub rto: SimDuration,
     /// Journal entries drained during promotion.
     pub entries_applied_at_promote: u64,
-}
-
-/// Outcome of business-process recovery at the backup site.
-#[derive(Debug)]
-pub struct BusinessRecovery {
-    /// Sales database recovered.
-    pub sales_ok: bool,
-    /// Stock database recovered.
-    pub stock_ok: bool,
-    /// Cross-database invariant result.
-    pub invariant: Option<InvariantReport>,
-    /// Business-level RPO.
-    pub orders: Option<OrderRpo>,
-}
-
-impl BusinessRecovery {
-    /// Both databases recovered and the invariant holds.
-    pub fn fully_consistent(&self) -> bool {
-        self.sales_ok
-            && self.stock_ok
-            && self.invariant.as_ref().is_some_and(|i| i.consistent())
-    }
 }

@@ -390,13 +390,8 @@ pub fn run_e12_trial(seed: u64, tenants: u32) -> E12Row {
 /// The E12 tenant-scaling sweep: one harness trial per tenant count.
 /// Byte-identical rows at any worker count (each sweep point is an
 /// independent world seeded from `(seed, index)`).
-pub fn e12_scale_with(
-    harness: &TrialHarness,
-    seed: u64,
-    tenant_counts: &[u32],
-) -> TrialSet<E12Row> {
-    let counts = tenant_counts.to_vec();
-    harness.run(seed, counts.len(), |ctx| run_e12_trial(ctx.seed, counts[ctx.index]))
+pub fn e12_scale(harness: &TrialHarness, seed: u64, tenants: &[u32]) -> TrialSet<E12Row> {
+    harness.run(seed, tenants.len(), |ctx| run_e12_trial(ctx.seed, tenants[ctx.index]))
 }
 
 #[cfg(test)]
@@ -447,8 +442,8 @@ mod tests {
     fn trial_rows_are_thread_count_invariant() {
         let counts = [4, 9];
         let serial = TrialHarness::serial();
-        let a = e12_scale_with(&serial, 5, &counts);
-        let b = e12_scale_with(&TrialHarness::new(4), 5, &counts);
+        let a = e12_scale(&serial, 5, &counts);
+        let b = e12_scale(&TrialHarness::new(4), 5, &counts);
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
         }

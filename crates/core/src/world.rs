@@ -1,45 +1,78 @@
 //! The simulation world: storage + application state under one roof.
 
-use tsuru_ecom::{EcomState, HasEcom};
-use tsuru_storage::{HasStorage, StorageWorld};
+use tsuru_ecom::{EcomState, HasEcom, WorkloadConfig};
+use tsuru_minidb::DbConfig;
+use tsuru_sim::DetRng;
+use tsuru_simnet::{LinkConfig, LinkId};
+use tsuru_storage::{ArrayId, ArrayPerf, EngineConfig, HasStorage, StorageWorld, VolRef};
+
+/// Volume roles of the shop, in the fixed order every four-volume array
+/// in this crate uses (and [`EcomState::install`] expects).
+pub const VOLUME_NAMES: [&str; 4] = ["sales-wal", "sales-data", "stock-wal", "stock-data"];
+
+/// Block counts of the shop's volumes for a database geometry, in
+/// [`VOLUME_NAMES`] order.
+pub(crate) fn volume_sizes(db: &DbConfig) -> [u64; 4] {
+    [db.wal_blocks, db.data_blocks, db.wal_blocks, db.data_blocks]
+}
+
+/// What every deployment starts from: a main and a backup array and the
+/// link pair between them. The rig, the demo system and E5 all build on
+/// this and differ only in who creates the volumes.
+pub(crate) struct Sites {
+    pub st: StorageWorld,
+    pub main: ArrayId,
+    pub backup: ArrayId,
+    pub link: LinkId,
+    pub reverse: LinkId,
+}
+
+impl Sites {
+    pub(crate) fn new(seed: u64, engine: EngineConfig, perf: &ArrayPerf, link: &LinkConfig) -> Self {
+        let mut st = StorageWorld::new(seed, engine);
+        Sites {
+            main: st.add_array("vsp-main", perf.clone()),
+            backup: st.add_array("vsp-backup", perf.clone()),
+            link: st.add_link(link.clone()),
+            reverse: st.add_link(link.clone()),
+            st,
+        }
+    }
+}
 
 /// The discrete-event state of the whole demonstration: the storage layer
-/// is always present; the application is installed during setup.
+/// and the business process installed on it.
 #[derive(Debug)]
 pub struct DemoWorld {
     /// Arrays, links, replication fabric, ack log.
     pub st: StorageWorld,
-    /// The business process (sales + stock databases, clients, metrics).
-    pub app: Option<EcomState>,
+    app: EcomState,
 }
 
 impl DemoWorld {
-    /// A world with no application yet.
-    pub fn new(st: StorageWorld) -> Self {
-        DemoWorld { st, app: None }
+    /// The world of a deployment whose shop lives on `vols` (main-site
+    /// volumes in [`VOLUME_NAMES`] order): databases formatted and seeded,
+    /// order generator on the `0xEC0` stream of `seed`.
+    pub(crate) fn with_shop(
+        mut st: StorageWorld,
+        vols: [VolRef; 4],
+        seed: u64,
+        db: DbConfig,
+        workload: WorkloadConfig,
+    ) -> Self {
+        let rng = DetRng::new(seed).derive(0xEC0);
+        let app = EcomState::install(&mut st, vols, db, workload, rng);
+        DemoWorld { st, app }
     }
 
-    /// Install the application (setup step).
-    pub fn install_app(&mut self, app: EcomState) {
-        assert!(self.app.is_none(), "application already installed");
-        self.app = Some(app);
-    }
-
-    /// Borrow the application.
-    ///
-    /// # Panics
-    /// Panics if the application is not installed yet.
+    /// The business process (sales + stock databases, clients, metrics).
     pub fn app(&self) -> &EcomState {
-        self.app
-            .as_ref()
-            .expect("invariant: install_app runs before any workload event")
+        &self.app
     }
 
-    /// Mutably borrow the application.
+    /// The business process, mutably.
     pub fn app_mut(&mut self) -> &mut EcomState {
-        self.app
-            .as_mut()
-            .expect("invariant: install_app runs before any workload event")
+        &mut self.app
     }
 }
 

@@ -4,8 +4,7 @@
 //! on top of the paper's failover story.
 
 use tsuru_core::{BackupMode, RigConfig, TwoSiteRig};
-use tsuru_ecom::{check_cross_db, ORDERS_TABLE};
-use tsuru_minidb::MiniDb;
+use tsuru_ecom::ORDERS_TABLE;
 use tsuru_sim::{SimDuration, SimTime};
 use tsuru_storage::VolumeView;
 
@@ -49,24 +48,15 @@ fn restore_rewinds_to_the_snapshot_instant_and_can_continue() {
 
     // Open the databases on the restored volumes.
     let arr = rig.world.st.array(backup);
-    let (sales, sales_rep) = MiniDb::recover(
-        "sales-restored",
-        &VolumeView::new(arr, restored[0]),
-        &VolumeView::new(arr, restored[1]),
-        rig.config.db.clone(),
-    )
-    .expect("restored sales recovers");
-    let (stock, _) = MiniDb::recover(
-        "stock-restored",
-        &VolumeView::new(arr, restored[2]),
-        &VolumeView::new(arr, restored[3]),
-        rig.config.db.clone(),
-    )
-    .expect("restored stock recovers");
+    let app = rig.world.app();
+    let views: [VolumeView; 4] = std::array::from_fn(|i| VolumeView::new(arr, restored[i]));
+    let (sales, stock) = app.open_image(views);
+    let (sales, sales_rep) = sales.expect("restored sales recovers");
+    let (stock, _) = stock.expect("restored stock recovers");
 
     // The restored state is the T1 image: consistent, and strictly older
     // than the end state.
-    let inv = check_cross_db(&sales, &stock, rig.config.workload.initial_stock);
+    let inv = app.check_image(&sales, &stock);
     assert!(inv.consistent(), "{:?}", inv.violations);
     let restored_orders = sales.scan_table(ORDERS_TABLE).len() as u64;
     assert!(restored_orders <= committed_at_t1);

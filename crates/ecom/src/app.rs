@@ -1,14 +1,14 @@
 //! Application state: two databases, metrics, setup helpers.
 
 use tsuru_minidb::{DbConfig, DbVol, IoPlan, LogFlusher, MiniDb};
-use tsuru_sim::{Histogram, SimTime};
+use tsuru_sim::{DetRng, Histogram, SimTime};
 use tsuru_storage::{StorageWorld, VolRef};
 
 use crate::append::AppendState;
 use crate::bank::BankState;
 use crate::driver::{Waiter, Which};
 use crate::model::{StockRow, STOCK_TABLE};
-use crate::workload::WorkloadGen;
+use crate::workload::{WorkloadConfig, WorkloadGen};
 
 /// One database instance, its log flusher and the volumes backing it.
 #[derive(Debug)]
@@ -95,6 +95,33 @@ pub struct EcomState {
 }
 
 impl EcomState {
+    /// Install the shop on four volumes — sales WAL, sales data, stock
+    /// WAL, stock data: format both databases with geometry `db`, seed the
+    /// stock catalogue `workload` describes and put the order generator on
+    /// `rng`. Setup time: everything is written directly, before any
+    /// replication pair exists.
+    pub fn install(
+        st: &mut StorageWorld,
+        vols: [VolRef; 4],
+        db: DbConfig,
+        workload: WorkloadConfig,
+        rng: DetRng,
+    ) -> Self {
+        let sales = install_db(st, "sales", vols[0], vols[1], db.clone());
+        let mut stock = install_db(st, "stock", vols[2], vols[3], db);
+        seed_stock(st, &mut stock, workload.items, workload.initial_stock);
+        EcomState {
+            sales,
+            stock,
+            gen: WorkloadGen::new(workload, rng),
+            metrics: EcomMetrics::default(),
+            stopped: false,
+            stop_after_orders: None,
+            bank: None,
+            append: None,
+        }
+    }
+
     /// The instance of `which` database.
     pub fn instance(&self, which: Which) -> &DbInstance {
         match which {
@@ -133,7 +160,7 @@ pub trait HasEcom {
 
 /// Apply an [`IoPlan`] to volumes instantly, bypassing the data path —
 /// setup only (database formatting and seeding before replication starts).
-pub fn apply_plan_direct(st: &mut StorageWorld, plan: &IoPlan, wal: VolRef, data: VolRef) {
+fn apply_plan_direct(st: &mut StorageWorld, plan: &IoPlan, wal: VolRef, data: VolRef) {
     for phase in &plan.phases {
         for io in phase {
             let vol = match io.vol {
@@ -146,7 +173,7 @@ pub fn apply_plan_direct(st: &mut StorageWorld, plan: &IoPlan, wal: VolRef, data
 }
 
 /// Create and format a database onto the given volumes (setup time).
-pub fn install_db(
+fn install_db(
     st: &mut StorageWorld,
     name: &str,
     wal_vol: VolRef,
@@ -160,7 +187,7 @@ pub fn install_db(
 
 /// Seed the stock catalogue with `items` rows of `initial_stock` units
 /// (setup time; written directly).
-pub fn seed_stock(st: &mut StorageWorld, stock: &mut DbInstance, items: usize, initial: u64) {
+fn seed_stock(st: &mut StorageWorld, stock: &mut DbInstance, items: usize, initial: u64) {
     let tx = stock.db.begin();
     for item in 0..items as u64 {
         stock
@@ -180,9 +207,7 @@ pub fn seed_stock(st: &mut StorageWorld, stock: &mut DbInstance, items: usize, i
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::WorkloadConfig;
     use tsuru_minidb::TableId;
-    use tsuru_sim::DetRng;
     use tsuru_storage::{ArrayPerf, EngineConfig, VolumeView};
 
     #[test]
@@ -227,18 +252,13 @@ mod tests {
             wal_blocks: 64,
             checkpoint_threshold: 0.8,
         };
-        let sales = install_db(&mut st, "sales", sw, sd, cfg.clone());
-        let stock = install_db(&mut st, "stock", tw, td, cfg);
-        let state = EcomState {
-            sales,
-            stock,
-            gen: WorkloadGen::new(WorkloadConfig::default(), DetRng::new(1)),
-            metrics: EcomMetrics::default(),
-            stopped: false,
-            stop_after_orders: None,
-            bank: None,
-            append: None,
-        };
+        let state = EcomState::install(
+            &mut st,
+            [sw, sd, tw, td],
+            cfg,
+            WorkloadConfig::default(),
+            DetRng::new(1),
+        );
         assert_eq!(state.sales.volref(DbVol::Wal), sw);
         assert_eq!(state.sales.volref(DbVol::Data), sd);
         assert_eq!(state.stock.volref(DbVol::Data), td);

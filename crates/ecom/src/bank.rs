@@ -2,7 +2,7 @@
 //! never changes.
 //!
 //! Accounts reuse the stock catalogue — each item row *is* an account,
-//! its quantity the balance, seeded by [`crate::seed_stock`] — so the
+//! its quantity the balance, seeded by [`crate::EcomState::install`] — so the
 //! invariant total is `items × initial_stock`. Closed-loop clients move
 //! random amounts between random account pairs in single stock-database
 //! transactions (read both balances, write both), and periodically read

@@ -9,23 +9,14 @@
 //! sold in recorded orders*. An order whose stock decrement is missing is a
 //! collapse.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
+use tsuru_history::check::shop::oversold;
+pub use tsuru_history::check::shop::Oversold;
 use tsuru_minidb::MiniDb;
 use tsuru_sim::SimTime;
 
 use crate::model::{OrderRow, StockRow, ORDERS_TABLE, STOCK_TABLE};
-
-/// One item's violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Oversold {
-    /// Item id.
-    pub item: u64,
-    /// Units sold according to the sales database.
-    pub sold: u64,
-    /// Units actually decremented from stock.
-    pub decremented: u64,
-}
 
 /// Outcome of the cross-database check.
 #[derive(Debug, Clone)]
@@ -48,7 +39,7 @@ impl InvariantReport {
 /// Check the recovered pair of databases against the initial stock level.
 pub fn check_cross_db(sales: &MiniDb, stock: &MiniDb, initial_stock: u64) -> InvariantReport {
     // Units sold per item, from the orders table.
-    let mut sold: HashMap<u64, u64> = HashMap::new();
+    let mut sold: BTreeMap<u64, u64> = BTreeMap::new();
     let orders = sales.scan_table(ORDERS_TABLE);
     for (_, buf) in &orders {
         if let Some(row) = OrderRow::decode(buf) {
@@ -56,30 +47,18 @@ pub fn check_cross_db(sales: &MiniDb, stock: &MiniDb, initial_stock: u64) -> Inv
         }
     }
     // Units decremented per item, from the stock table.
-    let mut violations = Vec::new();
     let items = stock.scan_table(STOCK_TABLE);
-    let items_checked = items.len();
-    let mut known: HashMap<u64, u64> = HashMap::new();
-    for (item, buf) in &items {
-        if let Some(row) = StockRow::decode(buf) {
-            known.insert(*item, initial_stock.saturating_sub(row.quantity));
-        }
-    }
-    for (&item, &units_sold) in &sold {
-        let decremented = known.get(&item).copied().unwrap_or(0);
-        if units_sold > decremented {
-            violations.push(Oversold {
-                item,
-                sold: units_sold,
-                decremented,
-            });
-        }
-    }
-    violations.sort_by_key(|v| v.item);
+    let decremented: BTreeMap<u64, u64> = items
+        .iter()
+        .filter_map(|(item, buf)| {
+            let row = StockRow::decode(buf)?;
+            Some((*item, initial_stock.saturating_sub(row.quantity)))
+        })
+        .collect();
     InvariantReport {
-        items_checked,
+        items_checked: items.len(),
         orders_found: orders.len() as u64,
-        violations,
+        violations: oversold(&sold, &decremented),
     }
 }
 

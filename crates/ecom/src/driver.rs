@@ -436,12 +436,12 @@ pub type Order = OrderSpec;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{install_db, seed_stock, EcomMetrics, EcomState};
-    use crate::workload::{WorkloadConfig, WorkloadGen};
+    use crate::app::EcomState;
+    use crate::workload::WorkloadConfig;
     use tsuru_minidb::{DbConfig, MiniDb, Superblock};
     use tsuru_sim::DetRng;
     use tsuru_storage::{
-        ArrayId, ArrayPerf, BlockDevice, EngineConfig, StorageWorld, VolRef, VolumeView,
+        ArrayId, ArrayPerf, BlockDevice, EngineConfig, StorageWorld, VolumeView,
     };
 
     struct World {
@@ -478,28 +478,14 @@ mod tests {
     fn world() -> (World, Sim<World>, ArrayId) {
         let mut st = StorageWorld::new(11, EngineConfig::default());
         let main = st.add_array("main", ArrayPerf::default());
-        let vols: Vec<VolRef> = [("sw", 2), ("sd", 256), ("tw", 2), ("td", 256)]
-            .into_iter()
-            .map(|(name, blocks)| st.create_volume(main, name, blocks))
-            .collect();
-        let sales = install_db(&mut st, "sales", vols[0], vols[1], DB);
-        let mut stock = install_db(&mut st, "stock", vols[2], vols[3], DB);
+        let vols = [("sw", 2), ("sd", 256), ("tw", 2), ("td", 256)]
+            .map(|(name, blocks)| st.create_volume(main, name, blocks));
         let wl = WorkloadConfig {
             think_time_mean: SimDuration::from_micros(300),
             items: 20,
             ..WorkloadConfig::default()
         };
-        seed_stock(&mut st, &mut stock, wl.items, wl.initial_stock);
-        let ecom = EcomState {
-            sales,
-            stock,
-            gen: WorkloadGen::new(wl, DetRng::new(11).derive(1)),
-            metrics: EcomMetrics::default(),
-            stopped: false,
-            stop_after_orders: None,
-            bank: None,
-            append: None,
-        };
+        let ecom = EcomState::install(&mut st, vols, DB, wl, DetRng::new(11).derive(1));
         (World { st, ecom }, Sim::new(), main)
     }
 

@@ -14,6 +14,9 @@
 //!   present in a recovered sales database without its stock decrement is
 //!   exactly the "collapsed backup" of the paper.
 //! - [`order_rpo`] — business-level recovery-point metrics.
+//! - [`EcomState::install`] / [`EcomState::open_image`] — the one place the
+//!   shop is put on its four volumes, and the one place it is opened from
+//!   an image of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,17 +27,17 @@ pub mod bank;
 mod checker;
 pub mod driver;
 pub mod event;
+mod image;
 mod model;
 pub mod scan;
 mod workload;
 
-pub use app::{
-    apply_plan_direct, install_db, seed_stock, DbInstance, EcomMetrics, EcomState, HasEcom,
-};
+pub use app::{DbInstance, EcomMetrics, EcomState, HasEcom};
 pub use append::AppendState;
 pub use bank::BankState;
 pub use checker::{check_cross_db, order_rpo, InvariantReport, OrderRpo, Oversold};
 pub use event::{EcomEvents, EcomOp};
+pub use image::{Recovered, RecoveryOutcome};
 pub use model::{
     decode_list, encode_list, OrderRow, StockRow, LISTS_TABLE, ORDERS_TABLE, STOCK_TABLE,
 };

@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn order_ids_are_unique_and_fields_bounded() {
         let mut g = WorkloadGen::new(WorkloadConfig::default(), DetRng::new(1));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..1000 {
             let o = g.next_order(i % 8);
             assert!(seen.insert(o.order_id));

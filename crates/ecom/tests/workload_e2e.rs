@@ -4,15 +4,13 @@
 #![allow(clippy::field_reassign_with_default)]
 
 use tsuru_ecom::driver::start_clients;
-use tsuru_ecom::{
-    check_cross_db, install_db, order_rpo, seed_stock, EcomMetrics, EcomState, HasEcom,
-    WorkloadConfig, WorkloadGen,
-};
-use tsuru_minidb::{DbConfig, MiniDb};
+use tsuru_ecom::{EcomState, HasEcom, RecoveryOutcome, WorkloadConfig};
+use tsuru_minidb::DbConfig;
 use tsuru_sim::{DetRng, Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::{
-    ArrayId, ArrayPerf, EngineConfig, GroupId, HasStorage, StorageWorld, VolRef, VolumeView,
+    ArrayId, ArrayPerf, EngineConfig, GroupId, HasStorage, SnapshotId, SnapshotView, StorageWorld,
+    VolRef, VolumeView,
 };
 
 struct World {
@@ -69,18 +67,16 @@ fn rig(seed: u64, consistency_group: bool, replicate: bool) -> Rig {
     let link = st.add_link(LinkConfig::metro());
     let reverse = st.add_link(LinkConfig::metro());
 
-    let names = ["sales-wal", "sales-data", "stock-wal", "stock-data"];
-    let sizes = [512u64, 4096, 512, 4096];
-    let vols: Vec<VolRef> = names
-        .iter()
-        .zip(sizes)
-        .map(|(n, s)| st.create_volume(main, *n, s))
-        .collect();
+    let volumes = [
+        ("sales-wal", 512u64),
+        ("sales-data", 4096),
+        ("stock-wal", 512),
+        ("stock-data", 4096),
+    ];
+    let vols = volumes.map(|(n, s)| st.create_volume(main, n, s));
 
-    // Databases are formatted and seeded before replication starts; the
+    // The shop is installed and seeded before replication starts; the
     // initial copy then carries the images to the backup site.
-    let sales = install_db(&mut st, "sales", vols[0], vols[1], DB_CFG.clone());
-    let mut stock = install_db(&mut st, "stock", vols[2], vols[3], DB_CFG.clone());
     let wl = WorkloadConfig {
         clients: 8,
         think_time_mean: SimDuration::from_millis(2),
@@ -88,13 +84,9 @@ fn rig(seed: u64, consistency_group: bool, replicate: bool) -> Rig {
         zipf_theta: 0.9,
         initial_stock: 1_000_000,
     };
-    seed_stock(&mut st, &mut stock, wl.items, wl.initial_stock);
+    let ecom = EcomState::install(&mut st, vols, DB_CFG, wl, DetRng::new(seed).derive(99));
 
-    let replicas: Vec<VolRef> = names
-        .iter()
-        .zip(sizes)
-        .map(|(n, s)| st.create_volume(backup, format!("{n}-r"), s))
-        .collect();
+    let replicas = volumes.map(|(n, s)| st.create_volume(backup, format!("{n}-r"), s));
 
     let mut groups = Vec::new();
     if replicate {
@@ -113,44 +105,23 @@ fn rig(seed: u64, consistency_group: bool, replicate: bool) -> Rig {
         }
     }
 
-    let ecom = EcomState {
-        sales,
-        stock,
-        gen: WorkloadGen::new(wl, DetRng::new(seed).derive(99)),
-        metrics: EcomMetrics::default(),
-        stopped: false,
-        stop_after_orders: None,
-        bank: None,
-        append: None,
-    };
     Rig {
         world: World { st, ecom },
         sim: Sim::new(),
         main,
         backup,
-        vols: [vols[0], vols[1], vols[2], vols[3]],
-        replicas: [replicas[0], replicas[1], replicas[2], replicas[3]],
+        vols,
+        replicas,
         groups,
     }
 }
 
-type Recovered = Result<(MiniDb, tsuru_minidb::RecoveryReport), tsuru_minidb::RecoveryError>;
-
-fn recover_pair(st: &StorageWorld, array: ArrayId, vols: &[VolRef; 4]) -> (Recovered, Recovered) {
-    let arr = st.array(array);
-    let sales = MiniDb::recover(
-        "sales-r",
-        &VolumeView::new(arr, vols[0].volume),
-        &VolumeView::new(arr, vols[1].volume),
-        DB_CFG.clone(),
-    );
-    let stock = MiniDb::recover(
-        "stock-r",
-        &VolumeView::new(arr, vols[2].volume),
-        &VolumeView::new(arr, vols[3].volume),
-        DB_CFG.clone(),
-    );
-    (sales, stock)
+/// Open the shop from four volumes of one array and judge the image.
+fn recover(world: &World, array: ArrayId, vols: [VolRef; 4]) -> RecoveryOutcome {
+    let arr = world.st.array(array);
+    world
+        .ecom
+        .recover_image(vols.map(|v| VolumeView::new(arr, v.volume)))
 }
 
 #[test]
@@ -165,13 +136,11 @@ fn workload_commits_and_live_volumes_recover_exactly() {
     assert_eq!(m.failed_writes, 0);
     assert!(m.txn_latency.summary().p50 > 0);
 
-    let (sales, stock) = recover_pair(&r.world.st, r.main, &r.vols);
-    let (sales, _) = sales.expect("sales recovers");
-    let (stock, _) = stock.expect("stock recovers");
-    let rep = check_cross_db(&sales, &stock, 1_000_000);
+    let image = recover(&r.world, r.main, r.vols);
+    let rep = image.invariant.expect("sales and stock recover");
     assert!(rep.consistent(), "{:?}", rep.violations);
     assert_eq!(rep.orders_found, 300);
-    let rpo = order_rpo(&r.world.ecom.metrics.committed_log, &sales);
+    let rpo = image.orders.expect("sales recovers");
     assert_eq!(rpo.lost, 0, "live volumes lose nothing after drain");
 }
 
@@ -199,14 +168,12 @@ fn consistency_group_failover_never_collapses() {
         assert!(rep.is_consistent(), "seed {seed}: {rep:?}");
 
         // Behavioural verdict: both DBs recover, invariant holds.
-        let (sales, stock) = recover_pair(&r.world.st, r.backup, &r.replicas);
-        let (sales, _) = sales.expect("sales recovers from CG backup");
-        let (stock, _) = stock.expect("stock recovers from CG backup");
-        let inv = check_cross_db(&sales, &stock, 1_000_000);
+        let image = recover(&r.world, r.backup, r.replicas);
+        let inv = image.invariant.expect("both recover from CG backup");
         assert!(inv.consistent(), "seed {seed}: {:?}", inv.violations);
 
         // RPO is bounded: we lose only the un-replicated tail.
-        let rpo = order_rpo(&r.world.ecom.metrics.committed_log, &sales);
+        let rpo = image.orders.expect("sales recovers from CG backup");
         assert_eq!(rpo.committed, committed);
         assert!(rpo.recovered > 0, "seed {seed}: backup has data");
     }
@@ -232,15 +199,9 @@ fn naive_groups_produce_skewed_cuts() {
         if !rep.prefix.consistent {
             storage_collapses += 1;
         }
-        let (sales, stock) = recover_pair(&r.world.st, r.backup, &r.replicas);
-        match (sales, stock) {
-            (Ok((sales, _)), Ok((stock, _))) => {
-                if !check_cross_db(&sales, &stock, 1_000_000).consistent() {
-                    business_collapses += 1;
-                }
-            }
-            // A hard recovery failure is also a collapse.
-            _ => business_collapses += 1,
+        // A hard recovery failure is also a collapse.
+        if !recover(&r.world, r.backup, r.replicas).fully_consistent() {
+            business_collapses += 1;
         }
     }
     assert!(
@@ -248,9 +209,70 @@ fn naive_groups_produce_skewed_cuts() {
         "naive per-volume ADC should usually violate write-order fidelity \
          (got {storage_collapses}/5)"
     );
-    // Business-level damage is probabilistic per seed; the benches quantify
-    // it over many trials. Here we only require the mechanism to exist.
+    // Business-level damage is probabilistic per seed; E2 quantifies it
+    // over many trials. Here we only require the mechanism to exist.
     println!("business collapses: {business_collapses}/5");
+}
+
+/// What an opened image reports, without the engines themselves.
+fn verdict(image: &RecoveryOutcome) -> String {
+    let (sales, stock) = (image.sales.as_ref(), image.stock.as_ref());
+    let reports = (sales.map(|(_, rep)| rep), stock.map(|(_, rep)| rep));
+    format!("{reports:?} {:?} {:?}", image.invariant, image.orders)
+}
+
+/// One opener for every kind of image: the live replica volumes and an
+/// atomic snapshot group of them taken at the same instant open to the
+/// same outcome.
+#[test]
+fn live_replicas_and_their_snapshot_group_open_to_the_same_outcome() {
+    let mut r = rig(7, true, true);
+    start_clients(&mut r.world, &mut r.sim);
+    r.sim.run_until(&mut r.world, SimTime::from_millis(150));
+    let (now, members) = (r.sim.now(), r.replicas.map(|v| v.volume));
+    let snaps = r.world.st.snapshot_group(r.backup, &members, "pit", now);
+    let snaps: [SnapshotId; 4] = snaps.try_into().expect("four members");
+
+    let live = recover(&r.world, r.backup, r.replicas);
+    assert!(live.fully_consistent());
+    let orders = live.orders.as_ref().expect("sales recovers");
+    assert!(orders.recovered > 50 && orders.lost > 0, "mid-run: {orders:?}");
+    let arr = r.world.st.array(r.backup);
+    let views = snaps.map(|s| SnapshotView::new(arr, s));
+    assert_eq!(verdict(&r.world.ecom.recover_image(views)), verdict(&live));
+}
+
+/// `recover_from`'s semantics, kept by the one opener: a database that
+/// will not open is a hard failure with no invariant, and the order RPO is
+/// still read off the sales database that did open.
+#[test]
+fn an_unopenable_stock_database_is_a_hard_failure_that_still_counts_orders() {
+    let mut r = rig(11, true, false);
+    r.world.ecom.stop_after_orders = Some(100);
+    start_clients(&mut r.world, &mut r.sim);
+    r.sim.run(&mut r.world);
+    let [_, _, stock_wal, stock_data] = r.vols;
+
+    // A wiped stock log is *not* that: the database opens at its last
+    // checkpoint (the seeded catalogue), every decrement is gone, and the
+    // image is a business collapse the invariant names.
+    for lba in 0..DB_CFG.wal_blocks {
+        r.world.st.write_direct(stock_wal, lba, &[]);
+    }
+    let image = recover(&r.world, r.main, r.vols);
+    assert!(!image.hard_failure() && !image.fully_consistent());
+    let inv = image.invariant.expect("both databases open");
+    assert_eq!(inv.orders_found, 100);
+    assert!(inv.violations.iter().all(|v| v.decremented == 0), "{inv:?}");
+
+    // A wiped stock superblock is.
+    r.world.st.write_direct(stock_data, 0, &[]);
+    let image = recover(&r.world, r.main, r.vols);
+    assert!(image.sales.is_ok() && image.stock.is_err());
+    assert!(image.hard_failure() && !image.fully_consistent());
+    assert!(image.invariant.is_none());
+    let rpo = image.orders.expect("sales recovered");
+    assert_eq!((rpo.committed, rpo.recovered, rpo.lost), (100, 100, 0));
 }
 
 #[test]
@@ -289,15 +311,13 @@ fn checkpoints_under_replication_survive_disaster() {
             wal_blocks: 48, // ~150 KiB: checkpoints every few hundred txns
             checkpoint_threshold: 0.7,
         };
-        let names = ["sales-wal", "sales-data", "stock-wal", "stock-data"];
-        let sizes = [48u64, 8192, 48, 8192];
-        let vols: Vec<VolRef> = names
-            .iter()
-            .zip(sizes)
-            .map(|(n, s)| st.create_volume(main, *n, s))
-            .collect();
-        let sales = install_db(&mut st, "sales", vols[0], vols[1], small_db.clone());
-        let mut stock = install_db(&mut st, "stock", vols[2], vols[3], small_db.clone());
+        let volumes = [
+            ("sales-wal", 48u64),
+            ("sales-data", 8192),
+            ("stock-wal", 48),
+            ("stock-data", 8192),
+        ];
+        let vols = volumes.map(|(n, s)| st.create_volume(main, n, s));
         let wl = WorkloadConfig {
             clients: 8,
             think_time_mean: SimDuration::from_millis(1),
@@ -305,29 +325,13 @@ fn checkpoints_under_replication_survive_disaster() {
             zipf_theta: 0.9,
             initial_stock: 1_000_000,
         };
-        seed_stock(&mut st, &mut stock, wl.items, wl.initial_stock);
-        let replicas: Vec<VolRef> = names
-            .iter()
-            .zip(sizes)
-            .map(|(n, s)| st.create_volume(backup, format!("{n}-r"), s))
-            .collect();
+        let ecom = EcomState::install(&mut st, vols, small_db, wl, DetRng::new(seed).derive(99));
+        let replicas = volumes.map(|(n, s)| st.create_volume(backup, format!("{n}-r"), s));
         let g = st.create_adc_group("cg", link, reverse, 64 << 20);
         for i in 0..4 {
             st.add_pair(g, vols[i], replicas[i]);
         }
-        let mut world = World {
-            st,
-            ecom: EcomState {
-                sales,
-                stock,
-                gen: WorkloadGen::new(wl, DetRng::new(seed).derive(99)),
-                metrics: EcomMetrics::default(),
-                stopped: false,
-                stop_after_orders: None,
-                bank: None,
-                append: None,
-            },
-        };
+        let mut world = World { st, ecom };
         let mut sim: Sim<World> = Sim::new();
         start_clients(&mut world, &mut sim);
         sim.schedule_at(SimTime::from_millis(900), move |w: &mut World, sim| {
@@ -346,25 +350,12 @@ fn checkpoints_under_replication_survive_disaster() {
 
         world.st.promote_group(g);
         assert!(world.st.verify_consistency(&[g]).is_consistent());
-        let arr = world.st.array(backup);
-        let sales = MiniDb::recover(
-            "s",
-            &VolumeView::new(arr, replicas[0].volume),
-            &VolumeView::new(arr, replicas[1].volume),
-            small_db.clone(),
-        );
-        let stock = MiniDb::recover(
-            "t",
-            &VolumeView::new(arr, replicas[2].volume),
-            &VolumeView::new(arr, replicas[3].volume),
-            small_db.clone(),
-        );
-        let (sales, srep) = sales.expect("sales recovers across WAL epochs");
-        let (stock, _) = stock.expect("stock recovers across WAL epochs");
+        let image = recover(&world, backup, replicas);
+        let (_, srep) = image.sales.as_ref().expect("sales recovers across WAL epochs");
         assert!(srep.epoch > 1, "recovered into a later WAL epoch");
-        let inv = check_cross_db(&sales, &stock, 1_000_000);
+        let inv = image.invariant.expect("stock recovers across WAL epochs");
         assert!(inv.consistent(), "seed {seed}: {:?}", inv.violations);
-        let rpo = order_rpo(&world.ecom.metrics.committed_log, &sales);
+        let rpo = image.orders.expect("sales recovered");
         assert!(rpo.recovered > 1000, "seed {seed}: {rpo:?}");
     }
 }

@@ -16,6 +16,37 @@ use std::collections::BTreeMap;
 use crate::check::{acked, Anomaly, AnomalyKind, CheckReport};
 use crate::record::{History, OpData, OpId, Phase, Site};
 
+/// One item that breaks the cross-database rule in an image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Oversold {
+    /// Item id.
+    pub item: u64,
+    /// Units sold by the orders visible in the image.
+    pub sold: u64,
+    /// Units of stock decrement visible in the same image.
+    pub decremented: u64,
+}
+
+/// The cross-database rule, stated once: for every item, the units sold
+/// by the orders visible in an image never exceed the stock decrement
+/// visible in the same image (an item with no visible decrement has
+/// decrement 0). Returns the items that break it, ascending.
+///
+/// Both judges call this — this module on what clients observed, and
+/// `tsuru_ecom::check_cross_db` on a recovered pair of databases.
+pub fn oversold(sold: &BTreeMap<u64, u64>, decremented: &BTreeMap<u64, u64>) -> Vec<Oversold> {
+    sold.iter()
+        .filter_map(|(&item, &sold)| {
+            let decremented = decremented.get(&item).copied().unwrap_or(0);
+            (sold > decremented).then_some(Oversold {
+                item,
+                sold,
+                decremented,
+            })
+        })
+        .collect()
+}
+
 /// Check every shop-image observation in `h`.
 pub fn check(h: &History) -> CheckReport {
     // order_id → (item, quantity, invoke op).
@@ -69,22 +100,24 @@ pub fn check(h: &History) -> CheckReport {
             }
         }
         let observed: BTreeMap<u64, u64> = deltas.iter().copied().collect();
-        for (&item, &units) in &sold {
-            let delta = observed.get(&item).copied().unwrap_or(0);
-            if units > delta {
-                let mut ops = culprits.remove(&item).unwrap_or_default();
-                ops.push(r.op);
-                ops.sort_unstable();
-                ops.dedup();
-                anomalies.push(Anomaly {
-                    kind: AnomalyKind::OrderWithoutStock,
-                    detail: format!(
-                        "item {item}: image shows {units} units ordered but only \
-                         {delta} units of stock decrement"
-                    ),
-                    ops,
-                });
-            }
+        for Oversold {
+            item,
+            sold: units,
+            decremented: delta,
+        } in oversold(&sold, &observed)
+        {
+            let mut ops = culprits.remove(&item).unwrap_or_default();
+            ops.push(r.op);
+            ops.sort_unstable();
+            ops.dedup();
+            anomalies.push(Anomaly {
+                kind: AnomalyKind::OrderWithoutStock,
+                detail: format!(
+                    "item {item}: image shows {units} units ordered but only \
+                     {delta} units of stock decrement"
+                ),
+                ops,
+            });
         }
 
         if let Some(site @ (Site::Primary | Site::BackupFinal)) = site {

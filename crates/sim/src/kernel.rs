@@ -143,7 +143,7 @@ impl<S, E: Event<S>> Sim<S, E> {
     /// Deterministic count of heap reallocations performed by the
     /// pending-event store (wheel bucket / ready-heap capacity growths)
     /// since construction. Depends only on the schedule — never on
-    /// wall-clock or addresses — so the bench can ratchet it in CI.
+    /// wall-clock or addresses — the ledger's `sim.allocs_per_event`.
     #[inline]
     pub fn alloc_events(&self) -> u64 {
         self.wheel.grow_events()

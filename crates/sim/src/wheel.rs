@@ -148,7 +148,7 @@ pub(crate) struct TimerWheel<T> {
     slab_peak: usize,
     /// Deterministic allocation counter: how many times a bucket grew
     /// past its capacity (each growth is one heap reallocation). Zero in
-    /// steady state — the bench ratchets this.
+    /// steady state — the ledger reports it per event.
     grow_events: u64,
     /// Deterministic count of entries re-homed by cascades.
     rehomed: u64,
@@ -234,7 +234,7 @@ impl<T> TimerWheel<T> {
             .get_mut(level * SLOTS + slot)
             .expect("invariant: level < LEVELS and slot < SLOTS, so the flat index is in range");
         if bucket.len() == bucket.capacity() {
-            // `push` below reallocates; count it so the bench can report
+            // `push` below reallocates; count it so the ledger can report
             // allocations-per-event without an allocator shim.
             self.grow_events += 1;
         }

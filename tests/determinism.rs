@@ -1,9 +1,7 @@
 //! Workspace-wide determinism: identical seeds produce bit-identical runs
 //! across every layer, and different seeds genuinely differ.
 
-use tsuru_core::experiments::{
-    e1_slowdown, e2_collapse_with, e3_rpo_with, e5_operator, e6_demo,
-};
+use tsuru_core::experiments::{e1_slowdown, e2_collapse, e3_rpo, e5_operator, e6_demo};
 use tsuru_core::{BackupMode, RigConfig, TrialHarness, TwoSiteRig};
 use tsuru_sim::{SimDuration, SimTime};
 
@@ -50,8 +48,9 @@ fn different_seeds_differ() {
 
 #[test]
 fn experiment_tables_are_reproducible() {
-    let a = e1_slowdown(5, 8, &[2, 10], SimDuration::from_millis(100));
-    let b = e1_slowdown(5, 8, &[2, 10], SimDuration::from_millis(100));
+    let serial = TrialHarness::serial();
+    let a = e1_slowdown(&serial, 5, 8, &[2, 10], SimDuration::from_millis(100)).rows;
+    let b = e1_slowdown(&serial, 5, 8, &[2, 10], SimDuration::from_millis(100)).rows;
     let key = |rows: &[tsuru_core::experiments::E1Row]| -> Vec<(String, u64, u64)> {
         rows.iter()
             .map(|r| (r.mode.clone(), r.tps as u64, (r.p50_ms * 1e6) as u64))
@@ -72,10 +71,10 @@ fn experiment_tables_are_reproducible() {
 #[test]
 fn e2_rows_byte_identical_across_thread_counts() {
     let jitter = SimDuration::from_millis(2);
-    let serial = e2_collapse_with(&TrialHarness::new(1), 1000, 6, jitter);
+    let serial = e2_collapse(&TrialHarness::new(1), 1000, 6, jitter);
     let reference = format!("{:?}", serial.rows);
     for threads in [2usize, 8] {
-        let par = e2_collapse_with(&TrialHarness::new(threads), 1000, 6, jitter);
+        let par = e2_collapse(&TrialHarness::new(threads), 1000, 6, jitter);
         assert_eq!(par.stats.threads, threads);
         assert_eq!(
             format!("{:?}", par.rows),
@@ -88,8 +87,8 @@ fn e2_rows_byte_identical_across_thread_counts() {
 /// Same guarantee for a grid-shaped experiment (cells, not drills).
 #[test]
 fn e3_rows_byte_identical_across_thread_counts() {
-    let serial = e3_rpo_with(&TrialHarness::new(1), 7, &[100, 500], &[1, 64]);
-    let par = e3_rpo_with(&TrialHarness::new(8), 7, &[100, 500], &[1, 64]);
+    let serial = e3_rpo(&TrialHarness::new(1), 7, &[100, 500], &[1, 64]);
+    let par = e3_rpo(&TrialHarness::new(8), 7, &[100, 500], &[1, 64]);
     assert_eq!(format!("{:?}", serial.rows), format!("{:?}", par.rows));
 }
 

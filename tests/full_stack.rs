@@ -3,7 +3,7 @@
 
 use tsuru_container::{ClaimPhase, ReplicationState, BACKUP_TAG_KEY};
 use tsuru_core::experiments::{e3_rpo, e4_snapshot};
-use tsuru_core::{BackupMode, DemoConfig, DemoSystem, RigConfig, TwoSiteRig};
+use tsuru_core::{BackupMode, DemoConfig, DemoSystem, RigConfig, TrialHarness, TwoSiteRig};
 use tsuru_history::Recorder;
 use tsuru_nso::NsoConfig;
 use tsuru_sim::{SimDuration, SimTime};
@@ -182,7 +182,7 @@ fn naive_demo_system_collapses_under_the_right_conditions() {
 
 #[test]
 fn e3_rpo_shrinks_with_bandwidth() {
-    let rows = e3_rpo(5, &[50, 1000], &[64]);
+    let rows = e3_rpo(&TrialHarness::serial(), 5, &[50, 1000], &[64]).rows;
     let slow = rows
         .iter()
         .find(|r| r.mode == "adc-cg" && r.bandwidth_mbps == 50)
