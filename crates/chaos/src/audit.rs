@@ -22,6 +22,20 @@
 //!    link's wait list, and every non-empty wait list has a wake armed at
 //!    or after now (`StorageWorld::lane_wait_violations`).
 //!
+//! And at every step the backup image takes — each applied journal entry,
+//! each resync, promote drain or initial copy as one step, hundreds per
+//! trial where the grid above has tens:
+//!
+//! 10. **Backup image at every apply boundary** — the shop stays *open* on
+//!     the replicas (an [`ImageFollower`] fed from the backup array's
+//!     change feed, equal at every step to a from-scratch
+//!     `EcomState::recover_image`): after each step both databases must
+//!     recover and no item may be oversold. The first step that breaks
+//!     this is one `backup-image` violation stamped with that step's
+//!     instant; the image is followed on (the judge reads it) but not
+//!     judged again. At quiesce the followed image must equal the
+//!     from-scratch open check 5 makes (`image-follower` otherwise).
+//!
 //! At final quiescence it additionally checks:
 //!
 //! 4. **Journal drain** — both journals of every group empty, every pair's
@@ -45,6 +59,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use tsuru_core::TwoSiteRig;
+use tsuru_ecom::{ImageFollower, Recovered, RecoveryOutcome};
 use tsuru_sim::SimTime;
 use tsuru_storage::{GroupId, GroupState, SnapshotId, Tracer};
 
@@ -242,11 +257,28 @@ pub struct Auditor {
     alerts: Option<AlertSummary>,
     /// Demand convergence at quiesce (check 7, supervised trials).
     expect_convergence: bool,
+    /// The backup image, kept current from the backup array's change feed.
+    image: ImageFollower,
+    /// Check 10 has convicted: the image is followed on, not judged again.
+    image_convicted: bool,
+}
+
+/// What breaks check 10 in the followed image right now, if anything.
+fn image_offence(image: &ImageFollower) -> Option<String> {
+    let (sales, stock) = image.view();
+    for (name, db) in [("sales", sales), ("stock", stock)] {
+        if let Err(e) = db {
+            return Some(format!("{name} does not open: {e}"));
+        }
+    }
+    let oversold = image.oversold()?;
+    (!oversold.is_empty()).then(|| format!("oversold: {oversold:?}"))
 }
 
 impl Auditor {
-    /// An auditor over the rig's groups.
-    pub fn new(rig: &TwoSiteRig) -> Self {
+    /// An auditor over the rig's groups. The backup-site replicas are
+    /// watched from here on (check 10).
+    pub fn new(rig: &mut TwoSiteRig) -> Self {
         let prev_states = rig
             .groups
             .iter()
@@ -262,6 +294,41 @@ impl Auditor {
             history: None,
             alerts: None,
             expect_convergence: false,
+            image: rig.follow_backup(),
+            image_convicted: false,
+        }
+    }
+
+    /// The followed backup image, current as of the last
+    /// [`Auditor::follow`].
+    pub fn image(&self) -> &ImageFollower {
+        &self.image
+    }
+
+    /// Drain the backup array's change feed into the followed image and
+    /// apply check 10 after every step in it. Call at every timeline step,
+    /// so the feed never holds more than one step's worth.
+    pub fn follow(&mut self, rig: &mut TwoSiteRig) {
+        let now = rig.sim.now();
+        let feed = rig.world.st.array_mut(rig.backup).drain_feed();
+        if self.image_convicted {
+            // Followed on for the judge's reads, no longer judged: nobody
+            // looks between two timeline steps.
+            return self.image.follow(feed, now, None);
+        }
+        let mut offence = None;
+        self.image.follow(
+            feed,
+            now,
+            Some(&mut |image, at| {
+                if offence.is_none() {
+                    offence = image_offence(image).map(|detail| (at, detail));
+                }
+            }),
+        );
+        if let Some((at, detail)) = offence {
+            self.image_convicted = true;
+            self.violate(at, "backup-image", detail);
         }
     }
 
@@ -295,9 +362,12 @@ impl Auditor {
         });
     }
 
-    /// The mid-run invariant set (checks 1–3, 8 and 9). Call at fault starts,
-    /// heals, and on the periodic sample grid.
-    pub fn audit_point(&mut self, rig: &TwoSiteRig) {
+    /// The mid-run invariant set (checks 1–3, 8 and 9, after bringing
+    /// check 10 up to now). Call at fault starts, heals, and on the periodic
+    /// sample grid.
+    pub fn audit_point(&mut self, rig: &mut TwoSiteRig) {
+        self.follow(rig);
+        let rig = &*rig;
         self.audits += 1;
         let now = rig.sim.now();
         let st = &rig.world.st;
@@ -379,9 +449,20 @@ impl Auditor {
     }
 
     /// The final-quiescence invariant set (checks 4–6) plus a last
-    /// mid-run pass. Consumes the auditor and produces the report.
-    pub fn finish(mut self, rig: &TwoSiteRig, seed: u64, kinds: Vec<String>, events: usize) -> ChaosReport {
+    /// mid-run pass. `drained` is the from-scratch open of the drained
+    /// backup image (`rig.recover_from_backup()`, made once per trial and
+    /// shared with the judge's final read). Consumes the auditor and
+    /// produces the report.
+    pub fn finish(
+        mut self,
+        rig: &mut TwoSiteRig,
+        drained: &RecoveryOutcome,
+        seed: u64,
+        kinds: Vec<String>,
+        events: usize,
+    ) -> ChaosReport {
         self.audit_point(rig);
+        let rig = &*rig;
         let now = rig.sim.now();
         let st = &rig.world.st;
         let groups = self.groups.clone();
@@ -415,7 +496,7 @@ impl Auditor {
         }
 
         // 5. Business recovery from the drained backup replicas.
-        let outcome = rig.recover_from_backup();
+        let outcome = drained;
         if let Err(e) = &outcome.sales {
             self.violate(now, "recovery-failed", format!("sales: {e:?}"));
         }
@@ -435,6 +516,29 @@ impl Auditor {
                     format!("{} of {} committed orders missing", orders.lost, orders.committed),
                 );
             }
+        }
+
+        // 10, anchored: what the follower holds after the last step is what
+        // opening the drained image from scratch finds.
+        // (The recovery reports, not the trees: comparing every row at
+        // every step is `tests/follower.rs`.)
+        let brief = |db: &Recovered| match db {
+            Ok((_, report)) => format!("{report:?}"),
+            Err(e) => format!("{e:?}"),
+        };
+        let (sales, stock) = self.image.view();
+        let followed = (brief(sales), brief(stock), self.image.oversold());
+        let opened = (
+            brief(&outcome.sales),
+            brief(&outcome.stock),
+            outcome.invariant.as_ref().map(|i| i.violations.clone()),
+        );
+        if followed != opened {
+            self.violate(
+                now,
+                "image-follower",
+                format!("followed {followed:?} != opened {opened:?}"),
+            );
         }
 
         // 6. Crash consistency of every snapshot group taken mid-fault.

@@ -296,7 +296,7 @@ mod tests {
             link: LinkConfig::with(SimDuration::from_millis(5), 1_000_000_000 / 8),
             ..RigConfig::default()
         });
-        let mut auditor = Auditor::new(&rig);
+        let mut auditor = Auditor::new(&mut rig);
         let mut injector = Injector::new(&rig, false);
         start_workload_clients(&mut rig.world, &mut rig.sim);
 

@@ -4,16 +4,17 @@
 //! The auditor (`audit.rs`) checks the system from the *inside* —
 //! journals, ack logs, byte-level prefix cuts. The judge checks it
 //! from the *outside*: only what a client could actually read. Mid-run
-//! it plays the paper's long analytics scan (recover the backup image,
-//! read it, record the observation as [`Site::Backup`]); at quiesce it
-//! reads the final primary state and the fully drained backup image
-//! ([`Site::Primary`] / [`Site::BackupFinal`]) and hands the whole
-//! history to [`check_history`]. Every anomaly becomes a chaos
+//! it plays the paper's long analytics scan (read the backup image the
+//! auditor keeps open on the replicas, record the observation as
+//! [`Site::Backup`]); at quiesce it reads the final primary state and the
+//! fully drained backup image, opened from scratch ([`Site::Primary`] /
+//! [`Site::BackupFinal`]), and hands the whole history to
+//! [`check_history`]. Every anomaly becomes a chaos
 //! violation carrying the offending op subsequence.
 
 use tsuru_core::TwoSiteRig;
 use tsuru_ecom::scan::{record_bank_scan, record_list_scan, record_shop_scan};
-use tsuru_ecom::WorkloadKind;
+use tsuru_ecom::{Recovered, WorkloadKind};
 use tsuru_history::{check_history, process, CheckConfig, OpData, Site, Verdict};
 use tsuru_minidb::MiniDb;
 
@@ -43,8 +44,9 @@ fn record_image(
     }
 }
 
-/// Recover the backup image at the current instant and record what a
-/// client reading it would see.
+/// Record what a client reading the backup image at the current instant
+/// would see. `image` is that image, opened: the followed one mid-run,
+/// the from-scratch open of the drained replicas at quiesce.
 ///
 /// Deterministically skipped while the backup array is failed (a real
 /// reader's mount would error — no observation happens). When the
@@ -54,15 +56,20 @@ fn record_image(
 /// flags as the strongest client-visible collapse.
 ///
 /// [`Phase::Fail`]: tsuru_history::Phase::Fail
-pub(crate) fn scan_backup(rig: &TwoSiteRig, kind: WorkloadKind, proc_id: u32, site: Site) {
+pub(crate) fn scan_backup(
+    rig: &TwoSiteRig,
+    image: (&Recovered, &Recovered),
+    kind: WorkloadKind,
+    proc_id: u32,
+    site: Site,
+) {
     if !rig.world.st.history.is_enabled() {
         return;
     }
     if rig.world.st.array(rig.backup).is_failed() {
         return;
     }
-    let outcome = rig.recover_from_backup();
-    if let (Ok((sales, _)), Ok((stock, _))) = (&outcome.sales, &outcome.stock) {
+    if let (Ok((sales, _)), Ok((stock, _))) = image {
         record_image(rig, kind, proc_id, site, sales, stock);
     } else {
         let hist = &rig.world.st.history;
@@ -78,9 +85,14 @@ pub(crate) fn scan_backup(rig: &TwoSiteRig, kind: WorkloadKind, proc_id: u32, si
 }
 
 /// Final judgement at quiesce: read the live primary state and the
-/// drained backup image as [`process::JUDGE`], then run every
-/// applicable checker over the full history.
-pub(crate) fn judge(rig: &TwoSiteRig, kind: WorkloadKind) -> Verdict {
+/// drained backup image (`drained`, opened from scratch) as
+/// [`process::JUDGE`], then run every applicable checker over the full
+/// history.
+pub(crate) fn judge(
+    rig: &TwoSiteRig,
+    drained: (&Recovered, &Recovered),
+    kind: WorkloadKind,
+) -> Verdict {
     let app = rig.world.app();
     record_image(
         rig,
@@ -90,7 +102,7 @@ pub(crate) fn judge(rig: &TwoSiteRig, kind: WorkloadKind) -> Verdict {
         &app.sales.db,
         &app.stock.db,
     );
-    scan_backup(rig, kind, process::JUDGE, Site::BackupFinal);
+    scan_backup(rig, drained, kind, process::JUDGE, Site::BackupFinal);
     // The bank invariant total is knowable from the outside: the seeded
     // accounts are `items` rows of `initial_stock` each.
     let expected_total = matches!(kind, WorkloadKind::Bank)

@@ -46,6 +46,7 @@ pub use e11::{alert_sweep, render_alert_table, AlertRow, AlertTrial};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use run::{
     chaos_sweep, history_sweep, render_chaos_table, render_history_table, run_chaos_trial,
-    run_chaos_trial_alerts, run_chaos_trial_history, run_chaos_trial_traced, shrink_plan,
-    ChaosConfig, ChaosPair, HistoryRow, HistoryTrial, TraceExport,
+    run_chaos_trial_alerts, run_chaos_trial_history, run_chaos_trial_stepped,
+    run_chaos_trial_traced, shrink_plan, ChaosConfig, ChaosPair, EachStep, HistoryRow,
+    HistoryTrial, TraceExport,
 };

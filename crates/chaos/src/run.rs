@@ -17,9 +17,12 @@ use crate::plan::{FaultKind, FaultPlan};
 /// Shape of one chaos trial.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Injection/workload horizon (the plan's last heal must precede it).
+    /// Injection/workload horizon the sweeps generate their plans over. A
+    /// trial runs to its *plan's* horizon — or to the plan's last heal,
+    /// should a hand-built plan heal later than it claims to end.
     pub horizon: SimTime,
-    /// Mid-run audit sample interval.
+    /// Mid-run audit sample interval; zero means no sample grid (audits
+    /// at fault starts and heals only).
     pub sample_every: SimDuration,
     /// Client think time (denser than the default so fault windows see
     /// real write pressure).
@@ -35,10 +38,11 @@ pub struct ChaosConfig {
     /// the same byte-identity reason as `trace`.
     pub history: bool,
     /// Mid-run backup-image scan interval (history trials only): how
-    /// often the judge recovers the backup image and records what a
-    /// client reading it would see. Defaults to the audit sample
+    /// often the judge reads the followed backup image and records what
+    /// a client reading it would see. Defaults to the audit sample
     /// cadence so scans land inside fault windows, where the naive
-    /// configuration's torn images are actually observable.
+    /// configuration's torn images are actually observable. Zero means
+    /// no mid-run scans.
     pub scan_every: SimDuration,
     /// Arm the replication supervisor on the trial rig. Off by default
     /// so the standard sweep stays byte-identical to unsupervised runs.
@@ -79,17 +83,30 @@ impl Default for ChaosConfig {
     }
 }
 
+/// The instants `every`, `2 × every`, … before `horizon`; none at all for
+/// a zero cadence, which would never get there.
+fn grid(every: SimDuration, horizon: SimTime) -> impl Iterator<Item = SimTime> {
+    let mut t = SimTime::ZERO;
+    std::iter::from_fn(move || {
+        if every.is_zero() {
+            return None;
+        }
+        t = t.checked_add(every)?;
+        (t < horizon).then_some(t)
+    })
+}
+
 /// Run one seeded chaos trial: replay `plan` against a fresh rig in
 /// `mode`, auditing at every fault start, every heal, and on the sample
-/// grid, then quiesce (stop the workload, run to empty) and apply the
-/// final invariant set.
+/// grid — and the backup image after every step it takes — then quiesce
+/// (stop the workload, run to empty) and apply the final invariant set.
 pub fn run_chaos_trial(
     seed: u64,
     mode: BackupMode,
     plan: &FaultPlan,
     cfg: &ChaosConfig,
 ) -> ChaosReport {
-    run_trial_inner(seed, mode, plan, cfg).0
+    run_trial_inner(seed, mode, plan, cfg, None).0
 }
 
 /// Exported trace artifacts for one traced chaos trial.
@@ -112,7 +129,7 @@ pub fn run_chaos_trial_traced(
 ) -> (ChaosReport, TraceExport) {
     let mut cfg = cfg.clone();
     cfg.trace = true;
-    let (report, tracer, _, _) = run_trial_inner(seed, mode, plan, &cfg);
+    let (report, tracer, _, _) = run_trial_inner(seed, mode, plan, &cfg, None);
     let export = TraceExport {
         jsonl: tracer.export_jsonl(),
         chrome: tracer.export_chrome(),
@@ -132,7 +149,7 @@ pub fn run_chaos_trial_history(
 ) -> (ChaosReport, String) {
     let mut cfg = cfg.clone();
     cfg.history = true;
-    let (report, _, history, _) = run_trial_inner(seed, mode, plan, &cfg);
+    let (report, _, history, _) = run_trial_inner(seed, mode, plan, &cfg, None);
     let jsonl = history.export_jsonl();
     (report, jsonl)
 }
@@ -152,9 +169,52 @@ pub fn run_chaos_trial_alerts(
 ) -> (ChaosReport, String) {
     let mut cfg = cfg.clone();
     cfg.alerts = Some(profile);
-    let (report, _, _, log) = run_trial_inner(seed, mode, plan, &cfg);
+    let (report, _, _, log) = run_trial_inner(seed, mode, plan, &cfg, None);
     let jsonl = log.expect("alert trial carries an incident log").export_jsonl();
     (report, jsonl)
+}
+
+/// What an every-point oracle is shown by [`run_chaos_trial_stepped`].
+pub type EachStep<'a> = dyn FnMut(&mut TwoSiteRig, &mut Auditor) + 'a;
+
+/// [`run_chaos_trial`], one kernel event at a time: `each_step` sees the
+/// rig and the auditor after every event the kernel dispatches and after
+/// every timeline action (fault start, heal, scan). Same timeline, same
+/// report — for oracles that must look at *every* point rather than the
+/// audit grid (`tests/follower.rs` compares the followed backup image
+/// with a from-scratch recovery at each of them).
+pub fn run_chaos_trial_stepped(
+    seed: u64,
+    mode: BackupMode,
+    plan: &FaultPlan,
+    cfg: &ChaosConfig,
+    each_step: &mut EachStep<'_>,
+) -> ChaosReport {
+    run_trial_inner(seed, mode, plan, cfg, Some(each_step)).0
+}
+
+/// Run the kernel to `until` (to exhaustion for `None`): in one go, or
+/// event by event under an observer.
+fn advance(
+    rig: &mut TwoSiteRig,
+    auditor: &mut Auditor,
+    until: Option<SimTime>,
+    each_step: &mut Option<&mut EachStep<'_>>,
+) {
+    if let Some(each_step) = each_step {
+        while rig
+            .sim
+            .next_event_time()
+            .is_some_and(|next| until.map_or(true, |t| next <= t))
+        {
+            rig.sim.step(&mut rig.world);
+            each_step(rig, auditor);
+        }
+    }
+    match until {
+        Some(t) => rig.sim.run_until(&mut rig.world, t),
+        None => rig.sim.run(&mut rig.world),
+    }
 }
 
 fn run_trial_inner(
@@ -162,6 +222,7 @@ fn run_trial_inner(
     mode: BackupMode,
     plan: &FaultPlan,
     cfg: &ChaosConfig,
+    mut each_step: Option<&mut EachStep<'_>>,
 ) -> (
     ChaosReport,
     tsuru_storage::Tracer,
@@ -199,7 +260,7 @@ fn run_trial_inner(
     }
     let tracer = rig.world.st.tracer.clone();
     let history = rig.world.st.history.clone();
-    let mut auditor = Auditor::new(&rig);
+    let mut auditor = Auditor::new(&mut rig);
     if cfg.supervisor {
         auditor.expect_convergence();
     }
@@ -221,50 +282,56 @@ fn run_trial_inner(
             steps.push((ev.heal_at(), HEAL, i));
         }
     }
-    let mut t = SimTime::ZERO + cfg.sample_every;
-    while t < plan.horizon {
-        steps.push((t, SAMPLE, 0));
-        t = t + cfg.sample_every;
-    }
+    steps.extend(grid(cfg.sample_every, plan.horizon).map(|t| (t, SAMPLE, 0)));
     if cfg.history {
-        let mut t = SimTime::ZERO + cfg.scan_every;
-        while t < plan.horizon {
-            steps.push((t, SCAN, 0));
-            t = t + cfg.scan_every;
-        }
+        steps.extend(grid(cfg.scan_every, plan.horizon).map(|t| (t, SCAN, 0)));
     }
     steps.sort_unstable();
 
     start_workload_clients(&mut rig.world, &mut rig.sim);
     for (at, action, idx) in steps {
-        rig.sim.run_until(&mut rig.world, at);
+        advance(&mut rig, &mut auditor, Some(at), &mut each_step);
         match action {
             START => injector.start(&mut rig, &mut auditor, &plan.events[idx]),
             HEAL => injector.heal(&mut rig, &mut auditor, &plan.events[idx]),
-            SCAN => judge::scan_backup(
-                &rig,
-                cfg.workload,
-                tsuru_history::process::BACKUP_READER,
-                Site::Backup,
-            ),
+            SCAN => {
+                auditor.follow(&mut rig);
+                judge::scan_backup(
+                    &rig,
+                    auditor.image().view(),
+                    cfg.workload,
+                    tsuru_history::process::BACKUP_READER,
+                    Site::Backup,
+                );
+            }
             _ => {}
         }
+        // Every step drains the backup array's change feed: a scan into
+        // the image it reads, every other step inside its audit.
         if action != SCAN {
-            auditor.audit_point(&rig);
+            auditor.audit_point(&mut rig);
+        }
+        if let Some(each_step) = &mut each_step {
+            each_step(&mut rig, &mut auditor);
         }
     }
 
-    // Quiesce: run out the horizon, stop the workload, drain everything.
-    rig.sim.run_until(&mut rig.world, plan.horizon);
+    // Quiesce: run out the horizon (a plan that heals past its own horizon
+    // has already run past it), stop the workload, drain everything.
+    let end = plan.horizon.max(rig.sim.now());
+    advance(&mut rig, &mut auditor, Some(end), &mut each_step);
     rig.world.app_mut().stopped = true;
-    rig.sim.run(&mut rig.world);
+    advance(&mut rig, &mut auditor, None, &mut each_step);
+    // The one from-scratch open of the trial: the drained image, for
+    // check 5 and for the judge's final read.
+    let drained = rig.recover_from_backup();
 
     // Judge the client-visible history: final primary and drained-backup
     // observations, then every applicable checker. Anomalies become
     // violations carrying the offending op subsequence (and, on traced
     // trials, the trailing trace window).
     if cfg.history {
-        let verdict = judge::judge(&rig, cfg.workload);
+        let verdict = judge::judge(&rig, (&drained.sales, &drained.stock), cfg.workload);
         let now = rig.sim.now();
         let mut anomalies = 0u64;
         for report in &verdict.reports {
@@ -297,7 +364,7 @@ fn run_trial_inner(
 
     let kinds = plan.kinds().iter().map(|s| s.to_string()).collect();
     (
-        auditor.finish(&rig, seed, kinds, plan.events.len()),
+        auditor.finish(&mut rig, &drained, seed, kinds, plan.events.len()),
         tracer,
         history,
         incident_log,

@@ -7,8 +7,12 @@
 //!   thread count;
 //! - a failing plan shrinks to a smaller plan that still fails.
 
+use tsuru_chaos::{
+    chaos_sweep, run_chaos_trial, run_chaos_trial_history, shrink_plan, ChaosConfig, FaultEvent,
+    FaultKind, FaultPlan,
+};
 use tsuru_core::{BackupMode, TrialHarness};
-use tsuru_chaos::{chaos_sweep, run_chaos_trial, shrink_plan, ChaosConfig, FaultPlan};
+use tsuru_sim::{SimDuration, SimTime};
 
 const ACCEPTANCE_SEED: u64 = 0xC0FFEE;
 
@@ -97,4 +101,60 @@ fn failing_plan_shrinks_and_still_fails() {
     // Shrinking is deterministic.
     let again = shrink_plan(ACCEPTANCE_SEED, BackupMode::AdcPerVolume, &plan, &cfg);
     assert_eq!(shrunk, again);
+}
+
+/// Hostile cadences: a zero interval used to build its grid with
+/// `t = t + every` and never got anywhere — it allocated until the process
+/// died. Zero now means "no grid": the trial audits at fault edges only,
+/// scans nothing mid-run, and still ends with the full quiesce verdict.
+#[test]
+fn a_zero_cadence_means_no_grid_not_a_hang() {
+    let base = ChaosConfig::default();
+    let plan = FaultPlan::random(ACCEPTANCE_SEED, base.horizon);
+    let gridless = ChaosConfig {
+        sample_every: SimDuration::ZERO,
+        scan_every: SimDuration::ZERO,
+        ..base.clone()
+    };
+    let mode = BackupMode::AdcConsistencyGroup;
+    let (report, _) = run_chaos_trial_history(ACCEPTANCE_SEED, mode, &plan, &gridless);
+    assert!(report.is_clean(), "{}", report.render());
+    // One audit per fault start and heal (a snapshot has no heal), one at
+    // quiesce; the default grid adds its 29 samples on top.
+    let heals = plan
+        .events
+        .iter()
+        .filter(|e| e.kind != FaultKind::SnapshotDuringFault)
+        .count();
+    assert_eq!(report.audits, (plan.events.len() + heals + 1) as u64);
+    let (gridded, _) = run_chaos_trial_history(ACCEPTANCE_SEED, mode, &plan, &base);
+    assert_eq!(gridded.audits, report.audits + 29);
+    // No mid-run scans: only the two final reads were recorded as images.
+    let h = report.history.expect("history trial");
+    assert!(h.records < gridded.history.expect("history trial").records);
+    // A cadence too large to add to the clock is no grid either.
+    let huge = ChaosConfig {
+        sample_every: SimDuration::from_nanos(u64::MAX),
+        ..base
+    };
+    assert_eq!(run_chaos_trial(ACCEPTANCE_SEED, mode, &plan, &huge).audits, report.audits);
+}
+
+/// A hand-built plan whose last heal lies past its own horizon used to trip
+/// `run_until`'s "horizon is before current time" assertion at quiesce; the
+/// trial now simply runs to that heal.
+#[test]
+fn a_plan_that_heals_after_its_horizon_runs_to_the_heal() {
+    let cfg = ChaosConfig::default();
+    let plan = FaultPlan {
+        horizon: SimTime::from_millis(20),
+        events: vec![FaultEvent {
+            kind: FaultKind::LinkPartition,
+            at: SimTime::from_millis(10),
+            duration: SimDuration::from_millis(25),
+        }],
+    };
+    let report = run_chaos_trial(7, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+    assert!(report.is_clean(), "{}", report.render());
+    assert!(report.committed_orders > 0);
 }

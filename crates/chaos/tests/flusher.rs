@@ -4,7 +4,7 @@
 use tsuru_core::{BackupMode, RigConfig, TrialHarness, TwoSiteRig};
 use tsuru_ecom::driver::start_workload_clients;
 use tsuru_ecom::AppendState;
-use tsuru_history::{OpData, Phase};
+use tsuru_history::{OpData, OpTable, Phase};
 use tsuru_sim::{DetRng, SimDuration, SimTime};
 
 /// `(instant, values)` for every instant at which the sales database
@@ -25,9 +25,10 @@ fn shared_releases(seed: u64) -> Vec<(SimTime, Vec<u64>)> {
     rig.sim.run_until(&mut rig.world, SimTime::from_millis(40));
 
     let history = rig.world.st.history.history();
+    let ops = OpTable::new(&history);
     let mut groups: Vec<(SimTime, Vec<u64>)> = Vec::new();
     for r in history.records.iter().filter(|r| r.phase == Phase::Ok) {
-        let Some(OpData::Append { value, .. }) = history.invoke_of(r.op).map(|i| &i.data) else {
+        let Some(OpData::Append { value, .. }) = ops.invoke_of(r.op).map(|i| &i.data) else {
             continue; // a list read
         };
         match groups.last_mut() {

@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 use tsuru_analytics::AnalyticsReport;
 use tsuru_ecom::driver::start_clients;
-use tsuru_ecom::{Recovered, RecoveryOutcome, WorkloadConfig};
+use tsuru_ecom::{ImageFollower, Recovered, RecoveryOutcome, WorkloadConfig};
 use tsuru_minidb::{DbConfig, RecoveryError};
 use tsuru_sim::{Sim, SimDuration, SimTime, Summary};
 use tsuru_simnet::LinkConfig;
@@ -337,6 +337,15 @@ impl TwoSiteRig {
     pub fn recover_from_backup(&self) -> RecoveryOutcome {
         let replicas = self.replicas.expect("rig has no replicas (mode=None)");
         self.recover_from(self.backup, &replicas)
+    }
+
+    /// Start following the backup image: the replicas are watched from now
+    /// on, and the returned follower is kept current by handing it what
+    /// `world.st.array_mut(backup).drain_feed()` yields.
+    pub fn follow_backup(&mut self) -> ImageFollower {
+        let replicas = self.replicas.expect("rig has no replicas (mode=None)");
+        self.world
+            .follow_image(self.backup, replicas.map(|r| r.volume))
     }
 
     /// Take an atomic snapshot group of the backup-site replicas at the

@@ -1,10 +1,12 @@
 //! The simulation world: storage + application state under one roof.
 
-use tsuru_ecom::{EcomState, HasEcom, WorkloadConfig};
+use tsuru_ecom::{EcomState, HasEcom, ImageFollower, WorkloadConfig};
 use tsuru_minidb::DbConfig;
 use tsuru_sim::DetRng;
 use tsuru_simnet::{LinkConfig, LinkId};
-use tsuru_storage::{ArrayId, ArrayPerf, EngineConfig, HasStorage, StorageWorld, VolRef};
+use tsuru_storage::{
+    ArrayId, ArrayPerf, EngineConfig, HasStorage, StorageWorld, VolRef, VolumeId,
+};
 
 /// Volume roles of the shop, in the fixed order every four-volume array
 /// in this crate uses (and [`EcomState::install`] expects).
@@ -73,6 +75,12 @@ impl DemoWorld {
     /// The business process, mutably.
     pub fn app_mut(&mut self) -> &mut EcomState {
         &mut self.app
+    }
+
+    /// Start following the image of the shop that `vols` of `array` hold
+    /// (in [`VOLUME_NAMES`] order) — see [`ImageFollower`].
+    pub fn follow_image(&mut self, array: ArrayId, vols: [VolumeId; 4]) -> ImageFollower {
+        ImageFollower::watching(&self.app, self.st.array_mut(array), vols)
     }
 }
 

@@ -36,9 +36,9 @@ impl InvariantReport {
     }
 }
 
-/// Check the recovered pair of databases against the initial stock level.
-pub fn check_cross_db(sales: &MiniDb, stock: &MiniDb, initial_stock: u64) -> InvariantReport {
-    // Units sold per item, from the orders table.
+/// Units sold per item according to the orders table, and how many order
+/// rows there are.
+pub(crate) fn units_sold(sales: &MiniDb) -> (BTreeMap<u64, u64>, u64) {
     let mut sold: BTreeMap<u64, u64> = BTreeMap::new();
     let orders = sales.scan_table(ORDERS_TABLE);
     for (_, buf) in &orders {
@@ -46,18 +46,32 @@ pub fn check_cross_db(sales: &MiniDb, stock: &MiniDb, initial_stock: u64) -> Inv
             *sold.entry(row.item).or_default() += row.quantity as u64;
         }
     }
-    // Units decremented per item, from the stock table.
+    (sold, orders.len() as u64)
+}
+
+/// The decrement one stock row shows against the initial level.
+pub(crate) fn decrement_of(row: &[u8], initial_stock: u64) -> Option<u64> {
+    Some(initial_stock.saturating_sub(StockRow::decode(row)?.quantity))
+}
+
+/// Units decremented per item according to the stock table, and how many
+/// item rows there are.
+pub(crate) fn units_decremented(stock: &MiniDb, initial_stock: u64) -> (BTreeMap<u64, u64>, usize) {
     let items = stock.scan_table(STOCK_TABLE);
-    let decremented: BTreeMap<u64, u64> = items
+    let decremented = items
         .iter()
-        .filter_map(|(item, buf)| {
-            let row = StockRow::decode(buf)?;
-            Some((*item, initial_stock.saturating_sub(row.quantity)))
-        })
+        .filter_map(|(item, buf)| Some((*item, decrement_of(buf, initial_stock)?)))
         .collect();
+    (decremented, items.len())
+}
+
+/// Check the recovered pair of databases against the initial stock level.
+pub fn check_cross_db(sales: &MiniDb, stock: &MiniDb, initial_stock: u64) -> InvariantReport {
+    let (sold, orders_found) = units_sold(sales);
+    let (decremented, items_checked) = units_decremented(stock, initial_stock);
     InvariantReport {
-        items_checked: items.len(),
-        orders_found: orders.len() as u64,
+        items_checked,
+        orders_found,
         violations: oversold(&sold, &decremented),
     }
 }

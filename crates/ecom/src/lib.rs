@@ -37,7 +37,7 @@ pub use append::AppendState;
 pub use bank::BankState;
 pub use checker::{check_cross_db, order_rpo, InvariantReport, OrderRpo, Oversold};
 pub use event::{EcomEvents, EcomOp};
-pub use image::{Recovered, RecoveryOutcome};
+pub use image::{ImageFollower, Recovered, RecoveryOutcome, StepObserver};
 pub use model::{
     decode_list, encode_list, OrderRow, StockRow, LISTS_TABLE, ORDERS_TABLE, STOCK_TABLE,
 };

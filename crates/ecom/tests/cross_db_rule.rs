@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use tsuru_ecom::scan::record_shop_scan;
 use tsuru_ecom::{check_cross_db, OrderRow, StockRow, ORDERS_TABLE, STOCK_TABLE};
 use tsuru_history::check::shop;
-use tsuru_history::{process, AnomalyKind, OpData, Recorder, Site};
+use tsuru_history::{process, AnomalyKind, OpData, OpTable, Recorder, Site};
 use tsuru_minidb::{DbConfig, MiniDb};
 use tsuru_sim::SimTime;
 
@@ -78,7 +78,8 @@ proptest! {
 
         let (reader, t) = (process::BACKUP_READER, SimTime::from_millis(1));
         record_shop_scan(&hist, reader, t, Site::Backup, &sales, &stock, INITIAL_STOCK);
-        let report = shop::check(&hist.history());
+        let history = hist.history();
+        let report = shop::check(&history, &OpTable::new(&history));
         prop_assert!(
             report.anomalies.iter().all(|a| a.kind == AnomalyKind::OrderWithoutStock),
             "a mid-run backup image can only be oversold: {:?}",

@@ -17,9 +17,9 @@
 //! * after the journal drains, **no acked append is lost**: the final
 //!   backup image equals the final primary state.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::check::{acked, Anomaly, AnomalyKind, CheckReport};
+use crate::check::{Anomaly, AnomalyKind, CheckReport, OpTable};
 use crate::record::{History, OpData, OpId, Phase, Site};
 
 struct Read {
@@ -29,8 +29,8 @@ struct Read {
     values: Vec<u64>,
 }
 
-/// Check every append-list key observed in `h`.
-pub fn check(h: &History) -> CheckReport {
+/// Check every append-list key observed in `h` (`ops` indexes it).
+pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
     // Per key: appended values (value → append op), and reads in
     // record order.
     let mut appends: BTreeMap<u64, BTreeMap<u64, OpId>> = BTreeMap::new();
@@ -46,7 +46,7 @@ pub fn check(h: &History) -> CheckReport {
             (Phase::Ok, OpData::List { key, values })
             | (Phase::Info, OpData::List { key, values }) => {
                 ops_checked += 1;
-                let site = h.invoke_of(r.op).and_then(|inv| match &inv.data {
+                let site = ops.invoke_of(r.op).and_then(|inv| match &inv.data {
                     OpData::ReadList { site, .. } => Some(*site),
                     _ => None,
                 });
@@ -140,9 +140,10 @@ pub fn check(h: &History) -> CheckReport {
         for (label, site) in [("primary", Site::Primary), ("backup", Site::BackupFinal)] {
             let final_read = key_reads.iter().rev().find(|r| r.site == Some(site));
             let Some(final_read) = final_read else { continue };
+            let survived: BTreeSet<u64> = final_read.values.iter().copied().collect();
             let mut missing: Vec<(u64, OpId)> = Vec::new();
             for (&value, &op) in invoked {
-                if acked(h, op) && !final_read.values.contains(&value) {
+                if ops.acked(op) && !survived.contains(&value) {
                     missing.push((value, op));
                 }
             }
@@ -177,6 +178,10 @@ mod tests {
     use super::*;
     use crate::record::{Recorder, TxnOps};
     use tsuru_sim::SimTime;
+
+    fn check_all(h: &History) -> CheckReport {
+        check(h, &OpTable::new(h))
+    }
 
     fn append(r: &Recorder, process: u32, t_us: u64, key: u64, value: u64, ack: bool) {
         let op = r.invoke(
@@ -221,7 +226,7 @@ mod tests {
         read(&r, 1_000, 35, 0, Site::Backup, &[1, 2]);
         read(&r, 1_001, 40, 0, Site::Primary, &[1, 2, 3]);
         read(&r, 1_000, 50, 0, Site::BackupFinal, &[1, 2, 3]);
-        let report = check(&r.history());
+        let report = check_all(&r.history());
         assert!(report.is_clean(), "{:?}", report.anomalies);
         assert_eq!(report.ops_checked, 7);
     }
@@ -233,7 +238,7 @@ mod tests {
         append(&r, 1, 20, 0, 2, true);
         read(&r, 1_001, 40, 0, Site::Primary, &[1, 2]);
         read(&r, 1_000, 50, 0, Site::BackupFinal, &[1]);
-        let report = check(&r.history());
+        let report = check_all(&r.history());
         assert_eq!(report.anomalies.len(), 1, "{:?}", report.anomalies);
         let a = &report.anomalies[0];
         assert_eq!(a.kind, AnomalyKind::LostAppend);
@@ -248,7 +253,7 @@ mod tests {
         append(&r, 1, 20, 0, 2, false); // invoked, never acked
         read(&r, 1_001, 40, 0, Site::Primary, &[1]);
         read(&r, 1_000, 50, 0, Site::BackupFinal, &[1]);
-        assert!(check(&r.history()).is_clean());
+        assert!(check_all(&r.history()).is_clean());
     }
 
     #[test]
@@ -257,7 +262,7 @@ mod tests {
         append(&r, 1, 10, 0, 1, true);
         append(&r, 1, 20, 0, 2, false);
         read(&r, 1_001, 40, 0, Site::Primary, &[1, 2]);
-        assert!(check(&r.history()).is_clean());
+        assert!(check_all(&r.history()).is_clean());
     }
 
     #[test]
@@ -267,7 +272,7 @@ mod tests {
         append(&r, 1, 20, 0, 2, true);
         read(&r, 1_000, 30, 0, Site::Backup, &[1, 2]);
         read(&r, 1_001, 40, 0, Site::Primary, &[2, 1]);
-        let report = check(&r.history());
+        let report = check_all(&r.history());
         assert!(report
             .anomalies
             .iter()
@@ -281,7 +286,7 @@ mod tests {
         append(&r, 1, 20, 0, 2, true);
         read(&r, 1_000, 30, 0, Site::Backup, &[1, 2]);
         read(&r, 1_000, 40, 0, Site::Backup, &[1]);
-        let report = check(&r.history());
+        let report = check_all(&r.history());
         assert!(report
             .anomalies
             .iter()
@@ -294,7 +299,7 @@ mod tests {
         append(&r, 1, 10, 0, 1, true);
         read(&r, 1_000, 30, 0, Site::Backup, &[1, 99]);
         read(&r, 1_001, 40, 0, Site::Backup, &[1, 1]);
-        let report = check(&r.history());
+        let report = check_all(&r.history());
         assert!(report
             .anomalies
             .iter()

@@ -10,14 +10,14 @@
 //! and the total drifts. This is the paper's consistency-group claim
 //! restated as a client-visible property.
 
-use crate::check::{Anomaly, AnomalyKind, CheckReport};
+use crate::check::{Anomaly, AnomalyKind, CheckReport, OpTable};
 use crate::record::{History, OpData, Phase};
 
 /// Check every balance observation in `h` against the expected total.
 ///
 /// When `expected_total` is `None` the first observation defines it
 /// (the seeded state is the baseline).
-pub fn check(h: &History, expected_total: Option<u64>) -> CheckReport {
+pub fn check(h: &History, ops: &OpTable<'_>, expected_total: Option<u64>) -> CheckReport {
     let mut anomalies = Vec::new();
     let mut expected = expected_total;
     let mut transfers = 0u64;
@@ -31,7 +31,7 @@ pub fn check(h: &History, expected_total: Option<u64>) -> CheckReport {
             | (Phase::Info, OpData::Balances { accounts, total }) => {
                 reads += 1;
                 // The matching invoke names the site for the detail line.
-                let site = h.invoke_of(r.op).map(|inv| match &inv.data {
+                let site = ops.invoke_of(r.op).map(|inv| match &inv.data {
                     OpData::ReadBalances { site } => site.label(),
                     _ => "unknown",
                 });
@@ -68,6 +68,10 @@ mod tests {
     use crate::record::{OpData, Recorder, Site};
     use tsuru_sim::SimTime;
 
+    fn check_all(h: &History, expected_total: Option<u64>) -> CheckReport {
+        check(h, &OpTable::new(h), expected_total)
+    }
+
     fn read(r: &Recorder, site: Site, t_us: u64, accounts: u64, total: u64) {
         let op = r.invoke(9, SimTime::from_micros(t_us), OpData::ReadBalances { site });
         r.ok(
@@ -84,7 +88,7 @@ mod tests {
         read(&r, Site::Primary, 1, 10, 1_000);
         read(&r, Site::Backup, 2, 10, 1_000);
         read(&r, Site::BackupFinal, 3, 10, 1_000);
-        let report = check(&r.history(), Some(1_000));
+        let report = check_all(&r.history(), Some(1_000));
         assert!(report.is_clean(), "{:?}", report.anomalies);
         assert_eq!(report.ops_checked, 3);
     }
@@ -94,7 +98,7 @@ mod tests {
         let r = Recorder::enabled();
         read(&r, Site::Primary, 1, 10, 1_000);
         read(&r, Site::Backup, 2, 10, 993);
-        let report = check(&r.history(), Some(1_000));
+        let report = check_all(&r.history(), Some(1_000));
         assert_eq!(report.anomalies.len(), 1);
         let a = &report.anomalies[0];
         assert_eq!(a.kind, AnomalyKind::BalanceViolation);
@@ -108,7 +112,7 @@ mod tests {
         let r = Recorder::enabled();
         read(&r, Site::Primary, 1, 4, 400);
         read(&r, Site::Backup, 2, 4, 390);
-        let report = check(&r.history(), None);
+        let report = check_all(&r.history(), None);
         assert_eq!(report.anomalies.len(), 1);
     }
 }

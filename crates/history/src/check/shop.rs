@@ -11,9 +11,9 @@
 //! decrement — the phantom sale the paper's consistency group exists
 //! to prevent.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::check::{acked, Anomaly, AnomalyKind, CheckReport};
+use crate::check::{Anomaly, AnomalyKind, CheckReport, OpTable};
 use crate::record::{History, OpData, OpId, Phase, Site};
 
 /// One item that breaks the cross-database rule in an image.
@@ -47,8 +47,8 @@ pub fn oversold(sold: &BTreeMap<u64, u64>, decremented: &BTreeMap<u64, u64>) -> 
         .collect()
 }
 
-/// Check every shop-image observation in `h`.
-pub fn check(h: &History) -> CheckReport {
+/// Check every shop-image observation in `h` (`ops` indexes it).
+pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
     // order_id → (item, quantity, invoke op).
     let mut orders: BTreeMap<u64, (u64, u32, OpId)> = BTreeMap::new();
     let mut ops_checked = 0u64;
@@ -77,7 +77,7 @@ pub fn check(h: &History) -> CheckReport {
             continue;
         };
         ops_checked += 1;
-        let site = h.invoke_of(r.op).and_then(|inv| match &inv.data {
+        let site = ops.invoke_of(r.op).and_then(|inv| match &inv.data {
             OpData::ReadShop { site } => Some(*site),
             _ => None,
         });
@@ -130,10 +130,11 @@ pub fn check(h: &History) -> CheckReport {
     for (label, site) in [("primary", Site::Primary), ("backup", Site::BackupFinal)] {
         let last = final_reads.iter().rev().find(|(s, _, _)| *s == site);
         let Some((_, read_op, visible)) = last else { continue };
+        let visible: BTreeSet<u64> = visible.iter().copied().collect();
         let mut missing: Vec<OpId> = Vec::new();
         let mut ids: Vec<u64> = Vec::new();
         for (&oid, &(_, _, op)) in &orders {
-            if acked(h, op) && !visible.contains(&oid) {
+            if ops.acked(op) && !visible.contains(&oid) {
                 missing.push(op);
                 ids.push(oid);
             }
@@ -166,6 +167,10 @@ mod tests {
     use super::*;
     use crate::record::{Recorder, TxnOps};
     use tsuru_sim::SimTime;
+
+    fn check_all(h: &History) -> CheckReport {
+        check(h, &OpTable::new(h))
+    }
 
     fn order(r: &Recorder, t_us: u64, order_id: u64, item: u64, quantity: u32, ack: bool) {
         let op = r.invoke(
@@ -210,7 +215,7 @@ mod tests {
         scan(&r, 30, Site::Backup, &[1], &[(5, 3)]);
         scan(&r, 40, Site::Primary, &[1, 2], &[(5, 3)]);
         scan(&r, 50, Site::BackupFinal, &[1, 2], &[(5, 3)]);
-        let report = check(&r.history());
+        let report = check_all(&r.history());
         assert!(report.is_clean(), "{:?}", report.anomalies);
         assert_eq!(report.ops_checked, 5);
     }
@@ -221,7 +226,7 @@ mod tests {
         order(&r, 10, 1, 5, 2, true);
         // Torn image: the order arrived, the stock decrement did not.
         scan(&r, 30, Site::Backup, &[1], &[(5, 0)]);
-        let report = check(&r.history());
+        let report = check_all(&r.history());
         assert_eq!(report.anomalies.len(), 1, "{:?}", report.anomalies);
         let a = &report.anomalies[0];
         assert_eq!(a.kind, AnomalyKind::OrderWithoutStock);
@@ -235,7 +240,7 @@ mod tests {
         order(&r, 20, 2, 6, 1, true);
         scan(&r, 40, Site::Primary, &[1, 2], &[(5, 1), (6, 1)]);
         scan(&r, 50, Site::BackupFinal, &[1], &[(5, 1)]);
-        let report = check(&r.history());
+        let report = check_all(&r.history());
         assert!(report
             .anomalies
             .iter()
@@ -246,7 +251,7 @@ mod tests {
     fn phantom_orders_are_flagged() {
         let r = Recorder::enabled();
         scan(&r, 30, Site::Backup, &[77], &[]);
-        let report = check(&r.history());
+        let report = check_all(&r.history());
         assert_eq!(report.anomalies[0].kind, AnomalyKind::PhantomValue);
     }
 }

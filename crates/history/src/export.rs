@@ -88,7 +88,7 @@ fn push_data(data: &OpData, out: &mut String) {
 
 /// Render records as JSON Lines in emission order. Empty input yields
 /// the empty string.
-pub fn export_jsonl(records: &[Record]) -> String {
+pub fn export_jsonl<'r>(records: impl IntoIterator<Item = &'r Record>) -> String {
     let mut out = String::new();
     for r in records {
         out.push_str(&format!(

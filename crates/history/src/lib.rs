@@ -33,7 +33,7 @@ mod export;
 mod record;
 
 pub use check::{
-    check_history, Anomaly, AnomalyKind, CheckConfig, CheckReport, Verdict,
+    check_history, Anomaly, AnomalyKind, CheckConfig, CheckReport, OpTable, Verdict,
 };
 pub use record::{
     process, space, History, OpData, OpId, Phase, Record, Recorder, Site,

@@ -304,7 +304,9 @@ pub struct History {
 
 impl History {
     /// Build a history directly from records (used by fixtures); seq
-    /// numbers are rewritten to emission order.
+    /// numbers are rewritten to emission order. Op ids are kept: the
+    /// checkers index a table by them, so keep them as dense as a
+    /// [`Recorder`] mints them.
     pub fn from_records(records: Vec<Record>) -> Self {
         let mut records = records;
         for (i, r) in records.iter_mut().enumerate() {
@@ -321,13 +323,6 @@ impl History {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// The invoke record of `op`, if any.
-    pub fn invoke_of(&self, op: OpId) -> Option<&Record> {
-        self.records
-            .iter()
-            .find(|r| r.op == op && r.phase == Phase::Invoke)
     }
 
     /// Render as JSON Lines (see [`crate::export`]).
@@ -446,9 +441,13 @@ impl Recorder {
         }
     }
 
-    /// Render the history recorded so far as JSON Lines.
+    /// Render the history recorded so far as JSON Lines, straight from
+    /// the arena: no snapshot is taken.
     pub fn export_jsonl(&self) -> String {
-        self.history().export_jsonl()
+        match &self.0 {
+            None => String::new(),
+            Some(core) => crate::export::export_jsonl(core.borrow().arena.iter()),
+        }
     }
 }
 

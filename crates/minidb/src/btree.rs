@@ -127,6 +127,14 @@ impl BTree {
         self.slots.iter().flatten().count()
     }
 
+    /// Ids of the pages holding a node, ascending.
+    pub fn page_ids(&self) -> Vec<u64> {
+        (0u64..)
+            .zip(&self.slots)
+            .filter_map(|(id, s)| s.as_ref().map(|_| id))
+            .collect()
+    }
+
     /// Are there unflushed changes?
     pub fn is_dirty(&self) -> bool {
         self.slots.iter().flatten().any(|s| s.dirty)

@@ -14,7 +14,7 @@ use crate::btree::{BTree, PageAllocator};
 use crate::io::{DbVol, IoPlan, IoRequest};
 use crate::node::PageError;
 use crate::superblock::Superblock;
-use crate::wal::{scan_wal, WalOp, WalRecord, WalScan, WalWriter};
+use crate::wal::{scan_wal, scan_wal_from, WalOp, WalRecord, WalScan, WalWriter};
 use tsuru_storage::BlockDevice;
 
 /// A table identifier chosen by the application (folded into tree keys).
@@ -153,6 +153,11 @@ pub struct MiniDb {
     // Commits staged since the last flush.
     staged: u64,
     stats: DbStats,
+    // What `recover` read off the data volume: the ids of the tree pages it
+    // loaded (ascending) and the newest LSN any of them carried. Empty for
+    // a database that was created, not opened.
+    loaded_pages: Vec<u64>,
+    loaded_page_lsn: u64,
 }
 
 impl MiniDb {
@@ -181,6 +186,8 @@ impl MiniDb {
             pending: IoPlan::empty(),
             staged: 0,
             stats: DbStats::default(),
+            loaded_pages: Vec::new(),
+            loaded_page_lsn: 0,
         };
         // The initial image is checkpoint #1 of an empty tree.
         let plan = db.checkpoint();
@@ -453,9 +460,10 @@ impl MiniDb {
             ));
         }
 
-        let (mut tree, max_page_lsn) =
+        let (tree, max_page_lsn) =
             BTree::load(data_dev, sb.root).map_err(RecoveryError::Page)?;
-        let pages_loaded = tree.node_count();
+        let loaded_pages = tree.page_ids();
+        let pages_loaded = loaded_pages.len();
 
         let WalScan { records, end, tail } = scan_wal(wal_dev, sb.wal_blocks, sb.epoch);
         // Records must be strictly increasing and strictly newer than the
@@ -478,26 +486,29 @@ impl MiniDb {
             });
         }
 
-        let mut alloc = PageAllocator::restore(sb.next_page, sb.free_list);
-        let mut max_txid = sb.next_txid;
         let redo_records = records.len();
-        for r in records {
-            for op in r.ops {
-                match op.value {
-                    Some(v) => tree.put(&mut alloc, op.key, v),
-                    None => {
-                        tree.delete(op.key);
-                    }
-                }
-            }
-            max_txid = max_txid.max(r.txid + 1);
-        }
-        // Resume the log where the scan found it ending, so a promoted
-        // backup continues service exactly there.
-        let wal = WalWriter::resume(sb.wal_blocks, sb.epoch, end, tail);
-        tree.validate()
-            .map_err(|e| RecoveryError::BadWal(format!("post-redo validation: {e}")))?;
-
+        let mut db = MiniDb {
+            name: name.into(),
+            config: DbConfig {
+                wal_blocks: sb.wal_blocks,
+                ..config
+            },
+            tree,
+            alloc: PageAllocator::restore(sb.next_page, sb.free_list),
+            // Resume the log where the scan found it ending, so a promoted
+            // backup continues service exactly there.
+            wal: WalWriter::resume(sb.wal_blocks, sb.epoch, end, tail),
+            next_lsn: wal_end + 1,
+            next_txid: sb.next_txid,
+            ckpt_lsn: sb.ckpt_lsn,
+            active: BTreeMap::new(),
+            pending: IoPlan::empty(),
+            staged: 0,
+            stats: DbStats::default(),
+            loaded_pages,
+            loaded_page_lsn: max_page_lsn,
+        };
+        db.redo(records, None)?;
         let report = RecoveryReport {
             epoch: sb.epoch,
             ckpt_lsn: sb.ckpt_lsn,
@@ -505,26 +516,108 @@ impl MiniDb {
             redo_records,
             pages_loaded,
         };
-        let db = MiniDb {
-            name: name.into(),
-            config: DbConfig {
-                wal_blocks: sb.wal_blocks,
-                ..config
-            },
-            tree,
-            alloc,
-            wal,
-            next_lsn: wal_end + 1,
-            next_txid: max_txid,
-            ckpt_lsn: sb.ckpt_lsn,
-            active: BTreeMap::new(),
-            pending: IoPlan::empty(),
-            staged: 0,
-            stats: DbStats::default(),
-        };
         Ok((db, report))
     }
+
+    /// Re-apply `records` (already checked for LSN order) to the tree, then
+    /// verify it. `on_redo` sees every operation just before it lands.
+    fn redo(
+        &mut self,
+        records: Vec<WalRecord>,
+        mut on_redo: Option<&mut RedoHook<'_>>,
+    ) -> Result<(), RecoveryError> {
+        for r in records {
+            for op in r.ops {
+                if let Some(hook) = on_redo.as_deref_mut() {
+                    let table = TableId((op.key >> KEY_BITS) as u16);
+                    hook(table, op.key & KEY_MASK, self.tree.get(op.key), op.value.as_deref());
+                }
+                match op.value {
+                    Some(v) => self.tree.put(&mut self.alloc, op.key, v),
+                    None => {
+                        self.tree.delete(op.key);
+                    }
+                }
+            }
+            self.next_txid = self.next_txid.max(r.txid + 1);
+        }
+        self.tree
+            .validate()
+            .map_err(|e| RecoveryError::BadWal(format!("post-redo validation: {e}")))
+    }
+
+    /// Did [`MiniDb::recover`] read block `lba` of the data volume to open
+    /// this database — the superblock or a tree page it loaded? A write to
+    /// any other data block cannot change what a fresh `recover` would load.
+    pub fn opened_from(&self, lba: u64) -> bool {
+        lba == 0 || self.loaded_pages.binary_search(&lba).is_ok()
+    }
+
+    /// Byte offset at which this database's log ends on the WAL volume:
+    /// what `recover` (or the last [`MiniDb::catch_up`]) scanned up to.
+    pub fn log_end(&self) -> usize {
+        self.wal.used_bytes()
+    }
+
+    /// Follow the log: redo the records that reached `wal_dev` since this
+    /// database was opened from it (or last caught up), leaving it exactly
+    /// as a fresh [`MiniDb::recover`] of the same volumes would — provided
+    /// the caller vouches for everything `recover` reads that this does
+    /// not: no block of the data volume this database was
+    /// [`opened_from`](MiniDb::opened_from) and no WAL block that lies
+    /// wholly before [`log_end`](MiniDb::log_end) was written since. The
+    /// block the log ends in is re-read and its bytes before the end
+    /// compared, and the new records pass the checks `recover` applies
+    /// (strictly increasing LSNs, no loaded page newer than the log,
+    /// post-redo tree validation); nothing is skipped, it is only not
+    /// repeated. `on_redo(table, key, old, new)` sees every re-applied
+    /// operation just before it lands.
+    ///
+    /// `Ok(Some(n))`: `n` records were re-applied. `Ok(None)`: the log this
+    /// database was opened from is no prefix of the volume any more, the
+    /// database is untouched and the caller must `recover`. `Err`: what
+    /// `recover` would return; the database is not usable afterwards.
+    ///
+    /// For a database that only follows a volume: one that staged commits of
+    /// its own since it was opened has a log end the volume never saw.
+    pub fn catch_up(
+        &mut self,
+        wal_dev: &dyn BlockDevice,
+        on_redo: &mut RedoHook<'_>,
+    ) -> Result<Option<usize>, RecoveryError> {
+        let (end, tail) = self.wal.log_end();
+        let Some(scan) = scan_wal_from(wal_dev, self.config.wal_blocks, self.wal.epoch(), end, tail)
+        else {
+            return Ok(None);
+        };
+        let mut prev = self.last_lsn();
+        for r in &scan.records {
+            if r.lsn <= prev {
+                return Err(RecoveryError::BadWal(format!(
+                    "record lsn {} not increasing past {prev}",
+                    r.lsn
+                )));
+            }
+            prev = r.lsn;
+        }
+        if self.loaded_page_lsn > prev {
+            return Err(RecoveryError::DataAheadOfWal {
+                page_lsn: self.loaded_page_lsn,
+                wal_end: prev,
+            });
+        }
+        let redone = scan.records.len();
+        self.wal = WalWriter::resume(self.config.wal_blocks, self.wal.epoch(), scan.end, scan.tail);
+        self.next_lsn = prev + 1;
+        self.redo(scan.records, Some(on_redo))?;
+        Ok(Some(redone))
+    }
 }
+
+/// What [`MiniDb::catch_up`] shows its caller per re-applied operation:
+/// table, key, the value the key held and the value it takes (`None`:
+/// absent / deleted).
+pub type RedoHook<'a> = dyn FnMut(TableId, u64, Option<&[u8]>, Option<&[u8]>) + 'a;
 
 #[cfg(test)]
 mod tests {

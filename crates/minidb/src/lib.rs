@@ -30,9 +30,11 @@ mod wal;
 
 pub use btree::{BTree, PageAllocator};
 pub use checksum::{crc32, crc32_update};
-pub use db::{DbConfig, DbStats, MiniDb, RecoveryError, RecoveryReport, TableId, TxId};
+pub use db::{
+    DbConfig, DbStats, MiniDb, RecoveryError, RecoveryReport, RedoHook, TableId, TxId,
+};
 pub use flush::{LogFlusher, Progress};
 pub use io::{DbVol, IoPlan, IoRequest};
 pub use node::{Node, PageError, MAX_VALUE, PAGE_SIZE};
 pub use superblock::{Superblock, MAX_FREE_LIST};
-pub use wal::{encode_record, scan_wal, WalOp, WalRecord, WalScan, WalWriter};
+pub use wal::{encode_record, scan_wal, scan_wal_from, WalOp, WalRecord, WalScan, WalWriter};

@@ -203,6 +203,14 @@ impl WalWriter {
         self.capacity
     }
 
+    /// Where the log ends and the bytes of the block it ends in up to
+    /// there — what [`scan_wal_from`] continues from and what
+    /// [`WalWriter::resume`] was given.
+    pub fn log_end(&self) -> (usize, &[u8]) {
+        let (tail, _) = self.tail.split_at(self.offset % BLOCK_SIZE);
+        (self.offset, tail)
+    }
+
     /// Would this record fit in the remaining space?
     pub fn fits(&self, rec: &WalRecord) -> bool {
         self.offset + rec.encoded_len() <= self.capacity
@@ -281,7 +289,8 @@ impl WalWriter {
 /// What a scan of the WAL volume found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalScan {
-    /// Every valid record of the epoch, in log order.
+    /// Every valid record of the epoch the scan passed, in log order (a
+    /// continued scan starts after the records its predecessor found).
     pub records: Vec<WalRecord>,
     /// Byte offset at which the valid log ends.
     pub end: usize,
@@ -338,14 +347,40 @@ fn le_u32(header: &[u8], at: usize) -> u32 {
 /// only as far as the record being checked reaches: a scan costs what the
 /// live log holds, not what the volume could hold.
 pub fn scan_wal(dev: &dyn BlockDevice, wal_blocks: u64, epoch: u32) -> WalScan {
+    scan_wal_from(dev, wal_blocks, epoch, 0, &[])
+        .expect("invariant: an empty log is a prefix of every volume")
+}
+
+/// Continue a scan where an earlier one stopped: `end` and `tail` are the
+/// earlier [`WalScan`]'s. The parse runs left to right and a record's
+/// verdict depends only on its own bytes, so if the volume still holds the
+/// log up to `end`, scanning on from there finds exactly what a scan from
+/// block zero would find after its first `end` bytes — the records that
+/// landed since, each decoded once. Whole blocks before the one `end` lies
+/// in are the caller's to vouch for; the bytes of that block before `end`
+/// are compared here, and `None` says they changed: the earlier scan is no
+/// prefix of this volume and the caller must scan from the start.
+pub fn scan_wal_from(
+    dev: &dyn BlockDevice,
+    wal_blocks: u64,
+    epoch: u32,
+    end: usize,
+    tail: &[u8],
+) -> Option<WalScan> {
     let capacity = wal_blocks as usize * BLOCK_SIZE;
+    // The window reads whole blocks: a tail that does not start one is
+    // not a scan's tail.
+    let base = end.checked_sub(tail.len()).filter(|b| b % BLOCK_SIZE == 0)?;
     let mut window = LogWindow {
         dev,
-        base: 0,
+        base,
         bytes: Vec::new(),
     };
+    if window.span(base, end) != tail {
+        return None;
+    }
     let mut records = Vec::new();
-    let mut pos = 0usize;
+    let mut pos = end;
     while pos + HEADER_BYTES <= capacity {
         let header = window.span(pos, pos + HEADER_BYTES);
         let rec_epoch = le_u32(header, 0);
@@ -372,11 +407,11 @@ pub fn scan_wal(dev: &dyn BlockDevice, wal_blocks: u64, epoch: u32) -> WalScan {
     // The window starts at the block `pos` lies in: cut at `pos`, it is the tail.
     let mut tail = window.bytes;
     tail.truncate(pos - window.base);
-    WalScan {
+    Some(WalScan {
         records,
         end: pos,
         tail,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -57,10 +57,43 @@ pub enum WriteError {
     OutOfRange,
 }
 
+/// One entry of an array's change feed: what happened to a
+/// [watched](StorageArray::watch) volume, as plain data in the order it
+/// happened. A `Write` holds the block by reference count — the buffer is
+/// immutable, nothing is copied. Replaying the entries of one volume onto
+/// a copy of what it held when the watch began reproduces it exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FeedEntry {
+    /// `lba` of `vol` now holds `data`.
+    Write {
+        /// The watched volume.
+        vol: VolumeId,
+        /// Block address.
+        lba: u64,
+        /// The block's new content.
+        data: BlockBuf,
+    },
+    /// Every block of `vol` was dropped (a full copy starts over).
+    Wipe {
+        /// The watched volume.
+        vol: VolumeId,
+    },
+    /// The entries since the previous mark are one observable step: a
+    /// reader of the array can see the state before it and the state
+    /// after it, never one in between. `at` is the instant, where the
+    /// caller that closed the step knew it.
+    Boundary {
+        /// When the step completed, if known.
+        at: Option<SimTime>,
+    },
+}
+
 /// Everything the array keeps per volume, in one slot of the volume table.
 #[derive(Debug)]
 struct VolumeSlot {
     volume: Volume,
+    /// Mutations are appended to the array's change feed.
+    watched: bool,
     /// The volume's FIFO service station.
     station: ServiceStation,
     /// The thin-provisioning pool backing the volume.
@@ -86,6 +119,11 @@ pub struct StorageArray {
     next_snap_group: u64,
     failed_at: Option<SimTime>,
     cow_saves: u64,
+    /// Mutations of watched volumes since the last drain, with the marks
+    /// that close each observable step.
+    feed: Vec<FeedEntry>,
+    /// The feed holds entries that no [`FeedEntry::Boundary`] closes yet.
+    feed_open: bool,
 }
 
 /// The occupant of slot `id` of an id-indexed table. Free functions over
@@ -127,6 +165,8 @@ impl StorageArray {
             next_snap_group: 0,
             failed_at: None,
             cow_saves: 0,
+            feed: Vec::new(),
+            feed_open: false,
         }
     }
 
@@ -227,6 +267,7 @@ impl StorageArray {
         let id = VolumeId(self.volumes.len() as u64);
         self.volumes.push(Some(VolumeSlot {
             volume: Volume::new(id, name, size_blocks),
+            watched: false,
             station: ServiceStation::new(),
             pool,
             snaps: Vec::new(),
@@ -259,12 +300,17 @@ impl StorageArray {
             .volume
     }
 
-    /// Mutably borrow a volume (control-plane use; data-plane writes must go
-    /// through [`StorageArray::write_block`] for COW bookkeeping).
-    pub fn volume_mut(&mut self, id: VolumeId) -> &mut Volume {
-        &mut slot_mut(&mut self.volumes, id.0)
+    fn slot_mut(&mut self, id: VolumeId) -> &mut VolumeSlot {
+        slot_mut(&mut self.volumes, id.0)
             .expect("invariant: VolumeId is only minted by create_volume")
-            .volume
+    }
+
+    /// Change a volume's replication role (control plane). Content changes
+    /// only through the array — [`StorageArray::write_block`],
+    /// [`StorageArray::wipe_volume`], [`StorageArray::replace_content`] —
+    /// which is what lets a [watch](StorageArray::watch) see all of them.
+    pub fn set_volume_role(&mut self, id: VolumeId, role: VolumeRole) {
+        self.slot_mut(id).volume.set_role(role);
     }
 
     /// Does the volume exist?
@@ -343,6 +389,14 @@ impl StorageArray {
     pub fn write_block(&mut self, vol: VolumeId, lba: u64, data: BlockBuf) -> u32 {
         let s = slot_mut(&mut self.volumes, vol.0)
             .expect("invariant: VolumeId is only minted by create_volume");
+        if s.watched {
+            self.feed.push(FeedEntry::Write {
+                vol,
+                lba,
+                data: data.clone(),
+            });
+            self.feed_open = true;
+        }
         let mut cow = 0u32;
         let mut cow_with_data = 0u64;
         if !s.snaps.is_empty() {
@@ -369,6 +423,65 @@ impl StorageArray {
     /// Read a block's current content.
     pub fn read_block(&self, vol: VolumeId, lba: u64) -> Option<&BlockBuf> {
         self.volume(vol).read(lba)
+    }
+
+    /// Drop every block of a volume (the start of a full recopy). Like the
+    /// volume-level wipe it replaces, this touches neither snapshots nor
+    /// the pool.
+    pub fn wipe_volume(&mut self, vol: VolumeId) {
+        let s = slot_mut(&mut self.volumes, vol.0)
+            .expect("invariant: VolumeId is only minted by create_volume");
+        if s.watched {
+            self.feed.push(FeedEntry::Wipe { vol });
+            self.feed_open = true;
+        }
+        s.volume.wipe();
+    }
+
+    /// Replace a volume's content with `blocks` — a pair's initial copy,
+    /// which lands below the data path: no copy-on-write, no pool charge.
+    pub fn replace_content(&mut self, vol: VolumeId, blocks: Vec<(u64, BlockBuf)>) {
+        self.wipe_volume(vol);
+        let s = slot_mut(&mut self.volumes, vol.0)
+            .expect("invariant: VolumeId is only minted by create_volume");
+        if s.watched {
+            self.feed.extend(blocks.iter().map(|(lba, data)| FeedEntry::Write {
+                vol,
+                lba: *lba,
+                data: data.clone(),
+            }));
+        }
+        for (lba, b) in blocks {
+            s.volume.write(lba, b);
+        }
+    }
+
+    // ----- change feed -------------------------------------------------------
+
+    /// Start appending every content change of `vol` to this array's
+    /// change feed. Volumes that are not watched pay one branch per write
+    /// and the feed stays empty.
+    pub fn watch(&mut self, vol: VolumeId) {
+        self.slot_mut(vol).watched = true;
+    }
+
+    /// Close the feed's current step: everything a watched volume took
+    /// since the last mark became visible together, at `at` if the caller
+    /// knows the instant. A no-op when nothing is open, so every site that
+    /// ends an observable instant calls it unconditionally.
+    pub fn end_boundary(&mut self, at: Option<SimTime>) {
+        if self.feed_open {
+            self.feed.push(FeedEntry::Boundary { at });
+            self.feed_open = false;
+        }
+    }
+
+    /// Take the feed's entries, oldest first. Entries after the last
+    /// [`FeedEntry::Boundary`] belong to a step nobody closed; its state is
+    /// observable now, since the caller is looking.
+    pub fn drain_feed(&mut self) -> std::vec::Drain<'_, FeedEntry> {
+        self.feed_open = false;
+        self.feed.drain(..)
     }
 
     // ----- snapshots -------------------------------------------------------
@@ -456,7 +569,7 @@ impl StorageArray {
             .filter_map(|lba| self.read_snapshot_block(snap, lba).cloned().map(|b| (lba, b)))
             .collect();
         let id = self.create_volume(name, size);
-        let vol = self.volume_mut(id);
+        let vol = &mut self.slot_mut(id).volume;
         for (lba, b) in blocks {
             vol.write(lba, b);
         }
@@ -498,9 +611,9 @@ mod tests {
         let mut a = array();
         let v = a.create_volume("v", 10);
         assert_eq!(a.check_host_write(v, 0), Ok(()));
-        a.volume_mut(v).set_role(VolumeRole::Secondary);
+        a.set_volume_role(v, VolumeRole::Secondary);
         assert_eq!(a.check_host_write(v, 0), Err(WriteError::VolumeFenced));
-        a.volume_mut(v).set_role(VolumeRole::Primary);
+        a.set_volume_role(v, VolumeRole::Primary);
         a.fail(SimTime::ZERO);
         assert_eq!(a.check_host_write(v, 0), Err(WriteError::ArrayFailed));
         a.recover();

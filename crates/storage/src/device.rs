@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 
 use crate::array::StorageArray;
 use crate::block::{block_from, BlockBuf, SnapshotId, VolumeId, BLOCK_SIZE};
+use crate::volume::Volume;
 
 /// Read-only random access to fixed-size blocks.
 pub trait BlockDevice {
@@ -76,6 +77,17 @@ impl BlockDeviceMut for MemDevice {
         assert!(lba < self.size_blocks, "lba {lba} out of range");
         assert!(data.len() <= BLOCK_SIZE);
         self.blocks.insert(lba, block_from(data));
+    }
+}
+
+/// A volume that stands alone — a shadow kept beside an array, a copy under
+/// test — is read like any other device.
+impl BlockDevice for Volume {
+    fn size_blocks(&self) -> u64 {
+        Volume::size_blocks(self)
+    }
+    fn read_block(&self, lba: u64) -> Option<BlockBuf> {
+        self.read(lba).cloned()
     }
 }
 

@@ -689,7 +689,9 @@ pub(crate) fn sdc_leg_done<S, E>(
     let d = {
         let st = state.storage_mut();
         let sec = st.fabric.pair(pid).secondary;
-        st.array_mut(sec.array).write_block(sec.volume, lba, data);
+        let remote = st.array_mut(sec.array);
+        remote.write_block(sec.volume, lba, data);
+        remote.end_boundary(Some(now));
         st.fabric.update_pair(pid, |p| p.applied_writes += 1);
         let g = st.fabric.group_mut(gid);
         g.stats.entries_applied += 1;
@@ -1090,7 +1092,9 @@ pub(crate) fn finish_apply<S, E>(
                 .expect("invariant: an apply completion always has a queued journal entry");
             let sec = st.fabric.pair(e.pair).secondary;
             let parent = e.span;
-            st.array_mut(sec.array).write_block(sec.volume, e.lba, e.data);
+            let backup = st.array_mut(sec.array);
+            backup.write_block(sec.volume, e.lba, e.data);
+            backup.end_boundary(Some(now));
             st.fabric.update_pair(e.pair, |p| p.applied_writes += 1);
             let drained = st.fabric.journal(sjid).is_empty();
             let seq = e.seq;

@@ -42,7 +42,7 @@ mod world;
 
 pub use acklog::{AckEntry, AckLog, PrefixReport};
 pub use arena::DenseArena;
-pub use array::{ArrayPerf, StorageArray, WriteError, DEFAULT_POOL_CAPACITY};
+pub use array::{ArrayPerf, FeedEntry, StorageArray, WriteError, DEFAULT_POOL_CAPACITY};
 pub use block::{
     block_from, content_hash, ArrayId, BlockBuf, GroupId, JournalId, PairId, SnapshotId, VolRef,
     VolumeId, BLOCK_SIZE,

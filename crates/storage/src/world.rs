@@ -433,18 +433,14 @@ impl StorageWorld {
         };
         {
             let sa = self.array_mut(secondary.array);
-            let sv = sa.volume_mut(secondary.volume);
             // Host writes are range-checked against the primary only; every
             // address it admits must exist on the secondary too.
             assert!(
-                sv.size_blocks() >= primary_blocks,
+                sa.volume(secondary.volume).size_blocks() >= primary_blocks,
                 "secondary smaller than its primary"
             );
-            sv.wipe();
-            for (lba, b) in content {
-                sv.write(lba, b);
-            }
-            sv.set_role(VolumeRole::Secondary);
+            sa.replace_content(secondary.volume, content);
+            sa.set_volume_role(secondary.volume, VolumeRole::Secondary);
         }
         let id = self.fabric.next_pair_id();
         let ack_offset = self.ack_log.count_for(primary);
@@ -466,8 +462,7 @@ impl StorageWorld {
         let secondary = self.fabric.pair(id).secondary;
         self.fabric.detach_pair(id);
         self.array_mut(secondary.array)
-            .volume_mut(secondary.volume)
-            .set_role(VolumeRole::Primary);
+            .set_volume_role(secondary.volume, VolumeRole::Primary);
     }
 
     /// Operator suspend of a group.
@@ -530,8 +525,7 @@ impl StorageWorld {
             blocks_copied += blocks.len() as u64;
             if !delta {
                 self.array_mut(secondary.array)
-                    .volume_mut(secondary.volume)
-                    .wipe();
+                    .wipe_volume(secondary.volume);
             }
             for (lba, b) in blocks {
                 self.array_mut(secondary.array)
@@ -550,6 +544,8 @@ impl StorageWorld {
                 p.dirty_since_suspend.clear();
             });
         }
+        // The whole group's recopy is one step of the backup image.
+        self.end_group_boundary(id);
         // Fresh journals and a new replication epoch: in-flight frames and
         // pump events from the old epoch are discarded by their generation
         // tag.
@@ -575,6 +571,22 @@ impl StorageWorld {
         ResyncReport {
             blocks_copied,
             delta,
+        }
+    }
+
+    /// Close the change-feed step of every array holding a secondary of
+    /// `id`: what a resync, a promote drain or a group's initial copy wrote
+    /// becomes visible as one step (the instant is the caller's to know).
+    fn end_group_boundary(&mut self, id: GroupId) {
+        let fabric = &self.fabric;
+        let arrays: Vec<ArrayId> = fabric
+            .group(id)
+            .pairs
+            .iter()
+            .map(|&pid| fabric.pair(pid).secondary.array)
+            .collect();
+        for array in arrays {
+            self.array_mut(array).end_boundary(None);
         }
     }
 
@@ -606,11 +618,12 @@ impl StorageWorld {
                 applied += 1;
             }
         }
+        // The drain is one step: no reader sees a block inside it.
+        self.end_group_boundary(id);
         for pid in pair_ids {
             let secondary = self.fabric.pair(pid).secondary;
             self.array_mut(secondary.array)
-                .volume_mut(secondary.volume)
-                .set_role(VolumeRole::Primary);
+                .set_volume_role(secondary.volume, VolumeRole::Primary);
         }
         let g = self.fabric.group_mut(id);
         g.state = GroupState::Promoted;
@@ -665,6 +678,7 @@ impl StorageWorld {
             // Direction flips: promoted volume → original volume.
             self.add_pair(new_group, old_secondary, old_primary);
         }
+        self.end_group_boundary(new_group);
         new_group
     }
 
