@@ -138,6 +138,17 @@ fn a_zero_cadence_means_no_grid_not_a_hang() {
         ..base
     };
     assert_eq!(run_chaos_trial(ACCEPTANCE_SEED, mode, &plan, &huge).audits, report.audits);
+    // And clients that think "forever" are scheduled at the end of time, not
+    // in the past: each places the order it starts with, the trial ends
+    // clean (this overflowed `now + think` — a panic in debug builds, a
+    // wrap in release).
+    let idle = ChaosConfig {
+        think_time: SimDuration::from_nanos(u64::MAX),
+        ..huge
+    };
+    let thinking = run_chaos_trial(ACCEPTANCE_SEED, mode, &plan, &idle);
+    assert!(thinking.is_clean(), "{}", thinking.render());
+    assert!(thinking.committed_orders > 0 && thinking.committed_orders < report.committed_orders);
 }
 
 /// A hand-built plan whose last heal lies past its own horizon used to trip

@@ -11,9 +11,9 @@
 //!    fixed debt is *burned* out of the lock and can never silently come
 //!    back.
 //!
-//! `detlint --update-lock` only ever shrinks the lock (monotone ratchet);
-//! growing it requires the deliberate `--grow` flag, which a reviewer will
-//! see in the PR that adds it.
+//! `detlint --update-lock` only ever shrinks the lock (monotone ratchet):
+//! there is no way to add an entry with the tool — new debt is fixed or
+//! waived inline with a reason, where a reviewer sees it.
 //!
 //! Fingerprints are `rule + path + symbol` — never line numbers, so
 //! unrelated edits to a file don't churn the lock.
@@ -105,8 +105,7 @@ pub fn render_lock(entries: &BTreeSet<String>) -> String {
          # any finding NOT in this file (fix it or waive it inline with a\n\
          # reason) and on any entry here with no surviving finding (run\n\
          # `detlint --update-lock` to burn fixed debt down). `--update-lock`\n\
-         # refuses to ADD entries unless given `--grow` — the ratchet only\n\
-         # tightens.\n",
+         # never ADDS an entry — the ratchet only tightens.\n",
     );
     for e in entries {
         s.push_str(e);
@@ -143,19 +142,18 @@ pub fn ratchet(findings: &[Finding], lock: &Lock) -> RatchetReport {
 
 /// Compute the updated lock for `--update-lock`: current ratcheted
 /// fingerprints. Errors when the update would *grow* the lock (new
-/// fingerprints not already accepted) unless `grow` is set.
-pub fn updated_lock(findings: &[Finding], old: &Lock, grow: bool) -> Result<BTreeSet<String>, String> {
+/// fingerprints not already accepted).
+pub fn updated_lock(findings: &[Finding], old: &Lock) -> Result<BTreeSet<String>, String> {
     let current: BTreeSet<String> = findings
         .iter()
         .filter(|f| is_ratcheted(f))
         .map(fingerprint)
         .collect();
     let added: Vec<&String> = current.difference(&old.entries).collect();
-    if !added.is_empty() && !grow {
+    if !added.is_empty() {
         return Err(format!(
             "--update-lock would ADD {} finding(s) to the baseline; the ratchet \
-             only tightens. Fix them, waive them inline with a reason, or — if \
-             this debt is genuinely being accepted — rerun with --grow:\n{}",
+             only tightens. Fix them or waive them inline with a reason:\n{}",
             added.len(),
             added
                 .iter()
@@ -227,16 +225,20 @@ mod tests {
         assert_eq!(r.stale, [gone]);
         assert!(!r.is_clean());
         // --update-lock burns it down.
-        let updated = updated_lock(&[], &lock, false).expect("shrinking is fine");
+        let updated = updated_lock(&[], &lock).expect("shrinking is fine");
         assert!(updated.is_empty());
     }
 
     #[test]
     fn update_lock_refuses_to_grow_without_flag() {
+        // ... and there is no flag: `--grow` is gone.
         let finding = f("panic_reachable", "crates/a/src/x.rs", "X::m");
-        assert!(updated_lock(&[finding.clone()], &Lock::default(), false).is_err());
-        let grown = updated_lock(&[finding.clone()], &Lock::default(), true).expect("--grow");
-        assert_eq!(grown.len(), 1);
+        assert!(updated_lock(std::slice::from_ref(&finding), &Lock::default()).is_err());
+        // An entry that is already accepted stays while its finding does.
+        let lock = Lock {
+            entries: [fingerprint(&finding)].into(),
+        };
+        assert_eq!(updated_lock(&[finding], &lock).expect("no growth").len(), 1);
     }
 
     #[test]

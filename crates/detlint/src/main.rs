@@ -6,7 +6,6 @@
 //! cargo run -p detlint                      # full analysis + ratchet, exit 1 on new findings
 //! cargo run -p detlint -- --fix-list        # JSON report on stdout
 //! cargo run -p detlint -- --update-lock     # burn fixed debt out of detlint.lock
-//! cargo run -p detlint -- --update-lock --grow   # deliberately accept new debt
 //! cargo run -p detlint -- graph --dot       # call graph as DOT on stdout
 //! cargo run -p detlint -- graph --symbols   # symbol table, one line per fn
 //! cargo run -p detlint -- --root DIR        # analyze a different workspace root
@@ -29,7 +28,6 @@ struct Args {
     graph: Option<GraphMode>,
     fix_list: bool,
     update_lock: bool,
-    grow: bool,
     root: Option<PathBuf>,
     config: Option<PathBuf>,
     lock: Option<PathBuf>,
@@ -46,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
         graph: None,
         fix_list: false,
         update_lock: false,
-        grow: false,
         root: None,
         config: None,
         lock: None,
@@ -70,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--fix-list" => args.fix_list = true,
             "--update-lock" => args.update_lock = true,
-            "--grow" => args.grow = true,
             "--root" => {
                 args.root = Some(PathBuf::from(
                     it.next().ok_or("--root requires a directory argument")?,
@@ -89,14 +85,13 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "detlint — determinism & safety analysis\n\n\
-                     USAGE: detlint [graph --dot|--symbols] [--fix-list] [--update-lock [--grow]]\n\
+                     USAGE: detlint [graph --dot|--symbols] [--fix-list] [--update-lock]\n\
                             [--root DIR] [--config FILE] [--lock FILE] [--out FILE]\n\n\
                      (no subcommand)  full analysis; flow findings ratchet against detlint.lock\n\
                      graph --dot      emit the workspace call graph as Graphviz DOT\n\
                      graph --symbols  emit the symbol table, one `fn` per line\n\
                      --fix-list       emit a machine-readable JSON report on stdout\n\
                      --update-lock    rewrite detlint.lock from current findings (shrink-only)\n\
-                     --grow           allow --update-lock to ADD entries (deliberate debt)\n\
                      --root DIR       workspace root (default: auto-discover)\n\
                      --config F       config file (default: <root>/detlint.toml)\n\
                      --lock F         lock file (default: <root>/detlint.lock)\n\
@@ -106,9 +101,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if args.grow && !args.update_lock {
-        return Err("--grow only makes sense with --update-lock".to_owned());
     }
     Ok(args)
 }
@@ -181,7 +173,7 @@ fn run() -> Result<bool, String> {
     };
 
     if args.update_lock {
-        let entries = lock::updated_lock(&analysis.findings, &lock, args.grow)?;
+        let entries = lock::updated_lock(&analysis.findings, &lock)?;
         let burned = lock.entries.len().saturating_sub(entries.len());
         std::fs::write(&lock_path, lock::render_lock(&entries))
             .map_err(|e| format!("writing `{}`: {e}", lock_path.display()))?;

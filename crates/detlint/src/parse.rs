@@ -701,11 +701,15 @@ fn scan_body(body: &[Tok], sym: &mut FnSym) {
 
         // Postfix indexing: `[` directly after an ident, `)`, or `]` is
         // an index expression (array types `[u8; N]`, array literals and
-        // attribute groups all sit after non-postfix tokens). A bare
+        // attribute groups all sit after non-postfix tokens; after a
+        // keyword the bracket opens a slice pattern or an array literal —
+        // `let [a, b] = pair`, `for x in [1, 2]`, `&mut [0; 4]`). A bare
         // full-range slice `[..]` cannot panic and is ignored.
         if t.is_punct('[') {
+            const NOT_A_VALUE: [&str; 9] =
+                ["let", "mut", "ref", "in", "return", "break", "match", "if", "while"];
             let postfix = i > 0
-                && (body[i - 1].ident().is_some()
+                && (body[i - 1].ident().is_some() && !NOT_A_VALUE.iter().any(|kw| body[i - 1].is_kw(kw))
                     || body[i - 1].is_punct(')')
                     || body[i - 1].is_punct(']'));
             if postfix {
@@ -828,6 +832,19 @@ mod tests {
         );
         let s2 = parse("fn g(v: &[u8], a: usize) -> &[u8] { &v[a..] }");
         assert!(s2.fns[0].sites.iter().any(|s| s.kind == SiteKind::Index));
+        // A slice pattern or an array literal after a keyword is not one
+        // either; an index after a raw identifier spelled like one is.
+        let s3 = parse(
+            "fn h(s: &mut [u64; 4]) -> u64 {\n\
+                 let [a, _, c, _] = s;\n\
+                 for x in [1u64, 2] { *a += x; }\n\
+                 let t = &mut [0u64; 2];\n\
+                 *a + *c + t.len() as u64\n\
+             }\n",
+        );
+        assert!(s3.fns[0].sites.is_empty(), "sites: {:?}", s3.fns[0].sites);
+        let s4 = parse("fn k(r#in: &[u8]) -> u8 { r#in[3] }");
+        assert!(s4.fns[0].sites.iter().any(|s| s.kind == SiteKind::Index));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use tsuru_storage::BlockDevice;
 
 use crate::io::{DbVol, IoRequest};
-use crate::node::{Node, PageError, MAX_VALUE, PAGE_SIZE};
+use crate::node::{Node, PageError, LEAF_ENTRY_HEADER, MAX_VALUE, NODE_HEADER, PAGE_SIZE};
 
 /// Allocates page ids; recycles pages freed by earlier checkpoints.
 #[derive(Debug, Clone, Default)]
@@ -78,6 +78,10 @@ impl PageAllocator {
 #[derive(Debug)]
 struct Slot {
     node: Node,
+    /// `node.serialized_size()`, kept current by every change to the node:
+    /// the split check on the insert path reads it instead of summing the
+    /// leaf's entries.
+    bytes: usize,
     /// Changed since the last checkpoint.
     dirty: bool,
     /// The last checkpoint wrote this node under this page id, so the next
@@ -174,6 +178,7 @@ impl BTree {
             .expect("invariant: the table was just grown past this id");
         debug_assert!(slot.is_none(), "page {id} placed over a resident node");
         *slot = Some(Slot {
+            bytes: node.serialized_size(),
             node,
             dirty: !on_disk,
             on_disk,
@@ -283,12 +288,17 @@ impl BTree {
             Node::Leaf { entries } => {
                 match entries.binary_search_by_key(&key, |(k, _)| *k) {
                     Ok(i) => {
-                        entries
+                        let held = &mut entries
                             .get_mut(i)
                             .expect("invariant: binary_search found the key at i")
-                            .1 = value;
+                            .1;
+                        slot.bytes = slot.bytes - held.len() + value.len();
+                        *held = value;
                     }
-                    Err(i) => entries.insert(i, (key, value)),
+                    Err(i) => {
+                        slot.bytes += LEAF_ENTRY_HEADER + value.len();
+                        entries.insert(i, (key, value));
+                    }
                 }
                 return self.maybe_split(id, alloc);
             }
@@ -298,9 +308,11 @@ impl BTree {
             }
         };
         if let Some((sep, right)) = self.insert_rec(child, key, value, alloc) {
-            if let Node::Internal { keys, children } = &mut self.slot_mut(id).node {
+            let slot = self.slot_mut(id);
+            if let Node::Internal { keys, children } = &mut slot.node {
                 keys.insert(idx, sep);
                 children.insert(idx + 1, right);
+                slot.bytes += 8 + 8; // one key, one child id
             }
         }
         self.maybe_split(id, alloc)
@@ -309,7 +321,8 @@ impl BTree {
     /// Split `id` if it overflows a page; returns the promotion.
     fn maybe_split(&mut self, id: u64, alloc: &mut PageAllocator) -> Option<(u64, u64)> {
         let slot = self.slot_mut(id);
-        if slot.node.serialized_size() <= PAGE_SIZE {
+        debug_assert_eq!(slot.bytes, slot.node.serialized_size());
+        if slot.bytes <= PAGE_SIZE {
             return None;
         }
         slot.dirty = true;
@@ -317,11 +330,11 @@ impl BTree {
             Node::Leaf { entries } => {
                 // Split at the byte midpoint so variably-sized values
                 // balance reasonably.
-                let total: usize = entries.iter().map(|(_, v)| 12 + v.len()).sum();
+                let total = slot.bytes - NODE_HEADER;
                 let mut acc = 0usize;
                 let mut cut = entries.len() / 2;
                 for (i, (_, v)) in entries.iter().enumerate() {
-                    acc += 12 + v.len();
+                    acc += LEAF_ENTRY_HEADER + v.len();
                     if acc * 2 >= total {
                         cut = (i + 1).min(entries.len() - 1).max(1);
                         break;
@@ -356,6 +369,8 @@ impl BTree {
                 )
             }
         };
+        // A split walks the node anyway: measure what stayed.
+        slot.bytes = slot.node.serialized_size();
         let right_id = alloc.alloc();
         self.place(right_id, right, false);
         Some((sep, right_id))
@@ -373,7 +388,8 @@ impl BTree {
                     let Ok(i) = entries.binary_search_by_key(&key, |(k, _)| *k) else {
                         return false;
                     };
-                    entries.remove(i);
+                    let (_, value) = entries.remove(i);
+                    slot.bytes -= LEAF_ENTRY_HEADER + value.len();
                     slot.dirty = true;
                     return true;
                 }
@@ -469,11 +485,18 @@ impl BTree {
         } else {
             id
         };
-        self.node(new_id).serialize_into(new_id, lsn, scratch);
+        let slot = self.slot(new_id);
+        let used = slot.node.serialize_into(new_id, lsn, scratch);
+        debug_assert_eq!(used, slot.bytes);
+        // The page is the node's bytes and zeros after them: say so, and
+        // its fingerprint is not searched for in the padding.
+        let image = scratch
+            .get(..used)
+            .expect("invariant: a serialized node fits the page");
         ios.push(IoRequest {
             vol: DbVol::Data,
             lba: new_id,
-            data: tsuru_storage::block_from(scratch),
+            data: tsuru_storage::block_from(image),
         });
         // A rewritten node always reports "changed" so ancestors re-serialize
         // their (possibly updated) child lists.
@@ -517,9 +540,18 @@ impl BTree {
     }
 
     fn validate_rec(&self, id: u64, lo: Option<u64>, hi: Option<u64>) -> Result<(), String> {
-        match self.resident(id).map(|s| &s.node) {
-            None => Err(format!("node {id} missing")),
-            Some(Node::Leaf { entries }) => {
+        let Some(slot) = self.resident(id) else {
+            return Err(format!("node {id} missing"));
+        };
+        if slot.bytes != slot.node.serialized_size() {
+            return Err(format!(
+                "node {id} is tracked at {} bytes but serializes to {}",
+                slot.bytes,
+                slot.node.serialized_size()
+            ));
+        }
+        match &slot.node {
+            Node::Leaf { entries } => {
                 for w in entries.windows(2) {
                     if w[0].0 >= w[1].0 {
                         return Err(format!("leaf {id} keys not strictly sorted"));
@@ -532,7 +564,7 @@ impl BTree {
                 }
                 Ok(())
             }
-            Some(Node::Internal { keys, children }) => {
+            Node::Internal { keys, children } => {
                 if children.len() != keys.len() + 1 {
                     return Err(format!("internal {id} fan-out mismatch"));
                 }
@@ -810,6 +842,58 @@ mod tests {
             live2.is_subset(&free),
             "the old generation is reusable after the rebuild"
         );
+    }
+
+    /// The byte size kept beside each node follows inserts, overwrites that
+    /// grow and shrink a value, deletes, leaf and internal splits, a
+    /// checkpoint's path copy, a load and a rebuild — `validate` recomputes
+    /// every node's size and compares. Negative control: a size knocked off
+    /// by one is reported.
+    #[test]
+    fn tracked_node_sizes_follow_every_change() {
+        let (mut t, mut a) = tree();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..6_000u64 {
+            let key = next() % 900;
+            match next() % 4 {
+                0 => drop(t.delete(key)),
+                _ => t.put(&mut a, key, vec![round as u8; (next() % 700) as usize]),
+            }
+            if round % 500 == 0 {
+                t.validate().unwrap();
+            }
+        }
+        t.validate().unwrap();
+        assert!(t.node_count() > 20, "leaves and internal nodes have split");
+        let ios = t.checkpoint_flush(&mut a, 1);
+        a.promote_pending();
+        t.validate().unwrap();
+        for io in &ios {
+            // The image is the node's bytes, then zeros.
+            let used = t.slot(io.lba).bytes;
+            assert!(io.data[used..].iter().all(|&b| b == 0));
+        }
+        let mut dev = MemDevice::new(a.next_page());
+        for io in &ios {
+            dev.write_block(io.lba, &io.data);
+        }
+        let (loaded, _) = BTree::load(&dev, t.root()).unwrap();
+        loaded.validate().unwrap();
+        t.put(&mut a, 5, vec![1; 10]);
+        let _ = t.checkpoint_flush(&mut a, 2);
+        t.rebuild(&mut a);
+        t.validate().unwrap();
+
+        let root = t.root();
+        t.slot_mut(root).bytes += 1;
+        let err = t.validate().unwrap_err();
+        assert!(err.contains("tracked at"), "{err}");
     }
 
     /// A child pointer read off the disk that names no block of the device

@@ -424,10 +424,14 @@ impl MiniDb {
             self.alloc.next_page(),
             self.config.data_blocks
         );
+        let page = sb.serialize();
+        let image = page
+            .get(..sb.serialized_size())
+            .expect("invariant: a superblock fits its page");
         let sb_io = IoRequest {
             vol: DbVol::Data,
             lba: 0,
-            data: tsuru_storage::block_from(&sb.serialize()),
+            data: tsuru_storage::block_from(image),
         };
         self.wal.reset(epoch);
         self.ckpt_lsn = lsn;

@@ -16,6 +16,8 @@ use tsuru_storage::BLOCK_SIZE;
 pub const PAGE_SIZE: usize = BLOCK_SIZE;
 /// Node header size in bytes.
 pub const NODE_HEADER: usize = 28;
+/// Bytes a leaf entry takes before its value: key u64 | vlen u32.
+pub const LEAF_ENTRY_HEADER: usize = 12;
 /// Maximum value size accepted by the tree; keeps every leaf ≥ 3 entries.
 pub const MAX_VALUE: usize = 1024;
 
@@ -86,7 +88,7 @@ impl Node {
                 NODE_HEADER
                     + entries
                         .iter()
-                        .map(|(_, v)| 8 + 4 + v.len())
+                        .map(|(_, v)| LEAF_ENTRY_HEADER + v.len())
                         .sum::<usize>()
             }
             Node::Internal { keys, children } => NODE_HEADER + keys.len() * 8 + children.len() * 8,
@@ -106,11 +108,12 @@ impl Node {
 
     /// Serialize into a caller-provided page buffer, overwriting it fully —
     /// a checkpoint reuses one scratch page for every flushed node instead
-    /// of allocating per page.
+    /// of allocating per page. Returns [`Node::serialized_size`]: the image
+    /// is that many bytes, then zeros.
     ///
     /// # Panics
     /// Panics if the node exceeds the page or `buf` is not page-sized.
-    pub fn serialize_into(&self, page_id: u64, lsn: u64, buf: &mut [u8]) {
+    pub fn serialize_into(&self, page_id: u64, lsn: u64, buf: &mut [u8]) -> usize {
         assert!(
             self.serialized_size() <= PAGE_SIZE,
             "node for page {page_id} overflows the page"
@@ -132,8 +135,8 @@ impl Node {
                 for (k, v) in entries {
                     put(buf, pos, &k.to_le_bytes());
                     put(buf, pos + 8, &(v.len() as u32).to_le_bytes());
-                    put(buf, pos + 12, v);
-                    pos += 12 + v.len();
+                    put(buf, pos + LEAF_ENTRY_HEADER, v);
+                    pos += LEAF_ENTRY_HEADER + v.len();
                 }
             }
             Node::Internal { keys, children } => {
@@ -149,6 +152,7 @@ impl Node {
         }
         let crc = crc32(buf);
         put(buf, CRC_OFFSET, &crc.to_le_bytes());
+        pos
     }
 
     /// Deserialize a page image, verifying checksum and identity.
@@ -300,6 +304,17 @@ mod tests {
         // Size formula matches reality: serialize succeeds iff it fits.
         assert!(node.serialized_size() < PAGE_SIZE);
         let _ = node.serialize(0, 0);
+        // ... and `serialize_into` says how much of the page it used.
+        let internal = Node::Internal {
+            keys: vec![10, 20],
+            children: vec![1, 2, 3],
+        };
+        for node in [node, internal, Node::empty_leaf()] {
+            let mut page = vec![0xFFu8; PAGE_SIZE];
+            let used = node.serialize_into(4, 2, &mut page);
+            assert_eq!(used, node.serialized_size());
+            assert!(page[used..].iter().all(|&b| b == 0));
+        }
     }
 
     #[test]

@@ -34,6 +34,12 @@ pub struct Superblock {
 }
 
 impl Superblock {
+    /// How many bytes of the page image the superblock uses — the fixed
+    /// fields and the persisted free list; the rest of the page is zeros.
+    pub fn serialized_size(&self) -> usize {
+        FREE_LIST_OFFSET + 8 * self.free_list.len().min(MAX_FREE_LIST)
+    }
+
     /// Serialize into a full page image. Free-list entries beyond
     /// [`MAX_FREE_LIST`] are dropped (leaked space, never corruption).
     pub fn serialize(&self) -> Vec<u8> {

@@ -8,7 +8,7 @@
 //! tagged with the WAL *epoch*, which increments at every checkpoint so a
 //! scanner never confuses a stale pre-checkpoint tail with live log.
 
-use tsuru_storage::{BlockDevice, BLOCK_SIZE};
+use tsuru_storage::{BlockDevice, BlockWriter, BLOCK_SIZE};
 
 use crate::checksum::crc32_update;
 use crate::io::{DbVol, IoRequest};
@@ -139,10 +139,11 @@ pub struct WalWriter {
     epoch: u32,
     capacity: usize,
     offset: usize,
-    // The block holding byte `offset`: log bytes up to `offset % BLOCK_SIZE`,
-    // zeros beyond — so every emitted block carries the earlier records of
-    // that block before the new one and zeros after it.
-    tail: Vec<u8>,
+    // The block holding byte `offset`, filled up to `offset % BLOCK_SIZE` —
+    // so every emitted block carries the earlier records of that block
+    // before the new one and zeros after it, and is fingerprinted for the
+    // bytes that joined it since its last image, not from its start.
+    tail: BlockWriter,
     // Encode scratch, reused across appends (capacity persists over epoch
     // resets): steady-state appends allocate nothing for encoding.
     scratch: Vec<u8>,
@@ -169,19 +170,18 @@ impl WalWriter {
     /// # Panics
     /// Panics if `tail` is not the `end % BLOCK_SIZE` bytes before `end` or
     /// `end` lies beyond the volume.
-    pub fn resume(wal_blocks: u64, epoch: u32, end: usize, mut tail: Vec<u8>) -> Self {
+    pub fn resume(wal_blocks: u64, epoch: u32, end: usize, tail: Vec<u8>) -> Self {
         let capacity = wal_blocks as usize * BLOCK_SIZE;
         assert!(
             end <= capacity && tail.len() == end % BLOCK_SIZE,
             "a {}-byte tail does not end a {end}-byte log on a {capacity}-byte WAL volume",
             tail.len()
         );
-        tail.resize(BLOCK_SIZE, 0);
         WalWriter {
             epoch,
             capacity,
             offset: end,
-            tail,
+            tail: BlockWriter::resume(tail),
             scratch: Vec::new(),
             sealed: Vec::new(),
             flushed: end,
@@ -207,8 +207,7 @@ impl WalWriter {
     /// there — what [`scan_wal_from`] continues from and what
     /// [`WalWriter::resume`] was given.
     pub fn log_end(&self) -> (usize, &[u8]) {
-        let (tail, _) = self.tail.split_at(self.offset % BLOCK_SIZE);
-        (self.offset, tail)
+        (self.offset, self.tail.bytes())
     }
 
     /// Would this record fit in the remaining space?
@@ -236,23 +235,20 @@ impl WalWriter {
         encode_record_into(self.epoch, rec, &mut self.scratch);
         let mut rest = self.scratch.as_slice();
         while !rest.is_empty() {
-            let fill = self.offset % BLOCK_SIZE;
-            let (now, later) = rest.split_at(rest.len().min(BLOCK_SIZE - fill));
-            self.tail
-                .get_mut(fill..fill + now.len())
-                .expect("invariant: the tail is one block and `now` ends within it")
-                .copy_from_slice(now);
-            self.offset += now.len();
-            if self.offset % BLOCK_SIZE == 0 {
+            let taken = self.tail.append(rest);
+            self.offset += taken;
+            if self.tail.filled() == BLOCK_SIZE {
                 // The block is full: the log ends in the next one.
                 self.sealed.push(IoRequest {
                     vol: DbVol::Wal,
                     lba: (self.offset / BLOCK_SIZE - 1) as u64,
-                    data: tsuru_storage::block_from(&self.tail),
+                    data: self.tail.image(),
                 });
-                self.tail.fill(0);
+                self.tail.clear();
             }
-            rest = later;
+            rest = rest
+                .get(taken..)
+                .expect("invariant: a block takes no more than it was offered");
         }
     }
 
@@ -265,7 +261,7 @@ impl WalWriter {
             ios.push(IoRequest {
                 vol: DbVol::Wal,
                 lba: (self.offset / BLOCK_SIZE) as u64,
-                data: tsuru_storage::block_from(&self.tail),
+                data: self.tail.image(),
             });
         }
         self.flushed = self.offset;
@@ -282,7 +278,7 @@ impl WalWriter {
         self.offset = 0;
         self.flushed = 0;
         self.sealed.clear();
-        self.tail.fill(0);
+        self.tail.clear();
     }
 }
 

@@ -26,12 +26,58 @@
 //! forgetting the loaded pages the hostile replay fails in its third and
 //! the forged `Page` image in `every_recovery_error_variant_…`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use proptest::prelude::*;
 use tsuru_minidb::{
-    encode_record, DbConfig, DbVol, IoRequest, MiniDb, RecoveryError, RecoveryReport, Superblock,
-    TableId, WalOp, WalRecord,
+    encode_record, scan_wal_from, DbConfig, DbVol, IoRequest, MiniDb, RecoveryError,
+    RecoveryReport, Superblock, TableId, WalOp, WalRecord,
 };
 use tsuru_storage::{BlockDevice, BlockDeviceMut, MemDevice, BLOCK_SIZE};
+
+/// Counts the allocations of the thread that asks (`TRACK`): the other
+/// tests of this binary run beside the one that counts.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static TRACK: Cell<bool> = const { Cell::new(false) };
+}
+
+// SAFETY: pure pass-through to the system allocator; the count is the only
+// added behaviour and does not affect the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: sound iff the system allocator is — we only count and forward.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = TRACK.try_with(|t| {
+            if t.get() {
+                ALLOCS.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
+        unsafe { System.alloc(layout) }
+    }
+    // SAFETY: sound iff the system allocator is — pure forwarding.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above for this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
+
+/// Allocations `f` makes on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    TRACK.with(|t| t.set(true));
+    let out = f();
+    TRACK.with(|t| t.set(false));
+    (ALLOCS.load(Ordering::Relaxed) - before, out)
+}
 
 const T: TableId = TableId(3);
 const CFG: DbConfig = DbConfig {
@@ -350,4 +396,42 @@ fn every_recovery_error_variant_is_followed_exactly() {
     };
     f.write(DbVol::Data, 0, &forged.serialize());
     expect(&f, "DataAheadOfWal");
+}
+
+/// The auditor calls `catch_up` at every apply boundary, and at most of them
+/// the log has not moved. Such a call costs the scan's one-block window and
+/// nothing else: the rebuilt log writer takes over the window's allocation
+/// (`BlockWriter::resume`) instead of padding a block of its own, hashes
+/// nothing, and validation allocates nothing — whether the log ends inside
+/// a block or, after a checkpoint, before its first byte.
+#[test]
+fn a_catch_up_that_finds_nothing_allocates_only_the_scan_window() {
+    let mid_block = vec![Step::Group(vec![vec![(1, Some((1, 100)))], vec![(2, Some((2, 300)))]])];
+    let after_checkpoint = vec![mid_block[0].clone(), Step::Checkpoint];
+    for steps in [mid_block, after_checkpoint] {
+        let (mut wal, mut data) = (MemDevice::new(CFG.wal_blocks), MemDevice::new(CFG.data_blocks));
+        for io in block_stream(&steps) {
+            match io.vol {
+                DbVol::Wal => wal.write_block(io.lba, &io.data),
+                DbVol::Data => data.write_block(io.lba, &io.data),
+            }
+        }
+        let (mut db, _) = MiniDb::recover("follower", &wal, &data, CFG).expect("opens");
+        let epoch = Superblock::deserialize(&data.read_block(0).unwrap()).unwrap().epoch;
+        let end = db.log_end();
+        let tail = wal
+            .read_block((end / BLOCK_SIZE) as u64)
+            .map_or_else(Vec::new, |b| b[..end % BLOCK_SIZE].to_vec());
+        assert_eq!(end % BLOCK_SIZE != 0, steps.len() == 1, "the two shapes of a log end");
+
+        let (window, scan) = allocations(|| scan_wal_from(&wal, CFG.wal_blocks, epoch, end, &tail));
+        assert!(scan.expect("still a prefix").records.is_empty());
+        assert_eq!(window, 1, "one block of window");
+        for _ in 0..3 {
+            let (n, caught) = allocations(|| db.catch_up(&wal, &mut |_, _, _, _| {}));
+            assert_eq!(caught.expect("follows"), Some(0));
+            assert_eq!(n, window, "catch_up allocated beyond the scan's window");
+        }
+        assert_eq!(db.log_end(), end);
+    }
 }

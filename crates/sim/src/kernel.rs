@@ -25,13 +25,23 @@ pub type EventFn<S, E = DynEvent<S>> = Box<dyn FnOnce(&mut S, &mut Sim<S, E>)>;
 ///
 /// Implementations are typically enums whose [`Event::dispatch`] is a
 /// `match` calling straight into domain code — no allocation, no virtual
-/// call. Every implementation must also absorb a boxed closure
-/// ([`Event::from_fn`]) so generic helpers and tests can keep scheduling
-/// ad-hoc handlers (the `Dyn` escape-hatch variant).
+/// call. An implementation that also absorbs a boxed closure
+/// ([`Event::from_fn`], the `Dyn` escape-hatch variant) lets generic
+/// helpers and tests keep scheduling ad-hoc handlers; one that schedules
+/// typed events only leaves the provided body in place.
 pub trait Event<S>: Sized + 'static {
     /// Wrap a boxed closure as an event (the escape hatch used by
     /// [`Sim::schedule_at`] and [`Sim::schedule_in`]).
-    fn from_fn(f: EventFn<S, Self>) -> Self;
+    ///
+    /// # Panics
+    /// The provided body panics, naming the event type: an enum without a
+    /// closure arm was handed a closure.
+    fn from_fn(_: EventFn<S, Self>) -> Self {
+        panic!(
+            "{} has no closure arm: schedule it with Sim::schedule_event_at / schedule_event_in",
+            std::any::type_name::<Self>()
+        )
+    }
     /// Fire the event. Consumes it; handlers may mutate the world and
     /// schedule further events.
     fn dispatch(self, state: &mut S, sim: &mut Sim<S, Self>);
@@ -179,13 +189,10 @@ impl<S, E: Event<S>> Sim<S, E> {
         TimerToken { time: t, seq }
     }
 
-    /// Schedule event `ev` to fire `delay` after the current time.
+    /// Schedule event `ev` to fire `delay` after the current time — at
+    /// [`SimTime::MAX`], the end of time, if that is too far to represent.
     pub fn schedule_event_in(&mut self, delay: SimDuration, ev: E) -> TimerToken {
-        let t = self
-            .now
-            .checked_add(delay)
-            .expect("invariant: sim time never overflows u64 nanoseconds in a bounded run");
-        self.schedule_event_at(t, ev)
+        self.schedule_event_at(self.now + delay, ev)
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event
@@ -213,11 +220,7 @@ impl<S, E: Event<S>> Sim<S, E> {
         delay: SimDuration,
         f: impl FnOnce(&mut S, &mut Sim<S, E>) + 'static,
     ) {
-        let t = self
-            .now
-            .checked_add(delay)
-            .expect("invariant: sim time never overflows u64 nanoseconds in a bounded run");
-        self.schedule_at(t, f);
+        self.schedule_at(self.now + delay, f);
     }
 
     /// Run the single earliest pending event, advancing the clock to its
@@ -257,13 +260,10 @@ impl<S, E: Event<S>> Sim<S, E> {
         self.now = horizon;
     }
 
-    /// Run for `d` of simulated time from the current instant.
+    /// Run for `d` of simulated time from the current instant (to the end
+    /// of time, [`SimTime::MAX`], if `d` reaches past it).
     pub fn run_for(&mut self, state: &mut S, d: SimDuration) {
-        let horizon = self
-            .now
-            .checked_add(d)
-            .expect("run_for horizon overflow");
-        self.run_until(state, horizon);
+        self.run_until(state, self.now + d);
     }
 
     /// Run until `pred(state)` holds, checking after every event, or until
@@ -434,6 +434,26 @@ mod tests {
         // t=1: Add(1); t=2: the closure (scheduled first, lower seq) then
         // Add(2); t=3: Add(3).
         assert_eq!(log, vec![1, 99, 2, 3]);
+    }
+
+    /// A typed-only enum: no `Dyn` arm, no `from_fn`.
+    struct Bump;
+
+    impl Event<u32> for Bump {
+        fn dispatch(self, state: &mut u32, _: &mut Sim<u32, Self>) {
+            *state += 1;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Bump has no closure arm")]
+    fn a_typed_only_event_runs_typed_and_refuses_closures_by_name() {
+        let mut sim: Sim<u32, Bump> = Sim::new();
+        sim.schedule_event_at(SimTime::from_millis(1), Bump);
+        let mut n = 0;
+        sim.run(&mut n);
+        assert_eq!(n, 1);
+        sim.schedule_in(SimDuration::from_millis(1), |s: &mut u32, _| *s += 1);
     }
 
     #[test]

@@ -78,7 +78,9 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked addition of a duration; `None` on overflow.
+    /// Checked addition of a duration; `None` on overflow — for a caller
+    /// that can act on "too far to represent" (`+` saturates at
+    /// [`SimTime::MAX`]).
     #[inline]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
@@ -184,16 +186,19 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    /// Saturates at [`SimTime::MAX`]: an instant too far to represent is
+    /// "never", not an instant in the past (release builds carry no
+    /// overflow checks, so a bare `+` would wrap).
     #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -213,16 +218,17 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    /// Saturates at [`SimDuration::MAX`] ("never").
     #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 

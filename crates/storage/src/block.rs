@@ -61,28 +61,65 @@ pub struct SnapshotId(pub u64);
 /// and their fingerprint, in one reference-counted allocation. Clones are
 /// a refcount bump, which matters because a block travels host → volume →
 /// journal → link → remote journal → secondary volume without copying —
-/// and because the buffer can never change, its [`content_hash`] is
-/// computed at most once, by whoever asks first, and shared by every
-/// clone: a payload fingerprinted at the primary is not hashed again at
-/// the journal, the backup volume, a snapshot, a resync copy or any
-/// verify. Built only by [`block_from`], so a short block is
-/// unrepresentable.
+/// and because the buffer can never change, its fingerprint is computed at
+/// most once, by whoever asks first (or by the [`BlockWriter`] that minted
+/// it), and shared by every clone: a payload fingerprinted at the primary
+/// is not hashed again at the journal, the backup volume, a snapshot, a
+/// resync copy or any verify. Built only by [`block_from`] and
+/// [`BlockWriter::image`], so a short block is unrepresentable.
 #[derive(Clone)]
 pub struct BlockBuf(Arc<Block>);
 
 struct Block {
     fingerprint: OnceLock<u64>,
+    // Every byte from here on is zero (the length `block_from` was given):
+    // the search for the extent starts here, not at the block's end.
+    written: usize,
     bytes: [u8; BLOCK_SIZE],
 }
 
+/// Index after the last non-zero byte of `bytes`: the part of a zero-padded
+/// block that was ever written, as far as its content can tell.
+fn extent_of(bytes: &[u8]) -> usize {
+    bytes.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1)
+}
+
 impl BlockBuf {
-    /// [`content_hash`] of the block, computed on first use.
+    /// The block's fingerprint: [`content_hash`] of its *written extent*,
+    /// the bytes up to and including the last non-zero one. A pure function
+    /// of the 4096 bytes — equal blocks have equal fingerprints however
+    /// they were built — that costs what was written, not what was padded.
+    /// Computed on first use.
     #[inline]
     pub fn fingerprint(&self) -> u64 {
-        *self
-            .0
-            .fingerprint
-            .get_or_init(|| content_hash(&self.0.bytes))
+        *self.0.fingerprint.get_or_init(|| {
+            let written = self
+                .0
+                .bytes
+                .get(..self.0.written)
+                .expect("invariant: `written` is a length within the block");
+            let (extent, _) = written.split_at(extent_of(written));
+            content_hash(extent)
+        })
+    }
+
+    /// A block holding `data` then zeros, carrying `fingerprint` if the
+    /// caller already knows it.
+    fn padded(data: &[u8], fingerprint: OnceLock<u64>) -> BlockBuf {
+        // Padded in place: padding on the stack and moving the array into
+        // the `Arc` would copy the block twice.
+        let mut block = Arc::new(Block {
+            fingerprint,
+            written: data.len(),
+            bytes: [0u8; BLOCK_SIZE],
+        });
+        Arc::get_mut(&mut block)
+            .expect("invariant: a freshly built Arc has one owner")
+            .bytes
+            .get_mut(..data.len())
+            .expect("invariant: callers pass at most one block of data")
+            .copy_from_slice(data);
+        BlockBuf(block)
     }
 }
 
@@ -108,6 +145,67 @@ impl fmt::Debug for BlockBuf {
     }
 }
 
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+/// Bytes per stripe: one little-endian word for each of the four lanes.
+const STRIPE: usize = 32;
+
+/// One absorption step of [`content_hash`]. `word * P2` is off the lane's
+/// dependency chain, so the four lanes' multiplies pipeline; the add keeps
+/// a flipped top bit from passing through as a lone bit the next word could
+/// cancel.
+#[inline]
+fn step(state: u64, word: u64) -> u64 {
+    state
+        .wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// The running state of [`content_hash`]: four lanes that have absorbed
+/// some whole stripes of the input. Stripes are absorbed in order and
+/// independently of what follows them, so the state after a prefix's whole
+/// stripes can be kept and resumed when the input grows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Lanes([u64; 4]);
+
+impl Lanes {
+    /// No stripe absorbed yet.
+    const START: Lanes = Lanes([P1, P2, P3, !P1]);
+
+    /// Absorb the next whole stripes of the input.
+    fn absorb(&mut self, stripes: &[u8]) {
+        debug_assert_eq!(stripes.len() % STRIPE, 0);
+        for stripe in stripes.chunks_exact(STRIPE) {
+            for (lane, word) in self.0.iter_mut().zip(stripe.chunks_exact(8)) {
+                let word = word
+                    .try_into()
+                    .expect("invariant: chunks_exact(8) yields 8-byte slices");
+                *lane = step(*lane, u64::from_le_bytes(word));
+            }
+        }
+    }
+
+    /// The hash of an input of `len` bytes whose whole stripes were
+    /// absorbed and whose last, partial stripe is `remainder`.
+    fn digest(mut self, remainder: &[u8], len: usize) -> u64 {
+        debug_assert_eq!(remainder.len(), len % STRIPE);
+        // Little-endian load of up to eight bytes, zero-extended.
+        let le = |bytes: &[u8]| bytes.iter().rev().fold(0u64, |w, &b| (w << 8) | b as u64);
+        for (lane, word) in self.0.iter_mut().zip(remainder.chunks(8)) {
+            *lane = step(*lane, le(word));
+        }
+        let mut h = self
+            .0
+            .iter()
+            .fold((len as u64).wrapping_mul(P3), |h, &lane| step(h, lane));
+        h = (h ^ (h >> 33)).wrapping_mul(P2);
+        h = (h ^ (h >> 29)).wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
 /// 64-bit content fingerprint of a byte slice, eight bytes per step.
 ///
 /// Four independent lanes each absorb one little-endian word of every
@@ -123,41 +221,10 @@ impl fmt::Debug for BlockBuf {
 /// cryptographic; collisions are irrelevant at the scales simulated
 /// (≪ 2^32 samples).
 pub fn content_hash(data: &[u8]) -> u64 {
-    const P1: u64 = 0x9E37_79B1_85EB_CA87;
-    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    const P3: u64 = 0x1656_67B1_9E37_79F9;
-    // `word * P2` is off the lane's dependency chain, so the four lanes'
-    // multiplies pipeline; the add keeps a flipped top bit from passing
-    // through as a lone bit the next word could cancel.
-    let step = |state: u64, word: u64| {
-        state
-            .wrapping_add(word.wrapping_mul(P2))
-            .rotate_left(31)
-            .wrapping_mul(P1)
-    };
-    // Little-endian load of up to eight bytes, zero-extended.
-    let le = |bytes: &[u8]| bytes.iter().rev().fold(0u64, |w, &b| (w << 8) | b as u64);
-    let mut lanes = [P1, P2, P3, !P1];
-    let mut stripes = data.chunks_exact(32);
-    for stripe in &mut stripes {
-        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-            let word = word
-                .try_into()
-                .expect("invariant: chunks_exact(8) yields 8-byte slices");
-            *lane = step(*lane, u64::from_le_bytes(word));
-        }
-    }
-    for (lane, word) in lanes.iter_mut().zip(stripes.remainder().chunks(8)) {
-        *lane = step(*lane, le(word));
-    }
-    let mut h = lanes
-        .iter()
-        .fold((data.len() as u64).wrapping_mul(P3), |h, &lane| {
-            step(h, lane)
-        });
-    h = (h ^ (h >> 33)).wrapping_mul(P2);
-    h = (h ^ (h >> 29)).wrapping_mul(P3);
-    h ^ (h >> 32)
+    let (stripes, remainder) = data.split_at(data.len() / STRIPE * STRIPE);
+    let mut lanes = Lanes::START;
+    lanes.absorb(stripes);
+    lanes.digest(remainder, data.len())
 }
 
 /// Build a block-sized buffer from a possibly shorter payload, zero-padded.
@@ -168,28 +235,114 @@ pub fn block_from(data: &[u8]) -> BlockBuf {
         "payload of {} bytes exceeds block size {BLOCK_SIZE}",
         data.len()
     );
-    let fingerprint = OnceLock::new();
-    // A whole block — every database page image — is copied straight into
-    // its allocation, with no zeroing first.
+    // A whole block — a payload another block was read into — is copied
+    // straight into its allocation, with no zeroing first.
     if let Ok(whole) = <&[u8; BLOCK_SIZE]>::try_from(data) {
         return BlockBuf(Arc::new(Block {
-            fingerprint,
+            fingerprint: OnceLock::new(),
+            written: BLOCK_SIZE,
             bytes: *whole,
         }));
     }
-    // A short payload is padded in place: padding on the stack and moving
-    // the array into the `Arc` would copy the block twice.
-    let mut block = Arc::new(Block {
-        fingerprint,
-        bytes: [0u8; BLOCK_SIZE],
-    });
-    Arc::get_mut(&mut block)
-        .expect("invariant: a freshly built Arc has one owner")
-        .bytes
-        .get_mut(..data.len())
-        .expect("invariant: length asserted above")
-        .copy_from_slice(data);
-    BlockBuf(block)
+    BlockBuf::padded(data, OnceLock::new())
+}
+
+/// The block an append-only byte stream currently ends in — a log's tail.
+/// It holds the bytes appended so far and mints the block's zero-padded
+/// image whenever asked, each image carrying its fingerprint already.
+///
+/// The fingerprint covers the written extent, which only grows while bytes
+/// are appended, so the whole stripes below it never change once written:
+/// the writer keeps the hash state over the stripes it has absorbed and
+/// [`BlockWriter::image`] hashes only what was appended since the last
+/// image, plus less than a stripe. Absorbing happens nowhere else — a
+/// writer that is resumed, appended to and never imaged hashes nothing.
+#[derive(Debug)]
+pub struct BlockWriter {
+    // The bytes appended so far; at most `BLOCK_SIZE`.
+    bytes: Vec<u8>,
+    // Hash state over `bytes[..absorbed]`: whole stripes, all of them below
+    // the extent at the last image.
+    lanes: Lanes,
+    absorbed: usize,
+}
+
+impl BlockWriter {
+    /// An empty block.
+    pub fn new() -> Self {
+        Self::resume(Vec::new())
+    }
+
+    /// A writer that continues a block already holding `bytes`, taking over
+    /// their allocation.
+    ///
+    /// # Panics
+    /// Panics if `bytes` exceeds [`BLOCK_SIZE`].
+    pub fn resume(bytes: Vec<u8>) -> Self {
+        assert!(
+            bytes.len() <= BLOCK_SIZE,
+            "{} bytes exceed block size {BLOCK_SIZE}",
+            bytes.len()
+        );
+        BlockWriter {
+            bytes,
+            lanes: Lanes::START,
+            absorbed: 0,
+        }
+    }
+
+    /// Append as much of `chunk` as the block has room for; returns how
+    /// many bytes were taken (0 once the block is full).
+    pub fn append(&mut self, chunk: &[u8]) -> usize {
+        let room = BLOCK_SIZE.saturating_sub(self.bytes.len());
+        let taken = chunk.get(..room).unwrap_or(chunk);
+        // One allocation of one block, however the bytes arrive.
+        self.bytes.reserve_exact(room);
+        self.bytes.extend_from_slice(taken);
+        taken.len()
+    }
+
+    /// The bytes appended so far.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// How many bytes were appended so far; [`BLOCK_SIZE`] when full.
+    pub fn filled(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The block as it stands — the appended bytes, zeros after them —
+    /// with its fingerprint set.
+    pub fn image(&mut self) -> BlockBuf {
+        let extent = extent_of(&self.bytes);
+        let whole = extent / STRIPE * STRIPE;
+        let fresh = self
+            .bytes
+            .get(self.absorbed..whole)
+            .expect("invariant: the extent of an append-only block never shrinks");
+        self.lanes.absorb(fresh);
+        self.absorbed = whole;
+        let remainder = self
+            .bytes
+            .get(whole..extent)
+            .expect("invariant: the extent lies within the appended bytes");
+        let fingerprint = self.lanes.digest(remainder, extent);
+        BlockBuf::padded(&self.bytes, OnceLock::from(fingerprint))
+    }
+
+    /// Start over with an empty block, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.lanes = Lanes::START;
+        self.absorbed = 0;
+    }
+}
+
+impl Default for BlockWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]
@@ -316,6 +469,44 @@ mod tests {
     fn block_from_rejects_oversize() {
         let data = vec![0u8; BLOCK_SIZE + 1];
         let _ = block_from(&data);
+    }
+
+    /// Hashing happens in `image()` and nowhere else: a writer that is
+    /// resumed and appended to — a follower's — keeps the start state, and
+    /// an image absorbs the whole stripes below the extent, once.
+    #[test]
+    fn block_writer_hashes_only_when_imaged_and_only_below_the_extent() {
+        let block = pattern_block();
+        for at in [0, 1, 31, 32, 33, 1000, BLOCK_SIZE - 1, BLOCK_SIZE] {
+            let mut w = BlockWriter::resume(block[..at].to_vec());
+            assert_eq!((w.lanes, w.absorbed), (Lanes::START, 0), "resume at {at}");
+            w.append(&block[at..(at + 500).min(BLOCK_SIZE)]);
+            w.append(&[0u8; 77]);
+            assert_eq!((w.lanes, w.absorbed), (Lanes::START, 0), "append at {at}");
+            let extent = (at + 500).min(BLOCK_SIZE);
+            let first = w.image();
+            assert_eq!(w.absorbed, extent / STRIPE * STRIPE, "zeros are not absorbed");
+            let state = w.lanes;
+            let again = w.image();
+            assert_eq!(w.lanes, state, "nothing new, nothing absorbed");
+            assert_eq!(first.fingerprint(), again.fingerprint());
+            assert_eq!(first.fingerprint(), content_hash(&block[..extent]));
+            w.clear();
+            assert_eq!((w.lanes, w.absorbed, w.filled()), (Lanes::START, 0, 0));
+        }
+    }
+
+    #[test]
+    fn fingerprint_is_the_hash_of_the_written_extent() {
+        assert_eq!(block_from(b"").fingerprint(), content_hash(b""));
+        assert_eq!(block_from(b"abc").fingerprint(), content_hash(b"abc"));
+        assert_eq!(block_from(b"abc\0\0").fingerprint(), content_hash(b"abc"));
+        assert_eq!(block_from(b"\0abc").fingerprint(), content_hash(b"\0abc"));
+        let mut whole = vec![0u8; BLOCK_SIZE];
+        whole[..3].copy_from_slice(b"abc");
+        assert_eq!(block_from(&whole).fingerprint(), content_hash(b"abc"));
+        let full = pattern_block();
+        assert_eq!(block_from(&full).fingerprint(), content_hash(&full));
     }
 
     #[test]

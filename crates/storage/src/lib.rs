@@ -44,8 +44,8 @@ pub use acklog::{AckEntry, AckLog, PrefixReport};
 pub use arena::DenseArena;
 pub use array::{ArrayPerf, FeedEntry, StorageArray, WriteError, DEFAULT_POOL_CAPACITY};
 pub use block::{
-    block_from, content_hash, ArrayId, BlockBuf, GroupId, JournalId, PairId, SnapshotId, VolRef,
-    VolumeId, BLOCK_SIZE,
+    block_from, content_hash, ArrayId, BlockBuf, BlockWriter, GroupId, JournalId, PairId,
+    SnapshotId, VolRef, VolumeId, BLOCK_SIZE,
 };
 pub use config::{EngineConfig, JournalFullPolicy};
 pub use device::{BlockDevice, BlockDeviceMut, MemDevice, SnapshotView, VolumeView};

@@ -831,9 +831,17 @@ fn fop_strategy() -> impl Strategy<Value = FOp> {
     ]
 }
 
-/// `lba → content_hash(bytes)` from the bytes alone.
+/// The fingerprint's definition (DESIGN.md §23), from the bytes alone:
+/// `content_hash` of the block up to and including its last non-zero byte.
+/// Every comparison below goes through this one function.
+fn reference_fingerprint(block: &[u8]) -> u64 {
+    let extent = block.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
+    content_hash(&block[..extent])
+}
+
+/// `lba → reference_fingerprint(bytes)` from the bytes alone.
 fn recomputed(v: &Volume) -> BTreeMap<u64, u64> {
-    v.iter_blocks().map(|(lba, b)| (lba, content_hash(b))).collect()
+    v.iter_blocks().map(|(lba, b)| (lba, reference_fingerprint(b))).collect()
 }
 
 /// Everything the oracle compares against, kept outside the storage world
@@ -863,10 +871,10 @@ fn recomputed_verdict(st: &StorageWorld, re: &Recomputed, g: GroupId) -> bool {
         })
 }
 
-/// A block's fingerprint is the hash of its bytes, on the handle and on
-/// every clone of it.
+/// A block's fingerprint is the reference's over its bytes, on the handle
+/// and on every clone of it.
 fn fingerprint_is_hash(b: &BlockBuf) -> bool {
-    let h = content_hash(b);
+    let h = reference_fingerprint(b);
     b.fingerprint() == h && b.clone().fingerprint() == h
 }
 
@@ -906,8 +914,8 @@ proptest! {
     /// Over random host writes (shared and fresh payload buffers),
     /// overwrites, snapshots + copy-on-write, `clone_content_from`,
     /// suspend / delta and full resync, tampering and failover, after
-    /// every step: every volume's `content_hashes()` equals `content_hash`
-    /// recomputed from `iter_blocks()`' bytes; every block reachable
+    /// every step: every volume's `content_hashes()` equals the reference
+    /// fingerprint recomputed from `iter_blocks()`' bytes; every block reachable
     /// through a volume, a snapshot or a copy carries the fingerprint of
     /// its bytes; every ack-log entry holds the hash of the payload the
     /// host handed in; and `verify_consistency`'s verdict equals the
@@ -942,8 +950,10 @@ proptest! {
         let mut sim: Sim<World> = Sim::new();
         let mut snapshots: Vec<SnapshotId> = Vec::new();
         // Both verdicts must occur or the last comparison checks nothing:
-        // the initial copy is consistent, a tampered backup is not.
+        // the initial copy is consistent, a tampered backup is not (a script
+        // that does not end in a failover is tampered with at its end).
         let mut verdicts = [0usize; 2];
+        let mut failed_over = false;
         verdicts[check_fingerprints(&world.st, &re.borrow(), g, &pairs, &snapshots)? as usize] += 1;
 
         for op in &ops {
@@ -953,7 +963,7 @@ proptest! {
                         Some(i) => shared[i].clone(),
                         None => block_from(&tag.to_le_bytes()),
                     };
-                    let (hash, re) = (content_hash(&data), Rc::clone(&re));
+                    let (hash, re) = (reference_fingerprint(&data), Rc::clone(&re));
                     host_write(&mut world, &mut sim, pairs[vol].1, lba, data, move |_, _, ack| {
                         if let WriteAck::Ok { global, .. } | WriteAck::Degraded { global, .. } = ack {
                             re.borrow_mut().acked.insert(global, hash);
@@ -992,10 +1002,15 @@ proptest! {
             let verdict = check_fingerprints(&world.st, &re.borrow(), g, &pairs, &snapshots)?;
             verdicts[verdict as usize] += 1;
             if matches!(op, FOp::Failover) {
+                failed_over = true;
                 break;
             }
         }
         prop_assert!(verdicts[1] > 0);
+        if !failed_over {
+            world.st.write_direct(pairs[0].2, 3, b"not what was acked");
+            prop_assert!(!check_fingerprints(&world.st, &re.borrow(), g, &pairs, &snapshots)?);
+        }
     }
 }
 
