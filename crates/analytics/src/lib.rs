@@ -78,7 +78,7 @@ pub fn run_analytics(sales: &MiniDb, stock: &MiniDb, top_k: usize) -> AnalyticsR
     let mut units: HashMap<u64, u64> = HashMap::new();
     let mut order_count = 0u64;
     for (_, buf) in sales.scan_table(ORDERS_TABLE) {
-        if let Some(row) = OrderRow::decode(&buf) {
+        if let Some(row) = OrderRow::decode(buf) {
             *units.entry(row.item).or_default() += row.quantity as u64;
             order_count += 1;
         }
@@ -86,7 +86,7 @@ pub fn run_analytics(sales: &MiniDb, stock: &MiniDb, top_k: usize) -> AnalyticsR
     let stock_rows: HashMap<u64, u64> = stock
         .scan_table(STOCK_TABLE)
         .into_iter()
-        .filter_map(|(item, buf)| StockRow::decode(&buf).map(|r| (item, r.quantity)))
+        .filter_map(|(item, buf)| StockRow::decode(buf).map(|r| (item, r.quantity)))
         .collect();
 
     let mut per_item: Vec<ItemSales> = units

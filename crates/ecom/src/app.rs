@@ -235,7 +235,7 @@ mod tests {
         let (rec, _) =
             MiniDb::recover("r", &wal_dev, &data_dev, inst.db.config().clone()).unwrap();
         assert_eq!(rec.scan_table(TableId(1)).len(), 50);
-        let row = StockRow::decode(&rec.get_committed(TableId(1), 7).unwrap()).unwrap();
+        let row = StockRow::decode(rec.get_committed(TableId(1), 7).unwrap()).unwrap();
         assert_eq!(row.quantity, 1000);
     }
 

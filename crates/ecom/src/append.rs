@@ -12,6 +12,7 @@
 //! everywhere, and no acked append lost once the journal drains.
 
 use tsuru_history::{space, KeyVer, OpData, Site, TxnOps};
+use tsuru_minidb::MiniDb;
 use tsuru_sim::{DetRng, Sim, SimDuration};
 use tsuru_storage::HasStorage;
 
@@ -104,15 +105,6 @@ where
         (is_read, key, value)
     };
 
-    let current = |s: &S, key: u64| -> Vec<u64> {
-        s.ecom()
-            .sales
-            .db
-            .get_committed(LISTS_TABLE, key)
-            .map(|b| decode_list(&b))
-            .unwrap_or_default()
-    };
-
     if is_read {
         let op = hist.invoke(
             client,
@@ -125,7 +117,7 @@ where
         // Served from the in-memory state, answered once every append it
         // observed is durable (at once when they all are): a list shown to
         // a client must survive a crash of the main array.
-        let values = current(state, key);
+        let values = list_at(&state.ecom().sales.db, key);
         let lsn = state.ecom().sales.db.last_lsn();
         let waiter = Waiter {
             client,
@@ -141,7 +133,7 @@ where
         return;
     }
 
-    let mut values = current(state, key);
+    let mut values = list_at(&state.ecom().sales.db, key);
     if values.len() >= MAX_LIST {
         // List full: skip the append (the value is not consumed) and
         // come back later — deterministic, and the row never outgrows
@@ -185,4 +177,12 @@ where
         },
     };
     await_durable(state, sim, Which::Sales, lsn, waiter);
+}
+
+/// The committed append list under `key` (an absent row is the empty list).
+pub(crate) fn list_at(sales: &MiniDb, key: u64) -> Vec<u64> {
+    sales
+        .get_committed(LISTS_TABLE, key)
+        .map(decode_list)
+        .unwrap_or_default()
 }

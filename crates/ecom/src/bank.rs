@@ -12,6 +12,7 @@
 //! checker verifies across failover and failback.
 
 use tsuru_history::{space, KeyVer, OpData, Site, TxnOps};
+use tsuru_minidb::MiniDb;
 use tsuru_sim::{DetRng, Sim, SimDuration};
 use tsuru_storage::HasStorage;
 
@@ -104,7 +105,7 @@ where
         // (at once when they all are): a client must never be shown a
         // balance that a crash of the main array then un-happens.
         let op = hist.invoke(client, now, OpData::ReadBalances { site: Site::Primary });
-        let (accounts, total) = balances(state);
+        let (accounts, total) = balances(&state.ecom().stock.db);
         let lsn = state.ecom().stock.db.last_lsn();
         let waiter = Waiter {
             client,
@@ -123,12 +124,8 @@ where
     // Transfer: one atomic stock-database transaction over both rows,
     // clamped so balances never go negative.
     let balance = |s: &S, key: u64| -> u64 {
-        s.ecom()
-            .stock
-            .db
-            .get_committed(STOCK_TABLE, key)
-            .and_then(|b| StockRow::decode(&b))
-            .map_or(0, |r| r.quantity)
+        let row = s.ecom().stock.db.get_committed(STOCK_TABLE, key);
+        row.and_then(StockRow::decode).map_or(0, |r| r.quantity)
     };
     let amount = want.min(balance(state, from));
     let op = hist.invoke(client, now, OpData::Transfer { from, to, amount });
@@ -192,8 +189,8 @@ where
 }
 
 /// Count and sum every committed account balance.
-fn balances<S: HasStorage + HasEcom>(state: &S) -> (u64, u64) {
-    let rows = state.ecom().stock.db.scan_table(STOCK_TABLE);
+pub(crate) fn balances(stock: &MiniDb) -> (u64, u64) {
+    let rows = stock.scan_table(STOCK_TABLE);
     let total = rows
         .iter()
         .filter_map(|(_, b)| StockRow::decode(b))

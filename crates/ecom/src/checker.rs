@@ -138,7 +138,7 @@ mod tests {
 
     fn sell(sales: &mut MiniDb, stock: Option<&mut MiniDb>, order: u64, item: u64, qty: u32) {
         if let Some(stock) = stock {
-            let cur = StockRow::decode(&stock.get_committed(STOCK_TABLE, item).unwrap())
+            let cur = StockRow::decode(stock.get_committed(STOCK_TABLE, item).unwrap())
                 .unwrap()
                 .quantity;
             let tx = stock.begin();

@@ -353,11 +353,9 @@ where
     let lsn = {
         let e = state.ecom_mut();
         let tx = e.stock.db.begin();
-        let row = e
-            .stock
-            .db
-            .get(tx, STOCK_TABLE, spec.item)
-            .and_then(|b| StockRow::decode(&b))
+        let held = e.stock.db.get(tx, STOCK_TABLE, spec.item);
+        let row = held
+            .and_then(StockRow::decode)
             .expect("invariant: order specs draw items from the seeded catalog");
         let updated = StockRow {
             quantity: row.quantity.saturating_sub(spec.quantity as u64),

@@ -40,8 +40,8 @@ pub struct StockRow {
 
 impl StockRow {
     /// Serialize (8 bytes LE).
-    pub fn encode(&self) -> Vec<u8> {
-        self.quantity.to_le_bytes().to_vec()
+    pub fn encode(&self) -> [u8; 8] {
+        self.quantity.to_le_bytes()
     }
 
     /// Parse; `None` on malformed input.
@@ -65,12 +65,11 @@ pub struct OrderRow {
 
 impl OrderRow {
     /// Serialize (16 bytes LE).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&self.item.to_le_bytes());
-        out.extend_from_slice(&self.quantity.to_le_bytes());
-        out.extend_from_slice(&self.client.to_le_bytes());
-        out
+    pub fn encode(&self) -> [u8; 16] {
+        // item | quantity | client, each little-endian, is one LE u128.
+        let packed =
+            (self.client as u128) << 96 | (self.quantity as u128) << 64 | self.item as u128;
+        packed.to_le_bytes()
     }
 
     /// Parse; `None` on malformed input.

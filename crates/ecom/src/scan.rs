@@ -11,8 +11,10 @@ use tsuru_history::{OpData, Recorder, Site};
 use tsuru_minidb::MiniDb;
 use tsuru_sim::SimTime;
 
-use crate::append::LIST_KEYS;
-use crate::model::{decode_list, OrderRow, StockRow, LISTS_TABLE, ORDERS_TABLE, STOCK_TABLE};
+use crate::append::{list_at, LIST_KEYS};
+use crate::bank::balances;
+use crate::checker::decrement_of;
+use crate::model::{OrderRow, ORDERS_TABLE, STOCK_TABLE};
 
 /// Record a full shop observation: visible orders plus per-item stock
 /// decrements (`initial_stock` − observed quantity). One op.
@@ -39,8 +41,7 @@ pub fn record_shop_scan(
         .scan_table(STOCK_TABLE)
         .iter()
         .filter_map(|(item, b)| {
-            let row = StockRow::decode(b)?;
-            let sold = initial_stock.saturating_sub(row.quantity);
+            let sold = decrement_of(b, initial_stock)?;
             (sold > 0).then_some((*item, sold))
         })
         .collect();
@@ -53,21 +54,8 @@ pub fn record_bank_scan(hist: &Recorder, process: u32, t: SimTime, site: Site, s
         return;
     }
     let op = hist.invoke(process, t, OpData::ReadBalances { site });
-    let rows = stock.scan_table(STOCK_TABLE);
-    let total = rows
-        .iter()
-        .filter_map(|(_, b)| StockRow::decode(b))
-        .map(|r| r.quantity)
-        .sum();
-    hist.ok(
-        process,
-        op,
-        t,
-        OpData::Balances {
-            accounts: rows.len() as u64,
-            total,
-        },
-    );
+    let (accounts, total) = balances(stock);
+    hist.ok(process, op, t, OpData::Balances { accounts, total });
 }
 
 /// Record every append list in the image, one op per key (absent rows
@@ -78,10 +66,7 @@ pub fn record_list_scan(hist: &Recorder, process: u32, t: SimTime, site: Site, s
     }
     for key in 0..LIST_KEYS {
         let op = hist.invoke(process, t, OpData::ReadList { key, site });
-        let values = sales
-            .get_committed(LISTS_TABLE, key)
-            .map(|b| decode_list(&b))
-            .unwrap_or_default();
+        let values = list_at(sales, key);
         hist.ok(process, op, t, OpData::List { key, values });
     }
 }

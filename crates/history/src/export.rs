@@ -2,88 +2,118 @@
 //!
 //! Built by hand from integers — no floating point, no map iteration
 //! over unordered containers — so the bytes are a pure function of the
-//! recorded history and identical at any harness thread count.
+//! recorded history and identical at any harness thread count. Every field
+//! is formatted straight into the output string: the export allocates for
+//! the string's growth and nothing per record or per number.
+
+use std::fmt::{self, Write};
 
 use crate::record::{OpData, Record};
 
-fn push_keyvers(field: &str, kvs: &[crate::record::KeyVer], out: &mut String) {
-    out.push_str(&format!(",\"{field}\":["));
+fn push_keyvers(field: &str, kvs: &[crate::record::KeyVer], out: &mut String) -> fmt::Result {
+    write!(out, ",\"{field}\":[")?;
     for (i, kv) in kvs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
+        write!(
+            out,
             "{{\"space\":{},\"key\":{},\"ver\":{}}}",
             kv.space, kv.key, kv.version
-        ));
+        )?;
     }
     out.push(']');
+    Ok(())
 }
 
-fn push_u64s(field: &str, vs: &[u64], out: &mut String) {
-    out.push_str(&format!(",\"{field}\":["));
+fn push_u64s(field: &str, vs: &[u64], out: &mut String) -> fmt::Result {
+    write!(out, ",\"{field}\":[")?;
     for (i, v) in vs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&v.to_string());
+        write!(out, "{v}")?;
     }
     out.push(']');
+    Ok(())
 }
 
-fn push_data(data: &OpData, out: &mut String) {
+fn push_data(data: &OpData, out: &mut String) -> fmt::Result {
     match data {
         OpData::Order {
             order_id,
             item,
             quantity,
-        } => out.push_str(&format!(
+        } => write!(
+            out,
             ",\"type\":\"order\",\"order_id\":{order_id},\"item\":{item},\"quantity\":{quantity}"
-        )),
-        OpData::Transfer { from, to, amount } => out.push_str(&format!(
+        ),
+        OpData::Transfer { from, to, amount } => write!(
+            out,
             ",\"type\":\"transfer\",\"from\":{from},\"to\":{to},\"amount\":{amount}"
-        )),
-        OpData::Append { key, value } => out.push_str(&format!(
-            ",\"type\":\"append\",\"key\":{key},\"value\":{value}"
-        )),
-        OpData::ReadBalances { site } => out.push_str(&format!(
+        ),
+        OpData::Append { key, value } => {
+            write!(out, ",\"type\":\"append\",\"key\":{key},\"value\":{value}")
+        }
+        OpData::ReadBalances { site } => write!(
+            out,
             ",\"type\":\"read-balances\",\"site\":\"{}\"",
             site.label()
-        )),
-        OpData::ReadList { key, site } => out.push_str(&format!(
+        ),
+        OpData::ReadList { key, site } => write!(
+            out,
             ",\"type\":\"read-list\",\"key\":{key},\"site\":\"{}\"",
             site.label()
-        )),
-        OpData::ReadShop { site } => out.push_str(&format!(
-            ",\"type\":\"read-shop\",\"site\":\"{}\"",
-            site.label()
-        )),
+        ),
+        OpData::ReadShop { site } => {
+            write!(out, ",\"type\":\"read-shop\",\"site\":\"{}\"", site.label())
+        }
         OpData::Txn(ops) => {
             out.push_str(",\"type\":\"txn\"");
-            push_keyvers("reads", &ops.reads, out);
-            push_keyvers("writes", &ops.writes, out);
+            push_keyvers("reads", &ops.reads, out)?;
+            push_keyvers("writes", &ops.writes, out)
         }
-        OpData::Balances { accounts, total } => out.push_str(&format!(
+        OpData::Balances { accounts, total } => write!(
+            out,
             ",\"type\":\"balances\",\"accounts\":{accounts},\"total\":{total}"
-        )),
+        ),
         OpData::List { key, values } => {
-            out.push_str(&format!(",\"type\":\"list\",\"key\":{key}"));
-            push_u64s("values", values, out);
+            write!(out, ",\"type\":\"list\",\"key\":{key}")?;
+            push_u64s("values", values, out)
         }
         OpData::Shop { orders, deltas } => {
             out.push_str(",\"type\":\"shop\"");
-            push_u64s("orders", orders, out);
+            push_u64s("orders", orders, out)?;
             out.push_str(",\"deltas\":[");
             for (i, (item, sold)) in deltas.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("[{item},{sold}]"));
+                write!(out, "[{item},{sold}]")?;
             }
             out.push(']');
+            Ok(())
         }
-        OpData::None => out.push_str(",\"type\":\"none\""),
+        OpData::None => {
+            out.push_str(",\"type\":\"none\"");
+            Ok(())
+        }
     }
+}
+
+fn push_record(r: &Record, out: &mut String) -> fmt::Result {
+    write!(
+        out,
+        "{{\"seq\":{},\"op\":{},\"proc\":{},\"t_ns\":{},\"phase\":\"{}\"",
+        r.seq,
+        r.op.0,
+        r.process,
+        r.t.as_nanos(),
+        r.phase.label()
+    )?;
+    push_data(&r.data, out)?;
+    out.push_str("}\n");
+    Ok(())
 }
 
 /// Render records as JSON Lines in emission order. Empty input yields
@@ -91,16 +121,7 @@ fn push_data(data: &OpData, out: &mut String) {
 pub fn export_jsonl<'r>(records: impl IntoIterator<Item = &'r Record>) -> String {
     let mut out = String::new();
     for r in records {
-        out.push_str(&format!(
-            "{{\"seq\":{},\"op\":{},\"proc\":{},\"t_ns\":{},\"phase\":\"{}\"",
-            r.seq,
-            r.op.0,
-            r.process,
-            r.t.as_nanos(),
-            r.phase.label()
-        ));
-        push_data(&r.data, &mut out);
-        out.push_str("}\n");
+        push_record(r, &mut out).expect("invariant: formatting integers into a String cannot fail");
     }
     out
 }

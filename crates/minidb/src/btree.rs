@@ -203,19 +203,20 @@ impl BTree {
         }
     }
 
-    /// All `(key, value)` pairs with `lo <= key <= hi`, in key order.
-    pub fn scan_range(&self, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
+    /// All `(key, value)` pairs with `lo <= key <= hi`, in key order, the
+    /// values borrowed from the leaves.
+    pub fn scan_range(&self, lo: u64, hi: u64) -> Vec<(u64, &[u8])> {
         let mut out = Vec::new();
         self.scan_into(self.root, lo, hi, &mut out);
         out
     }
 
-    fn scan_into(&self, id: u64, lo: u64, hi: u64, out: &mut Vec<(u64, Vec<u8>)>) {
+    fn scan_into<'t>(&'t self, id: u64, lo: u64, hi: u64, out: &mut Vec<(u64, &'t [u8])>) {
         match self.node(id) {
             Node::Leaf { entries } => {
                 for (k, v) in entries {
                     if *k >= lo && *k <= hi {
-                        out.push((*k, v.clone()));
+                        out.push((*k, v.as_slice()));
                     }
                 }
             }
@@ -405,13 +406,20 @@ impl BTree {
     /// does not merge); a rebuild followed by a checkpoint reclaims that
     /// space — the engine's `VACUUM`.
     pub fn rebuild(&mut self, alloc: &mut PageAllocator) {
-        let entries = self.scan_range(0, u64::MAX);
-        for (id, slot) in self.slots.iter().enumerate() {
-            if slot.as_ref().is_some_and(|s| s.on_disk) {
-                alloc.free_later(id as u64);
+        // The old leaves give up their entries, values and all; each leaf is
+        // a sorted run, so the stable sort merges runs.
+        let old = std::mem::replace(self, BTree::new(alloc));
+        let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
+        for (id, slot) in (0u64..).zip(old.slots) {
+            let Some(slot) = slot else { continue };
+            if slot.on_disk {
+                alloc.free_later(id);
+            }
+            if let Node::Leaf { entries: leaf } = slot.node {
+                entries.extend(leaf);
             }
         }
-        *self = BTree::new(alloc);
+        entries.sort_by_key(|(k, _)| *k);
         for (k, v) in entries {
             self.put(alloc, k, v);
         }
@@ -828,11 +836,16 @@ mod tests {
 
         // Rebuild: every on-disk page is queued for reuse, the new tree
         // holds the same entries in fresh slots.
-        let before = t.scan_range(0, u64::MAX);
+        let before: Vec<(u64, Vec<u8>)> = t
+            .scan_range(0, u64::MAX)
+            .into_iter()
+            .map(|(k, v)| (k, v.to_vec()))
+            .collect();
         t.rebuild(&mut a);
         let (live3, on_disk3) = table(&t);
         assert_eq!(live3, reachable(&t));
         assert!(on_disk3.is_empty());
+        let before: Vec<(u64, &[u8])> = before.iter().map(|(k, v)| (*k, v.as_slice())).collect();
         assert_eq!(t.scan_range(0, u64::MAX), before);
         t.validate().unwrap();
         let _ = t.checkpoint_flush(&mut a, 3);

@@ -8,8 +8,6 @@
 //! image and reports precisely which consistency property a collapsed image
 //! violates.
 
-use std::collections::BTreeMap;
-
 use crate::btree::{BTree, PageAllocator};
 use crate::io::{DbVol, IoPlan, IoRequest};
 use crate::node::PageError;
@@ -28,6 +26,7 @@ pub struct TxId(pub u64);
 const KEY_BITS: u32 = 48;
 const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
 
+/// Fold the table id into the key's high bits; user keys have 48.
 fn tree_key(table: TableId, key: u64) -> u64 {
     assert!(key <= KEY_MASK, "user key {key} exceeds 48 bits");
     ((table.0 as u64) << KEY_BITS) | key
@@ -129,10 +128,15 @@ pub struct RecoveryReport {
     pub pages_loaded: usize,
 }
 
+/// An open transaction. Its write-set is stated once, in call order: the
+/// redo record is these ops, and a read of its own writes scans them newest
+/// first. Linear, because transactions are small where they read: `ecom`'s
+/// order, transfer and append write one or two rows; `seed_stock` writes one
+/// per item and reads none (DESIGN.md §24).
 #[derive(Debug)]
 struct ActiveTx {
+    id: u64,
     ops: Vec<WalOp>,
-    overlay: BTreeMap<u64, Option<Vec<u8>>>,
 }
 
 /// A MiniDB instance (fully memory-resident; durability via emitted I/O).
@@ -146,7 +150,10 @@ pub struct MiniDb {
     next_lsn: u64,
     next_txid: u64,
     ckpt_lsn: u64,
-    active: BTreeMap<u64, ActiveTx>,
+    // Open transactions, oldest first (a handful at most).
+    active: Vec<ActiveTx>,
+    // The emptied write-set of the last staged transaction, for the next one.
+    spare_ops: Vec<WalOp>,
     // Checkpoint phases taken since the last flush; they go out ahead of
     // the log written after them.
     pending: IoPlan,
@@ -182,7 +189,8 @@ impl MiniDb {
             next_lsn: 1,
             next_txid: 1,
             ckpt_lsn: 0,
-            active: BTreeMap::new(),
+            active: Vec::new(),
+            spare_ops: Vec::new(),
             pending: IoPlan::empty(),
             staged: 0,
             stats: DbStats::default(),
@@ -225,74 +233,87 @@ impl MiniDb {
     pub fn begin(&mut self) -> TxId {
         let id = self.next_txid;
         self.next_txid += 1;
-        self.active.insert(
-            id,
-            ActiveTx {
-                ops: Vec::new(),
-                overlay: BTreeMap::new(),
-            },
-        );
+        let ops = std::mem::take(&mut self.spare_ops);
+        self.active.push(ActiveTx { id, ops });
         TxId(id)
     }
 
+    /// The open transaction `tx`; the id is the caller's to get right.
+    ///
+    /// # Panics
+    /// Panics if `tx` is not active: never begun, already staged or aborted.
     fn tx_mut(&mut self, tx: TxId) -> &mut ActiveTx {
-        self.active
-            .get_mut(&tx.0)
-            .expect("invariant: a TxId is minted by begin() and retired only at commit/abort")
+        let open = self.active.iter_mut().find(|t| t.id == tx.0);
+        assert!(open.is_some(), "transaction {} is not active", tx.0);
+        open.expect("invariant: asserted on the line above")
     }
 
-    /// Buffer a put in the transaction's write-set.
+    /// Retire `tx` and hand out its write-set.
+    fn take_tx(&mut self, tx: TxId) -> Vec<WalOp> {
+        let ops = std::mem::take(&mut self.tx_mut(tx).ops);
+        self.active.retain(|t| t.id != tx.0);
+        ops
+    }
+
+    /// Buffer a put in the transaction's write-set: the one copy made of
+    /// `value` — the log encodes from it, then the tree keeps it.
+    ///
+    /// # Panics
+    /// Panics if `tx` is not active or `key` exceeds 48 bits.
     pub fn put(&mut self, tx: TxId, table: TableId, key: u64, value: &[u8]) {
-        let tk = tree_key(table, key);
-        let t = self.tx_mut(tx);
-        t.ops.push(WalOp {
-            key: tk,
-            value: Some(value.to_vec()),
-        });
-        t.overlay.insert(tk, Some(value.to_vec()));
+        let key = tree_key(table, key);
+        let value = Some(value.to_vec());
+        self.tx_mut(tx).ops.push(WalOp { key, value });
     }
 
     /// Buffer a delete in the transaction's write-set.
+    ///
+    /// # Panics
+    /// Panics if `tx` is not active or `key` exceeds 48 bits.
     pub fn delete(&mut self, tx: TxId, table: TableId, key: u64) {
-        let tk = tree_key(table, key);
-        let t = self.tx_mut(tx);
-        t.ops.push(WalOp { key: tk, value: None });
-        t.overlay.insert(tk, None);
+        let key = tree_key(table, key);
+        self.tx_mut(tx).ops.push(WalOp { key, value: None });
     }
 
-    /// Read through the transaction (own writes first, then committed
-    /// state).
-    pub fn get(&self, tx: TxId, table: TableId, key: u64) -> Option<Vec<u8>> {
+    /// Read through the transaction: its newest write to the key, else
+    /// committed state; the bytes stay where they are kept (write-set or
+    /// tree). A `tx` that is not active has no writes and reads committed
+    /// state, like [`MiniDb::get_committed`].
+    ///
+    /// # Panics
+    /// Panics if `key` exceeds 48 bits.
+    pub fn get(&self, tx: TxId, table: TableId, key: u64) -> Option<&[u8]> {
         let tk = tree_key(table, key);
-        if let Some(t) = self.active.get(&tx.0) {
-            if let Some(v) = t.overlay.get(&tk) {
-                return v.clone();
-            }
+        let open = self.active.iter().find(|t| t.id == tx.0);
+        match open.and_then(|t| t.ops.iter().rev().find(|op| op.key == tk)) {
+            Some(op) => op.value.as_deref(),
+            None => self.tree.get(tk),
         }
-        self.tree.get(tk).map(<[u8]>::to_vec)
     }
 
     /// Read committed state only.
-    pub fn get_committed(&self, table: TableId, key: u64) -> Option<Vec<u8>> {
-        self.tree.get(tree_key(table, key)).map(<[u8]>::to_vec)
+    ///
+    /// # Panics
+    /// Panics if `key` exceeds 48 bits.
+    pub fn get_committed(&self, table: TableId, key: u64) -> Option<&[u8]> {
+        self.tree.get(tree_key(table, key))
     }
 
-    /// All committed `(key, value)` pairs of a table, in key order.
-    pub fn scan_table(&self, table: TableId) -> Vec<(u64, Vec<u8>)> {
-        let lo = tree_key(table, 0);
-        let hi = tree_key(table, KEY_MASK);
-        self.tree
-            .scan_range(lo, hi)
-            .into_iter()
-            .map(|(k, v)| (k & KEY_MASK, v))
-            .collect()
+    /// All committed `(key, value)` pairs of a table, in key order, the
+    /// values borrowed from the tree.
+    pub fn scan_table(&self, table: TableId) -> Vec<(u64, &[u8])> {
+        let (lo, hi) = (tree_key(table, 0), tree_key(table, KEY_MASK));
+        let mut rows = self.tree.scan_range(lo, hi);
+        rows.iter_mut().for_each(|(k, _)| *k &= KEY_MASK);
+        rows
     }
 
     /// Drop a transaction without any durable effect.
+    ///
+    /// # Panics
+    /// Panics if `tx` is not active.
     pub fn abort(&mut self, tx: TxId) {
-        self.active
-            .remove(&tx.0)
-            .unwrap_or_else(|| panic!("transaction {} is not active", tx.0));
+        self.take_tx(tx);
         self.stats.aborts += 1;
     }
 
@@ -303,19 +324,20 @@ impl MiniDb {
     /// which logs nothing and has nothing to wait for. A commit whose
     /// record would cross the WAL threshold takes a checkpoint first; its
     /// phases go out ahead of the record in the next flush.
+    ///
+    /// # Panics
+    /// Panics if `tx` is not active or its record outsizes the WAL volume.
     pub fn stage(&mut self, tx: TxId) -> Option<u64> {
-        let t = self
-            .active
-            .remove(&tx.0)
-            .expect("invariant: a TxId is minted by begin() and retired only at commit/abort");
+        let ops = self.take_tx(tx);
         self.stats.commits += 1;
-        if t.ops.is_empty() {
+        if ops.is_empty() {
+            self.spare_ops = ops;
             return None;
         }
-        let record = WalRecord {
+        let mut record = WalRecord {
             lsn: self.next_lsn,
             txid: tx.0,
-            ops: t.ops,
+            ops,
         };
         let threshold =
             (self.wal.capacity_bytes() as f64 * self.config.checkpoint_threshold) as usize;
@@ -332,14 +354,10 @@ impl MiniDb {
         self.staged += 1;
         // Apply to the in-memory tree; recovery redoes this from the WAL.
         // The record is encoded by now, so its values move into the tree.
-        for op in record.ops {
-            match op.value {
-                Some(v) => self.tree.put(&mut self.alloc, op.key, v),
-                None => {
-                    self.tree.delete(op.key);
-                }
-            }
+        for op in record.ops.drain(..) {
+            self.apply(op);
         }
+        self.spare_ops = record.ops;
         Some(record.lsn)
     }
 
@@ -470,19 +488,8 @@ impl MiniDb {
         let pages_loaded = loaded_pages.len();
 
         let WalScan { records, end, tail } = scan_wal(wal_dev, sb.wal_blocks, sb.epoch);
-        // Records must be strictly increasing and strictly newer than the
-        // checkpoint they follow.
-        let mut prev = sb.ckpt_lsn;
-        for r in &records {
-            if r.lsn <= prev {
-                return Err(RecoveryError::BadWal(format!(
-                    "record lsn {} not increasing past {prev}",
-                    r.lsn
-                )));
-            }
-            prev = r.lsn;
-        }
-        let wal_end = records.last().map(|r| r.lsn).unwrap_or(sb.ckpt_lsn);
+        // Records must be strictly newer than the checkpoint they follow.
+        let wal_end = lsns_increase_past(sb.ckpt_lsn, &records)?;
         if max_page_lsn > wal_end {
             return Err(RecoveryError::DataAheadOfWal {
                 page_lsn: max_page_lsn,
@@ -505,7 +512,8 @@ impl MiniDb {
             next_lsn: wal_end + 1,
             next_txid: sb.next_txid,
             ckpt_lsn: sb.ckpt_lsn,
-            active: BTreeMap::new(),
+            active: Vec::new(),
+            spare_ops: Vec::new(),
             pending: IoPlan::empty(),
             staged: 0,
             stats: DbStats::default(),
@@ -523,6 +531,14 @@ impl MiniDb {
         Ok((db, report))
     }
 
+    /// Land one logged operation in the tree, which takes over its value.
+    fn apply(&mut self, op: WalOp) {
+        match op.value {
+            Some(v) => self.tree.put(&mut self.alloc, op.key, v),
+            None => drop(self.tree.delete(op.key)),
+        }
+    }
+
     /// Re-apply `records` (already checked for LSN order) to the tree, then
     /// verify it. `on_redo` sees every operation just before it lands.
     fn redo(
@@ -536,12 +552,7 @@ impl MiniDb {
                     let table = TableId((op.key >> KEY_BITS) as u16);
                     hook(table, op.key & KEY_MASK, self.tree.get(op.key), op.value.as_deref());
                 }
-                match op.value {
-                    Some(v) => self.tree.put(&mut self.alloc, op.key, v),
-                    None => {
-                        self.tree.delete(op.key);
-                    }
-                }
+                self.apply(op);
             }
             self.next_txid = self.next_txid.max(r.txid + 1);
         }
@@ -594,16 +605,7 @@ impl MiniDb {
         else {
             return Ok(None);
         };
-        let mut prev = self.last_lsn();
-        for r in &scan.records {
-            if r.lsn <= prev {
-                return Err(RecoveryError::BadWal(format!(
-                    "record lsn {} not increasing past {prev}",
-                    r.lsn
-                )));
-            }
-            prev = r.lsn;
-        }
+        let prev = lsns_increase_past(self.last_lsn(), &scan.records)?;
         if self.loaded_page_lsn > prev {
             return Err(RecoveryError::DataAheadOfWal {
                 page_lsn: self.loaded_page_lsn,
@@ -616,6 +618,21 @@ impl MiniDb {
         self.redo(scan.records, Some(on_redo))?;
         Ok(Some(redone))
     }
+}
+
+/// The LSN `records` end at, starting after `prev`: they must be strictly
+/// increasing from there.
+fn lsns_increase_past(mut prev: u64, records: &[WalRecord]) -> Result<u64, RecoveryError> {
+    for r in records {
+        if r.lsn <= prev {
+            return Err(RecoveryError::BadWal(format!(
+                "record lsn {} not increasing past {prev}",
+                r.lsn
+            )));
+        }
+        prev = r.lsn;
+    }
+    Ok(prev)
 }
 
 /// What [`MiniDb::catch_up`] shows its caller per re-applied operation:
@@ -660,10 +677,10 @@ mod tests {
         let (mut db, _, _) = fresh();
         let tx = db.begin();
         db.put(tx, T, 1, b"hello");
-        assert_eq!(db.get(tx, T, 1), Some(b"hello".to_vec()));
+        assert_eq!(db.get(tx, T, 1), Some(b"hello".as_slice()));
         assert_eq!(db.get_committed(T, 1), None, "not visible before commit");
         let _ = db.commit(tx);
-        assert_eq!(db.get_committed(T, 1), Some(b"hello".to_vec()));
+        assert_eq!(db.get_committed(T, 1), Some(b"hello".as_slice()));
         assert_eq!(db.stats().commits, 1);
     }
 
@@ -684,14 +701,14 @@ mod tests {
         db.put(t0, T, 5, b"committed");
         let _ = db.commit(t0);
         let tx = db.begin();
-        assert_eq!(db.get(tx, T, 5), Some(b"committed".to_vec()));
+        assert_eq!(db.get(tx, T, 5), Some(b"committed".as_slice()));
         db.delete(tx, T, 5);
         assert_eq!(db.get(tx, T, 5), None, "own delete visible");
-        assert_eq!(db.get_committed(T, 5), Some(b"committed".to_vec()));
+        assert_eq!(db.get_committed(T, 5), Some(b"committed".as_slice()));
         db.put(tx, T, 5, b"again");
-        assert_eq!(db.get(tx, T, 5), Some(b"again".to_vec()));
+        assert_eq!(db.get(tx, T, 5), Some(b"again".as_slice()));
         let _ = db.commit(tx);
-        assert_eq!(db.get_committed(T, 5), Some(b"again".to_vec()));
+        assert_eq!(db.get_committed(T, 5), Some(b"again".as_slice()));
     }
 
     #[test]
@@ -701,8 +718,8 @@ mod tests {
         db.put(tx, TableId(1), 7, b"a");
         db.put(tx, TableId(2), 7, b"b");
         let _ = db.commit(tx);
-        assert_eq!(db.get_committed(TableId(1), 7), Some(b"a".to_vec()));
-        assert_eq!(db.get_committed(TableId(2), 7), Some(b"b".to_vec()));
+        assert_eq!(db.get_committed(TableId(1), 7), Some(b"a".as_slice()));
+        assert_eq!(db.get_committed(TableId(2), 7), Some(b"b".as_slice()));
         assert_eq!(db.scan_table(TableId(1)).len(), 1);
     }
 
@@ -736,7 +753,7 @@ mod tests {
         for i in 0..50u64 {
             assert_eq!(
                 rec.get_committed(T, i),
-                Some(format!("value-{i}").into_bytes())
+                Some(format!("value-{i}").as_bytes())
             );
         }
         assert_eq!(rec.last_lsn(), db.last_lsn());
@@ -772,7 +789,7 @@ mod tests {
         db.put(tx, T, 2, b"lost");
         let _unwritten = db.commit(tx);
         let (rec, report) = MiniDb::recover("r", &wal, &data, db.config().clone()).unwrap();
-        assert_eq!(rec.get_committed(T, 1), Some(b"durable".to_vec()));
+        assert_eq!(rec.get_committed(T, 1), Some(b"durable".as_slice()));
         assert_eq!(rec.get_committed(T, 2), None);
         assert_eq!(report.redo_records, 1);
     }
@@ -794,8 +811,8 @@ mod tests {
         }
         let (rec2, _) = MiniDb::recover("r2", &wal, &data, rec.config().clone()).unwrap();
         assert_eq!(rec2.scan_table(T).len(), 40);
-        assert_eq!(rec2.get_committed(T, 0), Some(b"first-life".to_vec()));
-        assert_eq!(rec2.get_committed(T, 39), Some(b"second-life".to_vec()));
+        assert_eq!(rec2.get_committed(T, 0), Some(b"first-life".as_slice()));
+        assert_eq!(rec2.get_committed(T, 39), Some(b"second-life".as_slice()));
     }
 
     #[test]
@@ -818,7 +835,7 @@ mod tests {
         let (rec, _) = MiniDb::recover("r", &wal, &data, db.config().clone()).unwrap();
         // The damaged record (and only it) is lost.
         assert_eq!(rec.get_committed(T, 99), None);
-        assert_eq!(rec.get_committed(T, 4), Some(b"v".to_vec()));
+        assert_eq!(rec.get_committed(T, 4), Some(b"v".as_slice()));
     }
 
     #[test]
@@ -951,7 +968,65 @@ mod tests {
         apply(&db.commit(tx), &mut wal, &mut data);
         let (rec, _) = MiniDb::recover("r", &wal, &data, db.config().clone()).unwrap();
         assert_eq!(rec.get_committed(T, 1), None);
-        assert_eq!(rec.get_committed(T, 2), Some(b"y".to_vec()));
+        assert_eq!(rec.get_committed(T, 2), Some(b"y".as_slice()));
+    }
+
+    /// A transaction id that was staged (or aborted, or never handed out)
+    /// is the caller's to keep track of: every mutator refuses it with the
+    /// same words.
+    fn retired() -> (MiniDb, TxId) {
+        let (mut db, _, _) = fresh();
+        let tx = db.begin();
+        db.put(tx, T, 1, b"kept");
+        let _ = db.commit(tx);
+        (db, tx)
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction 1 is not active")]
+    fn put_on_a_retired_transaction_is_refused() {
+        let (mut db, tx) = retired();
+        db.put(tx, T, 2, b"late");
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction 1 is not active")]
+    fn delete_on_a_retired_transaction_is_refused() {
+        let (mut db, tx) = retired();
+        db.delete(tx, T, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction 1 is not active")]
+    fn stage_of_a_retired_transaction_is_refused() {
+        let (mut db, tx) = retired();
+        db.stage(tx);
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction 1 is not active")]
+    fn abort_of_a_retired_transaction_is_refused() {
+        let (mut db, tx) = retired();
+        db.abort(tx);
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction 77 is not active")]
+    fn a_transaction_id_never_handed_out_is_refused() {
+        let (mut db, _, _) = fresh();
+        db.put(TxId(77), T, 1, b"forged");
+    }
+
+    /// A read has nothing to refuse: an id with no open transaction has no
+    /// writes of its own, so it sees committed state.
+    #[test]
+    fn get_on_a_retired_transaction_reads_committed_state() {
+        let (mut db, tx) = retired();
+        let other = db.begin();
+        db.put(other, T, 1, b"pending");
+        assert_eq!(db.get(tx, T, 1), Some(b"kept".as_slice()));
+        assert_eq!(db.get(TxId(77), T, 1), db.get_committed(T, 1));
+        assert_eq!(db.get(other, T, 1), Some(b"pending".as_slice()));
     }
 
     #[test]
@@ -992,7 +1067,7 @@ mod tests {
         let (rec, _) = MiniDb::recover("r", &wal, &data, db.config().clone()).unwrap();
         assert_eq!(rec.scan_table(T).len(), 150);
         for i in 2850..3000u64 {
-            assert_eq!(rec.get_committed(T, i), Some(vec![7u8; 64]));
+            assert_eq!(rec.get_committed(T, i), Some([7u8; 64].as_slice()));
         }
     }
 
@@ -1010,7 +1085,7 @@ mod tests {
         apply(&db.commit(tx), &mut wal, &mut data);
         let (rec, _) = MiniDb::recover("r", &wal, &data, db.config().clone()).unwrap();
         assert_eq!(rec.scan_table(T).len(), 101);
-        assert_eq!(rec.get_committed(T, 1000), Some(b"after-vacuum".to_vec()));
+        assert_eq!(rec.get_committed(T, 1000), Some(b"after-vacuum".as_slice()));
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl Node {
         }
     }
 
-    /// True for leaves.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
-
     /// Serialized byte size (must stay ≤ [`PAGE_SIZE`]; the tree splits
     /// before that bound is exceeded).
     pub fn serialized_size(&self) -> usize {

@@ -26,10 +26,6 @@
 //! forgetting the loaded pages the hostile replay fails in its third and
 //! the forged `Page` image in `every_recovery_error_variant_…`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use proptest::prelude::*;
 use tsuru_minidb::{
     encode_record, scan_wal_from, DbConfig, DbVol, IoRequest, MiniDb, RecoveryError,
@@ -37,47 +33,8 @@ use tsuru_minidb::{
 };
 use tsuru_storage::{BlockDevice, BlockDeviceMut, MemDevice, BLOCK_SIZE};
 
-/// Counts the allocations of the thread that asks (`TRACK`): the other
-/// tests of this binary run beside the one that counts.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static TRACK: Cell<bool> = const { Cell::new(false) };
-}
-
-// SAFETY: pure pass-through to the system allocator; the count is the only
-// added behaviour and does not affect the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: sound iff the system allocator is — we only count and forward.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = TRACK.try_with(|t| {
-            if t.get() {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: sound iff the system allocator is — pure forwarding.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc` above for this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// Allocations `f` makes on this thread.
-fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    TRACK.with(|t| t.set(true));
-    let out = f();
-    TRACK.with(|t| t.set(false));
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
-}
+mod support;
+use support::allocations;
 
 const T: TableId = TableId(3);
 const CFG: DbConfig = DbConfig {

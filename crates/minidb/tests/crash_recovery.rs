@@ -71,6 +71,14 @@ fn model_after(txns: &[Vec<Op>], m: usize) -> BTreeMap<u64, Vec<u8>> {
     state
 }
 
+/// The committed rows of the table, owned (the scan lends them).
+fn rows_of(db: &MiniDb) -> BTreeMap<u64, Vec<u8>> {
+    db.scan_table(T)
+        .into_iter()
+        .map(|(k, v)| (k, v.to_vec()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -129,7 +137,7 @@ proptest! {
         );
 
         let expect = model_after(&txns, m);
-        let got: BTreeMap<u64, Vec<u8>> = rec.scan_table(T).into_iter().collect();
+        let got = rows_of(&rec);
         prop_assert_eq!(got, expect, "state mismatch at prefix {}", m);
         // Report sanity.
         prop_assert_eq!(report.wal_end, rec.last_lsn());
@@ -212,7 +220,7 @@ proptest! {
             "torn tail lost durable transactions: recovered {m}, durable {fully_acked}"
         );
         let expect = model_after(&txns, m);
-        let got: BTreeMap<u64, Vec<u8>> = rec.scan_table(T).into_iter().collect();
+        let got = rows_of(&rec);
         prop_assert_eq!(got, expect, "state mismatch at prefix {}", m);
         prop_assert_eq!(report.wal_end, rec.last_lsn());
     }
@@ -238,7 +246,7 @@ proptest! {
             }
             let _ = db.commit(tx);
         }
-        let got: BTreeMap<u64, Vec<u8>> = db.scan_table(T).into_iter().collect();
+        let got = rows_of(&db);
         prop_assert_eq!(got, model);
     }
 }

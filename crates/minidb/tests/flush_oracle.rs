@@ -253,7 +253,10 @@ fn apply(io: &IoRequest, wal: &mut MemDevice, data: &mut MemDevice) {
 }
 
 fn rows_of(db: &MiniDb) -> Rows {
-    db.scan_table(T).into_iter().collect()
+    db.scan_table(T)
+        .into_iter()
+        .map(|(k, v)| (k, v.to_vec()))
+        .collect()
 }
 
 impl World {

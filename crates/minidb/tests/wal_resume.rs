@@ -242,7 +242,11 @@ fn check_cut(
 
     let (again, _) = MiniDb::recover("again", &wal, &data, CFG)
         .map_err(|e| format!("{what}: second recovery failed: {e}"))?;
-    let rows: BTreeMap<u64, Vec<u8>> = again.scan_table(T).into_iter().collect();
+    let rows: BTreeMap<u64, Vec<u8>> = again
+        .scan_table(T)
+        .into_iter()
+        .map(|(k, v)| (k, v.to_vec()))
+        .collect();
     if rows != model {
         return Err(format!(
             "{what}: second recovery lost or invented rows ({} vs {} expected)",
