@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use tsuru_ecom::{OrderRow, StockRow, ORDERS_TABLE, STOCK_TABLE};
 use tsuru_minidb::MiniDb;
 
@@ -24,7 +23,7 @@ pub fn item_price(item: u64) -> u64 {
 }
 
 /// Sales aggregate for one item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ItemSales {
     /// Item id.
     pub item: u64,
@@ -37,7 +36,7 @@ pub struct ItemSales {
 }
 
 /// The analytics report computed from one consistent image.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnalyticsReport {
     /// Orders examined.
     pub order_count: u64,

@@ -15,13 +15,12 @@
 //! - **recall** is detected kinds over injected kinds — the acceptance
 //!   bar for the default profile on the core quartet is full recall.
 
-use serde::{Deserialize, Serialize};
 use tsuru_storage::IncidentLog;
 
 use crate::plan::FaultPlan;
 
 /// One injected fault kind's detection verdict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindDetection {
     /// The fault kind's stable label (`link-partition`, …).
     pub kind: String,
@@ -35,7 +34,7 @@ pub struct KindDetection {
 /// Ground-truth verdict of one alert trial: the incident log scored
 /// against the injected plan. Present only on trials that ran with an
 /// alert profile armed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlertSummary {
     /// The armed rule profile's name (tight / default / lenient).
     pub profile: String,
@@ -71,7 +70,8 @@ impl AlertSummary {
     }
 }
 
-/// Score `log` against the injected `plan` (see the [module docs](self)).
+/// Score `log` against the injected `plan` (the scoring rules are the
+/// module docs of `chaos/src/alert.rs`).
 pub fn match_incidents(plan: &FaultPlan, log: &IncidentLog, profile: &str, evals: u64) -> AlertSummary {
     let mut true_positives = 0u64;
     let mut false_positives = 0u64;

@@ -57,7 +57,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use tsuru_core::TwoSiteRig;
 use tsuru_ecom::{ImageFollower, Recovered, RecoveryOutcome};
 use tsuru_sim::SimTime;
@@ -69,7 +68,7 @@ use crate::alert::AlertSummary;
 const TRACE_WINDOW: usize = 8;
 
 /// One invariant violation, timestamped in simulated time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// When the audit observed it.
     pub at: SimTime,
@@ -85,7 +84,7 @@ pub struct Violation {
 
 /// Summary of the armed supervisor's recovery work for one trial.
 /// Present only on trials that ran with the supervisor armed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorSummary {
     /// Groups still owning pairs at quiesce.
     pub groups_total: u64,
@@ -117,7 +116,7 @@ pub struct SupervisorSummary {
 
 /// Summary of the client-visible history judgement for one trial.
 /// Present only on trials that ran with history recording enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistorySummary {
     /// Records in the judged history.
     pub records: u64,
@@ -129,7 +128,7 @@ pub struct HistorySummary {
 }
 
 /// The auditor's verdict for one chaos trial.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Backup-mode label (`adc-cg` / `adc-naive`).
     pub mode: String,

@@ -1,6 +1,5 @@
 //! The FaultPlan DSL: typed fault events, composable and seed-generatable.
 
-use serde::{Deserialize, Serialize};
 use tsuru_sim::{DetRng, SimDuration, SimTime};
 
 /// The `DetRng::derive` stream id for fault-plan generation.
@@ -8,7 +7,7 @@ pub(crate) const PLAN_STREAM: u64 = 0xCA05;
 
 /// What a [`FaultEvent`] injects. Every kind has a well-defined heal
 /// action applied `duration` after its start (see the injector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
     /// Data-link outage with a scheduled end; senders observe
     /// `Down(Some(up))` and retry at the advertised instant (auto-heal).
@@ -66,7 +65,7 @@ impl FaultKind {
 /// One scheduled fault: a kind, a start instant and a window length.
 /// The heal runs at `at + duration` (instantaneous kinds use a zero
 /// duration and have no heal action).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// What to inject.
     pub kind: FaultKind,
@@ -84,7 +83,7 @@ impl FaultEvent {
 }
 
 /// A complete chaos schedule for one trial.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Workload/injection horizon; after the last heal the workload is
     /// stopped and the system runs to full quiescence.

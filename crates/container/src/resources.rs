@@ -9,13 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::meta::{Object, ObjectMeta};
 
 /// Opaque handle to a volume on an external storage array, as recorded by a
 /// CSI driver (array id + LDEV number in this reproduction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VolumeHandle {
     /// Array identifier.
     pub array: u32,

@@ -2,16 +2,17 @@
 //!
 //! [`DemoEvent`] is the closed event vocabulary of the whole system:
 //! storage data-plane hops, business-process client wake-ups, and the
-//! experiment control plane (fault injection, lag sampling), plus the
-//! boxed-closure escape hatch for one-off glue. Dispatch is a `match`, so
-//! scheduling any typed step costs zero heap allocations on the kernel
-//! side (the ledger's `sim.allocs_per_event`).
+//! experiment control plane (fault injection, lag sampling, supervisor
+//! probes, SLO evaluation). Every variant is a value dispatched by
+//! `match`, so scheduling any step costs zero heap allocations on the
+//! kernel side (the ledger's `sim.allocs_per_event`); there is no closure
+//! arm.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use tsuru_ecom::{EcomEvents, EcomOp};
-use tsuru_sim::{Event, EventFn, Sim, SimDuration};
+use tsuru_sim::{Event, Sim, SimDuration};
 use tsuru_storage::{ArrayId, GroupId, StorageEvents, StorageOp};
 
 use crate::world::DemoWorld;
@@ -27,9 +28,6 @@ pub enum DemoEvent {
     Ecom(EcomOp),
     /// An experiment control-plane step (fault injection, sampling).
     Control(ControlOp),
-    /// Boxed one-off closure — the escape hatch for ad-hoc glue that has
-    /// no typed variant. Costs one allocation, like the old kernel.
-    Dyn(EventFn<DemoWorld, DemoEvent>),
 }
 
 /// Experiment control-plane steps.
@@ -136,16 +134,11 @@ impl ControlOp {
 }
 
 impl Event<DemoWorld> for DemoEvent {
-    fn from_fn(f: EventFn<DemoWorld, Self>) -> Self {
-        DemoEvent::Dyn(f)
-    }
-
     fn dispatch(self, state: &mut DemoWorld, sim: &mut Sim<DemoWorld, Self>) {
         match self {
             DemoEvent::Storage(op) => op.dispatch(state, sim),
             DemoEvent::Ecom(op) => op.dispatch(state, sim),
             DemoEvent::Control(op) => op.dispatch(state, sim),
-            DemoEvent::Dyn(f) => f(state, sim),
         }
     }
 }

@@ -8,7 +8,6 @@
 //! identical at any thread count — trials are seeded purely from
 //! `(base_seed, trial_index)` and re-sorted by index (see `harness.rs`).
 
-use serde::{Deserialize, Serialize};
 use tsuru_container::{ControllerManager, ObjectMeta};
 use tsuru_nso::NsoConfig;
 use tsuru_sim::{DetRng, SimDuration, SimTime};
@@ -25,7 +24,7 @@ use crate::world::Sites;
 // =====================================================================
 
 /// One (mode, RTT) measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E1Row {
     /// Closed-loop clients.
     pub clients: usize,
@@ -98,7 +97,7 @@ pub fn e1_slowdown(
 // =====================================================================
 
 /// Aggregate over many disaster trials for one mode.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E2Row {
     /// Backup mode label.
     pub mode: String,
@@ -116,7 +115,7 @@ pub struct E2Row {
 }
 
 /// Verdict of one surprise-failure drill (one harness trial).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E2Trial {
     /// Backup mode label.
     pub mode: String,
@@ -206,7 +205,7 @@ pub fn e2_drill(base_seed: u64, t: u64, mode: BackupMode, session_jitter: SimDur
 // =====================================================================
 
 /// One (mode, bandwidth, journal) RPO measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E3Row {
     /// Backup mode label.
     pub mode: String,
@@ -282,7 +281,7 @@ pub fn e3_rpo(
 // =====================================================================
 
 /// One snapshot-scenario measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E4Row {
     /// Scenario label.
     pub scenario: String,
@@ -355,7 +354,7 @@ pub fn e4_snapshot(seed: u64) -> Vec<E4Row> {
 // =====================================================================
 
 /// One namespace-size measurement of configuration effort.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E5Row {
     /// Claims in the namespace.
     pub volumes: usize,
@@ -494,7 +493,7 @@ pub fn e6_demo(seed: u64) -> E6Outcome {
 // =====================================================================
 
 /// One pump-parameter measurement of backup lag.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct A1Row {
     /// Base pump interval in microseconds.
     pub pump_interval_us: u64,
@@ -581,7 +580,7 @@ pub fn a1_backup_lag(
 // =====================================================================
 
 /// One journal-policy measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct A2Row {
     /// `block` or `suspend`.
     pub policy: String,
@@ -656,7 +655,7 @@ pub fn a2_journal_policy(
 // =====================================================================
 
 /// One topology measurement after a main-site disaster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E7Row {
     /// Topology label.
     pub mode: String,

@@ -7,7 +7,6 @@
 //! volumes (sales WAL/data, stock WAL/data), two databases, the order
 //! workload — under any [`BackupMode`].
 
-use serde::{Deserialize, Serialize};
 use tsuru_analytics::AnalyticsReport;
 use tsuru_ecom::driver::start_clients;
 use tsuru_ecom::{ImageFollower, Recovered, RecoveryOutcome, WorkloadConfig};
@@ -23,7 +22,7 @@ use crate::event::{ControlOp, DemoEvent, DemoSim};
 use crate::world::{volume_sizes, DemoWorld, Sites, VOLUME_NAMES};
 
 /// How the business process is protected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackupMode {
     /// No replication at all (the latency floor).
     None,

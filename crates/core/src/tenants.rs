@@ -22,8 +22,7 @@
 //! Everything is seeded from `(base_seed, trial_index)` through the trial
 //! harness, so `repro e12` output is byte-identical at any `--threads`.
 
-use serde::{Deserialize, Serialize};
-use tsuru_sim::{DetRng, Event, EventFn, Sim, SimDuration, SimTime};
+use tsuru_sim::{DetRng, Event, Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{
@@ -159,15 +158,9 @@ pub enum TenantOp {
         /// Re-arms left after this sample.
         remaining: u32,
     },
-    /// Boxed one-off closure escape hatch.
-    Dyn(EventFn<TenantWorld, TenantOp>),
 }
 
 impl Event<TenantWorld> for TenantOp {
-    fn from_fn(f: EventFn<TenantWorld, Self>) -> Self {
-        TenantOp::Dyn(f)
-    }
-
     fn dispatch(self, w: &mut TenantWorld, sim: &mut Sim<TenantWorld, Self>) {
         match self {
             TenantOp::Storage(op) => op.dispatch(w, sim),
@@ -184,7 +177,6 @@ impl Event<TenantWorld> for TenantOp {
                     );
                 }
             }
-            TenantOp::Dyn(f) => f(w, sim),
         }
     }
 }
@@ -318,7 +310,7 @@ pub fn build_tenant_world(
 }
 
 /// One row of the E12 tenant-scaling table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E12Row {
     /// Tenant namespaces (= consistency groups).
     pub tenants: u32,

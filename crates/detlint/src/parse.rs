@@ -150,7 +150,8 @@ pub struct StructSym {
     pub float_field_lines: Vec<usize>,
 }
 
-/// The per-file parse result; [`crate::graph::SymbolTable`] merges these.
+/// The per-file parse result; [`crate::analyze_workspace`] merges every
+/// file's functions into one [`crate::graph::CallGraph`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileSymbols {
     /// All non-test functions.

@@ -437,9 +437,10 @@ mod tests {
     use crate::app::EcomState;
     use crate::workload::WorkloadConfig;
     use tsuru_minidb::{DbConfig, MiniDb, Superblock};
-    use tsuru_sim::DetRng;
+    use tsuru_sim::{DetRng, Event};
     use tsuru_storage::{
-        ArrayId, ArrayPerf, BlockDevice, EngineConfig, StorageWorld, VolumeView,
+        ArrayId, ArrayPerf, BlockDevice, EngineConfig, StorageEvents, StorageOp, StorageWorld,
+        VolumeView,
     };
 
     struct World {
@@ -465,6 +466,33 @@ mod tests {
         }
     }
 
+    /// The test world's kernel event: the data plane and the clients.
+    enum Ev {
+        Storage(StorageOp<World, Ev>),
+        Ecom(EcomOp),
+    }
+
+    impl Event<World> for Ev {
+        fn dispatch(self, w: &mut World, sim: &mut Sim<World, Ev>) {
+            match self {
+                Ev::Storage(op) => op.dispatch(w, sim),
+                Ev::Ecom(op) => op.dispatch(w, sim),
+            }
+        }
+    }
+
+    impl StorageEvents<World> for Ev {
+        fn storage(op: StorageOp<World, Ev>) -> Self {
+            Ev::Storage(op)
+        }
+    }
+
+    impl EcomEvents<World> for Ev {
+        fn ecom(op: EcomOp) -> Self {
+            Ev::Ecom(op)
+        }
+    }
+
     /// A two-block WAL: ~120 stock commits to the next in-load checkpoint.
     const DB: DbConfig = DbConfig {
         data_blocks: 256,
@@ -473,7 +501,7 @@ mod tests {
     };
 
     /// One array, no replication, eight fast clients.
-    fn world() -> (World, Sim<World>, ArrayId) {
+    fn world() -> (World, Sim<World, Ev>, ArrayId) {
         let mut st = StorageWorld::new(11, EngineConfig::default());
         let main = st.add_array("main", ArrayPerf::default());
         let vols = [("sw", 2), ("sd", 256), ("tw", 2), ("td", 256)]

@@ -6,7 +6,7 @@
 //! plain enum variant instead of a boxed closure makes the steady-state
 //! client loop allocation-free on the kernel side.
 
-use tsuru_sim::{DynEvent, Event, Sim};
+use tsuru_sim::Sim;
 use tsuru_storage::{HasStorage, StorageEvents};
 
 use crate::app::HasEcom;
@@ -54,10 +54,4 @@ impl EcomOp {
 pub trait EcomEvents<S>: StorageEvents<S> {
     /// Wrap a driver step as a kernel event.
     fn ecom(op: EcomOp) -> Self;
-}
-
-impl<S: HasStorage + HasEcom + 'static> EcomEvents<S> for DynEvent<S> {
-    fn ecom(op: EcomOp) -> Self {
-        DynEvent::from_fn(Box::new(move |s, sim| op.dispatch(s, sim)))
-    }
 }

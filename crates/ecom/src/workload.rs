@@ -1,10 +1,9 @@
 //! Deterministic e-commerce workload generation.
 
-use serde::{Deserialize, Serialize};
 use tsuru_sim::{DetRng, SimDuration, Zipf};
 
 /// Workload shape.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Closed-loop client count.
     pub clients: usize,
@@ -31,7 +30,7 @@ impl Default for WorkloadConfig {
 }
 
 /// Which closed-loop workload a trial runs against the two databases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// The order workload (stock decrement then order row).
     Ecom,

@@ -4,13 +4,13 @@
 #![allow(clippy::field_reassign_with_default)]
 
 use tsuru_ecom::driver::start_clients;
-use tsuru_ecom::{EcomState, HasEcom, RecoveryOutcome, WorkloadConfig};
+use tsuru_ecom::{EcomEvents, EcomOp, EcomState, HasEcom, RecoveryOutcome, WorkloadConfig};
 use tsuru_minidb::DbConfig;
-use tsuru_sim::{DetRng, Sim, SimDuration, SimTime};
+use tsuru_sim::{DetRng, Event, Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::{
-    ArrayId, ArrayPerf, EngineConfig, GroupId, HasStorage, SnapshotId, SnapshotView, StorageWorld,
-    VolRef, VolumeView,
+    ArrayId, ArrayPerf, EngineConfig, GroupId, HasStorage, SnapshotId, SnapshotView,
+    StorageEvents, StorageOp, StorageWorld, VolRef, VolumeView,
 };
 
 struct World {
@@ -36,9 +36,39 @@ impl HasEcom for World {
     }
 }
 
+/// The test world's kernel event: the data plane, the clients, and the
+/// site disaster.
+enum Ev {
+    Storage(StorageOp<World, Ev>),
+    Ecom(EcomOp),
+    FailArray(ArrayId),
+}
+
+impl Event<World> for Ev {
+    fn dispatch(self, w: &mut World, sim: &mut Sim<World, Ev>) {
+        match self {
+            Ev::Storage(op) => op.dispatch(w, sim),
+            Ev::Ecom(op) => op.dispatch(w, sim),
+            Ev::FailArray(array) => w.st.fail_array(array, sim.now()),
+        }
+    }
+}
+
+impl StorageEvents<World> for Ev {
+    fn storage(op: StorageOp<World, Ev>) -> Self {
+        Ev::Storage(op)
+    }
+}
+
+impl EcomEvents<World> for Ev {
+    fn ecom(op: EcomOp) -> Self {
+        Ev::Ecom(op)
+    }
+}
+
 struct Rig {
     world: World,
-    sim: Sim<World>,
+    sim: Sim<World, Ev>,
     main: ArrayId,
     backup: ArrayId,
     /// (sales wal, sales data, stock wal, stock data) on the main array.
@@ -152,9 +182,7 @@ fn consistency_group_failover_never_collapses() {
         let main = r.main;
         // Surprise failure mid-run.
         r.sim
-            .schedule_at(SimTime::from_millis(120), move |w: &mut World, sim| {
-                w.st.fail_array(main, sim.now());
-            });
+            .schedule_event_at(SimTime::from_millis(120), Ev::FailArray(main));
         r.sim.run_until(&mut r.world, SimTime::from_millis(400));
         assert!(r.world.ecom.stopped, "clients observe the disaster");
         let committed = r.world.ecom.metrics.committed_orders;
@@ -188,9 +216,7 @@ fn naive_groups_produce_skewed_cuts() {
         start_clients(&mut r.world, &mut r.sim);
         let main = r.main;
         r.sim
-            .schedule_at(SimTime::from_millis(120), move |w: &mut World, sim| {
-                w.st.fail_array(main, sim.now());
-            });
+            .schedule_event_at(SimTime::from_millis(120), Ev::FailArray(main));
         r.sim.run_until(&mut r.world, SimTime::from_millis(400));
         for &g in &r.groups {
             r.world.st.promote_group(g);
@@ -332,11 +358,9 @@ fn checkpoints_under_replication_survive_disaster() {
             st.add_pair(g, vols[i], replicas[i]);
         }
         let mut world = World { st, ecom };
-        let mut sim: Sim<World> = Sim::new();
+        let mut sim: Sim<World, Ev> = Sim::new();
         start_clients(&mut world, &mut sim);
-        sim.schedule_at(SimTime::from_millis(900), move |w: &mut World, sim| {
-            w.st.fail_array(main, sim.now());
-        });
+        sim.schedule_event_at(SimTime::from_millis(900), Ev::FailArray(main));
         sim.run_until(&mut world, SimTime::from_millis(1200));
 
         // Plenty of transactions, and the engines definitely checkpointed.

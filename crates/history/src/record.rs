@@ -325,7 +325,8 @@ impl History {
         self.records.is_empty()
     }
 
-    /// Render as JSON Lines (see [`crate::export`]).
+    /// Render as JSON Lines (the format is the module docs of
+    /// `history/src/export.rs`).
     pub fn export_jsonl(&self) -> String {
         crate::export::export_jsonl(&self.records)
     }

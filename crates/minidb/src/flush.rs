@@ -61,7 +61,8 @@ pub enum Progress {
     Done(bool),
 }
 
-/// Group-commit bookkeeping for one database; see the [module docs](self).
+/// Group-commit bookkeeping for one database; see the module docs of
+/// `minidb/src/flush.rs`.
 #[derive(Debug)]
 pub struct LogFlusher<W> {
     generation: u64,

@@ -1,13 +1,12 @@
 //! The discrete-event simulation kernel.
 //!
 //! A [`Sim<S, E>`] owns a time-ordered queue of events over an arbitrary
-//! user state `S`. The event type `E` implements [`Event`]: domain crates
-//! define plain enums dispatched by `match`, so the hot path schedules and
-//! fires events with **zero heap allocations**. The default event type,
-//! [`DynEvent`], is the classic boxed-closure escape hatch — `Sim<S>`
-//! (no second parameter) behaves exactly like the original closure kernel,
-//! and [`Sim::schedule_at`] / [`Sim::schedule_in`] accept closures for any
-//! event type via [`Event::from_fn`].
+//! user state `S`. The event type `E` implements [`Event`]: a domain crate
+//! defines a plain enum of values dispatched by `match`, so scheduling and
+//! firing an event moves a value into and out of the wheel — **zero heap
+//! allocations**, and a pending event is data, not code. There is one way
+//! to schedule anything: [`Sim::schedule_event_at`] /
+//! [`Sim::schedule_event_in`] with a typed event.
 //!
 //! Pending events live in a hierarchical timer wheel (see [`crate::wheel`])
 //! rather than a binary heap: O(1) amortized insert and pop, and cheap
@@ -18,24 +17,23 @@
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
 
-/// A one-shot boxed event handler for kernels of event type `E`.
-pub type EventFn<S, E = DynEvent<S>> = Box<dyn FnOnce(&mut S, &mut Sim<S, E>)>;
+/// A one-shot boxed handler over state `S` in a kernel of event type `E`
+/// — the argument type of [`Event::from_fn`], and nothing else.
+pub type EventFn<S, E> = Box<dyn FnOnce(&mut S, &mut Sim<S, E>)>;
 
 /// A schedulable event for kernels over state `S`.
 ///
-/// Implementations are typically enums whose [`Event::dispatch`] is a
-/// `match` calling straight into domain code — no allocation, no virtual
-/// call. An implementation that also absorbs a boxed closure
-/// ([`Event::from_fn`], the `Dyn` escape-hatch variant) lets generic
-/// helpers and tests keep scheduling ad-hoc handlers; one that schedules
-/// typed events only leaves the provided body in place.
+/// Implementations are enums whose [`Event::dispatch`] is a `match`
+/// calling straight into domain code — no allocation, no virtual call.
 pub trait Event<S>: Sized + 'static {
-    /// Wrap a boxed closure as an event (the escape hatch used by
-    /// [`Sim::schedule_at`] and [`Sim::schedule_in`]).
+    /// Wrap a boxed closure as an event. Nothing in the workspace calls
+    /// it: the kernel schedules typed events only. It survives, with
+    /// [`EventFn`], solely for the performance ledger's two event types,
+    /// which still override it; it goes when they stop.
     ///
     /// # Panics
-    /// The provided body panics, naming the event type: an enum without a
-    /// closure arm was handed a closure.
+    /// The provided body panics, naming the event type: an event enum has
+    /// no closure arm.
     fn from_fn(_: EventFn<S, Self>) -> Self {
         panic!(
             "{} has no closure arm: schedule it with Sim::schedule_event_at / schedule_event_in",
@@ -45,22 +43,6 @@ pub trait Event<S>: Sized + 'static {
     /// Fire the event. Consumes it; handlers may mutate the world and
     /// schedule further events.
     fn dispatch(self, state: &mut S, sim: &mut Sim<S, Self>);
-}
-
-/// The default event type: a boxed one-shot closure. `Sim<S>` with this
-/// event type is API- and behavior-compatible with the original
-/// closure-only kernel (one allocation per scheduled event).
-pub struct DynEvent<S: 'static>(EventFn<S>);
-
-impl<S: 'static> Event<S> for DynEvent<S> {
-    #[inline]
-    fn from_fn(f: EventFn<S, Self>) -> Self {
-        DynEvent(f)
-    }
-    #[inline]
-    fn dispatch(self, state: &mut S, sim: &mut Sim<S, Self>) {
-        (self.0)(state, sim)
-    }
 }
 
 /// Handle to one scheduled event, returned by [`Sim::schedule_event_at`]
@@ -82,8 +64,8 @@ impl TimerToken {
 }
 
 /// A deterministic discrete-event simulator over user state `S` with
-/// event type `E` (default: boxed closures).
-pub struct Sim<S, E = DynEvent<S>> {
+/// event type `E`.
+pub struct Sim<S, E> {
     now: SimTime,
     wheel: TimerWheel<E>,
     next_seq: u64,
@@ -168,8 +150,9 @@ impl<S, E: Event<S>> Sim<S, E> {
         self.wheel.rehomed()
     }
 
-    /// Schedule event `ev` at absolute time `t`. Zero-allocation for
-    /// typed (non-`Dyn`) events. The returned token can cancel it.
+    /// Schedule event `ev` at absolute time `t`; the event moves into the
+    /// wheel, nothing is allocated in steady state. The returned token can
+    /// cancel it.
     ///
     /// # Panics
     /// Panics if `t` is earlier than the current time — scheduling into the
@@ -201,26 +184,6 @@ impl<S, E: Event<S>> Sim<S, E> {
     /// cancelled.
     pub fn cancel(&mut self, token: TimerToken) -> bool {
         self.wheel.cancel(token.time.as_nanos(), token.seq).is_some()
-    }
-
-    /// Schedule closure `f` to run at absolute time `t` (boxed escape
-    /// hatch; one allocation).
-    ///
-    /// # Panics
-    /// Panics if `t` is earlier than the current time — scheduling into the
-    /// past would silently corrupt causality.
-    pub fn schedule_at(&mut self, t: SimTime, f: impl FnOnce(&mut S, &mut Sim<S, E>) + 'static) {
-        self.schedule_event_at(t, E::from_fn(Box::new(f)));
-    }
-
-    /// Schedule closure `f` to run `delay` after the current time (boxed
-    /// escape hatch; one allocation).
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut S, &mut Sim<S, E>) + 'static,
-    ) {
-        self.schedule_at(self.now + delay, f);
     }
 
     /// Run the single earliest pending event, advancing the clock to its
@@ -290,13 +253,47 @@ impl<S, E: Event<S>> Sim<S, E> {
 mod tests {
     use super::*;
 
+    /// The tests' event vocabulary over a firing log.
+    enum Ev {
+        /// Log the value.
+        Push(u64),
+        /// Log the value, then schedule `Count(v + 1)` 1 ms later while
+        /// `v < 3`.
+        Count(u64),
+        /// Log the firing instant; re-armed 100 ns later until five
+        /// instants are logged.
+        Chain,
+    }
+
+    type Log = Vec<u64>;
+
+    impl Event<Log> for Ev {
+        fn dispatch(self, log: &mut Log, sim: &mut Sim<Log, Self>) {
+            match self {
+                Ev::Push(v) => log.push(v),
+                Ev::Count(v) => {
+                    log.push(v);
+                    if v < 3 {
+                        sim.schedule_event_in(SimDuration::from_millis(1), Ev::Count(v + 1));
+                    }
+                }
+                Ev::Chain => {
+                    log.push(sim.now().as_nanos());
+                    if log.len() < 5 {
+                        sim.schedule_event_in(SimDuration::from_nanos(100), Ev::Chain);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn events_run_in_time_order() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
+        let mut sim: Sim<Log, Ev> = Sim::new();
         let mut log = Vec::new();
-        sim.schedule_at(SimTime::from_millis(30), |s: &mut Vec<u32>, _| s.push(3));
-        sim.schedule_at(SimTime::from_millis(10), |s: &mut Vec<u32>, _| s.push(1));
-        sim.schedule_at(SimTime::from_millis(20), |s: &mut Vec<u32>, _| s.push(2));
+        sim.schedule_event_at(SimTime::from_millis(30), Ev::Push(3));
+        sim.schedule_event_at(SimTime::from_millis(10), Ev::Push(1));
+        sim.schedule_event_at(SimTime::from_millis(20), Ev::Push(2));
         sim.run(&mut log);
         assert_eq!(log, vec![1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_millis(30));
@@ -305,11 +302,11 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
+        let mut sim: Sim<Log, Ev> = Sim::new();
         let mut log = Vec::new();
         let t = SimTime::from_secs(1);
         for i in 0..16 {
-            sim.schedule_at(t, move |s: &mut Vec<u32>, _| s.push(i));
+            sim.schedule_event_at(t, Ev::Push(i));
         }
         sim.run(&mut log);
         assert_eq!(log, (0..16).collect::<Vec<_>>());
@@ -317,25 +314,19 @@ mod tests {
 
     #[test]
     fn handlers_can_schedule_more_events() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
+        let mut sim: Sim<Log, Ev> = Sim::new();
         let mut log = Vec::new();
-        fn chain(s: &mut Vec<u64>, sim: &mut Sim<Vec<u64>>) {
-            s.push(sim.now().as_nanos());
-            if s.len() < 5 {
-                sim.schedule_in(SimDuration::from_nanos(100), chain);
-            }
-        }
-        sim.schedule_at(SimTime::ZERO, chain);
+        sim.schedule_event_at(SimTime::ZERO, Ev::Chain);
         sim.run(&mut log);
         assert_eq!(log, vec![0, 100, 200, 300, 400]);
     }
 
     #[test]
     fn run_until_stops_at_horizon_and_advances_clock() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
+        let mut sim: Sim<Log, Ev> = Sim::new();
         let mut log = Vec::new();
-        sim.schedule_at(SimTime::from_secs(1), |s: &mut Vec<u32>, _| s.push(1));
-        sim.schedule_at(SimTime::from_secs(3), |s: &mut Vec<u32>, _| s.push(3));
+        sim.schedule_event_at(SimTime::from_secs(1), Ev::Push(1));
+        sim.schedule_event_at(SimTime::from_secs(3), Ev::Push(3));
         sim.run_until(&mut log, SimTime::from_secs(2));
         assert_eq!(log, vec![1]);
         assert_eq!(sim.now(), SimTime::from_secs(2));
@@ -347,96 +338,55 @@ mod tests {
 
     #[test]
     fn run_until_includes_events_scheduled_inside_the_window() {
-        let mut sim: Sim<Vec<&'static str>> = Sim::new();
+        let mut sim: Sim<Log, Ev> = Sim::new();
         let mut log = Vec::new();
-        sim.schedule_at(SimTime::from_millis(10), |s: &mut Vec<&str>, sim| {
-            s.push("a");
-            sim.schedule_in(SimDuration::from_millis(5), |s: &mut Vec<&str>, _| {
-                s.push("b")
-            });
-        });
+        sim.schedule_event_at(SimTime::from_millis(10), Ev::Count(1));
         sim.run_until(&mut log, SimTime::from_millis(20));
-        assert_eq!(log, vec!["a", "b"]);
+        assert_eq!(log, vec![1, 2, 3]);
     }
 
     #[test]
     fn run_until_cond_stops_early() {
-        let mut sim: Sim<u32> = Sim::new();
-        let mut n = 0u32;
+        let mut sim: Sim<Log, Ev> = Sim::new();
+        let mut log = Vec::new();
         for i in 0..10 {
-            sim.schedule_at(SimTime::from_secs(i), |s: &mut u32, _| *s += 1);
+            sim.schedule_event_at(SimTime::from_secs(i), Ev::Push(i));
         }
-        let hit = sim.run_until_cond(&mut n, |s| *s == 4);
+        let hit = sim.run_until_cond(&mut log, |l| l.len() == 4);
         assert!(hit);
-        assert_eq!(n, 4);
+        assert_eq!(log, vec![0, 1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_secs(3));
     }
 
     #[test]
     fn run_until_cond_reports_failure_when_queue_drains() {
-        let mut sim: Sim<u32> = Sim::new();
-        let mut n = 0u32;
-        sim.schedule_at(SimTime::from_secs(1), |s: &mut u32, _| *s += 1);
-        assert!(!sim.run_until_cond(&mut n, |s| *s == 100));
-        assert_eq!(n, 1);
+        let mut sim: Sim<Log, Ev> = Sim::new();
+        let mut log = Vec::new();
+        sim.schedule_event_at(SimTime::from_secs(1), Ev::Push(1));
+        assert!(!sim.run_until_cond(&mut log, |l| l.len() == 100));
+        assert_eq!(log, vec![1]);
     }
 
     #[test]
     #[should_panic(expected = "before current time")]
     fn scheduling_into_the_past_panics() {
-        let mut sim: Sim<()> = Sim::new();
-        sim.schedule_at(SimTime::from_secs(5), |_, _| {});
-        sim.run(&mut ());
-        sim.schedule_at(SimTime::from_secs(1), |_, _| {});
+        let mut sim: Sim<Log, Ev> = Sim::new();
+        sim.schedule_event_at(SimTime::from_secs(5), Ev::Push(5));
+        sim.run(&mut Vec::new());
+        sim.schedule_event_at(SimTime::from_secs(1), Ev::Push(1));
     }
 
     #[test]
     fn clear_pending_discards_events() {
-        let mut sim: Sim<u32> = Sim::new();
-        sim.schedule_at(SimTime::from_secs(1), |s: &mut u32, _| *s += 1);
+        let mut sim: Sim<Log, Ev> = Sim::new();
+        sim.schedule_event_at(SimTime::from_secs(1), Ev::Push(1));
         sim.clear_pending();
-        let mut n = 0;
-        sim.run(&mut n);
-        assert_eq!(n, 0);
-    }
-
-    /// A minimal typed event: proves match-dispatched enums work end to
-    /// end, including the `Dyn` escape hatch alongside typed variants.
-    enum TickEvent {
-        Add(u32),
-        Dyn(EventFn<Vec<u32>, TickEvent>),
-    }
-
-    impl Event<Vec<u32>> for TickEvent {
-        fn from_fn(f: EventFn<Vec<u32>, Self>) -> Self {
-            TickEvent::Dyn(f)
-        }
-        fn dispatch(self, state: &mut Vec<u32>, sim: &mut Sim<Vec<u32>, Self>) {
-            match self {
-                TickEvent::Add(n) => {
-                    state.push(n);
-                    if n < 3 {
-                        sim.schedule_event_in(SimDuration::from_millis(1), TickEvent::Add(n + 1));
-                    }
-                }
-                TickEvent::Dyn(f) => f(state, sim),
-            }
-        }
-    }
-
-    #[test]
-    fn typed_events_interleave_with_dyn_closures() {
-        let mut sim: Sim<Vec<u32>, TickEvent> = Sim::new();
         let mut log = Vec::new();
-        sim.schedule_event_at(SimTime::from_millis(1), TickEvent::Add(1));
-        sim.schedule_at(SimTime::from_millis(2), |s: &mut Vec<u32>, _| s.push(99));
         sim.run(&mut log);
-        // t=1: Add(1); t=2: the closure (scheduled first, lower seq) then
-        // Add(2); t=3: Add(3).
-        assert_eq!(log, vec![1, 99, 2, 3]);
+        assert!(log.is_empty());
     }
 
-    /// A typed-only enum: no `Dyn` arm, no `from_fn`.
+    /// A typed-only event that leaves `from_fn`'s provided body in place.
     struct Bump;
 
     impl Event<u32> for Bump {
@@ -453,15 +403,15 @@ mod tests {
         let mut n = 0;
         sim.run(&mut n);
         assert_eq!(n, 1);
-        sim.schedule_in(SimDuration::from_millis(1), |s: &mut u32, _| *s += 1);
+        let _ = Bump::from_fn(Box::new(|s: &mut u32, _| *s += 1));
     }
 
     #[test]
     fn cancelled_events_never_fire_and_cancel_is_one_shot() {
-        let mut sim: Sim<Vec<u32>, TickEvent> = Sim::new();
+        let mut sim: Sim<Log, Ev> = Sim::new();
         let mut log = Vec::new();
-        let keep = sim.schedule_event_at(SimTime::from_millis(1), TickEvent::Add(10));
-        let kill = sim.schedule_event_at(SimTime::from_millis(2), TickEvent::Add(20));
+        let keep = sim.schedule_event_at(SimTime::from_millis(1), Ev::Count(10));
+        let kill = sim.schedule_event_at(SimTime::from_millis(2), Ev::Count(20));
         assert_eq!(keep.time(), SimTime::from_millis(1));
         assert!(sim.cancel(kill));
         assert!(!sim.cancel(kill), "double-cancel must report stale");
@@ -473,12 +423,11 @@ mod tests {
 
     #[test]
     fn peak_pending_tracks_high_water_mark() {
-        let mut sim: Sim<u32> = Sim::new();
+        let mut sim: Sim<Log, Ev> = Sim::new();
         for i in 0..5 {
-            sim.schedule_at(SimTime::from_secs(i + 1), |s: &mut u32, _| *s += 1);
+            sim.schedule_event_at(SimTime::from_secs(i + 1), Ev::Push(i));
         }
-        let mut n = 0;
-        sim.run(&mut n);
+        sim.run(&mut Vec::new());
         assert_eq!(sim.peak_pending(), 5);
         assert_eq!(sim.pending(), 0);
     }

@@ -4,8 +4,9 @@
 //! fully deterministic discrete-event simulator plus the measurement and
 //! randomness primitives every other crate builds on.
 //!
-//! - [`Sim`] — the event kernel: a time-ordered queue of one-shot closures
-//!   over a user-supplied world state.
+//! - [`Sim`] — the event kernel: a time-ordered queue of typed events
+//!   (plain enum values, dispatched by `match`) over a user-supplied world
+//!   state.
 //! - [`SimTime`] / [`SimDuration`] — integer-nanosecond time.
 //! - [`DetRng`] / [`Zipf`] — seeded, splittable randomness.
 //! - [`Histogram`], [`Counter`], [`TimeSeries`] — measurement.
@@ -17,14 +18,29 @@
 //! consulted anywhere in the workspace's simulation path.
 //!
 //! ```
-//! use tsuru_sim::{Sim, SimDuration, SimTime};
+//! use tsuru_sim::{Event, Sim, SimDuration, SimTime};
 //!
-//! let mut sim: Sim<u32> = Sim::new();
+//! /// A counter's events: add one and arm `AddTen` a millisecond later.
+//! enum Tick {
+//!     AddOne,
+//!     AddTen,
+//! }
+//!
+//! impl Event<u32> for Tick {
+//!     fn dispatch(self, c: &mut u32, sim: &mut Sim<u32, Tick>) {
+//!         match self {
+//!             Tick::AddOne => {
+//!                 *c += 1;
+//!                 sim.schedule_event_in(SimDuration::from_millis(1), Tick::AddTen);
+//!             }
+//!             Tick::AddTen => *c += 10,
+//!         }
+//!     }
+//! }
+//!
+//! let mut sim: Sim<u32, Tick> = Sim::new();
 //! let mut counter = 0u32;
-//! sim.schedule_at(SimTime::from_millis(1), |c: &mut u32, sim| {
-//!     *c += 1;
-//!     sim.schedule_in(SimDuration::from_millis(1), |c: &mut u32, _| *c += 10);
-//! });
+//! sim.schedule_event_at(SimTime::from_millis(1), Tick::AddOne);
 //! sim.run(&mut counter);
 //! assert_eq!(counter, 11);
 //! assert_eq!(sim.now(), SimTime::from_millis(2));
@@ -40,7 +56,7 @@ mod rng;
 mod time;
 mod wheel;
 
-pub use kernel::{DynEvent, Event, EventFn, Sim, TimerToken};
+pub use kernel::{Event, EventFn, Sim, TimerToken};
 pub use metrics::{Counter, Histogram, Summary, ThroughputReport, TimeSeries};
 pub use queue::{RatePipe, ServiceStation};
 pub use rng::{DetRng, Zipf};

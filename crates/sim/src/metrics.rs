@@ -4,8 +4,6 @@
 //! sub-buckets, HDR-histogram style) so that it covers nanoseconds to hours
 //! with bounded memory and ≤ ~1.6% relative quantile error.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 const SUB_BUCKET_BITS: u32 = 5; // 32 linear sub-buckets per power of two
@@ -15,7 +13,7 @@ const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 ///
 /// Quantile readout reports the bucket lower bound, except the top
 /// quantile (`q >= 1.0`) which reports the exact recorded maximum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,
@@ -167,7 +165,7 @@ impl Histogram {
 }
 
 /// Point-in-time summary of a histogram, values in the histogram's unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: u64,
@@ -209,7 +207,7 @@ impl Summary {
 /// Aggregate wall-clock throughput over a batch of independent trials —
 /// what the parallel trial harness reports: how long the batch took, how
 /// many trials per second that is, and the per-trial latency distribution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputReport {
     /// Trials executed.
     pub trials: u64,
@@ -266,7 +264,7 @@ impl ThroughputReport {
 }
 
 /// A monotonically increasing named counter.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
     value: u64,
 }
@@ -297,7 +295,7 @@ impl Counter {
 }
 
 /// A time-stamped series of gauge observations (for lag/occupancy plots).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

@@ -6,12 +6,10 @@
 //! This is exact for FIFO single-server queues and is how the storage array
 //! and replication links charge service time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// A FIFO single-server service station.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceStation {
     next_free: SimTime,
     busy: SimDuration,
@@ -72,7 +70,7 @@ impl ServiceStation {
 
 /// A byte-rate limiter: requests of `bytes` size serialize through a pipe of
 /// fixed bandwidth. Completion = when the last byte has been transmitted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RatePipe {
     bytes_per_sec: u64,
     station: ServiceStation,

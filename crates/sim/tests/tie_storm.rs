@@ -12,7 +12,7 @@
 //! 87…599 before 0…86). N = 200 000 is the size at which any design that
 //! inserts into a sorted run by memmove stops terminating in test time.
 
-use tsuru_sim::{Event, EventFn, Sim, SimDuration, SimTime};
+use tsuru_sim::{Event, Sim, SimDuration, SimTime};
 
 /// Firing log: parents record `i`, successors `n + i`.
 type Log = Vec<u32>;
@@ -25,14 +25,9 @@ enum Ev {
     Successor {
         id: u32,
     },
-    #[allow(dead_code)]
-    Dyn(EventFn<Log, Ev>),
 }
 
 impl Event<Log> for Ev {
-    fn from_fn(f: EventFn<Log, Self>) -> Self {
-        Ev::Dyn(f)
-    }
     fn dispatch(self, log: &mut Log, sim: &mut Sim<Log, Self>) {
         match self {
             Ev::Parent { i, n } => {
@@ -40,7 +35,6 @@ impl Event<Log> for Ev {
                 sim.schedule_event_in(SimDuration::ZERO, Ev::Successor { id: n + i });
             }
             Ev::Successor { id } => log.push(id),
-            Ev::Dyn(f) => f(log, sim),
         }
     }
 }

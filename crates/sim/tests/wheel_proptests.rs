@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use tsuru_sim::{Event, EventFn, Sim, SimDuration, SimTime, TimerToken};
+use tsuru_sim::{Event, Sim, SimDuration, SimTime, TimerToken};
 
 /// Firing log: `(fire_time_nanos, id)` per dispatched event.
 type Log = Vec<(u64, u64)>;
@@ -30,35 +30,25 @@ struct World {
     tokens: Vec<(TimerToken, u64)>,
 }
 
-/// Minimal typed event for the harness (the closure arm is unused but
-/// keeps the enum honest about the kernel's escape hatch).
+/// Minimal typed event for the harness.
 enum Ev {
     /// Record the firing, then schedule one child per delay.
     Rec { id: u64, children: Vec<u64> },
-    #[allow(dead_code)]
-    Dyn(EventFn<World, Ev>),
 }
 
 impl Event<World> for Ev {
-    fn from_fn(f: EventFn<World, Self>) -> Self {
-        Ev::Dyn(f)
-    }
     fn dispatch(self, w: &mut World, sim: &mut Sim<World, Self>) {
-        match self {
-            Ev::Rec { id, children } => {
-                w.log.push((sim.now().as_nanos(), id));
-                for delay in children {
-                    let id = w.next_id;
-                    w.next_id += 1;
-                    let ev = Ev::Rec {
-                        id,
-                        children: Vec::new(),
-                    };
-                    let tok = sim.schedule_event_in(SimDuration::from_nanos(delay), ev);
-                    w.tokens.push((tok, id));
-                }
-            }
-            Ev::Dyn(f) => f(w, sim),
+        let Ev::Rec { id, children } = self;
+        w.log.push((sim.now().as_nanos(), id));
+        for delay in children {
+            let id = w.next_id;
+            w.next_id += 1;
+            let ev = Ev::Rec {
+                id,
+                children: Vec::new(),
+            };
+            let tok = sim.schedule_event_in(SimDuration::from_nanos(delay), ev);
+            w.tokens.push((tok, id));
         }
     }
 }

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tsuru_sim::{Event, EventFn, Sim, SimDuration};
+use tsuru_sim::{Event, Sim, SimDuration};
 
 struct CountingAlloc;
 
@@ -53,28 +53,17 @@ static A: CountingAlloc = CountingAlloc;
 /// reschedules itself until `left` runs out. No variant holds heap data.
 enum Tick {
     Step { left: u32 },
-    #[allow(dead_code)]
-    Dyn(EventFn<u64, Tick>),
 }
 
 impl Event<u64> for Tick {
-    fn from_fn(f: EventFn<u64, Self>) -> Self {
-        Tick::Dyn(f)
-    }
     fn dispatch(self, state: &mut u64, sim: &mut Sim<u64, Self>) {
-        match self {
-            Tick::Step { left } => {
-                *state += 1;
-                if left > 0 {
-                    // A spread of delays exercises multiple wheel levels
-                    // (and therefore cascades), not just slot 0.
-                    let delay = 1 + (*state % 7) * 97 + (*state % 3) * 4096;
-                    sim.schedule_event_in(SimDuration::from_nanos(delay), Tick::Step {
-                        left: left - 1,
-                    });
-                }
-            }
-            Tick::Dyn(f) => f(state, sim),
+        let Tick::Step { left } = self;
+        *state += 1;
+        if left > 0 {
+            // A spread of delays exercises multiple wheel levels
+            // (and therefore cascades), not just slot 0.
+            let delay = 1 + (*state % 7) * 97 + (*state % 3) * 4096;
+            sim.schedule_event_in(SimDuration::from_nanos(delay), Tick::Step { left: left - 1 });
         }
     }
 }

@@ -6,12 +6,11 @@
 //! replication engines ask the link *when* a frame of a given size would
 //! arrive and then schedule the delivery event themselves.
 
-use serde::{Deserialize, Serialize};
 use tsuru_sim::{DetRng, RatePipe, SimDuration, SimTime};
 use tsuru_telemetry::{spans, Tracer};
 
 /// Configuration of one direction of an inter-site link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkConfig {
     /// One-way propagation delay (speed-of-light + switching).
     pub propagation: SimDuration,
@@ -87,7 +86,7 @@ pub enum TransferOutcome {
 }
 
 /// Identifier of a link within a [`Network`](crate::Network).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 /// One direction of an inter-site path.

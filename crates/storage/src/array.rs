@@ -6,7 +6,6 @@
 //! is driven by the replication engine and host-port functions in
 //! [`crate::engine`].
 
-use serde::{Deserialize, Serialize};
 use tsuru_sim::{ServiceStation, SimDuration, SimTime};
 
 use crate::block::{ArrayId, BlockBuf, SnapshotId, VolumeId};
@@ -19,7 +18,7 @@ use crate::volume::{Volume, VolumeRole};
 pub const DEFAULT_POOL_CAPACITY: u64 = 1 << 40;
 
 /// Service-time profile of an array's data path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArrayPerf {
     /// Cache-hit write service time (host write → ack-ready).
     pub write_service: SimDuration,
@@ -533,9 +532,19 @@ impl StorageArray {
     }
 
     /// Borrow a snapshot.
+    ///
+    /// # Panics
+    /// If `id` was not minted by this array's `create_snapshot*`, or the
+    /// snapshot has since been deleted. Host snapshot reads never get here
+    /// with such an id: admission refuses it.
     pub fn snapshot(&self, id: SnapshotId) -> &Snapshot {
-        slot(&self.snapshots, id.0)
+        self.find_snapshot(id)
             .expect("invariant: SnapshotId is only minted by create_snapshot")
+    }
+
+    /// The snapshot `id`, if the array still holds it.
+    pub(crate) fn find_snapshot(&self, id: SnapshotId) -> Option<&Snapshot> {
+        slot(&self.snapshots, id.0)
     }
 
     /// Delete a snapshot, releasing its preserved blocks back to the pool.
@@ -576,9 +585,10 @@ impl StorageArray {
         id
     }
 
-    /// Read a block as of snapshot time.
+    /// Read a block as of snapshot time (`None` as well for a snapshot the
+    /// array no longer holds — deleted while a host read was in service).
     pub fn read_snapshot_block(&self, snap: SnapshotId, lba: u64) -> Option<&BlockBuf> {
-        let s = self.snapshot(snap);
+        let s = self.find_snapshot(snap)?;
         let base = s.base_volume();
         s.read_with(lba, |l| self.volume(base).read(l))
     }

@@ -4,23 +4,21 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 /// Size of one logical block, in bytes. Matches the database page size so a
 /// page write is exactly one block write, as on the paper's testbed (Oracle
 /// 4 KiB blocks on VSP LDEVs).
 pub const BLOCK_SIZE: usize = 4096;
 
 /// Identifier of a storage array (one per site in the demonstration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayId(pub u32);
 
 /// Identifier of a volume within an array (an LDEV number, in Hitachi terms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VolumeId(pub u64);
 
 /// A fully qualified volume reference: which array, which volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VolRef {
     /// The owning array.
     pub array: ArrayId,
@@ -42,19 +40,19 @@ impl fmt::Display for VolRef {
 }
 
 /// Identifier of a journal volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JournalId(pub u32);
 
 /// Identifier of a replication pair (one primary volume + one secondary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PairId(pub u32);
 
 /// Identifier of a replication group (the consistency-group unit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u32);
 
 /// Identifier of a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SnapshotId(pub u64);
 
 /// The payload of one block write: exactly [`BLOCK_SIZE`] immutable bytes

@@ -1,10 +1,9 @@
 //! Engine-wide configuration knobs.
 
-use serde::{Deserialize, Serialize};
 use tsuru_sim::SimDuration;
 
 /// What the primary array does when an ADC journal is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalFullPolicy {
     /// Host writes stall (retried on a short timer) until the backup site
     /// frees journal space — no data loss, but primary latency spikes.
@@ -15,7 +14,7 @@ pub enum JournalFullPolicy {
 }
 
 /// Tunables of the replication engine and array data path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Per-entry journal metadata overhead in bytes.
     pub journal_entry_overhead: u64,

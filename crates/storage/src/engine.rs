@@ -1,14 +1,14 @@
 //! The timed data plane: host I/O, ADC journal transfer/apply, SDC.
 //!
-//! Every function here is generic over the simulation state `S:
-//! [`HasStorage`]`, so higher layers can embed the
-//! [`StorageWorld`](crate::StorageWorld) in a
-//! larger world struct, and over the kernel event type `E:
-//! [`StorageEvents`]`, so every scheduled hop is a typed
-//! [`StorageOp`](crate::event::StorageOp) dispatched by match — zero
-//! allocations per event — while closure-kernel worlds (`Sim<World>`)
-//! keep working through the boxed escape hatch. The flow for one
-//! asynchronously replicated write (the paper's §III-A1):
+//! Every function here is generic over the simulation state `S:`
+//! [`HasStorage`], so higher layers can embed the
+//! [`StorageWorld`] in a larger world struct, and over the kernel event
+//! type `E:` [`StorageEvents`], so every scheduled hop is a typed
+//! [`StorageOp`] value dispatched by match — zero allocations per event.
+//! The host's completion ([`WriteCb`] / [`ReadCb`]) is the one callback a
+//! write or read carries; everything the engine itself continues with is
+//! data. The flow for one asynchronously replicated write (the paper's
+//! §III-A1):
 //!
 //! ```text
 //! host_write ──service──▶ persist: journal.append + volume write + ACK
@@ -21,9 +21,11 @@
 //!
 //! SDC instead holds the host acknowledgement until the backup site has
 //! persisted the block and the acknowledgement frame has crossed back —
-//! which is exactly why SDC latency carries the WAN round trip (§V).
+//! which is exactly why SDC latency carries the WAN round trip (§V). The
+//! write's synchronous legs share one [`SdcJoin`]; the last leg to finish
+//! acknowledges the host.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use tsuru_sim::{Sim, SimDuration, SimTime};
@@ -33,7 +35,7 @@ use tsuru_telemetry::{names, spans, SpanId};
 use crate::array::WriteError;
 use crate::block::{BlockBuf, GroupId, PairId, VolRef};
 use crate::config::JournalFullPolicy;
-use crate::event::{LegCb, ReadCb, StorageEvents, StorageOp, WriteCb};
+use crate::event::{ReadCb, StorageEvents, StorageOp, WriteCb};
 use crate::fabric::{GroupMode, SuspendReason};
 use crate::journal::JournalEntry;
 use crate::world::{HasStorage, StorageWorld};
@@ -85,7 +87,7 @@ impl WriteAck {
 
 /// Outcome of one synchronous replication leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LegDone {
+pub(crate) enum LegDone {
     /// The backup array persisted the block and acknowledged in time.
     Ok,
     /// The leg degraded (suspended group, down link, failed array); the
@@ -93,8 +95,33 @@ pub enum LegDone {
     Degraded,
 }
 
+/// The join of one host write's synchronous legs: the acknowledgement
+/// waits until every leg has persisted at the backup and its ack has
+/// crossed back, or has degraded. The legs' [`StorageOp`]s share it as an
+/// `Rc`; the engine counts each finished leg off, and the last one
+/// acknowledges the host.
+pub struct SdcJoin<S, E> {
+    /// Legs still in flight.
+    remaining: Cell<usize>,
+    /// Some leg (or an inactive leg at persist) degraded.
+    degraded: Cell<bool>,
+    vol: VolRef,
+    lba: u64,
+    /// Fingerprint of the written block, for the ack log.
+    hash: u64,
+    /// Submit instant (latency accounting).
+    issued: SimTime,
+    /// Root trace span of the write.
+    span: SpanId,
+    /// The host completion, taken by the last leg.
+    cb: Cell<Option<WriteCb<S, E>>>,
+}
+
 /// Submit a block write from a host. `cb` fires when the array
-/// acknowledges (or rejects) the write.
+/// acknowledges (or rejects) the write — on the next tick with
+/// [`WriteAck::Failed`] when admission refuses it: a failed array, an
+/// array or volume the world does not hold, a fenced volume, an address
+/// past the end, an exhausted pool.
 pub fn host_write<S, E, F>(
     state: &mut S,
     sim: &mut Sim<S, E>,
@@ -146,8 +173,8 @@ pub fn host_write<S, E, F>(
 
 /// Submit a block read from a host; `cb` receives the content (`None` for a
 /// never-written block, and for a read rejected at admission — failed
-/// array, unknown volume, address past the end of the volume — which also
-/// counts as `reads.failed`).
+/// array, an array or volume the world does not hold, address past the end
+/// of the volume — which also counts as `reads.failed`).
 pub fn host_read<S, E, F>(state: &mut S, sim: &mut Sim<S, E>, vol: VolRef, lba: u64, cb: F)
 where
     S: HasStorage + 'static,
@@ -156,7 +183,7 @@ where
 {
     let now = sim.now();
     let st = state.storage_mut();
-    if !st.array(vol.array).admits_read(vol.volume, lba) {
+    if !st.find_array(vol.array).is_some_and(|a| a.admits_read(vol.volume, lba)) {
         return reject_read(st, sim, Box::new(cb));
     }
     let service = st.array(vol.array).perf().read_service;
@@ -185,7 +212,8 @@ where
 /// Submit a block read against a snapshot image; timing is charged to the
 /// base volume's station (the snapshot shares the base's spindles). `cb`
 /// receives the point-in-time content; admission rejects what
-/// [`host_read`] rejects.
+/// [`host_read`] rejects, and a snapshot the array does not hold (never
+/// taken, or deleted).
 pub fn host_read_snapshot<S, E, F>(
     state: &mut S,
     sim: &mut Sim<S, E>,
@@ -200,10 +228,13 @@ pub fn host_read_snapshot<S, E, F>(
 {
     let now = sim.now();
     let st = state.storage_mut();
-    let base = st.array(array).snapshot(snap).base_volume();
-    if !st.array(array).admits_read(base, lba) {
+    let base = st.find_array(array).and_then(|a| {
+        let base = a.find_snapshot(snap)?.base_volume();
+        a.admits_read(base, lba).then_some(base)
+    });
+    let Some(base) = base else {
         return reject_read(st, sim, Box::new(cb));
-    }
+    };
     let service = st.array(array).perf().read_service;
     let done = st.array_mut(array).admit(base, now, service);
     sim.schedule_event_at(
@@ -441,8 +472,7 @@ pub(crate) fn persist<S, E>(
         }
         PersistNext::Stall(d, data) => {
             // The callback box rides along: a stalled retry costs zero
-            // allocations, where the closure kernel re-boxed the whole
-            // capture per attempt.
+            // allocations.
             sim.schedule_event_in(
                 d,
                 E::storage(StorageOp::Persist {
@@ -484,54 +514,18 @@ pub(crate) fn persist<S, E>(
                 cb(state, sim, ack);
             } else {
                 // Synchronous legs hold the host acknowledgement.
-                let remaining = Rc::new(Cell::new(sdc_legs.len()));
-                let degraded = Rc::new(Cell::new(any_degraded));
-                let host_cb: Rc<RefCell<Option<WriteCb<S, E>>>> =
-                    Rc::new(RefCell::new(Some(cb)));
+                let join = Rc::new(SdcJoin {
+                    remaining: Cell::new(sdc_legs.len()),
+                    degraded: Cell::new(any_degraded),
+                    vol,
+                    lba,
+                    hash,
+                    issued,
+                    span,
+                    cb: Cell::new(Some(cb)),
+                });
                 for (gid, pid) in sdc_legs {
-                    let remaining = Rc::clone(&remaining);
-                    let degraded = Rc::clone(&degraded);
-                    let host_cb = Rc::clone(&host_cb);
-                    sdc_leg_send(
-                        state,
-                        sim,
-                        gid,
-                        pid,
-                        vol,
-                        lba,
-                        data.clone(),
-                        Box::new(move |s, sim, done| {
-                            if done == LegDone::Degraded {
-                                degraded.set(true);
-                            }
-                            remaining.set(remaining.get() - 1);
-                            if remaining.get() == 0 {
-                                let st = s.storage_mut();
-                                let at = sim.now();
-                                let global = st.ack_log.append(vol, lba, hash, at);
-                                let ack = if degraded.get() {
-                                    WriteAck::Degraded {
-                                        latency: at - issued,
-                                        global,
-                                    }
-                                } else {
-                                    WriteAck::Ok {
-                                        latency: at - issued,
-                                        global,
-                                    }
-                                };
-                                let label = ack.trace_label();
-                                st.tracer.span_end(spans::HOST_WRITE, span, at, || {
-                                    vec![("ack", label.into()), ("global", global.into())]
-                                });
-                                let cb = host_cb
-                                    .borrow_mut()
-                                    .take()
-                                    .expect("invariant: the host callback fires exactly once");
-                                cb(s, sim, ack);
-                            }
-                        }),
-                    );
+                    sdc_leg_send(state, sim, gid, pid, data.clone(), Rc::clone(&join));
                 }
             }
             for gid in adc_kicks {
@@ -541,23 +535,59 @@ pub(crate) fn persist<S, E>(
     }
 }
 
-/// Send one synchronous leg's frame (retrying on loss); the leg callback
-/// fires exactly once when the leg completes or degrades.
-#[allow(clippy::too_many_arguments)]
+/// One synchronous leg of a write completed or degraded: count it off the
+/// write's join; the last leg appends the write to the ack log, closes its
+/// span and acknowledges the host.
+pub(crate) fn sdc_leg_finished<S, E>(
+    state: &mut S,
+    sim: &mut Sim<S, E>,
+    join: Rc<SdcJoin<S, E>>,
+    done: LegDone,
+) where
+    S: HasStorage + 'static,
+    E: StorageEvents<S>,
+{
+    if done == LegDone::Degraded {
+        join.degraded.set(true);
+    }
+    join.remaining.set(join.remaining.get() - 1);
+    if join.remaining.get() > 0 {
+        return;
+    }
+    let st = state.storage_mut();
+    let at = sim.now();
+    let global = st.ack_log.append(join.vol, join.lba, join.hash, at);
+    let latency = at - join.issued;
+    let ack = if join.degraded.get() {
+        WriteAck::Degraded { latency, global }
+    } else {
+        WriteAck::Ok { latency, global }
+    };
+    let label = ack.trace_label();
+    st.tracer.span_end(spans::HOST_WRITE, join.span, at, || {
+        vec![("ack", label.into()), ("global", global.into())]
+    });
+    let cb = join
+        .cb
+        .take()
+        .expect("invariant: only the last of a write's legs reaches here");
+    cb(state, sim, ack);
+}
+
+/// Send one synchronous leg's frame (retrying on loss); the leg finishes
+/// on its join exactly once, when it completes or degrades.
 pub(crate) fn sdc_leg_send<S, E>(
     state: &mut S,
     sim: &mut Sim<S, E>,
     gid: GroupId,
     pid: PairId,
-    vol: VolRef,
-    lba: u64,
     data: BlockBuf,
-    leg_cb: LegCb<S, E>,
+    join: Rc<SdcJoin<S, E>>,
 ) where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
 {
-    let now = sim.now();
+    let (now, lba) = (sim.now(), join.lba);
     enum R {
         Arrive(SimTime),
         Retry(SimDuration),
@@ -588,31 +618,12 @@ pub(crate) fn sdc_leg_send<S, E>(
     };
     match r {
         R::Arrive(at) => {
-            sim.schedule_event_at(
-                at,
-                E::storage(StorageOp::SdcArrive {
-                    gid,
-                    pid,
-                    lba,
-                    data,
-                    cb: leg_cb,
-                }),
-            );
+            sim.schedule_event_at(at, E::storage(StorageOp::SdcArrive { gid, pid, data, join }));
         }
         R::Retry(d) => {
-            sim.schedule_event_in(
-                d,
-                E::storage(StorageOp::SdcSend {
-                    gid,
-                    pid,
-                    vol,
-                    lba,
-                    data,
-                    cb: leg_cb,
-                }),
-            );
+            sim.schedule_event_in(d, E::storage(StorageOp::SdcSend { gid, pid, data, join }));
         }
-        R::Degraded => leg_cb(state, sim, LegDone::Degraded),
+        R::Degraded => sdc_leg_finished(state, sim, join, LegDone::Degraded),
     }
 }
 
@@ -622,14 +633,13 @@ pub(crate) fn sdc_leg_arrive<S, E>(
     sim: &mut Sim<S, E>,
     gid: GroupId,
     pid: PairId,
-    lba: u64,
     data: BlockBuf,
-    leg_cb: LegCb<S, E>,
+    join: Rc<SdcJoin<S, E>>,
 ) where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
 {
-    let now = sim.now();
+    let (now, lba) = (sim.now(), join.lba);
     enum A {
         Persist(SimTime),
         Degraded,
@@ -652,18 +662,10 @@ pub(crate) fn sdc_leg_arrive<S, E>(
     };
     match a {
         A::Persist(done) => {
-            sim.schedule_event_at(
-                done,
-                E::storage(StorageOp::SdcPersisted {
-                    gid,
-                    pid,
-                    lba,
-                    data,
-                    cb: leg_cb,
-                }),
-            );
+            let op = StorageOp::SdcPersisted { gid, pid, data, join };
+            sim.schedule_event_at(done, E::storage(op));
         }
-        A::Degraded => leg_cb(state, sim, LegDone::Degraded),
+        A::Degraded => sdc_leg_finished(state, sim, join, LegDone::Degraded),
     }
 }
 
@@ -674,14 +676,13 @@ pub(crate) fn sdc_leg_done<S, E>(
     sim: &mut Sim<S, E>,
     gid: GroupId,
     pid: PairId,
-    lba: u64,
     data: BlockBuf,
-    leg_cb: LegCb<S, E>,
+    join: Rc<SdcJoin<S, E>>,
 ) where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
 {
-    let now = sim.now();
+    let (now, lba) = (sim.now(), join.lba);
     enum D {
         AckAt(SimTime),
         Degraded,
@@ -712,14 +713,14 @@ pub(crate) fn sdc_leg_done<S, E>(
     };
     match d {
         D::AckAt(at) => {
-            sim.schedule_event_at(at, E::storage(StorageOp::SdcAck { pid, cb: leg_cb }));
+            sim.schedule_event_at(at, E::storage(StorageOp::SdcAck { pid, join }));
         }
         D::Degraded => {
             state
                 .storage_mut()
                 .fabric
                 .update_pair(pid, |p| p.acked_writes += 1);
-            leg_cb(state, sim, LegDone::Degraded);
+            sdc_leg_finished(state, sim, join, LegDone::Degraded);
         }
     }
 }

@@ -7,21 +7,23 @@
 //! where the old kernel boxed a fresh closure per hop.
 //!
 //! The engine stays generic over the world's event type through
-//! [`StorageEvents`]: any kernel event enum that can absorb a `StorageOp`
-//! gets the allocation-free path; the boxed-closure default kernel
-//! ([`DynEvent`]) gets a blanket impl that wraps the op in one closure, so
-//! every existing `Sim<World>` test world keeps working unmodified.
+//! [`StorageEvents`]: a world's kernel event enum absorbs a `StorageOp` in
+//! one wrapping variant.
 //!
-//! Host-facing completion callbacks ([`WriteCb`], [`ReadCb`]) are still
-//! boxed — once, at submit — and then ride through however many typed hops
-//! the write takes (stall retries, SDC leg chains) without re-boxing.
+//! The host-facing completions ([`WriteCb`], [`ReadCb`]) are the only
+//! callbacks an op carries: boxed once, at submit, they ride through
+//! however many typed hops the write takes (stall retries, SDC legs)
+//! without re-boxing. A write's SDC legs share its completion through one
+//! [`SdcJoin`] record.
 
-use tsuru_sim::{DynEvent, Event, Sim, SimTime};
+use std::rc::Rc;
+
+use tsuru_sim::{Event, Sim, SimTime};
 use tsuru_simnet::LinkId;
 use tsuru_telemetry::SpanId;
 
 use crate::block::{ArrayId, BlockBuf, GroupId, PairId, SnapshotId, VolRef};
-use crate::engine::{self, LegDone, WriteAck};
+use crate::engine::{self, LegDone, SdcJoin, WriteAck};
 use crate::journal::JournalEntry;
 use crate::world::HasStorage;
 
@@ -32,14 +34,9 @@ pub type WriteCb<S, E> = Box<dyn FnOnce(&mut S, &mut Sim<S, E>, WriteAck)>;
 /// Boxed host-read completion callback.
 pub type ReadCb<S, E> = Box<dyn FnOnce(&mut S, &mut Sim<S, E>, Option<BlockBuf>)>;
 
-/// Boxed SDC leg completion callback (allocated once per leg).
-pub type LegCb<S, E> = Box<dyn FnOnce(&mut S, &mut Sim<S, E>, LegDone)>;
-
 /// One scheduled step of the storage data plane.
 ///
-/// Variants mirror the engine's continuation functions one-to-one; the
-/// schedule-call order (and therefore the kernel's deterministic `seq`
-/// tie-breaking) is exactly the order the closure kernel produced.
+/// Variants mirror the engine's continuation functions one-to-one.
 pub enum StorageOp<S, E> {
     /// Deliver a write acknowledgement on the next tick (admission-failure
     /// path: the array rejected the write at submit).
@@ -98,14 +95,10 @@ pub enum StorageOp<S, E> {
         gid: GroupId,
         /// Replication pair.
         pid: PairId,
-        /// Primary volume.
-        vol: VolRef,
-        /// Block address.
-        lba: u64,
         /// Block payload.
         data: BlockBuf,
-        /// Leg completion callback.
-        cb: LegCb<S, E>,
+        /// The write's join of synchronous legs.
+        join: Rc<SdcJoin<S, E>>,
     },
     /// An SDC frame reached the backup array.
     SdcArrive {
@@ -113,12 +106,10 @@ pub enum StorageOp<S, E> {
         gid: GroupId,
         /// Replication pair.
         pid: PairId,
-        /// Block address.
-        lba: u64,
         /// Block payload.
         data: BlockBuf,
-        /// Leg completion callback.
-        cb: LegCb<S, E>,
+        /// The write's join of synchronous legs.
+        join: Rc<SdcJoin<S, E>>,
     },
     /// The backup array's service completed: persist the SDC block and
     /// send the acknowledgement back across the reverse link.
@@ -127,19 +118,17 @@ pub enum StorageOp<S, E> {
         gid: GroupId,
         /// Replication pair.
         pid: PairId,
-        /// Block address.
-        lba: u64,
         /// Block payload.
         data: BlockBuf,
-        /// Leg completion callback.
-        cb: LegCb<S, E>,
+        /// The write's join of synchronous legs.
+        join: Rc<SdcJoin<S, E>>,
     },
     /// The SDC acknowledgement frame crossed the reverse link.
     SdcAck {
         /// Replication pair.
         pid: PairId,
-        /// Leg completion callback.
-        cb: LegCb<S, E>,
+        /// The write's join of synchronous legs.
+        join: Rc<SdcJoin<S, E>>,
     },
     /// Run one transfer-pump cycle (journal drain → WAN frame depart).
     RunTransfer {
@@ -235,8 +224,7 @@ where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
 {
-    /// Fire this step: the typed-event analogue of the closure the old
-    /// kernel would have boxed.
+    /// Fire this step.
     pub fn dispatch(self, state: &mut S, sim: &mut Sim<S, E>) {
         state.storage_mut().count_op(self.kind());
         match self {
@@ -272,34 +260,21 @@ where
                     .cloned();
                 cb(state, sim, data)
             }
-            StorageOp::SdcSend {
-                gid,
-                pid,
-                vol,
-                lba,
-                data,
-                cb,
-            } => engine::sdc_leg_send(state, sim, gid, pid, vol, lba, data, cb),
-            StorageOp::SdcArrive {
-                gid,
-                pid,
-                lba,
-                data,
-                cb,
-            } => engine::sdc_leg_arrive(state, sim, gid, pid, lba, data, cb),
-            StorageOp::SdcPersisted {
-                gid,
-                pid,
-                lba,
-                data,
-                cb,
-            } => engine::sdc_leg_done(state, sim, gid, pid, lba, data, cb),
-            StorageOp::SdcAck { pid, cb } => {
+            StorageOp::SdcSend { gid, pid, data, join } => {
+                engine::sdc_leg_send(state, sim, gid, pid, data, join)
+            }
+            StorageOp::SdcArrive { gid, pid, data, join } => {
+                engine::sdc_leg_arrive(state, sim, gid, pid, data, join)
+            }
+            StorageOp::SdcPersisted { gid, pid, data, join } => {
+                engine::sdc_leg_done(state, sim, gid, pid, data, join)
+            }
+            StorageOp::SdcAck { pid, join } => {
                 state
                     .storage_mut()
                     .fabric
                     .update_pair(pid, |p| p.acked_writes += 1);
-                cb(state, sim, LegDone::Ok)
+                engine::sdc_leg_finished(state, sim, join, LegDone::Ok)
             }
             StorageOp::RunTransfer { gid, gen } => engine::run_transfer(state, sim, gid, gen),
             StorageOp::LinkWake { link } => engine::link_wake(state, sim, link),
@@ -319,20 +294,11 @@ where
     }
 }
 
-/// A kernel event type that can carry storage data-plane steps.
-///
-/// World-level event enums implement this with a plain wrapping variant
-/// (zero-allocation); the boxed-closure kernel gets the blanket impl
-/// below, which costs the one box the old kernel paid anyway.
+/// A kernel event type that can carry storage data-plane steps: world-level
+/// event enums implement this with a plain wrapping variant.
 pub trait StorageEvents<S>: Event<S> {
     /// Wrap a storage step as a kernel event.
     fn storage(op: StorageOp<S, Self>) -> Self;
-}
-
-impl<S: HasStorage + 'static> StorageEvents<S> for DynEvent<S> {
-    fn storage(op: StorageOp<S, Self>) -> Self {
-        DynEvent::from_fn(Box::new(move |s, sim| op.dispatch(s, sim)))
-    }
 }
 
 #[cfg(test)]

@@ -220,8 +220,8 @@ pub struct ReplicationTotals {
 /// Registry of groups, pairs and journals.
 ///
 /// `totals` is kept exact incrementally: pair progress of attached pairs
-/// and primary-journal bytes may only change through
-/// [`ReplicationFabric::update_pair`] / [`ReplicationFabric::update_primary_journal`]
+/// and primary-journal bytes may only change through the crate's
+/// `update_pair` / `update_primary_journal`
 /// (or the registration calls below), never through `pair_mut` /
 /// `journal_mut`. [`ReplicationFabric::scan_replication_totals`] is the
 /// oracle.

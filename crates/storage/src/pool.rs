@@ -7,10 +7,8 @@
 //! rejected and new snapshots refuse to start, while existing data remains
 //! readable.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a pool within an array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PoolId(pub u32);
 
 /// A thin-provisioning pool.

@@ -305,13 +305,26 @@ impl StorageWorld {
     }
 
     /// Borrow an array.
+    ///
+    /// # Panics
+    /// If `id` was not minted by this world's [`StorageWorld::add_array`].
+    /// Host I/O never gets here with such an id: admission refuses it.
     pub fn array(&self, id: ArrayId) -> &StorageArray {
-        self.arrays.get(id.0 as usize).expect("invariant: ArrayId is only minted by add_array")
+        self.find_array(id).expect("invariant: ArrayId is only minted by add_array")
     }
 
     /// Mutably borrow an array.
+    ///
+    /// # Panics
+    /// As [`StorageWorld::array`].
     pub fn array_mut(&mut self, id: ArrayId) -> &mut StorageArray {
         self.arrays.get_mut(id.0 as usize).expect("invariant: ArrayId is only minted by add_array")
+    }
+
+    /// The array `id`, if this world holds it — what host I/O admission
+    /// looks up.
+    pub(crate) fn find_array(&self, id: ArrayId) -> Option<&StorageArray> {
+        self.arrays.get(id.0 as usize)
     }
 
     /// Number of registered arrays.
@@ -918,9 +931,13 @@ impl StorageWorld {
         base + SimDuration::from_nanos(g.rng.gen_range(jitter.as_nanos() + 1))
     }
 
-    /// Check whether a host write may proceed.
+    /// Check whether a host write may proceed; a volume on an array this
+    /// world does not hold is [`WriteError::NoSuchVolume`].
     pub(crate) fn check_host_write(&mut self, vol: VolRef, lba: u64) -> Result<(), WriteError> {
-        self.array_mut(vol.array).check_host_write(vol.volume, lba)
+        match self.arrays.get_mut(vol.array.0 as usize) {
+            Some(a) => a.check_host_write(vol.volume, lba),
+            None => Err(WriteError::NoSuchVolume),
+        }
     }
 
     /// Take the next per-volume issue ticket for an admitted host write.

@@ -3,6 +3,9 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
+mod common;
+
+use common::{after, at, Ev};
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::{host_read, host_read_snapshot, host_write, kick_all_pumps};
@@ -28,7 +31,7 @@ impl HasStorage for World {
 
 struct Rig {
     world: World,
-    sim: Sim<World>,
+    sim: Sim<World, Ev<World>>,
     main: ArrayId,
     backup: ArrayId,
     link: tsuru_simnet::LinkId,
@@ -64,15 +67,21 @@ fn blk(tag: u64) -> tsuru_storage::BlockBuf {
 }
 
 /// Issue a tagged write whose ack is recorded in `world.acks`.
-fn write_tagged(world: &mut World, sim: &mut Sim<World>, vol: VolRef, lba: u64, tag: u64) {
+fn write_tagged(
+    world: &mut World,
+    sim: &mut Sim<World, Ev<World>>,
+    vol: VolRef,
+    lba: u64,
+    tag: u64,
+) {
     host_write(world, sim, vol, lba, blk(tag), move |w, sim, ack| {
         w.acks.push((tag, ack, sim.now()));
     });
 }
 
 /// Schedule a tagged write at an absolute time.
-fn write_at(sim: &mut Sim<World>, at: SimTime, vol: VolRef, lba: u64, tag: u64) {
-    sim.schedule_at(at, move |w: &mut World, sim| {
+fn write_at(sim: &mut Sim<World, Ev<World>>, t: SimTime, vol: VolRef, lba: u64, tag: u64) {
+    at(sim, t, move |w: &mut World, sim| {
         write_tagged(w, sim, vol, lba, tag);
     });
 }
@@ -179,6 +188,80 @@ fn sdc_ack_pays_the_round_trip() {
     assert_eq!(&r.world.st.read_direct(s, 0).unwrap()[..8], &9u64.to_le_bytes());
 }
 
+/// One write, issued at 1 ms, to a volume with a synchronous leg to a
+/// near backup array (1 ms one-way) and/or a far one (3 ms one-way); the
+/// far leg's link is down from t = 0 when `far_down`.
+fn sdc_legs_write(near: bool, far: bool, far_down: bool) -> World {
+    let mut r = rig();
+    let st = &mut r.world.st;
+    let p = st.create_volume(r.main, "p", 64);
+    let far_array = st.add_array("vsp-far", ArrayPerf::default());
+    for (on, array, one_way_ms) in [(near, r.backup, 1), (far, far_array, 3)] {
+        if !on {
+            continue;
+        }
+        let cfg = LinkConfig::with(SimDuration::from_millis(one_way_ms), 1_000_000_000 / 8);
+        let (link, reverse) = (st.add_link(cfg.clone()), st.add_link(cfg));
+        let s = st.create_volume(array, "s", 64);
+        let g = st.create_sdc_group(format!("sdc-{one_way_ms}ms"), link, reverse);
+        st.add_pair(g, p, s);
+        if one_way_ms == 3 && far_down {
+            st.net.link_mut(link).set_down(SimTime::ZERO, None);
+        }
+    }
+    write_at(&mut r.sim, SimTime::from_millis(1), p, 0, 7);
+    r.sim.run(&mut r.world);
+    r.world
+}
+
+/// The instant a lone synchronous leg's write is acknowledged.
+fn lone_leg_ack_at(near: bool) -> SimTime {
+    let w = sdc_legs_write(near, !near, false);
+    assert_eq!(w.acks.len(), 1);
+    assert!(matches!(w.acks[0].1, WriteAck::Ok { .. }));
+    w.acks[0].2
+}
+
+#[test]
+fn a_write_with_two_synchronous_legs_is_acknowledged_once_by_the_later_leg() {
+    let (fast, slow) = (lone_leg_ack_at(true), lone_leg_ack_at(false));
+    assert!(fast < slow);
+    let w = sdc_legs_write(true, true, false);
+    assert_eq!(w.acks.len(), 1, "acknowledged once");
+    let (tag, ack, acked_at) = w.acks[0];
+    assert_eq!((tag, acked_at), (7, slow), "at the slow leg's return");
+    assert_eq!(
+        ack,
+        WriteAck::Ok {
+            latency: slow - SimTime::from_millis(1),
+            global: 0
+        }
+    );
+    let counts: std::collections::BTreeMap<_, _> = w.st.op_counts().collect();
+    assert_eq!(counts["sdc_ack"], 2, "both legs' acks came back");
+    assert_eq!(w.st.ack_log.len(), 1, "the write is in the ack log once");
+    assert_eq!(w.st.ack_log.entries()[0].time, slow);
+}
+
+#[test]
+fn with_the_slow_legs_link_down_the_write_is_acknowledged_degraded_at_the_fast_legs_return() {
+    let fast = lone_leg_ack_at(true);
+    let w = sdc_legs_write(true, true, true);
+    assert_eq!(w.acks.len(), 1, "acknowledged once");
+    let (_, ack, acked_at) = w.acks[0];
+    assert_eq!(acked_at, fast, "at the fast leg's return");
+    assert_eq!(
+        ack,
+        WriteAck::Degraded {
+            latency: fast - SimTime::from_millis(1),
+            global: 0
+        }
+    );
+    let counts: std::collections::BTreeMap<_, _> = w.st.op_counts().collect();
+    assert_eq!(counts["sdc_ack"], 1, "only the fast leg's ack came back");
+    assert_eq!(w.st.ack_log.len(), 1);
+}
+
 #[test]
 fn adc_applies_in_ack_order_across_the_group() {
     let mut r = rig();
@@ -241,10 +324,9 @@ fn consistency_group_survives_surprise_failure() {
             write_at(&mut r.sim, SimTime::from_nanos(i * 100_000), vol, i / 2, i);
         }
         let main = r.main;
-        r.sim
-            .schedule_at(SimTime::from_millis(fail_ms), move |w: &mut World, sim| {
-                w.st.fail_array(main, sim.now());
-            });
+        at(&mut r.sim, SimTime::from_millis(fail_ms), move |w: &mut World, sim| {
+            w.st.fail_array(main, sim.now());
+        });
         r.sim.run(&mut r.world);
         r.world.st.promote_group(g);
         let rep = r.world.st.verify_consistency(&[g]);
@@ -272,7 +354,7 @@ fn naive_per_volume_groups_collapse_under_lag() {
     r.world.st.add_pair(g2, p2, s2);
 
     // v2's link stalls from 2 ms on: v2's backup freezes while v1 advances.
-    r.sim.schedule_at(SimTime::from_millis(2), move |w: &mut World, _| {
+    at(&mut r.sim, SimTime::from_millis(2), move |w: &mut World, _| {
         w.st.net.link_mut(link2).set_down(SimTime::from_millis(2), None);
     });
     // Strictly alternating dependent writes: v2's write i+1 "depends on"
@@ -282,10 +364,9 @@ fn naive_per_volume_groups_collapse_under_lag() {
         write_at(&mut r.sim, SimTime::from_nanos(i * 100_000), vol, i / 2, i);
     }
     let main = r.main;
-    r.sim
-        .schedule_at(SimTime::from_millis(40), move |w: &mut World, sim| {
-            w.st.fail_array(main, sim.now());
-        });
+    at(&mut r.sim, SimTime::from_millis(40), move |w: &mut World, sim| {
+        w.st.fail_array(main, sim.now());
+    });
     r.sim.run(&mut r.world);
     r.world.st.promote_group(g1);
     r.world.st.promote_group(g2);
@@ -400,7 +481,7 @@ fn rpo_counts_unreplicated_writes_on_failure() {
     }
     let fail_at = SimTime::from_millis(15);
     let main = r.main;
-    r.sim.schedule_at(fail_at, move |w: &mut World, sim| {
+    at(&mut r.sim, fail_at, move |w: &mut World, sim| {
         w.st.fail_array(main, sim.now());
     });
     r.sim.run(&mut r.world);
@@ -438,12 +519,11 @@ fn snapshot_group_stays_frozen_while_replication_continues() {
     // Snapshot the backup volumes mid-run, then keep writing (tags >= 1000).
     let backup = r.backup;
     let (sv1, sv2) = (s1.volume, s2.volume);
-    r.sim
-        .schedule_at(SimTime::from_millis(60), move |w: &mut World, sim| {
-            let snaps =
-                w.st.snapshot_group(backup, &[sv1, sv2], "pit", sim.now());
-            assert_eq!(snaps.len(), 2);
-        });
+    at(&mut r.sim, SimTime::from_millis(60), move |w: &mut World, sim| {
+        let snaps =
+            w.st.snapshot_group(backup, &[sv1, sv2], "pit", sim.now());
+        assert_eq!(snaps.len(), 2);
+    });
     for i in 0..100u64 {
         let vol = if i % 2 == 0 { p1 } else { p2 };
         write_at(
@@ -491,7 +571,7 @@ fn writes_to_fenced_secondary_and_failed_array_are_rejected() {
 
     write_at(&mut r.sim, SimTime::ZERO, s, 0, 1); // fenced secondary
     let main = r.main;
-    r.sim.schedule_at(SimTime::from_millis(1), move |w: &mut World, sim| {
+    at(&mut r.sim, SimTime::from_millis(1), move |w: &mut World, sim| {
         w.st.fail_array(main, sim.now());
     });
     write_at(&mut r.sim, SimTime::from_millis(2), p, 0, 2); // failed array
@@ -558,7 +638,7 @@ fn reads_complete_with_service_latency() {
     let mut r = rig();
     let v = r.world.st.create_volume(r.main, "v", 64);
     r.world.st.write_direct(v, 5, b"readable");
-    r.sim.schedule_at(SimTime::ZERO, move |w: &mut World, sim| {
+    at(&mut r.sim, SimTime::ZERO, move |w: &mut World, sim| {
         host_read(w, sim, v, 5, |w: &mut World, sim, data| {
             assert_eq!(&data.expect("block exists")[..8], b"readable");
             assert_eq!(sim.now(), SimTime::from_micros(200));
@@ -585,14 +665,14 @@ fn reads_past_the_end_of_a_volume_are_rejected_at_admission() {
     let snap = r.world.st.snapshot(v, "snap", SimTime::ZERO);
     let main = r.main;
     let done = |tag: u64, want_data: bool, want_at: SimTime| {
-        move |w: &mut World, sim: &mut Sim<World>, data: Option<_>| {
+        move |w: &mut World, sim: &mut Sim<World, Ev<World>>, data: Option<_>| {
             assert_eq!(data.is_some(), want_data, "read {tag}");
             assert_eq!(sim.now(), want_at, "read {tag}");
             w.acks.push((tag, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
         }
     };
     let (served, then) = (SimTime::from_micros(200), SimTime::from_micros(400));
-    r.sim.schedule_at(SimTime::ZERO, move |w: &mut World, sim| {
+    at(&mut r.sim, SimTime::ZERO, move |w: &mut World, sim| {
         host_read(w, sim, v, 64, done(0, false, SimTime::ZERO)); // first block past the end
         host_read(w, sim, v, u64::MAX, done(1, false, SimTime::ZERO));
         // In range: served, not queued behind the rejects.
@@ -606,6 +686,83 @@ fn reads_past_the_end_of_a_volume_are_rejected_at_admission() {
     assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::READS_FAILED), 4);
 }
 
+/// Host I/O naming an array the world does not hold (an `ArrayId` is a
+/// number any caller can build) or a snapshot that has been deleted is
+/// refused at admission, typed and counted, like an unknown volume.
+#[test]
+fn a_write_to_an_array_the_world_does_not_hold_fails_with_no_such_volume() {
+    let mut r = rig();
+    let v = r.world.st.create_volume(r.main, "v", 64);
+    let ghost = VolRef::new(ArrayId(7), v.volume);
+    write_at(&mut r.sim, SimTime::ZERO, ghost, 0, 1);
+    write_at(&mut r.sim, SimTime::ZERO, v, 0, 2);
+    r.sim.run(&mut r.world);
+    assert_eq!(r.world.acks.len(), 2);
+    let (tag, ack, acked_at) = r.world.acks[0];
+    assert_eq!((tag, acked_at), (1, SimTime::ZERO), "refused on the next tick");
+    assert_eq!(ack, WriteAck::Failed(WriteError::NoSuchVolume));
+    assert!(matches!(r.world.acks[1].1, WriteAck::Ok { .. }));
+    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::WRITES_FAILED), 1);
+    assert_eq!(r.world.st.ack_log.len(), 1);
+}
+
+#[test]
+fn a_read_from_an_array_the_world_does_not_hold_returns_none() {
+    let mut r = rig();
+    let v = r.world.st.create_volume(r.main, "v", 64);
+    r.world.st.write_direct(v, 0, b"held");
+    let ghost = VolRef::new(ArrayId(7), v.volume);
+    at(&mut r.sim, SimTime::ZERO, move |w: &mut World, sim| {
+        host_read(w, sim, ghost, 0, |w: &mut World, sim, data| {
+            assert!(data.is_none());
+            w.acks.push((0, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
+        });
+    });
+    r.sim.run(&mut r.world);
+    assert_eq!(r.world.acks.len(), 1);
+    assert_eq!(r.world.acks[0].2, SimTime::ZERO, "refused on the next tick");
+    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::READS_FAILED), 1);
+}
+
+#[test]
+fn a_read_of_a_deleted_snapshot_returns_none() {
+    let mut r = rig();
+    let v = r.world.st.create_volume(r.main, "v", 64);
+    r.world.st.write_direct(v, 0, b"original");
+    let snap = r.world.st.snapshot(v, "pit", SimTime::ZERO);
+    r.world.st.array_mut(r.main).delete_snapshot(snap);
+    let (main, ghost) = (r.main, ArrayId(7));
+    at(&mut r.sim, SimTime::ZERO, move |w: &mut World, sim| {
+        for (tag, array) in [(0, main), (1, ghost)] {
+            host_read_snapshot(w, sim, array, snap, 0, move |w: &mut World, sim, data| {
+                assert!(data.is_none(), "read {tag}");
+                let ack = WriteAck::Ok { latency: SimDuration::ZERO, global: 0 };
+                w.acks.push((tag, ack, sim.now()));
+            });
+        }
+    });
+    r.sim.run(&mut r.world);
+    assert_eq!(r.world.acks.len(), 2);
+    assert!(r.world.acks.iter().all(|a| a.2 == SimTime::ZERO), "refused on the next tick");
+    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::READS_FAILED), 2);
+
+    // Deleted while the read is in service: admitted, then finds nothing.
+    let snap = r.world.st.snapshot(v, "pit-2", r.sim.now());
+    let start = r.sim.now();
+    at(&mut r.sim, start, move |w: &mut World, sim| {
+        host_read_snapshot(w, sim, main, snap, 0, |w: &mut World, sim, data| {
+            assert!(data.is_none(), "the snapshot is gone");
+            w.acks.push((2, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
+        });
+    });
+    at(&mut r.sim, start + SimDuration::from_micros(100), move |w: &mut World, _| {
+        w.st.array_mut(main).delete_snapshot(snap);
+    });
+    r.sim.run(&mut r.world);
+    assert_eq!(r.world.acks.len(), 3);
+    assert_eq!(r.world.acks[2].2, start + SimDuration::from_micros(200), "served, not refused");
+}
+
 #[test]
 fn link_outage_with_auto_heal_catches_up() {
     let mut r = rig();
@@ -616,7 +773,7 @@ fn link_outage_with_auto_heal_catches_up() {
 
     // Outage window 5..30 ms.
     let link = r.link;
-    r.sim.schedule_at(SimTime::from_millis(5), move |w: &mut World, _| {
+    at(&mut r.sim, SimTime::from_millis(5), move |w: &mut World, _| {
         w.st.net
             .link_mut(link)
             .set_down(SimTime::from_millis(5), Some(SimTime::from_millis(30)));
@@ -644,7 +801,7 @@ fn indefinite_outage_requires_manual_heal_and_pump_kick() {
     r.world.st.add_pair(g, p, s);
 
     let link = r.link;
-    r.sim.schedule_at(SimTime::ZERO, move |w: &mut World, _| {
+    at(&mut r.sim, SimTime::ZERO, move |w: &mut World, _| {
         w.st.net.link_mut(link).set_down(SimTime::ZERO, None);
     });
     for i in 0..50u64 {
@@ -661,11 +818,10 @@ fn indefinite_outage_requires_manual_heal_and_pump_kick() {
         0
     );
     // Heal + kick: replication drains.
-    r.sim
-        .schedule_at(SimTime::from_millis(101), move |w: &mut World, sim| {
-            w.st.net.link_mut(link).set_up();
-            kick_all_pumps(w, sim);
-        });
+    at(&mut r.sim, SimTime::from_millis(101), move |w: &mut World, sim| {
+        w.st.net.link_mut(link).set_up();
+        kick_all_pumps(w, sim);
+    });
     r.sim.run(&mut r.world);
     assert_eq!(
         r.world.st.array(r.backup).volume(s.volume).content_hashes(),
@@ -682,7 +838,7 @@ fn sdc_link_down_suspends_and_acks_degraded() {
     r.world.st.add_pair(g, p, s);
 
     let link = r.link;
-    r.sim.schedule_at(SimTime::ZERO, move |w: &mut World, _| {
+    at(&mut r.sim, SimTime::ZERO, move |w: &mut World, _| {
         w.st.net.link_mut(link).set_down(SimTime::ZERO, None);
     });
     write_at(&mut r.sim, SimTime::from_millis(1), p, 0, 1);
@@ -764,12 +920,12 @@ fn promote_drains_remote_journal() {
         st,
         acks: Vec::new(),
     };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
     for i in 0..50u64 {
         write_at(&mut sim, SimTime::from_nanos(i * 100_000), p, i, i);
     }
     // Stop mid-apply: fail main at 10 ms, then let arrivals land.
-    sim.schedule_at(SimTime::from_millis(10), move |w: &mut World, sim| {
+    at(&mut sim, SimTime::from_millis(10), move |w: &mut World, sim| {
         w.st.fail_array(main, sim.now());
     });
     sim.run_until(&mut world, SimTime::from_millis(50));
@@ -801,7 +957,7 @@ fn backup_array_brownout_grows_lag_but_never_breaks_order() {
     r.world.st.add_pair(g, p, s);
 
     let backup = r.backup;
-    r.sim.schedule_at(SimTime::from_millis(5), move |w: &mut World, _| {
+    at(&mut r.sim, SimTime::from_millis(5), move |w: &mut World, _| {
         let mut slow = ArrayPerf::default();
         slow.apply_service = SimDuration::from_millis(5);
         w.st.array_mut(backup).set_perf(slow);
@@ -815,10 +971,9 @@ fn backup_array_brownout_grows_lag_but_never_breaks_order() {
     assert!(st[0].lag_writes > 10, "brownout must grow lag: {st:?}");
     assert!(r.world.st.verify_consistency(&[g]).is_consistent());
     // Recovery: back to normal speed; everything drains.
-    r.sim
-        .schedule_at(SimTime::from_millis(41), move |w: &mut World, _| {
-            w.st.array_mut(backup).set_perf(ArrayPerf::default());
-        });
+    at(&mut r.sim, SimTime::from_millis(41), move |w: &mut World, _| {
+        w.st.array_mut(backup).set_perf(ArrayPerf::default());
+    });
     r.sim.run(&mut r.world);
     assert_eq!(
         r.world.st.array(r.backup).volume(s.volume).content_hashes(),
@@ -835,7 +990,7 @@ fn snapshot_reads_are_timed_and_point_in_time() {
     let snap = r.world.st.snapshot(v, "pit", SimTime::ZERO);
     r.world.st.write_direct(v, 3, b"modified");
     let main = r.main;
-    r.sim.schedule_at(SimTime::ZERO, move |w: &mut World, sim| {
+    at(&mut r.sim, SimTime::ZERO, move |w: &mut World, sim| {
         tsuru_storage::host_read_snapshot(w, sim, main, snap, 3, |w, sim, data| {
             assert_eq!(&data.expect("preserved")[..8], b"original");
             assert_eq!(sim.now(), SimTime::from_micros(200), "read service time");
@@ -850,7 +1005,7 @@ fn snapshot_reads_are_timed_and_point_in_time() {
     assert_eq!(r.world.acks.len(), 2);
     // Reads on a failed array return None.
     r.world.st.fail_array(main, r.sim.now());
-    r.sim.schedule_in(SimDuration::from_millis(1), move |w: &mut World, sim| {
+    after(&mut r.sim, SimDuration::from_millis(1), move |w: &mut World, sim| {
         tsuru_storage::host_read_snapshot(w, sim, main, snap, 3, |w, sim, data| {
             assert!(data.is_none());
             w.acks.push((2, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));

@@ -6,6 +6,9 @@
 //! reversed consistency group, catches up, and can itself survive a
 //! failure of the (formerly backup) site.
 
+mod common;
+
+use common::{at, Ev};
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
@@ -50,12 +53,12 @@ fn full_disaster_recovery_round_trip() {
         acks: 0,
         rejected: 0,
     };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
 
     // Phase 1: normal operation, then disaster.
     for i in 0..100u64 {
         let vol = if i % 2 == 0 { p1 } else { p2 };
-        sim.schedule_at(SimTime::from_nanos(i * 100_000), move |w: &mut World, sim| {
+        at(&mut sim, SimTime::from_nanos(i * 100_000), move |w: &mut World, sim| {
             host_write(w, sim, vol, i / 2, block_from(&i.to_le_bytes()), |w, _, ack| {
                 if ack.is_persisted() {
                     w.acks += 1;
@@ -63,7 +66,7 @@ fn full_disaster_recovery_round_trip() {
             });
         });
     }
-    sim.schedule_at(SimTime::from_millis(6), move |w: &mut World, sim| {
+    at(&mut sim, SimTime::from_millis(6), move |w: &mut World, sim| {
         w.st.fail_array(main, sim.now());
     });
     sim.run_until(&mut world, SimTime::from_millis(100));
@@ -75,7 +78,8 @@ fn full_disaster_recovery_round_trip() {
     // writable now).
     for i in 100..160u64 {
         let vol = if i % 2 == 0 { s1 } else { s2 };
-        sim.schedule_at(
+        at(
+            &mut sim,
             SimTime::from_millis(100) + tsuru_sim::SimDuration::from_nanos((i - 100) * 100_000),
             move |w: &mut World, sim| {
                 host_write(w, sim, vol, i / 2, block_from(&i.to_le_bytes()), |w, _, ack| {
@@ -107,7 +111,8 @@ fn full_disaster_recovery_round_trip() {
     // backwards.
     for i in 160..220u64 {
         let vol = if i % 2 == 0 { s1 } else { s2 };
-        sim.schedule_at(
+        at(
+            &mut sim,
             SimTime::from_millis(150) + tsuru_sim::SimDuration::from_nanos((i - 160) * 100_000),
             move |w: &mut World, sim| {
                 host_write(w, sim, vol, i / 2, block_from(&i.to_le_bytes()), |w, _, ack| {

@@ -20,6 +20,9 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
+mod common;
+
+use common::{at, Ev};
 use proptest::prelude::*;
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
@@ -44,7 +47,7 @@ impl HasStorage for World {
 
 struct Rig {
     world: World,
-    sim: Sim<World>,
+    sim: Sim<World, Ev<World>>,
     group: GroupId,
     link: tsuru_simnet::LinkId,
     primaries: Vec<VolRef>,
@@ -74,8 +77,8 @@ fn rig(seed: u64, config: EngineConfig, link_cfg: LinkConfig) -> Rig {
     }
 }
 
-fn write_at(sim: &mut Sim<World>, at: SimTime, vol: VolRef, lba: u64, tag: u64) {
-    sim.schedule_at(at, move |w: &mut World, sim| {
+fn write_at(sim: &mut Sim<World, Ev<World>>, t: SimTime, vol: VolRef, lba: u64, tag: u64) {
+    at(sim, t, move |w: &mut World, sim| {
         host_write(w, sim, vol, lba, block_from(&tag.to_le_bytes()), |_, _, _| {});
     });
 }
@@ -180,7 +183,7 @@ fn set_up_alone_leaves_pump_parked() {
 
 struct LaneRig {
     world: World,
-    sim: Sim<World>,
+    sim: Sim<World, Ev<World>>,
     main: ArrayId,
     link: tsuru_simnet::LinkId,
     groups: Vec<GroupId>,
@@ -547,7 +550,7 @@ proptest! {
         // retry at the advertised up instant, no manual heal needed.
         let start = SimTime::from_millis(outage_at_ms);
         let end = start + SimDuration::from_millis(outage_len_ms);
-        r.sim.schedule_at(start, move |w: &mut World, _| {
+        at(&mut r.sim, start, move |w: &mut World, _| {
             let link = w.st.fabric.group(GroupId(0)).link;
             w.st.net.link_mut(link).set_down(start, Some(end));
         });

@@ -1,6 +1,9 @@
 //! Thin-provisioning pool pressure: allocation accounting through the data
 //! path, host-write rejection at exhaustion, and space release.
 
+mod common;
+
+use common::{at, Ev};
 use tsuru_sim::{Sim, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
@@ -47,17 +50,17 @@ fn exhausted_pool_rejects_new_allocations_but_allows_overwrites() {
         st,
         acks: Vec::new(),
     };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
     // Five writes to distinct blocks: the fifth must be refused.
     for lba in 0..5u64 {
-        sim.schedule_at(SimTime::from_millis(lba), move |w: &mut World, sim| {
+        at(&mut sim, SimTime::from_millis(lba), move |w: &mut World, sim| {
             host_write(w, sim, v, lba, block_from(&[lba as u8]), |w, _, ack| {
                 w.acks.push(ack)
             });
         });
     }
     // An overwrite of an existing block still succeeds afterwards.
-    sim.schedule_at(SimTime::from_millis(10), move |w: &mut World, sim| {
+    at(&mut sim, SimTime::from_millis(10), move |w: &mut World, sim| {
         host_write(w, sim, v, 0, block_from(b"rewrite"), |w, _, ack| {
             w.acks.push(ack)
         });
@@ -127,9 +130,9 @@ fn replication_apply_overcommits_rather_than_corrupting() {
         st,
         acks: Vec::new(),
     };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
     for lba in 0..20u64 {
-        sim.schedule_at(SimTime::from_micros(lba * 200), move |w: &mut World, sim| {
+        at(&mut sim, SimTime::from_micros(lba * 200), move |w: &mut World, sim| {
             host_write(w, sim, p, lba, block_from(&[lba as u8]), |w, _, ack| {
                 w.acks.push(ack)
             });

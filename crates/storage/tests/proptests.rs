@@ -7,8 +7,11 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
+mod common;
+
 use std::collections::{BTreeMap, VecDeque};
 
+use common::{at, Ev};
 use proptest::prelude::*;
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
@@ -192,18 +195,18 @@ proptest! {
             vols.push(p);
         }
         let mut world = World { st };
-        let mut sim: Sim<World> = Sim::new();
+        let mut sim: Sim<World, Ev<World>> = Sim::new();
         let max_t = writes.iter().map(|w| w.at_ns).max().unwrap_or(0);
         for (i, w) in writes.iter().enumerate() {
             let vol = vols[w.vol];
             let lba = w.lba;
             let tag = i as u64;
-            sim.schedule_at(SimTime::from_nanos(w.at_ns), move |s: &mut World, sim| {
+            at(&mut sim, SimTime::from_nanos(w.at_ns), move |s: &mut World, sim| {
                 host_write(s, sim, vol, lba, block_from(&tag.to_le_bytes()), |_, _, _| {});
             });
         }
         let fail_at = SimTime::from_nanos((max_t as f64 * fail_frac) as u64 + 1);
-        sim.schedule_at(fail_at, move |w: &mut World, sim| {
+        at(&mut sim, fail_at, move |w: &mut World, sim| {
             w.st.fail_array(main, sim.now());
         });
         // Let everything settle (bounded: failed primary stops the flow).
@@ -246,12 +249,12 @@ proptest! {
             pairs.push((p, s));
         }
         let mut world = World { st };
-        let mut sim: Sim<World> = Sim::new();
+        let mut sim: Sim<World, Ev<World>> = Sim::new();
         for (i, w) in writes.iter().enumerate() {
             let vol = pairs[w.vol].0;
             let lba = w.lba;
             let tag = i as u64;
-            sim.schedule_at(SimTime::from_nanos(w.at_ns), move |s: &mut World, sim| {
+            at(&mut sim, SimTime::from_nanos(w.at_ns), move |s: &mut World, sim| {
                 host_write(s, sim, vol, lba, block_from(&tag.to_le_bytes()), |_, _, _| {});
             });
         }
@@ -704,7 +707,7 @@ proptest! {
         let link = st.add_link(LinkConfig::with(SimDuration::from_millis(1), 1_000_000));
         let rev = st.add_link(LinkConfig::metro());
         let mut groups = Vec::new();
-        let mut sim: Sim<World> = Sim::new();
+        let mut sim: Sim<World, Ev<World>> = Sim::new();
         for (i, appends) in schedules.iter().enumerate() {
             let g = st.create_adc_group(format!("g{i}"), link, rev, 1 << 24);
             let p = st.create_volume(main, format!("p{i}"), 16);
@@ -713,7 +716,7 @@ proptest! {
             groups.push(g);
             for (k, &at_ns) in appends.iter().enumerate() {
                 let (lba, tag) = (k as u64, (i * 100 + k) as u64);
-                sim.schedule_at(SimTime::from_nanos(at_ns), move |w: &mut World, sim| {
+                at(&mut sim, SimTime::from_nanos(at_ns), move |w: &mut World, sim| {
                     host_write(w, sim, p, lba, block_from(&tag.to_le_bytes()), |_, _, _| {});
                 });
             }
@@ -947,7 +950,7 @@ proptest! {
         }
         let shared: Vec<BlockBuf> = (0..4u8).map(|i| block_from(&[i; 32])).collect();
         let mut world = World { st };
-        let mut sim: Sim<World> = Sim::new();
+        let mut sim: Sim<World, Ev<World>> = Sim::new();
         let mut snapshots: Vec<SnapshotId> = Vec::new();
         // Both verdicts must occur or the last comparison checks nothing:
         // the initial copy is consistent, a tampered backup is not (a script

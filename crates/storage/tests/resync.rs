@@ -1,6 +1,9 @@
 //! Suspension and resynchronisation: operator suspend, link-down suspend,
 //! delta vs full resync, and epoch safety against in-flight frames.
 
+mod common;
+
+use common::{at, Ev};
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::{host_write, kick_all_pumps};
@@ -22,7 +25,7 @@ impl HasStorage for World {
 
 struct Rig {
     world: World,
-    sim: Sim<World>,
+    sim: Sim<World, Ev<World>>,
     main: ArrayId,
     backup: ArrayId,
     p: [VolRef; 2],
@@ -59,8 +62,8 @@ fn rig(seed: u64) -> Rig {
     }
 }
 
-fn write_at(sim: &mut Sim<World>, at: SimTime, vol: VolRef, lba: u64, tag: u64) {
-    sim.schedule_at(at, move |w: &mut World, sim| {
+fn write_at(sim: &mut Sim<World, Ev<World>>, t: SimTime, vol: VolRef, lba: u64, tag: u64) {
+    at(sim, t, move |w: &mut World, sim| {
         host_write(w, sim, vol, lba, block_from(&tag.to_le_bytes()), |_, _, _| {});
     });
 }
@@ -146,15 +149,15 @@ fn stale_in_flight_frames_are_discarded_after_resync() {
     let s = st.create_volume(backup, "s", 512);
     st.add_pair(g, p, s);
     let mut world = World { st };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
     for i in 0..40u64 {
-        sim.schedule_at(SimTime::from_nanos(i * 100_000), move |w: &mut World, sim| {
+        at(&mut sim, SimTime::from_nanos(i * 100_000), move |w: &mut World, sim| {
             host_write(w, sim, p, i, block_from(&i.to_le_bytes()), |_, _, _| {});
         });
     }
     // Suspend + resync at 10 ms: frames offered before that are still on
     // the 50 ms wire and must be dropped on arrival (old generation).
-    sim.schedule_at(SimTime::from_millis(10), move |w: &mut World, sim| {
+    at(&mut sim, SimTime::from_millis(10), move |w: &mut World, sim| {
         w.st.suspend_group(g, sim.now());
         let report = w.st.resync_group(g);
         assert!(report.delta);

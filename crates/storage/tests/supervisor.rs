@@ -7,6 +7,9 @@
 //! followed by repair must walk PrimaryDown → FailedOver → FailingBack →
 //! Healthy with exactly one failover and one failback.
 
+mod common;
+
+use common::{after, at, Ev};
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
@@ -60,11 +63,11 @@ fn stale_epoch_pump_is_discarded_after_resync() {
         acks: 0,
         rejected: 0,
     };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
 
     // t=0: one write journals an entry and schedules RunTransfer{gen0}
     // for t≈5ms.
-    sim.schedule_at(SimTime::ZERO, move |w: &mut World, sim| {
+    at(&mut sim, SimTime::ZERO, move |w: &mut World, sim| {
         host_write(w, sim, p, 0, block_from(b"stale-epoch"), |w, _, ack| {
             if ack.is_persisted() {
                 w.acks += 1;
@@ -72,7 +75,7 @@ fn stale_epoch_pump_is_discarded_after_resync() {
         });
     });
     // t=2ms: with that pump still pending, open a new replication epoch.
-    sim.schedule_at(SimTime::from_millis(2), move |w: &mut World, sim| {
+    at(&mut sim, SimTime::from_millis(2), move |w: &mut World, sim| {
         assert!(
             w.st.fabric.group(g).pump_scheduled,
             "test premise: the gen-{gen0} pump must still be in flight"
@@ -101,8 +104,8 @@ fn stale_epoch_pump_is_discarded_after_resync() {
     assert!(world.st.verify_consistency(&[g]).is_consistent());
 
     // The new epoch still replicates: a post-resync write flows end to end.
-    let at = sim.now();
-    sim.schedule_at(at, move |w: &mut World, sim| {
+    let now = sim.now();
+    at(&mut sim, now, move |w: &mut World, sim| {
         host_write(w, sim, p, 1, block_from(b"new-epoch"), |w, _, ack| {
             if ack.is_persisted() {
                 w.acks += 1;
@@ -146,20 +149,21 @@ fn supervisor_drives_failover_then_failback() {
         acks: 0,
         rejected: 0,
     };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
 
     // Probe every millisecond until well past the round trip.
-    fn probe(w: &mut World, sim: &mut Sim<World>) {
+    fn probe(w: &mut World, sim: &mut Sim<World, Ev<World>>) {
         tick(w, sim);
         if sim.now() < SimTime::from_millis(80) {
-            sim.schedule_in(SimDuration::from_millis(1), probe);
+            after(sim, SimDuration::from_millis(1), probe);
         }
     }
-    sim.schedule_at(SimTime::ZERO, probe);
+    at(&mut sim, SimTime::ZERO, probe);
 
     // Business at the main site, then disaster at t=10ms.
     for i in 0..16u64 {
-        sim.schedule_at(
+        at(
+            &mut sim,
             SimTime::from_nanos(i * 500_000),
             move |w: &mut World, sim| {
                 host_write(w, sim, p, i % 8, block_from(&i.to_le_bytes()), |w, _, ack| {
@@ -170,7 +174,7 @@ fn supervisor_drives_failover_then_failback() {
             },
         );
     }
-    sim.schedule_at(SimTime::from_millis(10), move |w: &mut World, sim| {
+    at(&mut sim, SimTime::from_millis(10), move |w: &mut World, sim| {
         w.st.fail_array(main, sim.now());
     });
 
@@ -186,7 +190,8 @@ fn supervisor_drives_failover_then_failback() {
 
     // Business continues against the promoted backup volumes.
     for i in 16..24u64 {
-        sim.schedule_at(
+        at(
+            &mut sim,
             SimTime::from_millis(20) + SimDuration::from_nanos((i - 16) * 500_000),
             move |w: &mut World, sim| {
                 host_write(w, sim, s, i % 16, block_from(&i.to_le_bytes()), |w, _, ack| {
@@ -200,7 +205,7 @@ fn supervisor_drives_failover_then_failback() {
     }
     // Step 2: repair the main site at t=40ms; the supervisor establishes
     // reverse protection, waits for catch-up and completes the failback.
-    sim.schedule_at(SimTime::from_millis(40), move |w: &mut World, _sim| {
+    at(&mut sim, SimTime::from_millis(40), move |w: &mut World, _sim| {
         w.st.array_mut(main).recover();
     });
     sim.run(&mut world);

@@ -4,6 +4,9 @@
 //! [12]–[15]) discusses. The host acknowledgement waits only for the
 //! synchronous leg; the asynchronous leg journals and lags.
 
+mod common;
+
+use common::{at, Ev};
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
@@ -29,7 +32,7 @@ impl HasStorage for World {
 
 struct Rig {
     world: World,
-    sim: Sim<World>,
+    sim: Sim<World, Ev<World>>,
     main: ArrayId,
     metro: ArrayId,
     far: ArrayId,
@@ -85,8 +88,8 @@ fn rig(seed: u64) -> Rig {
     }
 }
 
-fn write_at(sim: &mut Sim<World>, at: SimTime, vol: VolRef, lba: u64, tag: u64) {
-    sim.schedule_at(at, move |w: &mut World, sim| {
+fn write_at(sim: &mut Sim<World, Ev<World>>, t: SimTime, vol: VolRef, lba: u64, tag: u64) {
+    at(sim, t, move |w: &mut World, sim| {
         host_write(w, sim, vol, lba, block_from(&tag.to_le_bytes()), |w, _, ack| match ack {
             WriteAck::Ok { latency, .. } => w.latencies.push(latency),
             WriteAck::Degraded { latency, .. } => {
@@ -141,7 +144,7 @@ fn disaster_metro_has_everything_far_has_a_prefix() {
     }
     let fail_at = SimTime::from_millis(40);
     let main = r.main;
-    r.sim.schedule_at(fail_at, move |w: &mut World, sim| {
+    at(&mut r.sim, fail_at, move |w: &mut World, sim| {
         w.st.fail_array(main, sim.now());
     });
     r.sim.run_until(&mut r.world, SimTime::from_millis(400));
@@ -183,7 +186,7 @@ fn far_link_outage_degrades_only_the_async_leg() {
     // protected and acknowledged as Ok — wait: the ADC leg's group will
     // stall silently (journal grows), not degrade the ack. Writes stay Ok.
     let far_link = r.world.st.fabric.group(r.adc_group).link;
-    r.sim.schedule_at(SimTime::ZERO, move |w: &mut World, _| {
+    at(&mut r.sim, SimTime::ZERO, move |w: &mut World, _| {
         w.st.net.link_mut(far_link).set_down(SimTime::ZERO, None);
     });
     for i in 0..40u64 {
@@ -210,7 +213,7 @@ fn far_link_outage_degrades_only_the_async_leg() {
 fn metro_outage_degrades_acks_but_far_leg_continues() {
     let mut r = rig(4);
     let metro_link = r.world.st.fabric.group(r.sdc_group).link;
-    r.sim.schedule_at(SimTime::ZERO, move |w: &mut World, _| {
+    at(&mut r.sim, SimTime::ZERO, move |w: &mut World, _| {
         w.st.net.link_mut(metro_link).set_down(SimTime::ZERO, None);
     });
     for i in 0..40u64 {

@@ -10,6 +10,9 @@
 //! Sampling is on, so in debug builds the same equality is also asserted
 //! inside the engine at every edge between the steps.
 
+mod common;
+
+use common::Ev;
 use proptest::prelude::*;
 use tsuru_sim::{Sim, SimDuration};
 use tsuru_simnet::{LinkConfig, LinkId};
@@ -98,7 +101,7 @@ fn short_link() -> LinkConfig {
 
 struct Rig {
     world: World,
-    sim: Sim<World>,
+    sim: Sim<World, Ev<World>>,
     main: ArrayId,
     vols: [VolRef; 4],
     links: [LinkId; 4],

@@ -2,6 +2,9 @@
 //! group must leave a well-formed span tree whose lifecycle chain is
 //! `host_write → journal_append → wan_transfer → backup_apply`.
 
+mod common;
+
+use common::{at, Ev};
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
@@ -42,9 +45,9 @@ fn traced_run() -> (World, Tracer) {
     st.add_pair(g, p1, s1);
 
     let mut world = World { st, acks: 0 };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
     for (i, vol) in [p0, p1].into_iter().enumerate() {
-        sim.schedule_at(SimTime::from_micros(i as u64 * 10), move |w: &mut World, sim| {
+        at(&mut sim, SimTime::from_micros(i as u64 * 10), move |w: &mut World, sim| {
             host_write(w, sim, vol, 3, block_from(b"traced"), |w, _sim, _ack| {
                 w.acks += 1;
             });
@@ -160,13 +163,13 @@ fn traced_lane_wait_fills_the_gap_between_append_and_transfer() {
     let link = st.add_link(LinkConfig::with(SimDuration::from_millis(1), 1_000_000));
     let reverse = st.add_link(LinkConfig::metro());
     let mut world = World { st, acks: 0 };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
     for i in 0..4u64 {
         let g = world.st.create_adc_group(format!("g{i}"), link, reverse, 1 << 24);
         let p = world.st.create_volume(main, format!("p{i}"), 16);
         let s = world.st.create_volume(backup, format!("s{i}"), 16);
         world.st.add_pair(g, p, s);
-        sim.schedule_at(SimTime::from_micros(i), move |w: &mut World, sim| {
+        at(&mut sim, SimTime::from_micros(i), move |w: &mut World, sim| {
             host_write(w, sim, p, 0, block_from(b"queued"), |w, _, _| w.acks += 1);
         });
     }

@@ -8,10 +8,13 @@
 //! rolls the tail back in time and permanently truncates the record
 //! stream — the chaos auditor caught this as a stale recovered database.
 
+mod common;
+
 use std::cell::Cell;
 use std::rc::Rc;
 
-use tsuru_sim::{Sim, SimDuration, SimTime};
+use common::{at, Ev};
+use tsuru_sim::{Sim, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{
@@ -51,15 +54,15 @@ fn stalled_writes_apply_in_issue_order() {
     st.fabric.journal_mut(jid).set_capacity_bytes(64);
 
     let mut world = World { st };
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<World, Ev<World>> = Sim::new();
 
     // write_service = 100 µs, stall retry = 200 µs. Issue order: OLD then
     // NEW. Service completes at 100 µs / 200 µs, so the retry grids are
     // OLD @ {300, 500, …} and NEW @ {400, 600, …}.
     let acked = Rc::new(Cell::new(0u32));
-    for (at, tag) in [(SimTime::ZERO, 0xDEAD_0001u64), (SimTime::from_micros(1), 0xDEAD_0002)] {
+    for (t, tag) in [(SimTime::ZERO, 0xDEAD_0001u64), (SimTime::from_micros(1), 0xDEAD_0002)] {
         let acked = Rc::clone(&acked);
-        sim.schedule_at(at, move |w: &mut World, sim| {
+        at(&mut sim, t, move |w: &mut World, sim| {
             host_write(w, sim, p, 0, block_from(&tag.to_le_bytes()), move |_, _, ack| {
                 assert!(ack.is_persisted(), "{ack:?}");
                 acked.set(acked.get() + 1);
@@ -69,7 +72,7 @@ fn stalled_writes_apply_in_issue_order() {
 
     // Heal between the two retry phases: the NEW write's retry at 400 µs
     // finds space *before* the OLD write's retry at 500 µs.
-    sim.schedule_at(SimTime::from_micros(350), move |w: &mut World, _| {
+    at(&mut sim, SimTime::from_micros(350), move |w: &mut World, _| {
         w.st.fabric.journal_mut(jid).set_capacity_bytes(1 << 24);
     });
 

@@ -2,7 +2,7 @@
 //! sim-time over the metrics registry.
 //!
 //! A rule ([`AlertRule`]) names a signal — a time series, counter or
-//! gauge in the [`MetricsRegistry`](crate::MetricsRegistry) — and a
+//! gauge in the [`MetricsRegistry`] — and a
 //! breach condition ([`RuleKind`]): instantaneous threshold, sustained
 //! threshold, rate-of-change over a trailing window, or
 //! absence-of-samples. Rules are grouped into an [`AlertProfile`] with

@@ -11,11 +11,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use tsuru_sim::{Histogram, SimTime, Summary, TimeSeries};
 
-/// Named counters, gauges, histograms and time series. See the
-/// [module docs](self).
+/// Named counters, gauges, histograms and time series. See the module
+/// docs of `telemetry/src/registry.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
@@ -167,7 +166,7 @@ impl MetricsRegistry {
 /// Value summary of one time series, computed over the observed points
 /// (not time-weighted): enough to gate regressions on a snapshot without
 /// carrying the whole series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeriesSummary {
     /// Number of observations.
     pub len: u64,
@@ -213,7 +212,7 @@ impl SeriesSummary {
 }
 
 /// Point-in-time view of a [`MetricsRegistry`], sorted by name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: Vec<(String, u64)>,

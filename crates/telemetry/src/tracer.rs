@@ -144,7 +144,8 @@ impl TraceCore {
     }
 }
 
-/// Cheap cloneable tracing handle. See the [module docs](self).
+/// Cheap cloneable tracing handle. See the module docs of
+/// `telemetry/src/tracer.rs`.
 #[derive(Clone, Default)]
 pub struct Tracer(Option<Rc<RefCell<TraceCore>>>);
 
