@@ -8,14 +8,15 @@
 //! auditor keeps open on the replicas, record the observation as
 //! [`Site::Backup`]); at quiesce it reads the final primary state and the
 //! fully drained backup image, opened from scratch ([`Site::Primary`] /
-//! [`Site::BackupFinal`]), and hands the whole history to
-//! [`check_history`]. Every anomaly becomes a chaos
-//! violation carrying the offending op subsequence.
+//! [`Site::BackupFinal`]), and judges the whole history where the
+//! recorder keeps it ([`Recorder::check`](tsuru_history::Recorder::check)).
+//! Every anomaly becomes a chaos violation carrying the offending op
+//! subsequence.
 
 use tsuru_core::TwoSiteRig;
 use tsuru_ecom::scan::{record_bank_scan, record_list_scan, record_shop_scan};
 use tsuru_ecom::{Recovered, WorkloadKind};
-use tsuru_history::{check_history, process, CheckConfig, OpData, Site, Verdict};
+use tsuru_history::{process, CheckConfig, OpData, Site, Verdict};
 use tsuru_minidb::MiniDb;
 
 /// Record one image observation appropriate to the workload.
@@ -107,5 +108,5 @@ pub(crate) fn judge(
     // accounts are `items` rows of `initial_stock` each.
     let expected_total = matches!(kind, WorkloadKind::Bank)
         .then(|| rig.config.workload.items as u64 * rig.config.workload.initial_stock);
-    check_history(&rig.world.st.history.history(), &CheckConfig { expected_total })
+    rig.world.st.history.check(&CheckConfig { expected_total })
 }

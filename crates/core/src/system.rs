@@ -17,7 +17,7 @@ use tsuru_container::{
 use tsuru_ecom::driver::start_clients;
 use tsuru_ecom::scan::record_shop_scan;
 use tsuru_ecom::{RecoveryOutcome, WorkloadConfig};
-use tsuru_history::{check_history, process, CheckConfig, OpData, Site, Verdict};
+use tsuru_history::{process, CheckConfig, OpData, Site, Verdict};
 use tsuru_minidb::{DbConfig, RecoveryError};
 use tsuru_nso::{NamespaceOperator, NsoConfig};
 use tsuru_plugin::{
@@ -558,7 +558,7 @@ impl DemoSystem {
     /// [`Self::recover_business`]) is in the history, so the verdict is
     /// the client's answer to "did the backup lie to anyone?".
     pub fn history_verdict(&self) -> Verdict {
-        check_history(&self.world.st.history.history(), &CheckConfig::default())
+        self.world.st.history.check(&CheckConfig::default())
     }
 
     /// The storage administrator's view: replication and pool status

@@ -72,7 +72,9 @@ pub fn check_cross_db(sales: &MiniDb, stock: &MiniDb, initial_stock: u64) -> Inv
     InvariantReport {
         items_checked,
         orders_found,
-        violations: oversold(&sold, &decremented),
+        violations: oversold(sold, |item| {
+            decremented.get(&item).copied().unwrap_or(0)
+        }),
     }
 }
 

@@ -204,7 +204,8 @@ impl Tallies {
     }
 
     fn judge_all(&mut self) {
-        self.oversold = oversold(&self.sold, &self.decremented)
+        let decremented = |item| self.decremented.get(&item).copied().unwrap_or(0);
+        self.oversold = oversold(self.sold.iter().map(|(&i, &u)| (i, u)), decremented)
             .into_iter()
             .map(|o| o.item)
             .collect();

@@ -12,7 +12,9 @@ pub mod image;
 pub mod serial;
 pub mod shop;
 
-use crate::record::{History, OpData, OpId, Phase, Record};
+use std::collections::BTreeMap;
+
+use crate::record::{OpData, OpId, Phase, Record};
 
 /// What kind of client-visible anomaly a checker found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,12 +181,16 @@ impl Verdict {
 /// What the checkers ask about an operation by its id — where it was
 /// invoked, whether it was acknowledged — answered from one pass over the
 /// history. A [`Recorder`](crate::Recorder) mints op ids densely from a
-/// counter, so the id is the index (DESIGN.md §18): a lookup is an array
-/// read where a scan of every record used to be, and checking a history
-/// costs time linear in its length.
+/// counter, at most one per record, so an id up to the record count is an
+/// index into a table that size (DESIGN.md §18): a lookup is an array read
+/// where a scan of every record used to be, and checking a history costs
+/// time linear in its length. An id past the record count (a hand-built or
+/// hostile history) is answered from an ordered map, whatever its
+/// magnitude.
 #[derive(Debug)]
 pub struct OpTable<'h> {
     ops: Vec<OpSlot<'h>>,
+    far: BTreeMap<u64, OpSlot<'h>>,
     /// Lookups answered so far: the linear-cost test counts them.
     #[cfg(test)]
     probes: std::cell::Cell<u64>,
@@ -199,13 +205,14 @@ struct OpSlot<'h> {
 }
 
 impl<'h> OpTable<'h> {
-    /// Index `h` by op id.
-    pub fn new(h: &'h History) -> Self {
-        let highest = h.records.iter().map(|r| r.op.0).max().unwrap_or(0);
-        let mut ops = vec![OpSlot::default(); highest as usize + 1];
-        for r in &h.records {
-            let Some(slot) = ops.get_mut(r.op.0 as usize) else {
-                continue;
+    /// Index `records` by op id.
+    pub fn new(records: &'h [Record]) -> Self {
+        let mut ops = vec![OpSlot::default(); records.len() + 1];
+        let mut far = BTreeMap::new();
+        for r in records {
+            let slot = match usize::try_from(r.op.0).ok().and_then(|i| ops.get_mut(i)) {
+                Some(slot) => slot,
+                None => far.entry(r.op.0).or_default(),
             };
             match r.phase {
                 Phase::Invoke if slot.invoke.is_none() => slot.invoke = Some(r),
@@ -215,6 +222,7 @@ impl<'h> OpTable<'h> {
         }
         OpTable {
             ops,
+            far,
             #[cfg(test)]
             probes: std::cell::Cell::new(0),
         }
@@ -223,7 +231,8 @@ impl<'h> OpTable<'h> {
     fn slot(&self, op: OpId) -> OpSlot<'h> {
         #[cfg(test)]
         self.probes.set(self.probes.get() + 1);
-        self.ops.get(op.0 as usize).copied().unwrap_or_default()
+        let near = usize::try_from(op.0).ok().and_then(|i| self.ops.get(i));
+        near.or_else(|| self.far.get(&op.0)).copied().unwrap_or_default()
     }
 
     /// The invoke record of `op`, if any.
@@ -237,41 +246,75 @@ impl<'h> OpTable<'h> {
     }
 }
 
-/// Run every checker that has work in this history.
+/// `values` as an ascending slice: itself when it already is strictly
+/// ascending (a list read in append order), else a sorted copy made in
+/// `scratch`.
+pub(crate) fn sorted<'a>(values: &'a [u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
+    if values.windows(2).all(|w| w[0] < w[1]) {
+        return values;
+    }
+    scratch.clear();
+    scratch.extend_from_slice(values);
+    scratch.sort_unstable();
+    scratch
+}
+
+/// Drop every element of sorted `v` whose key equals its predecessor's,
+/// keeping the *last* of each run in its place: a map's insert, over a
+/// vector sorted stably by key.
+pub(crate) fn keep_last<T: Copy, K: PartialEq>(v: &mut Vec<T>, key: impl Fn(&T) -> K) {
+    v.dedup_by(|next, kept| {
+        let same = key(next) == key(kept);
+        if same {
+            *kept = *next;
+        }
+        same
+    });
+}
+
+/// Run every checker that has work in `records`: a [`History`](crate::History) snapshot
+/// (it derefs to its records) or a [`Recorder`](crate::Recorder)'s arena
+/// in place ([`Recorder::check`](crate::Recorder::check)).
 ///
 /// The serializability checker runs whenever committed transactions
 /// are present; the bank / append / shop checkers run when their ops
 /// appear. A history with nothing to judge yields an empty verdict
 /// (which is clean).
-pub fn check_history(h: &History, cfg: &CheckConfig) -> Verdict {
+pub fn check_history(records: &[Record], cfg: &CheckConfig) -> Verdict {
+    let (mut txns, mut bank, mut lists, mut shop, mut reads) = (false, false, false, false, false);
+    for r in records {
+        match r.data {
+            OpData::Txn(_) => txns = true,
+            OpData::Transfer { .. } => bank = true,
+            OpData::ReadBalances { .. } => (bank, reads) = (true, true),
+            OpData::Append { .. } => lists = true,
+            OpData::ReadList { .. } => (lists, reads) = (true, true),
+            OpData::Order { .. } => shop = true,
+            OpData::ReadShop { .. } => (shop, reads) = (true, true),
+            _ => {}
+        }
+    }
+
+    let ops = OpTable::new(records);
     let mut reports = Vec::new();
-
-    let has = |pred: &dyn Fn(&OpData) -> bool| h.records.iter().any(|r| pred(&r.data));
-    let ops = OpTable::new(h);
-
-    if has(&|d| matches!(d, OpData::Txn(_))) {
-        reports.push(serial::check(h));
+    if txns {
+        reports.push(serial::check(records));
     }
-    if has(&|d| matches!(d, OpData::Transfer { .. } | OpData::ReadBalances { .. })) {
-        reports.push(bank::check(h, &ops, cfg.expected_total));
+    if bank {
+        reports.push(bank::check(records, &ops, cfg.expected_total));
     }
-    if has(&|d| matches!(d, OpData::Append { .. } | OpData::ReadList { .. })) {
-        reports.push(append::check(h, &ops));
+    if lists {
+        reports.push(append::check(records, &ops));
     }
-    if has(&|d| matches!(d, OpData::Order { .. } | OpData::ReadShop { .. })) {
-        reports.push(shop::check(h, &ops));
+    if shop {
+        reports.push(shop::check(records, &ops));
     }
-    if has(&|d| {
-        matches!(
-            d,
-            OpData::ReadShop { .. } | OpData::ReadBalances { .. } | OpData::ReadList { .. }
-        )
-    }) {
-        reports.push(image::check(h));
+    if reads {
+        reports.push(image::check(records));
     }
 
     Verdict {
-        records: h.len() as u64,
+        records: records.len() as u64,
         reports,
     }
 }
@@ -279,7 +322,7 @@ pub fn check_history(h: &History, cfg: &CheckConfig) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Recorder, Site, TxnOps};
+    use crate::record::{History, Recorder, Site, TxnOps};
     use tsuru_sim::SimTime;
 
     /// A clean history of `records` records: acked orders and appends in
@@ -324,6 +367,54 @@ mod tests {
         read(Site::Primary, &orders, &list, n + 1);
         read(Site::BackupFinal, &orders, &list, n + 1);
         r.history()
+    }
+
+    /// An op id a recorder could not have minted — past the record count,
+    /// up to `u64::MAX` — is still an op: the table neither sizes itself by
+    /// it (which wrapped to an empty table, or aborted on the allocation)
+    /// nor drops it, so the verdict does not depend on its magnitude.
+    #[test]
+    fn op_ids_past_the_record_count_judge_alike() {
+        let verdict = |read_op: u64| {
+            let t = SimTime::from_micros(1);
+            let record = |op, phase, data| Record {
+                seq: 0,
+                op: OpId(op),
+                process: 1,
+                t,
+                phase,
+                data,
+            };
+            let order = OpData::Order {
+                order_id: 7,
+                item: 1,
+                quantity: 1,
+            };
+            let shop = OpData::Shop {
+                orders: vec![],
+                deltas: vec![],
+            };
+            let h = History::from_records(vec![
+                record(1, Phase::Invoke, order),
+                record(1, Phase::Ok, OpData::Txn(TxnOps::default())),
+                record(read_op, Phase::Invoke, OpData::ReadShop { site: Site::Primary }),
+                record(read_op, Phase::Ok, shop),
+            ]);
+            check_history(&h, &CheckConfig::default())
+        };
+        let near = verdict(2);
+        let lost: Vec<_> = near.anomalies().collect();
+        assert_eq!(lost.len(), 1, "{}", near.render());
+        assert_eq!(lost[0].kind, AnomalyKind::LostOp);
+        for far in [1 << 40, u64::MAX] {
+            let v = verdict(far);
+            let anomalies: Vec<_> = v.anomalies().collect();
+            assert_eq!(anomalies.len(), 1, "{}", v.render());
+            assert_eq!(anomalies[0].kind, lost[0].kind);
+            assert_eq!(anomalies[0].detail, lost[0].detail);
+            assert_eq!(anomalies[0].ops, [OpId(1), OpId(far)]);
+            assert_eq!(v.ops_checked(), near.ops_checked());
+        }
     }
 
     /// The checkers used to find an op's invoke and its acknowledgement by

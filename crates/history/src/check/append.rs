@@ -17,86 +17,114 @@
 //! * after the journal drains, **no acked append is lost**: the final
 //!   backup image equals the final primary state.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::check::{Anomaly, AnomalyKind, CheckReport, OpTable};
-use crate::record::{History, OpData, OpId, Phase, Site};
+use crate::check::{keep_last, sorted, Anomaly, AnomalyKind, CheckReport, OpTable};
+use crate::record::{OpData, OpId, Phase, Record, Site};
 
-struct Read {
+/// One list observation, borrowing its values from the record.
+struct Read<'h> {
+    key: u64,
+    /// Record index: a key's reads keep record order.
+    at: usize,
     op: OpId,
     process: u32,
     site: Option<Site>,
-    values: Vec<u64>,
+    values: &'h [u64],
 }
 
-/// Check every append-list key observed in `h` (`ops` indexes it).
-pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
-    // Per key: appended values (value → append op), and reads in
-    // record order.
-    let mut appends: BTreeMap<u64, BTreeMap<u64, OpId>> = BTreeMap::new();
-    let mut reads: BTreeMap<u64, Vec<Read>> = BTreeMap::new();
-    let mut ops_checked = 0u64;
-
-    for r in &h.records {
+/// Check every append-list key observed in `records` (`ops` indexes it).
+pub fn check(records: &[Record], ops: &OpTable<'_>) -> CheckReport {
+    let (mut n_appends, mut n_reads) = (0, 0);
+    for r in records {
+        match (&r.phase, &r.data) {
+            (Phase::Invoke, OpData::Append { .. }) => n_appends += 1,
+            (Phase::Ok | Phase::Info, OpData::List { .. }) => n_reads += 1,
+            _ => {}
+        }
+    }
+    // Every append as (key, value, record index, op), and every read, each
+    // sorted by key; a value appended twice to one key keeps its last
+    // append.
+    let mut appends: Vec<(u64, u64, usize, OpId)> = Vec::with_capacity(n_appends);
+    let mut reads: Vec<Read<'_>> = Vec::with_capacity(n_reads);
+    for (at, r) in records.iter().enumerate() {
         match (&r.phase, &r.data) {
             (Phase::Invoke, OpData::Append { key, value }) => {
-                ops_checked += 1;
-                appends.entry(*key).or_default().insert(*value, r.op);
+                appends.push((*key, *value, at, r.op));
             }
-            (Phase::Ok, OpData::List { key, values })
-            | (Phase::Info, OpData::List { key, values }) => {
-                ops_checked += 1;
+            (Phase::Ok | Phase::Info, OpData::List { key, values }) => {
                 let site = ops.invoke_of(r.op).and_then(|inv| match &inv.data {
                     OpData::ReadList { site, .. } => Some(*site),
                     _ => None,
                 });
-                reads.entry(*key).or_default().push(Read {
+                reads.push(Read {
+                    key: *key,
+                    at,
                     op: r.op,
                     process: r.process,
                     site,
-                    values: values.clone(),
+                    values,
                 });
             }
             _ => {}
         }
     }
+    let ops_checked = (appends.len() + reads.len()) as u64;
+    appends.sort_unstable();
+    keep_last(&mut appends, |a| (a.0, a.1));
+    reads.sort_unstable_by_key(|r| (r.key, r.at));
 
     let mut anomalies = Vec::new();
-    let empty = BTreeMap::new();
+    // Scratch reused across reads and keys.
+    let mut values: Vec<u64> = Vec::new();
+    let mut order: Vec<usize> = Vec::new();
+    let mut prev: Vec<Option<usize>> = Vec::new();
 
-    for (&key, key_reads) in &reads {
-        let invoked = appends.get(&key).unwrap_or(&empty);
+    let mut rest = &reads[..];
+    while let Some(first) = rest.first() {
+        let key = first.key;
+        let (key_reads, tail) = rest.split_at(rest.partition_point(|r| r.key == key));
+        rest = tail;
+        let lo = appends.partition_point(|a| a.0 < key);
+        let invoked = &appends[lo..lo + appends[lo..].partition_point(|a| a.0 == key)];
+        let appended = |v: u64| invoked.binary_search_by_key(&v, |a| a.1).is_ok();
 
-        // Phantoms and duplicates, one anomaly per offending read.
+        // Phantoms and duplicates, one anomaly per offending read. The
+        // per-value counts are built only for a read that has a duplicate.
         for rd in key_reads {
-            let mut seen = BTreeMap::new();
-            for &v in &rd.values {
-                if !invoked.contains_key(&v) {
+            let duplicated = sorted(rd.values, &mut values).windows(2).any(|w| w[0] == w[1]);
+            let mut seen = duplicated.then(BTreeMap::new);
+            for &v in rd.values {
+                if !appended(v) {
                     anomalies.push(Anomaly {
                         kind: AnomalyKind::PhantomValue,
                         detail: format!("key {key}: read observed value {v} never appended"),
                         ops: vec![rd.op],
                     });
                 }
-                if *seen.entry(v).or_insert(0u32) == 1 {
+                let Some(seen) = &mut seen else { continue };
+                let count = seen.entry(v).or_insert(0u32);
+                *count += 1;
+                if *count == 2 {
                     anomalies.push(Anomaly {
                         kind: AnomalyKind::DuplicateValue,
                         detail: format!("key {key}: value {v} appears twice in one read"),
                         ops: vec![rd.op],
                     });
                 }
-                *seen.get_mut(&v).expect("just inserted") += 1;
             }
         }
 
         // Prefix comparability: sorted by length, each read must be a
         // prefix of the next longer one (prefix order is transitive,
         // so consecutive checks cover every pair).
-        let mut by_len: Vec<&Read> = key_reads.iter().collect();
-        by_len.sort_by_key(|r| (r.values.len(), r.op));
-        for pair in by_len.windows(2) {
-            let (short, long) = (pair[0], pair[1]);
-            if long.values[..short.values.len()] != short.values[..] {
+        order.clear();
+        order.extend(0..key_reads.len());
+        order.sort_unstable_by_key(|&i| (key_reads[i].values.len(), key_reads[i].op, i));
+        for pair in order.windows(2) {
+            let (short, long) = (&key_reads[pair[0]], &key_reads[pair[1]]);
+            if long.values[..short.values.len()] != *short.values {
                 let mut ops = vec![short.op, long.op];
                 ops.sort_unstable();
                 anomalies.push(Anomaly {
@@ -114,25 +142,30 @@ pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
 
         // Per-process monotonicity: a later read by the same observer
         // must extend the earlier one.
-        let mut last_by_process: BTreeMap<u32, &Read> = BTreeMap::new();
-        for rd in key_reads {
-            if let Some(prev) = last_by_process.get(&rd.process) {
-                let rewound = rd.values.len() < prev.values.len()
-                    || rd.values[..prev.values.len()] != prev.values[..];
-                if rewound {
-                    anomalies.push(Anomaly {
-                        kind: AnomalyKind::StaleRead,
-                        detail: format!(
-                            "key {key}: process {} saw the list rewind from {} to {} values",
-                            rd.process,
-                            prev.values.len(),
-                            rd.values.len()
-                        ),
-                        ops: vec![prev.op, rd.op],
-                    });
-                }
+        order.sort_unstable_by_key(|&i| (key_reads[i].process, i));
+        prev.clear();
+        prev.resize(key_reads.len(), None);
+        for pair in order.windows(2) {
+            if key_reads[pair[0]].process == key_reads[pair[1]].process {
+                prev[pair[1]] = Some(pair[0]);
             }
-            last_by_process.insert(rd.process, rd);
+        }
+        for (rd, before) in key_reads.iter().zip(&prev) {
+            let Some(before) = before.map(|i| &key_reads[i]) else { continue };
+            let rewound = rd.values.len() < before.values.len()
+                || rd.values[..before.values.len()] != *before.values;
+            if rewound {
+                anomalies.push(Anomaly {
+                    kind: AnomalyKind::StaleRead,
+                    detail: format!(
+                        "key {key}: process {} saw the list rewind from {} to {} values",
+                        rd.process,
+                        before.values.len(),
+                        rd.values.len()
+                    ),
+                    ops: vec![before.op, rd.op],
+                });
+            }
         }
 
         // Lost appends: every acked append must survive into the final
@@ -140,10 +173,10 @@ pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
         for (label, site) in [("primary", Site::Primary), ("backup", Site::BackupFinal)] {
             let final_read = key_reads.iter().rev().find(|r| r.site == Some(site));
             let Some(final_read) = final_read else { continue };
-            let survived: BTreeSet<u64> = final_read.values.iter().copied().collect();
+            let survived = sorted(final_read.values, &mut values);
             let mut missing: Vec<(u64, OpId)> = Vec::new();
-            for (&value, &op) in invoked {
-                if ops.acked(op) && !survived.contains(&value) {
+            for &(_, value, _, op) in invoked {
+                if ops.acked(op) && survived.binary_search(&value).is_err() {
                     missing.push((value, op));
                 }
             }
@@ -176,7 +209,7 @@ pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Recorder, TxnOps};
+    use crate::record::{History, Recorder, TxnOps};
     use tsuru_sim::SimTime;
 
     fn check_all(h: &History) -> CheckReport {

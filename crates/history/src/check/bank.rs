@@ -11,19 +11,20 @@
 //! restated as a client-visible property.
 
 use crate::check::{Anomaly, AnomalyKind, CheckReport, OpTable};
-use crate::record::{History, OpData, Phase};
+use crate::record::{OpData, Phase, Record};
 
-/// Check every balance observation in `h` against the expected total.
+/// Check every balance observation in `records` against the expected
+/// total.
 ///
 /// When `expected_total` is `None` the first observation defines it
 /// (the seeded state is the baseline).
-pub fn check(h: &History, ops: &OpTable<'_>, expected_total: Option<u64>) -> CheckReport {
+pub fn check(records: &[Record], ops: &OpTable<'_>, expected_total: Option<u64>) -> CheckReport {
     let mut anomalies = Vec::new();
     let mut expected = expected_total;
     let mut transfers = 0u64;
     let mut reads = 0u64;
 
-    for r in &h.records {
+    for r in records {
         match (&r.phase, &r.data) {
             (Phase::Ok, OpData::Txn(_)) => {}
             (Phase::Invoke, OpData::Transfer { .. }) => transfers += 1,
@@ -65,7 +66,7 @@ pub fn check(h: &History, ops: &OpTable<'_>, expected_total: Option<u64>) -> Che
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{OpData, Recorder, Site};
+    use crate::record::{History, OpData, Recorder, Site};
     use tsuru_sim::SimTime;
 
     fn check_all(h: &History, expected_total: Option<u64>) -> CheckReport {

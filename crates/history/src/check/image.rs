@@ -9,36 +9,36 @@
 //! the strongest client-visible form of the collapse: the backup is
 //! not merely behind, it is unusable.
 
-use std::collections::BTreeMap;
-
 use crate::check::{Anomaly, AnomalyKind, CheckReport};
-use crate::record::{History, OpData, OpId, Phase, Site};
+use crate::record::{OpData, OpId, Phase, Record, Site};
 
-/// Check every image observation in `h` for outright failures.
-pub fn check(h: &History) -> CheckReport {
-    // op → site of the attempted observation.
-    let mut observations: BTreeMap<OpId, Site> = BTreeMap::new();
-    let mut ops_checked = 0u64;
-    for r in &h.records {
-        if r.phase != Phase::Invoke {
-            continue;
+/// Check every image observation in `records` for outright failures.
+pub fn check(records: &[Record]) -> CheckReport {
+    // (op, record index, site) of every attempted observation, sorted:
+    // an op's last invoke is the last entry of its run.
+    let observed = |(i, r): (usize, &Record)| match &r.data {
+        OpData::ReadShop { site }
+        | OpData::ReadBalances { site }
+        | OpData::ReadList { site, .. }
+            if r.phase == Phase::Invoke =>
+        {
+            Some((r.op, i, *site))
         }
-        let site = match &r.data {
-            OpData::ReadShop { site } => *site,
-            OpData::ReadBalances { site } => *site,
-            OpData::ReadList { site, .. } => *site,
-            _ => continue,
-        };
-        ops_checked += 1;
-        observations.insert(r.op, site);
-    }
+        _ => None,
+    };
+    let mut observations: Vec<(OpId, usize, Site)> =
+        Vec::with_capacity(records.iter().enumerate().filter_map(observed).count());
+    observations.extend(records.iter().enumerate().filter_map(observed));
+    let ops_checked = observations.len() as u64;
+    observations.sort_unstable_by_key(|&(op, i, _)| (op, i));
 
     let mut anomalies = Vec::new();
-    for r in &h.records {
+    for r in records {
         if r.phase != Phase::Fail {
             continue;
         }
-        if let Some(&site) = observations.get(&r.op) {
+        let end = observations.partition_point(|o| o.0 <= r.op);
+        if let Some(&(_, _, site)) = observations[..end].last().filter(|o| o.0 == r.op) {
             anomalies.push(Anomaly {
                 kind: AnomalyKind::UnreadableImage,
                 detail: format!(

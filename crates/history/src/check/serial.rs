@@ -19,48 +19,83 @@
 //!
 //! Pending transactions (invoke without completion) are excluded: the
 //! system never acked them, so the client has no claim about them.
-
-use std::collections::BTreeMap;
+//!
+//! The chains are two flat arrays — every version installed and every
+//! version read, each sorted by `(space, key, version)` and then by the
+//! order the footprints were recorded in — so a version's writer is the
+//! first entry of its run, its readers are one run of the other array,
+//! and its predecessor is the previous installed version of the same
+//! key (DESIGN.md §25). The edges are one sorted, deduplicated array, and
+//! a transaction's successors are one range of it.
 
 use crate::check::{Anomaly, AnomalyKind, CheckReport};
-use crate::record::{History, OpData, OpId, Phase, TxnOps};
+use crate::record::{KeyVer, OpData, OpId, Phase, Record, TxnOps};
 
+/// Edge kind bits, in the order a cycle's detail lists them.
+const KINDS: [(u8, &str); 3] = [(WW, "ww"), (WR, "wr"), (RW, "rw")];
+/// Writer of a version → writer of the next version of its key.
+const WW: u8 = 1;
+/// Writer of a version → a reader of it.
+const WR: u8 = 2;
+/// Reader of a version → writer of the next version (anti-dependency).
+const RW: u8 = 4;
+
+/// `(space, key, version)`: one version of one key.
+type Slot = (u32, u64, u64);
+
+/// One version a committed transaction read or installed. The derived
+/// order is the sort the chains need: by slot, then by `seq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EdgeKind {
-    Ww,
-    Wr,
-    Rw,
+struct Touch {
+    space: u32,
+    key: u64,
+    version: u64,
+    /// Position in recording order (transaction, then footprint order):
+    /// within a slot, the earlier entry sorts first.
+    seq: u32,
+    /// Index of the transaction in commit-record order.
+    txn: u32,
 }
 
-impl EdgeKind {
-    fn label(self) -> &'static str {
-        match self {
-            EdgeKind::Ww => "ww",
-            EdgeKind::Wr => "wr",
-            EdgeKind::Rw => "rw",
-        }
+impl Touch {
+    fn slot(&self) -> Slot {
+        (self.space, self.key, self.version)
     }
 }
 
-/// Iterative Tarjan SCC; returns components in discovery order. Node
-/// ids are dense indices into the transaction list.
-fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+/// The dependency graph: `edges` sorted by `(from, to)`, one entry per
+/// pair with its kind bits OR-ed, and `offsets[v]..offsets[v + 1]` the
+/// range of `v`'s successors (ascending).
+struct Graph {
+    offsets: Vec<usize>,
+    edges: Vec<(u32, u32, u8)>,
+}
+
+impl Graph {
+    fn out(&self, v: usize) -> &[(u32, u32, u8)] {
+        &self.edges[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+/// Iterative Tarjan SCC over `g`'s `n` nodes; returns the components of
+/// more than one node — the dependency cycles — in discovery order, each
+/// sorted ascending.
+fn cycles(n: usize, g: &Graph) -> Vec<Vec<usize>> {
     let mut index = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
+    let mut stack: Vec<usize> = Vec::with_capacity(n);
     let mut next_index = 0u32;
     let mut sccs = Vec::new();
     // Explicit DFS frames: (node, next-edge-offset).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
+    let mut frames: Vec<(usize, usize)> = Vec::with_capacity(n);
 
     for root in 0..n {
         if index[root] != u32::MAX {
             continue;
         }
         frames.push((root, 0));
-        while !frames.is_empty() {
-            let (v, ei) = *frames.last().expect("frame exists");
+        while let Some(&(v, ei)) = frames.last() {
             if ei == 0 {
                 index[v] = next_index;
                 low[v] = next_index;
@@ -68,7 +103,8 @@ fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
                 stack.push(v);
                 on_stack[v] = true;
             }
-            if let Some(&w) = adj[v].get(ei) {
+            if let Some(&(_, w, _)) = g.out(v).get(ei) {
+                let w = w as usize;
                 frames.last_mut().expect("frame exists").1 += 1;
                 if index[w] == u32::MAX {
                     frames.push((w, 0));
@@ -77,15 +113,16 @@ fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
                 }
             } else {
                 if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
+                    let at = stack.iter().rposition(|&w| w == v).expect("v is on the stack");
+                    for &w in &stack[at..] {
                         on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
                     }
-                    sccs.push(comp);
+                    if stack.len() - at > 1 {
+                        let mut comp = stack[at..].to_vec();
+                        comp.sort_unstable();
+                        sccs.push(comp);
+                    }
+                    stack.truncate(at);
                 }
                 frames.pop();
                 if let Some(&(parent, _)) = frames.last() {
@@ -97,139 +134,149 @@ fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     sccs
 }
 
-/// Check the committed transactions of `h` for dependency cycles.
-pub fn check(h: &History) -> CheckReport {
-    // Committed txns: op id → footprint, in invoke order.
-    let mut txns: Vec<(OpId, TxnOps)> = Vec::new();
-    for r in &h.records {
-        if r.phase == Phase::Ok {
-            if let OpData::Txn(ops) = &r.data {
-                txns.push((r.op, ops.clone()));
-            }
-        }
-    }
-    let mut anomalies = Vec::new();
+/// The committed transactions of `records`: op id and footprint, in
+/// commit-record order.
+fn committed(records: &[Record]) -> impl Iterator<Item = (OpId, &TxnOps)> {
+    records.iter().filter_map(|r| match (&r.phase, &r.data) {
+        (Phase::Ok, OpData::Txn(ops)) => Some((r.op, ops)),
+        _ => None,
+    })
+}
 
-    // Version chains: who installed / read each (space, key, version).
-    let mut writer: BTreeMap<(u32, u64, u64), usize> = BTreeMap::new();
-    let mut readers: BTreeMap<(u32, u64, u64), Vec<usize>> = BTreeMap::new();
-    let mut written: BTreeMap<(u32, u64), Vec<u64>> = BTreeMap::new();
-    for (i, (op, ops)) in txns.iter().enumerate() {
+/// Check the committed transactions of `records` for dependency cycles.
+pub fn check(records: &[Record]) -> CheckReport {
+    let (mut n, mut n_writes, mut n_reads) = (0, 0, 0);
+    for (_, ops) in committed(records) {
+        n += 1;
+        n_writes += ops.writes.len();
+        n_reads += ops.reads.len();
+    }
+    let mut txns: Vec<(OpId, &TxnOps)> = Vec::with_capacity(n);
+    let mut writes: Vec<Touch> = Vec::with_capacity(n_writes);
+    let mut reads: Vec<Touch> = Vec::with_capacity(n_reads);
+    let touch = |kv: &KeyVer, seq: usize, txn: usize| Touch {
+        space: kv.space,
+        key: kv.key,
+        version: kv.version,
+        seq: seq as u32,
+        txn: txn as u32,
+    };
+    for (op, ops) in committed(records) {
+        let txn = txns.len();
+        txns.push((op, ops));
         for w in &ops.writes {
-            let slot = (w.space, w.key, w.version);
-            if let Some(&prev) = writer.get(&slot) {
-                anomalies.push(Anomaly {
-                    kind: AnomalyKind::ConflictingWrite,
-                    detail: format!(
-                        "two txns installed space={} key={} version={}",
-                        w.space, w.key, w.version
-                    ),
-                    ops: vec![txns[prev].0, *op],
-                });
-            } else {
-                writer.insert(slot, i);
-                written.entry((w.space, w.key)).or_default().push(w.version);
-            }
+            writes.push(touch(w, writes.len(), txn));
         }
         for rd in &ops.reads {
-            readers.entry((rd.space, rd.key, rd.version)).or_default().push(i);
+            reads.push(touch(rd, reads.len(), txn));
         }
     }
-    for versions in written.values_mut() {
-        versions.sort_unstable();
-    }
+    writes.sort_unstable();
+    reads.sort_unstable();
 
-    // Dependency edges, deduplicated, self-edges dropped.
-    let n = txns.len();
-    let mut edges: BTreeMap<(usize, usize), Vec<EdgeKind>> = BTreeMap::new();
-    let add = |from: usize, to: usize, kind: EdgeKind, edges: &mut BTreeMap<(usize, usize), Vec<EdgeKind>>| {
-        if from == to {
-            return;
+    // The first installer of a slot wins; every later one is a conflict,
+    // reported in the order it was recorded.
+    let mut anomalies = Vec::new();
+    let mut conflicts: Vec<(u32, u32, u32, Slot)> = Vec::new();
+    let mut winner = 0;
+    for (i, w) in writes.iter().enumerate() {
+        if i > 0 && w.slot() == writes[winner].slot() {
+            conflicts.push((w.seq, writes[winner].txn, w.txn, w.slot()));
+        } else {
+            winner = i;
         }
-        let kinds = edges.entry((from, to)).or_default();
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
+    }
+    conflicts.sort_unstable();
+    for (_, first, second, (space, key, version)) in conflicts {
+        anomalies.push(Anomaly {
+            kind: AnomalyKind::ConflictingWrite,
+            detail: format!("two txns installed space={space} key={key} version={version}"),
+            ops: vec![txns[first as usize].0, txns[second as usize].0],
+        });
+    }
+    writes.dedup_by_key(|w| w.slot());
+
+    // Dependency edges, self-edges dropped. Readers of version 0 of a key
+    // whose first install is version 0 take both that writer's wr edge and
+    // an rw edge to it: the predecessor of the first version is 0.
+    let readers = |slot: Slot| {
+        let lo = reads.partition_point(|r| r.slot() < slot);
+        let len = reads[lo..].partition_point(|r| r.slot() == slot);
+        &reads[lo..lo + len]
+    };
+    let mut edges: Vec<(u32, u32, u8)> = Vec::with_capacity(writes.len() + 3 * reads.len());
+    let mut edge = |from: u32, to: u32, kind: u8| {
+        if from != to {
+            edges.push((from, to, kind));
         }
     };
-    for (&(space, key), versions) in &written {
-        for pair in versions.windows(2) {
-            let (a, b) = (
-                writer[&(space, key, pair[0])],
-                writer[&(space, key, pair[1])],
-            );
-            add(a, b, EdgeKind::Ww, &mut edges);
+    for (i, w) in writes.iter().enumerate() {
+        let prev = i
+            .checked_sub(1)
+            .map(|j| &writes[j])
+            .filter(|p| (p.space, p.key) == (w.space, w.key));
+        if let Some(p) = prev {
+            edge(p.txn, w.txn, WW);
         }
-        for &v in versions {
-            let w = writer[&(space, key, v)];
-            if let Some(rs) = readers.get(&(space, key, v)) {
-                for &r in rs {
-                    add(w, r, EdgeKind::Wr, &mut edges);
-                }
-            }
-            // Anti-dependency: whoever read the version *before* v must
-            // precede v's writer in any serial order.
-            let prev = versions
-                .iter()
-                .rev()
-                .find(|&&p| p < v)
-                .copied()
-                .unwrap_or(0);
-            if let Some(rs) = readers.get(&(space, key, prev)) {
-                for &r in rs {
-                    add(r, w, EdgeKind::Rw, &mut edges);
-                }
-            }
+        for r in readers(w.slot()) {
+            edge(w.txn, r.txn, WR);
+        }
+        // Anti-dependency: whoever read the version *before* w's must
+        // precede w's writer in any serial order.
+        for r in readers((w.space, w.key, prev.map_or(0, |p| p.version))) {
+            edge(r.txn, w.txn, RW);
         }
     }
-
-    let mut adj = vec![Vec::new(); n];
-    for &(from, to) in edges.keys() {
-        adj[from].push(to);
-    }
-
-    for scc in tarjan(n, &adj) {
-        if scc.len() < 2 {
-            continue;
+    edges.sort_unstable();
+    edges.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 |= next.2;
         }
-        let mut members = scc.clone();
-        members.sort_unstable();
-        let in_scc = |i: usize| members.binary_search(&i).is_ok();
+        same
+    });
+    let mut offsets = vec![0usize; n + 1];
+    for &(from, _, _) in &edges {
+        offsets[from as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let g = Graph { offsets, edges };
 
-        // Edge kinds and keys internal to the cycle.
-        let mut kinds: Vec<EdgeKind> = Vec::new();
-        for (&(from, to), ks) in &edges {
-            if in_scc(from) && in_scc(to) {
-                for k in ks {
-                    if !kinds.contains(k) {
-                        kinds.push(*k);
-                    }
+    for members in cycles(n, &g) {
+        let in_scc = |i: u32| members.binary_search(&(i as usize)).is_ok();
+
+        // Edge kinds internal to the cycle.
+        let mut kinds = 0u8;
+        for &m in &members {
+            for &(_, to, k) in g.out(m) {
+                if in_scc(to) {
+                    kinds |= k;
                 }
             }
         }
-        kinds.sort_unstable();
-        let pure_info_flow = kinds.iter().all(|k| *k != EdgeKind::Rw);
+        let pure_info_flow = kinds & RW == 0;
 
-        // Lost update: two cycle members read the same version of a key
-        // they both also wrote.
-        let mut lost_update = false;
-        'outer: for (&(space, key, _v), rs) in &readers {
-            let contenders: Vec<usize> = rs
-                .iter()
-                .copied()
-                .filter(|&r| {
-                    in_scc(r)
-                        && txns[r]
-                            .1
-                            .writes
-                            .iter()
-                            .any(|w| w.space == space && w.key == key)
-                })
-                .collect();
-            if contenders.len() >= 2 {
-                lost_update = true;
-                break 'outer;
-            }
-        }
+        // Lost update: two cycle members' reads of one version of a key
+        // they also wrote.
+        let contends = |r: &Touch| {
+            in_scc(r.txn)
+                && txns[r.txn as usize]
+                    .1
+                    .writes
+                    .iter()
+                    .any(|w| w.space == r.space && w.key == r.key)
+        };
+        let lost_update = !pure_info_flow && {
+            let mut contenders = reads.iter().filter(|r| contends(r));
+            let mut last = contenders.next().map(Touch::slot);
+            contenders.any(|r| {
+                let repeat = last == Some(r.slot());
+                last = Some(r.slot());
+                repeat
+            })
+        };
 
         let kind = if pure_info_flow {
             AnomalyKind::WriteCycle
@@ -238,7 +285,11 @@ pub fn check(h: &History) -> CheckReport {
         } else {
             AnomalyKind::NonSerializable
         };
-        let kind_labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
+        let kind_labels: Vec<&str> = KINDS
+            .iter()
+            .filter(|(bit, _)| kinds & bit != 0)
+            .map(|&(_, label)| label)
+            .collect();
         let mut ops: Vec<OpId> = members.iter().map(|&i| txns[i].0).collect();
         ops.sort_unstable();
         anomalies.push(Anomaly {
@@ -264,7 +315,7 @@ pub fn check(h: &History) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{KeyVer, OpData, Recorder, TxnOps};
+    use crate::record::Recorder;
     use tsuru_sim::SimTime;
 
     fn kv(space: u32, key: u64, version: u64) -> KeyVer {
@@ -320,6 +371,20 @@ mod tests {
         let report = check(&r.history());
         assert_eq!(report.anomalies.len(), 1, "{:?}", report.anomalies);
         assert_eq!(report.anomalies[0].kind, AnomalyKind::LostUpdate);
+    }
+
+    #[test]
+    fn a_version_zero_install_is_its_own_predecessor() {
+        let r = Recorder::enabled();
+        // T1 installs x@0 and reads y@1; T2 reads x@0 and installs y@1.
+        // T2 read the version before T1's install (0), so T2 → T1 is an
+        // anti-dependency beside the two wr edges: not a pure write cycle.
+        commit(&r, 1, 10, vec![kv(1, 2, 1)], vec![kv(1, 1, 0)]);
+        commit(&r, 2, 11, vec![kv(1, 1, 0)], vec![kv(1, 2, 1)]);
+        let report = check(&r.history());
+        assert_eq!(report.anomalies.len(), 1, "{:?}", report.anomalies);
+        assert_eq!(report.anomalies[0].kind, AnomalyKind::NonSerializable);
+        assert!(report.anomalies[0].detail.ends_with("(edges: wr,rw)"));
     }
 
     #[test]

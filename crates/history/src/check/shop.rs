@@ -11,10 +11,8 @@
 //! decrement — the phantom sale the paper's consistency group exists
 //! to prevent.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use crate::check::{Anomaly, AnomalyKind, CheckReport, OpTable};
-use crate::record::{History, OpData, OpId, Phase, Site};
+use crate::check::{keep_last, sorted, Anomaly, AnomalyKind, CheckReport, OpTable};
+use crate::record::{OpData, OpId, Phase, Record, Site};
 
 /// One item that breaks the cross-database rule in an image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,14 +28,19 @@ pub struct Oversold {
 /// The cross-database rule, stated once: for every item, the units sold
 /// by the orders visible in an image never exceed the stock decrement
 /// visible in the same image (an item with no visible decrement has
-/// decrement 0). Returns the items that break it, ascending.
+/// decrement 0). `sold` yields `(item, units)` ascending by item;
+/// `decremented` answers an item's decrement. Returns the items that break
+/// the rule, ascending.
 ///
 /// Both judges call this — this module on what clients observed, and
 /// `tsuru_ecom::check_cross_db` on a recovered pair of databases.
-pub fn oversold(sold: &BTreeMap<u64, u64>, decremented: &BTreeMap<u64, u64>) -> Vec<Oversold> {
-    sold.iter()
-        .filter_map(|(&item, &sold)| {
-            let decremented = decremented.get(&item).copied().unwrap_or(0);
+pub fn oversold(
+    sold: impl IntoIterator<Item = (u64, u64)>,
+    decremented: impl Fn(u64) -> u64,
+) -> Vec<Oversold> {
+    sold.into_iter()
+        .filter_map(|(item, sold)| {
+            let decremented = decremented(item);
             (sold > decremented).then_some(Oversold {
                 item,
                 sold,
@@ -47,29 +50,39 @@ pub fn oversold(sold: &BTreeMap<u64, u64>, decremented: &BTreeMap<u64, u64>) -> 
         .collect()
 }
 
-/// Check every shop-image observation in `h` (`ops` indexes it).
-pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
-    // order_id → (item, quantity, invoke op).
-    let mut orders: BTreeMap<u64, (u64, u32, OpId)> = BTreeMap::new();
-    let mut ops_checked = 0u64;
-    for r in &h.records {
-        if r.phase == Phase::Invoke {
-            if let OpData::Order {
-                order_id,
-                item,
-                quantity,
-            } = r.data
-            {
-                ops_checked += 1;
-                orders.insert(order_id, (item, quantity, r.op));
-            }
-        }
-    }
+/// A placed order: `(order_id, item, quantity, invoke op)`.
+type Placed = (u64, u64, u32, OpId);
+
+/// Check every shop-image observation in `records` (`ops` indexes it).
+pub fn check(records: &[Record], ops: &OpTable<'_>) -> CheckReport {
+    let placed = |r: &Record| match r.data {
+        OpData::Order {
+            order_id,
+            item,
+            quantity,
+        } if r.phase == Phase::Invoke => Some((order_id, item, quantity, r.op)),
+        _ => None,
+    };
+    // Every placed order, ascending by id; an id placed twice keeps its
+    // last placement.
+    let mut orders: Vec<Placed> = Vec::with_capacity(records.iter().filter_map(placed).count());
+    orders.extend(records.iter().filter_map(placed));
+    let mut ops_checked = orders.len() as u64;
+    orders.sort_by_key(|o| o.0);
+    keep_last(&mut orders, |o| o.0);
+    let order = |oid: u64| {
+        let i = orders.binary_search_by_key(&oid, |o| o.0).ok()?;
+        Some(orders[i])
+    };
 
     let mut anomalies = Vec::new();
-    let mut final_reads: Vec<(Site, OpId, Vec<u64>)> = Vec::new();
+    let mut last_read: [Option<(OpId, &[u64])>; 2] = [None, None];
+    // Scratch reused across observations: units sold per item, and the
+    // observed decrements as `(item, position, units)`.
+    let mut sold: Vec<(u64, u64)> = Vec::new();
+    let mut observed: Vec<(u64, usize, u64)> = Vec::new();
 
-    for r in &h.records {
+    for r in records {
         if !matches!(r.phase, Phase::Ok | Phase::Info) {
             continue;
         }
@@ -84,29 +97,48 @@ pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
 
         // Units sold per item according to the orders visible in this
         // image; unknown order ids are phantoms.
-        let mut sold: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut culprits: BTreeMap<u64, Vec<OpId>> = BTreeMap::new();
-        for oid in visible {
-            match orders.get(oid) {
+        sold.clear();
+        sold.reserve(visible.len());
+        for &oid in visible {
+            match order(oid) {
                 None => anomalies.push(Anomaly {
                     kind: AnomalyKind::PhantomValue,
                     detail: format!("image shows order {oid} no client ever placed"),
                     ops: vec![r.op],
                 }),
-                Some(&(item, quantity, op)) => {
-                    *sold.entry(item).or_insert(0) += quantity as u64;
-                    culprits.entry(item).or_default().push(op);
-                }
+                Some((_, item, quantity, _)) => sold.push((item, quantity as u64)),
             }
         }
-        let observed: BTreeMap<u64, u64> = deltas.iter().copied().collect();
+        sold.sort_unstable();
+        sold.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        // An item listed twice in one observation counts as its last entry.
+        observed.clear();
+        observed.extend(deltas.iter().enumerate().map(|(i, &(item, units))| (item, i, units)));
+        observed.sort_unstable();
+        keep_last(&mut observed, |d| d.0);
+        let decremented = |item| {
+            let i = observed.binary_search_by_key(&item, |d| d.0);
+            i.map_or(0, |i| observed[i].2)
+        };
         for Oversold {
             item,
             sold: units,
             decremented: delta,
-        } in oversold(&sold, &observed)
+        } in oversold(sold.iter().copied(), decremented)
         {
-            let mut ops = culprits.remove(&item).unwrap_or_default();
+            // The culprits: the visible orders of this item, and the read.
+            let mut ops: Vec<OpId> = visible
+                .iter()
+                .filter_map(|&oid| order(oid))
+                .filter(|o| o.1 == item)
+                .map(|o| o.3)
+                .collect();
             ops.push(r.op);
             ops.sort_unstable();
             ops.dedup();
@@ -120,27 +152,29 @@ pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
             });
         }
 
-        if let Some(site @ (Site::Primary | Site::BackupFinal)) = site {
-            final_reads.push((site, r.op, visible.clone()));
+        match site {
+            Some(Site::Primary) => last_read[0] = Some((r.op, visible)),
+            Some(Site::BackupFinal) => last_read[1] = Some((r.op, visible)),
+            _ => {}
         }
     }
 
     // After the journal drains, no acked order may be missing from the
     // last observation of either the primary or the backup image.
-    for (label, site) in [("primary", Site::Primary), ("backup", Site::BackupFinal)] {
-        let last = final_reads.iter().rev().find(|(s, _, _)| *s == site);
-        let Some((_, read_op, visible)) = last else { continue };
-        let visible: BTreeSet<u64> = visible.iter().copied().collect();
+    let mut scratch: Vec<u64> = Vec::new();
+    for (label, last) in ["primary", "backup"].into_iter().zip(last_read) {
+        let Some((read_op, visible)) = last else { continue };
+        let seen = sorted(visible, &mut scratch);
         let mut missing: Vec<OpId> = Vec::new();
         let mut ids: Vec<u64> = Vec::new();
-        for (&oid, &(_, _, op)) in &orders {
-            if ops.acked(op) && !visible.contains(&oid) {
+        for &(oid, _, _, op) in &orders {
+            if ops.acked(op) && seen.binary_search(&oid).is_err() {
                 missing.push(op);
                 ids.push(oid);
             }
         }
         if !missing.is_empty() {
-            missing.push(*read_op);
+            missing.push(read_op);
             missing.sort_unstable();
             let ids: Vec<String> = ids.iter().map(|v| v.to_string()).collect();
             anomalies.push(Anomaly {
@@ -165,7 +199,7 @@ pub fn check(h: &History, ops: &OpTable<'_>) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Recorder, TxnOps};
+    use crate::record::{History, Recorder, TxnOps};
     use tsuru_sim::SimTime;
 
     fn check_all(h: &History) -> CheckReport {
@@ -231,6 +265,32 @@ mod tests {
         let a = &report.anomalies[0];
         assert_eq!(a.kind, AnomalyKind::OrderWithoutStock);
         assert_eq!(a.ops.len(), 2, "order op + scan op");
+    }
+
+    #[test]
+    fn oversold_item_names_its_visible_orders_and_the_read() {
+        let r = Recorder::enabled();
+        order(&r, 10, 1, 5, 1, true);
+        order(&r, 20, 2, 6, 1, true);
+        order(&r, 30, 3, 5, 1, true);
+        order(&r, 40, 4, 5, 1, true);
+        // Item 5: orders 3 and 1 visible (order 4 is not), no decrement;
+        // item 6 is covered.
+        scan(&r, 50, Site::Backup, &[3, 2, 1], &[(6, 1)]);
+        let h = r.history();
+        let op_of = |order_id| {
+            let placed = h.iter().find(|rec| {
+                matches!(rec.data, OpData::Order { order_id: id, .. } if id == order_id)
+            });
+            placed.expect("order placed").op
+        };
+        let read = h.last().expect("scan recorded").op;
+        let report = check_all(&h);
+        assert_eq!(report.anomalies.len(), 1, "{:?}", report.anomalies);
+        let a = &report.anomalies[0];
+        assert_eq!(a.kind, AnomalyKind::OrderWithoutStock);
+        assert!(a.detail.starts_with("item 5: image shows 2 units"), "{}", a.detail);
+        assert_eq!(a.ops, [op_of(1), op_of(3), read]);
     }
 
     #[test]

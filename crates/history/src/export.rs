@@ -3,132 +3,165 @@
 //! Built by hand from integers — no floating point, no map iteration
 //! over unordered containers — so the bytes are a pure function of the
 //! recorded history and identical at any harness thread count. Every field
-//! is formatted straight into the output string: the export allocates for
-//! the string's growth and nothing per record or per number.
+//! is written straight into the output string — numbers by hand, digit by
+//! digit, without `core::fmt` — so the export allocates for the string's
+//! growth and nothing per record or per number.
 
-use std::fmt::{self, Write};
+use crate::record::{KeyVer, OpData, Record};
 
-use crate::record::{OpData, Record};
+/// Append `v` in decimal: digits written backwards into a 20-byte buffer
+/// (`u64::MAX` has 20), then copied out.
+fn push_u64(v: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut v = v;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &buf[at..] {
+        out.push(char::from(d));
+    }
+}
 
-fn push_keyvers(field: &str, kvs: &[crate::record::KeyVer], out: &mut String) -> fmt::Result {
-    write!(out, ",\"{field}\":[")?;
-    for (i, kv) in kvs.iter().enumerate() {
+/// Append `,"name":v`.
+fn push_field(name: &str, v: u64, out: &mut String) {
+    out.push_str(",\"");
+    out.push_str(name);
+    out.push_str("\":");
+    push_u64(v, out);
+}
+
+/// Append `,"name":[...]`, each element rendered by `item`.
+fn push_list<T>(name: &str, items: &[T], out: &mut String, item: impl Fn(&T, &mut String)) {
+    out.push_str(",\"");
+    out.push_str(name);
+    out.push_str("\":[");
+    for (i, x) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write!(
-            out,
-            "{{\"space\":{},\"key\":{},\"ver\":{}}}",
-            kv.space, kv.key, kv.version
-        )?;
+        item(x, out);
     }
     out.push(']');
-    Ok(())
 }
 
-fn push_u64s(field: &str, vs: &[u64], out: &mut String) -> fmt::Result {
-    write!(out, ",\"{field}\":[")?;
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{v}")?;
-    }
-    out.push(']');
-    Ok(())
+fn push_keyver(kv: &KeyVer, out: &mut String) {
+    out.push_str("{\"space\":");
+    push_u64(kv.space.into(), out);
+    push_field("key", kv.key, out);
+    push_field("ver", kv.version, out);
+    out.push('}');
 }
 
-fn push_data(data: &OpData, out: &mut String) -> fmt::Result {
+fn push_type(label: &str, out: &mut String) {
+    out.push_str(",\"type\":\"");
+    out.push_str(label);
+    out.push('"');
+}
+
+fn push_site(label: &str, out: &mut String) {
+    out.push_str(",\"site\":\"");
+    out.push_str(label);
+    out.push('"');
+}
+
+fn push_data(data: &OpData, out: &mut String) {
     match data {
         OpData::Order {
             order_id,
             item,
             quantity,
-        } => write!(
-            out,
-            ",\"type\":\"order\",\"order_id\":{order_id},\"item\":{item},\"quantity\":{quantity}"
-        ),
-        OpData::Transfer { from, to, amount } => write!(
-            out,
-            ",\"type\":\"transfer\",\"from\":{from},\"to\":{to},\"amount\":{amount}"
-        ),
-        OpData::Append { key, value } => {
-            write!(out, ",\"type\":\"append\",\"key\":{key},\"value\":{value}")
+        } => {
+            push_type("order", out);
+            push_field("order_id", *order_id, out);
+            push_field("item", *item, out);
+            push_field("quantity", (*quantity).into(), out);
         }
-        OpData::ReadBalances { site } => write!(
-            out,
-            ",\"type\":\"read-balances\",\"site\":\"{}\"",
-            site.label()
-        ),
-        OpData::ReadList { key, site } => write!(
-            out,
-            ",\"type\":\"read-list\",\"key\":{key},\"site\":\"{}\"",
-            site.label()
-        ),
+        OpData::Transfer { from, to, amount } => {
+            push_type("transfer", out);
+            push_field("from", *from, out);
+            push_field("to", *to, out);
+            push_field("amount", *amount, out);
+        }
+        OpData::Append { key, value } => {
+            push_type("append", out);
+            push_field("key", *key, out);
+            push_field("value", *value, out);
+        }
+        OpData::ReadBalances { site } => {
+            push_type("read-balances", out);
+            push_site(site.label(), out);
+        }
+        OpData::ReadList { key, site } => {
+            push_type("read-list", out);
+            push_field("key", *key, out);
+            push_site(site.label(), out);
+        }
         OpData::ReadShop { site } => {
-            write!(out, ",\"type\":\"read-shop\",\"site\":\"{}\"", site.label())
+            push_type("read-shop", out);
+            push_site(site.label(), out);
         }
         OpData::Txn(ops) => {
-            out.push_str(",\"type\":\"txn\"");
-            push_keyvers("reads", &ops.reads, out)?;
-            push_keyvers("writes", &ops.writes, out)
+            push_type("txn", out);
+            push_list("reads", &ops.reads, out, push_keyver);
+            push_list("writes", &ops.writes, out, push_keyver);
         }
-        OpData::Balances { accounts, total } => write!(
-            out,
-            ",\"type\":\"balances\",\"accounts\":{accounts},\"total\":{total}"
-        ),
+        OpData::Balances { accounts, total } => {
+            push_type("balances", out);
+            push_field("accounts", *accounts, out);
+            push_field("total", *total, out);
+        }
         OpData::List { key, values } => {
-            write!(out, ",\"type\":\"list\",\"key\":{key}")?;
-            push_u64s("values", values, out)
+            push_type("list", out);
+            push_field("key", *key, out);
+            push_list("values", values, out, |&v, out| push_u64(v, out));
         }
         OpData::Shop { orders, deltas } => {
-            out.push_str(",\"type\":\"shop\"");
-            push_u64s("orders", orders, out)?;
-            out.push_str(",\"deltas\":[");
-            for (i, (item, sold)) in deltas.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write!(out, "[{item},{sold}]")?;
-            }
-            out.push(']');
-            Ok(())
+            push_type("shop", out);
+            push_list("orders", orders, out, |&v, out| push_u64(v, out));
+            push_list("deltas", deltas, out, |&(item, sold), out| {
+                out.push('[');
+                push_u64(item, out);
+                out.push(',');
+                push_u64(sold, out);
+                out.push(']');
+            });
         }
-        OpData::None => {
-            out.push_str(",\"type\":\"none\"");
-            Ok(())
-        }
+        OpData::None => push_type("none", out),
     }
 }
 
-fn push_record(r: &Record, out: &mut String) -> fmt::Result {
-    write!(
-        out,
-        "{{\"seq\":{},\"op\":{},\"proc\":{},\"t_ns\":{},\"phase\":\"{}\"",
-        r.seq,
-        r.op.0,
-        r.process,
-        r.t.as_nanos(),
-        r.phase.label()
-    )?;
-    push_data(&r.data, out)?;
+fn push_record(r: &Record, out: &mut String) {
+    out.push_str("{\"seq\":");
+    push_u64(r.seq, out);
+    push_field("op", r.op.0, out);
+    push_field("proc", r.process.into(), out);
+    push_field("t_ns", r.t.as_nanos(), out);
+    out.push_str(",\"phase\":\"");
+    out.push_str(r.phase.label());
+    out.push('"');
+    push_data(&r.data, out);
     out.push_str("}\n");
-    Ok(())
 }
 
 /// Render records as JSON Lines in emission order. Empty input yields
 /// the empty string.
-pub fn export_jsonl<'r>(records: impl IntoIterator<Item = &'r Record>) -> String {
+pub fn export_jsonl(records: &[Record]) -> String {
     let mut out = String::new();
     for r in records {
-        push_record(r, &mut out).expect("invariant: formatting integers into a String cannot fail");
+        push_record(r, &mut out);
     }
     out
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::record::{OpData, Recorder, Site, TxnOps, KeyVer};
+    use crate::record::{KeyVer, OpData, Recorder, Site, TxnOps};
     use tsuru_sim::SimTime;
 
     #[test]
@@ -180,6 +213,18 @@ mod tests {
             "{\"seq\":3,\"op\":2,\"proc\":1000,\"t_ns\":20000,\"phase\":\"ok\",\"type\":\"list\",\"key\":1,\"values\":[42]}\n",
         );
         assert_eq!(r.export_jsonl(), expect);
+    }
+
+    #[test]
+    fn numbers_are_written_as_core_fmt_writes_them() {
+        let mut edges = vec![0, 1, 9, 10, 99, 100, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        edges.extend((0..20).map(|p| 10u64.pow(p)));
+        edges.extend((1..20).map(|p| 10u64.pow(p) - 1));
+        for v in edges {
+            let mut out = String::from("x");
+            super::push_u64(v, &mut out);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@ use std::rc::Rc;
 
 use tsuru_sim::SimTime;
 
+use crate::check::{check_history, CheckConfig, Verdict};
+
 /// Identifier of one logical operation within a history.
 ///
 /// The invoke record allocates the id; its completion (ok / fail)
@@ -234,43 +236,10 @@ pub struct Record {
     pub data: OpData,
 }
 
-/// Fixed chunk size of the record arena. Appends never move records
-/// already stored, and a full history is still cheap to iterate.
-const CHUNK: usize = 1024;
-
-/// Append-only record storage: a list of fixed-capacity chunks, so a
-/// push is O(1) and never relocates existing records.
-#[derive(Debug, Default)]
-struct Arena {
-    chunks: Vec<Vec<Record>>,
-    len: u64,
-}
-
-impl Arena {
-    fn push(&mut self, r: Record) {
-        if self
-            .chunks
-            .last()
-            .map(|c| c.len() == CHUNK)
-            .unwrap_or(true)
-        {
-            self.chunks.push(Vec::with_capacity(CHUNK));
-        }
-        self.chunks
-            .last_mut()
-            .expect("invariant: a chunk was pushed just above when full or empty")
-            .push(r);
-        self.len += 1;
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.chunks.iter().flat_map(|c| c.iter())
-    }
-}
-
 #[derive(Debug, Default)]
 struct HistoryCore {
-    arena: Arena,
+    /// Every record in emission order: appended, never moved or reordered.
+    records: Vec<Record>,
     next_op: u64,
     /// Per-(space, key) install counters backing [`KeyVer`] chains.
     versions: BTreeMap<(u32, u64), u64>,
@@ -278,8 +247,8 @@ struct HistoryCore {
 
 impl HistoryCore {
     fn push(&mut self, op: OpId, process: u32, t: SimTime, phase: Phase, data: OpData) {
-        let seq = self.arena.len;
-        self.arena.push(Record {
+        let seq = self.records.len() as u64;
+        self.records.push(Record {
             seq,
             op,
             process,
@@ -304,9 +273,7 @@ pub struct History {
 
 impl History {
     /// Build a history directly from records (used by fixtures); seq
-    /// numbers are rewritten to emission order. Op ids are kept: the
-    /// checkers index a table by them, so keep them as dense as a
-    /// [`Recorder`] mints them.
+    /// numbers are rewritten to emission order, op ids are kept as given.
     pub fn from_records(records: Vec<Record>) -> Self {
         let mut records = records;
         for (i, r) in records.iter_mut().enumerate() {
@@ -315,20 +282,20 @@ impl History {
         History { records }
     }
 
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Render as JSON Lines (the format is the module docs of
     /// `history/src/export.rs`).
     pub fn export_jsonl(&self) -> String {
         crate::export::export_jsonl(&self.records)
+    }
+}
+
+/// A history reads as its records: the checkers take `&[Record]`, so a
+/// snapshot and a [`Recorder`]'s own arena are judged by the same code.
+impl std::ops::Deref for History {
+    type Target = [Record];
+
+    fn deref(&self) -> &[Record] {
+        &self.records
     }
 }
 
@@ -424,7 +391,7 @@ impl Recorder {
 
     /// Number of records kept so far.
     pub fn len(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.borrow().arena.len)
+        self.0.as_ref().map_or(0, |c| c.borrow().records.len() as u64)
     }
 
     /// True when no records were kept (always true when disabled).
@@ -432,13 +399,26 @@ impl Recorder {
         self.len() == 0
     }
 
-    /// Snapshot the history recorded so far.
+    /// Snapshot the history recorded so far: a deep copy, for tests and
+    /// for callers that keep the history past the recorder. Judging and
+    /// exporting read the arena in place ([`Self::check`],
+    /// [`Self::export_jsonl`]).
     pub fn history(&self) -> History {
         match &self.0 {
             None => History::default(),
             Some(core) => History {
-                records: core.borrow().arena.iter().cloned().collect(),
+                records: core.borrow().records.clone(),
             },
+        }
+    }
+
+    /// Run every applicable checker over the history recorded so far,
+    /// straight from the arena: no snapshot is taken. A disabled recorder
+    /// yields the empty (clean) verdict.
+    pub fn check(&self, cfg: &CheckConfig) -> Verdict {
+        match &self.0 {
+            None => check_history(&[], cfg),
+            Some(core) => check_history(&core.borrow().records, cfg),
         }
     }
 
@@ -447,7 +427,7 @@ impl Recorder {
     pub fn export_jsonl(&self) -> String {
         match &self.0 {
             None => String::new(),
-            Some(core) => crate::export::export_jsonl(core.borrow().arena.iter()),
+            Some(core) => crate::export::export_jsonl(&core.borrow().records),
         }
     }
 }
@@ -496,13 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_spans_chunks_in_order() {
+    fn arena_keeps_emission_order() {
         let r = Recorder::enabled();
-        for i in 0..(CHUNK as u64 * 2 + 10) {
+        for i in 0..2_058u64 {
             r.info(0, SimTime::from_nanos(i), OpData::None);
         }
         let h = r.history();
-        assert_eq!(h.len(), CHUNK * 2 + 10);
+        assert_eq!(h.len(), 2_058);
         for (i, rec) in h.records.iter().enumerate() {
             assert_eq!(rec.seq, i as u64);
             assert_eq!(rec.op, OpId(i as u64 + 1));
