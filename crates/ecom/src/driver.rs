@@ -185,7 +185,9 @@ pub(crate) fn await_durable<S, E>(
 }
 
 /// Start the next flush if the flusher is idle and anything is staged, then
-/// resume every waiter it has released, in LSN order.
+/// resume every waiter it has released, in LSN order. The plan's phase list
+/// goes back to the database as soon as the flusher has taken the phases
+/// out, each phase once its writes are issued.
 fn pump<S, E>(state: &mut S, sim: &mut Sim<S, E>, which: Which)
 where
     S: HasStorage + HasEcom + 'static,
@@ -193,7 +195,7 @@ where
 {
     let inst = state.ecom_mut().instance_mut(which);
     if inst.flusher.idle() {
-        let plan = inst.db.flush();
+        let mut plan = inst.db.flush();
         if plan.is_empty() {
             // Idle with nothing staged: the volumes hold the whole log. A
             // commit written behind the flusher's back (`db.commit` on an
@@ -203,8 +205,10 @@ where
                 inst.db.last_lsn(),
                 "every commit of a database in service goes through its flusher"
             );
+            inst.db.recycle_plan(plan);
         } else {
-            let (generation, phase) = inst.flusher.begin_flush(inst.db.last_lsn(), plan);
+            let (generation, phase) = inst.flusher.begin_flush(inst.db.last_lsn(), &mut plan);
+            inst.db.recycle_plan(plan);
             issue(state, sim, which, generation, phase);
         }
     }
@@ -223,17 +227,18 @@ fn issue<S, E>(
     sim: &mut Sim<S, E>,
     which: Which,
     generation: u64,
-    phase: Vec<IoRequest>,
+    mut phase: Vec<IoRequest>,
 ) where
     S: HasStorage + HasEcom + 'static,
     E: EcomEvents<S>,
 {
-    for io in phase {
+    for io in phase.drain(..) {
         let vol = state.ecom().instance(which).volref(io.vol);
         host_write(state, sim, vol, io.lba, io.data, move |s, sim, ack| {
             write_acked(s, sim, which, generation, ack)
         });
     }
+    state.ecom_mut().instance_mut(which).db.recycle_phase(phase);
 }
 
 fn write_acked<S, E>(

@@ -10,7 +10,7 @@
 use crate::record::{KeyVer, OpData, Record};
 
 /// Append `v` in decimal: digits written backwards into a 20-byte buffer
-/// (`u64::MAX` has 20), then copied out.
+/// (`u64::MAX` has 20), then appended in one copy.
 fn push_u64(v: u64, out: &mut String) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
@@ -23,9 +23,8 @@ fn push_u64(v: u64, out: &mut String) {
             break;
         }
     }
-    for &d in &buf[at..] {
-        out.push(char::from(d));
-    }
+    let digits = std::str::from_utf8(&buf[at..]).expect("invariant: ASCII digits are UTF-8");
+    out.push_str(digits);
 }
 
 /// Append `,"name":v`.

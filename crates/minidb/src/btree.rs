@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use tsuru_storage::BlockDevice;
 
 use crate::io::{DbVol, IoRequest};
-use crate::node::{Node, PageError, LEAF_ENTRY_HEADER, MAX_VALUE, NODE_HEADER, PAGE_SIZE};
+use crate::node::{Node, PageError, MAX_VALUE, PAGE_SIZE};
 
 /// Allocates page ids; recycles pages freed by earlier checkpoints.
 #[derive(Debug, Clone, Default)]
@@ -78,10 +78,6 @@ impl PageAllocator {
 #[derive(Debug)]
 struct Slot {
     node: Node,
-    /// `node.serialized_size()`, kept current by every change to the node:
-    /// the split check on the insert path reads it instead of summing the
-    /// leaf's entries.
-    bytes: usize,
     /// Changed since the last checkpoint.
     dirty: bool,
     /// The last checkpoint wrote this node under this page id, so the next
@@ -178,7 +174,6 @@ impl BTree {
             .expect("invariant: the table was just grown past this id");
         debug_assert!(slot.is_none(), "page {id} placed over a resident node");
         *slot = Some(Slot {
-            bytes: node.serialized_size(),
             node,
             dirty: !on_disk,
             on_disk,
@@ -192,10 +187,7 @@ impl BTree {
         let mut id = self.root;
         loop {
             match self.node(id) {
-                Node::Leaf { entries } => {
-                    let i = entries.binary_search_by_key(&key, |(k, _)| *k).ok()?;
-                    return entries.get(i).map(|(_, v)| v.as_slice());
-                }
+                Node::Leaf(leaf) => return leaf.get(key),
                 Node::Internal { keys, children } => {
                     id = child_at(children, keys.partition_point(|&k| k <= key));
                 }
@@ -213,13 +205,7 @@ impl BTree {
 
     fn scan_into<'t>(&'t self, id: u64, lo: u64, hi: u64, out: &mut Vec<(u64, &'t [u8])>) {
         match self.node(id) {
-            Node::Leaf { entries } => {
-                for (k, v) in entries {
-                    if *k >= lo && *k <= hi {
-                        out.push((*k, v.as_slice()));
-                    }
-                }
-            }
+            Node::Leaf(leaf) => out.extend(leaf.range(lo, hi)),
             Node::Internal { keys, children } => {
                 let first = keys.partition_point(|&k| k <= lo);
                 let last = keys.partition_point(|&k| k <= hi);
@@ -237,7 +223,7 @@ impl BTree {
     pub fn len(&self) -> usize {
         fn count(t: &BTree, id: u64) -> usize {
             match t.node(id) {
-                Node::Leaf { entries } => entries.len(),
+                Node::Leaf(leaf) => leaf.len(),
                 Node::Internal { children, .. } => {
                     children.iter().map(|&c| count(t, c)).sum()
                 }
@@ -253,11 +239,11 @@ impl BTree {
 
     // ----- writes ------------------------------------------------------------
 
-    /// Insert or overwrite a key.
+    /// Insert or overwrite a key; the leaf keeps a copy of `value`.
     ///
     /// # Panics
     /// Panics if `value` exceeds [`MAX_VALUE`] bytes.
-    pub fn put(&mut self, alloc: &mut PageAllocator, key: u64, value: Vec<u8>) {
+    pub fn put(&mut self, alloc: &mut PageAllocator, key: u64, value: &[u8]) {
         assert!(
             value.len() <= MAX_VALUE,
             "value of {} bytes exceeds MAX_VALUE ({MAX_VALUE})",
@@ -280,27 +266,14 @@ impl BTree {
         &mut self,
         id: u64,
         key: u64,
-        value: Vec<u8>,
+        value: &[u8],
         alloc: &mut PageAllocator,
     ) -> Option<(u64, u64)> {
         let slot = self.slot_mut(id);
         slot.dirty = true;
         let (idx, child) = match &mut slot.node {
-            Node::Leaf { entries } => {
-                match entries.binary_search_by_key(&key, |(k, _)| *k) {
-                    Ok(i) => {
-                        let held = &mut entries
-                            .get_mut(i)
-                            .expect("invariant: binary_search found the key at i")
-                            .1;
-                        slot.bytes = slot.bytes - held.len() + value.len();
-                        *held = value;
-                    }
-                    Err(i) => {
-                        slot.bytes += LEAF_ENTRY_HEADER + value.len();
-                        entries.insert(i, (key, value));
-                    }
-                }
+            Node::Leaf(leaf) => {
+                leaf.put(key, value);
                 return self.maybe_split(id, alloc);
             }
             Node::Internal { keys, children } => {
@@ -313,7 +286,6 @@ impl BTree {
             if let Node::Internal { keys, children } = &mut slot.node {
                 keys.insert(idx, sep);
                 children.insert(idx + 1, right);
-                slot.bytes += 8 + 8; // one key, one child id
             }
         }
         self.maybe_split(id, alloc)
@@ -322,36 +294,14 @@ impl BTree {
     /// Split `id` if it overflows a page; returns the promotion.
     fn maybe_split(&mut self, id: u64, alloc: &mut PageAllocator) -> Option<(u64, u64)> {
         let slot = self.slot_mut(id);
-        debug_assert_eq!(slot.bytes, slot.node.serialized_size());
-        if slot.bytes <= PAGE_SIZE {
+        if slot.node.serialized_size() <= PAGE_SIZE {
             return None;
         }
         slot.dirty = true;
         let (sep, right) = match &mut slot.node {
-            Node::Leaf { entries } => {
-                // Split at the byte midpoint so variably-sized values
-                // balance reasonably.
-                let total = slot.bytes - NODE_HEADER;
-                let mut acc = 0usize;
-                let mut cut = entries.len() / 2;
-                for (i, (_, v)) in entries.iter().enumerate() {
-                    acc += LEAF_ENTRY_HEADER + v.len();
-                    if acc * 2 >= total {
-                        cut = (i + 1).min(entries.len() - 1).max(1);
-                        break;
-                    }
-                }
-                let right_entries = entries.split_off(cut);
-                let sep = right_entries
-                    .first()
-                    .expect("invariant: an overflowing leaf splits into two non-empty halves")
-                    .0;
-                (
-                    sep,
-                    Node::Leaf {
-                        entries: right_entries,
-                    },
-                )
+            Node::Leaf(leaf) => {
+                let (sep, right) = leaf.split();
+                (sep, Node::Leaf(right))
             }
             Node::Internal { keys, children } => {
                 let mid = keys.len() / 2;
@@ -370,8 +320,6 @@ impl BTree {
                 )
             }
         };
-        // A split walks the node anyway: measure what stayed.
-        slot.bytes = slot.node.serialized_size();
         let right_id = alloc.alloc();
         self.place(right_id, right, false);
         Some((sep, right_id))
@@ -385,14 +333,10 @@ impl BTree {
         loop {
             let slot = self.slot_mut(id);
             match &mut slot.node {
-                Node::Leaf { entries } => {
-                    let Ok(i) = entries.binary_search_by_key(&key, |(k, _)| *k) else {
-                        return false;
-                    };
-                    let (_, value) = entries.remove(i);
-                    slot.bytes -= LEAF_ENTRY_HEADER + value.len();
-                    slot.dirty = true;
-                    return true;
+                Node::Leaf(leaf) => {
+                    let found = leaf.remove(key);
+                    slot.dirty |= found;
+                    return found;
                 }
                 Node::Internal { keys, children } => {
                     id = child_at(children, keys.partition_point(|&k| k <= key));
@@ -406,21 +350,14 @@ impl BTree {
     /// does not merge); a rebuild followed by a checkpoint reclaims that
     /// space — the engine's `VACUUM`.
     pub fn rebuild(&mut self, alloc: &mut PageAllocator) {
-        // The old leaves give up their entries, values and all; each leaf is
-        // a sorted run, so the stable sort merges runs.
         let old = std::mem::replace(self, BTree::new(alloc));
-        let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (id, slot) in (0u64..).zip(old.slots) {
-            let Some(slot) = slot else { continue };
-            if slot.on_disk {
+        for (id, slot) in (0u64..).zip(&old.slots) {
+            if slot.as_ref().is_some_and(|s| s.on_disk) {
                 alloc.free_later(id);
             }
-            if let Node::Leaf { entries: leaf } = slot.node {
-                entries.extend(leaf);
-            }
         }
-        entries.sort_by_key(|(k, _)| *k);
-        for (k, v) in entries {
+        // The old tree's entries in key order, copied into the new leaves.
+        for (k, v) in old.scan_range(0, u64::MAX) {
             self.put(alloc, k, v);
         }
     }
@@ -493,9 +430,7 @@ impl BTree {
         } else {
             id
         };
-        let slot = self.slot(new_id);
-        let used = slot.node.serialize_into(new_id, lsn, scratch);
-        debug_assert_eq!(used, slot.bytes);
+        let used = self.node(new_id).serialize_into(new_id, lsn, scratch);
         // The page is the node's bytes and zeros after them: say so, and
         // its fingerprint is not searched for in the padding.
         let image = scratch
@@ -551,22 +486,11 @@ impl BTree {
         let Some(slot) = self.resident(id) else {
             return Err(format!("node {id} missing"));
         };
-        if slot.bytes != slot.node.serialized_size() {
-            return Err(format!(
-                "node {id} is tracked at {} bytes but serializes to {}",
-                slot.bytes,
-                slot.node.serialized_size()
-            ));
-        }
         match &slot.node {
-            Node::Leaf { entries } => {
-                for w in entries.windows(2) {
-                    if w[0].0 >= w[1].0 {
-                        return Err(format!("leaf {id} keys not strictly sorted"));
-                    }
-                }
-                for (k, _) in entries {
-                    if lo.is_some_and(|l| *k < l) || hi.is_some_and(|h| *k >= h) {
+            Node::Leaf(leaf) => {
+                leaf.check().map_err(|why| format!("leaf {id}: {why}"))?;
+                for &k in leaf.keys() {
+                    if lo.is_some_and(|l| k < l) || hi.is_some_and(|h| k >= h) {
                         return Err(format!("leaf {id} key {k} outside range"));
                     }
                 }
@@ -608,10 +532,10 @@ mod tests {
     fn put_get_overwrite_delete() {
         let (mut t, mut a) = tree();
         assert!(t.get(1).is_none());
-        t.put(&mut a, 1, b"one".to_vec());
-        t.put(&mut a, 2, b"two".to_vec());
+        t.put(&mut a, 1, b"one");
+        t.put(&mut a, 2, b"two");
         assert_eq!(t.get(1), Some(b"one".as_slice()));
-        t.put(&mut a, 1, b"uno".to_vec());
+        t.put(&mut a, 1, b"uno");
         assert_eq!(t.get(1), Some(b"uno".as_slice()));
         assert!(t.delete(1));
         assert!(!t.delete(1));
@@ -627,7 +551,7 @@ mod tests {
         for i in 0..n {
             // Insert in a scrambled order to exercise splits everywhere.
             let k = (i * 2_654_435_761) % n;
-            t.put(&mut a, k, k.to_le_bytes().to_vec());
+            t.put(&mut a, k, &k.to_le_bytes());
         }
         t.validate().unwrap();
         assert!(t.node_count() > 10, "tree must actually have split");
@@ -645,7 +569,7 @@ mod tests {
     fn large_values_split_by_bytes() {
         let (mut t, mut a) = tree();
         for i in 0..64u64 {
-            t.put(&mut a, i, vec![i as u8; 1000]);
+            t.put(&mut a, i, &[i as u8; 1000]);
         }
         t.validate().unwrap();
         for i in 0..64u64 {
@@ -657,14 +581,14 @@ mod tests {
     #[should_panic(expected = "MAX_VALUE")]
     fn oversized_value_rejected() {
         let (mut t, mut a) = tree();
-        t.put(&mut a, 1, vec![0; MAX_VALUE + 1]);
+        t.put(&mut a, 1, &[0; MAX_VALUE + 1]);
     }
 
     #[test]
     fn range_scan_is_ordered_and_bounded() {
         let (mut t, mut a) = tree();
         for i in (0..1000u64).rev() {
-            t.put(&mut a, i * 2, vec![i as u8]);
+            t.put(&mut a, i * 2, &[i as u8]);
         }
         let hits = t.scan_range(100, 200);
         let keys: Vec<u64> = hits.iter().map(|(k, _)| *k).collect();
@@ -679,7 +603,7 @@ mod tests {
     fn checkpoint_roundtrips_through_device() {
         let (mut t, mut a) = tree();
         for i in 0..2000u64 {
-            t.put(&mut a, i, (i * 7).to_le_bytes().to_vec());
+            t.put(&mut a, i, &(i * 7).to_le_bytes());
         }
         let ios = t.checkpoint_flush(&mut a, 99);
         assert!(!t.is_dirty());
@@ -701,7 +625,7 @@ mod tests {
     fn shadow_paging_never_overwrites_live_pages() {
         let (mut t, mut a) = tree();
         for i in 0..500u64 {
-            t.put(&mut a, i, vec![1]);
+            t.put(&mut a, i, &[1]);
         }
         let ios1 = t.checkpoint_flush(&mut a, 1);
         let gen1_pages: BTreeSet<u64> = ios1.iter().map(|io| io.lba).collect();
@@ -709,7 +633,7 @@ mod tests {
 
         // Modify a fraction of the keys and checkpoint again.
         for i in 0..50u64 {
-            t.put(&mut a, i, vec![2]);
+            t.put(&mut a, i, &[2]);
         }
         let ios2 = t.checkpoint_flush(&mut a, 2);
         let gen2_pages: BTreeSet<u64> = ios2.iter().map(|io| io.lba).collect();
@@ -734,12 +658,12 @@ mod tests {
     fn incremental_checkpoint_only_rewrites_dirty_paths() {
         let (mut t, mut a) = tree();
         for i in 0..3000u64 {
-            t.put(&mut a, i, vec![0u8; 32]);
+            t.put(&mut a, i, &[0u8; 32]);
         }
         let full = t.checkpoint_flush(&mut a, 1).len();
         a.promote_pending();
         // One point update: only the leaf path should be rewritten.
-        t.put(&mut a, 1500, vec![9u8; 32]);
+        t.put(&mut a, 1500, &[9u8; 32]);
         let incremental = t.checkpoint_flush(&mut a, 2).len();
         assert!(
             incremental <= 4,
@@ -782,7 +706,7 @@ mod tests {
     fn node_table_tracks_split_path_copy_and_rebuild() {
         let (mut t, mut a) = tree();
         for i in 0..2000u64 {
-            t.put(&mut a, i, vec![7u8; 40]);
+            t.put(&mut a, i, &[7u8; 40]);
         }
         let (live, on_disk) = table(&t);
         assert!(live.len() > 10, "tree must have split");
@@ -807,7 +731,7 @@ mod tests {
         // fresh id and its old slot is vacated.
         let root1 = t.root();
         for i in (0..2000u64).step_by(400) {
-            t.put(&mut a, i, vec![9u8; 40]);
+            t.put(&mut a, i, &[9u8; 40]);
         }
         let ios = t.checkpoint_flush(&mut a, 2);
         let moved_to: BTreeSet<u64> = ios.iter().map(|io| io.lba).collect();
@@ -857,11 +781,12 @@ mod tests {
         );
     }
 
-    /// The byte size kept beside each node follows inserts, overwrites that
-    /// grow and shrink a value, deletes, leaf and internal splits, a
-    /// checkpoint's path copy, a load and a rebuild — `validate` recomputes
-    /// every node's size and compares. Negative control: a size knocked off
-    /// by one is reported.
+    /// A node's byte size is read off its packing (three lengths for a
+    /// leaf), which follows inserts, overwrites that grow and shrink a
+    /// value, deletes, leaf and internal splits, a checkpoint's path copy, a
+    /// load and a rebuild — `validate` checks every leaf's packing, and each
+    /// checkpointed page ends where the size says. Negative control: a
+    /// value end knocked off by one is reported.
     #[test]
     fn tracked_node_sizes_follow_every_change() {
         let (mut t, mut a) = tree();
@@ -876,7 +801,7 @@ mod tests {
             let key = next() % 900;
             match next() % 4 {
                 0 => drop(t.delete(key)),
-                _ => t.put(&mut a, key, vec![round as u8; (next() % 700) as usize]),
+                _ => t.put(&mut a, key, &vec![round as u8; (next() % 700) as usize]),
             }
             if round % 500 == 0 {
                 t.validate().unwrap();
@@ -889,7 +814,7 @@ mod tests {
         t.validate().unwrap();
         for io in &ios {
             // The image is the node's bytes, then zeros.
-            let used = t.slot(io.lba).bytes;
+            let used = t.node(io.lba).serialized_size();
             assert!(io.data[used..].iter().all(|&b| b == 0));
         }
         let mut dev = MemDevice::new(a.next_page());
@@ -898,15 +823,23 @@ mod tests {
         }
         let (loaded, _) = BTree::load(&dev, t.root()).unwrap();
         loaded.validate().unwrap();
-        t.put(&mut a, 5, vec![1; 10]);
+        t.put(&mut a, 5, &[1; 10]);
         let _ = t.checkpoint_flush(&mut a, 2);
         t.rebuild(&mut a);
         t.validate().unwrap();
 
-        let root = t.root();
-        t.slot_mut(root).bytes += 1;
+        let leaf = t
+            .slots
+            .iter_mut()
+            .flatten()
+            .find_map(|s| match &mut s.node {
+                Node::Leaf(leaf) if !leaf.is_empty() => Some(leaf),
+                _ => None,
+            })
+            .expect("the tree holds entries");
+        leaf.knock_last_end();
         let err = t.validate().unwrap_err();
-        assert!(err.contains("tracked at"), "{err}");
+        assert!(err.contains("value ends"), "{err}");
     }
 
     /// A child pointer read off the disk that names no block of the device
@@ -944,7 +877,7 @@ mod tests {
     fn load_detects_missing_and_corrupt_pages() {
         let (mut t, mut a) = tree();
         for i in 0..300u64 {
-            t.put(&mut a, i, vec![0u8; 64]);
+            t.put(&mut a, i, &[0u8; 64]);
         }
         let ios = t.checkpoint_flush(&mut a, 5);
         let mut dev = MemDevice::new(a.next_page());

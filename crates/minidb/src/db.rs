@@ -12,7 +12,7 @@ use crate::btree::{BTree, PageAllocator};
 use crate::io::{DbVol, IoPlan, IoRequest};
 use crate::node::PageError;
 use crate::superblock::Superblock;
-use crate::wal::{scan_wal, scan_wal_from, WalOp, WalRecord, WalScan, WalWriter};
+use crate::wal::{scan_wal, LogRecord, OpList, WalScan, WalWriter};
 use tsuru_storage::BlockDevice;
 
 /// A table identifier chosen by the application (folded into tree keys).
@@ -132,11 +132,35 @@ pub struct RecoveryReport {
 /// redo record is these ops, and a read of its own writes scans them newest
 /// first. Linear, because transactions are small where they read: `ecom`'s
 /// order, transfer and append write one or two rows; `seed_stock` writes one
-/// per item and reads none (DESIGN.md §24).
+/// per item and reads none (DESIGN.md §24). The values sit back to back in
+/// the list's one byte buffer, which the database hands from one
+/// transaction to the next (DESIGN.md §26).
 #[derive(Debug)]
 struct ActiveTx {
     id: u64,
-    ops: Vec<WalOp>,
+    ops: OpList,
+}
+
+/// A transaction's write-set as the redo record it becomes: the log encodes
+/// it in place.
+struct Staged<'a> {
+    lsn: u64,
+    txid: u64,
+    ops: &'a OpList,
+}
+
+impl LogRecord for Staged<'_> {
+    fn lsn(&self) -> u64 {
+        self.lsn
+    }
+
+    fn txid(&self) -> u64 {
+        self.txid
+    }
+
+    fn ops(&self) -> impl Iterator<Item = (u64, Option<&[u8]>)> {
+        self.ops.iter()
+    }
 }
 
 /// A MiniDB instance (fully memory-resident; durability via emitted I/O).
@@ -153,10 +177,14 @@ pub struct MiniDb {
     // Open transactions, oldest first (a handful at most).
     active: Vec<ActiveTx>,
     // The emptied write-set of the last staged transaction, for the next one.
-    spare_ops: Vec<WalOp>,
+    spare_ops: OpList,
     // Checkpoint phases taken since the last flush; they go out ahead of
-    // the log written after them.
+    // the log written after them. Between flushes, the phase list the
+    // driver handed back (`recycle_plan`) for the next flush to fill.
     pending: IoPlan,
+    // The buffer `catch_up` scans the log into, kept from one call to the
+    // next.
+    follow: WalScan,
     // Commits staged since the last flush.
     staged: u64,
     stats: DbStats,
@@ -190,8 +218,9 @@ impl MiniDb {
             next_txid: 1,
             ckpt_lsn: 0,
             active: Vec::new(),
-            spare_ops: Vec::new(),
+            spare_ops: OpList::default(),
             pending: IoPlan::empty(),
+            follow: WalScan::default(),
             staged: 0,
             stats: DbStats::default(),
             loaded_pages: Vec::new(),
@@ -249,21 +278,21 @@ impl MiniDb {
     }
 
     /// Retire `tx` and hand out its write-set.
-    fn take_tx(&mut self, tx: TxId) -> Vec<WalOp> {
+    fn take_tx(&mut self, tx: TxId) -> OpList {
         let ops = std::mem::take(&mut self.tx_mut(tx).ops);
         self.active.retain(|t| t.id != tx.0);
         ops
     }
 
-    /// Buffer a put in the transaction's write-set: the one copy made of
-    /// `value` — the log encodes from it, then the tree keeps it.
+    /// Buffer a put in the transaction's write-set: `value` is copied into
+    /// the write-set's byte buffer, the log encodes from there, and the
+    /// tree copies it into its leaf at [`MiniDb::stage`].
     ///
     /// # Panics
     /// Panics if `tx` is not active or `key` exceeds 48 bits.
     pub fn put(&mut self, tx: TxId, table: TableId, key: u64, value: &[u8]) {
         let key = tree_key(table, key);
-        let value = Some(value.to_vec());
-        self.tx_mut(tx).ops.push(WalOp { key, value });
+        self.tx_mut(tx).ops.put(key, value);
     }
 
     /// Buffer a delete in the transaction's write-set.
@@ -272,7 +301,7 @@ impl MiniDb {
     /// Panics if `tx` is not active or `key` exceeds 48 bits.
     pub fn delete(&mut self, tx: TxId, table: TableId, key: u64) {
         let key = tree_key(table, key);
-        self.tx_mut(tx).ops.push(WalOp { key, value: None });
+        self.tx_mut(tx).ops.delete(key);
     }
 
     /// Read through the transaction: its newest write to the key, else
@@ -285,8 +314,8 @@ impl MiniDb {
     pub fn get(&self, tx: TxId, table: TableId, key: u64) -> Option<&[u8]> {
         let tk = tree_key(table, key);
         let open = self.active.iter().find(|t| t.id == tx.0);
-        match open.and_then(|t| t.ops.iter().rev().find(|op| op.key == tk)) {
-            Some(op) => op.value.as_deref(),
+        match open.and_then(|t| t.ops.iter().rev().find(|(k, _)| *k == tk)) {
+            Some((_, value)) => value,
             None => self.tree.get(tk),
         }
     }
@@ -328,20 +357,22 @@ impl MiniDb {
     /// # Panics
     /// Panics if `tx` is not active or its record outsizes the WAL volume.
     pub fn stage(&mut self, tx: TxId) -> Option<u64> {
-        let ops = self.take_tx(tx);
+        let mut ops = self.take_tx(tx);
         self.stats.commits += 1;
         if ops.is_empty() {
             self.spare_ops = ops;
             return None;
         }
-        let mut record = WalRecord {
-            lsn: self.next_lsn,
+        let lsn = self.next_lsn;
+        let record = Staged {
+            lsn,
             txid: tx.0,
-            ops,
+            ops: &ops,
         };
+        let len = record.encoded_len();
         let threshold =
             (self.wal.capacity_bytes() as f64 * self.config.checkpoint_threshold) as usize;
-        if !self.wal.fits(&record) || self.wal.used_bytes() + record.encoded_len() > threshold {
+        if !self.wal.fits(&record) || self.wal.used_bytes() + len > threshold {
             self.stage_checkpoint();
             assert!(
                 self.wal.fits(&record),
@@ -350,15 +381,16 @@ impl MiniDb {
         }
         self.next_lsn += 1;
         self.wal.append(&record);
-        self.stats.wal_bytes_written += record.encoded_len() as u64;
+        self.stats.wal_bytes_written += len as u64;
         self.staged += 1;
-        // Apply to the in-memory tree; recovery redoes this from the WAL.
-        // The record is encoded by now, so its values move into the tree.
-        for op in record.ops.drain(..) {
-            self.apply(op);
+        // Apply to the in-memory tree, each value copied into its leaf;
+        // recovery redoes this from the WAL.
+        for (key, value) in ops.iter() {
+            apply(&mut self.tree, &mut self.alloc, key, value);
         }
-        self.spare_ops = record.ops;
-        Some(record.lsn)
+        ops.clear();
+        self.spare_ops = ops;
+        Some(lsn)
     }
 
     /// The ordered writes that make everything staged so far durable, in
@@ -371,7 +403,12 @@ impl MiniDb {
     /// plan's tail image supersedes an earlier one's.
     pub fn flush(&mut self) -> IoPlan {
         let mut plan = std::mem::take(&mut self.pending);
-        plan.push_phase(self.wal.flush());
+        let log = self.wal.flush();
+        if log.is_empty() {
+            self.wal.recycle(log);
+        } else {
+            plan.phases.push(log);
+        }
         if self.staged > 0 {
             self.stats.flushes += 1;
             self.stats.flushed_commits += self.staged;
@@ -379,6 +416,24 @@ impl MiniDb {
             self.staged = 0;
         }
         plan
+    }
+
+    /// Take back a plan a flush handed out, once the driver has taken its
+    /// phases out: the next flush fills its phase list instead of
+    /// allocating one. Phases still in it go to [`MiniDb::recycle_phase`].
+    pub fn recycle_plan(&mut self, mut plan: IoPlan) {
+        for phase in plan.phases.drain(..) {
+            self.recycle_phase(phase);
+        }
+        if self.pending.is_empty() && plan.phases.capacity() > self.pending.phases.capacity() {
+            self.pending = plan;
+        }
+    }
+
+    /// Take back a phase of a flushed plan once its writes were issued: the
+    /// next flush's log phase fills it instead of allocating a vector.
+    pub fn recycle_phase(&mut self, phase: Vec<IoRequest>) {
+        self.wal.recycle(phase);
     }
 
     /// Commit synchronously: [`MiniDb::stage`] then [`MiniDb::flush`], a
@@ -487,9 +542,10 @@ impl MiniDb {
         let loaded_pages = tree.page_ids();
         let pages_loaded = loaded_pages.len();
 
-        let WalScan { records, end, tail } = scan_wal(wal_dev, sb.wal_blocks, sb.epoch);
+        // Every record is decoded and checked before the first is applied.
+        let mut scan = scan_wal(wal_dev, sb.wal_blocks, sb.epoch);
         // Records must be strictly newer than the checkpoint they follow.
-        let wal_end = lsns_increase_past(sb.ckpt_lsn, &records)?;
+        let wal_end = lsns_increase_past(sb.ckpt_lsn, scan.lsns())?;
         if max_page_lsn > wal_end {
             return Err(RecoveryError::DataAheadOfWal {
                 page_lsn: max_page_lsn,
@@ -497,7 +553,7 @@ impl MiniDb {
             });
         }
 
-        let redo_records = records.len();
+        let redo_records = scan.len();
         let mut db = MiniDb {
             name: name.into(),
             config: DbConfig {
@@ -508,19 +564,20 @@ impl MiniDb {
             alloc: PageAllocator::restore(sb.next_page, sb.free_list),
             // Resume the log where the scan found it ending, so a promoted
             // backup continues service exactly there.
-            wal: WalWriter::resume(sb.wal_blocks, sb.epoch, end, tail),
+            wal: WalWriter::resume(sb.wal_blocks, sb.epoch, scan.end, scan.take_tail()),
             next_lsn: wal_end + 1,
             next_txid: sb.next_txid,
             ckpt_lsn: sb.ckpt_lsn,
             active: Vec::new(),
-            spare_ops: Vec::new(),
+            spare_ops: OpList::default(),
             pending: IoPlan::empty(),
+            follow: WalScan::default(),
             staged: 0,
             stats: DbStats::default(),
             loaded_pages,
             loaded_page_lsn: max_page_lsn,
         };
-        db.redo(records, None)?;
+        db.redo(&scan, None)?;
         let report = RecoveryReport {
             epoch: sb.epoch,
             ckpt_lsn: sb.ckpt_lsn,
@@ -531,30 +588,23 @@ impl MiniDb {
         Ok((db, report))
     }
 
-    /// Land one logged operation in the tree, which takes over its value.
-    fn apply(&mut self, op: WalOp) {
-        match op.value {
-            Some(v) => self.tree.put(&mut self.alloc, op.key, v),
-            None => drop(self.tree.delete(op.key)),
-        }
-    }
-
-    /// Re-apply `records` (already checked for LSN order) to the tree, then
-    /// verify it. `on_redo` sees every operation just before it lands.
+    /// Re-apply the records of `scan` (already checked for LSN order) to
+    /// the tree, each value copied from the scan's buffer into its leaf,
+    /// then verify it. `on_redo` sees every operation just before it lands.
     fn redo(
         &mut self,
-        records: Vec<WalRecord>,
+        scan: &WalScan,
         mut on_redo: Option<&mut RedoHook<'_>>,
     ) -> Result<(), RecoveryError> {
-        for r in records {
-            for op in r.ops {
-                if let Some(hook) = on_redo.as_deref_mut() {
-                    let table = TableId((op.key >> KEY_BITS) as u16);
-                    hook(table, op.key & KEY_MASK, self.tree.get(op.key), op.value.as_deref());
-                }
-                self.apply(op);
+        for (key, value) in scan.ops() {
+            if let Some(hook) = on_redo.as_deref_mut() {
+                let table = TableId((key >> KEY_BITS) as u16);
+                hook(table, key & KEY_MASK, self.tree.get(key), value);
             }
-            self.next_txid = self.next_txid.max(r.txid + 1);
+            apply(&mut self.tree, &mut self.alloc, key, value);
+        }
+        for txid in scan.txids() {
+            self.next_txid = self.next_txid.max(txid + 1);
         }
         self.tree
             .validate()
@@ -588,6 +638,10 @@ impl MiniDb {
     /// repeated. `on_redo(table, key, old, new)` sees every re-applied
     /// operation just before it lands.
     ///
+    /// The new records are decoded into a buffer the database keeps from
+    /// one call to the next, and all of them pass those checks before the
+    /// first is applied: on `Err`, `on_redo` has seen nothing.
+    ///
     /// `Ok(Some(n))`: `n` records were re-applied. `Ok(None)`: the log this
     /// database was opened from is no prefix of the volume any more, the
     /// database is untouched and the caller must `recover`. `Err`: what
@@ -600,37 +654,49 @@ impl MiniDb {
         wal_dev: &dyn BlockDevice,
         on_redo: &mut RedoHook<'_>,
     ) -> Result<Option<usize>, RecoveryError> {
+        let mut scan = std::mem::take(&mut self.follow);
         let (end, tail) = self.wal.log_end();
-        let Some(scan) = scan_wal_from(wal_dev, self.config.wal_blocks, self.wal.epoch(), end, tail)
-        else {
+        if !scan.scan_from(wal_dev, self.config.wal_blocks, self.wal.epoch(), end, tail) {
+            self.follow = scan;
             return Ok(None);
-        };
-        let prev = lsns_increase_past(self.last_lsn(), &scan.records)?;
+        }
+        let prev = lsns_increase_past(self.last_lsn(), scan.lsns())?;
         if self.loaded_page_lsn > prev {
             return Err(RecoveryError::DataAheadOfWal {
                 page_lsn: self.loaded_page_lsn,
                 wal_end: prev,
             });
         }
-        let redone = scan.records.len();
-        self.wal = WalWriter::resume(self.config.wal_blocks, self.wal.epoch(), scan.end, scan.tail);
+        self.wal.advance(scan.end, scan.tail());
         self.next_lsn = prev + 1;
-        self.redo(scan.records, Some(on_redo))?;
-        Ok(Some(redone))
+        let redone = self.redo(&scan, Some(on_redo)).map(|()| Some(scan.len()));
+        self.follow = scan;
+        redone
     }
 }
 
-/// The LSN `records` end at, starting after `prev`: they must be strictly
-/// increasing from there.
-fn lsns_increase_past(mut prev: u64, records: &[WalRecord]) -> Result<u64, RecoveryError> {
-    for r in records {
-        if r.lsn <= prev {
+/// Land one logged operation in the tree, copying a put's value into its
+/// leaf.
+fn apply(tree: &mut BTree, alloc: &mut PageAllocator, key: u64, value: Option<&[u8]>) {
+    match value {
+        Some(v) => tree.put(alloc, key, v),
+        None => drop(tree.delete(key)),
+    }
+}
+
+/// The LSN records with these `lsns` end at, starting after `prev`: they
+/// must be strictly increasing from there.
+fn lsns_increase_past(
+    mut prev: u64,
+    lsns: impl Iterator<Item = u64>,
+) -> Result<u64, RecoveryError> {
+    for lsn in lsns {
+        if lsn <= prev {
             return Err(RecoveryError::BadWal(format!(
-                "record lsn {} not increasing past {prev}",
-                r.lsn
+                "record lsn {lsn} not increasing past {prev}"
             )));
         }
-        prev = r.lsn;
+        prev = lsn;
     }
     Ok(prev)
 }

@@ -42,8 +42,6 @@ struct InFlight {
     outstanding: usize,
     /// Whether every write so far succeeded.
     ok: bool,
-    /// The phases not issued yet.
-    rest: VecDeque<Vec<IoRequest>>,
 }
 
 /// What one write acknowledgement meant for the plan in flight.
@@ -69,6 +67,9 @@ pub struct LogFlusher<W> {
     durable_lsn: u64,
     failed: bool,
     in_flight: Option<InFlight>,
+    // The phases of the plan in flight not issued yet; kept, emptied,
+    // from one plan to the next.
+    rest: VecDeque<Vec<IoRequest>>,
     waiters: VecDeque<(u64, W)>,
 }
 
@@ -82,6 +83,7 @@ impl<W> LogFlusher<W> {
             durable_lsn,
             failed: false,
             in_flight: None,
+            rest: VecDeque::new(),
             waiters: VecDeque::new(),
         }
     }
@@ -95,6 +97,7 @@ impl<W> LogFlusher<W> {
         self.durable_lsn = durable_lsn;
         self.failed = false;
         self.in_flight = None;
+        self.rest.clear();
         self.waiters.clear();
     }
 
@@ -134,23 +137,23 @@ impl<W> LogFlusher<W> {
 
     /// Put `plan` — a [`MiniDb::flush`](crate::MiniDb::flush) covering every
     /// commit up to `upto` — in flight and return the generation to stamp
-    /// on its writes together with its first phase.
+    /// on its writes together with its first phase. The phases are taken
+    /// out of `plan`; its emptied phase list stays with the caller, for
+    /// [`MiniDb::recycle_plan`](crate::MiniDb::recycle_plan).
     ///
     /// # Panics
     /// Panics if the flusher is not [`idle`](LogFlusher::idle) or the plan
     /// is empty: two plans of one database must never be in flight
     /// together.
-    pub fn begin_flush(&mut self, upto: u64, plan: IoPlan) -> (u64, Vec<IoRequest>) {
+    pub fn begin_flush(&mut self, upto: u64, plan: &mut IoPlan) -> (u64, Vec<IoRequest>) {
         assert!(self.idle(), "one flush in flight per database");
-        let mut rest = VecDeque::from(plan.phases);
-        let first = rest
-            .pop_front()
-            .expect("invariant: a flush plan has a phase");
+        let mut phases = plan.phases.drain(..);
+        let first = phases.next().expect("invariant: a flush plan has a phase");
+        self.rest.extend(phases);
         self.in_flight = Some(InFlight {
             upto,
             outstanding: first.len(),
             ok: true,
-            rest,
         });
         (self.generation, first)
     }
@@ -171,12 +174,13 @@ impl<W> LogFlusher<W> {
             return Progress::Pending;
         }
         if plan.ok {
-            if let Some(next) = plan.rest.pop_front() {
+            if let Some(next) = self.rest.pop_front() {
                 plan.outstanding = next.len();
                 return Progress::Phase(next);
             }
             self.durable_lsn = self.durable_lsn.max(plan.upto);
         } else {
+            self.rest.clear();
             self.failed = true;
         }
         let ok = plan.ok;
@@ -228,7 +232,7 @@ mod tests {
         let mut f = LogFlusher::new(0);
         f.enqueue(1, 10);
         f.enqueue(2, 20);
-        let (gen, first) = f.begin_flush(2, plan(&[1]));
+        let (gen, first) = f.begin_flush(2, &mut plan(&[1]));
         assert_eq!(first.len(), 1);
         f.enqueue(2, 21); // a read of the state commit 2 produced
         f.enqueue(3, 30); // staged while the flush is in flight
@@ -241,7 +245,7 @@ mod tests {
     #[test]
     fn phases_are_barriers() {
         let mut f = LogFlusher::<u32>::new(0);
-        let (gen, first) = f.begin_flush(1, plan(&[2, 1, 1]));
+        let (gen, first) = f.begin_flush(1, &mut plan(&[2, 1, 1]));
         assert_eq!(first.len(), 2);
         assert!(matches!(f.write_done(gen, true), Progress::Pending));
         assert!(matches!(f.write_done(gen, true), Progress::Phase(p) if p.len() == 1));
@@ -255,7 +259,7 @@ mod tests {
     fn a_failed_write_fails_every_waiter_and_kills_the_log() {
         let mut f = LogFlusher::new(4);
         f.enqueue(5, 50);
-        let (gen, _) = f.begin_flush(5, plan(&[2, 1]));
+        let (gen, _) = f.begin_flush(5, &mut plan(&[2, 1]));
         f.enqueue(6, 60);
         // The phase drains before the plan fails; its second phase is
         // never issued.
@@ -275,11 +279,11 @@ mod tests {
     fn acknowledgements_of_an_earlier_life_are_dropped() {
         let mut f = LogFlusher::new(0);
         f.enqueue(1, 10);
-        let (old, _) = f.begin_flush(1, plan(&[1]));
+        let (old, _) = f.begin_flush(1, &mut plan(&[1]));
         f.restart(0);
         assert_eq!((f.waiting(), f.idle()), (0, true));
         f.enqueue(1, 11);
-        let (gen, _) = f.begin_flush(1, plan(&[1]));
+        let (gen, _) = f.begin_flush(1, &mut plan(&[1]));
         assert_ne!(old, gen);
         assert!(matches!(f.write_done(old, true), Progress::Stale));
         assert!(
@@ -297,7 +301,7 @@ mod tests {
     #[should_panic(expected = "one flush in flight")]
     fn a_second_plan_in_flight_is_refused() {
         let mut f = LogFlusher::<u32>::new(0);
-        let _ = f.begin_flush(1, plan(&[1]));
-        let _ = f.begin_flush(2, plan(&[1]));
+        let _ = f.begin_flush(1, &mut plan(&[1]));
+        let _ = f.begin_flush(2, &mut plan(&[1]));
     }
 }

@@ -35,6 +35,8 @@ pub use db::{
 };
 pub use flush::{LogFlusher, Progress};
 pub use io::{DbVol, IoPlan, IoRequest};
-pub use node::{Node, PageError, MAX_VALUE, PAGE_SIZE};
+pub use node::{Leaf, Node, PageError, MAX_VALUE, PAGE_SIZE};
 pub use superblock::{Superblock, MAX_FREE_LIST};
-pub use wal::{encode_record, scan_wal, scan_wal_from, WalOp, WalRecord, WalScan, WalWriter};
+pub use wal::{
+    encode_record, scan_wal, scan_wal_from, LogRecord, WalOp, WalRecord, WalScan, WalWriter,
+};

@@ -8,6 +8,8 @@
 //! tagged with the WAL *epoch*, which increments at every checkpoint so a
 //! scanner never confuses a stale pre-checkpoint tail with live log.
 
+use std::ops::Range;
+
 use tsuru_storage::{BlockDevice, BlockWriter, BLOCK_SIZE};
 
 use crate::checksum::crc32_update;
@@ -24,7 +26,10 @@ pub struct WalOp {
     pub value: Option<Vec<u8>>,
 }
 
-/// One committed transaction's redo record.
+/// One committed transaction's redo record, owned: what tests build and
+/// what [`WalScan::records`] copies out. The engine itself never builds
+/// one — it encodes a transaction's write-set in place and redoes from a
+/// scan's flat buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
     /// Log sequence number; strictly increasing across the database's life.
@@ -35,86 +40,132 @@ pub struct WalRecord {
     pub ops: Vec<WalOp>,
 }
 
-impl WalRecord {
+/// A redo record as the log's one encoder reads it: an LSN, a transaction
+/// id and the operations in order, each a key and the value it takes
+/// (`None`: deleted).
+pub trait LogRecord {
+    /// Log sequence number.
+    fn lsn(&self) -> u64;
+    /// Transaction id.
+    fn txid(&self) -> u64;
+    /// The operations, in order.
+    fn ops(&self) -> impl Iterator<Item = (u64, Option<&[u8]>)>;
+
     /// Encoded size including the record header.
-    pub fn encoded_len(&self) -> usize {
-        let mut n = HEADER_BYTES + 8 + 8 + 4;
-        for op in &self.ops {
-            n += 8 + 1;
-            if let Some(v) = &op.value {
-                n += 4 + v.len();
-            }
-        }
-        n
-    }
-
-    fn encode_payload_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.lsn.to_le_bytes());
-        out.extend_from_slice(&self.txid.to_le_bytes());
-        out.extend_from_slice(&(self.ops.len() as u32).to_le_bytes());
-        for op in &self.ops {
-            out.extend_from_slice(&op.key.to_le_bytes());
-            match &op.value {
-                Some(v) => {
-                    out.push(1);
-                    out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    out.extend_from_slice(v);
-                }
-                None => out.push(0),
-            }
-        }
-    }
-
-    fn decode_payload(buf: &[u8]) -> Option<WalRecord> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = buf.get(*pos..pos.checked_add(n)?)?;
-            *pos += n;
-            Some(s)
-        };
-        let lsn = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-        let txid = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-        let nops = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-        let mut ops = Vec::with_capacity(nops);
-        for _ in 0..nops {
-            let key = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-            let flag = take(&mut pos, 1)?.first().copied()?;
-            let value = match flag {
-                1 => {
-                    let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-                    Some(take(&mut pos, len)?.to_vec())
-                }
-                0 => None,
-                _ => return None,
-            };
-            ops.push(WalOp { key, value });
-        }
-        if pos != buf.len() {
-            return None; // trailing garbage
-        }
-        Some(WalRecord { lsn, txid, ops })
+    fn encoded_len(&self) -> usize {
+        let ops: usize = self
+            .ops()
+            .map(|(_, v)| 8 + 1 + v.map_or(0, |v| 4 + v.len()))
+            .sum();
+        HEADER_BYTES + 8 + 8 + 4 + ops
     }
 }
 
-/// Encode a full record (header + payload) for the given epoch: exactly one
-/// allocation, sized by [`WalRecord::encoded_len`].
-pub fn encode_record(epoch: u32, rec: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rec.encoded_len());
-    encode_record_into(epoch, rec, &mut out);
-    out
+impl LogRecord for WalRecord {
+    fn lsn(&self) -> u64 {
+        self.lsn
+    }
+
+    fn txid(&self) -> u64 {
+        self.txid
+    }
+
+    fn ops(&self) -> impl Iterator<Item = (u64, Option<&[u8]>)> {
+        self.ops.iter().map(|op| (op.key, op.value.as_deref()))
+    }
 }
 
-/// Append a full record to `out`, reserving exact capacity up front. The
-/// CRC streams over the header-prefix and payload spans in place, so no
-/// intermediate buffer is built.
-pub fn encode_record_into(epoch: u32, rec: &WalRecord, out: &mut Vec<u8>) {
+/// Operations in order, flat: each a key and, for a put, the range its
+/// value takes in one byte buffer. A transaction's write-set and the
+/// records of a scan are both kept this way, so neither costs an
+/// allocation per value, and [`OpList::clear`] keeps both vectors for the
+/// next transaction or scan.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OpList {
+    ops: Vec<(u64, Option<Range<usize>>)>,
+    bytes: Vec<u8>,
+}
+
+impl OpList {
+    /// Append a put of `value` (copied in).
+    pub(crate) fn put(&mut self, key: u64, value: &[u8]) {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(value);
+        self.ops.push((key, Some(at..self.bytes.len())));
+    }
+
+    /// Append a delete.
+    pub(crate) fn delete(&mut self, key: u64) {
+        self.ops.push((key, None));
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.truncate(0, 0);
+    }
+
+    fn truncate(&mut self, ops: usize, bytes: usize) {
+        self.ops.truncate(ops);
+        self.bytes.truncate(bytes);
+    }
+
+    /// Operations `range`, in order, values borrowed.
+    pub(crate) fn slice(
+        &self,
+        range: Range<usize>,
+    ) -> impl DoubleEndedIterator<Item = (u64, Option<&[u8]>)> {
+        let ops = self
+            .ops
+            .get(range)
+            .expect("invariant: a record's ops lie in its scan's list");
+        ops.iter().map(|(key, value)| {
+            let value = value.clone().map(|r| {
+                self.bytes
+                    .get(r)
+                    .expect("invariant: an op's value range lies in the list's bytes")
+            });
+            (*key, value)
+        })
+    }
+
+    /// Every operation, in order, values borrowed.
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, Option<&[u8]>)> {
+        self.slice(0..self.ops.len())
+    }
+}
+
+/// Append a full record (header + payload) to `out`, reserving exact
+/// capacity up front: the log's one encoder. The CRC streams over the
+/// header-prefix and payload spans in place, so no intermediate buffer is
+/// built.
+fn encode_record_into(epoch: u32, rec: &impl LogRecord, out: &mut Vec<u8>) {
     let total = rec.encoded_len();
     out.reserve(total);
     let start = out.len();
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&((total - HEADER_BYTES) as u32).to_le_bytes());
     out.extend_from_slice(&[0u8; 4]); // CRC, backpatched below
-    rec.encode_payload_into(out);
+    out.extend_from_slice(&rec.lsn().to_le_bytes());
+    out.extend_from_slice(&rec.txid().to_le_bytes());
+    out.extend_from_slice(&(rec.ops().count() as u32).to_le_bytes());
+    for (key, value) in rec.ops() {
+        out.extend_from_slice(&key.to_le_bytes());
+        match value {
+            Some(v) => {
+                out.push(1);
+                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                out.extend_from_slice(v);
+            }
+            None => out.push(0),
+        }
+    }
     debug_assert_eq!(out.len() - start, total);
     let span = |r: std::ops::Range<usize>| {
         out.get(r).expect("invariant: record bytes were just written")
@@ -125,6 +176,53 @@ pub fn encode_record_into(epoch: u32, rec: &WalRecord, out: &mut Vec<u8>) {
     out.get_mut(start + 8..start + HEADER_BYTES)
         .expect("invariant: record bytes were just written")
         .copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Encode a full record (header + payload) for the given epoch: exactly one
+/// allocation, sized by [`LogRecord::encoded_len`].
+pub fn encode_record(epoch: u32, rec: &impl LogRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_record_into(epoch, rec, &mut out);
+    out
+}
+
+/// The next `n` bytes of `rest`, which moves past them.
+fn take<'b>(rest: &mut &'b [u8], n: usize) -> Option<&'b [u8]> {
+    let head = rest.get(..n)?;
+    *rest = rest.get(n..)?;
+    Some(head)
+}
+
+fn take_u32(rest: &mut &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(take(rest, 4)?.try_into().ok()?))
+}
+
+fn take_u64(rest: &mut &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(take(rest, 8)?.try_into().ok()?))
+}
+
+/// Decode one record's payload onto the end of `ops`, returning its LSN and
+/// transaction id; `None` when it is malformed, with `ops` as it may have
+/// been partly extended (the caller rolls back). The op count comes off the
+/// disk: it bounds a loop that runs out of payload, never an allocation.
+fn decode_payload(payload: &[u8], ops: &mut OpList) -> Option<(u64, u64)> {
+    let mut rest = payload;
+    let lsn = take_u64(&mut rest)?;
+    let txid = take_u64(&mut rest)?;
+    let nops = take_u32(&mut rest)?;
+    for _ in 0..nops {
+        let key = take_u64(&mut rest)?;
+        match take(&mut rest, 1)? {
+            [1] => {
+                let len = take_u32(&mut rest)? as usize;
+                ops.put(key, take(&mut rest, len)?);
+            }
+            [0] => ops.delete(key),
+            _ => return None,
+        }
+    }
+    // Trailing garbage is no record.
+    rest.is_empty().then_some((lsn, txid))
 }
 
 /// The in-memory end of the log: the epoch, how far the log reaches, the
@@ -149,6 +247,9 @@ pub struct WalWriter {
     scratch: Vec<u8>,
     // Blocks that filled since the last flush, in log order.
     sealed: Vec<IoRequest>,
+    // An emptied request vector handed back ([`WalWriter::recycle`]): the
+    // next flush fills it instead of allocating one.
+    spare: Vec<IoRequest>,
     // How far the log reached at the last flush: the tail block needs an
     // image only if it holds bytes past this point.
     flushed: usize,
@@ -172,11 +273,7 @@ impl WalWriter {
     /// `end` lies beyond the volume.
     pub fn resume(wal_blocks: u64, epoch: u32, end: usize, tail: Vec<u8>) -> Self {
         let capacity = wal_blocks as usize * BLOCK_SIZE;
-        assert!(
-            end <= capacity && tail.len() == end % BLOCK_SIZE,
-            "a {}-byte tail does not end a {end}-byte log on a {capacity}-byte WAL volume",
-            tail.len()
-        );
+        check_log_end(capacity, end, &tail);
         WalWriter {
             epoch,
             capacity,
@@ -184,8 +281,24 @@ impl WalWriter {
             tail: BlockWriter::resume(tail),
             scratch: Vec::new(),
             sealed: Vec::new(),
+            spare: Vec::new(),
             flushed: end,
         }
+    }
+
+    /// Move the end of a log this writer has flushed everything of to where
+    /// a scan continued from it found the log ending — [`WalWriter::resume`]
+    /// in place, keeping the writer's allocations.
+    ///
+    /// # Panics
+    /// As [`WalWriter::resume`].
+    pub fn advance(&mut self, end: usize, tail: &[u8]) {
+        check_log_end(self.capacity, end, tail);
+        self.offset = end;
+        self.flushed = end;
+        self.sealed.clear();
+        self.tail.clear();
+        self.tail.append(tail);
     }
 
     /// Current epoch.
@@ -211,7 +324,7 @@ impl WalWriter {
     }
 
     /// Would this record fit in the remaining space?
-    pub fn fits(&self, rec: &WalRecord) -> bool {
+    pub fn fits(&self, rec: &impl LogRecord) -> bool {
         self.offset + rec.encoded_len() <= self.capacity
     }
 
@@ -223,7 +336,7 @@ impl WalWriter {
     /// # Panics
     /// Panics if the record does not fit — callers must checkpoint first
     /// (see [`WalWriter::fits`]).
-    pub fn append(&mut self, rec: &WalRecord) {
+    pub fn append(&mut self, rec: &impl LogRecord) {
         assert!(
             self.fits(rec),
             "WAL record of {} bytes does not fit ({} of {} used)",
@@ -254,9 +367,11 @@ impl WalWriter {
 
     /// The block writes (every block touched since the last flush, whole,
     /// in log order) the driver must perform to make everything appended so
-    /// far durable. Empty when nothing was appended since.
+    /// far durable. Empty when nothing was appended since. The vector is
+    /// the one last handed back through [`WalWriter::recycle`], if any.
     pub fn flush(&mut self) -> Vec<IoRequest> {
-        let mut ios = std::mem::take(&mut self.sealed);
+        let mut ios = std::mem::take(&mut self.spare);
+        ios.append(&mut self.sealed);
         if self.offset > self.flushed && self.offset % BLOCK_SIZE != 0 {
             ios.push(IoRequest {
                 vol: DbVol::Wal,
@@ -266,6 +381,15 @@ impl WalWriter {
         }
         self.flushed = self.offset;
         ios
+    }
+
+    /// Take back a request vector the driver is done with, for the next
+    /// [`WalWriter::flush`] to fill. Whatever it still holds is dropped.
+    pub fn recycle(&mut self, mut ios: Vec<IoRequest>) {
+        if ios.capacity() > self.spare.capacity() {
+            ios.clear();
+            self.spare = ios;
+        }
     }
 
     /// Start a fresh epoch (after a checkpoint): the log restarts at block
@@ -282,43 +406,122 @@ impl WalWriter {
     }
 }
 
-/// What a scan of the WAL volume found.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Assert that `tail` is the `end % BLOCK_SIZE` bytes before `end`, which
+/// lies within a `capacity`-byte volume.
+fn check_log_end(capacity: usize, end: usize, tail: &[u8]) {
+    assert!(
+        end <= capacity && tail.len() == end % BLOCK_SIZE,
+        "a {}-byte tail does not end a {end}-byte log on a {capacity}-byte WAL volume",
+        tail.len()
+    );
+}
+
+/// Where one record's operations end in its scan's [`OpList`], with its
+/// LSN and transaction id.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    lsn: u64,
+    txid: u64,
+    ops_end: usize,
+}
+
+/// What a scan of the WAL volume found: every valid record of the epoch
+/// the scan passed, in log order (a continued scan starts after the records
+/// its predecessor found), decoded into one flat buffer — the operations of
+/// all records in one list, their values back to back in one byte vector —
+/// and where the log ends. A follower keeps one and scans into it again and
+/// again ([`WalScan::scan_from`]): its vectors and its block window are
+/// reused, so a scan costs no allocation per record or per value.
+#[derive(Debug, Default)]
 pub struct WalScan {
-    /// Every valid record of the epoch the scan passed, in log order (a
-    /// continued scan starts after the records its predecessor found).
-    pub records: Vec<WalRecord>,
+    heads: Vec<Head>,
+    ops: OpList,
+    // Volume bytes from `base` (block-aligned) on, read block by block as
+    // the scan asks for them. Once the scan stops they are the bytes of the
+    // block the log ends in, up to `end`.
+    base: usize,
+    window: Vec<u8>,
     /// Byte offset at which the valid log ends.
     pub end: usize,
+}
+
+impl WalScan {
+    /// Number of records found.
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// True when the scan found no record.
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
     /// The bytes of the block the log ends in, up to `end` (so
     /// `end % BLOCK_SIZE` of them). Whatever follows on the volume — a torn
     /// record, stale bytes of an earlier epoch — is not part of the log and
     /// is not carried over.
-    pub tail: Vec<u8>,
-}
+    pub fn tail(&self) -> &[u8] {
+        &self.window
+    }
 
-/// The bytes of the WAL volume from a block-aligned `base` on, read block by
-/// block as the scan asks for them (an absent block reads as zeros, which
-/// terminate the scan at the length field).
-struct LogWindow<'d> {
-    dev: &'d dyn BlockDevice,
-    base: usize,
-    bytes: Vec<u8>,
-}
+    /// [`WalScan::tail`], taking its allocation.
+    pub fn take_tail(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.window)
+    }
 
-impl LogWindow<'_> {
+    /// The LSN of each record, in log order.
+    pub fn lsns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.heads.iter().map(|h| h.lsn)
+    }
+
+    /// The transaction id of each record, in log order.
+    pub(crate) fn txids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.heads.iter().map(|h| h.txid)
+    }
+
+    /// Every operation of every record, in log order, values borrowed.
+    pub(crate) fn ops(&self) -> impl Iterator<Item = (u64, Option<&[u8]>)> {
+        self.ops.iter()
+    }
+
+    /// The records, copied out (for tests and diagnostics; redo reads the
+    /// flat buffer).
+    pub fn records(&self) -> Vec<WalRecord> {
+        let mut from = 0;
+        self.heads
+            .iter()
+            .map(|h| {
+                let ops = self
+                    .ops
+                    .slice(from..h.ops_end)
+                    .map(|(key, value)| WalOp {
+                        key,
+                        value: value.map(<[u8]>::to_vec),
+                    })
+                    .collect();
+                from = h.ops_end;
+                WalRecord {
+                    lsn: h.lsn,
+                    txid: h.txid,
+                    ops,
+                }
+            })
+            .collect()
+    }
+
     /// Volume bytes `from..to` (`from >= base`), reading the blocks up to
-    /// `to` that are not in the window yet.
-    fn span(&mut self, from: usize, to: usize) -> &[u8] {
-        while self.base + self.bytes.len() < to {
-            let loaded = self.bytes.len() + BLOCK_SIZE;
-            let lba = (self.base + self.bytes.len()) / BLOCK_SIZE;
-            if let Some(block) = self.dev.read_block(lba as u64) {
-                self.bytes.extend_from_slice(&block);
+    /// `to` that are not in the window yet (an absent block reads as zeros,
+    /// which terminate the scan at the length field).
+    fn span(&mut self, dev: &dyn BlockDevice, from: usize, to: usize) -> &[u8] {
+        while self.base + self.window.len() < to {
+            let loaded = self.window.len() + BLOCK_SIZE;
+            let lba = (self.base + self.window.len()) / BLOCK_SIZE;
+            if let Some(block) = dev.read_block(lba as u64) {
+                self.window.extend_from_slice(&block);
             }
-            self.bytes.resize(loaded, 0);
+            self.window.resize(loaded, 0);
         }
-        self.bytes
+        self.window
             .get(from - self.base..to - self.base)
             .expect("invariant: the window was just extended to cover `to`")
     }
@@ -326,8 +529,89 @@ impl LogWindow<'_> {
     /// Forget the whole blocks before `pos`: the scan never looks back.
     fn advance_to(&mut self, pos: usize) {
         let done = (pos - self.base) / BLOCK_SIZE * BLOCK_SIZE;
-        self.bytes.drain(..done);
+        self.window.drain(..done);
         self.base += done;
+    }
+
+    /// Scan a WAL volume for epoch `epoch` on from where an earlier scan
+    /// stopped (`end`, with `tail` the bytes of its block up to there),
+    /// replacing what this buffer held. The parse runs left to right and a
+    /// record's verdict depends only on its own bytes, so if the volume
+    /// still holds the log up to `end`, scanning on from there finds
+    /// exactly what a scan from block zero would find after its first `end`
+    /// bytes — the records that landed since, each decoded once. Whole
+    /// blocks before the one `end` lies in are the caller's to vouch for;
+    /// the bytes of that block before `end` are compared here, and `false`
+    /// says they changed: the earlier scan is no prefix of this volume and
+    /// the caller must scan from the start.
+    ///
+    /// Stops at the first record that is absent, torn (CRC), from a
+    /// different epoch, or structurally invalid — everything after a
+    /// damaged record is unreachable, exactly as in a production redo
+    /// scan. Blocks are read on demand, each at most once and only as far
+    /// as the record being checked reaches: a scan costs what the live log
+    /// holds, not what the volume could hold.
+    pub fn scan_from(
+        &mut self,
+        dev: &dyn BlockDevice,
+        wal_blocks: u64,
+        epoch: u32,
+        end: usize,
+        tail: &[u8],
+    ) -> bool {
+        self.heads.clear();
+        self.ops.clear();
+        self.window.clear();
+        let capacity = wal_blocks as usize * BLOCK_SIZE;
+        // The window reads whole blocks: a tail that does not start one is
+        // not a scan's tail.
+        let Some(base) = end.checked_sub(tail.len()).filter(|b| b % BLOCK_SIZE == 0) else {
+            return false;
+        };
+        self.base = base;
+        if self.span(dev, base, end) != tail {
+            return false;
+        }
+        let mut pos = end;
+        while pos + HEADER_BYTES <= capacity {
+            let header = self.span(dev, pos, pos + HEADER_BYTES);
+            let rec_epoch = le_u32(header, 0);
+            let len = le_u32(header, 4) as usize;
+            let crc = le_u32(header, 8);
+            let next = pos + HEADER_BYTES + len;
+            if rec_epoch != epoch || len == 0 || next > capacity {
+                break;
+            }
+            // The CRC covers epoch + length and the payload, not its own field.
+            let (header, payload) = self.span(dev, pos, next).split_at(HEADER_BYTES);
+            let (covered, _) = header.split_at(8);
+            let st = crc32_update(crc32_update(0xFFFF_FFFF, covered), payload);
+            if st ^ 0xFFFF_FFFF != crc {
+                break;
+            }
+            let (ops, bytes) = (self.ops.ops.len(), self.ops.bytes.len());
+            let payload = self
+                .window
+                .get(pos + HEADER_BYTES - self.base..next - self.base)
+                .expect("invariant: the window covers the record just checked");
+            match decode_payload(payload, &mut self.ops) {
+                Some((lsn, txid)) => self.heads.push(Head {
+                    lsn,
+                    txid,
+                    ops_end: self.ops.len(),
+                }),
+                None => {
+                    self.ops.truncate(ops, bytes);
+                    break;
+                }
+            }
+            pos = next;
+            self.advance_to(pos);
+        }
+        // The window starts at the block `pos` lies in: cut at `pos`, it is the tail.
+        self.window.truncate(pos - self.base);
+        self.end = pos;
+        true
     }
 }
 
@@ -336,26 +620,15 @@ fn le_u32(header: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(word.expect("invariant: callers pass a whole record header"))
 }
 
-/// Scan a WAL volume for epoch `epoch`. Stops at the first record that is
-/// absent, torn (CRC), from a different epoch, or structurally invalid —
-/// everything after a damaged record is unreachable, exactly as in a
-/// production redo scan. Blocks are read on demand, each at most once and
-/// only as far as the record being checked reaches: a scan costs what the
-/// live log holds, not what the volume could hold.
+/// Scan a WAL volume for epoch `epoch` from its start: see
+/// [`WalScan::scan_from`].
 pub fn scan_wal(dev: &dyn BlockDevice, wal_blocks: u64, epoch: u32) -> WalScan {
     scan_wal_from(dev, wal_blocks, epoch, 0, &[])
         .expect("invariant: an empty log is a prefix of every volume")
 }
 
-/// Continue a scan where an earlier one stopped: `end` and `tail` are the
-/// earlier [`WalScan`]'s. The parse runs left to right and a record's
-/// verdict depends only on its own bytes, so if the volume still holds the
-/// log up to `end`, scanning on from there finds exactly what a scan from
-/// block zero would find after its first `end` bytes — the records that
-/// landed since, each decoded once. Whole blocks before the one `end` lies
-/// in are the caller's to vouch for; the bytes of that block before `end`
-/// are compared here, and `None` says they changed: the earlier scan is no
-/// prefix of this volume and the caller must scan from the start.
+/// Continue a scan where an earlier one stopped, into a new buffer:
+/// [`WalScan::scan_from`], `None` where it says `false`.
 pub fn scan_wal_from(
     dev: &dyn BlockDevice,
     wal_blocks: u64,
@@ -363,51 +636,9 @@ pub fn scan_wal_from(
     end: usize,
     tail: &[u8],
 ) -> Option<WalScan> {
-    let capacity = wal_blocks as usize * BLOCK_SIZE;
-    // The window reads whole blocks: a tail that does not start one is
-    // not a scan's tail.
-    let base = end.checked_sub(tail.len()).filter(|b| b % BLOCK_SIZE == 0)?;
-    let mut window = LogWindow {
-        dev,
-        base,
-        bytes: Vec::new(),
-    };
-    if window.span(base, end) != tail {
-        return None;
-    }
-    let mut records = Vec::new();
-    let mut pos = end;
-    while pos + HEADER_BYTES <= capacity {
-        let header = window.span(pos, pos + HEADER_BYTES);
-        let rec_epoch = le_u32(header, 0);
-        let len = le_u32(header, 4) as usize;
-        let crc = le_u32(header, 8);
-        let next = pos + HEADER_BYTES + len;
-        if rec_epoch != epoch || len == 0 || next > capacity {
-            break;
-        }
-        // The CRC covers epoch + length and the payload, not its own field.
-        let (header, payload) = window.span(pos, next).split_at(HEADER_BYTES);
-        let (covered, _) = header.split_at(8);
-        let st = crc32_update(crc32_update(0xFFFF_FFFF, covered), payload);
-        if st ^ 0xFFFF_FFFF != crc {
-            break;
-        }
-        match WalRecord::decode_payload(payload) {
-            Some(rec) => records.push(rec),
-            None => break,
-        }
-        pos = next;
-        window.advance_to(pos);
-    }
-    // The window starts at the block `pos` lies in: cut at `pos`, it is the tail.
-    let mut tail = window.bytes;
-    tail.truncate(pos - window.base);
-    Some(WalScan {
-        records,
-        end: pos,
-        tail,
-    })
+    let mut scan = WalScan::default();
+    scan.scan_from(dev, wal_blocks, epoch, end, tail)
+        .then_some(scan)
 }
 
 #[cfg(test)]
@@ -463,7 +694,7 @@ mod tests {
             assert!(!ios.is_empty());
             apply(&mut dev, &ios);
         }
-        let scanned = scan_wal(&dev, 16, 1).records;
+        let scanned = scan_wal(&dev, 16, 1).records();
         assert_eq!(scanned, records);
     }
 
@@ -472,8 +703,8 @@ mod tests {
         let mut w = WalWriter::new(4, 3);
         let mut dev = MemDevice::new(4);
         apply(&mut dev, &append(&mut w, &rec(1, 2)));
-        assert!(scan_wal(&dev, 4, 4).records.is_empty());
-        assert_eq!(scan_wal(&dev, 4, 3).records.len(), 1);
+        assert!(scan_wal(&dev, 4, 4).is_empty());
+        assert_eq!(scan_wal(&dev, 4, 3).len(), 1);
     }
 
     #[test]
@@ -484,7 +715,7 @@ mod tests {
         apply(&mut dev, &append(&mut w, &rec(2, 3)));
         // Third record's blocks never reach the device (lost tail).
         let _ = append(&mut w, &rec(3, 3));
-        let scanned = scan_wal(&dev, 8, 1).records;
+        let scanned = scan_wal(&dev, 8, 1).records();
         assert_eq!(scanned.len(), 2);
         assert_eq!(scanned[1].lsn, 2);
     }
@@ -498,7 +729,7 @@ mod tests {
         apply(&mut dev, &append(&mut w, &rec(3, 1)));
         // Flip one byte in the middle record's payload region.
         dev.corrupt(0, rec(1, 1).encoded_len() + HEADER_BYTES + 3);
-        let scanned = scan_wal(&dev, 8, 1).records;
+        let scanned = scan_wal(&dev, 8, 1).records();
         assert_eq!(scanned.len(), 1, "scan must stop at the damaged record");
     }
 
@@ -518,7 +749,7 @@ mod tests {
         let ios = append(&mut w, &big);
         assert!(ios.len() >= 2, "6 KB record must span blocks");
         apply(&mut dev, &ios);
-        let scanned = scan_wal(&dev, 8, 1).records;
+        let scanned = scan_wal(&dev, 8, 1).records();
         assert_eq!(scanned, vec![big]);
     }
 
@@ -545,7 +776,7 @@ mod tests {
         assert_eq!(w.used_bytes(), 0);
         apply(&mut dev, &append(&mut w, &rec(10, 1)));
         // Epoch-2 scan sees only the new record; epoch-1 history is dead.
-        let scanned = scan_wal(&dev, 8, 2).records;
+        let scanned = scan_wal(&dev, 8, 2).records();
         assert_eq!(scanned.len(), 1);
         assert_eq!(scanned[0].lsn, 10);
     }

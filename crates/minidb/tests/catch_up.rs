@@ -356,11 +356,12 @@ fn every_recovery_error_variant_is_followed_exactly() {
 }
 
 /// The auditor calls `catch_up` at every apply boundary, and at most of them
-/// the log has not moved. Such a call costs the scan's one-block window and
-/// nothing else: the rebuilt log writer takes over the window's allocation
-/// (`BlockWriter::resume`) instead of padding a block of its own, hashes
-/// nothing, and validation allocates nothing — whether the log ends inside
-/// a block or, after a checkpoint, before its first byte.
+/// the log has not moved. The first such call costs the scan's one-block
+/// window and nothing else; the database keeps the window (and the redo
+/// buffer) for the next call, which allocates nothing: the log writer is
+/// moved in place (`WalWriter::advance`), hashes nothing, and validation
+/// allocates nothing — whether the log ends inside a block or, after a
+/// checkpoint, before its first byte.
 #[test]
 fn a_catch_up_that_finds_nothing_allocates_only_the_scan_window() {
     let mid_block = vec![Step::Group(vec![vec![(1, Some((1, 100)))], vec![(2, Some((2, 300)))]])];
@@ -382,13 +383,110 @@ fn a_catch_up_that_finds_nothing_allocates_only_the_scan_window() {
         assert_eq!(end % BLOCK_SIZE != 0, steps.len() == 1, "the two shapes of a log end");
 
         let (window, scan) = allocations(|| scan_wal_from(&wal, CFG.wal_blocks, epoch, end, &tail));
-        assert!(scan.expect("still a prefix").records.is_empty());
+        assert!(scan.expect("still a prefix").is_empty());
         assert_eq!(window, 1, "one block of window");
-        for _ in 0..3 {
+        for call in 0..3 {
             let (n, caught) = allocations(|| db.catch_up(&wal, &mut |_, _, _, _| {}));
             assert_eq!(caught.expect("follows"), Some(0));
-            assert_eq!(n, window, "catch_up allocated beyond the scan's window");
+            let kept = if call == 0 { window } else { 0 };
+            assert_eq!(n, kept, "catch_up {call} allocated beyond the kept scan window");
         }
         assert_eq!(db.log_end(), end);
     }
+}
+
+/// Write `bytes` onto the WAL volume at byte `at` (within one block).
+fn write_log_bytes(wal: &mut MemDevice, at: usize, bytes: &[u8]) {
+    let lba = (at / BLOCK_SIZE) as u64;
+    let mut block = wal.read_block(lba).map_or_else(|| vec![0; BLOCK_SIZE], |b| b.to_vec());
+    block[at % BLOCK_SIZE..at % BLOCK_SIZE + bytes.len()].copy_from_slice(bytes);
+    wal.write_block(lba, &block);
+}
+
+/// A continued log is checked whole before any of it lands: two new records,
+/// the first in order and the second repeating its LSN, leave the redo hook
+/// uncalled and return what `recover` of the same volumes returns. (The
+/// other check, no loaded page newer than the log, cannot fail here:
+/// `recover` opened the database only with its pages at or below the log's
+/// end, and a continued log only adds LSNs past that.)
+#[test]
+fn a_new_log_that_breaks_lsn_order_reaches_no_redo() {
+    let stream = block_stream(&[Step::Group(vec![vec![(1, Some((1, 10)))]])]);
+    let (mut wal, mut data) = (MemDevice::new(CFG.wal_blocks), MemDevice::new(CFG.data_blocks));
+    for io in &stream {
+        match io.vol {
+            DbVol::Wal => wal.write_block(io.lba, &io.data),
+            DbVol::Data => data.write_block(io.lba, &io.data),
+        }
+    }
+    let (mut db, report) = MiniDb::recover("follower", &wal, &data, CFG).expect("opens");
+    let (end, lsn) = (db.log_end(), db.last_lsn());
+    let record = |lsn, txid| WalRecord {
+        lsn,
+        txid,
+        ops: vec![WalOp {
+            key: (u64::from(T.0) << 48) | 2,
+            value: Some(vec![2; 20]),
+        }],
+    };
+    let mut log = encode_record(report.epoch, &record(lsn + 1, 50));
+    log.extend(encode_record(report.epoch, &record(lsn + 1, 51)));
+    write_log_bytes(&mut wal, end, &log);
+
+    let mut redone = 0;
+    let err = db
+        .catch_up(&wal, &mut |_, _, _, _| redone += 1)
+        .expect_err("LSN order broken");
+    assert_eq!(redone, 0, "no op reaches the tree before the log is checked");
+    let fresh = MiniDb::recover("follower", &wal, &data, CFG).expect_err("refused");
+    assert_eq!(format!("{err:?}"), format!("{fresh:?}"));
+    assert!(matches!(err, RecoveryError::BadWal(ref why) if why.contains("not increasing")));
+}
+
+/// A follower keeps its scan buffer: once it has caught up over a batch of
+/// records, catching up over as many again — or half as many — allocates
+/// nothing at all, whatever the number of records (their values are the
+/// size of the rows they overwrite, so the leaves have room).
+#[test]
+fn catching_up_over_k_records_allocates_nothing_per_record() {
+    let cfg = DbConfig {
+        data_blocks: 512,
+        wal_blocks: 64,
+        checkpoint_threshold: 0.8,
+    };
+    let (mut live, format) = MiniDb::create("live", cfg.clone());
+    let mut vols = (MemDevice::new(cfg.wal_blocks), MemDevice::new(cfg.data_blocks));
+    let apply = |plan: tsuru_minidb::IoPlan, (wal, data): &mut (MemDevice, MemDevice)| {
+        for io in plan.phases.into_iter().flatten() {
+            match io.vol {
+                DbVol::Wal => wal.write_block(io.lba, &io.data),
+                DbVol::Data => data.write_block(io.lba, &io.data),
+            }
+        }
+    };
+    apply(format, &mut vols);
+    let tx = live.begin();
+    for k in 0..16 {
+        live.put(tx, T, k, &[0; 300]);
+    }
+    live.stage(tx);
+    apply(live.checkpoint(), &mut vols);
+    let commits = |live: &mut MiniDb, vols: &mut (MemDevice, MemDevice), k: u64| {
+        for i in 0..k {
+            let tx = live.begin();
+            live.put(tx, T, i % 16, &[k as u8 + i as u8; 300]);
+            apply(live.commit(tx), vols);
+        }
+    };
+    let (mut db, _) = MiniDb::recover("follower", &vols.0, &vols.1, cfg.clone()).expect("opens");
+    commits(&mut live, &mut vols, 16); // warm-up: the buffers grow once
+    assert_eq!(db.catch_up(&vols.0, &mut |_, _, _, _| {}).expect("follows"), Some(16));
+    for k in [8, 16, 8] {
+        commits(&mut live, &mut vols, k);
+        let (n, caught) = allocations(|| db.catch_up(&vols.0, &mut |_, _, _, _| {}));
+        assert_eq!(caught.expect("follows"), Some(k as usize));
+        assert_eq!(n, 0, "catching up over {k} records");
+    }
+    assert_eq!(live.stats().checkpoints, 2, "one epoch of log");
+    assert_eq!(db.scan_table(T), live.scan_table(T));
 }

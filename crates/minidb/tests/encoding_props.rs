@@ -3,7 +3,7 @@
 //! corruption must be detected.
 
 use proptest::prelude::*;
-use tsuru_minidb::{encode_record, Node, Superblock, WalOp, WalRecord};
+use tsuru_minidb::{encode_record, LogRecord, Node, Superblock, WalOp, WalRecord};
 
 fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
     (
@@ -26,9 +26,7 @@ fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
 
 fn leaf_strategy() -> impl Strategy<Value = Node> {
     prop::collection::btree_map(any::<u64>(), prop::collection::vec(any::<u8>(), 0..100), 0..25)
-        .prop_map(|m| Node::Leaf {
-            entries: m.into_iter().collect(),
-        })
+        .prop_map(|m| Node::leaf(m.iter().map(|(k, v)| (*k, v.as_slice()))))
 }
 
 fn internal_strategy() -> impl Strategy<Value = Node> {
@@ -59,11 +57,11 @@ proptest! {
         for b in 0..blocks {
             dev.write_block(b, &image[b as usize * 4096..(b as usize + 1) * 4096]);
         }
-        let scanned = tsuru_minidb::scan_wal(&dev, blocks, 7).records;
+        let scanned = tsuru_minidb::scan_wal(&dev, blocks, 7).records();
         prop_assert_eq!(scanned.len(), 1);
         prop_assert_eq!(&scanned[0], &rec);
         // Wrong epoch: invisible.
-        prop_assert!(tsuru_minidb::scan_wal(&dev, blocks, 8).records.is_empty());
+        prop_assert!(tsuru_minidb::scan_wal(&dev, blocks, 8).is_empty());
     }
 
     #[test]
@@ -79,7 +77,7 @@ proptest! {
         for b in 0..blocks {
             dev.write_block(b, &image[b as usize * 4096..(b as usize + 1) * 4096]);
         }
-        let scanned = tsuru_minidb::scan_wal(&dev, blocks, 3).records;
+        let scanned = tsuru_minidb::scan_wal(&dev, blocks, 3).records();
         // A flipped record must never decode to something different.
         if let Some(got) = scanned.first() {
             prop_assert_eq!(got, &rec, "corruption yielded a different record");

@@ -394,11 +394,12 @@ impl World {
         }
     }
 
-    fn issue(&mut self, tag: u64, phase: Vec<IoRequest>) {
+    fn issue(&mut self, tag: u64, mut phase: Vec<IoRequest>) {
         self.phases += 1;
         self.mid_phase = false;
         self.dirty = true;
-        self.in_flight.extend(phase.into_iter().map(|io| (tag, io)));
+        self.in_flight.extend(phase.drain(..).map(|io| (tag, io)));
+        self.db.recycle_phase(phase);
     }
 
     fn release(&mut self, waiter: Waiter) {
@@ -414,10 +415,13 @@ impl World {
     /// The driver's loop, exactly as `ecom::driver::pump` runs it.
     fn pump(&mut self) {
         if self.flusher.idle() {
-            let plan: IoPlan = self.db.flush();
-            if !plan.is_empty() {
+            let mut plan: IoPlan = self.db.flush();
+            if plan.is_empty() {
+                self.db.recycle_plan(plan);
+            } else {
                 self.trace.push(1 << 32 | self.db.last_lsn());
-                let (generation, phase) = self.flusher.begin_flush(self.db.last_lsn(), plan);
+                let (generation, phase) = self.flusher.begin_flush(self.db.last_lsn(), &mut plan);
+                self.db.recycle_plan(plan);
                 self.issue(generation, phase);
             }
         }

@@ -1,12 +1,16 @@
 //! The cost is pinned where it is paid: a value is copied when something
-//! keeps it, never when it is looked at (DESIGN.md §24).
+//! keeps it, never when it is looked at (DESIGN.md §24), and a row or a
+//! redo record costs no allocation of its own (DESIGN.md §26).
 //!
-//! Counted with the allocator `catch_up.rs` uses (`support/mod.rs`): the one
-//! copy a transaction makes of a value it puts is the `Vec` the tree ends up
-//! holding; reads borrow; a scan allocates for its result vector's growth,
-//! not per row.
+//! Counted with the allocator `catch_up.rs` uses (`support/mod.rs`): a
+//! transaction's values go into the database's reused write-set buffer and
+//! from there into the leaf that holds them; a flush fills the phase list
+//! and request vector the driver handed back; recovery decodes the log into
+//! one buffer; reads borrow; a scan allocates for its result vector's
+//! growth, not per row.
 
-use tsuru_minidb::{DbConfig, MiniDb, TableId};
+use tsuru_minidb::{DbConfig, DbVol, IoPlan, LogFlusher, MiniDb, Progress, TableId};
+use tsuru_storage::{BlockDeviceMut, MemDevice};
 
 mod support;
 use support::allocations;
@@ -25,35 +29,131 @@ fn seeded(rows: u64) -> MiniDb {
 }
 
 /// The order's stock decrement: read a row, put one of the same size back,
-/// stage. Once the write-set vector and the log's scratch have been through
-/// one transaction, the only allocation left is the value the tree keeps.
-/// (The handful of records here stay inside one log block; sealing a full
-/// block is the flush path's allocation, not the transaction's.)
+/// stage.
+fn order(db: &mut MiniDb, item: u64) -> Option<u64> {
+    let tx = db.begin();
+    let have = db.get(tx, T, item).expect("seeded");
+    let left = u64::from_le_bytes(have.try_into().unwrap()).wrapping_sub(1);
+    db.put(tx, T, item, &left.to_le_bytes());
+    db.stage(tx)
+}
+
+/// Once the write-set buffer and the log's scratch have been through one
+/// transaction, an order-shaped one allocates nothing: its value is copied
+/// into the write-set's bytes, encoded from there, and copied over the old
+/// value in its leaf, which has room for it. (The handful of records here
+/// stay inside one log block; sealing a full block is the flush path's
+/// allocation, not the transaction's.)
 #[test]
-fn an_order_shaped_transaction_allocates_the_value_the_tree_keeps() {
+fn an_order_shaped_transaction_allocates_nothing() {
     let mut db = seeded(100);
-    let order = |db: &mut MiniDb, item: u64| {
-        let tx = db.begin();
-        let have = db.get(tx, T, item).expect("seeded");
-        let left = u64::from_le_bytes(have.try_into().unwrap()).wrapping_sub(1);
-        db.put(tx, T, item, &left.to_le_bytes());
-        db.stage(tx)
-    };
     order(&mut db, 7); // warm-up
     for item in [7, 8, 7, 99] {
         let (n, lsn) = allocations(|| order(&mut db, item));
         assert!(lsn.is_some());
-        assert_eq!(n, 1, "item {item}");
+        assert_eq!(n, 0, "item {item}");
     }
     // A transaction that writes nothing allocates nothing, and hands the
-    // write-set vector on all the same.
+    // write-set on all the same.
     let (n, _) = allocations(|| {
         let tx = db.begin();
         let _ = db.get(tx, T, 3);
         db.stage(tx)
     });
     assert_eq!(n, 0);
-    assert_eq!(allocations(|| order(&mut db, 3)).0, 1);
+    assert_eq!(allocations(|| order(&mut db, 3)).0, 0);
+}
+
+/// A group commit in steady state, the way the shop's driver runs it: stage,
+/// flush, put the plan in flight, hand the phase list back, issue the
+/// phase's writes and hand the vector back, acknowledge every write,
+/// release the waiter. The one allocation is the image of the log's tail
+/// block — the write itself.
+#[test]
+fn a_steady_state_group_commit_allocates_only_its_tail_image() {
+    let mut db = seeded(100);
+    let mut flusher = LogFlusher::new(db.last_lsn());
+    let group = |db: &mut MiniDb, flusher: &mut LogFlusher<u64>, item: u64| {
+        let lsn = order(db, item).expect("a write");
+        flusher.enqueue(lsn, item);
+        let mut plan = db.flush();
+        let (generation, mut phase) = flusher.begin_flush(db.last_lsn(), &mut plan);
+        db.recycle_plan(plan);
+        let writes = phase.len();
+        let first = phase.first().map(|io| (io.vol, io.lba));
+        phase.clear(); // issued: the array holds the images now
+        db.recycle_phase(phase);
+        for _ in 0..writes {
+            match flusher.write_done(generation, true) {
+                Progress::Pending | Progress::Done(true) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(flusher.pop_released(), Some((item, true)));
+        (writes, first)
+    };
+    group(&mut db, &mut flusher, 1); // warm-up: the vectors go round once
+    group(&mut db, &mut flusher, 2);
+    for item in [3, 4, 3, 50] {
+        let (n, writes) = allocations(|| group(&mut db, &mut flusher, item));
+        assert_eq!(
+            writes,
+            (1, Some((DbVol::Wal, 0))),
+            "one image of the tail block"
+        );
+        assert_eq!(n, 1, "item {item}: the tail image and nothing else");
+    }
+}
+
+/// Recovery decodes the whole log into one buffer — the operations of all
+/// records in one vector, their values in one byte vector — and copies each
+/// value once, into its leaf. A log twice as long over the same pages costs
+/// one more growth of each of the buffer's three vectors, not an allocation
+/// per record: at most this many more.
+const RECOVER_GROWTH: u64 = 4;
+
+#[test]
+fn recovering_a_longer_log_over_the_same_pages_allocates_a_constant_more() {
+    let cost = |records: u64| {
+        let cfg = DbConfig::default();
+        let (mut db, format) = MiniDb::create("r", cfg.clone());
+        let mut wal = MemDevice::new(cfg.wal_blocks);
+        let mut data = MemDevice::new(cfg.data_blocks);
+        let mut apply = |plan: IoPlan| {
+            for io in plan.phases.iter().flatten() {
+                match io.vol {
+                    DbVol::Wal => wal.write_block(io.lba, &io.data),
+                    DbVol::Data => data.write_block(io.lba, &io.data),
+                }
+            }
+        };
+        apply(format);
+        let tx = db.begin();
+        for k in 0..100u64 {
+            db.put(tx, T, k, &k.to_le_bytes());
+        }
+        let _ = db.stage(tx);
+        apply(db.checkpoint());
+        for i in 0..records {
+            let tx = db.begin();
+            db.put(tx, T, i % 100, &i.to_le_bytes());
+            apply(db.commit(tx));
+        }
+        assert_eq!(db.stats().checkpoints, 2, "one epoch of log over the pages");
+        let (n, opened) = allocations(|| MiniDb::recover("r", &wal, &data, cfg.clone()));
+        let (rec, report) = opened.expect("recovers");
+        assert_eq!(report.redo_records as u64, records);
+        assert_eq!(
+            rec.get_committed(T, (records - 1) % 100),
+            Some(&(records - 1).to_le_bytes()[..])
+        );
+        n
+    };
+    let (once, twice) = (cost(200), cost(400));
+    assert!(
+        twice <= once + RECOVER_GROWTH,
+        "recovering 200 records allocated {once} times, 400 records {twice}"
+    );
 }
 
 #[test]

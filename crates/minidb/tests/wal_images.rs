@@ -126,9 +126,9 @@ impl Model {
     /// the flushed bytes.
     fn check_scan(&self) -> Result<(), String> {
         let scan = scan_wal(&self.dev, WAL_BLOCKS, self.epoch);
-        prop_assert_eq!(&scan.records[..], &self.records[..self.flushed.0]);
+        prop_assert_eq!(&scan.records()[..], &self.records[..self.flushed.0]);
         prop_assert_eq!(scan.end, self.flushed.1);
-        let again: Vec<u8> = scan.records.iter().flat_map(|r| encode_record(self.epoch, r)).collect();
+        let again: Vec<u8> = scan.records().iter().flat_map(|r| encode_record(self.epoch, r)).collect();
         prop_assert_eq!(&again[..], &self.log[..self.flushed.1]);
         Ok(())
     }
@@ -165,9 +165,9 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
             Step::Resume => {
                 model.records.truncate(model.flushed.0);
                 model.log.truncate(model.flushed.1);
-                let scan = scan_wal(&model.dev, WAL_BLOCKS, model.epoch);
+                let mut scan = scan_wal(&model.dev, WAL_BLOCKS, model.epoch);
                 prop_assert_eq!(scan.end, model.log.len());
-                writer = WalWriter::resume(WAL_BLOCKS, model.epoch, scan.end, scan.tail);
+                writer = WalWriter::resume(WAL_BLOCKS, model.epoch, scan.end, scan.take_tail());
             }
         }
         prop_assert_eq!(writer.used_bytes(), model.log.len());
@@ -237,9 +237,9 @@ fn tail_sealed_reset_and_resumed_images() {
     }
     assert_eq!(push(&mut writer, &mut model, rec(49, 1024)), 3);
     // A crash, a scan, a resumed tail.
-    let scan = scan_wal(&model.dev, WAL_BLOCKS, 1);
-    assert!(!scan.tail.is_empty());
-    writer = WalWriter::resume(WAL_BLOCKS, 1, scan.end, scan.tail);
+    let mut scan = scan_wal(&model.dev, WAL_BLOCKS, 1);
+    assert!(!scan.tail().is_empty());
+    writer = WalWriter::resume(WAL_BLOCKS, 1, scan.end, scan.take_tail());
     assert_eq!(push(&mut writer, &mut model, rec(50, 5)), 1);
     // ... which the next record fills and seals.
     assert_eq!(push(&mut writer, &mut model, rec(51, 0)), 2);

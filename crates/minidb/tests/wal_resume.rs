@@ -22,7 +22,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use tsuru_minidb::{
-    encode_record, scan_wal, DbConfig, DbVol, IoRequest, MiniDb, TableId, WalOp, WalRecord,
+    encode_record, scan_wal, DbConfig, DbVol, IoRequest, LogRecord, MiniDb, TableId, WalOp,
+    WalRecord,
 };
 use tsuru_storage::{BlockDevice, BlockDeviceMut, MemDevice, BLOCK_SIZE};
 
@@ -163,7 +164,7 @@ impl ImageWriter {
             image: vec![0; wal_blocks as usize * BLOCK_SIZE],
             offset: 0,
         };
-        for rec in &scan_wal(dev, wal_blocks, epoch).records {
+        for rec in &scan_wal(dev, wal_blocks, epoch).records() {
             w.append(rec);
         }
         w

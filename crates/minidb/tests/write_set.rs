@@ -1,7 +1,8 @@
 //! The flat write-set answers as the overlay map did.
 //!
-//! A transaction's write-set is one `Vec<WalOp>` in call order; a read of
-//! the transaction's own writes scans it from the newest op back. The model
+//! A transaction's write-set is one op list in call order, its values in
+//! one byte buffer (DESIGN.md §26); a read of the transaction's own writes
+//! scans it from the newest op back. The model
 //! here is the structure that scan replaced — a `BTreeMap<key,
 //! Option<value>>` per transaction, last write wins — driven beside the
 //! database through random `begin` / `put` / `delete` / `get` / `abort` /
