@@ -536,6 +536,16 @@ impl MiniDb {
                 "page allocator state outside the data volume".into(),
             ));
         }
+        // The log's length sizes every scan of it and the writer that
+        // resumes it: at least the two blocks `create` asks for, and no
+        // more than the volume it lies on.
+        if !(2..=wal_dev.size_blocks()).contains(&sb.wal_blocks) {
+            return Err(RecoveryError::BadSuperblock(format!(
+                "a {}-block WAL on a {}-block volume",
+                sb.wal_blocks,
+                wal_dev.size_blocks()
+            )));
+        }
 
         let (tree, max_page_lsn) =
             BTree::load(data_dev, sb.root).map_err(RecoveryError::Page)?;

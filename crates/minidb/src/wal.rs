@@ -272,7 +272,7 @@ impl WalWriter {
     /// Panics if `tail` is not the `end % BLOCK_SIZE` bytes before `end` or
     /// `end` lies beyond the volume.
     pub fn resume(wal_blocks: u64, epoch: u32, end: usize, tail: Vec<u8>) -> Self {
-        let capacity = wal_blocks as usize * BLOCK_SIZE;
+        let capacity = log_capacity(wal_blocks);
         check_log_end(capacity, end, &tail);
         WalWriter {
             epoch,
@@ -355,9 +355,8 @@ impl WalWriter {
                 self.sealed.push(IoRequest {
                     vol: DbVol::Wal,
                     lba: (self.offset / BLOCK_SIZE - 1) as u64,
-                    data: self.tail.image(),
+                    data: self.tail.seal(),
                 });
-                self.tail.clear();
             }
             rest = rest
                 .get(taken..)
@@ -404,6 +403,15 @@ impl WalWriter {
         self.sealed.clear();
         self.tail.clear();
     }
+}
+
+/// Bytes in a WAL volume of `wal_blocks` blocks. The count comes off the
+/// disk (the superblock), so one too large for the address space reads as
+/// the largest capacity there is instead of wrapping.
+fn log_capacity(wal_blocks: u64) -> usize {
+    usize::try_from(wal_blocks)
+        .unwrap_or(usize::MAX)
+        .saturating_mul(BLOCK_SIZE)
 }
 
 /// Assert that `tail` is the `end % BLOCK_SIZE` bytes before `end`, which
@@ -550,7 +558,9 @@ impl WalScan {
     /// damaged record is unreachable, exactly as in a production redo
     /// scan. Blocks are read on demand, each at most once and only as far
     /// as the record being checked reaches: a scan costs what the live log
-    /// holds, not what the volume could hold.
+    /// holds, not what the volume could hold. The log is `wal_blocks`
+    /// long, or as long as the device if that is shorter: a scan reads
+    /// nothing past the device, whatever count it was handed.
     pub fn scan_from(
         &mut self,
         dev: &dyn BlockDevice,
@@ -562,7 +572,7 @@ impl WalScan {
         self.heads.clear();
         self.ops.clear();
         self.window.clear();
-        let capacity = wal_blocks as usize * BLOCK_SIZE;
+        let capacity = log_capacity(wal_blocks.min(dev.size_blocks()));
         // The window reads whole blocks: a tail that does not start one is
         // not a scan's tail.
         let Some(base) = end.checked_sub(tail.len()).filter(|b| b % BLOCK_SIZE == 0) else {

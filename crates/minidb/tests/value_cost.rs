@@ -5,12 +5,13 @@
 //! Counted with the allocator `catch_up.rs` uses (`support/mod.rs`): a
 //! transaction's values go into the database's reused write-set buffer and
 //! from there into the leaf that holds them; a flush fills the phase list
-//! and request vector the driver handed back; recovery decodes the log into
-//! one buffer; reads borrow; a scan allocates for its result vector's
-//! growth, not per row.
+//! and request vector the driver handed back, and the log's writer mints
+//! its tail image into the one the array let go of (DESIGN.md §23);
+//! recovery decodes the log into one buffer; reads borrow; a scan
+//! allocates for its result vector's growth, not per row.
 
-use tsuru_minidb::{DbConfig, DbVol, IoPlan, LogFlusher, MiniDb, Progress, TableId};
-use tsuru_storage::{BlockDeviceMut, MemDevice};
+use tsuru_minidb::{DbConfig, DbVol, IoPlan, IoRequest, LogFlusher, MiniDb, Progress, TableId};
+use tsuru_storage::{BlockDeviceMut, MemDevice, BLOCK_SIZE};
 
 mod support;
 use support::allocations;
@@ -64,45 +65,124 @@ fn an_order_shaped_transaction_allocates_nothing() {
     assert_eq!(allocations(|| order(&mut db, 3)).0, 0);
 }
 
-/// A group commit in steady state, the way the shop's driver runs it: stage,
-/// flush, put the plan in flight, hand the phase list back, issue the
-/// phase's writes and hand the vector back, acknowledge every write,
-/// release the waiter. The one allocation is the image of the log's tail
-/// block — the write itself.
-#[test]
-fn a_steady_state_group_commit_allocates_only_its_tail_image() {
-    let mut db = seeded(100);
-    let mut flusher = LogFlusher::new(db.last_lsn());
-    let group = |db: &mut MiniDb, flusher: &mut LogFlusher<u64>, item: u64| {
-        let lsn = order(db, item).expect("a write");
-        flusher.enqueue(lsn, item);
-        let mut plan = db.flush();
-        let (generation, mut phase) = flusher.begin_flush(db.last_lsn(), &mut plan);
-        db.recycle_plan(plan);
-        let writes = phase.len();
-        let first = phase.first().map(|io| (io.vol, io.lba));
-        phase.clear(); // issued: the array holds the images now
-        db.recycle_phase(phase);
-        for _ in 0..writes {
-            match flusher.write_done(generation, true) {
-                Progress::Pending | Progress::Done(true) => {}
-                other => panic!("unexpected {other:?}"),
-            }
+/// One group commit, the way the shop's driver runs it: stage, flush, put
+/// the plan in flight, hand the phase list back, issue the phase's writes
+/// and hand the vector back, acknowledge every write, release the waiter.
+/// Issuing moves the writes into `in_flight`, which stands for the array:
+/// it holds the images until the caller lets go of them. Returns how many
+/// writes the group made and where the first went.
+fn group(
+    db: &mut MiniDb,
+    flusher: &mut LogFlusher<u64>,
+    item: u64,
+    in_flight: &mut Vec<IoRequest>,
+) -> (usize, Option<(DbVol, u64)>) {
+    let lsn = order(db, item).expect("a write");
+    flusher.enqueue(lsn, item);
+    let mut plan = db.flush();
+    let (generation, mut phase) = flusher.begin_flush(db.last_lsn(), &mut plan);
+    db.recycle_plan(plan);
+    let writes = phase.len();
+    let first = phase.first().map(|io| (io.vol, io.lba));
+    in_flight.append(&mut phase); // issued
+    db.recycle_phase(phase);
+    for _ in 0..writes {
+        match flusher.write_done(generation, true) {
+            Progress::Pending | Progress::Done(true) => {}
+            other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(flusher.pop_released(), Some((item, true)));
-        (writes, first)
-    };
-    group(&mut db, &mut flusher, 1); // warm-up: the vectors go round once
-    group(&mut db, &mut flusher, 2);
+    }
+    assert_eq!(flusher.pop_released(), Some((item, true)));
+    (writes, first)
+}
+
+/// A database whose vectors have been round once, with its flusher.
+fn flushing() -> (MiniDb, LogFlusher<u64>) {
+    let db = seeded(100);
+    let flusher = LogFlusher::new(db.last_lsn());
+    (db, flusher)
+}
+
+/// A group commit in steady state allocates nothing. Its one write is the
+/// image of the log's tail block, and the log's writer mints it into the
+/// previous one, which the array let go of once it was written.
+#[test]
+fn a_steady_state_group_commit_allocates_nothing() {
+    let (mut db, mut flusher) = flushing();
+    let mut in_flight = Vec::with_capacity(4);
+    for item in [1, 2] {
+        // Warm-up: the vectors and the writer's ring go round once.
+        group(&mut db, &mut flusher, item, &mut in_flight);
+        in_flight.clear();
+    }
     for item in [3, 4, 3, 50] {
-        let (n, writes) = allocations(|| group(&mut db, &mut flusher, item));
+        let (n, writes) = allocations(|| {
+            let writes = group(&mut db, &mut flusher, item, &mut in_flight);
+            in_flight.clear(); // written: the array lets go of the image
+            writes
+        });
         assert_eq!(
             writes,
             (1, Some((DbVol::Wal, 0))),
             "one image of the tail block"
         );
-        assert_eq!(n, 1, "item {item}: the tail image and nothing else");
+        assert_eq!(n, 0, "item {item}: the tail image is re-minted");
     }
+}
+
+/// While K tail images are in flight, nothing can be minted into: each
+/// group commit allocates exactly its image. Once they land, the next
+/// group re-mints one of them and the writer lets the rest go, so group
+/// commits allocate nothing again.
+#[test]
+fn images_in_flight_cost_one_allocation_each_until_they_land() {
+    const K: usize = 12;
+    let (mut db, mut flusher) = flushing();
+    let mut in_flight = Vec::with_capacity(K + 1);
+    let mut round = |db: &mut MiniDb, flusher: &mut LogFlusher<u64>, counted: bool| {
+        // One image in flight already, then K more.
+        group(db, flusher, 1, &mut in_flight);
+        for i in 0..K as u64 {
+            let (n, _) = allocations(|| group(db, flusher, 2 + i % 3, &mut in_flight));
+            assert!(!counted || n == 1, "image {i} of {K} in flight: {n} allocations");
+        }
+        assert_eq!(in_flight.len(), K + 1);
+        in_flight.clear(); // they all land
+        for item in [5, 6, 7] {
+            let (n, _) = allocations(|| {
+                let writes = group(db, flusher, item, &mut in_flight);
+                in_flight.clear();
+                writes
+            });
+            assert!(!counted || n == 0, "after landing, item {item}: {n} allocations");
+        }
+    };
+    round(&mut db, &mut flusher, false); // warm-up: the ring grows to K + 1
+    round(&mut db, &mut flusher, true);
+}
+
+/// The writer's ring holds no idle images: when the only holder is the
+/// volume, which keeps the last image of each block until the next one
+/// lands there, successive tail images cycle between two allocations —
+/// also across the log filling blocks, whose sealed images stay out of it.
+#[test]
+fn tail_images_cycle_among_at_most_two_allocations() {
+    let (mut db, mut flusher) = flushing();
+    let mut volume = std::collections::BTreeMap::new();
+    let mut tails = std::collections::BTreeSet::new();
+    for item in 0..200u64 {
+        let mut issued = Vec::new();
+        group(&mut db, &mut flusher, item % 100, &mut issued);
+        if db.log_end() % BLOCK_SIZE != 0 {
+            let tail = issued.last().expect("the tail block's image");
+            tails.insert(tail.data.as_ptr() as usize);
+        }
+        for io in issued {
+            volume.insert(io.lba, io.data); // lands over the block's last image
+        }
+    }
+    assert!(db.log_end() > 2 * BLOCK_SIZE, "the log filled blocks");
+    assert!(tails.len() <= 2, "{} allocations for 200 tail images", tails.len());
 }
 
 /// Recovery decodes the whole log into one buffer — the operations of all

@@ -1,5 +1,6 @@
 //! Block-level primitives: identifiers, payload buffers and content hashing.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -255,6 +256,14 @@ pub fn block_from(data: &[u8]) -> BlockBuf {
 /// [`BlockWriter::image`] hashes only what was appended since the last
 /// image, plus less than a stripe. Absorbing happens nowhere else — a
 /// writer that is resumed, appended to and never imaged hashes nothing.
+///
+/// A tail is re-imaged at every flush, and each image retires once its
+/// holders (a volume, a journal entry, a link, a snapshot, the backup) let
+/// go. The writer keeps the images it handed out in a ring and mints the
+/// next one into one that nothing else holds any more, so a log whose
+/// tail images retire as fast as they are minted allocates none. Each
+/// sweep gives up after passing two images that are still held, so the
+/// ring is bounded by what is in flight, not by a fixed depth.
 #[derive(Debug)]
 pub struct BlockWriter {
     // The bytes appended so far; at most `BLOCK_SIZE`.
@@ -263,7 +272,23 @@ pub struct BlockWriter {
     // the extent at the last image.
     lanes: Lanes,
     absorbed: usize,
+    // The images `image()` handed out that may still be held, swept from
+    // the front: a clone of each, so an entry nothing else holds is one
+    // `Arc::get_mut` can write.
+    minted: VecDeque<BlockBuf>,
 }
+
+// How many still-held images one `BlockWriter::image` sweeps past
+// before it gives up on the ring. In steady state one image retires per
+// image minted, and a sweep moves at least two entries per image (or the
+// whole ring) while the ring grows by at most one, so it laps the ring
+// faster than images retire: a retired image is met within half the
+// ring's length in images, then reused or released. With images retiring
+// in the order they were minted, the ring settles at what is in flight
+// plus about a sixth (a model of the rule: 74 entries for 64 in flight,
+// 233 for 200), and a sweep costs a constant however many are in flight.
+// A fixed property of the rule, not a knob.
+const SHARED_PER_SWEEP: usize = 2;
 
 impl BlockWriter {
     /// An empty block.
@@ -286,6 +311,7 @@ impl BlockWriter {
             bytes,
             lanes: Lanes::START,
             absorbed: 0,
+            minted: VecDeque::new(),
         }
     }
 
@@ -311,8 +337,58 @@ impl BlockWriter {
     }
 
     /// The block as it stands — the appended bytes, zeros after them —
-    /// with its fingerprint set.
+    /// with its fingerprint set: a block that will be imaged again as it
+    /// grows. Minted into one of this writer's retired images when the
+    /// sweep finds one; a clone stays in the ring until it retires in turn.
     pub fn image(&mut self) -> BlockBuf {
+        let fingerprint = self.fingerprint();
+        let image = match self.retired() {
+            Some(mut image) => {
+                let block = Arc::get_mut(&mut image.0)
+                    .expect("invariant: the sweep hands out only images nothing else holds");
+                let len = self.bytes.len();
+                // Every byte past `written` is zero already: only the old
+                // image's bytes past the new length need clearing.
+                if let Some(stale) = block.bytes.get_mut(len..block.written) {
+                    stale.fill(0);
+                }
+                block
+                    .bytes
+                    .get_mut(..len)
+                    .expect("invariant: a writer holds at most one block")
+                    .copy_from_slice(&self.bytes);
+                block.written = len;
+                block.fingerprint = OnceLock::from(fingerprint);
+                image
+            }
+            None => BlockBuf::padded(&self.bytes, OnceLock::from(fingerprint)),
+        };
+        self.minted.push_back(image.clone());
+        image
+    }
+
+    /// The block as it stands, as [`BlockWriter::image`] mints it, and the
+    /// writer cleared: a block that is done, whose image outlives any
+    /// sweep (a log's full block stays on its volume until the log wraps),
+    /// so it is built fresh and never enters the ring.
+    pub fn seal(&mut self) -> BlockBuf {
+        let fingerprint = self.fingerprint();
+        let image = BlockBuf::padded(&self.bytes, OnceLock::from(fingerprint));
+        self.clear();
+        image
+    }
+
+    /// Start over with an empty block, keeping the allocation and the
+    /// images in the ring.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.lanes = Lanes::START;
+        self.absorbed = 0;
+    }
+
+    /// The fingerprint of the block as it stands, absorbing the whole
+    /// stripes appended below the extent since the last image.
+    fn fingerprint(&mut self) -> u64 {
         let extent = extent_of(&self.bytes);
         let whole = extent / STRIPE * STRIPE;
         let fresh = self
@@ -325,15 +401,31 @@ impl BlockWriter {
             .bytes
             .get(whole..extent)
             .expect("invariant: the extent lies within the appended bytes");
-        let fingerprint = self.lanes.digest(remainder, extent);
-        BlockBuf::padded(&self.bytes, OnceLock::from(fingerprint))
+        self.lanes.digest(remainder, extent)
     }
 
-    /// Start over with an empty block, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-        self.lanes = Lanes::START;
-        self.absorbed = 0;
+    /// Sweep the ring from the front for an image nothing else holds: a
+    /// held one rotates to the back, the first free one is taken, any
+    /// further free one is released. Stops after `SHARED_PER_SWEEP` held
+    /// images or one lap.
+    fn retired(&mut self) -> Option<BlockBuf> {
+        let mut found = None;
+        let mut shared = 0;
+        for _ in 0..self.minted.len() {
+            if shared == SHARED_PER_SWEEP {
+                break;
+            }
+            let Some(mut image) = self.minted.pop_front() else {
+                break;
+            };
+            if Arc::get_mut(&mut image.0).is_none() {
+                shared += 1;
+                self.minted.push_back(image);
+            } else if found.is_none() {
+                found = Some(image);
+            }
+        }
+        found
     }
 }
 

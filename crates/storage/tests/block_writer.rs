@@ -23,6 +23,17 @@
 //!   extent belongs): fails the same three tests here on the first
 //!   zero-suffixed image, and both tests of `wal_images.rs`.
 
+//!
+//! The writer also mints each image into a retired one of its own
+//! (DESIGN.md §23), so the re-mint oracle adds holders that keep or let
+//! go of images: every image still equals `block_from` of the writer's
+//! bytes, and every image still held keeps the bytes and fingerprint it
+//! was minted with. Mutation check (by hand, then undone): *skip zeroing
+//! the old image's bytes past the new length* fails
+//! `re_minted_images_are_fresh_ones_and_held_ones_never_change`,
+//! `a_shorter_image_minted_into_a_longer_one_is_zero_padded` and
+//! `images_equal_blocks_built_from_scratch`, each in its first case.
+
 use proptest::prelude::*;
 use tsuru_storage::{block_from, content_hash, BlockBuf, BlockWriter, BLOCK_SIZE};
 
@@ -214,4 +225,112 @@ fn fingerprints_tell_trailing_bytes_and_their_position_apart() {
     // An empty block and an all-zero one are the same block.
     assert_eq!(BlockWriter::new().image().fingerprint(), content_hash(b""));
     assert_eq!(block_from(&[0u8; BLOCK_SIZE]).fingerprint(), content_hash(b""));
+}
+
+/// What the re-mint oracle does next: the writer's own calls, plus holders
+/// that keep an image (a volume, a journal, a snapshot) or let one go.
+#[derive(Debug, Clone)]
+enum Hold {
+    Append(Vec<u8>),
+    /// Take an image; keep it if `true`, else drop it at once.
+    Image(bool),
+    /// Take a sealed image (the writer clears); keep it if `true`.
+    Seal(bool),
+    Clear,
+    /// Let go of the held image at this index (modulo how many are held).
+    Release(usize),
+}
+
+fn hold_strategy() -> impl Strategy<Value = Hold> {
+    prop_oneof![
+        8 => chunk_strategy().prop_map(Hold::Append),
+        6 => any::<bool>().prop_map(Hold::Image),
+        1 => any::<bool>().prop_map(Hold::Seal),
+        2 => Just(Hold::Clear),
+        5 => any::<usize>().prop_map(Hold::Release),
+    ]
+}
+
+/// An image a holder keeps, with its bytes and fingerprint as minted.
+struct Held {
+    image: BlockBuf,
+    bytes: Vec<u8>,
+    fingerprint: u64,
+}
+
+/// Check a new image against the writer's bytes, and keep it if asked.
+fn minted(held: &mut Vec<Held>, image: BlockBuf, bytes: &[u8], keep: bool) -> Result<(), String> {
+    check_image(&image, bytes)?;
+    if keep {
+        held.push(Held {
+            bytes: image.to_vec(),
+            fingerprint: image.fingerprint(),
+            image,
+        });
+    }
+    Ok(())
+}
+
+/// Every image — minted into a retired one or fresh — is the block of the
+/// writer's bytes, and no image anyone still holds ever changes.
+fn check_holders(steps: &[Hold]) -> Result<(), String> {
+    let mut writer = BlockWriter::new();
+    let mut held: Vec<Held> = Vec::new();
+    for step in steps {
+        match step {
+            Hold::Append(chunk) => {
+                writer.append(chunk);
+            }
+            Hold::Image(keep) => {
+                let image = writer.image();
+                minted(&mut held, image, writer.bytes(), *keep)?;
+            }
+            Hold::Seal(keep) => {
+                let bytes = writer.bytes().to_vec();
+                let image = writer.seal();
+                prop_assert_eq!(writer.filled(), 0);
+                minted(&mut held, image, &bytes, *keep)?;
+            }
+            Hold::Clear => writer.clear(),
+            Hold::Release(at) => {
+                if !held.is_empty() {
+                    held.swap_remove(at % held.len());
+                }
+            }
+        }
+        for h in &held {
+            prop_assert_eq!(&h.image[..], &h.bytes[..]);
+            prop_assert_eq!(h.image.fingerprint(), h.fingerprint);
+        }
+    }
+    let image = writer.image();
+    check_image(&image, writer.bytes())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn re_minted_images_are_fresh_ones_and_held_ones_never_change(
+        steps in prop::collection::vec(hold_strategy(), 1..120),
+    ) {
+        check_holders(&steps)?;
+    }
+}
+
+/// The tail of a log that outgrows its images: a long block imaged and
+/// let go, then a short one imaged into the same allocation, whose bytes
+/// past the short length must read as zeros again.
+#[test]
+fn a_shorter_image_minted_into_a_longer_one_is_zero_padded() {
+    let block = holey_block();
+    let mut writer = BlockWriter::resume(block[..3000].to_vec());
+    let long = writer.image();
+    let at = long.as_ptr();
+    drop(long);
+    writer.clear();
+    writer.append(&block[..10]);
+    let short = writer.image();
+    assert_eq!(short.as_ptr(), at, "minted into the retired image");
+    check_image(&short, &block[..10]).unwrap();
 }
