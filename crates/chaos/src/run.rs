@@ -54,9 +54,6 @@ pub struct ChaosConfig {
     /// Recovery policy for the armed supervisor (ignored unless
     /// `supervisor` is set).
     pub supervisor_policy: SupervisorPolicy,
-    /// Extra sim-time past the horizon during which supervisor probes
-    /// stay armed, bounding time-to-convergence after the last heal.
-    pub converge_grace: SimDuration,
     /// Arm the SLO alert engine on the trial rig with this rule profile.
     /// Off by default for the same byte-identity reason as `trace` (and
     /// arming implies tracing, so incidents can carry the fault windows
@@ -77,11 +74,15 @@ impl Default for ChaosConfig {
             scan_every: SimDuration::from_millis(5),
             supervisor: false,
             supervisor_policy: SupervisorPolicy::default(),
-            converge_grace: SimDuration::from_millis(100),
             alerts: None,
         }
     }
 }
+
+/// Extra sim-time past the horizon during which supervisor probes and
+/// alert evaluation stay armed, bounding time-to-convergence after the
+/// last heal.
+const CONVERGE_GRACE: SimDuration = SimDuration::from_millis(100);
 
 /// The instants `every`, `2 × every`, … before `horizon`; none at all for
 /// a zero cadence, which would never get there.
@@ -250,13 +251,10 @@ fn run_trial_inner(
         }
     }
     if cfg.supervisor {
-        rig.enable_supervisor(
-            cfg.supervisor_policy.clone(),
-            plan.horizon + cfg.converge_grace,
-        );
+        rig.enable_supervisor(cfg.supervisor_policy.clone(), plan.horizon + CONVERGE_GRACE);
     }
     if let Some(profile) = &cfg.alerts {
-        rig.enable_alerts(profile.clone(), plan.horizon + cfg.converge_grace);
+        rig.enable_alerts(profile.clone(), plan.horizon + CONVERGE_GRACE);
     }
     let tracer = rig.world.st.tracer.clone();
     let history = rig.world.st.history.clone();

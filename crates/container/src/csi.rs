@@ -84,13 +84,6 @@ impl<D> Provisioner<D> {
     pub fn driver(&self) -> &D {
         &self.driver
     }
-
-    /// Mutable access to the wrapped driver (e.g. snapshot calls by other
-    /// controllers sharing the driver; cheap in this single-threaded
-    /// setting).
-    pub fn driver_mut(&mut self) -> &mut D {
-        &mut self.driver
-    }
 }
 
 impl<C, D: CsiDriver<C>> Reconciler<C> for Provisioner<D> {

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use tsuru_ecom::{EcomEvents, EcomOp};
 use tsuru_sim::{Event, Sim, SimDuration};
-use tsuru_storage::{ArrayId, GroupId, StorageEvents, StorageOp};
+use tsuru_storage::{ArrayId, GroupId, StorageEvents, StorageOp, PROBE_INTERVAL};
 
 use crate::world::DemoWorld;
 
@@ -47,8 +47,8 @@ pub enum ControlOp {
         /// Re-arms left after this sample.
         remaining: u32,
     },
-    /// One supervisor probe pass, re-armed at the armed policy's
-    /// `probe_interval` while `remaining > 0` (see
+    /// One supervisor probe pass, re-armed every
+    /// [`tsuru_storage::PROBE_INTERVAL`] while `remaining > 0` (see
     /// [`tsuru_storage::supervisor::tick`]). A no-op when no supervisor
     /// is armed on the world.
     SupervisorTick {
@@ -99,19 +99,13 @@ impl ControlOp {
             }
             ControlOp::SupervisorTick { remaining } => {
                 tsuru_storage::supervisor::tick(w, sim);
-                let interval = w
-                    .st
-                    .supervisor()
-                    .map(|sv| sv.policy().probe_interval);
-                if let Some(interval) = interval {
-                    if remaining > 0 {
-                        sim.schedule_event_in(
-                            interval,
-                            DemoEvent::Control(ControlOp::SupervisorTick {
-                                remaining: remaining - 1,
-                            }),
-                        );
-                    }
+                if w.st.supervisor().is_some() && remaining > 0 {
+                    sim.schedule_event_in(
+                        PROBE_INTERVAL,
+                        DemoEvent::Control(ControlOp::SupervisorTick {
+                            remaining: remaining - 1,
+                        }),
+                    );
                 }
             }
             ControlOp::SloTick { remaining } => {

@@ -15,7 +15,7 @@ use tsuru_sim::{Sim, SimDuration, SimTime, Summary};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::{
     ArrayId, ArrayPerf, ConsistencyReport, EngineConfig, GroupId, RpoReport, SnapshotId,
-    SnapshotView, StorageWorld, VolRef, VolumeView,
+    SnapshotView, StorageWorld, VolRef, VolumeView, PROBE_INTERVAL,
 };
 
 use crate::event::{ControlOp, DemoEvent, DemoSim};
@@ -89,6 +89,10 @@ struct Leg {
     metro: bool,
 }
 
+/// Metro link used by the synchronous leg of [`BackupMode::ThreeDc`]
+/// (both directions): 1 ms one way, 10 Gbit/s.
+const METRO_LINK: LinkConfig = LinkConfig::with(SimDuration::from_millis(1), 10_000_000_000 / 8);
+
 /// Full configuration of a rig.
 #[derive(Debug, Clone)]
 pub struct RigConfig {
@@ -100,8 +104,6 @@ pub struct RigConfig {
     pub perf: ArrayPerf,
     /// Inter-site link (both directions use the same shape).
     pub link: LinkConfig,
-    /// Metro link used by the synchronous leg of [`BackupMode::ThreeDc`].
-    pub metro_link: LinkConfig,
     /// Protection mode.
     pub mode: BackupMode,
     /// ADC journal capacity in bytes.
@@ -128,10 +130,6 @@ impl Default for RigConfig {
             engine: EngineConfig::default(),
             perf: ArrayPerf::default(),
             link: LinkConfig::metro(),
-            metro_link: LinkConfig::with(
-                SimDuration::from_millis(1),
-                10_000_000_000 / 8,
-            ),
             mode: BackupMode::AdcConsistencyGroup,
             journal_capacity: 256 << 20,
             workload: WorkloadConfig::default(),
@@ -195,8 +193,8 @@ impl TwoSiteRig {
         for leg in config.mode.legs() {
             let (targets, fwd, rev) = if leg.metro {
                 let array = st.add_array("vsp-metro", config.perf.clone());
-                let fwd = st.add_link(config.metro_link.clone());
-                let rev = st.add_link(config.metro_link.clone());
+                let fwd = st.add_link(METRO_LINK);
+                let rev = st.add_link(METRO_LINK);
                 let targets = volumes(st, array, "-m");
                 metro = Some((array, targets));
                 (targets, fwd, rev)
@@ -251,14 +249,6 @@ impl TwoSiteRig {
         self.sim.run_for(&mut self.world, duration);
     }
 
-    /// Run an exact number of orders to completion (plus replication
-    /// drain).
-    pub fn run_orders(&mut self, orders: u64) {
-        self.world.app_mut().stop_after_orders = Some(orders);
-        start_clients(&mut self.world, &mut self.sim);
-        self.sim.run(&mut self.world);
-    }
-
     /// Arm the self-healing supervisor on the world and schedule its
     /// periodic probe from now until (at least) `until`. The tick budget
     /// is computed up front so the probe chain terminates deterministically
@@ -268,13 +258,11 @@ impl TwoSiteRig {
         policy: tsuru_storage::SupervisorPolicy,
         until: SimTime,
     ) {
-        let interval = policy.probe_interval;
-        assert!(!interval.is_zero(), "probe interval must be positive");
         self.world.st.enable_supervisor(policy);
         let span = until.saturating_since(self.sim.now());
-        let ticks = (span.as_nanos() / interval.as_nanos()).max(1) as u32;
+        let ticks = (span.as_nanos() / PROBE_INTERVAL.as_nanos()).max(1) as u32;
         self.sim.schedule_event_in(
-            interval,
+            PROBE_INTERVAL,
             DemoEvent::Control(ControlOp::SupervisorTick {
                 remaining: ticks - 1,
             }),

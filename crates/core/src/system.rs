@@ -60,9 +60,6 @@ pub struct DemoConfig {
     pub nso: NsoConfig,
     /// The business namespace.
     pub namespace: String,
-    /// Simulated control-plane cost charged per reconcile round (operator
-    /// actions are not free; contributes to measured RTO).
-    pub reconcile_round_cost: SimDuration,
 }
 
 impl Default for DemoConfig {
@@ -81,10 +78,13 @@ impl Default for DemoConfig {
             },
             nso: NsoConfig::default(),
             namespace: "shop".into(),
-            reconcile_round_cost: SimDuration::from_millis(20),
         }
     }
 }
+
+/// Simulated control-plane cost charged per reconcile round (operator
+/// actions are not free; contributes to measured RTO).
+const RECONCILE_ROUND_COST: SimDuration = SimDuration::from_millis(20);
 
 /// Reconcile rounds allowed before a controller set is declared
 /// non-convergent (every shipped scenario converges in two or three).
@@ -199,7 +199,6 @@ pub struct DemoSystem {
     pub vols: [VolRef; 4],
     /// Console transcript (the demo's screen content).
     pub transcript: Vec<String>,
-    config: DemoConfig,
 }
 
 impl DemoSystem {
@@ -269,7 +268,6 @@ impl DemoSystem {
             namespace: ns,
             vols,
             transcript: Vec::new(),
-            config,
         };
         system.log("=== demonstration system ready (two sites, two arrays) ===");
         system
@@ -280,7 +278,7 @@ impl DemoSystem {
     }
 
     fn charge_reconcile(&mut self, rounds: u32) {
-        let cost = self.config.reconcile_round_cost.saturating_mul(rounds as u64);
+        let cost = RECONCILE_ROUND_COST.saturating_mul(rounds as u64);
         let horizon = self.sim.now() + cost;
         self.sim.run_until(&mut self.world, horizon);
     }

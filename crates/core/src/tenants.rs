@@ -32,6 +32,13 @@ use tsuru_storage::{
 
 use crate::harness::{TrialHarness, TrialSet};
 
+/// Blocks per tenant volume.
+const VOL_BLOCKS: u64 = 64;
+/// Bandwidth of each shard's WAN data lane, bytes/sec (4 Gbit/s).
+const LANE_BANDWIDTH: u64 = 500_000_000;
+/// One-way propagation delay of the shard lanes.
+const LANE_PROPAGATION: SimDuration = SimDuration::from_millis(2);
+
 /// Knobs of one tenant-world build. [`TenantParams::for_scale`] gives the
 /// E12 defaults; tests shrink them.
 #[derive(Debug, Clone)]
@@ -42,14 +49,8 @@ pub struct TenantParams {
     pub shards: u32,
     /// Orders each tenant submits (each order = 2 block writes).
     pub orders_per_tenant: u32,
-    /// Blocks per tenant volume.
-    pub vol_blocks: u64,
     /// Per-group journal capacity in bytes.
     pub journal_capacity: u64,
-    /// Bandwidth of each shard's WAN data lane, bytes/sec.
-    pub lane_bandwidth: u64,
-    /// One-way propagation delay of the shard lanes.
-    pub lane_propagation: SimDuration,
     /// Base think time between a tenant's orders.
     pub think_base: SimDuration,
     /// Max extra uniform jitter added per order.
@@ -72,10 +73,7 @@ impl TenantParams {
             tenants,
             shards: 8.min(tenants.max(1)),
             orders_per_tenant: 8,
-            vol_blocks: 64,
             journal_capacity: 4 << 20,
-            lane_bandwidth: 500_000_000,
-            lane_propagation: SimDuration::from_millis(2),
             think_base: SimDuration::from_millis(1),
             think_jitter: SimDuration::from_millis(2),
             probe_at: SimTime::from_millis(25),
@@ -246,7 +244,7 @@ pub fn build_tenant_world(
 
     let mut shards = ShardLayout::new();
     for _ in 0..p.shards {
-        let lane = LinkConfig::with(p.lane_propagation, p.lane_bandwidth);
+        let lane = LinkConfig::with(LANE_PROPAGATION, LANE_BANDWIDTH);
         let link = st.add_link(lane.clone());
         let reverse = st.add_link(lane);
         shards.add_lane(link, reverse);
@@ -261,8 +259,8 @@ pub fn build_tenant_world(
             let lane = shards.lane(shard);
             (lane.link, lane.reverse)
         };
-        let pvol = st.create_volume(main, format!("tn{t}-data"), p.vol_blocks);
-        let svol = st.create_volume(backup, format!("tn{t}-data-r"), p.vol_blocks);
+        let pvol = st.create_volume(main, format!("tn{t}-data"), VOL_BLOCKS);
+        let svol = st.create_volume(backup, format!("tn{t}-data-r"), VOL_BLOCKS);
         let gid = st.create_adc_group(format!("tn{t}-cg"), link, reverse, p.journal_capacity);
         st.add_pair(gid, pvol, svol);
         shards.assign(gid, shard);

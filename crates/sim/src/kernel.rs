@@ -9,10 +9,11 @@
 //! [`Sim::schedule_event_in`] with a typed event.
 //!
 //! Pending events live in a hierarchical timer wheel (see [`crate::wheel`])
-//! rather than a binary heap: O(1) amortized insert and pop, and cheap
-//! cancellation through [`TimerToken`]s. Ties on the timestamp are broken
-//! by insertion order (`seq`), which makes every run fully deterministic —
-//! the wheel pops in exactly the `(time, seq)` order the old heap did.
+//! rather than a binary heap: O(1) amortized insert and pop. A scheduled
+//! event always fires; there is no cancellation. Ties on the timestamp are
+//! broken by insertion order (`seq`), which makes every run fully
+//! deterministic — the wheel pops in exactly the `(time, seq)` order the
+//! old heap did.
 
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
@@ -43,24 +44,6 @@ pub trait Event<S>: Sized + 'static {
     /// Fire the event. Consumes it; handlers may mutate the world and
     /// schedule further events.
     fn dispatch(self, state: &mut S, sim: &mut Sim<S, Self>);
-}
-
-/// Handle to one scheduled event, returned by [`Sim::schedule_event_at`]
-/// and [`Sim::schedule_event_in`]. Pass to [`Sim::cancel`] to de-schedule.
-/// Tokens are cheap copies; a token for an event that already fired (or
-/// was already cancelled) is simply stale and cancels nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerToken {
-    time: SimTime,
-    seq: u64,
-}
-
-impl TimerToken {
-    /// The instant the event is scheduled to fire.
-    #[inline]
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
 }
 
 /// A deterministic discrete-event simulator over user state `S` with
@@ -124,14 +107,6 @@ impl<S, E: Event<S>> Sim<S, E> {
         self.peak_pending
     }
 
-    /// High-water mark of the wheel's ready run: the largest number of
-    /// events drained from one wheel slot, sorted once and served
-    /// contiguously.
-    #[inline]
-    pub fn peak_slab(&self) -> usize {
-        self.wheel.slab_peak()
-    }
-
     /// Deterministic count of heap reallocations performed by the
     /// pending-event store (wheel bucket / ready-heap capacity growths)
     /// since construction. Depends only on the schedule — never on
@@ -141,23 +116,13 @@ impl<S, E: Event<S>> Sim<S, E> {
         self.wheel.grow_events()
     }
 
-    /// Deterministic count of pending entries the wheel has re-homed by
-    /// cascading a coarse slot one level down (one per entry per
-    /// cascaded level) since construction — the wheel's only per-event
-    /// cost that is not O(1) by construction.
-    #[inline]
-    pub fn rehomed_events(&self) -> u64 {
-        self.wheel.rehomed()
-    }
-
     /// Schedule event `ev` at absolute time `t`; the event moves into the
-    /// wheel, nothing is allocated in steady state. The returned token can
-    /// cancel it.
+    /// wheel, nothing is allocated in steady state.
     ///
     /// # Panics
     /// Panics if `t` is earlier than the current time — scheduling into the
     /// past would silently corrupt causality.
-    pub fn schedule_event_at(&mut self, t: SimTime, ev: E) -> TimerToken {
+    pub fn schedule_event_at(&mut self, t: SimTime, ev: E) {
         assert!(
             t >= self.now,
             "cannot schedule event at {t} before current time {}",
@@ -169,21 +134,12 @@ impl<S, E: Event<S>> Sim<S, E> {
         if self.wheel.len() > self.peak_pending {
             self.peak_pending = self.wheel.len();
         }
-        TimerToken { time: t, seq }
     }
 
     /// Schedule event `ev` to fire `delay` after the current time — at
     /// [`SimTime::MAX`], the end of time, if that is too far to represent.
-    pub fn schedule_event_in(&mut self, delay: SimDuration, ev: E) -> TimerToken {
+    pub fn schedule_event_in(&mut self, delay: SimDuration, ev: E) {
         self.schedule_event_at(self.now + delay, ev)
-    }
-
-    /// Cancel a previously scheduled event. Returns `true` if the event
-    /// was still pending (it will now never fire and its wheel slot is
-    /// reclaimed immediately); `false` if it already fired or was already
-    /// cancelled.
-    pub fn cancel(&mut self, token: TimerToken) -> bool {
-        self.wheel.cancel(token.time.as_nanos(), token.seq).is_some()
     }
 
     /// Run the single earliest pending event, advancing the clock to its
@@ -227,25 +183,6 @@ impl<S, E: Event<S>> Sim<S, E> {
     /// of time, [`SimTime::MAX`], if `d` reaches past it).
     pub fn run_for(&mut self, state: &mut S, d: SimDuration) {
         self.run_until(state, self.now + d);
-    }
-
-    /// Run until `pred(state)` holds, checking after every event, or until
-    /// the queue drains. Returns `true` if the predicate was satisfied.
-    pub fn run_until_cond(&mut self, state: &mut S, mut pred: impl FnMut(&S) -> bool) -> bool {
-        if pred(state) {
-            return true;
-        }
-        while self.step(state) {
-            if pred(state) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Drop all pending events (used when tearing a scenario down early).
-    pub fn clear_pending(&mut self) {
-        self.wheel.clear();
     }
 }
 
@@ -346,44 +283,12 @@ mod tests {
     }
 
     #[test]
-    fn run_until_cond_stops_early() {
-        let mut sim: Sim<Log, Ev> = Sim::new();
-        let mut log = Vec::new();
-        for i in 0..10 {
-            sim.schedule_event_at(SimTime::from_secs(i), Ev::Push(i));
-        }
-        let hit = sim.run_until_cond(&mut log, |l| l.len() == 4);
-        assert!(hit);
-        assert_eq!(log, vec![0, 1, 2, 3]);
-        assert_eq!(sim.now(), SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn run_until_cond_reports_failure_when_queue_drains() {
-        let mut sim: Sim<Log, Ev> = Sim::new();
-        let mut log = Vec::new();
-        sim.schedule_event_at(SimTime::from_secs(1), Ev::Push(1));
-        assert!(!sim.run_until_cond(&mut log, |l| l.len() == 100));
-        assert_eq!(log, vec![1]);
-    }
-
-    #[test]
     #[should_panic(expected = "before current time")]
     fn scheduling_into_the_past_panics() {
         let mut sim: Sim<Log, Ev> = Sim::new();
         sim.schedule_event_at(SimTime::from_secs(5), Ev::Push(5));
         sim.run(&mut Vec::new());
         sim.schedule_event_at(SimTime::from_secs(1), Ev::Push(1));
-    }
-
-    #[test]
-    fn clear_pending_discards_events() {
-        let mut sim: Sim<Log, Ev> = Sim::new();
-        sim.schedule_event_at(SimTime::from_secs(1), Ev::Push(1));
-        sim.clear_pending();
-        let mut log = Vec::new();
-        sim.run(&mut log);
-        assert!(log.is_empty());
     }
 
     /// A typed-only event that leaves `from_fn`'s provided body in place.
@@ -404,21 +309,6 @@ mod tests {
         sim.run(&mut n);
         assert_eq!(n, 1);
         let _ = Bump::from_fn(Box::new(|s: &mut u32, _| *s += 1));
-    }
-
-    #[test]
-    fn cancelled_events_never_fire_and_cancel_is_one_shot() {
-        let mut sim: Sim<Log, Ev> = Sim::new();
-        let mut log = Vec::new();
-        let keep = sim.schedule_event_at(SimTime::from_millis(1), Ev::Count(10));
-        let kill = sim.schedule_event_at(SimTime::from_millis(2), Ev::Count(20));
-        assert_eq!(keep.time(), SimTime::from_millis(1));
-        assert!(sim.cancel(kill));
-        assert!(!sim.cancel(kill), "double-cancel must report stale");
-        assert_eq!(sim.pending(), 1);
-        sim.run(&mut log);
-        assert_eq!(log, vec![10]);
-        assert!(!sim.cancel(keep), "cancel after firing must report stale");
     }
 
     #[test]

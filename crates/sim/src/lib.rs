@@ -6,10 +6,10 @@
 //!
 //! - [`Sim`] — the event kernel: a time-ordered queue of typed events
 //!   (plain enum values, dispatched by `match`) over a user-supplied world
-//!   state.
+//!   state. A scheduled event always fires; there is no cancellation.
 //! - [`SimTime`] / [`SimDuration`] — integer-nanosecond time.
 //! - [`DetRng`] / [`Zipf`] — seeded, splittable randomness.
-//! - [`Histogram`], [`Counter`], [`TimeSeries`] — measurement.
+//! - [`Histogram`], [`TimeSeries`] — measurement.
 //! - [`ServiceStation`], [`RatePipe`] — analytic queueing/bandwidth models.
 //!
 //! Determinism contract: given the same seed and the same sequence of API
@@ -56,8 +56,8 @@ mod rng;
 mod time;
 mod wheel;
 
-pub use kernel::{Event, EventFn, Sim, TimerToken};
-pub use metrics::{Counter, Histogram, Summary, ThroughputReport, TimeSeries};
+pub use kernel::{Event, EventFn, Sim};
+pub use metrics::{Histogram, Summary, ThroughputReport, TimeSeries};
 pub use queue::{RatePipe, ServiceStation};
 pub use rng::{DetRng, Zipf};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

@@ -240,16 +240,6 @@ impl ThroughputReport {
         }
     }
 
-    /// Wall-clock speedup of this batch relative to `baseline` (typically
-    /// the 1-thread run of the same trials). > 1 means faster.
-    pub fn speedup_vs(&self, baseline: &ThroughputReport) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            baseline.wall_ns as f64 / self.wall_ns as f64
-        }
-    }
-
     /// One-line human-readable rendering.
     pub fn display(&self) -> String {
         format!(
@@ -260,37 +250,6 @@ impl ThroughputReport {
             self.per_trial.mean / 1e6,
             self.per_trial.p99 as f64 / 1e6,
         )
-    }
-}
-
-/// A monotonically increasing named counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
     }
 }
 
@@ -435,14 +394,6 @@ mod tests {
         assert_eq!(a.count(), 200);
         assert_eq!(a.min(), 0);
         assert!(a.max() >= 1_000_000);
-    }
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
     }
 
     #[test]

@@ -12,8 +12,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStation {
     next_free: SimTime,
-    busy: SimDuration,
-    served: u64,
 }
 
 impl ServiceStation {
@@ -23,13 +21,11 @@ impl ServiceStation {
     }
 
     /// Admit a request arriving at `now` with the given service time and
-    /// return its completion instant. Also accumulates utilization stats.
+    /// return its completion instant.
     pub fn admit(&mut self, now: SimTime, service: SimDuration) -> SimTime {
         let start = self.next_free.max(now);
         let done = start + service;
         self.next_free = done;
-        self.busy += service;
-        self.served += 1;
         done
     }
 
@@ -43,29 +39,6 @@ impl ServiceStation {
     pub fn next_free(&self) -> SimTime {
         self.next_free
     }
-
-    /// Total busy time accumulated.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Utilization over `[0, now]`, in `[0, 1]` (clamped).
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy.as_nanos() as f64 / now.as_nanos() as f64).min(1.0)
-    }
-
-    /// Reset to the idle state (for reusing a station across trials).
-    pub fn reset(&mut self) {
-        *self = ServiceStation::default();
-    }
 }
 
 /// A byte-rate limiter: requests of `bytes` size serialize through a pipe of
@@ -74,7 +47,6 @@ impl ServiceStation {
 pub struct RatePipe {
     bytes_per_sec: u64,
     station: ServiceStation,
-    bytes_moved: u64,
 }
 
 impl RatePipe {
@@ -85,7 +57,6 @@ impl RatePipe {
         RatePipe {
             bytes_per_sec,
             station: ServiceStation::new(),
-            bytes_moved: 0,
         }
     }
 
@@ -106,13 +77,7 @@ impl RatePipe {
         if service == SimDuration::MAX {
             return SimTime::MAX;
         }
-        self.bytes_moved += bytes;
         self.station.admit(now, service)
-    }
-
-    /// Total bytes accepted so far.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
     }
 
     /// The backlog delay a transfer arriving at `now` would wait before its
@@ -131,7 +96,7 @@ mod tests {
         let mut s = ServiceStation::new();
         let done = s.admit(SimTime::from_millis(5), SimDuration::from_millis(2));
         assert_eq!(done, SimTime::from_millis(7));
-        assert_eq!(s.served(), 1);
+        assert_eq!(s.next_free(), done);
     }
 
     #[test]
@@ -156,9 +121,7 @@ mod tests {
         // Long idle gap; next request starts fresh at its arrival.
         let done = s.admit(SimTime::from_secs(10), SimDuration::from_millis(1));
         assert_eq!(done, SimTime::from_secs(10) + SimDuration::from_millis(1));
-        assert_eq!(s.busy_time(), SimDuration::from_millis(2));
-        let u = s.utilization(SimTime::from_secs(10));
-        assert!(u < 0.001);
+        assert_eq!(s.queue_delay(SimTime::from_secs(10)), SimDuration::from_millis(1));
     }
 
     #[test]
@@ -169,7 +132,6 @@ mod tests {
         let b = p.admit(SimTime::ZERO, 500);
         assert_eq!(a, SimTime::from_millis(500));
         assert_eq!(b, SimTime::from_secs(1));
-        assert_eq!(p.bytes_moved(), 1000);
         assert_eq!(p.backlog(SimTime::ZERO), SimDuration::from_secs(1));
     }
 
@@ -177,7 +139,8 @@ mod tests {
     fn zero_bandwidth_stalls() {
         let mut p = RatePipe::new(0);
         assert_eq!(p.admit(SimTime::ZERO, 1), SimTime::MAX);
-        assert_eq!(p.bytes_moved(), 0);
+        // Nothing was queued: the stalled transfer holds up no one.
+        assert_eq!(p.backlog(SimTime::ZERO), SimDuration::ZERO);
     }
 
     #[test]

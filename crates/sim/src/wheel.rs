@@ -50,9 +50,10 @@
 //! 3. *Home stability.* `elapsed` moves only inside `refill`, only to the
 //!    block start of the front slot — a value ≤ every pending deadline
 //!    that keeps every digit above the slot's level — so every other wheel
-//!    entry keeps its `level_and_slot` residence, and
-//!    [`TimerWheel::cancel`] and [`TimerWheel::next_time`] stay pure
-//!    recomputations.
+//!    entry keeps its `level_and_slot` residence: the occupancy bitmaps
+//!    stay exact, [`TimerWheel::front`] stays the wheel's minimum after
+//!    every cursor move, and [`TimerWheel::next_time`] stays a pure
+//!    recomputation.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -144,14 +145,10 @@ pub(crate) struct TimerWheel<T> {
     /// The last deadline of the most recently drained slot. Every wheel
     /// entry is later; every run and heap entry is at or below it.
     horizon: u64,
-    /// High-water mark of the run over the wheel's lifetime.
-    slab_peak: usize,
     /// Deterministic allocation counter: how many times a bucket grew
     /// past its capacity (each growth is one heap reallocation). Zero in
     /// steady state — the ledger reports it per event.
     grow_events: u64,
-    /// Deterministic count of entries re-homed by cascades.
-    rehomed: u64,
 }
 
 impl<T> TimerWheel<T> {
@@ -167,9 +164,7 @@ impl<T> TimerWheel<T> {
             run: Vec::with_capacity(SLOT_PREALLOC),
             heap: BinaryHeap::with_capacity(SLOT_PREALLOC),
             horizon: 0,
-            slab_peak: 0,
             grow_events: 0,
-            rehomed: 0,
         }
     }
 
@@ -178,26 +173,12 @@ impl<T> TimerWheel<T> {
         self.len
     }
 
-    /// High-water mark of the ready run (peak entries drained from one
-    /// slot and served contiguously).
-    #[inline]
-    pub(crate) fn slab_peak(&self) -> usize {
-        self.slab_peak
-    }
-
     /// How many bucket capacity growths (heap reallocations) the wheel
     /// has performed since construction. Deterministic: depends only on
     /// the schedule, never on wall-clock or addresses.
     #[inline]
     pub(crate) fn grow_events(&self) -> u64 {
         self.grow_events
-    }
-
-    /// How many entries cascades have re-homed since construction (one
-    /// per entry per cascaded level). Deterministic like `grow_events`.
-    #[inline]
-    pub(crate) fn rehomed(&self) -> u64 {
-        self.rehomed
     }
 
     /// The slot for a deadline, measured against the current cursor: the
@@ -378,13 +359,11 @@ impl<T> TimerWheel<T> {
                     .first()
                     .expect("invariant: an occupied slot is never empty")
                     .when;
-                self.slab_peak = self.slab_peak.max(self.run.len());
                 return true;
             }
             // Every entry re-homes strictly below `level` (it now agrees
             // with `elapsed` on digit `level` and above), so this ends.
             let mut moved = std::mem::take(bucket);
-            self.rehomed += moved.len() as u64;
             for e in moved.drain(..) {
                 self.place(e);
             }
@@ -395,53 +374,6 @@ impl<T> TimerWheel<T> {
             ) = moved;
         }
         false
-    }
-
-    /// Cancel the pending entry `(when, seq)`. Returns its payload, or
-    /// `None` if no such entry is pending (already fired or cancelled).
-    ///
-    /// `horizon` says where to look: at or below it a live entry is in the
-    /// run or the heap, above it exactly at `level_and_slot(when)` under
-    /// the current cursor (home stability, module docs). Cancels are rare;
-    /// the run keeps its order through `Vec::remove` and the heap is
-    /// rebuilt around the hole, in place.
-    pub(crate) fn cancel(&mut self, when: u64, seq: u64) -> Option<T> {
-        let hit = |e: &Entry<T>| e.seq == seq && e.when == when;
-        let e = if when > self.horizon {
-            let (level, slot) = self.level_and_slot(when);
-            let bucket = self
-                .slots
-                .get_mut(level * SLOTS + slot)
-                .expect("invariant: level_and_slot returns level < LEVELS and slot < SLOTS");
-            let e = bucket.swap_remove(bucket.iter().position(hit)?);
-            if bucket.is_empty() {
-                self.vacate(level, slot);
-            }
-            e
-        } else if let Some(pos) = self.run.iter().position(hit) {
-            self.run.remove(pos)
-        } else {
-            let mut rest = std::mem::take(&mut self.heap).into_vec();
-            let found = rest.iter().position(hit).map(|pos| rest.swap_remove(pos));
-            self.heap = BinaryHeap::from(rest);
-            found?
-        };
-        self.len -= 1;
-        Some(e.value)
-    }
-
-    /// Drop every pending entry, retaining bucket, run and heap capacity.
-    /// The cursor and the horizon are kept: deadlines already popped stay
-    /// in the past.
-    pub(crate) fn clear(&mut self) {
-        for b in &mut self.slots {
-            b.clear();
-        }
-        self.run.clear();
-        self.heap.clear();
-        self.occupied = [0; LEVELS];
-        self.levels = 0;
-        self.len = 0;
     }
 }
 
@@ -501,59 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_entry_and_reclaims_slot() {
-        let mut w = TimerWheel::new();
-        w.push(50, 0, 10);
-        w.push(50, 1, 11);
-        w.push(9_000_000, 2, 12);
-        assert_eq!(w.cancel(50, 0), Some(10));
-        assert_eq!(w.len(), 2);
-        // Cancelling again (or with a wrong key) is a no-op.
-        assert_eq!(w.cancel(50, 0), None);
-        assert_eq!(w.cancel(51, 1), None);
-        assert_eq!(drain(&mut w), vec![(50, 1), (9_000_000, 2)]);
-        // Cancelled slot fully reclaimed: empty wheel pops nothing.
-        assert_eq!(w.len(), 0);
-        assert_eq!(w.pop().map(|(a, b, _)| (a, b)), None);
-    }
-
-    #[test]
-    fn cancel_after_cascade_still_finds_entry() {
-        let mut w = TimerWheel::new();
-        let far = (1 << 24) + 17;
-        w.push(far, 0, 1);
-        w.push(1 << 24, 1, 2);
-        // Popping the earlier entry drains the shared slot into the slab.
-        assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((1 << 24, 1)));
-        assert_eq!(w.cancel(far, 0), Some(1));
-        assert_eq!(w.len(), 0);
-    }
-
-    #[test]
-    fn cancel_reaches_into_the_batch_slab() {
-        let mut w = TimerWheel::new();
-        // Three same-deadline entries: the first pop drains the slot into
-        // the slab and serves seq 0, leaving seqs 1 and 2 in the slab.
-        w.push(70, 0, 10);
-        w.push(70, 1, 11);
-        w.push(70, 2, 12);
-        assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((70, 0)));
-        assert_eq!(w.cancel(70, 1), Some(11));
-        assert_eq!(w.len(), 1);
-        // A same-deadline push after the drain goes to the heap; cancel
-        // must find it there too.
-        w.push(70, 3, 13);
-        assert_eq!(w.cancel(70, 3), Some(13));
-        assert_eq!(drain(&mut w), vec![(70, 2)]);
-    }
-
-    #[test]
     fn same_deadline_push_during_batch_service_keeps_seq_order() {
         let mut w = TimerWheel::new();
         for seq in 0..4 {
             w.push(40, seq, seq as u32);
         }
-        // First pop drains the slot into the slab.
+        // First pop drains the slot into the run.
         assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((40, 0)));
         // A handler pushes two more entries at the same deadline: they
         // land in the heap with higher seqs and must fire *after* the
@@ -600,14 +485,14 @@ mod tests {
         }
         let last = base + 2 * (n - 1) + 10;
         assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((base + 10, 0)));
-        assert_eq!(w.slab_peak(), n as usize);
+        assert_eq!(w.run.len(), n as usize - 1);
         w.push(base + 11, n, 1111); // ahead of the run's head
         w.push(base + 14, n + 1, 2222); // ties with seq 2, fires after it
         w.push(last, n + 2, 3333); // exactly on the run's last deadline
         w.push(last + 1, n + 3, 4444); // past it: the wheel's
         assert_eq!(
-            w.slab_peak(),
-            n as usize,
+            w.run.len(),
+            n as usize - 1,
             "nothing was inserted into the run"
         );
         assert_eq!(w.next_time(), Some(base + 11));
@@ -630,28 +515,33 @@ mod tests {
     fn coarse_slots_cascade_unless_they_hold_one_entry() {
         let mut w = TimerWheel::new();
         // A sparse timeline — one timer a millisecond ahead at a time —
-        // is served straight from its coarse slot.
+        // is served straight from its coarse slot: the cursor stops on
+        // that slot's block start and never steps down to a fine one.
+        let coarse = 1u64 << ((DRAIN_MAX_LEVEL as u32 + 1) * LEVEL_BITS);
         let mut t = 0;
         for seq in 0..100 {
             t += 1_000_000;
             w.push(t, seq, 0u32);
             assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((t, seq)));
+            assert_eq!(w.elapsed % coarse, 0, "cascaded below level 3 at {t}");
         }
-        assert_eq!(w.rehomed(), 0);
         // Three entries sharing one level-3 slot (262 µs wide, under
-        // cursor 0) are re-homed once each, into three fine slots.
+        // cursor 0) are re-homed into three fine slots, and the first
+        // pop drains only the first of those: the run does not hold the
+        // other two.
         let mut w = TimerWheel::new();
         for seq in 0..3 {
             w.push(2_000_000 + 5_000 * seq, seq, 0u32);
         }
-        assert_eq!(drain(&mut w).len(), 3);
-        assert_eq!(w.rehomed(), 3);
+        assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((2_000_000, 0)));
+        assert!(w.run.is_empty());
+        assert_eq!(w.len(), 2);
+        assert_eq!(drain(&mut w), vec![(2_005_000, 1), (2_010_000, 2)]);
     }
 
     #[test]
     fn slab_and_allocation_counters_track_batches() {
         let mut w = TimerWheel::new();
-        assert_eq!(w.slab_peak(), 0);
         assert_eq!(w.grow_events(), 0);
         // SLOT_PREALLOC entries fit without growing; one more grows the
         // bucket exactly once.
@@ -660,37 +550,11 @@ mod tests {
         }
         assert_eq!(w.grow_events(), 1);
         assert_eq!(w.pop().map(|(_, s, _)| s), Some(0));
-        // The whole slot (all 5 entries) was drained into the slab.
-        assert_eq!(w.slab_peak(), SLOT_PREALLOC + 1);
-        drain(&mut w);
-        assert_eq!(w.slab_peak(), SLOT_PREALLOC + 1);
-    }
-
-    #[test]
-    fn clear_retains_cursor() {
-        let mut w = TimerWheel::new();
-        w.push(100, 0, 1);
-        assert!(w.pop().is_some());
-        w.push(200, 1, 2);
-        w.clear();
-        assert_eq!(w.len(), 0);
-        assert_eq!(w.next_time(), None);
-        // Cursor survives: a fresh push behind it would be a bug the
-        // debug_assert catches; at or ahead of it is fine.
-        w.push(100, 2, 3);
-        assert_eq!(w.pop().map(|(a, b, _)| (a, b)), Some((100, 2)));
-    }
-
-    #[test]
-    fn clear_drops_batch_slab_entries_too() {
-        let mut w = TimerWheel::new();
-        w.push(10, 0, 1);
-        w.push(10, 1, 2);
-        assert!(w.pop().is_some()); // second entry now lives in the slab
-        w.clear();
-        assert_eq!(w.len(), 0);
-        assert_eq!(w.next_time(), None);
-        assert!(w.pop().is_none());
+        // The whole slot (all 5 entries) was drained into the run, by a
+        // buffer swap that allocates nothing.
+        assert_eq!(w.run.len(), SLOT_PREALLOC);
+        assert_eq!(drain(&mut w).len(), SLOT_PREALLOC);
+        assert_eq!(w.grow_events(), 1);
     }
 
     #[test]

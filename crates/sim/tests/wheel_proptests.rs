@@ -3,31 +3,28 @@
 //!
 //! The wheel replaced a `BinaryHeap<(time, seq)>`; the determinism contract
 //! requires the two to pop in *exactly* the same `(time, seq)` order under
-//! any interleaving of schedules, cancellations, and time advances. These
+//! any interleaving of schedules and time advances. These
 //! tests drive both side by side over operation scripts shaped like the
 //! workloads: more than a thousand pending events, delays on every wheel
 //! level the data plane uses (so coarse slots are cascaded and fine ones
 //! drained), handlers that schedule inside the live run — zero delay,
-//! sub-4 µs, exactly on its last deadline — and cancels that find their
-//! entry in the wheel, in the run and in the heap. The earliest pending
+//! sub-4 µs, exactly on its last deadline. The earliest pending
 //! instant (`next_event_time`, what `run_until` trusts) is compared with
 //! the model before every operation and every single step.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use tsuru_sim::{Event, Sim, SimDuration, SimTime, TimerToken};
+use tsuru_sim::{Event, Sim, SimDuration, SimTime};
 
 /// Firing log: `(fire_time_nanos, id)` per dispatched event.
 type Log = Vec<(u64, u64)>;
 
-/// Kernel-side state: the log, the id counter handlers draw from, and
-/// every token issued so far (by the script or by a handler).
+/// Kernel-side state: the log and the id counter handlers draw from.
 #[derive(Default)]
 struct World {
     log: Log,
     next_id: u64,
-    tokens: Vec<(TimerToken, u64)>,
 }
 
 /// Minimal typed event for the harness.
@@ -47,8 +44,7 @@ impl Event<World> for Ev {
                 id,
                 children: Vec::new(),
             };
-            let tok = sim.schedule_event_in(SimDuration::from_nanos(delay), ev);
-            w.tokens.push((tok, id));
+            sim.schedule_event_in(SimDuration::from_nanos(delay), ev);
         }
     }
 }
@@ -64,17 +60,10 @@ enum Op {
     /// the child lands exactly on the second's deadline — the live run's
     /// last, whenever the two share a drained slot.
     Twins { offset: u64, gap: u64 },
-    /// Cancel the `back`-th most recently issued token (mod the number
-    /// issued so far): recent ones sit in the run or the heap, old ones
-    /// in the wheel or in the past.
-    Cancel { back: usize },
-    /// Cancel the `nth`-earliest pending event: with a run half served
-    /// that is an entry of the run or of the heap.
-    CancelSoon { nth: usize },
     /// Advance simulated time by `dt` nanoseconds, firing due events.
     Advance { dt: u64 },
     /// Fire up to `n` events one by one, leaving a run half served — so
-    /// the next cancel or schedule meets a live run and heap.
+    /// the next schedule meets a live run and heap.
     Step { n: usize },
 }
 
@@ -100,9 +89,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         6 => (offset_strategy(), prop::collection::vec(child_strategy(), 0..3))
             .prop_map(|(offset, children)| Op::Schedule { offset, children }),
         2 => (offset_strategy(), 1u64..4_096).prop_map(|(offset, gap)| Op::Twins { offset, gap }),
-        1 => (0usize..24).prop_map(|back| Op::Cancel { back }),
-        1 => (0usize..4_096).prop_map(|back| Op::Cancel { back }),
-        2 => (0usize..12).prop_map(|nth| Op::CancelSoon { nth }),
         1 => (0u64..8_000).prop_map(|dt| Op::Advance { dt }),
         1 => (0u64..2_000_000).prop_map(|dt| Op::Advance { dt }),
         3 => (1usize..40).prop_map(|n| Op::Step { n }),
@@ -134,8 +120,6 @@ struct Model {
     /// `(time, id) → child delays` still pending; `id` doubles as the
     /// model's seq because both counters advance by one per schedule.
     pending: BTreeMap<(u64, u64), Vec<u64>>,
-    /// Every id issued so far, in issue order (mirrors `World::tokens`).
-    issued: Vec<(u64, u64)>,
     /// Everything the model has fired, in order: `(fire_time, id)`.
     log: Log,
     now: u64,
@@ -148,15 +132,8 @@ impl Model {
         let id = self.next_id;
         self.next_id += 1;
         self.pending.insert((at, id), children);
-        self.issued.push((at, id));
         self.peak_pending = self.peak_pending.max(self.pending.len());
         id
-    }
-
-    /// Cancel the `k`-th issued id; true if it was still pending (mirrors
-    /// `Sim::cancel`).
-    fn cancel(&mut self, k: usize) -> bool {
-        self.pending.remove(&self.issued[k]).is_some()
     }
 
     fn next_time(&self) -> Option<u64> {
@@ -201,20 +178,8 @@ impl Pair {
             id,
             children: children.clone(),
         };
-        let tok = self.sim.schedule_event_at(SimTime::from_nanos(at), ev);
-        self.world.tokens.push((tok, id));
+        self.sim.schedule_event_at(SimTime::from_nanos(at), ev);
         assert_eq!(self.model.schedule(at, children), id);
-    }
-
-    /// Cancel the `k`-th issued token on both sides.
-    fn cancel(&mut self, k: usize) {
-        let (tok, id) = self.world.tokens[k];
-        assert_eq!(self.model.issued[k].1, id);
-        assert_eq!(
-            self.sim.cancel(tok),
-            self.model.cancel(k),
-            "cancel of id {id} disagreed with the model"
-        );
     }
 
     fn check_next_time(&self) {
@@ -264,15 +229,6 @@ fn run_script(backlog: &[Backlog], ops: &[Op]) -> Pair {
                 p.schedule(at, vec![gap]);
                 p.schedule(at + gap, Vec::new());
             }
-            Op::Cancel { back } => {
-                p.cancel(p.world.tokens.len() - 1 - back % p.world.tokens.len());
-            }
-            Op::CancelSoon { nth } => {
-                // Ids are issued densely, so an id is its token's index.
-                if let Some(&(_, id)) = p.model.pending.keys().nth(nth) {
-                    p.cancel(id as usize);
-                }
-            }
             Op::Advance { dt } => {
                 let horizon = p.model.now + dt;
                 p.sim.run_until(&mut p.world, SimTime::from_nanos(horizon));
@@ -298,7 +254,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The wheel pops in exactly the reference model's `(time, seq)` order
-    /// under arbitrary interleaved schedule/cancel/advance/step scripts,
+    /// under arbitrary interleaved schedule/advance/step scripts,
     /// and agrees with it on the earliest pending instant throughout.
     #[test]
     fn wheel_matches_binary_heap_model(script in script_strategy()) {
@@ -308,31 +264,5 @@ proptest! {
         prop_assert!(p.model.pending.is_empty());
         prop_assert!(p.model.peak_pending > 1_000);
         prop_assert_eq!(p.sim.peak_pending(), p.model.peak_pending);
-    }
-
-    /// Cancelled events never fire, every non-cancelled event fires exactly
-    /// once, and the wheel's slots are reclaimed (len returns to zero).
-    #[test]
-    fn cancelled_events_never_fire(script in script_strategy()) {
-        let p = run_script(&script.0, &script.1);
-        // Every id the model fired must appear exactly once; every other
-        // issued id was cancelled and must not appear at all.
-        let mut fired = vec![0u32; p.model.next_id as usize];
-        for &(_, id) in &p.world.log {
-            fired[id as usize] += 1;
-        }
-        let mut expected = vec![0u32; p.model.next_id as usize];
-        for &(_, id) in &p.model.log {
-            expected[id as usize] = 1;
-        }
-        prop_assert_eq!(fired, expected);
-        // Slot reclamation: the queue is empty and reusable afterwards.
-        prop_assert_eq!(p.sim.pending(), 0);
-        let (mut sim, mut world) = (p.sim, World::default());
-        let t = sim.now() + SimDuration::from_nanos(7);
-        sim.schedule_event_at(t, Ev::Rec { id: u64::MAX, children: Vec::new() });
-        sim.run(&mut world);
-        prop_assert_eq!(world.log.len(), 1);
-        prop_assert_eq!(sim.pending(), 0);
     }
 }

@@ -44,7 +44,7 @@ impl LinkConfig {
     }
 
     /// A link with the given one-way latency and bandwidth, no jitter/loss.
-    pub fn with(propagation: SimDuration, bandwidth_bytes_per_sec: u64) -> Self {
+    pub const fn with(propagation: SimDuration, bandwidth_bytes_per_sec: u64) -> Self {
         LinkConfig {
             propagation,
             bandwidth_bytes_per_sec,

@@ -1,130 +1,32 @@
-//! Dense-handle arenas: `Vec`-backed slabs behind `u32` handles.
+//! The sparse block store's index: block address → `u32` handle.
 //!
-//! The metro-scale world keeps hot per-entity state out of pointer-chasing
-//! maps: entities get dense `u32` handles into contiguous slabs, so the
-//! engine's persist/apply loops walk arrays instead of `BTreeMap` nodes.
-//! Two deliberate properties keep the arenas deterministic and panic-lean:
-//!
-//! - **LIFO handle reuse.** Freed handles go on a free list and the most
-//!   recently freed handle is handed out first. Allocation order is a pure
-//!   function of the insert/remove sequence — no hashing, no randomness —
-//!   so replays are byte-identical.
-//! - **Vacancy is explicit.** `get` on a vacant or out-of-range handle
-//!   returns `None` rather than panicking; the indexed accessors used on
-//!   hot paths (`slot`) document their invariant instead of `unwrap`ing.
-//!
-//! [`LbaIndex`] is the other half of a sparse block store: the map from a
-//! block address to the arena handle holding its payload.
+//! A volume and a snapshot each keep their block payloads in a plain
+//! `Vec`, appended to and cleared whole, never freed one by one, so a
+//! block's index in that `Vec` is its handle for as long as the store
+//! lives. [`LbaIndex`] maps a block address to that handle, and
+//! `push_handle` mints it. Both are pure functions of the writes made, so
+//! replays are byte-identical.
 
 use std::collections::BTreeMap;
 
-/// A slab of `T` addressed by dense `u32` handles with LIFO reuse.
+/// The first handle [`push_handle`] never mints: `u32::MAX` marks a vacant
+/// [`LbaIndex`] slot, and the value below it is left to the index's users
+/// (a snapshot's "unwritten when taken").
+pub(crate) const FIRST_RESERVED: u32 = u32::MAX - 1;
+
+/// Append `value` to `store` and return its index as a handle for an
+/// [`LbaIndex`].
 ///
-/// Handles are *not* generation-tagged: a handle freed and reallocated
-/// refers to the new occupant. Callers that retire handles must drop every
-/// copy (the storage layer only frees handles at teardown points where no
-/// references survive, e.g. volume wipe).
-#[derive(Debug, Clone, Default)]
-pub struct DenseArena<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<u32>,
-    len: usize,
-}
-
-impl<T> DenseArena<T> {
-    /// An empty arena.
-    pub fn new() -> Self {
-        DenseArena { slots: Vec::new(), free: Vec::new(), len: 0 }
-    }
-
-    /// An empty arena with room for `cap` occupants before regrowth.
-    pub fn with_capacity(cap: usize) -> Self {
-        DenseArena { slots: Vec::with_capacity(cap), free: Vec::new(), len: 0 }
-    }
-
-    /// Number of live occupants.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no occupant is live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of slots ever allocated (live + vacant); the high-water mark
-    /// of the arena's footprint.
-    pub fn capacity_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Store `value`, returning its handle. Reuses the most recently freed
-    /// slot if one exists, else appends.
-    pub fn insert(&mut self, value: T) -> u32 {
-        self.len += 1;
-        if let Some(h) = self.free.pop() {
-            let slot = self
-                .slots
-                .get_mut(h as usize)
-                .expect("invariant: free list only holds handles minted by insert");
-            debug_assert!(slot.is_none(), "free list pointed at a live slot");
-            *slot = Some(value);
-            return h;
-        }
-        let h = u32::try_from(self.slots.len())
-            .expect("invariant: arena slot counts stay within u32 handle space");
-        self.slots.push(Some(value));
-        h
-    }
-
-    /// Remove and return the occupant of `h`, if live.
-    pub fn remove(&mut self, h: u32) -> Option<T> {
-        let v = self.slots.get_mut(h as usize)?.take()?;
-        self.len -= 1;
-        self.free.push(h);
-        Some(v)
-    }
-
-    /// Borrow the occupant of `h`, if live.
-    pub fn get(&self, h: u32) -> Option<&T> {
-        self.slots.get(h as usize)?.as_ref()
-    }
-
-    /// Mutably borrow the occupant of `h`, if live.
-    pub fn get_mut(&mut self, h: u32) -> Option<&mut T> {
-        self.slots.get_mut(h as usize)?.as_mut()
-    }
-
-    /// Borrow the occupant of a handle the caller knows is live (hot-path
-    /// accessor; the handle came out of an index the arena backs).
-    pub fn slot(&self, h: u32) -> &T {
-        self.get(h).expect("invariant: indexed handle refers to a live arena slot")
-    }
-
-    /// Mutable twin of [`DenseArena::slot`].
-    pub fn slot_mut(&mut self, h: u32) -> &mut T {
-        self.get_mut(h).expect("invariant: indexed handle refers to a live arena slot")
-    }
-
-    /// True when `h` refers to a live occupant.
-    pub fn contains(&self, h: u32) -> bool {
-        self.get(h).is_some()
-    }
-
-    /// Drop every occupant and forget all handles.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.len = 0;
-    }
-
-    /// Iterate live `(handle, &value)` pairs in ascending handle order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (i as u32, v)))
-    }
+/// # Panics
+/// Panics if the store already holds [`FIRST_RESERVED`] values, so no
+/// index can mint a reserved slot value.
+pub(crate) fn push_handle<T>(store: &mut Vec<T>, value: T) -> u32 {
+    let h = u32::try_from(store.len())
+        .ok()
+        .filter(|&h| h < FIRST_RESERVED)
+        .expect("invariant: a block store holds fewer than u32::MAX - 1 blocks");
+    store.push(value);
+    h
 }
 
 /// Block addresses covered by one [`LbaIndex`] page.
@@ -234,60 +136,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_get_remove_roundtrip() {
-        let mut a = DenseArena::new();
-        let h1 = a.insert("one");
-        let h2 = a.insert("two");
-        assert_ne!(h1, h2);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.get(h1), Some(&"one"));
-        assert_eq!(a.remove(h1), Some("one"));
-        assert_eq!(a.get(h1), None);
-        assert_eq!(a.remove(h1), None);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a.slot(h2), &"two");
-    }
-
-    #[test]
-    fn freed_handles_are_reused_lifo() {
-        let mut a = DenseArena::new();
-        let h0 = a.insert(0);
-        let h1 = a.insert(1);
-        let h2 = a.insert(2);
-        a.remove(h0);
-        a.remove(h2);
-        // Most recently freed first, then older frees, then fresh slots.
-        assert_eq!(a.insert(20), h2);
-        assert_eq!(a.insert(10), h0);
-        let h3 = a.insert(3);
-        assert_eq!(h3, 3);
-        assert_eq!(a.capacity_slots(), 4);
-        assert_eq!(a.get(h1), Some(&1));
-    }
-
-    #[test]
-    fn iter_walks_live_slots_in_handle_order() {
-        let mut a = DenseArena::new();
-        let hs: Vec<u32> = (0..5).map(|i| a.insert(i * 10)).collect();
-        a.remove(hs[1]);
-        a.remove(hs[3]);
-        let got: Vec<(u32, i32)> = a.iter().map(|(h, &v)| (h, v)).collect();
-        assert_eq!(got, vec![(0, 0), (2, 20), (4, 40)]);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut a = DenseArena::new();
-        let h = a.insert(7);
-        a.clear();
-        assert!(a.is_empty());
-        assert!(!a.contains(h));
-        assert_eq!(a.capacity_slots(), 0);
-        // Handles restart from zero after a clear.
-        assert_eq!(a.insert(8), 0);
-    }
-
-    #[test]
     fn lba_index_pages_follow_the_addresses_written() {
         // Two full pages and a 76-slot tail.
         let size = 2 * LBAS_PER_PAGE + 76;
@@ -316,31 +164,5 @@ mod tests {
     #[should_panic(expected = "outside the indexed address space")]
     fn lba_index_rejects_stores_past_the_end() {
         LbaIndex::new(10).insert(10, 1);
-    }
-
-    /// Deterministic pseudo-random op sequence: the arena must agree with a
-    /// `BTreeMap<u32, u64>` model keyed by the handles the arena mints.
-    #[test]
-    fn arena_matches_map_model_over_mixed_ops() {
-        let mut arena = DenseArena::new();
-        let mut model: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for step in 0..4096u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let op = x % 100;
-            if op < 55 || model.is_empty() {
-                let v = x ^ step;
-                let h = arena.insert(v);
-                assert!(model.insert(h, v).is_none(), "arena minted a live handle");
-            } else {
-                let pick = (x / 100) as usize % model.len();
-                let &h = model.keys().nth(pick).expect("model non-empty");
-                let v = model.remove(&h);
-                assert_eq!(arena.remove(h), v);
-            }
-            assert_eq!(arena.len(), model.len());
-        }
-        let from_arena: BTreeMap<u32, u64> = arena.iter().map(|(h, &v)| (h, v)).collect();
-        assert_eq!(from_arena, model);
     }
 }

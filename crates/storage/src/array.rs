@@ -17,26 +17,19 @@ use crate::volume::{Volume, VolumeRole};
 /// that do not model capacity pressure are unaffected.
 pub const DEFAULT_POOL_CAPACITY: u64 = 1 << 40;
 
-/// Service-time profile of an array's data path.
+/// Service-time profile of an array's data path: the part that varies.
+/// Host write and read service and the copy-on-write penalty are constants
+/// of the engine (`engine.rs`).
 #[derive(Debug, Clone)]
 pub struct ArrayPerf {
-    /// Cache-hit write service time (host write → ack-ready).
-    pub write_service: SimDuration,
-    /// Read service time.
-    pub read_service: SimDuration,
     /// Applying one replicated journal entry at the secondary.
     pub apply_service: SimDuration,
-    /// Extra cost of a copy-on-write block preservation.
-    pub cow_penalty: SimDuration,
 }
 
 impl Default for ArrayPerf {
     fn default() -> Self {
         ArrayPerf {
-            write_service: SimDuration::from_micros(100),
-            read_service: SimDuration::from_micros(200),
             apply_service: SimDuration::from_micros(50),
-            cow_penalty: SimDuration::from_micros(30),
         }
     }
 }
@@ -237,11 +230,6 @@ impl StorageArray {
         &self.pools
     }
 
-    /// The pool backing a volume.
-    pub fn pool_of(&self, vol: VolumeId) -> PoolId {
-        slot(&self.volumes, vol.0).map_or(PoolId(0), |s| s.pool)
-    }
-
     fn pool_mut(&mut self, id: PoolId) -> &mut Pool {
         self.pools
             .get_mut(id.0 as usize)
@@ -383,7 +371,8 @@ impl StorageArray {
 
     /// Persist a block write, performing copy-on-write preservation for any
     /// active snapshots of the volume first. Returns how many snapshots
-    /// required a COW save (each costs [`ArrayPerf::cow_penalty`]). New
+    /// required a COW save (each costs the engine's copy-on-write
+    /// penalty at apply). New
     /// thin-block allocations and data-bearing COW saves charge the pool.
     pub fn write_block(&mut self, vol: VolumeId, lba: u64, data: BlockBuf) -> u32 {
         let s = slot_mut(&mut self.volumes, vol.0)

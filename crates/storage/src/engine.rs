@@ -40,6 +40,31 @@ use crate::fabric::{GroupMode, SuspendReason};
 use crate::journal::JournalEntry;
 use crate::world::{HasStorage, StorageWorld};
 
+/// Cache-hit service time of a host write (admission → persist).
+const WRITE_SERVICE: SimDuration = SimDuration::from_micros(100);
+/// Service time of a host read.
+const READ_SERVICE: SimDuration = SimDuration::from_micros(200);
+/// Extra apply time of a copy-on-write block preservation.
+const COW_PENALTY: SimDuration = SimDuration::from_micros(30);
+/// Per-frame link protocol overhead in bytes.
+pub const FRAME_OVERHEAD: u64 = 64;
+/// Size of an acknowledgement frame (backup → main) in bytes.
+const ACK_FRAME_BYTES: u64 = 64;
+/// Maximum payload bytes shipped per transfer frame.
+const BATCH_MAX_BYTES: u64 = 1 << 20;
+/// Send an applied-ack to the main site every this many applied entries
+/// (an ack is always sent when the remote journal drains).
+const APPLIED_ACK_EVERY: u64 = 16;
+/// Retry interval of a host write stalled on a full journal or waiting
+/// for its volume's turn.
+const JOURNAL_STALL_RETRY: SimDuration = SimDuration::from_micros(200);
+/// Retry interval after a lost frame.
+const LOSS_RETRY: SimDuration = SimDuration::from_millis(1);
+/// Transfer-pump flow control: no new frame is offered while the link's
+/// sender-side serialization backlog exceeds this (bounds the data that
+/// can be "in flight" — and hence survive — when the main site dies).
+pub const MAX_LINK_BACKLOG: SimDuration = SimDuration::from_millis(5);
+
 /// Host-visible completion of a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteAck {
@@ -154,8 +179,7 @@ pub fn host_write<S, E, F>(
         );
         return;
     }
-    let service = st.array(vol.array).perf().write_service;
-    let done = st.array_mut(vol.array).admit(vol.volume, now, service);
+    let done = st.array_mut(vol.array).admit(vol.volume, now, WRITE_SERVICE);
     let ticket = st.issue_write_ticket(vol);
     sim.schedule_event_at(
         done,
@@ -186,8 +210,7 @@ where
     if !st.find_array(vol.array).is_some_and(|a| a.admits_read(vol.volume, lba)) {
         return reject_read(st, sim, Box::new(cb));
     }
-    let service = st.array(vol.array).perf().read_service;
-    let done = st.array_mut(vol.array).admit(vol.volume, now, service);
+    let done = st.array_mut(vol.array).admit(vol.volume, now, READ_SERVICE);
     sim.schedule_event_at(
         done,
         E::storage(StorageOp::ReadDone {
@@ -235,8 +258,7 @@ pub fn host_read_snapshot<S, E, F>(
     let Some(base) = base else {
         return reject_read(st, sim, Box::new(cb));
     };
-    let service = st.array(array).perf().read_service;
-    let done = st.array_mut(array).admit(base, now, service);
+    let done = st.array_mut(array).admit(base, now, READ_SERVICE);
     sim.schedule_event_at(
         done,
         E::storage(StorageOp::SnapReadDone {
@@ -344,7 +366,7 @@ pub(crate) fn persist<S, E>(
             st.metrics.inc(names::WRITE_ORDER_WAITS);
             st.tracer
                 .instant(spans::TICKET_WAIT, now, span, || vec![("ticket", ticket.into())]);
-            PersistNext::Stall(st.config.journal_stall_retry, data)
+            PersistNext::Stall(JOURNAL_STALL_RETRY, data)
         } else if st.array(vol.array).is_failed() {
             st.retire_write_ticket(vol);
             st.metrics.inc(names::WRITES_FAILED);
@@ -361,7 +383,10 @@ pub(crate) fn persist<S, E>(
             // Pass 1 — admission: under the Block policy, every active
             // ADC leg must have journal space before ANY side effect
             // happens, so a stalled write can retry without
-            // double-appending.
+            // double-appending. Only an entry that fits the journal once
+            // it has drained is worth waiting for; one larger than the
+            // whole journal would wait forever, so it goes on to pass 3,
+            // which suspends its group.
             let mut stall = false;
             if st.journal_full_policy() == JournalFullPolicy::Block {
                 for i in 0..legs {
@@ -369,7 +394,10 @@ pub(crate) fn persist<S, E>(
                     let g = st.fabric.group(gid);
                     if g.is_active() && g.mode == GroupMode::Adc {
                         let jid = g.primary_jnl.expect("invariant: active ADC groups always carry a primary journal");
-                        if !st.fabric.journal(jid).has_space(data.len()) {
+                        let jnl = st.fabric.journal(jid);
+                        if jnl.entry_size(data.len()) <= jnl.capacity_bytes()
+                            && !jnl.has_space(data.len())
+                        {
                             stall = true;
                         }
                     }
@@ -385,7 +413,7 @@ pub(crate) fn persist<S, E>(
                     let gid = st.fabric.pair(leg_of(st, vol, i)).group;
                     st.fabric.group_mut(gid).stats.journal_stalls += 1;
                 }
-                PersistNext::Stall(st.config.journal_stall_retry, data)
+                PersistNext::Stall(JOURNAL_STALL_RETRY, data)
             } else {
                 // Pass 2 — persist the primary copy once. The write is
                 // past admission, so the volume's turn advances.
@@ -439,8 +467,8 @@ pub(crate) fn persist<S, E>(
                                 st.fabric.update_pair(pid, |p| p.acked_writes += 1);
                                 adc_kicks.push(gid);
                             } else {
-                                // Suspend policy (Block was handled in
-                                // pass 1).
+                                // Suspend policy, or an entry no drain
+                                // could make room for (pass 1).
                                 st.metrics.inc(names::JOURNAL_OVERFLOW);
                                 st.fabric
                                     .group_mut(gid)
@@ -601,10 +629,10 @@ pub(crate) fn sdc_leg_send<S, E>(
             R::Degraded
         } else {
             let link = st.fabric.group(gid).link;
-            let bytes = data.len() as u64 + st.config.frame_overhead;
+            let bytes = data.len() as u64 + FRAME_OVERHEAD;
             match st.offer_link(link, now, bytes) {
                 TransferOutcome::DeliveredAt { at, .. } => R::Arrive(at),
-                TransferOutcome::Lost => R::Retry(st.config.loss_retry),
+                TransferOutcome::Lost => R::Retry(LOSS_RETRY),
                 TransferOutcome::Down(_) => {
                     st.fabric
                         .group_mut(gid)
@@ -698,8 +726,7 @@ pub(crate) fn sdc_leg_done<S, E>(
         g.stats.entries_applied += 1;
         g.stats.last_applied_at = now;
         let reverse = g.reverse;
-        let ack_bytes = st.config.ack_frame_bytes;
-        match st.offer_link(reverse, now, ack_bytes) {
+        match st.offer_link(reverse, now, ACK_FRAME_BYTES) {
             TransferOutcome::DeliveredAt { at, .. } => D::AckAt(at),
             // A lost or undeliverable acknowledgement suspends the pair
             // (the array cannot distinguish the two within the timeout).
@@ -791,11 +818,11 @@ where
             // deep, hold back — bits not yet on the wire die with the site.
             // The pump waits on the link's list for the wake that fires
             // when the backlog has drained (`link_wake`); it does not poll.
-            if st.net.link(link).backlog(now) > st.config.max_link_backlog {
+            if st.net.link(link).backlog(now) > MAX_LINK_BACKLOG {
                 T::Parked { link, wake: st.park_transfer(gid, gen, link, now) }
             } else {
-            let (max_e, max_b) = (st.config.batch_max_entries, st.config.batch_max_bytes);
-            let batch = st.fabric.journal(jid).peek_unsent(max_e, max_b);
+            let max_e = st.config.batch_max_entries;
+            let batch = st.fabric.journal(jid).peek_unsent(max_e, BATCH_MAX_BYTES);
             if batch.is_empty() {
                 T::Idle
             } else {
@@ -803,7 +830,7 @@ where
                     .iter()
                     .map(|e| st.fabric.journal(jid).entry_size(e.data.len()))
                     .sum::<u64>()
-                    + st.config.frame_overhead;
+                    + FRAME_OVERHEAD;
                 match st.offer_link(link, now, payload) {
                     TransferOutcome::DeliveredAt { at, serialized } => {
                         let mut batch = batch;
@@ -842,7 +869,7 @@ where
                         st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
                             vec![("group", (gid.0 as u64).into()), ("reason", "loss".into())]
                         });
-                        T::RetryIn(st.config.loss_retry)
+                        T::RetryIn(LOSS_RETRY)
                     }
                     TransferOutcome::Down(Some(up)) => {
                         st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
@@ -919,7 +946,7 @@ where
     state.storage_mut().lane_waits.disarm(link);
     loop {
         let st = state.storage_mut();
-        if st.net.link(link).backlog(now) > st.config.max_link_backlog {
+        if st.net.link(link).backlog(now) > MAX_LINK_BACKLOG {
             break;
         }
         let Some(w) = st.lane_waits.pop(link) else {
@@ -1047,8 +1074,8 @@ where
         return;
     }
     let cow = st.array(sec.array).cow_would_save(sec.volume, lba);
-    let perf = st.array(sec.array).perf();
-    let service = perf.apply_service + perf.cow_penalty.saturating_mul(cow as u64);
+    let service =
+        st.array(sec.array).perf().apply_service + COW_PENALTY.saturating_mul(cow as u64);
     let done = st.array_mut(sec.array).admit(sec.volume, now, service);
     st.fabric.group_mut(gid).apply_scheduled = true;
     sim.schedule_event_at(
@@ -1109,12 +1136,11 @@ pub(crate) fn finish_apply<S, E>(
                 g.stats.last_applied_at = now;
                 (
                     g.reverse,
-                    seq - g.applied_ack_sent >= st.config.applied_ack_every || drained,
+                    seq - g.applied_ack_sent >= APPLIED_ACK_EVERY || drained,
                 )
             };
             if ack_due {
-                let bytes = st.config.ack_frame_bytes;
-                match st.offer_link(reverse, now, bytes) {
+                match st.offer_link(reverse, now, ACK_FRAME_BYTES) {
                     TransferOutcome::DeliveredAt { at, .. } => {
                         st.fabric.group_mut(gid).applied_ack_sent = seq;
                         Some((seq, at))

@@ -15,7 +15,7 @@ use tsuru_simnet::LinkId;
 
 use crate::block::{GroupId, JournalId, PairId, VolRef};
 use crate::hot::PrimaryIndex;
-use crate::journal::Journal;
+use crate::journal::{Journal, JOURNAL_ENTRY_OVERHEAD};
 
 /// Replication mode of a group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,9 +242,9 @@ impl ReplicationFabric {
 
     // ----- registration ----------------------------------------------------
 
-    pub(crate) fn add_journal(&mut self, capacity_bytes: u64, entry_overhead: u64) -> JournalId {
+    pub(crate) fn add_journal(&mut self, capacity_bytes: u64) -> JournalId {
         let id = JournalId(self.journals.len() as u32);
-        self.journals.push(Journal::new(id, capacity_bytes, entry_overhead));
+        self.journals.push(Journal::new(id, capacity_bytes, JOURNAL_ENTRY_OVERHEAD));
         id
     }
 
@@ -461,8 +461,8 @@ mod tests {
     }
 
     fn make_group(fabric: &mut ReplicationFabric, mode: GroupMode) -> GroupId {
-        let pj = fabric.add_journal(1 << 20, 64);
-        let sj = fabric.add_journal(1 << 20, 64);
+        let pj = fabric.add_journal(1 << 20);
+        let sj = fabric.add_journal(1 << 20);
         let id = fabric.next_group_id();
         fabric.add_group(Group {
             id,

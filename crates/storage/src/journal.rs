@@ -13,6 +13,10 @@ use tsuru_telemetry::SpanId;
 
 use crate::block::{BlockBuf, JournalId, PairId};
 
+/// Per-entry metadata overhead, in bytes, of every journal a replication
+/// group creates.
+pub const JOURNAL_ENTRY_OVERHEAD: u64 = 64;
+
 /// One logged update: a block write destined for a secondary volume.
 #[derive(Debug, Clone)]
 pub struct JournalEntry {

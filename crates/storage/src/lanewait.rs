@@ -1,7 +1,7 @@
 //! Per-lane wait lists: where a transfer pump waits out a link's backlog.
 //!
 //! A group whose link's sender-side backlog is over
-//! `EngineConfig::max_link_backlog` does not poll: it *parks* on the
+//! `engine::MAX_LINK_BACKLOG` does not poll: it *parks* on the
 //! link's FIFO here and keeps its `pump_scheduled` claim, and the lane
 //! owns at most one pending `StorageOp::LinkWake` — armed for the exact
 //! instant the backlog will have drained to the threshold

@@ -41,7 +41,6 @@ mod volume;
 mod world;
 
 pub use acklog::{AckEntry, AckLog, PrefixReport};
-pub use arena::DenseArena;
 pub use array::{ArrayPerf, FeedEntry, StorageArray, WriteError, DEFAULT_POOL_CAPACITY};
 pub use block::{
     block_from, content_hash, ArrayId, BlockBuf, BlockWriter, GroupId, JournalId, PairId,
@@ -58,13 +57,15 @@ pub use fabric::{
     Group, GroupMode, GroupState, GroupStats, Pair, ReplicationFabric, ReplicationTotals,
     SuspendReason,
 };
-pub use journal::{Journal, JournalEntry};
+pub use journal::{Journal, JournalEntry, JOURNAL_ENTRY_OVERHEAD};
 pub use lanewait::{LaneWaits, Waiter};
 pub use pool::{Pool, PoolId};
 pub use shard::{ShardLane, ShardLayout};
 pub use status::{group_status, render_pool_status, render_replication_status, GroupStatus};
 pub use snapshot::Snapshot;
-pub use supervisor::{RecoveryStage, Supervisor, SupervisorPolicy, SupervisorStats};
+pub use supervisor::{
+    RecoveryStage, Supervisor, SupervisorPolicy, SupervisorStats, PROBE_INTERVAL,
+};
 pub use volume::{Volume, VolumeRole};
 pub use world::{ConsistencyReport, HasStorage, RpoReport, StorageWorld};
 

@@ -9,13 +9,13 @@
 
 use tsuru_sim::SimTime;
 
-use crate::arena::{DenseArena, LbaIndex};
+use crate::arena::{push_handle, LbaIndex, FIRST_RESERVED};
 use crate::block::{BlockBuf, SnapshotId, VolumeId};
 
 /// Index value of an LBA that was unwritten at snapshot time but has since
 /// been written on the base — reads of it must return "unwritten", not base
-/// data. Arena handles are minted from zero, so they never reach it.
-const WAS_EMPTY: u32 = u32::MAX - 1;
+/// data. `push_handle` never mints it.
+const WAS_EMPTY: u32 = FIRST_RESERVED;
 
 /// One copy-on-write snapshot of a single volume.
 #[derive(Debug, Clone)]
@@ -27,8 +27,8 @@ pub struct Snapshot {
     /// Every LBA preserved since creation: a handle into `saved`, or
     /// [`WAS_EMPTY`]. Same paged table as the base volume's own index.
     preserved: LbaIndex,
-    /// Old content saved on first overwrite after creation.
-    saved: DenseArena<BlockBuf>,
+    /// Old content saved on first overwrite after creation, in save order.
+    saved: Vec<BlockBuf>,
     group: Option<u64>,
 }
 
@@ -47,7 +47,7 @@ impl Snapshot {
             base,
             created_at,
             preserved: LbaIndex::new(base_size_blocks),
-            saved: DenseArena::new(),
+            saved: Vec::new(),
             group,
         }
     }
@@ -104,7 +104,7 @@ impl Snapshot {
             return false;
         }
         let state = match old {
-            Some(b) => self.saved.insert(b.clone()),
+            Some(b) => push_handle(&mut self.saved, b.clone()),
             None => WAS_EMPTY,
         };
         self.preserved.insert(lba, state);
@@ -120,7 +120,11 @@ impl Snapshot {
     ) -> Option<&'a BlockBuf> {
         match self.preserved.get(lba) {
             Some(WAS_EMPTY) => None,
-            Some(h) => Some(self.saved.slot(h)),
+            Some(h) => Some(
+                self.saved
+                    .get(h as usize)
+                    .expect("invariant: the index only holds handles of saved blocks"),
+            ),
             // Block untouched since snapshot: base content is snapshot content.
             None => base_read(lba),
         }

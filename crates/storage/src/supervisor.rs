@@ -48,21 +48,23 @@ use crate::fabric::{GroupMode, GroupState, SuspendReason};
 use crate::event::StorageEvents;
 use crate::world::HasStorage;
 
+/// Health-probe period (the `SupervisorTick` cadence): sized for the
+/// chaos rig's 150 ms horizons.
+pub const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(2);
+/// Exponential growth factor of the backoff between attempts.
+const BACKOFF_FACTOR: u64 = 2;
+/// Uniform jitter added to every backoff delay (seeded stream).
+const BACKOFF_JITTER: SimDuration = SimDuration::from_micros(250);
+
 /// Tunables of the recovery state machine. The defaults are sized for the
 /// chaos rig's 150 ms horizons (probe every 2 ms, heal within ~35 ms worst
 /// case); experiments sweep alternatives (see `tsuru-chaos`'s E10).
 #[derive(Debug, Clone)]
 pub struct SupervisorPolicy {
-    /// Health-probe period (the `SupervisorTick` cadence).
-    pub probe_interval: SimDuration,
     /// First-attempt backoff delay.
     pub backoff_base: SimDuration,
-    /// Exponential growth factor between attempts.
-    pub backoff_factor: u32,
     /// Backoff ceiling.
     pub backoff_max: SimDuration,
-    /// Uniform jitter added to every backoff delay (seeded stream).
-    pub backoff_jitter: SimDuration,
     /// How long a resynced group must stay `Active` before the attempt
     /// counts as a heal (and how long the supervisor waits before judging
     /// the attempt).
@@ -87,11 +89,8 @@ pub struct SupervisorPolicy {
 impl Default for SupervisorPolicy {
     fn default() -> Self {
         SupervisorPolicy {
-            probe_interval: SimDuration::from_millis(2),
             backoff_base: SimDuration::from_millis(1),
-            backoff_factor: 2,
             backoff_max: SimDuration::from_millis(8),
-            backoff_jitter: SimDuration::from_micros(250),
             stage_timeout: SimDuration::from_millis(5),
             full_resync_debt_bytes: 1 << 20,
             max_attempts: 4,
@@ -217,11 +216,6 @@ impl Supervisor {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &SupervisorPolicy {
-        &self.policy
-    }
-
     /// Action counters.
     pub fn stats(&self) -> &SupervisorStats {
         &self.stats
@@ -258,19 +252,14 @@ impl Supervisor {
     /// stream.
     fn backoff_delay(&mut self, attempt: u32) -> SimDuration {
         let base = self.policy.backoff_base.as_nanos();
-        let exp = u64::from(self.policy.backoff_factor)
+        let exp = BACKOFF_FACTOR
             .saturating_pow(attempt.saturating_sub(1))
             .max(1);
         let raw = base
             .saturating_mul(exp)
             .min(self.policy.backoff_max.as_nanos());
-        let jitter = self.policy.backoff_jitter.as_nanos();
-        let jittered = if jitter == 0 {
-            0
-        } else {
-            self.rng.gen_range(jitter + 1)
-        };
-        SimDuration::from_nanos(raw + jittered)
+        let jitter = self.rng.gen_range(BACKOFF_JITTER.as_nanos() + 1);
+        SimDuration::from_nanos(raw + jitter)
     }
 
     /// Enter backoff before `attempt`, or park if the attempt budget is
@@ -580,7 +569,7 @@ where
                         RecoveryStage::BackingOff {
                             attempt,
                             since,
-                            until: now + sv.policy.probe_interval,
+                            until: now + PROBE_INTERVAL,
                         },
                     );
                     return;

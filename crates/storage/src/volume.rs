@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::arena::{DenseArena, LbaIndex};
-use crate::block::{BlockBuf, VolumeId, BLOCK_SIZE};
+use crate::arena::{push_handle, LbaIndex};
+use crate::block::{BlockBuf, VolumeId};
 
 /// Role a volume plays in replication, mirroring array semantics: secondary
 /// volumes reject host writes until promoted.
@@ -17,10 +17,10 @@ pub enum VolumeRole {
 
 /// A logical volume: sparse block store plus bookkeeping.
 ///
-/// Block payloads live in a dense-handle slab ([`DenseArena`]); a paged
-/// direct table ([`LbaIndex`]) holds only `lba → handle`. Reads and
+/// Block payloads live in a `Vec` in the order they were first written; a
+/// paged direct table ([`LbaIndex`]) holds only `lba → index`. Reads and
 /// overwrites — the hot path once a working set is allocated — are one
-/// page lookup and one slab access, iteration is ascending by LBA as the
+/// page lookup and one `Vec` access, iteration is ascending by LBA as the
 /// consistency checkers rely on, and memory follows the blocks written,
 /// not `size_blocks`.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct Volume {
     name: String,
     size_blocks: u64,
     index: LbaIndex,
-    bufs: DenseArena<BlockBuf>,
+    bufs: Vec<BlockBuf>,
     role: VolumeRole,
     writes: u64,
 }
@@ -43,7 +43,7 @@ impl Volume {
             name: name.into(),
             size_blocks,
             index: LbaIndex::new(size_blocks),
-            bufs: DenseArena::new(),
+            bufs: Vec::new(),
             role: VolumeRole::Primary,
             writes: 0,
         }
@@ -62,11 +62,6 @@ impl Volume {
     /// Capacity in blocks.
     pub fn size_blocks(&self) -> u64 {
         self.size_blocks
-    }
-
-    /// Capacity in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.size_blocks * BLOCK_SIZE as u64
     }
 
     /// Current replication role.
@@ -99,7 +94,14 @@ impl Volume {
     /// Read a block; `None` if it was never written.
     pub fn read(&self, lba: u64) -> Option<&BlockBuf> {
         assert!(lba < self.size_blocks, "lba {lba} out of range on {}", self.name);
-        self.index.get(lba).map(|h| self.bufs.slot(h))
+        self.index.get(lba).map(|h| self.buf(h))
+    }
+
+    /// The block behind a handle the index holds.
+    fn buf(&self, h: u32) -> &BlockBuf {
+        self.bufs
+            .get(h as usize)
+            .expect("invariant: the index only holds handles of stored blocks")
     }
 
     /// Overwrite a block, returning the previous content (for copy-on-write
@@ -108,9 +110,13 @@ impl Volume {
         assert!(lba < self.size_blocks, "lba {lba} out of range on {}", self.name);
         self.writes += 1;
         if let Some(h) = self.index.get(lba) {
-            return Some(std::mem::replace(self.bufs.slot_mut(h), data));
+            let slot = self
+                .bufs
+                .get_mut(h as usize)
+                .expect("invariant: the index only holds handles of stored blocks");
+            return Some(std::mem::replace(slot, data));
         }
-        let h = self.bufs.insert(data);
+        let h = push_handle(&mut self.bufs, data);
         self.index.insert(lba, h);
         None
     }
@@ -123,7 +129,7 @@ impl Volume {
 
     /// Iterate over `(lba, block)` in ascending LBA order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (u64, &BlockBuf)> {
-        self.index.iter().map(|(lba, h)| (lba, self.bufs.slot(h)))
+        self.index.iter().map(|(lba, h)| (lba, self.buf(h)))
     }
 
     /// Content fingerprint of every allocated block, keyed by LBA.
@@ -145,7 +151,7 @@ impl Volume {
         // re-minted densely (ascending LBA), not carried over.
         self.wipe();
         for (lba, b) in src.iter_blocks() {
-            let h = self.bufs.insert(b.clone());
+            let h = push_handle(&mut self.bufs, b.clone());
             self.index.insert(lba, h);
         }
         self.writes += src.index.len() as u64;

@@ -168,11 +168,6 @@ impl StorageWorld {
         self.supervisor.as_ref()
     }
 
-    /// Mutable access to the armed supervisor, if any.
-    pub fn supervisor_mut(&mut self) -> Option<&mut Supervisor> {
-        self.supervisor.as_mut()
-    }
-
     /// Detach the supervisor for one probe pass (borrow split: the tick
     /// walks groups mutably while consulting supervisor state).
     pub(crate) fn take_supervisor(&mut self) -> Option<Supervisor> {
@@ -375,9 +370,8 @@ impl StorageWorld {
         reverse: LinkId,
         journal_capacity_bytes: u64,
     ) -> GroupId {
-        let overhead = self.config.journal_entry_overhead;
-        let pj = self.fabric.add_journal(journal_capacity_bytes, overhead);
-        let sj = self.fabric.add_journal(journal_capacity_bytes, overhead);
+        let pj = self.fabric.add_journal(journal_capacity_bytes);
+        let sj = self.fabric.add_journal(journal_capacity_bytes);
         let id = self.fabric.next_group_id();
         let rng = self.rng.derive(0x2000 + id.0 as u64);
         self.fabric.add_group(Group {
@@ -562,16 +556,13 @@ impl StorageWorld {
         // Fresh journals and a new replication epoch: in-flight frames and
         // pump events from the old epoch are discarded by their generation
         // tag.
-        let capacity_overhead = {
+        let capacity = {
             let g = self.fabric.group(id);
-            g.primary_jnl.map(|j| {
-                let jnl = self.fabric.journal(j);
-                (jnl.capacity_bytes(), self.config.journal_entry_overhead)
-            })
+            g.primary_jnl.map(|j| self.fabric.journal(j).capacity_bytes())
         };
-        if let Some((capacity, overhead)) = capacity_overhead {
-            let pj = self.fabric.add_journal(capacity, overhead);
-            let sj = self.fabric.add_journal(capacity, overhead);
+        if let Some(capacity) = capacity {
+            let pj = self.fabric.add_journal(capacity);
+            let sj = self.fabric.add_journal(capacity);
             self.fabric.swap_journals(id, pj, sj);
         }
         let g = self.fabric.group_mut(id);
@@ -1010,7 +1001,7 @@ impl StorageWorld {
         let at = self
             .net
             .link(link)
-            .backlog_clears_at(now, self.config.max_link_backlog);
+            .backlog_clears_at(now, crate::engine::MAX_LINK_BACKLOG);
         self.lane_waits.arm(link, at).then_some(at)
     }
 

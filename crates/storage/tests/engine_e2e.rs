@@ -11,7 +11,8 @@ use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::{host_read, host_read_snapshot, host_write, kick_all_pumps};
 use tsuru_storage::{
     block_from, ArrayId, ArrayPerf, EngineConfig, GroupId, GroupState, HasStorage,
-    JournalFullPolicy, StorageWorld, VolRef, WriteAck, WriteError,
+    JournalFullPolicy, StorageWorld, SuspendReason, VolRef, WriteAck, WriteError, BLOCK_SIZE,
+    JOURNAL_ENTRY_OVERHEAD,
 };
 
 /// Test world: the storage world plus collected acknowledgements.
@@ -416,6 +417,38 @@ fn journal_full_block_policy_stalls_but_loses_nothing() {
         r.world.st.array(r.backup).volume(s.volume).content_hashes(),
         r.world.st.array(r.main).volume(p.volume).content_hashes()
     );
+}
+
+#[test]
+fn journal_smaller_than_one_entry_suspends_under_block_instead_of_stalling_forever() {
+    // Under the Block policy a write waits for journal space, but a
+    // journal one byte short of a single entry has none however far it
+    // drains. The write must not poll forever: its group suspends with
+    // `JournalFull` and the host gets a degraded acknowledgement.
+    let mut r = rig();
+    let p = r.world.st.create_volume(r.main, "p", 16);
+    let s = r.world.st.create_volume(r.backup, "s", 16);
+    let tiny = BLOCK_SIZE as u64 + JOURNAL_ENTRY_OVERHEAD - 1;
+    let g = r.world.st.create_adc_group("g", r.link, r.reverse, tiny);
+    r.world.st.add_pair(g, p, s);
+
+    write_at(&mut r.sim, SimTime::ZERO, p, 0, 1);
+    r.sim.run_until(&mut r.world, SimTime::from_secs(1));
+
+    assert_eq!(r.sim.pending(), 0, "nothing is left polling");
+    assert_eq!(r.world.acks.len(), 1);
+    assert!(
+        matches!(r.world.acks[0].1, WriteAck::Degraded { .. }),
+        "{:?}",
+        r.world.acks[0]
+    );
+    assert!(matches!(
+        r.world.st.fabric.group(g).state,
+        GroupState::Suspended {
+            reason: SuspendReason::JournalFull,
+            ..
+        }
+    ));
 }
 
 #[test]

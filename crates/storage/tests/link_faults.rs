@@ -26,7 +26,7 @@ use common::{at, Ev};
 use proptest::prelude::*;
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
-use tsuru_storage::engine::{heal_link, host_write};
+use tsuru_storage::engine::{heal_link, host_write, MAX_LINK_BACKLOG};
 use tsuru_storage::{
     block_from, ArrayId, ArrayPerf, EngineConfig, GroupId, GroupState, HasStorage, StorageWorld,
     VolRef, VolumeRole,
@@ -358,7 +358,7 @@ fn parked_pumps_keep_an_exact_wake_across_a_bandwidth_stall() {
     let wake = r.world.st.lane_waits().wake_at(r.link).expect("armed");
     r.world.st.net.link_mut(r.link).set_bandwidth(LANE_BYTES_PER_SEC / 50);
     assert_eq!(
-        r.world.st.net.link(r.link).backlog_clears_at(r.sim.now(), r.world.st.config.max_link_backlog),
+        r.world.st.net.link(r.link).backlog_clears_at(r.sim.now(), MAX_LINK_BACKLOG),
         wake,
         "a bandwidth drop does not move the instant the backlog clears"
     );

@@ -15,10 +15,10 @@ use common::{at, Ev};
 use proptest::prelude::*;
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
-use tsuru_storage::engine::host_write;
+use tsuru_storage::engine::{host_write, FRAME_OVERHEAD, MAX_LINK_BACKLOG};
 use tsuru_storage::{
     block_from, content_hash, AckLog, ArrayId, ArrayPerf, BlockBuf, BlockDevice, BlockDeviceMut,
-    DenseArena, EngineConfig, GroupId, HasStorage, MemDevice, PairId, PoolId, SnapshotId,
+    EngineConfig, GroupId, HasStorage, MemDevice, PairId, JOURNAL_ENTRY_OVERHEAD, PoolId, SnapshotId,
     StorageArray, StorageWorld, VolRef, Volume, VolumeId, WriteAck, WriteError,
 };
 
@@ -515,86 +515,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// DenseArena model test
-// ---------------------------------------------------------------------
-
-/// One randomized arena operation. `Remove`/`Get` pick from the live
-/// handles (or probe a dead/out-of-range one when none fit), so long
-/// sequences exercise the LIFO free list, not just append.
-#[derive(Debug, Clone)]
-enum AOp {
-    Insert(u16),
-    Remove(prop::sample::Index),
-    Get(prop::sample::Index),
-}
-
-fn aop_strategy() -> impl Strategy<Value = AOp> {
-    prop_oneof![
-        5 => any::<u16>().prop_map(AOp::Insert),
-        3 => any::<prop::sample::Index>().prop_map(AOp::Remove),
-        2 => any::<prop::sample::Index>().prop_map(AOp::Get),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The arena agrees with a `BTreeMap<u32, u16>` model under every
-    /// insert/remove/get interleaving: same occupants, same lengths, same
-    /// vacancy answers, and iteration yields exactly the model's entries
-    /// in ascending handle order. Handle reuse is LIFO, so the handle
-    /// sequence itself is a pure function of the op sequence — the model
-    /// re-derives it and the test would fail on any divergence.
-    #[test]
-    fn dense_arena_matches_btreemap_model(ops in prop::collection::vec(aop_strategy(), 1..200)) {
-        let mut arena: DenseArena<u16> = DenseArena::new();
-        let mut model: BTreeMap<u32, u16> = BTreeMap::new();
-        let mut high_water = 0u32;
-        for op in ops {
-            match op {
-                AOp::Insert(v) => {
-                    let h = arena.insert(v);
-                    prop_assert!(
-                        model.insert(h, v).is_none(),
-                        "insert handed out a live handle {h}"
-                    );
-                    high_water = high_water.max(h + 1);
-                }
-                AOp::Remove(ix) => {
-                    if model.is_empty() {
-                        // Nothing live: removal must refuse any probe.
-                        prop_assert_eq!(arena.remove(high_water + 1), None);
-                    } else {
-                        let &h = model
-                            .keys()
-                            .nth(ix.index(model.len()))
-                            .expect("index < len");
-                        prop_assert_eq!(arena.remove(h), model.remove(&h));
-                        // A freed handle is dead until reissued.
-                        prop_assert_eq!(arena.get(h), None);
-                        prop_assert_eq!(arena.remove(h), None);
-                    }
-                }
-                AOp::Get(ix) => {
-                    // Probe across [0, high_water]: hits live slots,
-                    // vacant (freed) slots and the never-allocated edge.
-                    let h = ix.index(high_water as usize + 1) as u32;
-                    prop_assert_eq!(arena.get(h), model.get(&h));
-                    prop_assert_eq!(arena.contains(h), model.contains_key(&h));
-                }
-            }
-            prop_assert_eq!(arena.len(), model.len());
-            prop_assert_eq!(arena.is_empty(), model.is_empty());
-            // Slots are only ever appended, never shrunk.
-            prop_assert!(arena.capacity_slots() <= high_water as usize);
-            let live: Vec<(u32, u16)> = arena.iter().map(|(h, &v)| (h, v)).collect();
-            let expect: Vec<(u32, u16)> = model.iter().map(|(&h, &v)| (h, v)).collect();
-            prop_assert_eq!(live, expect, "iteration order or occupancy diverged");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Journal model test
 // ---------------------------------------------------------------------
 
@@ -697,9 +617,9 @@ proptest! {
         let mut cfg = EngineConfig::default();
         cfg.pump_jitter = SimDuration::from_micros(jitter_us);
         cfg.batch_max_entries = 4;
-        let thr = cfg.max_link_backlog;
+        let thr = MAX_LINK_BACKLOG;
         let max_frame = SimDuration::from_nanos(
-            (4 * (4096 + cfg.journal_entry_overhead) + cfg.frame_overhead) * NS_PER_BYTE,
+            (4 * (4096 + JOURNAL_ENTRY_OVERHEAD) + FRAME_OVERHEAD) * NS_PER_BYTE,
         );
         let mut st = StorageWorld::new(seed, cfg);
         let main = st.add_array("m", ArrayPerf::default());

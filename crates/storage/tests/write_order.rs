@@ -18,7 +18,8 @@ use tsuru_sim::{Sim, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{
-    block_from, ArrayPerf, EngineConfig, HasStorage, StorageWorld, VolRef,
+    block_from, ArrayPerf, EngineConfig, HasStorage, StorageWorld, VolRef, BLOCK_SIZE,
+    JOURNAL_ENTRY_OVERHEAD,
 };
 
 struct World {
@@ -48,13 +49,26 @@ fn stalled_writes_apply_in_issue_order() {
     let p = st.create_volume(main, "p", 16);
     let s = st.create_volume(backup, "s", 16);
     st.add_pair(group, p, s);
+    let filler = st.create_volume(main, "f", 16);
+    let filler_r = st.create_volume(backup, "f-r", 16);
+    st.add_pair(group, filler, filler_r);
 
-    // Squeeze the journal so every append stalls (Block policy).
+    // Squeeze the journal to one entry and fill it with a write to a
+    // second member volume, persisted at 100 µs on that volume's own
+    // station: every later append stalls (Block policy) until the heal.
+    // The entry is released only once its applied-ack has crossed the
+    // 2 ms metro link back, long after the heal.
     let jid = st.fabric.group(group).primary_jnl.unwrap();
-    st.fabric.journal_mut(jid).set_capacity_bytes(64);
+    let one_entry = BLOCK_SIZE as u64 + JOURNAL_ENTRY_OVERHEAD;
+    st.fabric.journal_mut(jid).set_capacity_bytes(one_entry);
 
     let mut world = World { st };
     let mut sim: Sim<World, Ev<World>> = Sim::new();
+    at(&mut sim, SimTime::ZERO, move |w: &mut World, sim| {
+        host_write(w, sim, filler, 0, block_from(b"filler"), |_, _, ack| {
+            assert!(ack.is_persisted(), "{ack:?}");
+        });
+    });
 
     // write_service = 100 µs, stall retry = 200 µs. Issue order: OLD then
     // NEW. Service completes at 100 µs / 200 µs, so the retry grids are
