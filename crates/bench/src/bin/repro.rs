@@ -35,7 +35,7 @@ use tsuru_core::experiments::{
 };
 use tsuru_chaos::{
     alert_sweep, chaos_sweep, convergence_sweep, history_sweep, render_alert_table,
-    render_chaos_table, render_convergence_table, render_history_table, run_chaos_trial_traced,
+    render_chaos_table, render_convergence_table, render_history_table, run_chaos_trial,
     ChaosConfig, FaultPlan,
 };
 use tsuru_core::{BackupMode, HarnessStats, RigConfig, TrialHarness, TwoSiteRig};
@@ -523,14 +523,18 @@ fn run_trace(harness: &TrialHarness, opts: &Options) {
 /// Run `trials` traced consistency-group chaos trials through the
 /// harness and write per-trial exports under `dir`.
 fn write_traced_chaos_trials(harness: &TrialHarness, dir: &Path, trials: usize) {
-    let cfg = ChaosConfig::default();
+    let cfg = ChaosConfig {
+        trace: true,
+        ..ChaosConfig::default()
+    };
     let set = harness.run(0xC0FFEE, trials, |ctx| {
         let plan = FaultPlan::random(ctx.seed, cfg.horizon);
-        run_chaos_trial_traced(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &cfg)
+        run_chaos_trial(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &cfg)
     });
     report("trace", &set.stats);
-    for (i, (rep, export)) in set.rows.iter().enumerate() {
-        print!("{}", rep.render());
+    for (i, trial) in set.rows.iter().enumerate() {
+        print!("{}", trial.report.render());
+        let export = trial.trace.as_ref().expect("traced trial carries its exports");
         let spans = export.jsonl.lines().count();
         let files = [
             (format!("trace_t{i}_cg.jsonl"), export.jsonl.as_str()),

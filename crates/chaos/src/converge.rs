@@ -91,12 +91,14 @@ pub fn convergence_sweep(
         let rows = recovery_policies()
             .into_iter()
             .map(|(policy, sp)| {
-                let mut c = cfg.clone();
-                c.supervisor = true;
-                c.supervisor_policy = sp;
+                let c = ChaosConfig {
+                    supervisor: Some(sp),
+                    ..cfg.clone()
+                };
                 ConvergeRow {
                     policy,
-                    report: run_chaos_trial(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &c),
+                    report: run_chaos_trial(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &c)
+                        .report,
                 }
             })
             .collect();

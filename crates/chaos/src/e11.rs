@@ -14,11 +14,11 @@
 //! across harness thread counts, like every other sweep in this crate.
 
 use tsuru_core::{render_table, BackupMode, TrialHarness, TrialSet};
-use tsuru_storage::AlertProfile;
+use tsuru_storage::{AlertProfile, SupervisorPolicy};
 
 use crate::audit::ChaosReport;
 use crate::plan::FaultPlan;
-use crate::run::{run_chaos_trial_alerts, ChaosConfig};
+use crate::run::{run_chaos_trial, ChaosConfig};
 
 /// One (plan, rule profile) verdict within an alert trial.
 #[derive(Debug, Clone)]
@@ -58,19 +58,18 @@ pub fn alert_sweep(
             .into_iter()
             .map(|profile| {
                 let name = profile.name;
-                let mut c = cfg.clone();
-                c.supervisor = true;
-                let (report, export) = run_chaos_trial_alerts(
-                    ctx.seed,
-                    BackupMode::AdcConsistencyGroup,
-                    &plan,
-                    &c,
-                    profile,
-                );
+                let c = ChaosConfig {
+                    supervisor: Some(SupervisorPolicy::default()),
+                    alerts: Some(profile),
+                    ..cfg.clone()
+                };
+                let trial = run_chaos_trial(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &c);
                 AlertRow {
                     profile: name,
-                    report,
-                    export,
+                    report: trial.report,
+                    export: trial
+                        .incidents
+                        .expect("alert trial carries an incident log"),
                 }
             })
             .collect();

@@ -16,7 +16,9 @@
 //! - the injector ([`run_chaos_trial`]) — replays a plan against a
 //!   [`TwoSiteRig`](tsuru_core::TwoSiteRig) through the public fault
 //!   seams (`simnet` outages, `storage` array failure, fabric
-//!   suspend/resync, `heal_link` pump kicks);
+//!   suspend/resync, `heal_link` pump kicks) and returns a [`ChaosTrial`]:
+//!   the report plus exactly the exports (trace, history, incident log)
+//!   its [`ChaosConfig`] switches on;
 //! - the [`Auditor`] — checks global invariants at every fault start,
 //!   every heal and on a periodic sample grid, and a stricter set at
 //!   final quiesce (journals drained, databases recover on every
@@ -46,7 +48,6 @@ pub use e11::{alert_sweep, render_alert_table, AlertRow, AlertTrial};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use run::{
     chaos_sweep, history_sweep, render_chaos_table, render_history_table, run_chaos_trial,
-    run_chaos_trial_alerts, run_chaos_trial_history, run_chaos_trial_stepped,
-    run_chaos_trial_traced, shrink_plan, ChaosConfig, ChaosPair, EachStep, HistoryRow,
-    HistoryTrial, TraceExport,
+    run_chaos_trial_history, run_chaos_trial_stepped, shrink_plan, ChaosConfig, ChaosPair,
+    ChaosTrial, EachStep, HistoryRow, HistoryTrial, TraceExport,
 };

@@ -21,12 +21,6 @@ pub struct ChaosConfig {
     /// trial runs to its *plan's* horizon — or to the plan's last heal,
     /// should a hand-built plan heal later than it claims to end.
     pub horizon: SimTime,
-    /// Mid-run audit sample interval; zero means no sample grid (audits
-    /// at fault starts and heals only).
-    pub sample_every: SimDuration,
-    /// Client think time (denser than the default so fault windows see
-    /// real write pressure).
-    pub think_time: SimDuration,
     /// Enable the causal tracer on the trial rig. Off by default so the
     /// standard sweep stays byte-identical to untraced runs; traced
     /// violations carry their trailing trace window.
@@ -37,23 +31,13 @@ pub struct ChaosConfig {
     /// [`tsuru_history`] checker suite at quiesce. Off by default for
     /// the same byte-identity reason as `trace`.
     pub history: bool,
-    /// Mid-run backup-image scan interval (history trials only): how
-    /// often the judge reads the followed backup image and records what
-    /// a client reading it would see. Defaults to the audit sample
-    /// cadence so scans land inside fault windows, where the naive
-    /// configuration's torn images are actually observable. Zero means
-    /// no mid-run scans.
-    pub scan_every: SimDuration,
-    /// Arm the replication supervisor on the trial rig. Off by default
-    /// so the standard sweep stays byte-identical to unsupervised runs.
-    /// When on, injector heals repair only the physical fault and the
-    /// supervisor owns logical recovery; the auditor additionally
-    /// demands convergence (every paired group back to PAIR, or parked
-    /// by the circuit breaker) at quiesce.
-    pub supervisor: bool,
-    /// Recovery policy for the armed supervisor (ignored unless
-    /// `supervisor` is set).
-    pub supervisor_policy: SupervisorPolicy,
+    /// Arm the replication supervisor on the trial rig with this recovery
+    /// policy. Off by default so the standard sweep stays byte-identical
+    /// to unsupervised runs. When armed, injector heals repair only the
+    /// physical fault and the supervisor owns logical recovery; the
+    /// auditor additionally demands convergence (every paired group back
+    /// to PAIR, or parked by the circuit breaker) at quiesce.
+    pub supervisor: Option<SupervisorPolicy>,
     /// Arm the SLO alert engine on the trial rig with this rule profile.
     /// Off by default for the same byte-identity reason as `trace` (and
     /// arming implies tracing, so incidents can carry the fault windows
@@ -66,14 +50,10 @@ impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
             horizon: SimTime::from_millis(150),
-            sample_every: SimDuration::from_millis(5),
-            think_time: SimDuration::from_millis(2),
             trace: false,
             workload: WorkloadKind::Ecom,
             history: false,
-            scan_every: SimDuration::from_millis(5),
-            supervisor: false,
-            supervisor_policy: SupervisorPolicy::default(),
+            supervisor: None,
             alerts: None,
         }
     }
@@ -84,30 +64,23 @@ impl Default for ChaosConfig {
 /// last heal.
 const CONVERGE_GRACE: SimDuration = SimDuration::from_millis(100);
 
-/// The instants `every`, `2 × every`, … before `horizon`; none at all for
-/// a zero cadence, which would never get there.
-fn grid(every: SimDuration, horizon: SimTime) -> impl Iterator<Item = SimTime> {
+/// Client think time of every chaos trial: denser than the workload's
+/// default so fault windows see real write pressure.
+const THINK_TIME: SimDuration = SimDuration::from_millis(2);
+
+/// Cadence of the mid-run audit samples and, on history trials, of the
+/// judge's backup-image scans (what a client reading the followed backup
+/// image would see). Scans share the audit grid so they land inside fault
+/// windows, where the naive configuration's torn images are observable.
+const AUDIT_GRID: SimDuration = SimDuration::from_millis(5);
+
+/// The instants `AUDIT_GRID`, `2 × AUDIT_GRID`, … before `horizon`.
+fn grid(horizon: SimTime) -> impl Iterator<Item = SimTime> {
     let mut t = SimTime::ZERO;
     std::iter::from_fn(move || {
-        if every.is_zero() {
-            return None;
-        }
-        t = t.checked_add(every)?;
+        t = t.checked_add(AUDIT_GRID)?;
         (t < horizon).then_some(t)
     })
-}
-
-/// Run one seeded chaos trial: replay `plan` against a fresh rig in
-/// `mode`, auditing at every fault start, every heal, and on the sample
-/// grid — and the backup image after every step it takes — then quiesce
-/// (stop the workload, run to empty) and apply the final invariant set.
-pub fn run_chaos_trial(
-    seed: u64,
-    mode: BackupMode,
-    plan: &FaultPlan,
-    cfg: &ChaosConfig,
-) -> ChaosReport {
-    run_trial_inner(seed, mode, plan, cfg, None).0
 }
 
 /// Exported trace artifacts for one traced chaos trial.
@@ -119,29 +92,53 @@ pub struct TraceExport {
     pub chrome: String,
 }
 
-/// [`run_chaos_trial`] with the tracer forced on: returns the report
-/// (violations carry trace windows) plus the full trace exports. Output
-/// is byte-identical for identical inputs at any harness thread count.
-pub fn run_chaos_trial_traced(
+/// One chaos trial's verdict and the exports its [`ChaosConfig`] asked for.
+/// Exports are strings (the tracer and recorder are single-threaded
+/// handles), so a trial is a harness row; all of it is byte-identical for
+/// identical inputs at any harness thread count.
+#[derive(Debug, Clone)]
+pub struct ChaosTrial {
+    /// The auditor's report.
+    pub report: ChaosReport,
+    /// The full trace exports, exactly when `cfg.trace` is set (violations
+    /// then carry their trailing trace window).
+    pub trace: Option<TraceExport>,
+    /// The client-visible history as JSONL, exactly when `cfg.history` is
+    /// set (the judge's anomalies appear as `client-history` violations).
+    pub history: Option<String>,
+    /// The alert engine's incident log as JSONL, exactly when `cfg.alerts`
+    /// is set (the report then carries the ground-truth-scored
+    /// [`AlertSummary`](crate::AlertSummary)).
+    pub incidents: Option<String>,
+}
+
+/// Run one seeded chaos trial: replay `plan` against a fresh rig in
+/// `mode`, auditing at every fault start, every heal, and on the sample
+/// grid — and the backup image after every step it takes — then quiesce
+/// (stop the workload, run to empty) and apply the final invariant set.
+pub fn run_chaos_trial(
     seed: u64,
     mode: BackupMode,
     plan: &FaultPlan,
     cfg: &ChaosConfig,
-) -> (ChaosReport, TraceExport) {
-    let mut cfg = cfg.clone();
-    cfg.trace = true;
-    let (report, tracer, _, _) = run_trial_inner(seed, mode, plan, &cfg, None);
-    let export = TraceExport {
-        jsonl: tracer.export_jsonl(),
-        chrome: tracer.export_chrome(),
-    };
-    (report, export)
+) -> ChaosTrial {
+    let (report, tracer, history, incidents) = run_trial_inner(seed, mode, plan, cfg, None);
+    ChaosTrial {
+        report,
+        trace: cfg.trace.then(|| TraceExport {
+            jsonl: tracer.export_jsonl(),
+            chrome: tracer.export_chrome(),
+        }),
+        history: cfg.history.then(|| history.export_jsonl()),
+        incidents: incidents.map(|log| log.export_jsonl()),
+    }
 }
 
-/// [`run_chaos_trial`] with history recording forced on: returns the
-/// report (the judge's anomalies appear as `client-history` violations)
-/// plus the full history export as JSONL. Output is byte-identical for
-/// identical inputs at any harness thread count.
+/// [`run_chaos_trial`] with history recording forced on, returning the
+/// report and the history export only (no trace export, even on a traced
+/// trial). Nothing in the workspace calls it: it survives solely for the
+/// performance ledger's chaos workload, which still does; it goes when
+/// that workload moves to [`run_chaos_trial`].
 pub fn run_chaos_trial_history(
     seed: u64,
     mode: BackupMode,
@@ -155,35 +152,15 @@ pub fn run_chaos_trial_history(
     (report, jsonl)
 }
 
-/// [`run_chaos_trial`] with the SLO alert engine armed under `profile`
-/// (tracing is implied so incidents observe fault windows): returns the
-/// report (carrying the ground-truth-scored
-/// [`AlertSummary`](crate::AlertSummary)) plus the incident log as
-/// JSONL. Output is byte-identical for identical inputs at any harness
-/// thread count.
-pub fn run_chaos_trial_alerts(
-    seed: u64,
-    mode: BackupMode,
-    plan: &FaultPlan,
-    cfg: &ChaosConfig,
-    profile: AlertProfile,
-) -> (ChaosReport, String) {
-    let mut cfg = cfg.clone();
-    cfg.alerts = Some(profile);
-    let (report, _, _, log) = run_trial_inner(seed, mode, plan, &cfg, None);
-    let jsonl = log.expect("alert trial carries an incident log").export_jsonl();
-    (report, jsonl)
-}
-
 /// What an every-point oracle is shown by [`run_chaos_trial_stepped`].
 pub type EachStep<'a> = dyn FnMut(&mut TwoSiteRig, &mut Auditor) + 'a;
 
-/// [`run_chaos_trial`], one kernel event at a time: `each_step` sees the
-/// rig and the auditor after every event the kernel dispatches and after
-/// every timeline action (fault start, heal, scan). Same timeline, same
-/// report — for oracles that must look at *every* point rather than the
-/// audit grid (`tests/follower.rs` compares the followed backup image
-/// with a from-scratch recovery at each of them).
+/// [`run_chaos_trial`]'s report, one kernel event at a time: `each_step`
+/// sees the rig and the auditor after every event the kernel dispatches
+/// and after every timeline action (fault start, heal, scan). Same
+/// timeline, same report — for oracles that must look at *every* point
+/// rather than the audit grid (`tests/follower.rs` compares the followed
+/// backup image with a from-scratch recovery at each of them).
 pub fn run_chaos_trial_stepped(
     seed: u64,
     mode: BackupMode,
@@ -235,7 +212,7 @@ fn run_trial_inner(
         mode,
         ..RigConfig::default()
     };
-    rig_cfg.workload.think_time_mean = cfg.think_time;
+    rig_cfg.workload.think_time_mean = THINK_TIME;
     // Alert trials imply tracing: incidents carry the open fault windows
     // the ground-truth matcher scores them against.
     rig_cfg.trace = cfg.trace || cfg.alerts.is_some();
@@ -250,8 +227,8 @@ fn run_trial_inner(
             rig.world.app_mut().append = Some(AppendState::new(DetRng::new(seed).derive(0xA99E)));
         }
     }
-    if cfg.supervisor {
-        rig.enable_supervisor(cfg.supervisor_policy.clone(), plan.horizon + CONVERGE_GRACE);
+    if let Some(policy) = &cfg.supervisor {
+        rig.enable_supervisor(policy.clone(), plan.horizon + CONVERGE_GRACE);
     }
     if let Some(profile) = &cfg.alerts {
         rig.enable_alerts(profile.clone(), plan.horizon + CONVERGE_GRACE);
@@ -259,10 +236,10 @@ fn run_trial_inner(
     let tracer = rig.world.st.tracer.clone();
     let history = rig.world.st.history.clone();
     let mut auditor = Auditor::new(&mut rig);
-    if cfg.supervisor {
+    if cfg.supervisor.is_some() {
         auditor.expect_convergence();
     }
-    let mut injector = Injector::new(&rig, cfg.supervisor);
+    let mut injector = Injector::new(&rig, cfg.supervisor.is_some());
 
     // Timeline: fault starts, heals, audit samples and judge scans,
     // totally ordered by (time, start-before-heal-before-sample-before-
@@ -280,9 +257,11 @@ fn run_trial_inner(
             steps.push((ev.heal_at(), HEAL, i));
         }
     }
-    steps.extend(grid(cfg.sample_every, plan.horizon).map(|t| (t, SAMPLE, 0)));
-    if cfg.history {
-        steps.extend(grid(cfg.scan_every, plan.horizon).map(|t| (t, SCAN, 0)));
+    for t in grid(plan.horizon) {
+        steps.push((t, SAMPLE, 0));
+        if cfg.history {
+            steps.push((t, SCAN, 0));
+        }
     }
     steps.sort_unstable();
 
@@ -390,8 +369,8 @@ pub fn chaos_sweep(
     harness.run(base_seed, trials, |ctx| {
         let plan = FaultPlan::random(ctx.seed, cfg.horizon);
         ChaosPair {
-            cg: run_chaos_trial(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, cfg),
-            naive: run_chaos_trial(ctx.seed, BackupMode::AdcPerVolume, &plan, cfg),
+            cg: run_chaos_trial(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, cfg).report,
+            naive: run_chaos_trial(ctx.seed, BackupMode::AdcPerVolume, &plan, cfg).report,
         }
     })
 }
@@ -436,18 +415,19 @@ pub fn history_sweep(
         let rows = WorkloadKind::ALL
             .iter()
             .map(|&workload| {
-                let mut c = cfg.clone();
-                c.workload = workload;
-                let (cg, cg_export) =
-                    run_chaos_trial_history(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &c);
-                let (naive, naive_export) =
-                    run_chaos_trial_history(ctx.seed, BackupMode::AdcPerVolume, &plan, &c);
+                let c = ChaosConfig {
+                    workload,
+                    history: true,
+                    ..cfg.clone()
+                };
+                let cg = run_chaos_trial(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &c);
+                let naive = run_chaos_trial(ctx.seed, BackupMode::AdcPerVolume, &plan, &c);
                 HistoryRow {
                     workload,
-                    cg,
-                    naive,
-                    cg_export,
-                    naive_export,
+                    cg: cg.report,
+                    naive: naive.report,
+                    cg_export: cg.history.expect("history trial carries an export"),
+                    naive_export: naive.history.expect("history trial carries an export"),
                 }
             })
             .collect();
@@ -508,7 +488,7 @@ pub fn shrink_plan(
     plan: &FaultPlan,
     cfg: &ChaosConfig,
 ) -> FaultPlan {
-    let fails = |p: &FaultPlan| !run_chaos_trial(seed, mode, p, cfg).is_clean();
+    let fails = |p: &FaultPlan| !run_chaos_trial(seed, mode, p, cfg).report.is_clean();
     let mut cur = plan.clone();
     if !fails(&cur) {
         return cur;

@@ -10,9 +10,9 @@
 //!   records its first write-order violation — the live alert beats the
 //!   post-hoc oracle.
 
-use tsuru_chaos::{alert_sweep, run_chaos_trial_alerts, ChaosConfig, FaultPlan};
+use tsuru_chaos::{alert_sweep, run_chaos_trial, ChaosConfig, FaultPlan};
 use tsuru_core::{BackupMode, TrialHarness};
-use tsuru_storage::AlertProfile;
+use tsuru_storage::{AlertProfile, SupervisorPolicy};
 
 const SEED: u64 = 0xC0FFEE;
 
@@ -44,16 +44,14 @@ fn incident_exports_identical_at_any_thread_count() {
 
 #[test]
 fn default_profile_detects_every_core_quartet_kind() {
-    let mut cfg = ChaosConfig::default();
-    cfg.supervisor = true;
+    let cfg = ChaosConfig {
+        supervisor: Some(SupervisorPolicy::default()),
+        alerts: Some(AlertProfile::default_profile()),
+        ..ChaosConfig::default()
+    };
     let plan = FaultPlan::core_quartet(SEED, cfg.horizon);
-    let (report, export) = run_chaos_trial_alerts(
-        SEED,
-        BackupMode::AdcConsistencyGroup,
-        &plan,
-        &cfg,
-        AlertProfile::default_profile(),
-    );
+    let trial = run_chaos_trial(SEED, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+    let (report, export) = (trial.report, trial.incidents.expect("alert trial exports"));
     assert!(report.is_clean(), "{}", report.render());
 
     let summary = report.alerts.as_ref().expect("alert trial carries a summary");
@@ -86,15 +84,13 @@ fn incident_opens_before_the_auditor_convicts() {
     // auditor only convicts on its 5ms audit cadence, so the tight
     // profile's 500µs evaluation ticks must open an incident strictly
     // before the first violation edge.
-    let cfg = ChaosConfig::default();
+    let cfg = ChaosConfig {
+        alerts: Some(AlertProfile::tight()),
+        ..ChaosConfig::default()
+    };
     let plan = FaultPlan::random(SEED, cfg.horizon);
-    let (report, export) = run_chaos_trial_alerts(
-        SEED,
-        BackupMode::AdcPerVolume,
-        &plan,
-        &cfg,
-        AlertProfile::tight(),
-    );
+    let trial = run_chaos_trial(SEED, BackupMode::AdcPerVolume, &plan, &cfg);
+    let (report, export) = (trial.report, trial.incidents.expect("alert trial exports"));
     assert!(!report.is_clean(), "naive mode must violate under this plan");
 
     let first_violation_ns = report

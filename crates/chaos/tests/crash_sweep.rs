@@ -16,7 +16,7 @@
 //! parent left 4 / 4 / 2 / 3 / 3 trials dirty, every one an append-list
 //! `client-history` anomaly.
 
-use tsuru_chaos::{run_chaos_trial_history, ChaosConfig, FaultKind, FaultPlan};
+use tsuru_chaos::{run_chaos_trial, ChaosConfig, FaultKind, FaultPlan};
 use tsuru_core::BackupMode;
 use tsuru_ecom::WorkloadKind;
 use tsuru_sim::DetRng;
@@ -38,10 +38,10 @@ fn sweep(base_seed: u64, plans: u64) -> (u64, Vec<String>) {
         for workload in WorkloadKind::ALL {
             let cfg = ChaosConfig {
                 workload,
+                history: true,
                 ..ChaosConfig::default()
             };
-            let (report, _) =
-                run_chaos_trial_history(seed, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+            let report = run_chaos_trial(seed, BackupMode::AdcConsistencyGroup, &plan, &cfg).report;
             if !report.is_clean() {
                 dirty.push(format!(
                     "base seed {base_seed}, trial {trial}, {}:\n{}",

@@ -19,8 +19,7 @@
 //! does to it.
 
 use tsuru_chaos::{
-    run_chaos_trial, run_chaos_trial_history, run_chaos_trial_stepped, ChaosConfig, FaultEvent,
-    FaultKind, FaultPlan,
+    run_chaos_trial, run_chaos_trial_stepped, ChaosConfig, FaultEvent, FaultKind, FaultPlan,
 };
 use tsuru_core::{BackupMode, RigConfig, TwoSiteRig};
 use tsuru_ecom::driver::start_workload_clients;
@@ -145,8 +144,7 @@ fn sweep(trials: u64, stride: u64) {
                 // Supervised: the supervisor resyncs (delta and full),
                 // promotes and fails back on its own.
                 let cfg = ChaosConfig {
-                    supervisor: true,
-                    supervisor_policy: failover_policy(),
+                    supervisor: Some(failover_policy()),
                     ..cfg
                 };
                 let plan = failover_plan(seed, cfg.horizon);
@@ -172,13 +170,12 @@ fn followed_image_equals_from_scratch_recovery_at_every_step() {
 fn the_supervised_plan_resyncs_promotes_and_fails_back() {
     // What the differential sweep claims to cover is really exercised.
     let cfg = ChaosConfig {
-        supervisor: true,
-        supervisor_policy: failover_policy(),
+        supervisor: Some(failover_policy()),
         ..ChaosConfig::default()
     };
     let seed = DetRng::trial_seed(BASE_SEED, 0);
     let plan = failover_plan(seed, cfg.horizon);
-    let report = run_chaos_trial(seed, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+    let report = run_chaos_trial(seed, BackupMode::AdcConsistencyGroup, &plan, &cfg).report;
     let sv = report.supervisor.expect("supervised");
     assert!(sv.attempts > 0, "no resync: {}", report.render());
     assert!(sv.failovers > 0, "no promote: {}", report.render());
@@ -246,12 +243,15 @@ fn first_conviction(report: &tsuru_chaos::ChaosReport, invariant: &str) -> Optio
 
 #[test]
 fn naive_is_convicted_at_a_boundary_no_later_than_the_grid_and_cg_never() {
-    let cfg = ChaosConfig::default();
+    let cfg = ChaosConfig {
+        history: true,
+        ..ChaosConfig::default()
+    };
     for i in 0..6 {
         let seed = DetRng::trial_seed(BASE_SEED, i);
         let plan = FaultPlan::random(seed, cfg.horizon);
-        let (naive, _) = run_chaos_trial_history(seed, BackupMode::AdcPerVolume, &plan, &cfg);
-        let (cg, _) = run_chaos_trial_history(seed, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+        let naive = run_chaos_trial(seed, BackupMode::AdcPerVolume, &plan, &cfg).report;
+        let cg = run_chaos_trial(seed, BackupMode::AdcConsistencyGroup, &plan, &cfg).report;
         assert!(
             first_conviction(&cg, "backup-image").is_none() && cg.is_clean(),
             "{}",

@@ -8,9 +8,7 @@
 //! - history-sweep renders and JSONL exports are byte-identical at
 //!   harness thread counts 1/2/4/8 (the `tests/determinism.rs` idiom).
 
-use tsuru_chaos::{
-    history_sweep, render_history_table, run_chaos_trial_history, ChaosConfig, FaultPlan,
-};
+use tsuru_chaos::{history_sweep, render_history_table, run_chaos_trial, ChaosConfig, FaultPlan};
 use tsuru_core::{BackupMode, TrialHarness};
 use tsuru_ecom::WorkloadKind;
 
@@ -19,6 +17,7 @@ const ACCEPTANCE_SEED: u64 = 0xC0FFEE;
 fn cfg_for(kind: WorkloadKind) -> ChaosConfig {
     ChaosConfig {
         workload: kind,
+        history: true,
         ..ChaosConfig::default()
     }
 }
@@ -28,12 +27,8 @@ fn cg_histories_are_clean_for_every_workload() {
     for kind in WorkloadKind::ALL {
         let cfg = cfg_for(kind);
         let plan = FaultPlan::random(ACCEPTANCE_SEED, cfg.horizon);
-        let (report, jsonl) = run_chaos_trial_history(
-            ACCEPTANCE_SEED,
-            BackupMode::AdcConsistencyGroup,
-            &plan,
-            &cfg,
-        );
+        let trial = run_chaos_trial(ACCEPTANCE_SEED, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+        let (report, jsonl) = (trial.report, trial.history.expect("history trial exports"));
         let h = report.history.expect("history trial carries a summary");
         assert!(
             h.records > 0 && h.ops_checked > 0,
@@ -65,8 +60,7 @@ fn naive_mode_shows_client_visible_anomalies() {
     for kind in WorkloadKind::ALL {
         let cfg = cfg_for(kind);
         let plan = FaultPlan::random(ACCEPTANCE_SEED, cfg.horizon);
-        let (report, _) =
-            run_chaos_trial_history(ACCEPTANCE_SEED, BackupMode::AdcPerVolume, &plan, &cfg);
+        let report = run_chaos_trial(ACCEPTANCE_SEED, BackupMode::AdcPerVolume, &plan, &cfg).report;
         if report
             .violations
             .iter()
@@ -113,16 +107,9 @@ fn history_sweep_is_thread_count_invariant() {
 fn history_export_is_deterministic() {
     let cfg = cfg_for(WorkloadKind::AppendList);
     let plan = FaultPlan::random(ACCEPTANCE_SEED, cfg.horizon);
-    let run = || {
-        run_chaos_trial_history(
-            ACCEPTANCE_SEED,
-            BackupMode::AdcConsistencyGroup,
-            &plan,
-            &cfg,
-        )
-    };
-    let (ra, ja) = run();
-    let (rb, jb) = run();
-    assert_eq!(ja, jb, "same seed+plan must export byte-identical JSONL");
-    assert_eq!(ra.render(), rb.render());
+    let run = || run_chaos_trial(ACCEPTANCE_SEED, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+    let (a, b) = (run(), run());
+    assert!(a.history.is_some());
+    assert_eq!(a.history, b.history, "same seed+plan must export byte-identical JSONL");
+    assert_eq!(a.report.render(), b.report.render());
 }

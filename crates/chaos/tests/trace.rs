@@ -9,22 +9,26 @@
 //!   a trace window that shows the stale-retry (`journal_stall`) spans.
 
 use tsuru_core::{BackupMode, TrialHarness};
-use tsuru_chaos::{
-    run_chaos_trial, run_chaos_trial_traced, ChaosConfig, FaultEvent, FaultKind, FaultPlan,
-};
+use tsuru_chaos::{run_chaos_trial, ChaosConfig, FaultEvent, FaultKind, FaultPlan};
 use tsuru_sim::{SimDuration, SimTime};
 
 const SEED: u64 = 0xC0FFEE;
 
+fn traced() -> ChaosConfig {
+    ChaosConfig {
+        trace: true,
+        ..ChaosConfig::default()
+    }
+}
+
 #[test]
 fn traced_exports_identical_at_any_thread_count() {
-    let cfg = ChaosConfig::default();
+    let cfg = traced();
     let render = |threads: usize| {
         let set = TrialHarness::new(threads).run(SEED, 2, |ctx| {
             let plan = FaultPlan::random(ctx.seed, cfg.horizon);
-            let (report, export) =
-                run_chaos_trial_traced(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &cfg);
-            (report.render(), export)
+            let trial = run_chaos_trial(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+            (trial.report.render(), trial.trace.expect("traced trial exports"))
         });
         set.rows
             .into_iter()
@@ -45,11 +49,11 @@ fn traced_exports_identical_at_any_thread_count() {
 
 #[test]
 fn fault_spans_causally_link_to_write_lifecycles() {
-    let cfg = ChaosConfig::default();
+    let cfg = traced();
     let plan = FaultPlan::random(SEED, cfg.horizon);
-    let (report, export) =
-        run_chaos_trial_traced(SEED, BackupMode::AdcConsistencyGroup, &plan, &cfg);
-    assert!(report.is_clean(), "{}", report.render());
+    let trial = run_chaos_trial(SEED, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+    assert!(trial.report.is_clean(), "{}", trial.report.render());
+    let export = trial.trace.expect("traced trial exports");
 
     // Collect every fault span id from the export.
     let fault_ids: Vec<u64> = export
@@ -86,7 +90,7 @@ fn naive_violation_trace_window_shows_stale_retry_spans() {
     // partition or a backup crash, during which nothing new is applied and
     // no new violation is seen: there a stall lands in some violation's
     // window only by luck, 3 of 14 seeds.)
-    let cfg = ChaosConfig::default();
+    let cfg = traced();
     let plan = FaultPlan {
         horizon: cfg.horizon,
         events: [FaultKind::PumpStall, FaultKind::JournalSqueeze]
@@ -97,7 +101,8 @@ fn naive_violation_trace_window_shows_stale_retry_spans() {
             })
             .to_vec(),
     };
-    let (report, export) = run_chaos_trial_traced(SEED, BackupMode::AdcPerVolume, &plan, &cfg);
+    let trial = run_chaos_trial(SEED, BackupMode::AdcPerVolume, &plan, &cfg);
+    let (report, export) = (trial.report, trial.trace.expect("traced trial exports"));
     assert!(!report.is_clean(), "naive mode must violate under this plan");
 
     // Every violation on a traced trial attaches a non-empty trailing
@@ -129,8 +134,9 @@ fn naive_violation_trace_window_shows_stale_retry_spans() {
 
     // The rendered report carries the windows (untraced renders don't).
     assert!(report.render().contains("      trace #"));
-    let untraced = run_chaos_trial(SEED, BackupMode::AdcPerVolume, &plan, &cfg);
-    assert!(!untraced.render().contains("trace #"));
+    let untraced = run_chaos_trial(SEED, BackupMode::AdcPerVolume, &plan, &ChaosConfig::default());
+    assert!(untraced.trace.is_none());
+    assert!(!untraced.report.render().contains("trace #"));
 }
 
 /// Extract the integer following `key` in a JSONL line.

@@ -141,10 +141,10 @@ impl TrialHarness {
             let next = AtomicUsize::new(0);
             let results: Mutex<Vec<(usize, u64, R)>> = Mutex::new(Vec::with_capacity(trials));
             let workers = self.threads.min(trials);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
-                        s.spawn(|_| {
+                        s.spawn(|| {
                             let mut local: Vec<(usize, u64, R)> = Vec::new();
                             loop {
                                 let index = next.fetch_add(1, Ordering::Relaxed);
@@ -167,8 +167,7 @@ impl TrialHarness {
                 for h in handles {
                     h.join().expect("trial worker panicked");
                 }
-            })
-            .expect("trial scope failed");
+            });
             results.into_inner().unwrap()
         };
         let wall_ns = batch_start.elapsed().as_nanos() as u64;

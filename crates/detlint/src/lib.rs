@@ -13,7 +13,7 @@
 //! builds fully offline and can never be broken by a vendored-dep change.
 //! Two analysis layers share one front end:
 //!
-//! - a per-line **lexer** ([`lex`]) feeding six token rules (string/char
+//! - a per-line **lexer** ([`lex`]) feeding five token rules (string/char
 //!   literal contents blanked, comments routed to their own channel, so
 //!   `"Instant::now"` in a string or comment is never flagged);
 //! - a full **tokenizer** ([`token`]) + **item parser** ([`parse`])
@@ -32,7 +32,6 @@
 //! | `hash_collections` | no `HashMap`/`HashSet` in deterministic crates' `src/` — use `BTreeMap`/`BTreeSet` |
 //! | `thread_spawn` | no `thread::spawn` outside the trial harness |
 //! | `unsafe_safety` | every `unsafe` is preceded by a `// SAFETY:` comment |
-//! | `hot_path_unwrap` | legacy file-list unwrap ban (superseded by `panic_reachable`) |
 //!
 //! Flow rules (ratcheted against `detlint.lock` — see [`lock`]):
 //!
@@ -280,15 +279,14 @@ pub fn find_word(haystack: &str, needle: &str) -> bool {
 // Rules
 // ---------------------------------------------------------------------------
 
-/// The nine rule identifiers, in reporting order: the six token rules,
+/// The eight rule identifiers, in reporting order: the five token rules,
 /// then the three flow rules (which ratchet against `detlint.lock`).
-pub const RULE_NAMES: [&str; 9] = [
+pub const RULE_NAMES: [&str; 8] = [
     "wall_clock",
     "ambient_rng",
     "hash_collections",
     "thread_spawn",
     "unsafe_safety",
-    "hot_path_unwrap",
     "panic_reachable",
     "sim_purity",
     "float_ordering",
@@ -322,7 +320,7 @@ impl fmt::Display for Finding {
 }
 
 /// Lint configuration: per-rule file allowlists plus rule scoping, loaded
-/// from `detlint.toml` (see [`parse_config`]) or built-in defaults.
+/// from `detlint.toml` (see [`parse_config`] and [`Config::default_repo`]).
 #[derive(Debug, Clone)]
 pub struct Config {
     /// rule name → workspace-relative paths where findings are allowed.
@@ -330,10 +328,6 @@ pub struct Config {
     /// Crates (directory names under `crates/`) whose `src/` must not use
     /// hash collections (and whose state `float_ordering` polices).
     pub deterministic_crates: Vec<String>,
-    /// Files whose bare `unwrap()`s are hot-path findings. Legacy: the
-    /// shipped `detlint.toml` no longer lists any — `panic_reachable`
-    /// covers the hot path by reachability, not by file list.
-    pub hot_paths: Vec<String>,
     /// `panic_reachable` entry-point patterns (see
     /// [`CallGraph::match_pattern`] for the pattern grammar).
     pub panic_entry_points: Vec<String>,
@@ -352,7 +346,6 @@ impl Config {
         Config {
             allow: BTreeMap::new(),
             deterministic_crates: Vec::new(),
-            hot_paths: Vec::new(),
             panic_entry_points: Vec::new(),
             panic_max_depth: 12,
             purity_entry_points: Vec::new(),
@@ -360,67 +353,12 @@ impl Config {
         }
     }
 
-    /// The built-in defaults, mirroring the shipped `detlint.toml`. Used
-    /// when no config file is present so the binary is useful standalone.
-    /// (`hot_paths` keeps the pre-v2 file list here for standalone use,
-    /// even though the shipped config has retired it in favor of
-    /// `panic_reachable`.)
+    /// The shipped `detlint.toml`, compiled in. Used when no config file
+    /// is present so the binary is useful standalone; being the same file,
+    /// it cannot drift from the config the repository is checked under.
     pub fn default_repo() -> Self {
-        let mut allow = BTreeMap::new();
-        allow.insert(
-            "wall_clock".to_owned(),
-            vec!["crates/sim/src/time.rs".to_owned()],
-        );
-        allow.insert(
-            "thread_spawn".to_owned(),
-            vec!["crates/core/src/harness.rs".to_owned()],
-        );
-        Config {
-            allow,
-            deterministic_crates: [
-                "sim", "storage", "core", "minidb", "plugin", "chaos", "telemetry", "history",
-            ]
-            .map(str::to_owned)
-            .to_vec(),
-            hot_paths: [
-                "crates/storage/src/journal.rs",
-                "crates/storage/src/array.rs",
-                "crates/storage/src/acklog.rs",
-                "crates/minidb/src/wal.rs",
-                "crates/plugin/src/replication.rs",
-            ]
-            .map(str::to_owned)
-            .to_vec(),
-            panic_entry_points: [
-                "engine::persist",
-                "engine::host_write",
-                "engine::sdc_leg_send",
-                "engine::sdc_leg_arrive",
-                "engine::sdc_leg_done",
-                "engine::kick_transfer",
-                "engine::run_transfer",
-                "engine::receive_batch",
-                "engine::kick_apply",
-                "engine::link_wake",
-                "engine::finish_apply",
-                "engine::release_primary_upto",
-                "Journal::*",
-                "AckLog::append",
-                "WalWriter::append",
-                "WalWriter::flush",
-                "LogFlusher::*",
-                "WalWriter::resume",
-                "wal::scan_wal",
-                "StorageOp::dispatch",
-            ]
-            .map(str::to_owned)
-            .to_vec(),
-            panic_max_depth: 12,
-            purity_entry_points: ["*::dispatch", "Sim::step", "Sim::run", "Sim::run_until"]
-                .map(str::to_owned)
-                .to_vec(),
-            purity_max_depth: 16,
-        }
+        parse_config(include_str!("../../../detlint.toml"))
+            .expect("invariant: the shipped detlint.toml parses")
     }
 
     fn is_allowed(&self, rule: &str, path: &str) -> bool {
@@ -472,8 +410,8 @@ pub(crate) fn crate_of(path: &str) -> Option<&str> {
 }
 
 /// Lint one file. `path` is the workspace-relative path with forward
-/// slashes — it drives rule scoping (deterministic crates, hot paths,
-/// allowlists); `source` is the file's contents.
+/// slashes — it drives rule scoping (deterministic crates, allowlists);
+/// `source` is the file's contents.
 pub fn check_file(path: &str, source: &str, config: &Config) -> Vec<Finding> {
     let lines = lex(source);
     let waivers: Vec<Vec<Waiver>> =
@@ -482,7 +420,6 @@ pub fn check_file(path: &str, source: &str, config: &Config) -> Vec<Finding> {
     let in_det_crate_src = path.contains("/src/")
         && crate_of(path)
             .is_some_and(|c| config.deterministic_crates.iter().any(|d| d == c));
-    let is_hot_path = config.hot_paths.iter().any(|p| p == path);
 
     let mut found: Vec<Finding> = Vec::new();
     let mut push = |line: usize, rule: &'static str, message: String| {
@@ -577,20 +514,6 @@ pub fn check_file(path: &str, source: &str, config: &Config) -> Vec<Finding> {
                      explaining why it is sound"
                         .to_owned(),
                 );
-            }
-        }
-
-        if is_hot_path && !config.is_allowed("hot_path_unwrap", path) {
-            let mut at = 0;
-            while let Some(pos) = code[at..].find(".unwrap()") {
-                push(
-                    n,
-                    "hot_path_unwrap",
-                    "bare `unwrap()` on a replication/journal/WAL hot path; \
-                     propagate a typed error or use `expect(\"invariant: ...\")`"
-                        .to_owned(),
-                );
-                at += pos + ".unwrap()".len();
             }
         }
     }
@@ -707,7 +630,7 @@ pub fn check_workspace(root: &Path, config: &Config) -> std::io::Result<Vec<Find
 }
 
 /// The result of a full v2 analysis: the call graph (queryable via
-/// `detlint graph`) plus every finding from all nine rules.
+/// `detlint graph`) plus every finding from all eight rules.
 pub struct Analysis {
     /// The workspace call graph over production (`src/`) code.
     pub graph: CallGraph,
@@ -717,7 +640,7 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
 }
 
-/// Run the full analysis: the six token rules over every lintable file,
+/// Run the full analysis: the five token rules over every lintable file,
 /// then the item parser + call graph over production `src/` code feeding
 /// the three flow rules (`panic_reachable`, `sim_purity`,
 /// `float_ordering`). Inline waivers and `[allow.<rule>]` lists apply to
@@ -797,7 +720,6 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> std::io::Result<Analys
 ///
 /// - `[allow.<rule>]` / `paths = [...]` — per-rule file allowlist;
 /// - `[rules.hash_collections]` / `crates = [...]` — deterministic crates;
-/// - `[rules.hot_path_unwrap]` / `paths = [...]` — legacy hot-path files;
 /// - `[rules.panic_reachable]` / `entry_points = [...]`, `max_depth = K`;
 /// - `[rules.sim_purity]` / `entry_points = [...]`, `max_depth = K`.
 pub fn parse_config(text: &str) -> Result<Config, String> {
@@ -836,8 +758,6 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
                 .extend(strings(value)?);
         } else if section == "rules.hash_collections" && key == "crates" {
             cfg.deterministic_crates = strings(value)?;
-        } else if section == "rules.hot_path_unwrap" && key == "paths" {
-            cfg.hot_paths = strings(value)?;
         } else if section == "rules.panic_reachable" && key == "entry_points" {
             cfg.panic_entry_points = strings(value)?;
         } else if section == "rules.panic_reachable" && key == "max_depth" {
@@ -1114,11 +1034,14 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_rule_scopes_to_configured_files() {
+    fn the_built_in_config_is_the_shipped_file() {
         let cfg = Config::default_repo();
-        let src = "let x = maybe().unwrap();\n";
-        assert!(!check_file("crates/storage/src/journal.rs", src, &cfg).is_empty());
-        assert!(check_file("crates/storage/src/world.rs", src, &cfg).is_empty());
+        let src = "use std::collections::HashMap;\n";
+        let findings = check_file("crates/ecom/src/x.rs", src, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "hash_collections"),
+            "ecom is a deterministic crate in detlint.toml: {findings:?}"
+        );
     }
 
     #[test]
@@ -1155,12 +1078,6 @@ mod tests {
             [rules.hash_collections]
             crates = ["sim", "storage", "core", "minidb", "plugin", "chaos"]
 
-            [rules.hot_path_unwrap]
-            paths = [
-                "crates/storage/src/journal.rs",
-                "crates/minidb/src/wal.rs",
-            ]
-
             [rules.panic_reachable]
             entry_points = ["engine::persist", "Journal::*"]
             max_depth = 7
@@ -1177,10 +1094,6 @@ mod tests {
             ["sim", "storage", "core", "minidb", "plugin", "chaos"].map(str::to_owned)
         );
         assert_eq!(
-            cfg.hot_paths,
-            ["crates/storage/src/journal.rs", "crates/minidb/src/wal.rs"].map(str::to_owned)
-        );
-        assert_eq!(
             cfg.panic_entry_points,
             ["engine::persist", "Journal::*"].map(str::to_owned)
         );
@@ -1193,7 +1106,9 @@ mod tests {
     fn config_rejects_unknown_rules_and_keys() {
         assert!(parse_config("[allow.made_up]\npaths = [\"x\"]\n").is_err());
         assert!(parse_config("[allow.wall_clock]\nbogus = [\"x\"]\n").is_err());
-        assert!(parse_config("[rules.hot_path_unwrap]\npaths = [\"x\"\n").is_err());
+        assert!(parse_config("[allow.wall_clock]\npaths = [\"x\"\n").is_err());
+        // The retired hot-path file list is refused, not silently ignored.
+        assert!(parse_config("[rules.hot_path_unwrap]\npaths = [\"x\"]\n").is_err());
         assert!(parse_config("[rules.panic_reachable]\nmax_depth = [\"x\"]\n").is_err());
         assert!(parse_config("[rules.sim_purity]\nentry_points = 3\n").is_err());
     }

@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use crate::Finding;
 
 /// The rules whose findings are ratcheted (everything the call-graph
-/// analyzer produces). The six token rules stay hard-fail: the tree is
+/// analyzer produces). The five token rules stay hard-fail: the tree is
 /// already clean under them and must stay clean.
 pub const RATCHETED_RULES: [&str; 3] = ["panic_reachable", "sim_purity", "float_ordering"];
 

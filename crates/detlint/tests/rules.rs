@@ -31,19 +31,16 @@ fn scoped_path(rule: &str) -> &'static str {
         // Any deterministic-crate src file is in scope for these.
         "wall_clock" | "ambient_rng" | "hash_collections" | "thread_spawn"
         | "unsafe_safety" => "crates/storage/src/fixture_under_test.rs",
-        // Hot-path rule only fires on the configured files.
-        "hot_path_unwrap" => "crates/storage/src/journal.rs",
         other => panic!("unknown rule {other}"),
     }
 }
 
-const ALL_RULES: [&str; 6] = [
+const ALL_RULES: [&str; 5] = [
     "wall_clock",
     "ambient_rng",
     "hash_collections",
     "thread_spawn",
     "unsafe_safety",
-    "hot_path_unwrap",
 ];
 
 /// The flow rules need the full analyzer, not `check_file`: the fixture is

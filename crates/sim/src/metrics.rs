@@ -295,25 +295,6 @@ impl TimeSeries {
             .map(|&(_, v)| v)
             .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
     }
-
-    /// Time-weighted average over the observation span (assumes each value
-    /// holds until the next observation). `None` with fewer than 2 points.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut weighted = 0.0;
-        for w in self.points.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_nanos() as f64;
-            weighted += w[0].1 * dt;
-        }
-        let span = (self.points[self.points.len() - 1].0 - self.points[0].0).as_nanos() as f64;
-        if span == 0.0 {
-            None
-        } else {
-            Some(weighted / span)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -397,14 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn time_series_weighted_mean() {
+    fn time_series_keeps_max_and_length() {
         let mut ts = TimeSeries::new();
         ts.push(SimTime::from_secs(0), 10.0);
         ts.push(SimTime::from_secs(1), 20.0);
         ts.push(SimTime::from_secs(3), 0.0);
-        // 10 for 1s, 20 for 2s => (10 + 40) / 3
-        let m = ts.time_weighted_mean().unwrap();
-        assert!((m - 50.0 / 3.0).abs() < 1e-9);
         assert_eq!(ts.max(), Some(20.0));
         assert_eq!(ts.len(), 3);
     }

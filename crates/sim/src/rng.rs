@@ -6,8 +6,6 @@
 //! new consumer never perturbs the random sequence seen by existing ones —
 //! a property plain shared RNGs do not have.
 
-use rand::RngCore;
-
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -106,12 +104,6 @@ impl DetRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)`. Panics if `lo >= hi`.
-    pub fn gen_range_in(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.gen_range(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {
@@ -151,28 +143,6 @@ impl DetRng {
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty(), "choose from empty slice");
         &xs[self.gen_range(xs.len() as u64) as usize]
-    }
-}
-
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -270,8 +240,6 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-        let v = rng.gen_range_in(100, 105);
-        assert!((100..105).contains(&v));
     }
 
     #[test]
@@ -331,14 +299,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(xs, (0..100).collect::<Vec<_>>()); // astronomically unlikely
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = DetRng::new(3);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -111,16 +111,6 @@ impl SimDuration {
         SimDuration(s * NANOS_PER_SEC)
     }
 
-    /// Construct from fractional seconds. Panics on negative or
-    /// non-finite input; used only for configuration values.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "duration seconds must be finite and non-negative, got {s}"
-        );
-        SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -336,21 +326,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(42).to_string(), "42.00ms");
         assert_eq!(SimDuration::from_secs(2).to_string(), "2.000s");
         assert_eq!(SimTime::from_millis(1500).to_string(), "1.500000s");
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(
-            SimDuration::from_secs_f64(0.001),
-            SimDuration::from_millis(1)
-        );
-        assert_eq!(SimDuration::from_secs_f64(0.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]

@@ -227,13 +227,6 @@ impl Link {
         TransferOutcome::DeliveredAt { at, serialized }
     }
 
-    /// One-way latency of an empty link for a frame of `bytes` (no queueing,
-    /// no jitter) — used for latency-model reporting.
-    pub fn nominal_latency(&self, bytes: u64) -> SimDuration {
-        self.config.propagation
-            + SimDuration::for_bytes_at_rate(bytes, self.config.bandwidth_bytes_per_sec)
-    }
-
     /// Frames offered while up (including lost ones).
     pub fn frames_sent(&self) -> u64 {
         self.frames_sent
@@ -436,15 +429,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn nominal_latency_reports_unloaded_path() {
-        let l = link(LinkConfig::with(SimDuration::from_millis(5), 1000));
-        assert_eq!(
-            l.nominal_latency(1000),
-            SimDuration::from_millis(5) + SimDuration::from_secs(1)
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A registry of named inter-site links.
 
-use tsuru_sim::{DetRng, SimTime};
+use tsuru_sim::DetRng;
 use tsuru_telemetry::Tracer;
 
 use crate::link::{Link, LinkConfig, LinkId};
@@ -71,13 +71,6 @@ impl Network {
         self.links.is_empty()
     }
 
-    /// Take every link down at `now` (site-wide network failure).
-    pub fn partition_all(&mut self, now: SimTime, until: Option<SimTime>) {
-        for l in &mut self.links {
-            l.set_down(now, until);
-        }
-    }
-
     /// Restore every link.
     pub fn heal_all(&mut self) {
         for l in &mut self.links {
@@ -98,7 +91,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::link::TransferOutcome;
-    use tsuru_sim::SimDuration;
+    use tsuru_sim::{SimDuration, SimTime};
 
     #[test]
     fn register_and_use_links() {
@@ -129,7 +122,7 @@ mod tests {
         let mut net = Network::new();
         let rng = DetRng::new(2);
         let a = net.add_link(LinkConfig::metro(), rng.derive(0));
-        net.partition_all(SimTime::from_secs(1), None);
+        net.link_mut(a).set_down(SimTime::from_secs(1), None);
         assert!(!net.link(a).is_up(SimTime::from_secs(2)));
         net.heal_all();
         assert!(net.link(a).is_up(SimTime::from_secs(2)));

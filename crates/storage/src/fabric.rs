@@ -74,15 +74,6 @@ impl GroupState {
             _ => true,
         }
     }
-
-    /// Assert that `self → next` is a legal transition (auditor helper).
-    #[track_caller]
-    pub fn assert_transition(self, next: GroupState) {
-        assert!(
-            self.can_transition_to(next),
-            "illegal group state transition {self:?} -> {next:?}"
-        );
-    }
 }
 
 /// One primary→secondary volume relationship.
@@ -451,13 +442,6 @@ mod tests {
         assert!(GroupState::Promoted.can_transition_to(GroupState::Promoted));
         assert!(!GroupState::Promoted.can_transition_to(GroupState::Active));
         assert!(!GroupState::Promoted.can_transition_to(susp));
-        GroupState::Active.assert_transition(susp);
-    }
-
-    #[test]
-    #[should_panic(expected = "illegal group state transition")]
-    fn promoted_group_cannot_reactivate() {
-        GroupState::Promoted.assert_transition(GroupState::Active);
     }
 
     fn make_group(fabric: &mut ReplicationFabric, mode: GroupMode) -> GroupId {

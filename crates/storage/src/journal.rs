@@ -233,12 +233,6 @@ impl Journal {
         self.sent
     }
 
-    /// On link failure the unacknowledged-but-sent suffix must be resent;
-    /// rewind the sent watermark to the released watermark.
-    pub fn rewind_sent(&mut self) {
-        self.sent = self.highest_released.max(self.first_seq.saturating_sub(1));
-    }
-
     /// Free all entries with `seq <= upto` (primary side, after the backup
     /// site confirmed apply). Tolerates duplicate/stale acknowledgements.
     pub fn release_upto(&mut self, upto: u64) {
@@ -424,20 +418,6 @@ mod tests {
             span: SpanId::NONE,
         });
         assert_eq!(remote.peek_front().expect("invariant: entry 5 just arrived").seq, 5);
-    }
-
-    #[test]
-    fn rewind_sent_resends_unacked() {
-        let mut j = jnl(1 << 20);
-        for i in 0..6 {
-            j.append(PairId(0), i, blk("d"), 0).expect("invariant: journal has capacity");
-        }
-        j.mark_sent(6);
-        j.release_upto(2);
-        j.rewind_sent();
-        let batch = j.peek_unsent(100, u64::MAX);
-        assert_eq!(batch.first().expect("invariant: rewind re-exposed entries").seq, 3);
-        assert_eq!(batch.len(), 4);
     }
 
     #[test]

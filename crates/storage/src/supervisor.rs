@@ -234,15 +234,6 @@ impl Supervisor {
         matches!(self.stage(gid), RecoveryStage::Parked { .. })
     }
 
-    /// Groups parked by the circuit breaker, in id order.
-    pub fn parked_groups(&self) -> Vec<GroupId> {
-        self.stages
-            .iter()
-            .filter(|(_, s)| matches!(s, RecoveryStage::Parked { .. }))
-            .map(|(&g, _)| g)
-            .collect()
-    }
-
     fn set_stage(&mut self, gid: GroupId, stage: RecoveryStage) {
         self.stages.insert(gid, stage);
     }

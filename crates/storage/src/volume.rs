@@ -31,7 +31,6 @@ pub struct Volume {
     index: LbaIndex,
     bufs: Vec<BlockBuf>,
     role: VolumeRole,
-    writes: u64,
 }
 
 impl Volume {
@@ -45,7 +44,6 @@ impl Volume {
             index: LbaIndex::new(size_blocks),
             bufs: Vec::new(),
             role: VolumeRole::Primary,
-            writes: 0,
         }
     }
 
@@ -79,11 +77,6 @@ impl Volume {
         self.index.len()
     }
 
-    /// Total write operations applied.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
     /// Pages of the `lba → handle` table allocated so far: the footprint
     /// of the index, which grows with the blocks written and not with the
     /// volume's size.
@@ -108,7 +101,6 @@ impl Volume {
     /// snapshot bookkeeping by the owning array).
     pub fn write(&mut self, lba: u64, data: BlockBuf) -> Option<BlockBuf> {
         assert!(lba < self.size_blocks, "lba {lba} out of range on {}", self.name);
-        self.writes += 1;
         if let Some(h) = self.index.get(lba) {
             let slot = self
                 .bufs
@@ -154,7 +146,6 @@ impl Volume {
             let h = push_handle(&mut self.bufs, b.clone());
             self.index.insert(lba, h);
         }
-        self.writes += src.index.len() as u64;
     }
 }
 
@@ -174,7 +165,6 @@ mod tests {
         v.write(5, block_from(b"data"));
         assert_eq!(&v.read(5).unwrap()[..4], b"data");
         assert_eq!(v.allocated_blocks(), 1);
-        assert_eq!(v.write_count(), 1);
     }
 
     #[test]

@@ -304,6 +304,30 @@ fn acknowledged_orders_survive_in_load_checkpoints_at_the_main_site() {
     );
 }
 
+/// Clients that think "forever" are scheduled at the end of time, not in
+/// the past: each places the order it starts with, the run ends, and those
+/// orders commit. (Scheduling the next think used to compute `now + think`
+/// unchecked — a panic in debug builds, a wrap in release.)
+#[test]
+fn clients_that_think_forever_place_their_first_order_and_the_run_ends() {
+    let mut cfg = RigConfig::default();
+    cfg.workload.think_time_mean = SimDuration::MAX;
+    let clients = cfg.workload.clients as u64;
+    let mut rig = TwoSiteRig::new(cfg);
+    rig.run_workload_for(SimDuration::from_millis(50));
+    let orders = rig.committed_orders();
+    assert!(
+        orders > 0 && orders <= clients,
+        "{orders} orders from {clients} clients"
+    );
+    // Quiesce as a chaos trial does: the thinks parked at the end of time
+    // dispatch, see the workload stopped, and the kernel runs dry.
+    rig.world.app_mut().stopped = true;
+    rig.sim.run(&mut rig.world);
+    assert_eq!(rig.sim.next_event_time(), None);
+    assert_eq!(rig.committed_orders(), orders);
+}
+
 #[test]
 fn operator_handles_many_namespaces_independently() {
     // The paper's motivation: "hundreds of volumes ... used in hundreds of
