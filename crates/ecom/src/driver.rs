@@ -18,7 +18,7 @@
 use tsuru_history::{space, KeyVer, OpData, OpId, TxnOps};
 use tsuru_minidb::{IoRequest, Progress};
 use tsuru_sim::{Sim, SimDuration, SimTime};
-use tsuru_storage::{engine::host_write, metric_names, HasStorage, WriteAck};
+use tsuru_storage::{engine::host_write_tagged, metric_names, HasStorage, WriteAck};
 
 use crate::app::HasEcom;
 use crate::event::{EcomEvents, EcomOp};
@@ -232,25 +232,27 @@ fn issue<S, E>(
     S: HasStorage + HasEcom + 'static,
     E: EcomEvents<S>,
 {
+    let tag = generation << 1 | u64::from(which == Which::Stock);
     for io in phase.drain(..) {
         let vol = state.ecom().instance(which).volref(io.vol);
-        host_write(state, sim, vol, io.lba, io.data, move |s, sim, ack| {
-            write_acked(s, sim, which, generation, ack)
-        });
+        host_write_tagged(state, sim, vol, io.lba, io.data, tag, write_acked);
     }
     state.ecom_mut().instance_mut(which).db.recycle_phase(phase);
 }
 
-fn write_acked<S, E>(
-    state: &mut S,
-    sim: &mut Sim<S, E>,
-    which: Which,
-    generation: u64,
-    ack: WriteAck,
-) where
+/// A phase write's acknowledgement; its tag is the database and flush
+/// generation [`issue`] packed as `generation << 1 | which`.
+fn write_acked<S, E>(state: &mut S, sim: &mut Sim<S, E>, tag: u64, ack: WriteAck)
+where
     S: HasStorage + HasEcom + 'static,
     E: EcomEvents<S>,
 {
+    let which = if tag & 1 == 0 {
+        Which::Sales
+    } else {
+        Which::Stock
+    };
+    let generation = tag >> 1;
     let e = state.ecom_mut();
     let ok = match ack {
         WriteAck::Failed(_) => {

@@ -5,8 +5,9 @@
 //! [`StorageWorld`] in a larger world struct, and over the kernel event
 //! type `E:` [`StorageEvents`], so every scheduled hop is a typed
 //! [`StorageOp`] value dispatched by match — zero allocations per event.
-//! The host's completion ([`WriteCb`] / [`ReadCb`]) is the one callback a
-//! write or read carries; everything the engine itself continues with is
+//! The host's completion ([`HostDone`]: a plain `fn`, or one with a `u64`
+//! tag) is the one function a write or read carries, called inline where
+//! it completes; it and everything the engine itself continues with are
 //! data. The flow for one asynchronously replicated write (the paper's
 //! §III-A1):
 //!
@@ -35,7 +36,7 @@ use tsuru_telemetry::{names, spans, SpanId};
 use crate::array::WriteError;
 use crate::block::{BlockBuf, GroupId, PairId, VolRef};
 use crate::config::JournalFullPolicy;
-use crate::event::{ReadCb, StorageEvents, StorageOp, WriteCb};
+use crate::event::{HostDone, StorageEvents, StorageOp};
 use crate::fabric::{GroupMode, SuspendReason};
 use crate::journal::JournalEntry;
 use crate::world::{HasStorage, StorageWorld};
@@ -138,26 +139,57 @@ pub struct SdcJoin<S, E> {
     issued: SimTime,
     /// Root trace span of the write.
     span: SpanId,
-    /// The host completion, taken by the last leg.
-    cb: Cell<Option<WriteCb<S, E>>>,
+    /// The host completion, called by the last leg.
+    done: HostDone<S, E, WriteAck>,
 }
 
-/// Submit a block write from a host. `cb` fires when the array
+/// Submit a block write from a host. `done` is called when the array
 /// acknowledges (or rejects) the write — on the next tick with
 /// [`WriteAck::Failed`] when admission refuses it: a failed array, an
 /// array or volume the world does not hold, a fenced volume, an address
-/// past the end, an exhausted pool.
-pub fn host_write<S, E, F>(
+/// past the end, an exhausted pool. A closure that captures nothing
+/// coerces to `done`; context goes through [`host_write_tagged`].
+pub fn host_write<S, E>(
     state: &mut S,
     sim: &mut Sim<S, E>,
     vol: VolRef,
     lba: u64,
     data: BlockBuf,
-    cb: F,
+    done: fn(&mut S, &mut Sim<S, E>, WriteAck),
 ) where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
-    F: FnOnce(&mut S, &mut Sim<S, E>, WriteAck) + 'static,
+{
+    submit_write(state, sim, vol, lba, data, HostDone::Plain(done));
+}
+
+/// [`host_write`] with a word of the caller's context: `done` is called
+/// with `tag` beside the acknowledgement.
+pub fn host_write_tagged<S, E>(
+    state: &mut S,
+    sim: &mut Sim<S, E>,
+    vol: VolRef,
+    lba: u64,
+    data: BlockBuf,
+    tag: u64,
+    done: fn(&mut S, &mut Sim<S, E>, u64, WriteAck),
+) where
+    S: HasStorage + 'static,
+    E: StorageEvents<S>,
+{
+    submit_write(state, sim, vol, lba, data, HostDone::Tagged(done, tag));
+}
+
+fn submit_write<S, E>(
+    state: &mut S,
+    sim: &mut Sim<S, E>,
+    vol: VolRef,
+    lba: u64,
+    data: BlockBuf,
+    done: HostDone<S, E, WriteAck>,
+) where
+    S: HasStorage + 'static,
+    E: StorageEvents<S>,
 {
     let now = sim.now();
     let st = state.storage_mut();
@@ -174,15 +206,15 @@ pub fn host_write<S, E, F>(
             SimDuration::ZERO,
             E::storage(StorageOp::AckNow {
                 ack: WriteAck::Failed(e),
-                cb: Box::new(cb),
+                done,
             }),
         );
         return;
     }
-    let done = st.array_mut(vol.array).admit(vol.volume, now, WRITE_SERVICE);
+    let at = st.array_mut(vol.array).admit(vol.volume, now, WRITE_SERVICE);
     let ticket = st.issue_write_ticket(vol);
     sim.schedule_event_at(
-        done,
+        at,
         E::storage(StorageOp::Persist {
             vol,
             lba,
@@ -190,65 +222,66 @@ pub fn host_write<S, E, F>(
             issued: now,
             ticket,
             span,
-            cb: Box::new(cb),
+            done,
         }),
     );
 }
 
-/// Submit a block read from a host; `cb` receives the content (`None` for a
-/// never-written block, and for a read rejected at admission — failed
-/// array, an array or volume the world does not hold, address past the end
-/// of the volume — which also counts as `reads.failed`).
-pub fn host_read<S, E, F>(state: &mut S, sim: &mut Sim<S, E>, vol: VolRef, lba: u64, cb: F)
-where
+/// Submit a block read from a host; `done` receives the content (`None`
+/// for a never-written block, and for a read rejected at admission —
+/// failed array, an array or volume the world does not hold, address past
+/// the end of the volume — which also counts as `reads.failed`).
+pub fn host_read<S, E>(
+    state: &mut S,
+    sim: &mut Sim<S, E>,
+    vol: VolRef,
+    lba: u64,
+    done: fn(&mut S, &mut Sim<S, E>, Option<BlockBuf>),
+) where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
-    F: FnOnce(&mut S, &mut Sim<S, E>, Option<BlockBuf>) + 'static,
 {
+    let done = HostDone::Plain(done);
     let now = sim.now();
     let st = state.storage_mut();
     if !st.find_array(vol.array).is_some_and(|a| a.admits_read(vol.volume, lba)) {
-        return reject_read(st, sim, Box::new(cb));
+        return reject_read(st, sim, done);
     }
-    let done = st.array_mut(vol.array).admit(vol.volume, now, READ_SERVICE);
-    sim.schedule_event_at(
-        done,
-        E::storage(StorageOp::ReadDone {
-            vol,
-            lba,
-            cb: Box::new(cb),
-        }),
-    );
+    let at = st.array_mut(vol.array).admit(vol.volume, now, READ_SERVICE);
+    sim.schedule_event_at(at, E::storage(StorageOp::ReadDone { vol, lba, done }));
 }
 
 /// A read refused at admission: counted, and `None` delivered on the next
 /// tick.
-fn reject_read<S, E>(st: &mut StorageWorld, sim: &mut Sim<S, E>, cb: ReadCb<S, E>)
-where
+fn reject_read<S, E>(
+    st: &mut StorageWorld,
+    sim: &mut Sim<S, E>,
+    done: HostDone<S, E, Option<BlockBuf>>,
+) where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
 {
     st.metrics.inc(names::READS_FAILED);
-    sim.schedule_event_in(SimDuration::ZERO, E::storage(StorageOp::ReadFail { cb }));
+    sim.schedule_event_in(SimDuration::ZERO, E::storage(StorageOp::ReadFail { done }));
 }
 
 /// Submit a block read against a snapshot image; timing is charged to the
-/// base volume's station (the snapshot shares the base's spindles). `cb`
-/// receives the point-in-time content; admission rejects what
+/// base volume's station (the snapshot shares the base's spindles).
+/// `done` receives the point-in-time content; admission rejects what
 /// [`host_read`] rejects, and a snapshot the array does not hold (never
 /// taken, or deleted).
-pub fn host_read_snapshot<S, E, F>(
+pub fn host_read_snapshot<S, E>(
     state: &mut S,
     sim: &mut Sim<S, E>,
     array: crate::block::ArrayId,
     snap: crate::block::SnapshotId,
     lba: u64,
-    cb: F,
+    done: fn(&mut S, &mut Sim<S, E>, Option<BlockBuf>),
 ) where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
-    F: FnOnce(&mut S, &mut Sim<S, E>, Option<BlockBuf>) + 'static,
 {
+    let done = HostDone::Plain(done);
     let now = sim.now();
     let st = state.storage_mut();
     let base = st.find_array(array).and_then(|a| {
@@ -256,16 +289,16 @@ pub fn host_read_snapshot<S, E, F>(
         a.admits_read(base, lba).then_some(base)
     });
     let Some(base) = base else {
-        return reject_read(st, sim, Box::new(cb));
+        return reject_read(st, sim, done);
     };
-    let done = st.array_mut(array).admit(base, now, READ_SERVICE);
+    let at = st.array_mut(array).admit(base, now, READ_SERVICE);
     sim.schedule_event_at(
-        done,
+        at,
         E::storage(StorageOp::SnapReadDone {
             array,
             snap,
             lba,
-            cb: Box::new(cb),
+            done,
         }),
     );
 }
@@ -348,7 +381,7 @@ pub(crate) fn persist<S, E>(
     issued: SimTime,
     ticket: u64,
     span: SpanId,
-    cb: WriteCb<S, E>,
+    done: HostDone<S, E, WriteAck>,
 ) where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
@@ -496,10 +529,10 @@ pub(crate) fn persist<S, E>(
                 .storage_mut()
                 .tracer
                 .span_end(spans::HOST_WRITE, span, now, || vec![("ack", label.into())]);
-            cb(state, sim, ack)
+            done.call(state, sim, ack)
         }
         PersistNext::Stall(d, data) => {
-            // The callback box rides along: a stalled retry costs zero
+            // The completion rides along: a stalled retry costs zero
             // allocations.
             sim.schedule_event_in(
                 d,
@@ -510,7 +543,7 @@ pub(crate) fn persist<S, E>(
                     issued,
                     ticket,
                     span,
-                    cb,
+                    done,
                 }),
             );
         }
@@ -539,7 +572,7 @@ pub(crate) fn persist<S, E>(
                 st.tracer.span_end(spans::HOST_WRITE, span, now, || {
                     vec![("ack", label.into()), ("global", global.into())]
                 });
-                cb(state, sim, ack);
+                done.call(state, sim, ack);
             } else {
                 // Synchronous legs hold the host acknowledgement.
                 let join = Rc::new(SdcJoin {
@@ -550,7 +583,7 @@ pub(crate) fn persist<S, E>(
                     hash,
                     issued,
                     span,
-                    cb: Cell::new(Some(cb)),
+                    done,
                 });
                 for (gid, pid) in sdc_legs {
                     sdc_leg_send(state, sim, gid, pid, data.clone(), Rc::clone(&join));
@@ -595,11 +628,7 @@ pub(crate) fn sdc_leg_finished<S, E>(
     st.tracer.span_end(spans::HOST_WRITE, join.span, at, || {
         vec![("ack", label.into()), ("global", global.into())]
     });
-    let cb = join
-        .cb
-        .take()
-        .expect("invariant: only the last of a write's legs reaches here");
-    cb(state, sim, ack);
+    join.done.call(state, sim, ack);
 }
 
 /// Send one synchronous leg's frame (retrying on loss); the leg finishes

@@ -10,11 +10,12 @@
 //! [`StorageEvents`]: a world's kernel event enum absorbs a `StorageOp` in
 //! one wrapping variant.
 //!
-//! The host-facing completions ([`WriteCb`], [`ReadCb`]) are the only
-//! callbacks an op carries: boxed once, at submit, they ride through
-//! however many typed hops the write takes (stall retries, SDC legs)
-//! without re-boxing. A write's SDC legs share its completion through one
-//! [`SdcJoin`] record.
+//! The host-facing completion ([`HostDone`]) is the only function an op
+//! carries: a plain `fn` pointer, or one with a caller's `u64` tag — two
+//! words, `Copy`, never boxed — it rides through however many typed hops
+//! the write takes (stall retries, SDC legs) and is called inline where
+//! the write or read completes. A write's SDC legs share its completion
+//! through one [`SdcJoin`] record.
 
 use std::rc::Rc;
 
@@ -27,12 +28,35 @@ use crate::engine::{self, LegDone, SdcJoin, WriteAck};
 use crate::journal::JournalEntry;
 use crate::world::HasStorage;
 
-/// Boxed host-write completion callback (allocated once per write, at
-/// submit; moved through every subsequent typed hop).
-pub type WriteCb<S, E> = Box<dyn FnOnce(&mut S, &mut Sim<S, E>, WriteAck)>;
+/// A host I/O's completion, delivered a `T` ([`WriteAck`] for a write,
+/// `Option<BlockBuf>` for a read): a plain function, or a function and a
+/// word of the caller's context. Two words and `Copy` — nothing is
+/// allocated to carry it, and what a caller needs to know about the I/O
+/// (ecom's database and flush generation) is packed into the tag.
+pub enum HostDone<S, E, T> {
+    /// Call `f(state, sim, outcome)`.
+    Plain(fn(&mut S, &mut Sim<S, E>, T)),
+    /// Call `f(state, sim, tag, outcome)`.
+    Tagged(fn(&mut S, &mut Sim<S, E>, u64, T), u64),
+}
 
-/// Boxed host-read completion callback.
-pub type ReadCb<S, E> = Box<dyn FnOnce(&mut S, &mut Sim<S, E>, Option<BlockBuf>)>;
+impl<S, E, T> Clone for HostDone<S, E, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S, E, T> Copy for HostDone<S, E, T> {}
+
+impl<S, E, T> HostDone<S, E, T> {
+    /// Deliver `outcome`.
+    pub(crate) fn call(self, state: &mut S, sim: &mut Sim<S, E>, outcome: T) {
+        match self {
+            HostDone::Plain(f) => f(state, sim, outcome),
+            HostDone::Tagged(f, tag) => f(state, sim, tag, outcome),
+        }
+    }
+}
 
 /// One scheduled step of the storage data plane.
 ///
@@ -43,8 +67,8 @@ pub enum StorageOp<S, E> {
     AckNow {
         /// The acknowledgement to deliver.
         ack: WriteAck,
-        /// Host completion callback.
-        cb: WriteCb<S, E>,
+        /// Host completion.
+        done: HostDone<S, E, WriteAck>,
     },
     /// Front-end service completed: journal-append, persist the primary
     /// copy and drive the replication legs.
@@ -61,13 +85,13 @@ pub enum StorageOp<S, E> {
         ticket: u64,
         /// Root trace span of the write lifecycle.
         span: SpanId,
-        /// Host completion callback.
-        cb: WriteCb<S, E>,
+        /// Host completion.
+        done: HostDone<S, E, WriteAck>,
     },
     /// Deliver `None` to a read whose array was already failed at submit.
     ReadFail {
-        /// Host completion callback.
-        cb: ReadCb<S, E>,
+        /// Host completion.
+        done: HostDone<S, E, Option<BlockBuf>>,
     },
     /// Read service completed: deliver the block content.
     ReadDone {
@@ -75,8 +99,8 @@ pub enum StorageOp<S, E> {
         vol: VolRef,
         /// Block address.
         lba: u64,
-        /// Host completion callback.
-        cb: ReadCb<S, E>,
+        /// Host completion.
+        done: HostDone<S, E, Option<BlockBuf>>,
     },
     /// Snapshot read service completed: deliver the point-in-time content.
     SnapReadDone {
@@ -86,8 +110,8 @@ pub enum StorageOp<S, E> {
         snap: SnapshotId,
         /// Block address.
         lba: u64,
-        /// Host completion callback.
-        cb: ReadCb<S, E>,
+        /// Host completion.
+        done: HostDone<S, E, Option<BlockBuf>>,
     },
     /// (Re)send one synchronous-replication frame (loss retry path).
     SdcSend {
@@ -228,7 +252,7 @@ where
     pub fn dispatch(self, state: &mut S, sim: &mut Sim<S, E>) {
         state.storage_mut().count_op(self.kind());
         match self {
-            StorageOp::AckNow { ack, cb } => cb(state, sim, ack),
+            StorageOp::AckNow { ack, done } => done.call(state, sim, ack),
             StorageOp::Persist {
                 vol,
                 lba,
@@ -236,29 +260,29 @@ where
                 issued,
                 ticket,
                 span,
-                cb,
-            } => engine::persist(state, sim, vol, lba, data, issued, ticket, span, cb),
-            StorageOp::ReadFail { cb } => cb(state, sim, None),
-            StorageOp::ReadDone { vol, lba, cb } => {
+                done,
+            } => engine::persist(state, sim, vol, lba, data, issued, ticket, span, done),
+            StorageOp::ReadFail { done } => done.call(state, sim, None),
+            StorageOp::ReadDone { vol, lba, done } => {
                 let data = state
                     .storage()
                     .array(vol.array)
                     .read_block(vol.volume, lba)
                     .cloned();
-                cb(state, sim, data)
+                done.call(state, sim, data)
             }
             StorageOp::SnapReadDone {
                 array,
                 snap,
                 lba,
-                cb,
+                done,
             } => {
                 let data = state
                     .storage()
                     .array(array)
                     .read_snapshot_block(snap, lba)
                     .cloned();
-                cb(state, sim, data)
+                done.call(state, sim, data)
             }
             StorageOp::SdcSend { gid, pid, data, join } => {
                 engine::sdc_leg_send(state, sim, gid, pid, data, join)
@@ -308,9 +332,23 @@ mod tests {
     /// Every pending event is moved once per wheel level it cascades
     /// through and once into the ready run, so the event's size is a
     /// per-event cost: `Persist`, the largest variant, is 72 bytes of
-    /// fields (the payload handle is one pointer) plus the tag.
+    /// fields (the payload handle is one pointer, the host completion two
+    /// words) plus the tag.
     #[test]
     fn storage_op_stays_within_eighty_bytes() {
         assert!(std::mem::size_of::<StorageOp<(), ()>>() <= 80);
+    }
+
+    /// A host completion is a function pointer and a tag, the plain form
+    /// fitting in the tagged form's niche: two words, as the boxed
+    /// closure it replaced was.
+    #[test]
+    fn host_completion_is_two_words() {
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<HostDone<(), (), WriteAck>>(), 2 * word);
+        assert_eq!(
+            std::mem::size_of::<HostDone<(), (), Option<BlockBuf>>>(),
+            2 * word
+        );
     }
 }

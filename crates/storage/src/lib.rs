@@ -49,10 +49,10 @@ pub use block::{
 pub use config::{EngineConfig, JournalFullPolicy};
 pub use device::{BlockDevice, BlockDeviceMut, MemDevice, SnapshotView, VolumeView};
 pub use engine::{
-    heal_all_links, heal_link, host_read, host_read_snapshot, host_write, kick_all_pumps, SdcJoin,
-    WriteAck,
+    heal_all_links, heal_link, host_read, host_read_snapshot, host_write, host_write_tagged,
+    kick_all_pumps, SdcJoin, WriteAck,
 };
-pub use event::{ReadCb, StorageEvents, StorageOp, WriteCb, OP_KINDS};
+pub use event::{HostDone, StorageEvents, StorageOp, OP_KINDS};
 pub use fabric::{
     Group, GroupMode, GroupState, GroupStats, Pair, ReplicationFabric, ReplicationTotals,
     SuspendReason,

@@ -8,9 +8,9 @@ mod common;
 use common::{after, at, Ev};
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
-use tsuru_storage::engine::{host_read, host_read_snapshot, host_write, kick_all_pumps};
+use tsuru_storage::engine::{host_read, host_read_snapshot, host_write_tagged, kick_all_pumps};
 use tsuru_storage::{
-    block_from, ArrayId, ArrayPerf, EngineConfig, GroupId, GroupState, HasStorage,
+    block_from, ArrayId, ArrayPerf, BlockBuf, EngineConfig, GroupId, GroupState, HasStorage,
     JournalFullPolicy, StorageWorld, SuspendReason, VolRef, WriteAck, WriteError, BLOCK_SIZE,
     JOURNAL_ENTRY_OVERHEAD,
 };
@@ -19,6 +19,8 @@ use tsuru_storage::{
 struct World {
     st: StorageWorld,
     acks: Vec<(u64, WriteAck, SimTime)>,
+    /// Completed reads: whether each found data, and when.
+    reads: Vec<(bool, SimTime)>,
 }
 
 impl HasStorage for World {
@@ -49,6 +51,7 @@ fn rig_with(config: EngineConfig, link_cfg: LinkConfig) -> Rig {
         world: World {
             st,
             acks: Vec::new(),
+            reads: Vec::new(),
         },
         sim: Sim::new(),
         main,
@@ -75,7 +78,7 @@ fn write_tagged(
     lba: u64,
     tag: u64,
 ) {
-    host_write(world, sim, vol, lba, blk(tag), move |w, sim, ack| {
+    host_write_tagged(world, sim, vol, lba, blk(tag), tag, |w, sim, tag, ack| {
         w.acks.push((tag, ack, sim.now()));
     });
 }
@@ -697,25 +700,31 @@ fn reads_past_the_end_of_a_volume_are_rejected_at_admission() {
     r.world.st.write_direct(v, 63, b"last");
     let snap = r.world.st.snapshot(v, "snap", SimTime::ZERO);
     let main = r.main;
-    let done = |tag: u64, want_data: bool, want_at: SimTime| {
-        move |w: &mut World, sim: &mut Sim<World, Ev<World>>, data: Option<_>| {
-            assert_eq!(data.is_some(), want_data, "read {tag}");
-            assert_eq!(sim.now(), want_at, "read {tag}");
-            w.acks.push((tag, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
-        }
-    };
-    let (served, then) = (SimTime::from_micros(200), SimTime::from_micros(400));
+    fn found(w: &mut World, sim: &mut Sim<World, Ev<World>>, data: Option<BlockBuf>) {
+        w.reads.push((data.is_some(), sim.now()));
+    }
     at(&mut r.sim, SimTime::ZERO, move |w: &mut World, sim| {
-        host_read(w, sim, v, 64, done(0, false, SimTime::ZERO)); // first block past the end
-        host_read(w, sim, v, u64::MAX, done(1, false, SimTime::ZERO));
+        host_read(w, sim, v, 64, found); // first block past the end
+        host_read(w, sim, v, u64::MAX, found);
         // In range: served, not queued behind the rejects.
-        host_read(w, sim, v, 63, done(2, true, served));
-        host_read_snapshot(w, sim, main, snap, 64, done(3, false, SimTime::ZERO));
-        host_read_snapshot(w, sim, main, snap, u64::MAX, done(4, false, SimTime::ZERO));
-        host_read_snapshot(w, sim, main, snap, 63, done(5, true, then));
+        host_read(w, sim, v, 63, found);
+        host_read_snapshot(w, sim, main, snap, 64, found);
+        host_read_snapshot(w, sim, main, snap, u64::MAX, found);
+        host_read_snapshot(w, sim, main, snap, 63, found);
     });
     r.sim.run(&mut r.world);
-    assert_eq!(r.world.acks.len(), 6);
+    // The four rejects complete on the next tick in submit order, empty;
+    // the two in-range reads are served one read service apart.
+    let (rejected, served) = ((false, SimTime::ZERO), (true, SimTime::from_micros(200)));
+    let want = [
+        rejected,
+        rejected,
+        rejected,
+        rejected,
+        served,
+        (true, SimTime::from_micros(400)),
+    ];
+    assert_eq!(r.world.reads, want);
     assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::READS_FAILED), 4);
 }
 
@@ -766,11 +775,11 @@ fn a_read_of_a_deleted_snapshot_returns_none() {
     r.world.st.array_mut(r.main).delete_snapshot(snap);
     let (main, ghost) = (r.main, ArrayId(7));
     at(&mut r.sim, SimTime::ZERO, move |w: &mut World, sim| {
-        for (tag, array) in [(0, main), (1, ghost)] {
-            host_read_snapshot(w, sim, array, snap, 0, move |w: &mut World, sim, data| {
-                assert!(data.is_none(), "read {tag}");
+        for array in [main, ghost] {
+            host_read_snapshot(w, sim, array, snap, 0, |w: &mut World, sim, data| {
+                assert!(data.is_none());
                 let ack = WriteAck::Ok { latency: SimDuration::ZERO, global: 0 };
-                w.acks.push((tag, ack, sim.now()));
+                w.acks.push((0, ack, sim.now()));
             });
         }
     });
@@ -952,6 +961,7 @@ fn promote_drains_remote_journal() {
     let mut world = World {
         st,
         acks: Vec::new(),
+        reads: Vec::new(),
     };
     let mut sim: Sim<World, Ev<World>> = Sim::new();
     for i in 0..50u64 {

@@ -15,7 +15,7 @@ use common::{at, Ev};
 use proptest::prelude::*;
 use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
-use tsuru_storage::engine::{host_write, FRAME_OVERHEAD, MAX_LINK_BACKLOG};
+use tsuru_storage::engine::{host_write, host_write_tagged, FRAME_OVERHEAD, MAX_LINK_BACKLOG};
 use tsuru_storage::{
     block_from, content_hash, AckLog, ArrayId, ArrayPerf, BlockBuf, BlockDevice, BlockDeviceMut,
     EngineConfig, GroupId, HasStorage, MemDevice, PairId, JOURNAL_ENTRY_OVERHEAD, PoolId, SnapshotId,
@@ -143,6 +143,9 @@ proptest! {
 
 struct World {
     st: StorageWorld,
+    /// The fingerprint oracle's record (left empty by the other tests):
+    /// write completions add to it what the host was acknowledged.
+    re: Recomputed,
 }
 impl HasStorage for World {
     fn storage(&self) -> &StorageWorld {
@@ -194,7 +197,7 @@ proptest! {
             st.add_pair(g, p, s);
             vols.push(p);
         }
-        let mut world = World { st };
+        let mut world = World { st, re: Recomputed::default() };
         let mut sim: Sim<World, Ev<World>> = Sim::new();
         let max_t = writes.iter().map(|w| w.at_ns).max().unwrap_or(0);
         for (i, w) in writes.iter().enumerate() {
@@ -248,7 +251,7 @@ proptest! {
             st.add_pair(g, p, s);
             pairs.push((p, s));
         }
-        let mut world = World { st };
+        let mut world = World { st, re: Recomputed::default() };
         let mut sim: Sim<World, Ev<World>> = Sim::new();
         for (i, w) in writes.iter().enumerate() {
             let vol = pairs[w.vol].0;
@@ -641,7 +644,7 @@ proptest! {
                 });
             }
         }
-        let mut world = World { st };
+        let mut world = World { st, re: Recomputed::default() };
         let wakes = |w: &World| {
             w.st.op_counts().find(|(kind, _)| *kind == "link_wake").map_or(0, |(_, n)| n)
         };
@@ -848,15 +851,12 @@ proptest! {
         ops in prop::collection::vec(fop_strategy(), 1..120),
         seed in any::<u64>(),
     ) {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         let mut st = StorageWorld::new(seed, EngineConfig::default());
         let main = st.add_array("m", ArrayPerf::default());
         let backup = st.add_array("b", ArrayPerf::default());
         let (link, rev) = (st.add_link(LinkConfig::metro()), st.add_link(LinkConfig::metro()));
         let g = st.create_adc_group("cg", link, rev, 1 << 24);
-        let re = Rc::new(RefCell::new(Recomputed::default()));
+        let mut re = Recomputed::default();
         let mut pairs = Vec::new();
         for i in 0..3u64 {
             let p = st.create_volume(main, format!("p{i}"), 16);
@@ -865,11 +865,11 @@ proptest! {
             st.write_direct(p, i, &i.to_le_bytes());
             st.write_direct(p, 15, b"everywhere");
             let pid = st.add_pair(g, p, s);
-            re.borrow_mut().initial.insert(pid, recomputed(st.array(main).volume(p.volume)));
+            re.initial.insert(pid, recomputed(st.array(main).volume(p.volume)));
             pairs.push((pid, p, s));
         }
         let shared: Vec<BlockBuf> = (0..4u8).map(|i| block_from(&[i; 32])).collect();
-        let mut world = World { st };
+        let mut world = World { st, re };
         let mut sim: Sim<World, Ev<World>> = Sim::new();
         let mut snapshots: Vec<SnapshotId> = Vec::new();
         // Both verdicts must occur or the last comparison checks nothing:
@@ -877,7 +877,7 @@ proptest! {
         // that does not end in a failover is tampered with at its end).
         let mut verdicts = [0usize; 2];
         let mut failed_over = false;
-        verdicts[check_fingerprints(&world.st, &re.borrow(), g, &pairs, &snapshots)? as usize] += 1;
+        verdicts[check_fingerprints(&world.st, &world.re, g, &pairs, &snapshots)? as usize] += 1;
 
         for op in &ops {
             match *op {
@@ -886,10 +886,10 @@ proptest! {
                         Some(i) => shared[i].clone(),
                         None => block_from(&tag.to_le_bytes()),
                     };
-                    let (hash, re) = (reference_fingerprint(&data), Rc::clone(&re));
-                    host_write(&mut world, &mut sim, pairs[vol].1, lba, data, move |_, _, ack| {
+                    let (vol, hash) = (pairs[vol].1, reference_fingerprint(&data));
+                    host_write_tagged(&mut world, &mut sim, vol, lba, data, hash, |w, _, hash, ack| {
                         if let WriteAck::Ok { global, .. } | WriteAck::Degraded { global, .. } = ack {
-                            re.borrow_mut().acked.insert(global, hash);
+                            w.re.acked.insert(global, hash);
                         }
                     });
                 }
@@ -911,7 +911,7 @@ proptest! {
                     for &(pid, p, _) in &pairs {
                         let image = recomputed(world.st.array(main).volume(p.volume));
                         prop_assert_eq!(&world.st.fabric.pair(pid).initial_hashes, &image);
-                        re.borrow_mut().initial.insert(pid, image);
+                        world.re.initial.insert(pid, image);
                     }
                 }
                 FOp::Tamper { vol, lba } => world.st.write_direct(pairs[vol].2, lba, b"not what was acked"),
@@ -922,7 +922,7 @@ proptest! {
                 }
             }
 
-            let verdict = check_fingerprints(&world.st, &re.borrow(), g, &pairs, &snapshots)?;
+            let verdict = check_fingerprints(&world.st, &world.re, g, &pairs, &snapshots)?;
             verdicts[verdict as usize] += 1;
             if matches!(op, FOp::Failover) {
                 failed_over = true;
@@ -932,7 +932,7 @@ proptest! {
         prop_assert!(verdicts[1] > 0);
         if !failed_over {
             world.st.write_direct(pairs[0].2, 3, b"not what was acked");
-            prop_assert!(!check_fingerprints(&world.st, &re.borrow(), g, &pairs, &snapshots)?);
+            prop_assert!(!check_fingerprints(&world.st, &world.re, g, &pairs, &snapshots)?);
         }
     }
 }

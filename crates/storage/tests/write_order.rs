@@ -10,9 +10,6 @@
 
 mod common;
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use common::{at, Ev};
 use tsuru_sim::{Sim, SimTime};
 use tsuru_simnet::LinkConfig;
@@ -24,6 +21,8 @@ use tsuru_storage::{
 
 struct World {
     st: StorageWorld,
+    /// The two same-LBA writes acknowledged so far.
+    acked: u32,
 }
 
 impl HasStorage for World {
@@ -62,7 +61,7 @@ fn stalled_writes_apply_in_issue_order() {
     let one_entry = BLOCK_SIZE as u64 + JOURNAL_ENTRY_OVERHEAD;
     st.fabric.journal_mut(jid).set_capacity_bytes(one_entry);
 
-    let mut world = World { st };
+    let mut world = World { st, acked: 0 };
     let mut sim: Sim<World, Ev<World>> = Sim::new();
     at(&mut sim, SimTime::ZERO, move |w: &mut World, sim| {
         host_write(w, sim, filler, 0, block_from(b"filler"), |_, _, ack| {
@@ -73,13 +72,11 @@ fn stalled_writes_apply_in_issue_order() {
     // write_service = 100 µs, stall retry = 200 µs. Issue order: OLD then
     // NEW. Service completes at 100 µs / 200 µs, so the retry grids are
     // OLD @ {300, 500, …} and NEW @ {400, 600, …}.
-    let acked = Rc::new(Cell::new(0u32));
     for (t, tag) in [(SimTime::ZERO, 0xDEAD_0001u64), (SimTime::from_micros(1), 0xDEAD_0002)] {
-        let acked = Rc::clone(&acked);
         at(&mut sim, t, move |w: &mut World, sim| {
-            host_write(w, sim, p, 0, block_from(&tag.to_le_bytes()), move |_, _, ack| {
+            host_write(w, sim, p, 0, block_from(&tag.to_le_bytes()), |w, _, ack| {
                 assert!(ack.is_persisted(), "{ack:?}");
-                acked.set(acked.get() + 1);
+                w.acked += 1;
             });
         });
     }
@@ -92,7 +89,7 @@ fn stalled_writes_apply_in_issue_order() {
 
     sim.run(&mut world);
 
-    assert_eq!(acked.get(), 2, "both writes must eventually persist");
+    assert_eq!(world.acked, 2, "both writes must eventually persist");
     assert!(
         world.st.metrics.counter(tsuru_storage::metric_names::JOURNAL_STALL_RETRIES) > 0,
         "the squeeze must actually stall the writes"
