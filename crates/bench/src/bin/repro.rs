@@ -25,19 +25,19 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use tsuru_bench::{
-    render_a1, render_a2, render_e1, render_e2, render_e3, render_e4, render_e5, render_e7,
-    render_e12,
-};
-use tsuru_core::tenants::e12_scale;
-use tsuru_core::experiments::{
-    a1_backup_lag, a2_journal_policy, e1_slowdown, e2_collapse, e3_rpo, e4_snapshot, e5_operator,
-    e6_demo, e7_three_dc,
+    render_a1, render_a2, render_e1, render_e12, render_e2, render_e3, render_e4, render_e5,
+    render_e7,
 };
 use tsuru_chaos::{
     alert_sweep, chaos_sweep, convergence_sweep, history_sweep, render_alert_table,
     render_chaos_table, render_convergence_table, render_history_table, run_chaos_trial,
     ChaosConfig, FaultPlan,
 };
+use tsuru_core::experiments::{
+    a1_backup_lag, a2_journal_policy, e1_slowdown, e2_collapse, e3_rpo, e4_snapshot, e5_operator,
+    e6_demo, e7_three_dc,
+};
+use tsuru_core::tenants::e12_scale;
 use tsuru_core::{BackupMode, HarnessStats, RigConfig, TrialHarness, TwoSiteRig};
 use tsuru_sim::SimDuration;
 
@@ -60,21 +60,91 @@ const OPT_IN: bool = false;
 
 /// Every experiment, in the order a run prints them.
 const EXPERIMENTS: &[Experiment] = &[
-    exp("e1", DEFAULT, "no system slowdown (C1): latency/throughput vs backup mode", run_e1),
-    exp("e2", DEFAULT, "backup collapse (C2/C3): consistency group vs naive ADC", run_e2),
-    exp("e3", DEFAULT, "recovery point vs link bandwidth and journal capacity", run_e3),
-    exp("e4", DEFAULT, "snapshot groups make backup data usable", run_e4),
+    exp(
+        "e1",
+        DEFAULT,
+        "no system slowdown (C1): latency/throughput vs backup mode",
+        run_e1,
+    ),
+    exp(
+        "e2",
+        DEFAULT,
+        "backup collapse (C2/C3): consistency group vs naive ADC",
+        run_e2,
+    ),
+    exp(
+        "e3",
+        DEFAULT,
+        "recovery point vs link bandwidth and journal capacity",
+        run_e3,
+    ),
+    exp(
+        "e4",
+        DEFAULT,
+        "snapshot groups make backup data usable",
+        run_e4,
+    ),
     exp("e5", DEFAULT, "namespace-operator automation", run_e5),
-    exp("e6", DEFAULT, "the full demonstration: three steps + disaster drill", run_e6),
-    exp("e7", DEFAULT, "three-data-centre: metro SDC + WAN ADC", run_e7),
-    exp("chaos", OPT_IN, "E8: seeded fault plans, CG vs naive, audited (--trace DIR)", run_chaos),
-    exp("trace", OPT_IN, "traced chaos trials, exports under --trace DIR", run_trace),
-    exp("history", OPT_IN, "E9: client-visible history sweep (--history DIR)", run_history),
-    exp("e10", OPT_IN, "self-healing convergence: plans x recovery policies", run_e10),
-    exp("e11", OPT_IN, "SLO alerting vs injected ground truth (--alerts DIR)", run_e11),
-    exp("e12", OPT_IN, "metro-scale tenant scaling (--tenants N,N,...)", run_e12),
-    exp("a1", DEFAULT, "ablation: backup lag vs transfer-pump parameters", run_a1),
-    exp("a2", DEFAULT, "ablation: journal-full policy, Block vs Suspend", run_a2),
+    exp(
+        "e6",
+        DEFAULT,
+        "the full demonstration: three steps + disaster drill",
+        run_e6,
+    ),
+    exp(
+        "e7",
+        DEFAULT,
+        "three-data-centre: metro SDC + WAN ADC",
+        run_e7,
+    ),
+    exp(
+        "chaos",
+        OPT_IN,
+        "E8: seeded fault plans, CG vs naive, audited (--trace DIR)",
+        run_chaos,
+    ),
+    exp(
+        "trace",
+        OPT_IN,
+        "traced chaos trials, exports under --trace DIR",
+        run_trace,
+    ),
+    exp(
+        "history",
+        OPT_IN,
+        "E9: client-visible history sweep (--history DIR)",
+        run_history,
+    ),
+    exp(
+        "e10",
+        OPT_IN,
+        "self-healing convergence: plans x recovery policies",
+        run_e10,
+    ),
+    exp(
+        "e11",
+        OPT_IN,
+        "SLO alerting vs injected ground truth (--alerts DIR)",
+        run_e11,
+    ),
+    exp(
+        "e12",
+        OPT_IN,
+        "metro-scale tenant scaling (--tenants N,N,...)",
+        run_e12,
+    ),
+    exp(
+        "a1",
+        DEFAULT,
+        "ablation: backup lag vs transfer-pump parameters",
+        run_a1,
+    ),
+    exp(
+        "a2",
+        DEFAULT,
+        "ablation: journal-full policy, Block vs Suspend",
+        run_a2,
+    ),
 ];
 
 const fn exp(
@@ -83,7 +153,12 @@ const fn exp(
     about: &'static str,
     run: fn(&TrialHarness, &Options),
 ) -> Experiment {
-    Experiment { name, default, about, run }
+    Experiment {
+        name,
+        default,
+        about,
+        run,
+    }
 }
 
 /// The `--help` text; after an error it goes to stderr instead.
@@ -534,7 +609,10 @@ fn write_traced_chaos_trials(harness: &TrialHarness, dir: &Path, trials: usize) 
     report("trace", &set.stats);
     for (i, trial) in set.rows.iter().enumerate() {
         print!("{}", trial.report.render());
-        let export = trial.trace.as_ref().expect("traced trial carries its exports");
+        let export = trial
+            .trace
+            .as_ref()
+            .expect("traced trial carries its exports");
         let spans = export.jsonl.lines().count();
         let files = [
             (format!("trace_t{i}_cg.jsonl"), export.jsonl.as_str()),
@@ -542,7 +620,10 @@ fn write_traced_chaos_trials(harness: &TrialHarness, dir: &Path, trials: usize) 
         ];
         match write_exports(dir, &files) {
             Some(paths) => println!("  trial {i}: {spans} records -> {paths}"),
-            None => eprintln!("  trial {i}: failed to write exports under {}", dir.display()),
+            None => eprintln!(
+                "  trial {i}: failed to write exports under {}",
+                dir.display()
+            ),
         }
     }
     println!();
@@ -635,11 +716,25 @@ mod tests {
     #[test]
     fn both_spellings_of_every_valued_option_parse_alike() {
         let spaced = parse(&[
-            "e2", "--threads", "8", "--trace", "t", "--history", "h", "--alerts", "a", "--tenants",
+            "e2",
+            "--threads",
+            "8",
+            "--trace",
+            "t",
+            "--history",
+            "h",
+            "--alerts",
+            "a",
+            "--tenants",
             "64, 256",
         ]);
         let inline = parse(&[
-            "e2", "--threads=8", "--trace=t", "--history=h", "--alerts=a", "--tenants=64, 256",
+            "e2",
+            "--threads=8",
+            "--trace=t",
+            "--history=h",
+            "--alerts=a",
+            "--tenants=64, 256",
         ]);
         assert_eq!(spaced, inline);
         let opts = spaced.expect("valid");
@@ -652,7 +747,11 @@ mod tests {
     fn the_default_set_is_the_table_s_and_opt_ins_run_only_when_named() {
         let selected = |args: &[&str]| -> Vec<&str> {
             let opts = parse(args).expect("valid");
-            EXPERIMENTS.iter().filter(|e| opts.selects(e)).map(|e| e.name).collect()
+            EXPERIMENTS
+                .iter()
+                .filter(|e| opts.selects(e))
+                .map(|e| e.name)
+                .collect()
         };
         let defaults = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "a1", "a2"];
         assert_eq!(selected(&[]), defaults);
@@ -663,7 +762,9 @@ mod tests {
         // Table order, whatever the order on the command line.
         assert_eq!(selected(&["a1", "e12", "e3"]), ["e3", "e12", "a1"]);
         assert_eq!(selected(&["all", "history"]).len(), defaults.len() + 1);
-        assert!(parse(&["-h"]).expect("valid").help && parse(&["e1", "--help"]).expect("valid").help);
+        assert!(
+            parse(&["-h"]).expect("valid").help && parse(&["e1", "--help"]).expect("valid").help
+        );
     }
 
     #[test]
@@ -682,9 +783,15 @@ mod tests {
             (&["--history="], "--history needs a value"),
             (&["--threads", "abc"], "`abc` is not a worker count"),
             (&["--threads=-1"], "`-1` is not a worker count"),
-            (&["--tenants", "100,abc"], "`abc` is not a positive tenant count"),
+            (
+                &["--tenants", "100,abc"],
+                "`abc` is not a positive tenant count",
+            ),
             (&["--tenants", "0"], "`0` is not a positive tenant count"),
-            (&["--tenants", "100,,200"], "`` is not a positive tenant count"),
+            (
+                &["--tenants", "100,,200"],
+                "`` is not a positive tenant count",
+            ),
             (&["--tenants="], "--tenants needs a value"),
         ] {
             match parse(args) {

@@ -160,15 +160,51 @@ fn digests_split_sections_and_skip_the_harness() {
 /// The pins, per run in output order: stdout sections, then files.
 const PINS: &[Pin] = &[
     ("default", "banner", 0x731d2b8a71e5bb7e),
-    ("default", "== E1: no system slowdown (claim C1) — latency/throughput vs backup mode ==", 0x4e3b35ed6bcf5485),
-    ("default", "== E2: backup collapse (claims C2/C3) — consistency group vs naive ADC ==", 0xe131e36b7209493f),
-    ("default", "== E3: recovery point vs link bandwidth and journal capacity (§III-A1) ==", 0x107530e068bbff57),
-    ("default", "== E4: snapshot groups make backup data usable (§III-A2, Figs. 5–6) ==", 0x7b09e25f07e43704),
-    ("default", "== E5: namespace-operator automation (§III-B1, Figs. 3–4) ==", 0x77aa8c6f8fb1db9f),
-    ("default", "== E6: the full demonstration (§IV) — three steps + disaster drill ==", 0x389acca452899a94),
-    ("default", "== E7 (extension): three-data-centre — metro SDC + WAN ADC combined ==", 0xa6c1ce3d6748f3e4),
-    ("default", "== A1 (ablation): backup lag vs transfer-pump parameters ==", 0x1d10f7b7f81d88d2),
-    ("default", "== A2 (ablation): journal-full policy — Block vs Suspend ==", 0x73c81c3c759f4380),
+    (
+        "default",
+        "== E1: no system slowdown (claim C1) — latency/throughput vs backup mode ==",
+        0x4e3b35ed6bcf5485,
+    ),
+    (
+        "default",
+        "== E2: backup collapse (claims C2/C3) — consistency group vs naive ADC ==",
+        0xe131e36b7209493f,
+    ),
+    (
+        "default",
+        "== E3: recovery point vs link bandwidth and journal capacity (§III-A1) ==",
+        0x107530e068bbff57,
+    ),
+    (
+        "default",
+        "== E4: snapshot groups make backup data usable (§III-A2, Figs. 5–6) ==",
+        0x7b09e25f07e43704,
+    ),
+    (
+        "default",
+        "== E5: namespace-operator automation (§III-B1, Figs. 3–4) ==",
+        0x77aa8c6f8fb1db9f,
+    ),
+    (
+        "default",
+        "== E6: the full demonstration (§IV) — three steps + disaster drill ==",
+        0x389acca452899a94,
+    ),
+    (
+        "default",
+        "== E7 (extension): three-data-centre — metro SDC + WAN ADC combined ==",
+        0xa6c1ce3d6748f3e4,
+    ),
+    (
+        "default",
+        "== A1 (ablation): backup lag vs transfer-pump parameters ==",
+        0x1d10f7b7f81d88d2,
+    ),
+    (
+        "default",
+        "== A2 (ablation): journal-full policy — Block vs Suspend ==",
+        0x73c81c3c759f4380,
+    ),
     ("default", "out/trace_rig.chrome.json", 0x7ce12669a76d7ee6),
     ("default", "out/trace_rig.jsonl", 0xf733adf6d257b53d),
     ("default", "repro_out/a1.csv", 0xe2266f6f197e2935),
@@ -181,42 +217,134 @@ const PINS: &[Pin] = &[
     ("default", "repro_out/e5.csv", 0xbbf27fd0ad253447),
     ("default", "repro_out/e7.csv", 0x8ec6e62613b2b693),
     ("chaos", "banner", 0x731d2b8a71e5bb7e),
-    ("chaos", "== E8 (extension): deterministic chaos sweep — CG vs naive under fault ==", 0x4d36fea35a0a67ef),
+    (
+        "chaos",
+        "== E8 (extension): deterministic chaos sweep — CG vs naive under fault ==",
+        0x4d36fea35a0a67ef,
+    ),
     ("chaos", "out/trace_t0_cg.chrome.json", 0xd187c26bfca21f51),
     ("chaos", "out/trace_t0_cg.jsonl", 0x305ac49f4d1b6daa),
     ("chaos", "repro_out/chaos.csv", 0xa53f459d85d9e72f),
     ("trace", "banner", 0x731d2b8a71e5bb7e),
-    ("trace", "== trace: traced chaos trials — causal write-lifecycle spans ==", 0x93766b5099b48bd7),
+    (
+        "trace",
+        "== trace: traced chaos trials — causal write-lifecycle spans ==",
+        0x93766b5099b48bd7,
+    ),
     ("trace", "out/trace_t0_cg.chrome.json", 0xd187c26bfca21f51),
     ("trace", "out/trace_t0_cg.jsonl", 0x305ac49f4d1b6daa),
     ("trace", "out/trace_t1_cg.chrome.json", 0x6b9402f7f22cb3d9),
     ("trace", "out/trace_t1_cg.jsonl", 0xae7a0a35bb0ae347),
     ("history", "banner", 0x731d2b8a71e5bb7e),
-    ("history", "== E9 (extension): workload-diversity history sweep — client-visible oracle ==", 0xb9afef8386f9394c),
-    ("history", "out/history_t0_append-list_cg.jsonl", 0x1e08ac9da7ce23f4),
-    ("history", "out/history_t0_append-list_naive.jsonl", 0x1e08ac9da7ce23f4),
-    ("history", "out/history_t0_bank_cg.jsonl", 0x288469bdc85c72bf),
-    ("history", "out/history_t0_bank_naive.jsonl", 0x8e9dcd8863ec3b66),
-    ("history", "out/history_t0_ecom_cg.jsonl", 0xcfbb8a21346e8700),
-    ("history", "out/history_t0_ecom_naive.jsonl", 0xc9a31348094b2f21),
-    ("history", "out/history_t1_append-list_cg.jsonl", 0x649f0063c2b87bc3),
-    ("history", "out/history_t1_append-list_naive.jsonl", 0x649f0063c2b87bc3),
-    ("history", "out/history_t1_bank_cg.jsonl", 0xbe38ee575f1164f9),
-    ("history", "out/history_t1_bank_naive.jsonl", 0x786cc9cedc9ecab4),
-    ("history", "out/history_t1_ecom_cg.jsonl", 0x69ba88ff48d0c111),
-    ("history", "out/history_t1_ecom_naive.jsonl", 0x1db9b562927f711c),
-    ("history", "out/history_t2_append-list_cg.jsonl", 0xe5d60d5e06eaed59),
-    ("history", "out/history_t2_append-list_naive.jsonl", 0xe5d60d5e06eaed59),
-    ("history", "out/history_t2_bank_cg.jsonl", 0x89ab4384a2a37c1f),
-    ("history", "out/history_t2_bank_naive.jsonl", 0x01f17c28eec3b95f),
-    ("history", "out/history_t2_ecom_cg.jsonl", 0xc8915c10ecb5c9d0),
-    ("history", "out/history_t2_ecom_naive.jsonl", 0xaffb5dfc216ce285),
+    (
+        "history",
+        "== E9 (extension): workload-diversity history sweep — client-visible oracle ==",
+        0xb9afef8386f9394c,
+    ),
+    (
+        "history",
+        "out/history_t0_append-list_cg.jsonl",
+        0x1e08ac9da7ce23f4,
+    ),
+    (
+        "history",
+        "out/history_t0_append-list_naive.jsonl",
+        0x1e08ac9da7ce23f4,
+    ),
+    (
+        "history",
+        "out/history_t0_bank_cg.jsonl",
+        0x288469bdc85c72bf,
+    ),
+    (
+        "history",
+        "out/history_t0_bank_naive.jsonl",
+        0x8e9dcd8863ec3b66,
+    ),
+    (
+        "history",
+        "out/history_t0_ecom_cg.jsonl",
+        0xcfbb8a21346e8700,
+    ),
+    (
+        "history",
+        "out/history_t0_ecom_naive.jsonl",
+        0xc9a31348094b2f21,
+    ),
+    (
+        "history",
+        "out/history_t1_append-list_cg.jsonl",
+        0x649f0063c2b87bc3,
+    ),
+    (
+        "history",
+        "out/history_t1_append-list_naive.jsonl",
+        0x649f0063c2b87bc3,
+    ),
+    (
+        "history",
+        "out/history_t1_bank_cg.jsonl",
+        0xbe38ee575f1164f9,
+    ),
+    (
+        "history",
+        "out/history_t1_bank_naive.jsonl",
+        0x786cc9cedc9ecab4,
+    ),
+    (
+        "history",
+        "out/history_t1_ecom_cg.jsonl",
+        0x69ba88ff48d0c111,
+    ),
+    (
+        "history",
+        "out/history_t1_ecom_naive.jsonl",
+        0x1db9b562927f711c,
+    ),
+    (
+        "history",
+        "out/history_t2_append-list_cg.jsonl",
+        0xe5d60d5e06eaed59,
+    ),
+    (
+        "history",
+        "out/history_t2_append-list_naive.jsonl",
+        0xe5d60d5e06eaed59,
+    ),
+    (
+        "history",
+        "out/history_t2_bank_cg.jsonl",
+        0x89ab4384a2a37c1f,
+    ),
+    (
+        "history",
+        "out/history_t2_bank_naive.jsonl",
+        0x01f17c28eec3b95f,
+    ),
+    (
+        "history",
+        "out/history_t2_ecom_cg.jsonl",
+        0xc8915c10ecb5c9d0,
+    ),
+    (
+        "history",
+        "out/history_t2_ecom_naive.jsonl",
+        0xaffb5dfc216ce285,
+    ),
     ("history", "repro_out/history.csv", 0xdb0da224f9d11974),
     ("e10", "banner", 0x731d2b8a71e5bb7e),
-    ("e10", "== E10 (extension): self-healing convergence — fault plans x recovery policies ==", 0x32e7eda17d37134b),
+    (
+        "e10",
+        "== E10 (extension): self-healing convergence — fault plans x recovery policies ==",
+        0x32e7eda17d37134b,
+    ),
     ("e10", "repro_out/e10.csv", 0xc311535fd35084bc),
     ("e11", "banner", 0x731d2b8a71e5bb7e),
-    ("e11", "== E11 (extension): SLO alerting vs injected ground truth — plans x profiles ==", 0xd4c74c70362713e7),
+    (
+        "e11",
+        "== E11 (extension): SLO alerting vs injected ground truth — plans x profiles ==",
+        0xd4c74c70362713e7,
+    ),
     ("e11", "out/incidents_t0_default.jsonl", 0x2976c73e5fc058b8),
     ("e11", "out/incidents_t0_lenient.jsonl", 0xeec6ace4d8c4b4a5),
     ("e11", "out/incidents_t0_tight.jsonl", 0xee2e0c33b1c7e262),
@@ -228,9 +356,17 @@ const PINS: &[Pin] = &[
     ("e11", "out/incidents_t2_tight.jsonl", 0x83f15f959f09d019),
     ("e11", "repro_out/e11.csv", 0xc0b67ed7ff0ae302),
     ("e12-small", "banner", 0x731d2b8a71e5bb7e),
-    ("e12-small", "== E12 (extension): metro-scale tenant scaling — sharded StorageWorld ==", 0xcec7359d99dfe216),
+    (
+        "e12-small",
+        "== E12 (extension): metro-scale tenant scaling — sharded StorageWorld ==",
+        0xcec7359d99dfe216,
+    ),
     ("e12-small", "repro_out/e12.csv", 0x980ee525c0e1d90b),
     ("e12", "banner", 0x731d2b8a71e5bb7e),
-    ("e12", "== E12 (extension): metro-scale tenant scaling — sharded StorageWorld ==", 0xb5bd7b6bc00947e3),
+    (
+        "e12",
+        "== E12 (extension): metro-scale tenant scaling — sharded StorageWorld ==",
+        0xb5bd7b6bc00947e3,
+    ),
     ("e12", "repro_out/e12.csv", 0x06837a79253dfd6f),
 ];

@@ -4,7 +4,11 @@
 use std::process::{Command, Output};
 
 fn repro(args: &[&str]) -> (Option<i32>, String, String) {
-    let Output { status, stdout, stderr } = Command::new(env!("CARGO_BIN_EXE_repro"))
+    let Output {
+        status,
+        stdout,
+        stderr,
+    } = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
         .expect("the built repro binary runs");
@@ -14,10 +18,18 @@ fn repro(args: &[&str]) -> (Option<i32>, String, String) {
 
 #[test]
 fn a_bogus_argument_is_usage_on_stderr_exit_2_and_nothing_on_stdout() {
-    for args in [&["--bogus"][..], &["e13"], &["e2", "--thread", "8"], &["e12", "--tenants", "0"]] {
+    for args in [
+        &["--bogus"][..],
+        &["e13"],
+        &["e2", "--thread", "8"],
+        &["e12", "--tenants", "0"],
+    ] {
         let (code, stdout, stderr) = repro(args);
         assert_eq!((code, stdout.as_str()), (Some(2), ""), "{args:?}");
-        assert!(stderr.starts_with("repro: ") && stderr.contains("usage: repro"), "{stderr}");
+        assert!(
+            stderr.starts_with("repro: ") && stderr.contains("usage: repro"),
+            "{stderr}"
+        );
     }
 }
 
@@ -30,9 +42,19 @@ fn help_exits_0_lists_every_experiment_and_runs_none() {
         "e1", "e2", "e3", "e4", "e5", "e6", "e7", "chaos", "trace", "history", "e10", "e11", "e12",
         "a1", "a2",
     ] {
-        assert!(help.contains(&format!("\n  {name:<8} ")), "{name} missing:\n{help}");
+        assert!(
+            help.contains(&format!("\n  {name:<8} ")),
+            "{name} missing:\n{help}"
+        );
     }
-    for option in ["--threads", "--csv", "--trace", "--history", "--alerts", "--tenants"] {
+    for option in [
+        "--threads",
+        "--csv",
+        "--trace",
+        "--history",
+        "--alerts",
+        "--tenants",
+    ] {
         assert!(help.contains(option), "{option} missing:\n{help}");
     }
 }

@@ -72,7 +72,12 @@ impl AlertSummary {
 
 /// Score `log` against the injected `plan` (the scoring rules are the
 /// module docs of `chaos/src/alert.rs`).
-pub fn match_incidents(plan: &FaultPlan, log: &IncidentLog, profile: &str, evals: u64) -> AlertSummary {
+pub fn match_incidents(
+    plan: &FaultPlan,
+    log: &IncidentLog,
+    profile: &str,
+    evals: u64,
+) -> AlertSummary {
     let mut true_positives = 0u64;
     let mut false_positives = 0u64;
     let mut open_at_quiesce = 0u64;

@@ -225,7 +225,12 @@ impl ChaosReport {
             }
         }
         for v in &self.violations {
-            out.push_str(&format!("  {:>12} {:<22} {}\n", v.at.to_string(), v.invariant, v.detail));
+            out.push_str(&format!(
+                "  {:>12} {:<22} {}\n",
+                v.at.to_string(),
+                v.invariant,
+                v.detail
+            ));
             // Trace lines only appear on traced trials, so untraced
             // renders stay byte-identical to the pre-telemetry format.
             for line in &v.trace {
@@ -512,7 +517,10 @@ impl Auditor {
                 self.violate(
                     now,
                     "orders-lost-after-drain",
-                    format!("{} of {} committed orders missing", orders.lost, orders.committed),
+                    format!(
+                        "{} of {} committed orders missing",
+                        orders.lost, orders.committed
+                    ),
                 );
             }
         }

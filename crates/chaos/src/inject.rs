@@ -59,9 +59,12 @@ impl Injector {
             .groups
             .iter()
             .filter_map(|&g| {
-                rig.world.st.fabric.group(g).primary_jnl.map(|j| {
-                    (g, rig.world.st.fabric.journal(j).capacity_bytes())
-                })
+                rig.world
+                    .st
+                    .fabric
+                    .group(g)
+                    .primary_jnl
+                    .map(|j| (g, rig.world.st.fabric.journal(j).capacity_bytes()))
             })
             .collect();
         Injector {
@@ -99,7 +102,11 @@ impl Injector {
                     .set_down(now, Some(ev.heal_at()));
             }
             FaultKind::LinkPartition => {
-                rig.world.st.net.link_mut(self.data_link).set_down(now, None);
+                rig.world
+                    .st
+                    .net
+                    .link_mut(self.data_link)
+                    .set_down(now, None);
             }
             FaultKind::JitterSpike => {
                 let l = rig.world.st.net.link_mut(self.data_link);
@@ -108,7 +115,11 @@ impl Injector {
             }
             FaultKind::PumpStall => {
                 let bw = self.orig_link.bandwidth_bytes_per_sec / 50;
-                rig.world.st.net.link_mut(self.data_link).set_bandwidth(bw.max(1));
+                rig.world
+                    .st
+                    .net
+                    .link_mut(self.data_link)
+                    .set_bandwidth(bw.max(1));
             }
             FaultKind::BackupArrayCrash => {
                 let backup = rig.backup;

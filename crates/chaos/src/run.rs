@@ -440,7 +440,11 @@ pub fn history_sweep(
 pub fn render_history_table(trials: &[HistoryTrial]) -> String {
     let verdict = |r: &ChaosReport| {
         let h = r.history.expect("history trial carries a summary");
-        if h.anomalies == 0 { "clean".to_string() } else { format!("{}-anomalies", h.anomalies) }
+        if h.anomalies == 0 {
+            "clean".to_string()
+        } else {
+            format!("{}-anomalies", h.anomalies)
+        }
     };
     render_table(
         &[
@@ -482,12 +486,7 @@ pub fn render_history_table(trials: &[HistoryTrial]) -> String {
 /// removal keeps the plan failing (auditor reports ≥1 violation) until no
 /// single removal preserves the failure. Deterministic: same seed + plan
 /// ⇒ same shrunk plan. Returns the input unchanged if it never failed.
-pub fn shrink_plan(
-    seed: u64,
-    mode: BackupMode,
-    plan: &FaultPlan,
-    cfg: &ChaosConfig,
-) -> FaultPlan {
+pub fn shrink_plan(seed: u64, mode: BackupMode, plan: &FaultPlan, cfg: &ChaosConfig) -> FaultPlan {
     let fails = |p: &FaultPlan| !run_chaos_trial(seed, mode, p, cfg).report.is_clean();
     let mut cur = plan.clone();
     if !fails(&cur) {

@@ -32,7 +32,10 @@ fn incident_exports_identical_at_any_thread_count() {
         baseline.contains("\"incident\":"),
         "incident export should be present"
     );
-    assert!(baseline.contains("alerts profile="), "report should fold the summary");
+    assert!(
+        baseline.contains("alerts profile="),
+        "report should fold the summary"
+    );
     for threads in [2, 4, 8] {
         assert_eq!(
             render(threads),
@@ -54,7 +57,10 @@ fn default_profile_detects_every_core_quartet_kind() {
     let (report, export) = (trial.report, trial.incidents.expect("alert trial exports"));
     assert!(report.is_clean(), "{}", report.render());
 
-    let summary = report.alerts.as_ref().expect("alert trial carries a summary");
+    let summary = report
+        .alerts
+        .as_ref()
+        .expect("alert trial carries a summary");
     assert!(
         summary.full_recall(),
         "default profile must detect every injected kind:\n{}",
@@ -91,7 +97,10 @@ fn incident_opens_before_the_auditor_convicts() {
     let plan = FaultPlan::random(SEED, cfg.horizon);
     let trial = run_chaos_trial(SEED, BackupMode::AdcPerVolume, &plan, &cfg);
     let (report, export) = (trial.report, trial.incidents.expect("alert trial exports"));
-    assert!(!report.is_clean(), "naive mode must violate under this plan");
+    assert!(
+        !report.is_clean(),
+        "naive mode must violate under this plan"
+    );
 
     let first_violation_ns = report
         .violations

@@ -25,7 +25,13 @@ fn cg_survives_where_naive_collapses() {
         plan.render()
     );
 
-    let cg = run_chaos_trial(ACCEPTANCE_SEED, BackupMode::AdcConsistencyGroup, &plan, &cfg).report;
+    let cg = run_chaos_trial(
+        ACCEPTANCE_SEED,
+        BackupMode::AdcConsistencyGroup,
+        &plan,
+        &cfg,
+    )
+    .report;
     assert!(
         cg.is_clean(),
         "consistency-group mode must hold every invariant:\n{}",
@@ -57,7 +63,11 @@ fn identical_seed_reproduces_identical_report() {
     let plan = FaultPlan::random(ACCEPTANCE_SEED, cfg.horizon);
     let a = run_chaos_trial(ACCEPTANCE_SEED, BackupMode::AdcPerVolume, &plan, &cfg).report;
     let b = run_chaos_trial(ACCEPTANCE_SEED, BackupMode::AdcPerVolume, &plan, &cfg).report;
-    assert_eq!(a.render(), b.render(), "same seed+plan must replay byte-for-byte");
+    assert_eq!(
+        a.render(),
+        b.render(),
+        "same seed+plan must replay byte-for-byte"
+    );
     assert_eq!(a, b);
 }
 

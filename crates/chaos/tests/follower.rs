@@ -152,7 +152,10 @@ fn sweep(trials: u64, stride: u64) {
             }
         }
     }
-    assert!(compared > 0 && changed >= compared, "{changed} steps, {compared} compared");
+    assert!(
+        compared > 0 && changed >= compared,
+        "{changed} steps, {compared} compared"
+    );
 }
 
 #[test]
@@ -215,13 +218,20 @@ fn followed_image_is_exact_across_checkpoints_and_torn_images() {
                 continue;
             }
             steps += 1;
-            assert_same(&image, &rig.recover_from_backup(), &format!("{} t={now}", mode.label()));
+            assert_same(
+                &image,
+                &rig.recover_from_backup(),
+                &format!("{} t={now}", mode.label()),
+            );
             if let Ok((_, report)) = image.view().0 {
                 epochs.insert(report.epoch);
             }
             torn += u32::from(image.oversold() != Some(Vec::new()));
         }
-        assert!(steps > 200 && epochs.len() > 3, "{steps} steps, epochs {epochs:?}");
+        assert!(
+            steps > 200 && epochs.len() > 3,
+            "{steps} steps, epochs {epochs:?}"
+        );
         assert_eq!(
             torn > 0,
             mode == BackupMode::AdcPerVolume,
@@ -276,7 +286,11 @@ fn naive_is_convicted_at_a_boundary_no_later_than_the_grid_and_cg_never() {
             );
         }
         assert_eq!(
-            naive.violations.iter().filter(|v| v.invariant == "backup-image").count(),
+            naive
+                .violations
+                .iter()
+                .filter(|v| v.invariant == "backup-image")
+                .count(),
             1,
             "one conviction, then the follower only follows"
         );
@@ -302,14 +316,21 @@ fn a_per_volume_reordered_stream_of_a_clean_cg_run_convicts() {
     rig.sim.run_until(&mut rig.world, SimTime::from_millis(40));
     let now = rig.sim.now();
     let feed: Vec<FeedEntry> = rig.world.st.array_mut(rig.backup).drain_feed().collect();
-    assert!(feed.len() > 100, "the run applied something: {}", feed.len());
+    assert!(
+        feed.len() > 100,
+        "the run applied something: {}",
+        feed.len()
+    );
 
     let mut bad = 0;
     let mut count_bad = |image: &ImageFollower, _| {
         bad += u32::from(image.oversold() != Some(Vec::new()));
     };
     faithful.follow(feed.clone(), now, Some(&mut count_bad));
-    assert_eq!(bad, 0, "write-order-faithful stream stays consistent at every step");
+    assert_eq!(
+        bad, 0,
+        "write-order-faithful stream stays consistent at every step"
+    );
     assert!(faithful.orders() > 10);
 
     let replicas = rig.replicas.expect("adc-cg has replicas").map(|r| r.volume);
@@ -331,7 +352,10 @@ fn a_per_volume_reordered_stream_of_a_clean_cg_run_convicts() {
         }
     };
     torn.follow(by_volume, now, Some(&mut note_first_bad));
-    assert!(first_bad.is_some(), "orders without their stock decrement must convict");
+    assert!(
+        first_bad.is_some(),
+        "orders without their stock decrement must convict"
+    );
     // Same blocks, so once everything has landed the two images agree.
     assert_eq!(
         observe(torn.view().0, &[ORDERS_TABLE]),

@@ -27,7 +27,12 @@ fn cg_histories_are_clean_for_every_workload() {
     for kind in WorkloadKind::ALL {
         let cfg = cfg_for(kind);
         let plan = FaultPlan::random(ACCEPTANCE_SEED, cfg.horizon);
-        let trial = run_chaos_trial(ACCEPTANCE_SEED, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+        let trial = run_chaos_trial(
+            ACCEPTANCE_SEED,
+            BackupMode::AdcConsistencyGroup,
+            &plan,
+            &cfg,
+        );
         let (report, jsonl) = (trial.report, trial.history.expect("history trial exports"));
         let h = report.history.expect("history trial carries a summary");
         assert!(
@@ -50,7 +55,11 @@ fn cg_histories_are_clean_for_every_workload() {
             kind.label(),
             report.render()
         );
-        assert!(!jsonl.is_empty(), "{}: export must be non-empty", kind.label());
+        assert!(
+            !jsonl.is_empty(),
+            "{}: export must be non-empty",
+            kind.label()
+        );
     }
 }
 
@@ -91,7 +100,8 @@ fn history_sweep_is_thread_count_invariant() {
         for (s, p) in serial.rows.iter().zip(&par.rows) {
             for (sr, pr) in s.rows.iter().zip(&p.rows) {
                 assert_eq!(
-                    sr.cg_export, pr.cg_export,
+                    sr.cg_export,
+                    pr.cg_export,
                     "cg JSONL for {} must be byte-identical at {threads} threads",
                     sr.workload.label()
                 );
@@ -107,9 +117,19 @@ fn history_sweep_is_thread_count_invariant() {
 fn history_export_is_deterministic() {
     let cfg = cfg_for(WorkloadKind::AppendList);
     let plan = FaultPlan::random(ACCEPTANCE_SEED, cfg.horizon);
-    let run = || run_chaos_trial(ACCEPTANCE_SEED, BackupMode::AdcConsistencyGroup, &plan, &cfg);
+    let run = || {
+        run_chaos_trial(
+            ACCEPTANCE_SEED,
+            BackupMode::AdcConsistencyGroup,
+            &plan,
+            &cfg,
+        )
+    };
     let (a, b) = (run(), run());
     assert!(a.history.is_some());
-    assert_eq!(a.history, b.history, "same seed+plan must export byte-identical JSONL");
+    assert_eq!(
+        a.history, b.history,
+        "same seed+plan must export byte-identical JSONL"
+    );
     assert_eq!(a.report.render(), b.report.render());
 }

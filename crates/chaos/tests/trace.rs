@@ -8,8 +8,8 @@
 //!   that `storage/tests/write_order.rs` pins at the engine level) attach
 //!   a trace window that shows the stale-retry (`journal_stall`) spans.
 
-use tsuru_core::{BackupMode, TrialHarness};
 use tsuru_chaos::{run_chaos_trial, ChaosConfig, FaultEvent, FaultKind, FaultPlan};
+use tsuru_core::{BackupMode, TrialHarness};
 use tsuru_sim::{SimDuration, SimTime};
 
 const SEED: u64 = 0xC0FFEE;
@@ -28,7 +28,10 @@ fn traced_exports_identical_at_any_thread_count() {
         let set = TrialHarness::new(threads).run(SEED, 2, |ctx| {
             let plan = FaultPlan::random(ctx.seed, cfg.horizon);
             let trial = run_chaos_trial(ctx.seed, BackupMode::AdcConsistencyGroup, &plan, &cfg);
-            (trial.report.render(), trial.trace.expect("traced trial exports"))
+            (
+                trial.report.render(),
+                trial.trace.expect("traced trial exports"),
+            )
         });
         set.rows
             .into_iter()
@@ -36,8 +39,14 @@ fn traced_exports_identical_at_any_thread_count() {
             .collect::<String>()
     };
     let baseline = render(1);
-    assert!(baseline.contains("\"ev\":"), "jsonl export should be present");
-    assert!(baseline.contains("traceEvents"), "chrome export should be present");
+    assert!(
+        baseline.contains("\"ev\":"),
+        "jsonl export should be present"
+    );
+    assert!(
+        baseline.contains("traceEvents"),
+        "chrome export should be present"
+    );
     for threads in [2, 4, 8] {
         assert_eq!(
             render(threads),
@@ -62,13 +71,23 @@ fn fault_spans_causally_link_to_write_lifecycles() {
         .filter(|l| l.contains("\"name\":\"fault\"") && l.contains("\"ev\":\"start\""))
         .map(|l| parse_field(l, "\"id\":"))
         .collect();
-    assert!(!fault_ids.is_empty(), "traced chaos trial must record fault spans");
+    assert!(
+        !fault_ids.is_empty(),
+        "traced chaos trial must record fault spans"
+    );
 
     // At least one write-lifecycle record was emitted inside a fault
     // window: the tracer stamps it with the open fault's span id.
-    let lifecycle = ["host_write", "journal_append", "wan_transfer", "backup_apply"];
+    let lifecycle = [
+        "host_write",
+        "journal_append",
+        "wan_transfer",
+        "backup_apply",
+    ];
     let linked = export.jsonl.lines().any(|l| {
-        lifecycle.iter().any(|n| l.contains(&format!("\"name\":\"{n}\"")))
+        lifecycle
+            .iter()
+            .any(|n| l.contains(&format!("\"name\":\"{n}\"")))
             && l.contains("\"fault\":")
             && fault_ids.contains(&parse_field(l, "\"fault\":"))
     });
@@ -103,12 +122,18 @@ fn naive_violation_trace_window_shows_stale_retry_spans() {
     };
     let trial = run_chaos_trial(SEED, BackupMode::AdcPerVolume, &plan, &cfg);
     let (report, export) = (trial.report, trial.trace.expect("traced trial exports"));
-    assert!(!report.is_clean(), "naive mode must violate under this plan");
+    assert!(
+        !report.is_clean(),
+        "naive mode must violate under this plan"
+    );
 
     // Every violation on a traced trial attaches a non-empty trailing
     // trace window whose lines reference span ids.
     for v in &report.violations {
-        assert!(!v.trace.is_empty(), "traced violation without a trace window: {v:?}");
+        assert!(
+            !v.trace.is_empty(),
+            "traced violation without a trace window: {v:?}"
+        );
         assert!(
             v.trace.iter().all(|l| l.starts_with('#')),
             "trace lines must lead with their span id: {:?}",
@@ -134,7 +159,12 @@ fn naive_violation_trace_window_shows_stale_retry_spans() {
 
     // The rendered report carries the windows (untraced renders don't).
     assert!(report.render().contains("      trace #"));
-    let untraced = run_chaos_trial(SEED, BackupMode::AdcPerVolume, &plan, &ChaosConfig::default());
+    let untraced = run_chaos_trial(
+        SEED,
+        BackupMode::AdcPerVolume,
+        &plan,
+        &ChaosConfig::default(),
+    );
     assert!(untraced.trace.is_none());
     assert!(!untraced.report.render().contains("trace #"));
 }

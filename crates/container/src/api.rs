@@ -2,8 +2,8 @@
 
 use crate::meta::ObjectMeta;
 use crate::resources::{
-    Event, Namespace, PersistentVolume, PersistentVolumeClaim, Pod, ReplicationGroup,
-    StorageClass, VolumeGroupSnapshot, VolumeReplication, VolumeSnapshot,
+    Event, Namespace, PersistentVolume, PersistentVolumeClaim, Pod, ReplicationGroup, StorageClass,
+    VolumeGroupSnapshot, VolumeReplication, VolumeSnapshot,
 };
 use crate::store::Store;
 

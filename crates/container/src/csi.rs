@@ -235,12 +235,13 @@ mod tests {
     fn pending_claims_get_bound() {
         let mut api = ApiServer::new();
         setup(&mut api);
-        api.pvcs.create(pvc("shop", "sales-data", "tsuru-block", 100));
-        api.pvcs.create(pvc("shop", "stock-data", "tsuru-block", 200));
+        api.pvcs
+            .create(pvc("shop", "sales-data", "tsuru-block", 100));
+        api.pvcs
+            .create(pvc("shop", "stock-data", "tsuru-block", 200));
         api.pvcs.create(pvc("shop", "foreign", "other", 50));
         let mut prov = Provisioner::new(FakeDriver::default());
-        let report =
-            ControllerManager::run_to_convergence(&mut api, &mut (), &mut [&mut prov], 10);
+        let report = ControllerManager::run_to_convergence(&mut api, &mut (), &mut [&mut prov], 10);
         assert!(report.converged);
         assert_eq!(api.pvs.len(), 2, "only this driver's claims provisioned");
         let bound = api.pvcs.get("shop/sales-data").unwrap();
@@ -249,7 +250,10 @@ mod tests {
         assert_eq!(pv.claim_key.as_deref(), Some("shop/sales-data"));
         assert_eq!(pv.size_blocks, 100);
         // Foreign-class claim untouched.
-        assert_eq!(api.pvcs.get("shop/foreign").unwrap().phase, ClaimPhase::Pending);
+        assert_eq!(
+            api.pvcs.get("shop/foreign").unwrap().phase,
+            ClaimPhase::Pending
+        );
         assert_eq!(prov.driver().created.len(), 2);
     }
 
@@ -276,8 +280,7 @@ mod tests {
             fail_on: Some("pv-shop-bad".into()),
             ..Default::default()
         });
-        let report =
-            ControllerManager::run_to_convergence(&mut api, &mut (), &mut [&mut prov], 5);
+        let report = ControllerManager::run_to_convergence(&mut api, &mut (), &mut [&mut prov], 5);
         // Each round retries and fails: events keep the API mutating, so
         // the run exhausts its budget — but the claim stays Pending and no
         // PV exists.

@@ -27,8 +27,8 @@ pub use csi::{CsiDriver, Provisioner};
 pub use meta::{Object, ObjectMeta};
 pub use reconcile::{ControllerManager, ConvergenceReport, Reconciler};
 pub use resources::{
-    ClaimPhase, Event, Namespace, PersistentVolume, PersistentVolumeClaim, Pod,
-    ReplicationGroup, ReplicationMode, ReplicationState, StorageClass, VolumeGroupSnapshot,
-    VolumeHandle, VolumeReplication, VolumeSnapshot, BACKUP_TAG_KEY, BACKUP_TAG_VALUE,
+    ClaimPhase, Event, Namespace, PersistentVolume, PersistentVolumeClaim, Pod, ReplicationGroup,
+    ReplicationMode, ReplicationState, StorageClass, VolumeGroupSnapshot, VolumeHandle,
+    VolumeReplication, VolumeSnapshot, BACKUP_TAG_KEY, BACKUP_TAG_VALUE,
 };
 pub use store::{Store, WatchEvent};

@@ -56,9 +56,7 @@ impl ObjectMeta {
     /// Does this object's label set satisfy `selector` (every selector
     /// entry must match exactly)?
     pub fn matches_labels(&self, selector: &BTreeMap<String, String>) -> bool {
-        selector
-            .iter()
-            .all(|(k, v)| self.labels.get(k) == Some(v))
+        selector.iter().all(|(k, v)| self.labels.get(k) == Some(v))
     }
 }
 

@@ -137,12 +137,8 @@ mod tests {
         let mut api = ApiServer::new();
         let mut a = ChainController { target: 3 };
         let mut b = ChainController { target: 6 };
-        let report = ControllerManager::run_to_convergence(
-            &mut api,
-            &mut (),
-            &mut [&mut a, &mut b],
-            100,
-        );
+        let report =
+            ControllerManager::run_to_convergence(&mut api, &mut (), &mut [&mut a, &mut b], 100);
         assert!(report.converged);
         assert_eq!(api.namespaces.len(), 6);
     }
@@ -150,8 +146,7 @@ mod tests {
     #[test]
     fn empty_controller_set_converges_immediately() {
         let mut api = ApiServer::new();
-        let report =
-            ControllerManager::run_to_convergence::<()>(&mut api, &mut (), &mut [], 10);
+        let report = ControllerManager::run_to_convergence::<()>(&mut api, &mut (), &mut [], 10);
         assert!(report.converged);
         assert_eq!(report.rounds, 1);
         assert_eq!(report.reconcile_calls, 0);

@@ -60,7 +60,11 @@ pub fn e1_slowdown(
 ) -> TrialSet<E1Row> {
     let mut cells = Vec::new();
     for &rtt in rtts_ms {
-        for mode in [BackupMode::None, BackupMode::AdcConsistencyGroup, BackupMode::Sdc] {
+        for mode in [
+            BackupMode::None,
+            BackupMode::AdcConsistencyGroup,
+            BackupMode::Sdc,
+        ] {
             cells.push((rtt, mode));
         }
     }
@@ -159,8 +163,7 @@ pub fn e2_collapse(
                     mode: mode.label().into(),
                     trials,
                     storage_collapses: chunk.iter().filter(|r| r.storage_collapse).count() as u32,
-                    business_collapses: chunk.iter().filter(|r| r.business_collapse).count()
-                        as u32,
+                    business_collapses: chunk.iter().filter(|r| r.business_collapse).count() as u32,
                     hard_recovery_failures: chunk.iter().filter(|r| r.hard_failure).count() as u32,
                     avg_lost_orders: chunk.iter().map(|r| r.lost_orders).sum::<u64>() as f64
                         / trials as f64,
@@ -270,7 +273,11 @@ pub fn e3_rpo(
             committed_orders: committed,
             lost_orders: lost,
             rpo_ms: rpo.rpo.as_nanos() as f64 / 1e6,
-            journal_stalls: rig.world.st.metrics.counter(tsuru_storage::metric_names::JOURNAL_STALL_RETRIES),
+            journal_stalls: rig
+                .world
+                .st
+                .metrics
+                .counter(tsuru_storage::metric_names::JOURNAL_STALL_RETRIES),
             p99_ms: s.p99 as f64 / 1e6,
         }
     })
@@ -643,7 +650,11 @@ pub fn a2_journal_policy(
             journal_kib: kib,
             committed,
             p99_ms: rig.latency_summary().p99 as f64 / 1e6,
-            stalls: rig.world.st.metrics.counter(tsuru_storage::metric_names::JOURNAL_STALL_RETRIES),
+            stalls: rig
+                .world
+                .st
+                .metrics
+                .counter(tsuru_storage::metric_names::JOURNAL_STALL_RETRIES),
             degraded_acks: rig.world.app().metrics.degraded_acks,
             lost_orders: outcome.orders.map(|o| o.lost).unwrap_or(committed),
         }

@@ -56,22 +56,58 @@ impl BackupMode {
     /// The replication groups this mode configures over the primary volumes.
     fn legs(self) -> &'static [Leg] {
         // The common case: all four volumes, ADC, to the backup array.
-        const BASE: Leg = Leg { group: "", vols: 0..4, sync: false, metro: false };
+        const BASE: Leg = Leg {
+            group: "",
+            vols: 0..4,
+            sync: false,
+            metro: false,
+        };
         match self {
             BackupMode::None => &[],
-            BackupMode::AdcConsistencyGroup => &[Leg { group: "cg-shop", ..BASE }],
+            BackupMode::AdcConsistencyGroup => &[Leg {
+                group: "cg-shop",
+                ..BASE
+            }],
             BackupMode::AdcPerVolume => &[
-                Leg { group: "solo-sales-wal", vols: 0..1, ..BASE },
-                Leg { group: "solo-sales-data", vols: 1..2, ..BASE },
-                Leg { group: "solo-stock-wal", vols: 2..3, ..BASE },
-                Leg { group: "solo-stock-data", vols: 3..4, ..BASE },
+                Leg {
+                    group: "solo-sales-wal",
+                    vols: 0..1,
+                    ..BASE
+                },
+                Leg {
+                    group: "solo-sales-data",
+                    vols: 1..2,
+                    ..BASE
+                },
+                Leg {
+                    group: "solo-stock-wal",
+                    vols: 2..3,
+                    ..BASE
+                },
+                Leg {
+                    group: "solo-stock-data",
+                    vols: 3..4,
+                    ..BASE
+                },
             ],
-            BackupMode::Sdc => &[Leg { group: "sdc-shop", sync: true, ..BASE }],
+            BackupMode::Sdc => &[Leg {
+                group: "sdc-shop",
+                sync: true,
+                ..BASE
+            }],
             // The `backup` array plays the far site; a third array in the
             // metro area is kept synchronously in step.
             BackupMode::ThreeDc => &[
-                Leg { group: "cg-shop-far", ..BASE },
-                Leg { group: "sdc-shop-metro", sync: true, metro: true, ..BASE },
+                Leg {
+                    group: "cg-shop-far",
+                    ..BASE
+                },
+                Leg {
+                    group: "sdc-shop-metro",
+                    sync: true,
+                    metro: true,
+                    ..BASE
+                },
             ],
         }
     }
@@ -170,7 +206,12 @@ impl TwoSiteRig {
     /// Build the deployment: arrays, link, volumes, formatted + seeded
     /// databases, replication per `config.mode`, workload clients ready.
     pub fn new(config: RigConfig) -> Self {
-        let mut sites = Sites::new(config.seed, config.engine.clone(), &config.perf, &config.link);
+        let mut sites = Sites::new(
+            config.seed,
+            config.engine.clone(),
+            &config.perf,
+            &config.link,
+        );
         let sizes = volume_sizes(&config.db);
         let volumes = |st: &mut StorageWorld, array: ArrayId, suffix: &str| -> [VolRef; 4] {
             std::array::from_fn(|i| {
@@ -253,11 +294,7 @@ impl TwoSiteRig {
     /// periodic probe from now until (at least) `until`. The tick budget
     /// is computed up front so the probe chain terminates deterministically
     /// shortly after the horizon instead of keeping the sim alive forever.
-    pub fn enable_supervisor(
-        &mut self,
-        policy: tsuru_storage::SupervisorPolicy,
-        until: SimTime,
-    ) {
+    pub fn enable_supervisor(&mut self, policy: tsuru_storage::SupervisorPolicy, until: SimTime) {
         self.world.st.enable_supervisor(policy);
         let span = until.saturating_since(self.sim.now());
         let ticks = (span.as_nanos() / PROBE_INTERVAL.as_nanos()).max(1) as u32;

@@ -205,12 +205,20 @@ impl DemoSystem {
     /// Build the whole system: platforms, storage classes, namespace,
     /// claims, pods; provision volumes; install and seed the databases.
     pub fn new(config: DemoConfig) -> Self {
-        let mut sites = Sites::new(config.seed, config.engine.clone(), &config.perf, &config.link);
+        let mut sites = Sites::new(
+            config.seed,
+            config.engine.clone(),
+            &config.perf,
+            &config.link,
+        );
         let ns = config.namespace.clone();
-        let claims = VOLUME_NAMES.iter().zip(volume_sizes(&config.db)).map(|(name, size)| {
-            let meta = ObjectMeta::namespaced(&ns, *name).with_label("app", "shop");
-            (meta, size)
-        });
+        let claims = VOLUME_NAMES
+            .iter()
+            .zip(volume_sizes(&config.db))
+            .map(|(name, size)| {
+                let meta = ObjectMeta::namespaced(&ns, *name).with_label("app", "shop");
+                (meta, size)
+            });
         let mut platform = Platform::new(
             &sites,
             &ns,
@@ -290,11 +298,7 @@ impl DemoSystem {
         let report = ControllerManager::run_to_convergence(
             &mut self.main_api,
             &mut self.world.st,
-            &mut [
-                &mut self.nso,
-                &mut self.provisioner,
-                &mut self.repl_plugin,
-            ],
+            &mut [&mut self.nso, &mut self.provisioner, &mut self.repl_plugin],
             MAX_ROUNDS,
         );
         self.charge_reconcile(report.rounds);

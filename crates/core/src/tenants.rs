@@ -214,13 +214,18 @@ fn submit_order(w: &mut TenantWorld, sim: &mut Sim<TenantWorld, TenantOp>, tenan
             .clone();
         t.cursor += 1;
         let next_in = if t.orders_left > 0 {
-            Some(w.think_base + SimDuration::from_nanos(t.rng.gen_range(w.think_jitter.as_nanos() + 1)))
+            Some(
+                w.think_base
+                    + SimDuration::from_nanos(t.rng.gen_range(w.think_jitter.as_nanos() + 1)),
+            )
         } else {
             None
         };
         (t.data, row_lba, log_lba, payload, next_in)
     };
-    host_write(w, sim, vol, row_lba, payload.clone(), |w, _, ack| w.count(ack));
+    host_write(w, sim, vol, row_lba, payload.clone(), |w, _, ack| {
+        w.count(ack)
+    });
     host_write(w, sim, vol, log_lba, payload, |w, _, ack| w.count(ack));
     if let Some(d) = next_in {
         sim.schedule_event_in(d, TenantOp::Order { tenant });
@@ -236,7 +241,10 @@ pub fn build_tenant_world(
     seed: u64,
     p: &TenantParams,
 ) -> (TenantWorld, Sim<TenantWorld, TenantOp>) {
-    assert!(p.tenants > 0 && p.shards > 0, "need at least one tenant and shard");
+    assert!(
+        p.tenants > 0 && p.shards > 0,
+        "need at least one tenant and shard"
+    );
     let mut st = StorageWorld::new(seed, EngineConfig::default());
     st.metrics.enable_sampling();
     let main = st.add_array("metro-main", ArrayPerf::default());
@@ -274,9 +282,7 @@ pub fn build_tenant_world(
         });
     }
 
-    let payloads = (0u8..4)
-        .map(|i| block_from(&[0x40 + i; 64]))
-        .collect();
+    let payloads = (0u8..4).map(|i| block_from(&[0x40 + i; 64])).collect();
     let mut w = TenantWorld {
         st,
         shards,
@@ -294,7 +300,9 @@ pub fn build_tenant_world(
     let mut sim: Sim<TenantWorld, TenantOp> = Sim::new();
     for t in 0..p.tenants {
         // Staggered admission: tenants ramp in over the first think window.
-        let jitter = w.tenants[t as usize].rng.gen_range(p.think_jitter.as_nanos() + 1);
+        let jitter = w.tenants[t as usize]
+            .rng
+            .gen_range(p.think_jitter.as_nanos() + 1);
         let at = SimTime::from_nanos(1 + (t as u64) * 311 + jitter);
         sim.schedule_event_at(at, TenantOp::Order { tenant: t });
     }
@@ -346,7 +354,10 @@ pub fn run_e12_trial(seed: u64, tenants: u32) -> E12Row {
     sim.run(&mut w);
 
     let mut peak_jnl = 0f64;
-    for (_, ts) in w.st.metrics.shard_lanes(metric_names::SHARD_JOURNAL_OCCUPANCY) {
+    for (_, ts) in
+        w.st.metrics
+            .shard_lanes(metric_names::SHARD_JOURNAL_OCCUPANCY)
+    {
         peak_jnl = peak_jnl.max(ts.max().unwrap_or(0.0));
     }
     let mut peak_lag = 0f64;
@@ -381,7 +392,9 @@ pub fn run_e12_trial(seed: u64, tenants: u32) -> E12Row {
 /// Byte-identical rows at any worker count (each sweep point is an
 /// independent world seeded from `(seed, index)`).
 pub fn e12_scale(harness: &TrialHarness, seed: u64, tenants: &[u32]) -> TrialSet<E12Row> {
-    harness.run(seed, tenants.len(), |ctx| run_e12_trial(ctx.seed, tenants[ctx.index]))
+    harness.run(seed, tenants.len(), |ctx| {
+        run_e12_trial(ctx.seed, tenants[ctx.index])
+    })
 }
 
 #[cfg(test)]
@@ -419,12 +432,11 @@ mod tests {
         assert_eq!(w.failed, 0);
         assert!(w.st.verify_consistency(&w.groups).is_consistent());
         // Per-shard lanes were sampled for every lane.
-        let lanes: Vec<u32> = w
-            .st
-            .metrics
-            .shard_lanes(metric_names::SHARD_APPLY_LAG)
-            .map(|(s, _)| s)
-            .collect();
+        let lanes: Vec<u32> =
+            w.st.metrics
+                .shard_lanes(metric_names::SHARD_APPLY_LAG)
+                .map(|(s, _)| s)
+                .collect();
         assert_eq!(lanes, vec![0, 1, 2, 3, 4, 5]);
     }
 

@@ -4,9 +4,7 @@ use tsuru_ecom::{EcomState, HasEcom, ImageFollower, WorkloadConfig};
 use tsuru_minidb::DbConfig;
 use tsuru_sim::DetRng;
 use tsuru_simnet::{LinkConfig, LinkId};
-use tsuru_storage::{
-    ArrayId, ArrayPerf, EngineConfig, HasStorage, StorageWorld, VolRef, VolumeId,
-};
+use tsuru_storage::{ArrayId, ArrayPerf, EngineConfig, HasStorage, StorageWorld, VolRef, VolumeId};
 
 /// Volume roles of the shop, in the fixed order every four-volume array
 /// in this crate uses (and [`EcomState::install`] expects).
@@ -30,7 +28,12 @@ pub(crate) struct Sites {
 }
 
 impl Sites {
-    pub(crate) fn new(seed: u64, engine: EngineConfig, perf: &ArrayPerf, link: &LinkConfig) -> Self {
+    pub(crate) fn new(
+        seed: u64,
+        engine: EngineConfig,
+        perf: &ArrayPerf,
+        link: &LinkConfig,
+    ) -> Self {
         let mut st = StorageWorld::new(seed, engine);
         Sites {
             main: st.add_array("vsp-main", perf.clone()),

@@ -115,7 +115,13 @@ fn e2_shape_cg_never_collapses_naive_often_does() {
     // eight collapse 3 times, so the test takes sixteen — 8 storage and 4
     // business collapses now, 9 and 6 before — to be clear of one short
     // run's luck without asking less of naive mode than it delivers.
-    let rows = e2_collapse(&TrialHarness::serial(), 100, 16, SimDuration::from_millis(2)).rows;
+    let rows = e2_collapse(
+        &TrialHarness::serial(),
+        100,
+        16,
+        SimDuration::from_millis(2),
+    )
+    .rows;
     let cg = rows.iter().find(|r| r.mode == "adc-cg").unwrap();
     let naive = rows.iter().find(|r| r.mode == "adc-naive").unwrap();
     assert_eq!(cg.storage_collapses, 0, "{cg:?}");

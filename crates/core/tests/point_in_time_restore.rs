@@ -104,19 +104,10 @@ fn restored_volume_is_independent_of_its_source() {
         .st
         .array_mut(backup)
         .create_volume_from_snapshot(snaps[1], "sales-data-clone");
-    let image_before = rig
-        .world
-        .st
-        .array(backup)
-        .volume(restored)
-        .content_hashes();
+    let image_before = rig.world.st.array(backup).volume(restored).content_hashes();
     // Replication keeps mutating the source volume; the clone must not move.
-    rig.sim.run_for(&mut rig.world, SimDuration::from_millis(150));
-    let image_after = rig
-        .world
-        .st
-        .array(backup)
-        .volume(restored)
-        .content_hashes();
+    rig.sim
+        .run_for(&mut rig.world, SimDuration::from_millis(150));
+    let image_after = rig.world.st.array(backup).volume(restored).content_hashes();
     assert_eq!(image_before, image_after);
 }

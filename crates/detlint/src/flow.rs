@@ -179,7 +179,11 @@ pub fn float_ordering(files: &[(String, FileSymbols)], config: &Config) -> Vec<F
 /// Scan token streams for float-keyed ordered collections
 /// (`BTreeMap<f64, …>` / `BTreeSet<f32>`). Token-level, not parser-level:
 /// these appear in type positions the item parser skips.
-pub fn float_keyed_collections(path: &str, toks: &[crate::token::Tok], config: &Config) -> Vec<Finding> {
+pub fn float_keyed_collections(
+    path: &str,
+    toks: &[crate::token::Tok],
+    config: &Config,
+) -> Vec<Finding> {
     let in_scope = path.contains("/src/")
         && crate::crate_of(path)
             .is_some_and(|c| config.deterministic_crates.iter().any(|d| d == c));
@@ -262,8 +266,12 @@ mod tests {
         let f = panic_reachable(&g, &cfg());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].symbol.as_deref(), Some("engine::deep"));
-        assert!(f[0].message.contains("persist -> engine::step -> engine::deep"),
-            "chain missing: {}", f[0].message);
+        assert!(
+            f[0].message
+                .contains("persist -> engine::step -> engine::deep"),
+            "chain missing: {}",
+            f[0].message
+        );
     }
 
     #[test]

@@ -46,7 +46,10 @@ impl CallGraph {
             match &f.container {
                 Some(c) => {
                     methods.entry(&f.name).or_default().push(i);
-                    by_container.entry((c.as_str(), &f.name)).or_default().push(i);
+                    by_container
+                        .entry((c.as_str(), &f.name))
+                        .or_default()
+                        .push(i);
                 }
                 None => {
                     free_fns.entry(&f.name).or_default().push(i);
@@ -202,17 +205,25 @@ impl CallGraph {
     /// Render the graph in Graphviz DOT, clustered by crate. Nodes are
     /// qualified names; panic-source-bearing fns are marked.
     pub fn render_dot(&self) -> String {
-        let mut s = String::from("digraph detlint_callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=9];\n");
+        let mut s = String::from(
+            "digraph detlint_callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=9];\n",
+        );
         let mut by_crate: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, f) in self.fns.iter().enumerate() {
             by_crate.entry(&f.krate).or_default().push(i);
         }
         for (krate, nodes) in &by_crate {
-            s.push_str(&format!("  subgraph \"cluster_{krate}\" {{\n    label=\"{krate}\";\n"));
+            s.push_str(&format!(
+                "  subgraph \"cluster_{krate}\" {{\n    label=\"{krate}\";\n"
+            ));
             for &i in nodes {
                 let f = &self.fns[i];
                 let panics = f.sites.iter().any(|s| s.kind.is_panic());
-                let style = if panics { ", style=filled, fillcolor=\"#ffdddd\"" } else { "" };
+                let style = if panics {
+                    ", style=filled, fillcolor=\"#ffdddd\""
+                } else {
+                    ""
+                };
                 s.push_str(&format!(
                     "    n{i} [label=\"{}\"{style}];\n",
                     f.qualified().replace('"', "'")
@@ -285,8 +296,7 @@ mod tests {
         let persist = g.match_pattern("engine::persist");
         assert_eq!(persist.len(), 1);
         let reach = g.reach(&persist, 10);
-        let reached: Vec<String> =
-            reach.keys().map(|&i| g.fns[i].qualified()).collect();
+        let reached: Vec<String> = reach.keys().map(|&i| g.fns[i].qualified()).collect();
         assert_eq!(
             reached,
             [
@@ -353,7 +363,11 @@ mod tests {
 
     #[test]
     fn dot_marks_panicking_nodes() {
-        let g = graph(&[("crates/a/src/x.rs", "a", "fn f() { x.unwrap(); }\nfn ok() {}")]);
+        let g = graph(&[(
+            "crates/a/src/x.rs",
+            "a",
+            "fn f() { x.unwrap(); }\nfn ok() {}",
+        )]);
         let dot = g.render_dot();
         assert!(dot.contains("fillcolor"));
         assert!(dot.contains("cluster_a"));

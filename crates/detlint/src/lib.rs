@@ -263,10 +263,9 @@ pub fn find_word(haystack: &str, needle: &str) -> bool {
     while let Some(pos) = haystack[from..].find(needle) {
         let start = from + pos;
         let end = start + needle.len();
-        let ok_before = start == 0
-            || !haystack[..start].chars().next_back().is_some_and(is_ident);
-        let ok_after = end == haystack.len()
-            || !haystack[end..].chars().next().is_some_and(is_ident);
+        let ok_before = start == 0 || !haystack[..start].chars().next_back().is_some_and(is_ident);
+        let ok_after =
+            end == haystack.len() || !haystack[end..].chars().next().is_some_and(is_ident);
         if ok_before && ok_after {
             return true;
         }
@@ -414,12 +413,10 @@ pub(crate) fn crate_of(path: &str) -> Option<&str> {
 /// `source` is the file's contents.
 pub fn check_file(path: &str, source: &str, config: &Config) -> Vec<Finding> {
     let lines = lex(source);
-    let waivers: Vec<Vec<Waiver>> =
-        lines.iter().map(|l| parse_waivers(&l.comment)).collect();
+    let waivers: Vec<Vec<Waiver>> = lines.iter().map(|l| parse_waivers(&l.comment)).collect();
 
     let in_det_crate_src = path.contains("/src/")
-        && crate_of(path)
-            .is_some_and(|c| config.deterministic_crates.iter().any(|d| d == c));
+        && crate_of(path).is_some_and(|c| config.deterministic_crates.iter().any(|d| d == c));
 
     let mut found: Vec<Finding> = Vec::new();
     let mut push = |line: usize, rule: &'static str, message: String| {
@@ -674,7 +671,10 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> std::io::Result<Analys
         parsed.push((rel.clone(), syms));
         waiver_tables.insert(
             rel,
-            lex(&source).iter().map(|l| parse_waivers(&l.comment)).collect(),
+            lex(&source)
+                .iter()
+                .map(|l| parse_waivers(&l.comment))
+                .collect(),
         );
     }
     let graph = CallGraph::build(fns);
@@ -705,7 +705,9 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> std::io::Result<Analys
     });
 
     findings.extend(flow_findings);
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule, &a.symbol).cmp(&(&b.file, b.line, b.rule, &b.symbol)));
+    findings.sort_by(|a, b| {
+        (&a.file, a.line, a.rule, &a.symbol).cmp(&(&b.file, b.line, b.rule, &b.symbol))
+    });
     findings.dedup();
     Ok(Analysis { graph, findings })
 }
@@ -732,17 +734,13 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
         let strings = |value: TomlValue| -> Result<Vec<String>, String> {
             match value {
                 TomlValue::Strings(v) => Ok(v),
-                TomlValue::Int(_) => {
-                    Err(format!("[{section}] `{key}` expects a string array"))
-                }
+                TomlValue::Int(_) => Err(format!("[{section}] `{key}` expects a string array")),
             }
         };
         let int = |value: TomlValue| -> Result<usize, String> {
             match value {
                 TomlValue::Int(n) => Ok(n),
-                TomlValue::Strings(_) => {
-                    Err(format!("[{section}] `{key}` expects an integer"))
-                }
+                TomlValue::Strings(_) => Err(format!("[{section}] `{key}` expects an integer")),
             }
         };
         if let Some(rule) = section.strip_prefix("allow.") {
@@ -778,7 +776,11 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
         if let Some(key) = pending_key.clone() {
             pending_val.push_str(line.trim());
             if balanced(&pending_val) {
-                apply(&section, &key, TomlValue::Strings(parse_string_array(&pending_val)?))?;
+                apply(
+                    &section,
+                    &key,
+                    TomlValue::Strings(parse_string_array(&pending_val)?),
+                )?;
                 pending_key = None;
                 pending_val.clear();
             }
@@ -859,7 +861,9 @@ fn parse_string_array(v: &str) -> Result<Vec<String>, String> {
             return Err(format!("unterminated string at `{rest}`"));
         };
         out.push(stripped[..end].to_owned());
-        rest = stripped[end + 1..].trim_start_matches([',', ' ', '\t']).trim();
+        rest = stripped[end + 1..]
+            .trim_start_matches([',', ' ', '\t'])
+            .trim();
     }
     Ok(out)
 }
@@ -921,25 +925,37 @@ mod tests {
     use super::*;
 
     fn code_of(src: &str) -> String {
-        lex(src).iter().map(|l| l.code.clone()).collect::<Vec<_>>().join("\n")
+        lex(src)
+            .iter()
+            .map(|l| l.code.clone())
+            .collect::<Vec<_>>()
+            .join("\n")
     }
 
     fn comment_of(src: &str) -> String {
-        lex(src).iter().map(|l| l.comment.clone()).collect::<Vec<_>>().join("\n")
+        lex(src)
+            .iter()
+            .map(|l| l.comment.clone())
+            .collect::<Vec<_>>()
+            .join("\n")
     }
 
     #[test]
     fn lexer_strips_string_contents() {
         let src = r#"let s = "call Instant::now here"; f(s);"#;
         let code = code_of(src);
-        assert!(!code.contains("Instant::now"), "string content leaked: {code}");
+        assert!(
+            !code.contains("Instant::now"),
+            "string content leaked: {code}"
+        );
         assert!(code.contains("let s ="));
         assert!(code.contains("f(s);"));
     }
 
     #[test]
     fn lexer_strips_raw_and_byte_strings() {
-        let src = "let a = r#\"Instant::now \"quoted\" inside\"#; let b = br\"thread_rng\"; g(a, b);";
+        let src =
+            "let a = r#\"Instant::now \"quoted\" inside\"#; let b = br\"thread_rng\"; g(a, b);";
         let code = code_of(src);
         assert!(!code.contains("Instant::now"));
         assert!(!code.contains("thread_rng"));
@@ -1001,13 +1017,16 @@ mod tests {
     #[test]
     fn waiver_requires_reason() {
         let cfg = Config::default_repo();
-        let with_reason = "// detlint: allow(wall_clock) — reporting only\nlet t = Instant::now();\n";
+        let with_reason =
+            "// detlint: allow(wall_clock) — reporting only\nlet t = Instant::now();\n";
         assert!(check_file("crates/core/src/x.rs", with_reason, &cfg).is_empty());
 
         let reasonless = "// detlint: allow(wall_clock)\nlet t = Instant::now();\n";
         let findings = check_file("crates/core/src/x.rs", reasonless, &cfg);
         // The original finding survives AND the empty waiver is reported.
-        assert!(findings.iter().any(|f| f.rule == "wall_clock" && f.line == 2));
+        assert!(findings
+            .iter()
+            .any(|f| f.rule == "wall_clock" && f.line == 2));
         assert!(findings.iter().any(|f| f.message.contains("no reason")));
     }
 

@@ -182,7 +182,11 @@ mod tests {
     #[test]
     fn lock_roundtrips() {
         let mut entries = BTreeSet::new();
-        entries.insert(fingerprint(&f("panic_reachable", "crates/a/src/x.rs", "X::m")));
+        entries.insert(fingerprint(&f(
+            "panic_reachable",
+            "crates/a/src/x.rs",
+            "X::m",
+        )));
         let text = render_lock(&entries);
         let lock = parse_lock(&text).expect("parses");
         assert_eq!(lock.entries, entries);
@@ -201,7 +205,10 @@ mod tests {
 
     #[test]
     fn new_findings_fail() {
-        let r = ratchet(&[f("sim_purity", "crates/a/src/x.rs", "X::m")], &Lock::default());
+        let r = ratchet(
+            &[f("sim_purity", "crates/a/src/x.rs", "X::m")],
+            &Lock::default(),
+        );
         assert_eq!(r.new.len(), 1);
         assert!(!r.is_clean());
     }
@@ -258,6 +265,9 @@ mod tests {
     fn malformed_locks_are_rejected() {
         assert!(parse_lock("panic_reachable only-two-fields\n").is_err());
         assert!(parse_lock("made_up\ta\tb\n").is_err());
-        assert!(parse_lock("# just comments\n\n").expect("ok").entries.is_empty());
+        assert!(parse_lock("# just comments\n\n")
+            .expect("ok")
+            .entries
+            .is_empty());
     }
 }

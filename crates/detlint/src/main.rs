@@ -128,7 +128,10 @@ fn run() -> Result<bool, String> {
     let args = parse_args()?;
     let root = args.root.clone().unwrap_or_else(discover_root);
     if !root.is_dir() {
-        return Err(format!("workspace root `{}` is not a directory", root.display()));
+        return Err(format!(
+            "workspace root `{}` is not a directory",
+            root.display()
+        ));
     }
 
     let config_path = args
@@ -161,7 +164,10 @@ fn run() -> Result<bool, String> {
         return Ok(true);
     }
 
-    let lock_path = args.lock.clone().unwrap_or_else(|| root.join("detlint.lock"));
+    let lock_path = args
+        .lock
+        .clone()
+        .unwrap_or_else(|| root.join("detlint.lock"));
     let lock = if lock_path.is_file() {
         let text = std::fs::read_to_string(&lock_path)
             .map_err(|e| format!("reading `{}`: {e}", lock_path.display()))?;

@@ -182,7 +182,16 @@ const AMBIENT_STDIO: [&str; 3] = ["stdin", "stdout", "stderr"];
 pub fn parse_file(file: &str, krate: &str, toks: &[Tok]) -> FileSymbols {
     let mut out = FileSymbols::default();
     let module = String::new();
-    parse_items(toks, &mut Cursor { i: 0 }, file, krate, &module, None, &mut out, 0);
+    parse_items(
+        toks,
+        &mut Cursor { i: 0 },
+        file,
+        krate,
+        &module,
+        None,
+        &mut out,
+        0,
+    );
     out
 }
 
@@ -287,10 +296,7 @@ fn parse_items(
                 target = read_type_name(toks, cur);
             }
             // Skip any where clause up to the opening brace.
-            while cur.i < toks.len()
-                && !toks[cur.i].is_punct('{')
-                && !toks[cur.i].is_punct(';')
-            {
+            while cur.i < toks.len() && !toks[cur.i].is_punct('{') && !toks[cur.i].is_punct(';') {
                 cur.i += 1;
             }
             if let Some(tr) = &trait_name {
@@ -303,7 +309,11 @@ fn parse_items(
                     cur.i = match_bracket(toks, cur.i, '{', '}') + 1;
                 } else {
                     cur.i += 1;
-                    let cont = if target.is_empty() { None } else { Some(target.as_str()) };
+                    let cont = if target.is_empty() {
+                        None
+                    } else {
+                        Some(target.as_str())
+                    };
                     parse_items(toks, cur, file, krate, module, cont, out, depth + 1);
                 }
             }
@@ -315,12 +325,13 @@ fn parse_items(
         // trait NAME { items } — default method bodies parse like impls,
         // with the trait name as container.
         if t.is_kw("trait") {
-            let name = toks.get(cur.i + 1).and_then(|t| t.ident()).unwrap_or("").to_owned();
+            let name = toks
+                .get(cur.i + 1)
+                .and_then(|t| t.ident())
+                .unwrap_or("")
+                .to_owned();
             cur.i += 2;
-            while cur.i < toks.len()
-                && !toks[cur.i].is_punct('{')
-                && !toks[cur.i].is_punct(';')
-            {
+            while cur.i < toks.len() && !toks[cur.i].is_punct('{') && !toks[cur.i].is_punct(';') {
                 cur.i += 1;
             }
             if toks.get(cur.i).is_some_and(|t| t.is_punct('{')) {
@@ -328,7 +339,11 @@ fn parse_items(
                     cur.i = match_bracket(toks, cur.i, '{', '}') + 1;
                 } else {
                     cur.i += 1;
-                    let cont = if name.is_empty() { None } else { Some(name.as_str()) };
+                    let cont = if name.is_empty() {
+                        None
+                    } else {
+                        Some(name.as_str())
+                    };
                     parse_items(toks, cur, file, krate, module, cont, out, depth + 1);
                 }
             }
@@ -340,7 +355,11 @@ fn parse_items(
         // struct NAME — record fields' float-ness and pending derives.
         if t.is_kw("struct") && !pending_cfg_test {
             let line = t.line;
-            let name = toks.get(cur.i + 1).and_then(|t| t.ident()).unwrap_or("").to_owned();
+            let name = toks
+                .get(cur.i + 1)
+                .and_then(|t| t.ident())
+                .unwrap_or("")
+                .to_owned();
             cur.i += 2;
             skip_generics(toks, cur);
             let mut float_lines = Vec::new();
@@ -354,9 +373,7 @@ fn parse_items(
                 }
                 cur.i = end + 1;
             } else {
-                while cur.i < toks.len()
-                    && !toks[cur.i].is_punct('{')
-                    && !toks[cur.i].is_punct(';')
+                while cur.i < toks.len() && !toks[cur.i].is_punct('{') && !toks[cur.i].is_punct(';')
                 {
                     cur.i += 1;
                 }
@@ -387,7 +404,11 @@ fn parse_items(
         // fn NAME — the payload item.
         if t.is_kw("fn") {
             let line = t.line;
-            let name = toks.get(cur.i + 1).and_then(|t| t.ident()).unwrap_or("").to_owned();
+            let name = toks
+                .get(cur.i + 1)
+                .and_then(|t| t.ident())
+                .unwrap_or("")
+                .to_owned();
             cur.i += 2;
             // Signature: scan to the body `{` (or `;` for bodyless trait
             // fns), tracking (), [] and <> nesting so a `{` inside a
@@ -506,10 +527,9 @@ fn skip_generics(toks: &[Tok], cur: &mut Cursor) {
 /// trailing generics group. Empty when the next token is not a path
 /// (tuple/slice/fn-pointer types — the parser does not need those).
 fn read_type_name(toks: &[Tok], cur: &mut Cursor) -> String {
-    while toks
-        .get(cur.i)
-        .is_some_and(|t| t.is_punct('&') || t.kind == TokKind::Lifetime || t.is_kw("mut") || t.is_kw("dyn"))
-    {
+    while toks.get(cur.i).is_some_and(|t| {
+        t.is_punct('&') || t.kind == TokKind::Lifetime || t.is_kw("mut") || t.is_kw("dyn")
+    }) {
         cur.i += 1;
     }
     let mut name = String::new();
@@ -562,9 +582,9 @@ fn scan_body(body: &[Tok], sym: &mut FnSym) {
 
             // Macro invocation: `name!(…)` / `name![…]` / `name!{…}`.
             if body.get(i + 1).is_some_and(|t| t.is_punct('!'))
-                && body.get(i + 2).is_some_and(|t| {
-                    t.is_punct('(') || t.is_punct('[') || t.is_punct('{')
-                })
+                && body
+                    .get(i + 2)
+                    .is_some_and(|t| t.is_punct('(') || t.is_punct('[') || t.is_punct('{'))
             {
                 if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented") {
                     sym.sites.push(Site {
@@ -581,10 +601,7 @@ fn scan_body(body: &[Tok], sym: &mut FnSym) {
             // Method call `.name(…)` / `.name::<…>(…)`.
             let is_method = i > 0 && body[i - 1].is_punct('.');
             // Qualified path call `Qual::name(…)`.
-            let qualifier = if i >= 3
-                && body[i - 1].is_punct(':')
-                && body[i - 2].is_punct(':')
-            {
+            let qualifier = if i >= 3 && body[i - 1].is_punct(':') && body[i - 2].is_punct(':') {
                 body[i - 3].ident().map(str::to_owned)
             } else {
                 None
@@ -643,10 +660,7 @@ fn scan_body(body: &[Tok], sym: &mut FnSym) {
                 }
                 // Ambient calls.
                 if let Some(q) = &qualifier {
-                    if AMBIENT_CALLS
-                        .iter()
-                        .any(|(ty, m)| q == ty && name == *m)
-                    {
+                    if AMBIENT_CALLS.iter().any(|(ty, m)| q == ty && name == *m) {
                         sym.sites.push(Site {
                             line,
                             kind: SiteKind::Ambient(format!("{q}::{name}")),
@@ -707,10 +721,12 @@ fn scan_body(body: &[Tok], sym: &mut FnSym) {
         // `let [a, b] = pair`, `for x in [1, 2]`, `&mut [0; 4]`). A bare
         // full-range slice `[..]` cannot panic and is ignored.
         if t.is_punct('[') {
-            const NOT_A_VALUE: [&str; 9] =
-                ["let", "mut", "ref", "in", "return", "break", "match", "if", "while"];
+            const NOT_A_VALUE: [&str; 9] = [
+                "let", "mut", "ref", "in", "return", "break", "match", "if", "while",
+            ];
             let postfix = i > 0
-                && (body[i - 1].ident().is_some() && !NOT_A_VALUE.iter().any(|kw| body[i - 1].is_kw(kw))
+                && (body[i - 1].ident().is_some()
+                    && !NOT_A_VALUE.iter().any(|kw| body[i - 1].is_kw(kw))
                     || body[i - 1].is_punct(')')
                     || body[i - 1].is_punct(']'));
             if postfix {

@@ -340,22 +340,28 @@ mod tests {
             })
             .collect();
         assert_eq!(strs, [r#"unwrap() "quoted" inside"#]);
-        assert_eq!(idents(r###"let x = br#"unwrap()"#; f(x);"###), ["let", "x", "f", "x"]);
+        assert_eq!(
+            idents(r###"let x = br#"unwrap()"#; f(x);"###),
+            ["let", "x", "f", "x"]
+        );
     }
 
     #[test]
     fn multiline_raw_byte_strings_keep_line_numbers() {
         let toks = tokenize("let a = br#\"line\none\ntwo\"#;\nfn after() {}\n");
         let after = toks.iter().find(|t| t.is_kw("fn")).expect("fn token");
-        assert_eq!(after.line, 4, "raw-string newlines must advance the line counter");
+        assert_eq!(
+            after.line, 4,
+            "raw-string newlines must advance the line counter"
+        );
     }
 
     #[test]
     fn raw_identifiers_carry_their_name() {
         let toks = tokenize("fn r#match(r#type: u32) {}");
-        assert!(toks.iter().any(
-            |t| matches!(&t.kind, TokKind::Ident { name, raw: true } if name == "match")
-        ));
+        assert!(toks
+            .iter()
+            .any(|t| matches!(&t.kind, TokKind::Ident { name, raw: true } if name == "match")));
         // And a raw `r#fn` is not the `fn` keyword.
         let toks = tokenize("let r#fn = 1;");
         assert_eq!(toks.iter().filter(|t| t.is_kw("fn")).count(), 0);
@@ -364,9 +370,9 @@ mod tests {
     #[test]
     fn expect_messages_are_visible() {
         let toks = tokenize(r#"x.expect("invariant: journal has capacity");"#);
-        assert!(toks.iter().any(
-            |t| matches!(&t.kind, TokKind::Str(s) if s.starts_with("invariant:"))
-        ));
+        assert!(toks
+            .iter()
+            .any(|t| matches!(&t.kind, TokKind::Str(s) if s.starts_with("invariant:"))));
     }
 
     #[test]
@@ -384,8 +390,12 @@ mod tests {
 
     #[test]
     fn lifetimes_and_chars_disambiguate() {
-        let toks = tokenize("fn f<'a>(x: &'a str, c: char) -> bool { c == 'x' && c != b'\\n' as char }");
-        assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Lifetime).count(), 2);
+        let toks =
+            tokenize("fn f<'a>(x: &'a str, c: char) -> bool { c == 'x' && c != b'\\n' as char }");
+        assert_eq!(
+            toks.iter().filter(|t| t.kind == TokKind::Lifetime).count(),
+            2
+        );
         assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Char).count(), 2);
     }
 
@@ -398,7 +408,16 @@ mod tests {
 
     #[test]
     fn tokenizer_is_total_on_junk() {
-        for junk in ["r#", "br#\"unterminated", "'", "\"open", "b'", "0x", "'\\", "r#\"\n"] {
+        for junk in [
+            "r#",
+            "br#\"unterminated",
+            "'",
+            "\"open",
+            "b'",
+            "0x",
+            "'\\",
+            "r#\"\n",
+        ] {
             let _ = tokenize(junk); // must not panic
             let a = tokenize(junk);
             let b = tokenize(junk);

@@ -44,7 +44,10 @@ fn impl_blocks_attribute_methods_to_their_type() {
          }\n",
     );
     let names: Vec<String> = s.fns.iter().map(|f| f.qualified()).collect();
-    assert_eq!(names, ["Journal::append", "Journal::grow", "Journal::default"]);
+    assert_eq!(
+        names,
+        ["Journal::append", "Journal::grow", "Journal::default"]
+    );
 }
 
 #[test]
@@ -57,7 +60,11 @@ fn trait_default_methods_belong_to_the_trait() {
     );
     // The default body is parsed; the bodiless signature is still a symbol
     // (it can be a call target) with no calls of its own.
-    let kick = s.fns.iter().find(|f| f.name == "kick").expect("kick parsed");
+    let kick = s
+        .fns
+        .iter()
+        .find(|f| f.name == "kick")
+        .expect("kick parsed");
     assert_eq!(kick.qualified(), "Pump::kick");
     assert_eq!(kick.calls.len(), 1);
     assert_eq!(kick.calls[0].name, "run_once");
@@ -139,8 +146,14 @@ fn shadowed_names_resolve_by_container() {
     // persist -> Batch::apply (qualified), not the free fn.
     let persist = g.match_pattern("engine::persist");
     let reach = g.reach(&persist, 5);
-    assert!(reach.contains_key(&method[0]), "qualified call missed the method");
-    assert!(!reach.contains_key(&free[0]), "qualified call leaked to the free fn");
+    assert!(
+        reach.contains_key(&method[0]),
+        "qualified call missed the method"
+    );
+    assert!(
+        !reach.contains_key(&free[0]),
+        "qualified call leaked to the free fn"
+    );
 
     // flush -> free apply (bare call).
     let flush = g.match_pattern("engine::flush");
@@ -151,7 +164,10 @@ fn shadowed_names_resolve_by_container() {
     // that name — here there is exactly one).
     let drain = g.match_pattern("engine::drain");
     let reach = g.reach(&drain, 5);
-    assert!(reach.contains_key(&method[0]), "method call missed the method");
+    assert!(
+        reach.contains_key(&method[0]),
+        "method call missed the method"
+    );
 }
 
 #[test]

@@ -29,8 +29,9 @@ fn fixture(rule: &str, kind: &str) -> String {
 fn scoped_path(rule: &str) -> &'static str {
     match rule {
         // Any deterministic-crate src file is in scope for these.
-        "wall_clock" | "ambient_rng" | "hash_collections" | "thread_spawn"
-        | "unsafe_safety" => "crates/storage/src/fixture_under_test.rs",
+        "wall_clock" | "ambient_rng" | "hash_collections" | "thread_spawn" | "unsafe_safety" => {
+            "crates/storage/src/fixture_under_test.rs"
+        }
         other => panic!("unknown rule {other}"),
     }
 }
@@ -146,7 +147,11 @@ fn every_rule_accepts_its_clean_fixture() {
 #[test]
 fn diagnostics_carry_file_line_and_rule() {
     let cfg = Config::default_repo();
-    let findings = check_file(scoped_path("wall_clock"), &fixture("wall_clock", "flagged"), &cfg);
+    let findings = check_file(
+        scoped_path("wall_clock"),
+        &fixture("wall_clock", "flagged"),
+        &cfg,
+    );
     let f = findings.first().expect("flagged fixture has findings");
     assert_eq!(f.file, scoped_path("wall_clock"));
     assert!(f.line > 0);
@@ -173,20 +178,30 @@ fn workspace_walk_catches_injected_violation() {
     };
 
     // Injected violation: a hash map in a deterministic crate.
-    std::fs::write(&lib, "use std::collections::HashMap;\npub type M = HashMap<u64, u64>;\n")
-        .expect("write violation");
+    std::fs::write(
+        &lib,
+        "use std::collections::HashMap;\npub type M = HashMap<u64, u64>;\n",
+    )
+    .expect("write violation");
     let findings = check_workspace(&root, &cfg).expect("walk");
     assert!(
-        findings.iter().any(|f| f.rule == "hash_collections"
-            && f.file == "crates/demo/src/lib.rs"),
+        findings
+            .iter()
+            .any(|f| f.rule == "hash_collections" && f.file == "crates/demo/src/lib.rs"),
         "injected violation not caught: {findings:?}"
     );
 
     // Fixed: deterministic collection, no findings.
-    std::fs::write(&lib, "use std::collections::BTreeMap;\npub type M = BTreeMap<u64, u64>;\n")
-        .expect("write fix");
+    std::fs::write(
+        &lib,
+        "use std::collections::BTreeMap;\npub type M = BTreeMap<u64, u64>;\n",
+    )
+    .expect("write fix");
     let findings = check_workspace(&root, &cfg).expect("walk");
-    assert!(findings.is_empty(), "fixed tree still flagged: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "fixed tree still flagged: {findings:?}"
+    );
 }
 
 #[test]
@@ -200,7 +215,10 @@ fn fixtures_directories_are_skipped_by_the_walk() {
     )
     .expect("write");
     let findings = check_workspace(&root, &Config::default_repo()).expect("walk");
-    assert!(findings.is_empty(), "fixtures dir was not skipped: {findings:?}");
+    assert!(
+        findings.is_empty(),
+        "fixtures dir was not skipped: {findings:?}"
+    );
 }
 
 /// The repo's own acceptance gate: the tree this test ships in must
@@ -218,8 +236,7 @@ fn repo_analyzes_clean_under_shipped_config_and_lock() {
         // nothing to assert.
         Err(_) => return,
     };
-    let lock_text =
-        std::fs::read_to_string(root.join("detlint.lock")).unwrap_or_default();
+    let lock_text = std::fs::read_to_string(root.join("detlint.lock")).unwrap_or_default();
     let lock = parse_lock(&lock_text).expect("detlint.lock parses");
     let analysis = analyze_workspace(&root, &cfg).expect("analyze repo");
     let report = ratchet(&analysis.findings, &lock);

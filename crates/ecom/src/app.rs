@@ -190,9 +190,12 @@ fn install_db(
 fn seed_stock(st: &mut StorageWorld, stock: &mut DbInstance, items: usize, initial: u64) {
     let tx = stock.db.begin();
     for item in 0..items as u64 {
-        stock
-            .db
-            .put(tx, STOCK_TABLE, item, &StockRow { quantity: initial }.encode());
+        stock.db.put(
+            tx,
+            STOCK_TABLE,
+            item,
+            &StockRow { quantity: initial }.encode(),
+        );
     }
     let plan = stock.db.commit(tx);
     apply_plan_direct(st, &plan, stock.wal_vol, stock.data_vol);
@@ -232,8 +235,7 @@ mod tests {
         let array = st.array(a);
         let wal_dev = VolumeView::new(array, wal.volume);
         let data_dev = VolumeView::new(array, data.volume);
-        let (rec, _) =
-            MiniDb::recover("r", &wal_dev, &data_dev, inst.db.config().clone()).unwrap();
+        let (rec, _) = MiniDb::recover("r", &wal_dev, &data_dev, inst.db.config().clone()).unwrap();
         assert_eq!(rec.scan_table(TableId(1)).len(), 50);
         let row = StockRow::decode(rec.get_committed(TableId(1), 7).unwrap()).unwrap();
         assert_eq!(row.quantity, 1000);

@@ -90,11 +90,10 @@ where
     let hist = state.storage().history.clone();
 
     let (is_read, key, value) = {
-        let ap = state
-            .ecom_mut()
-            .append
-            .as_mut()
-            .expect("invariant: append events are only scheduled once AppendState is installed");
+        let ap =
+            state.ecom_mut().append.as_mut().expect(
+                "invariant: append events are only scheduled once AppendState is installed",
+            );
         let is_read = ap.ops_started % ap.read_every == ap.read_every - 1;
         ap.ops_started += 1;
         let key = ap.rng.gen_range(LIST_KEYS);

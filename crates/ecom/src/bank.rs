@@ -104,7 +104,13 @@ where
         // but answered only once every transfer it observed is durable
         // (at once when they all are): a client must never be shown a
         // balance that a crash of the main array then un-happens.
-        let op = hist.invoke(client, now, OpData::ReadBalances { site: Site::Primary });
+        let op = hist.invoke(
+            client,
+            now,
+            OpData::ReadBalances {
+                site: Site::Primary,
+            },
+        );
         let (accounts, total) = balances(&state.ecom().stock.db);
         let lsn = state.ecom().stock.db.last_lsn();
         let waiter = Waiter {

@@ -72,9 +72,7 @@ pub fn check_cross_db(sales: &MiniDb, stock: &MiniDb, initial_stock: u64) -> Inv
     InvariantReport {
         items_checked,
         orders_found,
-        violations: oversold(sold, |item| {
-            decremented.get(&item).copied().unwrap_or(0)
-        }),
+        violations: oversold(sold, |item| decremented.get(&item).copied().unwrap_or(0)),
     }
 }
 

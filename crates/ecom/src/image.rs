@@ -327,7 +327,11 @@ impl ImageFollower {
             let Some((shadow, i)) = ours else {
                 continue; // someone else's watch on the same array
             };
-            let db = if i < 2 { &mut self.sales } else { &mut self.stock };
+            let db = if i < 2 {
+                &mut self.sales
+            } else {
+                &mut self.stock
+            };
             match write {
                 Some((lba, data)) => {
                     db.touch(i % 2 == 0, lba);
@@ -352,17 +356,21 @@ impl ImageFollower {
     fn settle(&mut self, at: SimTime) {
         let [sales_wal, sales_data, stock_wal, stock_data] = &self.shadow;
         let tallies = &mut self.tallies;
-        let sales = self.sales.settle(sales_wal, sales_data, &mut |table, _, old, new| {
-            if table == ORDERS_TABLE {
-                tallies.order_op(old, new);
-            }
-        });
+        let sales = self
+            .sales
+            .settle(sales_wal, sales_data, &mut |table, _, old, new| {
+                if table == ORDERS_TABLE {
+                    tallies.order_op(old, new);
+                }
+            });
         let initial_stock = self.initial_stock;
-        let stock = self.stock.settle(stock_wal, stock_data, &mut |table, item, _, new| {
-            if table == STOCK_TABLE {
-                tallies.stock_op(item, new, initial_stock);
-            }
-        });
+        let stock = self
+            .stock
+            .settle(stock_wal, stock_data, &mut |table, item, _, new| {
+                if table == STOCK_TABLE {
+                    tallies.stock_op(item, new, initial_stock);
+                }
+            });
         self.retally(sales, stock);
         self.last_boundary = Some(at);
     }

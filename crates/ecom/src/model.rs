@@ -27,7 +27,12 @@ pub fn encode_list(values: &[u64]) -> Vec<u8> {
 /// only come from a corrupted row, which the checker flags separately).
 pub fn decode_list(buf: &[u8]) -> Vec<u64> {
     buf.chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("invariant: chunks_exact(8) yields 8-byte chunks")))
+        .map(|c| {
+            u64::from_le_bytes(
+                c.try_into()
+                    .expect("invariant: chunks_exact(8) yields 8-byte chunks"),
+            )
+        })
         .collect()
 }
 

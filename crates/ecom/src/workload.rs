@@ -42,8 +42,11 @@ pub enum WorkloadKind {
 
 impl WorkloadKind {
     /// All workloads, in report order.
-    pub const ALL: [WorkloadKind; 3] =
-        [WorkloadKind::Ecom, WorkloadKind::Bank, WorkloadKind::AppendList];
+    pub const ALL: [WorkloadKind; 3] = [
+        WorkloadKind::Ecom,
+        WorkloadKind::Bank,
+        WorkloadKind::AppendList,
+    ];
 
     /// Stable label for tables and reports.
     pub fn label(self) -> &'static str {

@@ -9,8 +9,8 @@ use tsuru_minidb::DbConfig;
 use tsuru_sim::{DetRng, Event, Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::{
-    ArrayId, ArrayPerf, EngineConfig, GroupId, HasStorage, SnapshotId, SnapshotView,
-    StorageEvents, StorageOp, StorageWorld, VolRef, VolumeView,
+    ArrayId, ArrayPerf, EngineConfig, GroupId, HasStorage, SnapshotId, SnapshotView, StorageEvents,
+    StorageOp, StorageWorld, VolRef, VolumeView,
 };
 
 struct World {
@@ -262,7 +262,10 @@ fn live_replicas_and_their_snapshot_group_open_to_the_same_outcome() {
     let live = recover(&r.world, r.backup, r.replicas);
     assert!(live.fully_consistent());
     let orders = live.orders.as_ref().expect("sales recovers");
-    assert!(orders.recovered > 50 && orders.lost > 0, "mid-run: {orders:?}");
+    assert!(
+        orders.recovered > 50 && orders.lost > 0,
+        "mid-run: {orders:?}"
+    );
     let arr = r.world.st.array(r.backup);
     let views = snaps.map(|s| SnapshotView::new(arr, s));
     assert_eq!(verdict(&r.world.ecom.recover_image(views)), verdict(&live));
@@ -375,7 +378,10 @@ fn checkpoints_under_replication_survive_disaster() {
         world.st.promote_group(g);
         assert!(world.st.verify_consistency(&[g]).is_consistent());
         let image = recover(&world, backup, replicas);
-        let (_, srep) = image.sales.as_ref().expect("sales recovers across WAL epochs");
+        let (_, srep) = image
+            .sales
+            .as_ref()
+            .expect("sales recovers across WAL epochs");
         assert!(srep.epoch > 1, "recovered into a later WAL epoch");
         let inv = image.invariant.expect("stock recovers across WAL epochs");
         assert!(inv.consistent(), "seed {seed}: {:?}", inv.violations);

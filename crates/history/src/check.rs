@@ -161,7 +161,11 @@ impl Verdict {
             "history: records={} ops_checked={} verdict={}\n",
             self.records,
             self.ops_checked(),
-            if self.is_clean() { "clean" } else { "ANOMALIES" }
+            if self.is_clean() {
+                "clean"
+            } else {
+                "ANOMALIES"
+            }
         );
         for r in &self.reports {
             out.push_str(&format!(
@@ -232,7 +236,9 @@ impl<'h> OpTable<'h> {
         #[cfg(test)]
         self.probes.set(self.probes.get() + 1);
         let near = usize::try_from(op.0).ok().and_then(|i| self.ops.get(i));
-        near.or_else(|| self.far.get(&op.0)).copied().unwrap_or_default()
+        near.or_else(|| self.far.get(&op.0))
+            .copied()
+            .unwrap_or_default()
     }
 
     /// The invoke record of `op`, if any.
@@ -397,7 +403,13 @@ mod tests {
             let h = History::from_records(vec![
                 record(1, Phase::Invoke, order),
                 record(1, Phase::Ok, OpData::Txn(TxnOps::default())),
-                record(read_op, Phase::Invoke, OpData::ReadShop { site: Site::Primary }),
+                record(
+                    read_op,
+                    Phase::Invoke,
+                    OpData::ReadShop {
+                        site: Site::Primary,
+                    },
+                ),
                 record(read_op, Phase::Ok, shop),
             ]);
             check_history(&h, &CheckConfig::default())
@@ -437,7 +449,10 @@ mod tests {
         let (small, small_len) = probes(25_000);
         let (large, large_len) = probes(50_000);
         // A bounded number of lookups per record…
-        assert!(small <= 2 * small_len && large <= 2 * large_len, "{small} {large}");
+        assert!(
+            small <= 2 * small_len && large <= 2 * large_len,
+            "{small} {large}"
+        );
         // …so twice the history is twice the work (± the fixed reads).
         let ratio = large as f64 / small as f64;
         assert!((1.9..=2.1).contains(&ratio), "{small} -> {large}");

@@ -93,7 +93,9 @@ pub fn check(records: &[Record], ops: &OpTable<'_>) -> CheckReport {
         // Phantoms and duplicates, one anomaly per offending read. The
         // per-value counts are built only for a read that has a duplicate.
         for rd in key_reads {
-            let duplicated = sorted(rd.values, &mut values).windows(2).any(|w| w[0] == w[1]);
+            let duplicated = sorted(rd.values, &mut values)
+                .windows(2)
+                .any(|w| w[0] == w[1]);
             let mut seen = duplicated.then(BTreeMap::new);
             for &v in rd.values {
                 if !appended(v) {
@@ -151,7 +153,9 @@ pub fn check(records: &[Record], ops: &OpTable<'_>) -> CheckReport {
             }
         }
         for (rd, before) in key_reads.iter().zip(&prev) {
-            let Some(before) = before.map(|i| &key_reads[i]) else { continue };
+            let Some(before) = before.map(|i| &key_reads[i]) else {
+                continue;
+            };
             let rewound = rd.values.len() < before.values.len()
                 || rd.values[..before.values.len()] != *before.values;
             if rewound {
@@ -172,7 +176,9 @@ pub fn check(records: &[Record], ops: &OpTable<'_>) -> CheckReport {
         // primary state and the fully drained backup image.
         for (label, site) in [("primary", Site::Primary), ("backup", Site::BackupFinal)] {
             let final_read = key_reads.iter().rev().find(|r| r.site == Some(site));
-            let Some(final_read) = final_read else { continue };
+            let Some(final_read) = final_read else {
+                continue;
+            };
             let survived = sorted(final_read.values, &mut values);
             let mut missing: Vec<(u64, OpId)> = Vec::new();
             for &(_, value, _, op) in invoked {
@@ -184,8 +190,7 @@ pub fn check(records: &[Record], ops: &OpTable<'_>) -> CheckReport {
                 let mut ops: Vec<OpId> = missing.iter().map(|&(_, op)| op).collect();
                 ops.push(final_read.op);
                 ops.sort_unstable();
-                let values: Vec<String> =
-                    missing.iter().map(|(v, _)| v.to_string()).collect();
+                let values: Vec<String> = missing.iter().map(|(v, _)| v.to_string()).collect();
                 anomalies.push(Anomaly {
                     kind: AnomalyKind::LostAppend,
                     detail: format!(

@@ -113,7 +113,10 @@ fn cycles(n: usize, g: &Graph) -> Vec<Vec<usize>> {
                 }
             } else {
                 if low[v] == index[v] {
-                    let at = stack.iter().rposition(|&w| w == v).expect("v is on the stack");
+                    let at = stack
+                        .iter()
+                        .rposition(|&w| w == v)
+                        .expect("v is on the stack");
                     for &w in &stack[at..] {
                         on_stack[w] = false;
                     }
@@ -319,14 +322,22 @@ mod tests {
     use tsuru_sim::SimTime;
 
     fn kv(space: u32, key: u64, version: u64) -> KeyVer {
-        KeyVer { space, key, version }
+        KeyVer {
+            space,
+            key,
+            version,
+        }
     }
 
     fn commit(r: &Recorder, process: u32, t_us: u64, reads: Vec<KeyVer>, writes: Vec<KeyVer>) {
         let op = r.invoke(
             process,
             SimTime::from_micros(t_us),
-            OpData::Transfer { from: 0, to: 1, amount: 1 },
+            OpData::Transfer {
+                from: 0,
+                to: 1,
+                amount: 1,
+            },
         );
         r.ok(
             process,
@@ -404,7 +415,15 @@ mod tests {
         let r = Recorder::enabled();
         // A pending (unacked) txn that would close a cycle must not.
         commit(&r, 1, 10, vec![kv(1, 2, 1)], vec![kv(1, 1, 1)]);
-        r.invoke(2, SimTime::from_micros(11), OpData::Transfer { from: 0, to: 1, amount: 1 });
+        r.invoke(
+            2,
+            SimTime::from_micros(11),
+            OpData::Transfer {
+                from: 0,
+                to: 1,
+                amount: 1,
+            },
+        );
         let report = check(&r.history());
         assert!(report.is_clean(), "{:?}", report.anomalies);
         assert_eq!(report.ops_checked, 1);

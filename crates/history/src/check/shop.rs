@@ -86,7 +86,11 @@ pub fn check(records: &[Record], ops: &OpTable<'_>) -> CheckReport {
         if !matches!(r.phase, Phase::Ok | Phase::Info) {
             continue;
         }
-        let OpData::Shop { orders: visible, deltas } = &r.data else {
+        let OpData::Shop {
+            orders: visible,
+            deltas,
+        } = &r.data
+        else {
             continue;
         };
         ops_checked += 1;
@@ -119,7 +123,12 @@ pub fn check(records: &[Record], ops: &OpTable<'_>) -> CheckReport {
         });
         // An item listed twice in one observation counts as its last entry.
         observed.clear();
-        observed.extend(deltas.iter().enumerate().map(|(i, &(item, units))| (item, i, units)));
+        observed.extend(
+            deltas
+                .iter()
+                .enumerate()
+                .map(|(i, &(item, units))| (item, i, units)),
+        );
         observed.sort_unstable();
         keep_last(&mut observed, |d| d.0);
         let decremented = |item| {
@@ -163,7 +172,9 @@ pub fn check(records: &[Record], ops: &OpTable<'_>) -> CheckReport {
     // last observation of either the primary or the backup image.
     let mut scratch: Vec<u64> = Vec::new();
     for (label, last) in ["primary", "backup"].into_iter().zip(last_read) {
-        let Some((read_op, visible)) = last else { continue };
+        let Some((read_op, visible)) = last else {
+            continue;
+        };
         let seen = sorted(visible, &mut scratch);
         let mut missing: Vec<OpId> = Vec::new();
         let mut ids: Vec<u64> = Vec::new();
@@ -279,9 +290,9 @@ mod tests {
         scan(&r, 50, Site::Backup, &[3, 2, 1], &[(6, 1)]);
         let h = r.history();
         let op_of = |order_id| {
-            let placed = h.iter().find(|rec| {
-                matches!(rec.data, OpData::Order { order_id: id, .. } if id == order_id)
-            });
+            let placed = h.iter().find(
+                |rec| matches!(rec.data, OpData::Order { order_id: id, .. } if id == order_id),
+            );
             placed.expect("order placed").op
         };
         let read = h.last().expect("scan recorded").op;
@@ -289,7 +300,11 @@ mod tests {
         assert_eq!(report.anomalies.len(), 1, "{:?}", report.anomalies);
         let a = &report.anomalies[0];
         assert_eq!(a.kind, AnomalyKind::OrderWithoutStock);
-        assert!(a.detail.starts_with("item 5: image shows 2 units"), "{}", a.detail);
+        assert!(
+            a.detail.starts_with("item 5: image shows 2 units"),
+            "{}",
+            a.detail
+        );
         assert_eq!(a.ops, [op_of(1), op_of(3), read]);
     }
 

@@ -216,7 +216,17 @@ mod tests {
 
     #[test]
     fn numbers_are_written_as_core_fmt_writes_them() {
-        let mut edges = vec![0, 1, 9, 10, 99, 100, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        let mut edges = vec![
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            u32::MAX as u64,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
         edges.extend((0..20).map(|p| 10u64.pow(p)));
         edges.extend((1..20).map(|p| 10u64.pow(p) - 1));
         for v in edges {

@@ -32,10 +32,7 @@ pub mod check;
 mod export;
 mod record;
 
-pub use check::{
-    check_history, Anomaly, AnomalyKind, CheckConfig, CheckReport, OpTable, Verdict,
-};
+pub use check::{check_history, Anomaly, AnomalyKind, CheckConfig, CheckReport, OpTable, Verdict};
 pub use record::{
-    process, space, History, OpData, OpId, Phase, Record, Recorder, Site,
-    TxnOps, KeyVer,
+    process, space, History, KeyVer, OpData, OpId, Phase, Record, Recorder, Site, TxnOps,
 };

@@ -366,11 +366,7 @@ impl Recorder {
     pub fn read_version(&self, space: u32, key: u64) -> u64 {
         match &self.0 {
             None => 0,
-            Some(core) => *core
-                .borrow()
-                .versions
-                .get(&(space, key))
-                .unwrap_or(&0),
+            Some(core) => *core.borrow().versions.get(&(space, key)).unwrap_or(&0),
         }
     }
 
@@ -391,7 +387,9 @@ impl Recorder {
 
     /// Number of records kept so far.
     pub fn len(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.borrow().records.len() as u64)
+        self.0
+            .as_ref()
+            .map_or(0, |c| c.borrow().records.len() as u64)
     }
 
     /// True when no records were kept (always true when disabled).
@@ -440,7 +438,13 @@ mod tests {
     fn disabled_recorder_is_a_no_op() {
         let r = Recorder::disabled();
         assert!(!r.is_enabled());
-        let op = r.invoke(1, SimTime::ZERO, OpData::ReadBalances { site: Site::Primary });
+        let op = r.invoke(
+            1,
+            SimTime::ZERO,
+            OpData::ReadBalances {
+                site: Site::Primary,
+            },
+        );
         assert!(op.is_none());
         r.ok(1, op, SimTime::ZERO, OpData::None);
         assert_eq!(r.read_version(space::STOCK, 7), 0);
@@ -453,8 +457,17 @@ mod tests {
     fn clones_share_one_arena() {
         let r = Recorder::enabled();
         let r2 = r.clone();
-        let op = r.invoke(3, SimTime::from_micros(1), OpData::Append { key: 1, value: 10 });
-        r2.ok(3, op, SimTime::from_micros(2), OpData::Txn(TxnOps::default()));
+        let op = r.invoke(
+            3,
+            SimTime::from_micros(1),
+            OpData::Append { key: 1, value: 10 },
+        );
+        r2.ok(
+            3,
+            op,
+            SimTime::from_micros(2),
+            OpData::Txn(TxnOps::default()),
+        );
         let h = r.history();
         assert_eq!(h.len(), 2);
         assert_eq!(h.records[0].op, h.records[1].op);

@@ -24,7 +24,11 @@ use tsuru_history::{
 use tsuru_sim::SimTime;
 
 fn kv(space: u32, key: u64, version: u64) -> KeyVer {
-    KeyVer { space, key, version }
+    KeyVer {
+        space,
+        key,
+        version,
+    }
 }
 
 /// Record a committed transaction with the given footprint.
@@ -32,7 +36,11 @@ fn commit(r: &Recorder, process: u32, t_us: u64, reads: Vec<KeyVer>, writes: Vec
     let op = r.invoke(
         process,
         SimTime::from_micros(t_us),
-        OpData::Transfer { from: 0, to: 1, amount: 1 },
+        OpData::Transfer {
+            from: 0,
+            to: 1,
+            amount: 1,
+        },
     );
     r.ok(
         process,
@@ -66,7 +74,10 @@ fn read_list(r: &Recorder, process: u32, t_us: u64, key: u64, site: Site, values
         process,
         op,
         SimTime::from_micros(t_us),
-        OpData::List { key, values: values.to_vec() },
+        OpData::List {
+            key,
+            values: values.to_vec(),
+        },
     );
 }
 
@@ -188,7 +199,11 @@ fn serial_txn_strategy() -> impl Strategy<Value = SerialTxn> {
         .prop_map(|(reads, mut writes, ack_roll)| {
             writes.sort_unstable();
             writes.dedup();
-            SerialTxn { reads, writes, acked: ack_roll < 85 }
+            SerialTxn {
+                reads,
+                writes,
+                acked: ack_roll < 85,
+            }
         })
 }
 
@@ -205,7 +220,11 @@ fn record_serial(txns: &[SerialTxn]) -> Recorder {
         let op = r.invoke(
             process,
             SimTime::from_micros(t),
-            OpData::Transfer { from: 0, to: 1, amount: 1 },
+            OpData::Transfer {
+                from: 0,
+                to: 1,
+                amount: 1,
+            },
         );
         if !txn.acked {
             continue; // pending: the model never applies it
@@ -243,8 +262,11 @@ struct AppendScript {
 }
 
 fn append_script_strategy() -> impl Strategy<Value = AppendScript> {
-    (1usize..12, prop::collection::vec(prop::collection::vec(0usize..13, 1..4), 1..3)).prop_map(
-        |(appends, mut observers)| {
+    (
+        1usize..12,
+        prop::collection::vec(prop::collection::vec(0usize..13, 1..4), 1..3),
+    )
+        .prop_map(|(appends, mut observers)| {
             for obs in &mut observers {
                 for len in obs.iter_mut() {
                     *len = (*len).min(appends);
@@ -252,8 +274,7 @@ fn append_script_strategy() -> impl Strategy<Value = AppendScript> {
                 obs.sort_unstable(); // monotone views
             }
             AppendScript { appends, observers }
-        },
-    )
+        })
 }
 
 proptest! {

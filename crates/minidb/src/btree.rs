@@ -224,9 +224,7 @@ impl BTree {
         fn count(t: &BTree, id: u64) -> usize {
             match t.node(id) {
                 Node::Leaf(leaf) => leaf.len(),
-                Node::Internal { children, .. } => {
-                    children.iter().map(|&c| count(t, c)).sum()
-                }
+                Node::Internal { children, .. } => children.iter().map(|&c| count(t, c)).sum(),
             }
         }
         count(self, self.root)
@@ -556,11 +554,7 @@ mod tests {
         t.validate().unwrap();
         assert!(t.node_count() > 10, "tree must actually have split");
         for i in 0..n {
-            assert_eq!(
-                t.get(i),
-                Some(i.to_le_bytes().as_slice()),
-                "key {i} lost"
-            );
+            assert_eq!(t.get(i), Some(i.to_le_bytes().as_slice()), "key {i} lost");
         }
         assert_eq!(t.len(), n as usize);
     }

@@ -547,8 +547,7 @@ impl MiniDb {
             )));
         }
 
-        let (tree, max_page_lsn) =
-            BTree::load(data_dev, sb.root).map_err(RecoveryError::Page)?;
+        let (tree, max_page_lsn) = BTree::load(data_dev, sb.root).map_err(RecoveryError::Page)?;
         let loaded_pages = tree.page_ids();
         let pages_loaded = loaded_pages.len();
 
@@ -999,15 +998,15 @@ mod tests {
             apply(&db.commit(tx), &mut wal, &mut data);
         }
         apply(&db.checkpoint(), &mut wal, &mut data); // pages now carry lsn 20
-        // Forge the collapse: superblock+pages of the last checkpoint, WAL
-        // truncated to nothing, superblock epoch rolled back by hand is not
-        // possible without breaking the CRC — so emulate the skewed cut by
-        // rolling the superblock back to the previous checkpoint while the
-        // data pages have already been recycled... Simplest honest vector:
-        // pages with lsn 20 + superblock(epoch N) requires wal_end >= 20.
-        // Wipe the WAL volume entirely: wal_end collapses to ckpt_lsn=20,
-        // which is still consistent. So instead corrupt the page LSN path:
-        // feed recover() a *stale* superblock with fresh pages.
+                                                      // Forge the collapse: superblock+pages of the last checkpoint, WAL
+                                                      // truncated to nothing, superblock epoch rolled back by hand is not
+                                                      // possible without breaking the CRC — so emulate the skewed cut by
+                                                      // rolling the superblock back to the previous checkpoint while the
+                                                      // data pages have already been recycled... Simplest honest vector:
+                                                      // pages with lsn 20 + superblock(epoch N) requires wal_end >= 20.
+                                                      // Wipe the WAL volume entirely: wal_end collapses to ckpt_lsn=20,
+                                                      // which is still consistent. So instead corrupt the page LSN path:
+                                                      // feed recover() a *stale* superblock with fresh pages.
         let stale_sb = {
             // Reconstruct the previous superblock (epoch-1) from history:
             // easiest is to recover the current image and then write a

@@ -30,9 +30,7 @@ mod wal;
 
 pub use btree::{BTree, PageAllocator};
 pub use checksum::{crc32, crc32_update};
-pub use db::{
-    DbConfig, DbStats, MiniDb, RecoveryError, RecoveryReport, RedoHook, TableId, TxId,
-};
+pub use db::{DbConfig, DbStats, MiniDb, RecoveryError, RecoveryReport, RedoHook, TableId, TxId};
 pub use flush::{LogFlusher, Progress};
 pub use io::{DbVol, IoPlan, IoRequest};
 pub use node::{Leaf, Node, PageError, MAX_VALUE, PAGE_SIZE};

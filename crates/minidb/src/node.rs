@@ -379,9 +379,8 @@ impl Node {
                         return Err(PageError::BadStructure(expect_page, "leaf truncated"));
                     }
                     let k = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("sized"));
-                    let vlen = u32::from_le_bytes(
-                        buf[pos + 8..pos + 12].try_into().expect("sized"),
-                    ) as usize;
+                    let vlen = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().expect("sized"))
+                        as usize;
                     if pos + 12 + vlen > PAGE_SIZE {
                         return Err(PageError::BadStructure(expect_page, "value truncated"));
                     }

@@ -74,8 +74,7 @@ impl Superblock {
         if buf.len() != PAGE_SIZE {
             return Err("superblock: short page".into());
         }
-        let stored =
-            u32::from_le_bytes(buf[CRC_OFFSET..CRC_OFFSET + 4].try_into().expect("sized"));
+        let stored = u32::from_le_bytes(buf[CRC_OFFSET..CRC_OFFSET + 4].try_into().expect("sized"));
         // The CRC covers the page with its own field zeroed; stream over
         // the surrounding spans instead of building a zeroed copy.
         let st = crc32_update(0xFFFF_FFFF, &buf[..CRC_OFFSET]);

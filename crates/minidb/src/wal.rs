@@ -168,7 +168,8 @@ fn encode_record_into(epoch: u32, rec: &impl LogRecord, out: &mut Vec<u8>) {
     }
     debug_assert_eq!(out.len() - start, total);
     let span = |r: std::ops::Range<usize>| {
-        out.get(r).expect("invariant: record bytes were just written")
+        out.get(r)
+            .expect("invariant: record bytes were just written")
     };
     let mut st = crc32_update(0xFFFF_FFFF, span(start..start + 8));
     st = crc32_update(st, span(start + HEADER_BYTES..out.len()));

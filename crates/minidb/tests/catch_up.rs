@@ -120,7 +120,10 @@ struct Follower {
 
 impl Follower {
     fn new() -> Self {
-        let (wal, data) = (MemDevice::new(CFG.wal_blocks), MemDevice::new(CFG.data_blocks));
+        let (wal, data) = (
+            MemDevice::new(CFG.wal_blocks),
+            MemDevice::new(CFG.data_blocks),
+        );
         let db = MiniDb::recover("f", &wal, &data, CFG);
         Follower {
             wal,
@@ -322,11 +325,17 @@ fn every_recovery_error_variant_is_followed_exactly() {
         &WalRecord {
             lsn,
             txid: 99,
-            ops: vec![WalOp { key: 5, value: None }],
+            ops: vec![WalOp {
+                key: 5,
+                value: None,
+            }],
         },
     );
     let lba = (end / BLOCK_SIZE) as u64;
-    let mut block = f.wal.read_block(lba).map_or_else(|| vec![0; BLOCK_SIZE], |b| b.to_vec());
+    let mut block = f
+        .wal
+        .read_block(lba)
+        .map_or_else(|| vec![0; BLOCK_SIZE], |b| b.to_vec());
     block[end % BLOCK_SIZE..end % BLOCK_SIZE + replayed.len()].copy_from_slice(&replayed);
     f.write(DbVol::Wal, lba, &block);
     expect(&f, "BadWal");
@@ -342,7 +351,10 @@ fn every_recovery_error_variant_is_followed_exactly() {
         f.write(io.vol, io.lba, &io.data);
     }
     f.write(DbVol::Wal, 0, &[0; BLOCK_SIZE]);
-    let first_sb = stream.iter().find(|io| io.vol == DbVol::Data && io.lba == 0).unwrap();
+    let first_sb = stream
+        .iter()
+        .find(|io| io.vol == DbVol::Data && io.lba == 0)
+        .unwrap();
     let old = Superblock::deserialize(&first_sb.data).unwrap();
     let new = Superblock::deserialize(&f.data.read_block(0).unwrap()).unwrap();
     let forged = Superblock {
@@ -364,10 +376,16 @@ fn every_recovery_error_variant_is_followed_exactly() {
 /// checkpoint, before its first byte.
 #[test]
 fn a_catch_up_that_finds_nothing_allocates_only_the_scan_window() {
-    let mid_block = vec![Step::Group(vec![vec![(1, Some((1, 100)))], vec![(2, Some((2, 300)))]])];
+    let mid_block = vec![Step::Group(vec![
+        vec![(1, Some((1, 100)))],
+        vec![(2, Some((2, 300)))],
+    ])];
     let after_checkpoint = vec![mid_block[0].clone(), Step::Checkpoint];
     for steps in [mid_block, after_checkpoint] {
-        let (mut wal, mut data) = (MemDevice::new(CFG.wal_blocks), MemDevice::new(CFG.data_blocks));
+        let (mut wal, mut data) = (
+            MemDevice::new(CFG.wal_blocks),
+            MemDevice::new(CFG.data_blocks),
+        );
         for io in block_stream(&steps) {
             match io.vol {
                 DbVol::Wal => wal.write_block(io.lba, &io.data),
@@ -375,12 +393,18 @@ fn a_catch_up_that_finds_nothing_allocates_only_the_scan_window() {
             }
         }
         let (mut db, _) = MiniDb::recover("follower", &wal, &data, CFG).expect("opens");
-        let epoch = Superblock::deserialize(&data.read_block(0).unwrap()).unwrap().epoch;
+        let epoch = Superblock::deserialize(&data.read_block(0).unwrap())
+            .unwrap()
+            .epoch;
         let end = db.log_end();
         let tail = wal
             .read_block((end / BLOCK_SIZE) as u64)
             .map_or_else(Vec::new, |b| b[..end % BLOCK_SIZE].to_vec());
-        assert_eq!(end % BLOCK_SIZE != 0, steps.len() == 1, "the two shapes of a log end");
+        assert_eq!(
+            end % BLOCK_SIZE != 0,
+            steps.len() == 1,
+            "the two shapes of a log end"
+        );
 
         let (window, scan) = allocations(|| scan_wal_from(&wal, CFG.wal_blocks, epoch, end, &tail));
         assert!(scan.expect("still a prefix").is_empty());
@@ -389,7 +413,10 @@ fn a_catch_up_that_finds_nothing_allocates_only_the_scan_window() {
             let (n, caught) = allocations(|| db.catch_up(&wal, &mut |_, _, _, _| {}));
             assert_eq!(caught.expect("follows"), Some(0));
             let kept = if call == 0 { window } else { 0 };
-            assert_eq!(n, kept, "catch_up {call} allocated beyond the kept scan window");
+            assert_eq!(
+                n, kept,
+                "catch_up {call} allocated beyond the kept scan window"
+            );
         }
         assert_eq!(db.log_end(), end);
     }
@@ -398,7 +425,9 @@ fn a_catch_up_that_finds_nothing_allocates_only_the_scan_window() {
 /// Write `bytes` onto the WAL volume at byte `at` (within one block).
 fn write_log_bytes(wal: &mut MemDevice, at: usize, bytes: &[u8]) {
     let lba = (at / BLOCK_SIZE) as u64;
-    let mut block = wal.read_block(lba).map_or_else(|| vec![0; BLOCK_SIZE], |b| b.to_vec());
+    let mut block = wal
+        .read_block(lba)
+        .map_or_else(|| vec![0; BLOCK_SIZE], |b| b.to_vec());
     block[at % BLOCK_SIZE..at % BLOCK_SIZE + bytes.len()].copy_from_slice(bytes);
     wal.write_block(lba, &block);
 }
@@ -412,7 +441,10 @@ fn write_log_bytes(wal: &mut MemDevice, at: usize, bytes: &[u8]) {
 #[test]
 fn a_new_log_that_breaks_lsn_order_reaches_no_redo() {
     let stream = block_stream(&[Step::Group(vec![vec![(1, Some((1, 10)))]])]);
-    let (mut wal, mut data) = (MemDevice::new(CFG.wal_blocks), MemDevice::new(CFG.data_blocks));
+    let (mut wal, mut data) = (
+        MemDevice::new(CFG.wal_blocks),
+        MemDevice::new(CFG.data_blocks),
+    );
     for io in &stream {
         match io.vol {
             DbVol::Wal => wal.write_block(io.lba, &io.data),
@@ -437,7 +469,10 @@ fn a_new_log_that_breaks_lsn_order_reaches_no_redo() {
     let err = db
         .catch_up(&wal, &mut |_, _, _, _| redone += 1)
         .expect_err("LSN order broken");
-    assert_eq!(redone, 0, "no op reaches the tree before the log is checked");
+    assert_eq!(
+        redone, 0,
+        "no op reaches the tree before the log is checked"
+    );
     let fresh = MiniDb::recover("follower", &wal, &data, CFG).expect_err("refused");
     assert_eq!(format!("{err:?}"), format!("{fresh:?}"));
     assert!(matches!(err, RecoveryError::BadWal(ref why) if why.contains("not increasing")));
@@ -455,7 +490,10 @@ fn catching_up_over_k_records_allocates_nothing_per_record() {
         checkpoint_threshold: 0.8,
     };
     let (mut live, format) = MiniDb::create("live", cfg.clone());
-    let mut vols = (MemDevice::new(cfg.wal_blocks), MemDevice::new(cfg.data_blocks));
+    let mut vols = (
+        MemDevice::new(cfg.wal_blocks),
+        MemDevice::new(cfg.data_blocks),
+    );
     let apply = |plan: tsuru_minidb::IoPlan, (wal, data): &mut (MemDevice, MemDevice)| {
         for io in plan.phases.into_iter().flatten() {
             match io.vol {
@@ -480,7 +518,10 @@ fn catching_up_over_k_records_allocates_nothing_per_record() {
     };
     let (mut db, _) = MiniDb::recover("follower", &vols.0, &vols.1, cfg.clone()).expect("opens");
     commits(&mut live, &mut vols, 16); // warm-up: the buffers grow once
-    assert_eq!(db.catch_up(&vols.0, &mut |_, _, _, _| {}).expect("follows"), Some(16));
+    assert_eq!(
+        db.catch_up(&vols.0, &mut |_, _, _, _| {}).expect("follows"),
+        Some(16)
+    );
     for k in [8, 16, 8] {
         commits(&mut live, &mut vols, k);
         let (n, caught) = allocations(|| db.catch_up(&vols.0, &mut |_, _, _, _| {}));

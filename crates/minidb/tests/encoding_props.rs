@@ -10,7 +10,10 @@ fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
         1u64..u64::MAX / 2,
         any::<u64>(),
         prop::collection::vec(
-            (any::<u64>(), prop::option::of(prop::collection::vec(any::<u8>(), 0..200))),
+            (
+                any::<u64>(),
+                prop::option::of(prop::collection::vec(any::<u8>(), 0..200)),
+            ),
             0..12,
         ),
     )
@@ -25,8 +28,12 @@ fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
 }
 
 fn leaf_strategy() -> impl Strategy<Value = Node> {
-    prop::collection::btree_map(any::<u64>(), prop::collection::vec(any::<u8>(), 0..100), 0..25)
-        .prop_map(|m| Node::leaf(m.iter().map(|(k, v)| (*k, v.as_slice()))))
+    prop::collection::btree_map(
+        any::<u64>(),
+        prop::collection::vec(any::<u8>(), 0..100),
+        0..25,
+    )
+    .prop_map(|m| Node::leaf(m.iter().map(|(k, v)| (*k, v.as_slice()))))
 }
 
 fn internal_strategy() -> impl Strategy<Value = Node> {

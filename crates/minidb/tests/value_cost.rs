@@ -144,7 +144,10 @@ fn images_in_flight_cost_one_allocation_each_until_they_land() {
         group(db, flusher, 1, &mut in_flight);
         for i in 0..K as u64 {
             let (n, _) = allocations(|| group(db, flusher, 2 + i % 3, &mut in_flight));
-            assert!(!counted || n == 1, "image {i} of {K} in flight: {n} allocations");
+            assert!(
+                !counted || n == 1,
+                "image {i} of {K} in flight: {n} allocations"
+            );
         }
         assert_eq!(in_flight.len(), K + 1);
         in_flight.clear(); // they all land
@@ -154,7 +157,10 @@ fn images_in_flight_cost_one_allocation_each_until_they_land() {
                 in_flight.clear();
                 writes
             });
-            assert!(!counted || n == 0, "after landing, item {item}: {n} allocations");
+            assert!(
+                !counted || n == 0,
+                "after landing, item {item}: {n} allocations"
+            );
         }
     };
     round(&mut db, &mut flusher, false); // warm-up: the ring grows to K + 1
@@ -182,7 +188,11 @@ fn tail_images_cycle_among_at_most_two_allocations() {
         }
     }
     assert!(db.log_end() > 2 * BLOCK_SIZE, "the log filled blocks");
-    assert!(tails.len() <= 2, "{} allocations for 200 tail images", tails.len());
+    assert!(
+        tails.len() <= 2,
+        "{} allocations for 200 tail images",
+        tails.len()
+    );
 }
 
 /// Recovery decodes the whole log into one buffer — the operations of all

@@ -28,7 +28,10 @@ const WAL_BLOCKS: u64 = 6;
 /// The fingerprint's definition, from the bytes alone: `content_hash` of
 /// the block up to and including its last non-zero byte.
 fn reference_fingerprint(block: &[u8]) -> u64 {
-    let extent = block.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
+    let extent = block
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |last| last + 1);
     content_hash(&block[..extent])
 }
 
@@ -114,7 +117,12 @@ impl Model {
             let cut = &self.log[from..self.log.len().min(from + BLOCK_SIZE)];
             let scratch = block_from(cut);
             prop_assert_eq!(&io.data[..], &scratch[..], "lba {}", io.lba);
-            prop_assert_eq!(io.data.fingerprint(), reference_fingerprint(&scratch), "lba {}", io.lba);
+            prop_assert_eq!(
+                io.data.fingerprint(),
+                reference_fingerprint(&scratch),
+                "lba {}",
+                io.lba
+            );
             prop_assert_eq!(io.data.fingerprint(), scratch.fingerprint());
             self.dev.write_block(io.lba, &io.data);
         }
@@ -128,7 +136,11 @@ impl Model {
         let scan = scan_wal(&self.dev, WAL_BLOCKS, self.epoch);
         prop_assert_eq!(&scan.records()[..], &self.records[..self.flushed.0]);
         prop_assert_eq!(scan.end, self.flushed.1);
-        let again: Vec<u8> = scan.records().iter().flat_map(|r| encode_record(self.epoch, r)).collect();
+        let again: Vec<u8> = scan
+            .records()
+            .iter()
+            .flat_map(|r| encode_record(self.epoch, r))
+            .collect();
         prop_assert_eq!(&again[..], &self.log[..self.flushed.1]);
         Ok(())
     }
@@ -147,7 +159,13 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
                 let rec = WalRecord {
                     lsn,
                     txid: lsn * 3,
-                    ops: ops.iter().map(|(key, value)| WalOp { key: *key, value: value.clone() }).collect(),
+                    ops: ops
+                        .iter()
+                        .map(|(key, value)| WalOp {
+                            key: *key,
+                            value: value.clone(),
+                        })
+                        .collect(),
                 };
                 if writer.fits(&rec) {
                     writer.append(&rec);
@@ -209,7 +227,10 @@ fn tail_sealed_reset_and_resumed_images() {
     let rec = |lsn: u64, len: usize| WalRecord {
         lsn,
         txid: lsn,
-        ops: vec![WalOp { key: lsn, value: Some(vec![lsn as u8; len]) }],
+        ops: vec![WalOp {
+            key: lsn,
+            value: Some(vec![lsn as u8; len]),
+        }],
     };
     let mut model = Model::new();
     let mut writer = WalWriter::new(WAL_BLOCKS, 1);

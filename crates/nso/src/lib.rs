@@ -200,12 +200,14 @@ mod tests {
         let mut api = api_with_namespace(true, &["sales-data", "sales-wal", "stock-data"]);
         let mut st = world();
         let mut nso = NamespaceOperator::new(NsoConfig::default());
-        let report =
-            ControllerManager::run_to_convergence(&mut api, &mut st, &mut [&mut nso], 10);
+        let report = ControllerManager::run_to_convergence(&mut api, &mut st, &mut [&mut nso], 10);
         assert!(report.converged);
         let rg = api.replication_groups.get("shop/shop-backup").unwrap();
         assert!(rg.consistency_group);
-        assert_eq!(rg.member_pvcs, vec!["sales-data", "sales-wal", "stock-data"]);
+        assert_eq!(
+            rg.member_pvcs,
+            vec!["sales-data", "sales-wal", "stock-data"]
+        );
         assert_eq!(api.replications.len(), 3);
         assert!(api.replications.contains("shop/sales-data-repl"));
         assert_eq!(nso.namespaces_configured, 1);

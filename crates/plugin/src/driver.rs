@@ -58,7 +58,8 @@ impl CsiDriver<StorageWorld> for TsuruBlockDriver {
         if handle.array != self.array.0 {
             return Err("handle belongs to a different array".into());
         }
-        st.array_mut(self.array).delete_volume(VolumeId(handle.volume));
+        st.array_mut(self.array)
+            .delete_volume(VolumeId(handle.volume));
         Ok(())
     }
 
@@ -152,7 +153,10 @@ mod tests {
             .create_volume(&mut st, "pv-shop-sales", 64, &BTreeMap::new())
             .unwrap();
         assert!(st.array(a).has_volume(VolumeId(h.volume)));
-        assert_eq!(st.array(a).volume(VolumeId(h.volume)).name(), "pv-shop-sales");
+        assert_eq!(
+            st.array(a).volume(VolumeId(h.volume)).name(),
+            "pv-shop-sales"
+        );
         d.delete_volume(&mut st, h).unwrap();
         assert!(!st.array(a).has_volume(VolumeId(h.volume)));
     }
@@ -162,17 +166,29 @@ mod tests {
         let (mut st, a) = world();
         st.set_control_time(tsuru_sim::SimTime::from_secs(9));
         let mut d = TsuruBlockDriver::new(a, "block.csi.tsuru.io");
-        let h1 = d.create_volume(&mut st, "v1", 16, &BTreeMap::new()).unwrap();
-        let h2 = d.create_volume(&mut st, "v2", 16, &BTreeMap::new()).unwrap();
+        let h1 = d
+            .create_volume(&mut st, "v1", 16, &BTreeMap::new())
+            .unwrap();
+        let h2 = d
+            .create_volume(&mut st, "v2", 16, &BTreeMap::new())
+            .unwrap();
         let s = d.create_snapshot(&mut st, h1, "snap-1").unwrap();
         assert_eq!(
-            st.array(a).snapshot(tsuru_storage::SnapshotId(s)).created_at(),
+            st.array(a)
+                .snapshot(tsuru_storage::SnapshotId(s))
+                .created_at(),
             tsuru_sim::SimTime::from_secs(9)
         );
         let group = d.create_group_snapshot(&mut st, &[h1, h2], "grp").unwrap();
         assert_eq!(group.len(), 2);
-        let g0 = st.array(a).snapshot(tsuru_storage::SnapshotId(group[0])).group();
-        let g1 = st.array(a).snapshot(tsuru_storage::SnapshotId(group[1])).group();
+        let g0 = st
+            .array(a)
+            .snapshot(tsuru_storage::SnapshotId(group[0]))
+            .group();
+        let g1 = st
+            .array(a)
+            .snapshot(tsuru_storage::SnapshotId(group[1]))
+            .group();
         assert!(g0.is_some() && g0 == g1);
     }
 
@@ -180,11 +196,21 @@ mod tests {
     fn errors_for_bad_handles_and_failed_arrays() {
         let (mut st, a) = world();
         let mut d = TsuruBlockDriver::new(a, "x");
-        let foreign = VolumeHandle { array: 99, volume: 0 };
+        let foreign = VolumeHandle {
+            array: 99,
+            volume: 0,
+        };
         assert!(d.delete_volume(&mut st, foreign).is_err());
         assert!(d.create_snapshot(&mut st, foreign, "s").is_err());
         assert!(d
-            .create_snapshot(&mut st, VolumeHandle { array: 0, volume: 77 }, "s")
+            .create_snapshot(
+                &mut st,
+                VolumeHandle {
+                    array: 0,
+                    volume: 77
+                },
+                "s"
+            )
             .is_err());
         assert!(d.create_group_snapshot(&mut st, &[], "s").is_err());
         st.fail_array(a, tsuru_sim::SimTime::ZERO);

@@ -138,7 +138,10 @@ impl ReplicationPlugin {
             ),
             ReplicationMode::Sync => st.create_sdc_group(name, self.cfg.link, self.cfg.reverse),
         };
-        self.groups_by_cr.entry(cr_key.to_owned()).or_default().push(gid);
+        self.groups_by_cr
+            .entry(cr_key.to_owned())
+            .or_default()
+            .push(gid);
         gid
     }
 
@@ -158,7 +161,10 @@ impl ReplicationPlugin {
             ),
             ReplicationMode::Sync => st.create_sdc_group(name, self.cfg.link, self.cfg.reverse),
         };
-        self.groups_by_cr.entry(cr_key.to_owned()).or_default().push(gid);
+        self.groups_by_cr
+            .entry(cr_key.to_owned())
+            .or_default()
+            .push(gid);
         gid
     }
 }
@@ -170,10 +176,12 @@ impl Reconciler<StorageWorld> for ReplicationPlugin {
 
     fn reconcile(&mut self, api: &mut ApiServer, st: &mut StorageWorld) {
         let t = st.control_time();
-        st.tracer
-            .instant(tsuru_storage::span_names::RECONCILE, t, tsuru_storage::SpanId::NONE, || {
-                vec![("plugin", "replication-plugin".into())]
-            });
+        st.tracer.instant(
+            tsuru_storage::span_names::RECONCILE,
+            t,
+            tsuru_storage::SpanId::NONE,
+            || vec![("plugin", "replication-plugin".into())],
+        );
         // --- adopt handles persisted by a previous incarnation ------------
         // After a controller restart the in-memory maps are empty, but the
         // array handles written into CR status survive. Re-adopting them
@@ -355,11 +363,7 @@ impl Reconciler<StorageWorld> for ReplicationPlugin {
                 let worst = member_states.iter().copied().max_by_key(|&s| rank(s));
                 (rg.member_pvcs.len(), member_states.len(), worst)
             };
-            let handles: Vec<u32> = self
-                .groups_for(&rg_key)
-                .iter()
-                .map(|g| g.0)
-                .collect();
+            let handles: Vec<u32> = self.groups_for(&rg_key).iter().map(|g| g.0).collect();
             api.replication_groups.update(&rg_key, |rg| {
                 let new_state = match worst {
                     Some(ReplicationState::Replicating) | None => {
@@ -452,10 +456,12 @@ impl Reconciler<StorageWorld> for BackupSiteImporter {
 
     fn reconcile(&mut self, api: &mut ApiServer, st: &mut StorageWorld) {
         let t = st.control_time();
-        st.tracer
-            .instant(tsuru_storage::span_names::RECONCILE, t, tsuru_storage::SpanId::NONE, || {
-                vec![("plugin", "backup-site-importer".into())]
-            });
+        st.tracer.instant(
+            tsuru_storage::span_names::RECONCILE,
+            t,
+            tsuru_storage::SpanId::NONE,
+            || vec![("plugin", "backup-site-importer".into())],
+        );
         // Active pairs targeting our array, keyed by the claim key embedded
         // in the secondary volume's name.
         let mut live: Vec<(String, VolRef, u64)> = Vec::new();

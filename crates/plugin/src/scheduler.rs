@@ -39,7 +39,10 @@ impl SnapshotScheduler {
         interval: SimDuration,
         retention: usize,
     ) -> Self {
-        assert!(retention >= 1, "retention must keep at least one generation");
+        assert!(
+            retention >= 1,
+            "retention must keep at least one generation"
+        );
         SnapshotScheduler {
             namespace: namespace.into(),
             array,
@@ -65,10 +68,12 @@ impl Reconciler<StorageWorld> for SnapshotScheduler {
 
     fn reconcile(&mut self, api: &mut ApiServer, st: &mut StorageWorld) {
         let now = st.control_time();
-        st.tracer
-            .instant(tsuru_storage::span_names::RECONCILE, now, tsuru_storage::SpanId::NONE, || {
-                vec![("plugin", "snapshot-scheduler".into())]
-            });
+        st.tracer.instant(
+            tsuru_storage::span_names::RECONCILE,
+            now,
+            tsuru_storage::SpanId::NONE,
+            || vec![("plugin", "snapshot-scheduler".into())],
+        );
         // Take a new generation when due.
         if now >= self.next_due {
             let name = Self::generation_name(self.counter);
@@ -125,7 +130,12 @@ mod tests {
     };
     use tsuru_storage::{ArrayPerf, EngineConfig};
 
-    fn setup() -> (StorageWorld, ApiServer, ArrayId, Provisioner<TsuruBlockDriver>) {
+    fn setup() -> (
+        StorageWorld,
+        ApiServer,
+        ArrayId,
+        Provisioner<TsuruBlockDriver>,
+    ) {
         let mut st = StorageWorld::new(9, EngineConfig::default());
         let a = st.add_array("b", ArrayPerf::default());
         let mut api = ApiServer::new();

@@ -47,10 +47,12 @@ impl Reconciler<StorageWorld> for SnapshotPlugin {
 
     fn reconcile(&mut self, api: &mut ApiServer, st: &mut StorageWorld) {
         let now = st.control_time();
-        st.tracer
-            .instant(tsuru_storage::span_names::RECONCILE, now, tsuru_storage::SpanId::NONE, || {
-                vec![("plugin", "snapshot-plugin".into())]
-            });
+        st.tracer.instant(
+            tsuru_storage::span_names::RECONCILE,
+            now,
+            tsuru_storage::SpanId::NONE,
+            || vec![("plugin", "snapshot-plugin".into())],
+        );
 
         // Single snapshots.
         let pending: Vec<(String, String, Option<String>)> = api
@@ -83,12 +85,16 @@ impl Reconciler<StorageWorld> for SnapshotPlugin {
         }
 
         // Group snapshots (the alpha CSI feature).
-        let pending: Vec<(String, Option<String>, std::collections::BTreeMap<String, String>)> =
-            api.group_snapshots
-                .list()
-                .filter(|s| !s.ready)
-                .map(|s| (s.meta.key(), s.meta.namespace.clone(), s.selector.clone()))
-                .collect();
+        let pending: Vec<(
+            String,
+            Option<String>,
+            std::collections::BTreeMap<String, String>,
+        )> = api
+            .group_snapshots
+            .list()
+            .filter(|s| !s.ready)
+            .map(|s| (s.meta.key(), s.meta.namespace.clone(), s.selector.clone()))
+            .collect();
         for (key, ns, selector) in pending {
             let Some(ns) = ns else { continue };
             // Member claims: those in the namespace matching the selector.
@@ -116,9 +122,9 @@ impl Reconciler<StorageWorld> for SnapshotPlugin {
                 continue; // some member not bound yet; retried next round
             }
             let vols: Vec<VolumeId> = handles.iter().map(|(_, h)| VolumeId(h.volume)).collect();
-            let snaps = st
-                .array_mut(self.array)
-                .create_snapshot_group(&vols, &format!("gsnap-{key}"), now);
+            let snaps =
+                st.array_mut(self.array)
+                    .create_snapshot_group(&vols, &format!("gsnap-{key}"), now);
             self.snapshots_taken += snaps.len() as u64;
             let pairs: Vec<(String, u64)> = handles
                 .iter()

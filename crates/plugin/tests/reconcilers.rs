@@ -118,7 +118,13 @@ fn replication_plugin_naive_mode_one_group_per_member() {
     for name in ["a", "b", "c"] {
         add_pvc(&mut f.api, "ns", name);
     }
-    add_rg(&mut f.api, "ns", &["a", "b", "c"], false, ReplicationMode::Async);
+    add_rg(
+        &mut f.api,
+        "ns",
+        &["a", "b", "c"],
+        false,
+        ReplicationMode::Async,
+    );
     ControllerManager::run_to_convergence(
         &mut f.api,
         &mut f.st,
@@ -230,7 +236,13 @@ fn restarted_plugin_adopts_existing_pairs_instead_of_recreating() {
 fn importer_surfaces_and_withdraws_claims() {
     let mut f = fixture();
     add_pvc(&mut f.api, "shop", "db-vol");
-    add_rg(&mut f.api, "shop", &["db-vol"], true, ReplicationMode::Async);
+    add_rg(
+        &mut f.api,
+        "shop",
+        &["db-vol"],
+        true,
+        ReplicationMode::Async,
+    );
     ControllerManager::run_to_convergence(
         &mut f.api,
         &mut f.st,
@@ -245,7 +257,10 @@ fn importer_surfaces_and_withdraws_claims() {
     assert!(backup_api.namespaces.contains("shop"));
     let pvc = backup_api.pvcs.get("shop/db-vol").unwrap();
     assert_eq!(pvc.phase, ClaimPhase::Bound);
-    let pv = backup_api.pvs.get(pvc.volume_name.as_deref().unwrap()).unwrap();
+    let pv = backup_api
+        .pvs
+        .get(pvc.volume_name.as_deref().unwrap())
+        .unwrap();
     assert_eq!(pv.handle.array, f.backup.0);
 
     // Tear replication down: the imported claim disappears.

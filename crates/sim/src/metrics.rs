@@ -335,10 +335,7 @@ mod tests {
         assert!(s.min <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max);
         // p50 of uniform 1k..10M should be near 5M within bucket error.
         let p50 = h.quantile(0.5) as f64;
-        assert!(
-            (p50 - 5_000_000.0).abs() / 5_000_000.0 < 0.05,
-            "p50={p50}"
-        );
+        assert!((p50 - 5_000_000.0).abs() / 5_000_000.0 < 0.05, "p50={p50}");
     }
 
     #[test]

@@ -121,7 +121,10 @@ mod tests {
         // Long idle gap; next request starts fresh at its arrival.
         let done = s.admit(SimTime::from_secs(10), SimDuration::from_millis(1));
         assert_eq!(done, SimTime::from_secs(10) + SimDuration::from_millis(1));
-        assert_eq!(s.queue_delay(SimTime::from_secs(10)), SimDuration::from_millis(1));
+        assert_eq!(
+            s.queue_delay(SimTime::from_secs(10)),
+            SimDuration::from_millis(1)
+        );
     }
 
     #[test]

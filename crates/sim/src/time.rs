@@ -281,10 +281,7 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::from_secs(1) + SimDuration::from_millis(500);
         assert_eq!(t.as_nanos(), 1_500 * NANOS_PER_MILLI);
-        assert_eq!(
-            t - SimTime::from_secs(1),
-            SimDuration::from_millis(500),
-        );
+        assert_eq!(t - SimTime::from_secs(1), SimDuration::from_millis(500),);
         let mut t2 = SimTime::ZERO;
         t2 += SimDuration::from_secs(4);
         assert_eq!(t2, SimTime::from_secs(4));

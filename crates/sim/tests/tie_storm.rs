@@ -18,13 +18,8 @@ use tsuru_sim::{Event, Sim, SimDuration, SimTime};
 type Log = Vec<u32>;
 
 enum Ev {
-    Parent {
-        i: u32,
-        n: u32,
-    },
-    Successor {
-        id: u32,
-    },
+    Parent { i: u32, n: u32 },
+    Successor { id: u32 },
 }
 
 impl Event<Log> for Ev {

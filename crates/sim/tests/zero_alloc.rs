@@ -63,7 +63,10 @@ impl Event<u64> for Tick {
             // A spread of delays exercises multiple wheel levels
             // (and therefore cascades), not just slot 0.
             let delay = 1 + (*state % 7) * 97 + (*state % 3) * 4096;
-            sim.schedule_event_in(SimDuration::from_nanos(delay), Tick::Step { left: left - 1 });
+            sim.schedule_event_in(
+                SimDuration::from_nanos(delay),
+                Tick::Step { left: left - 1 },
+            );
         }
     }
 }

@@ -150,7 +150,10 @@ impl Link {
 
     /// Change the random loss probability mid-run (fault injection).
     pub fn set_loss_probability(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "loss probability {p} not in [0, 1]");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "loss probability {p} not in [0, 1]"
+        );
         self.config.loss_probability = p;
     }
 
@@ -182,9 +185,10 @@ impl Link {
     pub fn offer(&mut self, now: SimTime, bytes: u64) -> TransferOutcome {
         if !self.is_up(now) {
             let link = self.trace_link;
-            self.tracer.instant(spans::LINK_DOWN, now, tsuru_telemetry::SpanId::NONE, || {
-                vec![("link", link.into()), ("bytes", bytes.into())]
-            });
+            self.tracer
+                .instant(spans::LINK_DOWN, now, tsuru_telemetry::SpanId::NONE, || {
+                    vec![("link", link.into()), ("bytes", bytes.into())]
+                });
             return TransferOutcome::Down(self.up_at);
         }
         // An auto-expiring outage that has passed clears itself; a future
@@ -196,9 +200,10 @@ impl Link {
         if self.config.loss_probability > 0.0 && self.rng.gen_bool(self.config.loss_probability) {
             self.frames_lost += 1;
             let link = self.trace_link;
-            self.tracer.instant(spans::LINK_LOSS, now, tsuru_telemetry::SpanId::NONE, || {
-                vec![("link", link.into()), ("bytes", bytes.into())]
-            });
+            self.tracer
+                .instant(spans::LINK_LOSS, now, tsuru_telemetry::SpanId::NONE, || {
+                    vec![("link", link.into()), ("bytes", bytes.into())]
+                });
             return TransferOutcome::Lost;
         }
         let serialized = self.pipe.admit(now, bytes);
@@ -217,13 +222,18 @@ impl Link {
         let at = (serialized + self.config.propagation + jitter).max(self.last_arrival);
         self.last_arrival = at;
         let link = self.trace_link;
-        self.tracer.instant(spans::LINK_FRAME, now, tsuru_telemetry::SpanId::NONE, || {
-            vec![
-                ("link", link.into()),
-                ("bytes", bytes.into()),
-                ("arrive_ns", at.as_nanos().into()),
-            ]
-        });
+        self.tracer.instant(
+            spans::LINK_FRAME,
+            now,
+            tsuru_telemetry::SpanId::NONE,
+            || {
+                vec![
+                    ("link", link.into()),
+                    ("bytes", bytes.into()),
+                    ("arrive_ns", at.as_nanos().into()),
+                ]
+            },
+        );
         TransferOutcome::DeliveredAt { at, serialized }
     }
 
@@ -303,7 +313,10 @@ mod tests {
         assert_eq!(at, SimTime::from_millis(1500));
         assert_eq!(l.backlog(at), thr);
         // Already at or under the threshold: now.
-        assert_eq!(l.backlog_clears_at(SimTime::from_secs(3), thr), SimTime::from_secs(3));
+        assert_eq!(
+            l.backlog_clears_at(SimTime::from_secs(3), thr),
+            SimTime::from_secs(3)
+        );
         // Neither an outage, a heal nor a bandwidth change moves it.
         l.set_down(SimTime::ZERO, None);
         l.set_bandwidth(20);
@@ -405,14 +418,14 @@ mod tests {
         let mut l = link(cfg);
         let mut lost = 0u64;
         for i in 0..2000u64 {
-            if matches!(
-                l.offer(SimTime::from_nanos(i), 64),
-                TransferOutcome::Lost
-            ) {
+            if matches!(l.offer(SimTime::from_nanos(i), 64), TransferOutcome::Lost) {
                 lost += 1;
             }
         }
-        assert!(lost > 0, "1% loss over 2000 frames should drop at least one");
+        assert!(
+            lost > 0,
+            "1% loss over 2000 frames should drop at least one"
+        );
         assert_eq!(l.frames_lost(), lost);
     }
 

@@ -433,11 +433,12 @@ impl StorageArray {
         let s = slot_mut(&mut self.volumes, vol.0)
             .expect("invariant: VolumeId is only minted by create_volume");
         if s.watched {
-            self.feed.extend(blocks.iter().map(|(lba, data)| FeedEntry::Write {
-                vol,
-                lba: *lba,
-                data: data.clone(),
-            }));
+            self.feed
+                .extend(blocks.iter().map(|(lba, data)| FeedEntry::Write {
+                    vol,
+                    lba: *lba,
+                    data: data.clone(),
+                }));
         }
         for (lba, b) in blocks {
             s.volume.write(lba, b);
@@ -564,7 +565,11 @@ impl StorageArray {
         let lbas: Vec<u64> = (0..size).collect();
         let blocks: Vec<(u64, BlockBuf)> = lbas
             .into_iter()
-            .filter_map(|lba| self.read_snapshot_block(snap, lba).cloned().map(|b| (lba, b)))
+            .filter_map(|lba| {
+                self.read_snapshot_block(snap, lba)
+                    .cloned()
+                    .map(|b| (lba, b))
+            })
             .collect();
         let id = self.create_volume(name, size);
         let vol = &mut self.slot_mut(id).volume;
@@ -652,10 +657,14 @@ mod tests {
         let cow2 = a.write_block(v, 0, block_from(b"later"));
         assert_eq!(cow2, 0); // already preserved
         assert_eq!(
-            &a.read_snapshot_block(snap, 0).expect("invariant: snapshot exists")[..6],
+            &a.read_snapshot_block(snap, 0)
+                .expect("invariant: snapshot exists")[..6],
             b"before"
         );
-        assert_eq!(&a.read_block(v, 0).expect("invariant: volume exists")[..5], b"later");
+        assert_eq!(
+            &a.read_block(v, 0).expect("invariant: volume exists")[..5],
+            b"later"
+        );
         assert_eq!(a.cow_saves(), 1);
     }
 
@@ -699,9 +708,20 @@ mod tests {
         let s1 = a.create_snapshot(v, "s1", SimTime::from_secs(1));
         let cow = a.write_block(v, 0, block_from(b"gen2"));
         assert_eq!(cow, 1, "only s1 needs preservation; s0 already saved");
-        assert_eq!(&a.read_snapshot_block(s0, 0).expect("invariant: snapshot exists")[..4], b"gen0");
-        assert_eq!(&a.read_snapshot_block(s1, 0).expect("invariant: snapshot exists")[..4], b"gen1");
-        assert_eq!(&a.read_block(v, 0).expect("invariant: volume exists")[..4], b"gen2");
+        assert_eq!(
+            &a.read_snapshot_block(s0, 0)
+                .expect("invariant: snapshot exists")[..4],
+            b"gen0"
+        );
+        assert_eq!(
+            &a.read_snapshot_block(s1, 0)
+                .expect("invariant: snapshot exists")[..4],
+            b"gen1"
+        );
+        assert_eq!(
+            &a.read_block(v, 0).expect("invariant: volume exists")[..4],
+            b"gen2"
+        );
     }
 
     #[test]

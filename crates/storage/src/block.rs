@@ -80,7 +80,10 @@ struct Block {
 /// Index after the last non-zero byte of `bytes`: the part of a zero-padded
 /// block that was ever written, as far as its content can tell.
 fn extent_of(bytes: &[u8]) -> usize {
-    bytes.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1)
+    bytes
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |last| last + 1)
 }
 
 impl BlockBuf {
@@ -575,7 +578,11 @@ mod tests {
             assert_eq!((w.lanes, w.absorbed), (Lanes::START, 0), "append at {at}");
             let extent = (at + 500).min(BLOCK_SIZE);
             let first = w.image();
-            assert_eq!(w.absorbed, extent / STRIPE * STRIPE, "zeros are not absorbed");
+            assert_eq!(
+                w.absorbed,
+                extent / STRIPE * STRIPE,
+                "zeros are not absorbed"
+            );
             let state = w.lanes;
             let again = w.image();
             assert_eq!(w.lanes, state, "nothing new, nothing absorbed");

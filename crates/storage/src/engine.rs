@@ -195,13 +195,16 @@ fn submit_write<S, E>(
     let st = state.storage_mut();
     // Root of the write's lifecycle trace: every downstream span
     // (journal_append → wan_transfer → backup_apply) parents back here.
-    let span = st.tracer.span_start(spans::HOST_WRITE, now, SpanId::NONE, || {
-        vec![("vol", vol.to_string().into()), ("lba", lba.into())]
-    });
+    let span = st
+        .tracer
+        .span_start(spans::HOST_WRITE, now, SpanId::NONE, || {
+            vec![("vol", vol.to_string().into()), ("lba", lba.into())]
+        });
     if let Err(e) = st.check_host_write(vol, lba) {
         st.metrics.inc(names::WRITES_FAILED);
-        st.tracer
-            .span_end(spans::HOST_WRITE, span, now, || vec![("ack", "failed".into())]);
+        st.tracer.span_end(spans::HOST_WRITE, span, now, || {
+            vec![("ack", "failed".into())]
+        });
         sim.schedule_event_in(
             SimDuration::ZERO,
             E::storage(StorageOp::AckNow {
@@ -211,7 +214,9 @@ fn submit_write<S, E>(
         );
         return;
     }
-    let at = st.array_mut(vol.array).admit(vol.volume, now, WRITE_SERVICE);
+    let at = st
+        .array_mut(vol.array)
+        .admit(vol.volume, now, WRITE_SERVICE);
     let ticket = st.issue_write_ticket(vol);
     sim.schedule_event_at(
         at,
@@ -244,7 +249,10 @@ pub fn host_read<S, E>(
     let done = HostDone::Plain(done);
     let now = sim.now();
     let st = state.storage_mut();
-    if !st.find_array(vol.array).is_some_and(|a| a.admits_read(vol.volume, lba)) {
+    if !st
+        .find_array(vol.array)
+        .is_some_and(|a| a.admits_read(vol.volume, lba))
+    {
         return reject_read(st, sim, done);
     }
     let at = st.array_mut(vol.array).admit(vol.volume, now, READ_SERVICE);
@@ -397,8 +405,9 @@ pub(crate) fn persist<S, E>(
         // back — the auditor catches that as a truncated WAL tail.
         if !st.is_write_turn(vol, ticket) {
             st.metrics.inc(names::WRITE_ORDER_WAITS);
-            st.tracer
-                .instant(spans::TICKET_WAIT, now, span, || vec![("ticket", ticket.into())]);
+            st.tracer.instant(spans::TICKET_WAIT, now, span, || {
+                vec![("ticket", ticket.into())]
+            });
             PersistNext::Stall(JOURNAL_STALL_RETRY, data)
         } else if st.array(vol.array).is_failed() {
             st.retire_write_ticket(vol);
@@ -426,7 +435,9 @@ pub(crate) fn persist<S, E>(
                     let gid = st.fabric.pair(leg_of(st, vol, i)).group;
                     let g = st.fabric.group(gid);
                     if g.is_active() && g.mode == GroupMode::Adc {
-                        let jid = g.primary_jnl.expect("invariant: active ADC groups always carry a primary journal");
+                        let jid = g
+                            .primary_jnl
+                            .expect("invariant: active ADC groups always carry a primary journal");
                         let jnl = st.fabric.journal(jid);
                         if jnl.entry_size(data.len()) <= jnl.capacity_bytes()
                             && !jnl.has_space(data.len())
@@ -451,7 +462,8 @@ pub(crate) fn persist<S, E>(
                 // Pass 2 — persist the primary copy once. The write is
                 // past admission, so the volume's turn advances.
                 st.retire_write_ticket(vol);
-                st.array_mut(vol.array).write_block(vol.volume, lba, data.clone());
+                st.array_mut(vol.array)
+                    .write_block(vol.volume, lba, data.clone());
                 // Pass 3 — drive each leg.
                 let mut adc_kicks = Legs::new();
                 let mut sdc_legs = Legs::new();
@@ -473,7 +485,9 @@ pub(crate) fn persist<S, E>(
                         GroupMode::Adc => {
                             let jid = {
                                 let g = st.fabric.group(gid);
-                                g.primary_jnl.expect("invariant: active ADC groups always carry a primary journal")
+                                g.primary_jnl.expect(
+                                    "invariant: active ADC groups always carry a primary journal",
+                                )
                             };
                             if st.fabric.journal(jid).has_space(data.len()) {
                                 let seq = st
@@ -675,10 +689,26 @@ pub(crate) fn sdc_leg_send<S, E>(
     };
     match r {
         R::Arrive(at) => {
-            sim.schedule_event_at(at, E::storage(StorageOp::SdcArrive { gid, pid, data, join }));
+            sim.schedule_event_at(
+                at,
+                E::storage(StorageOp::SdcArrive {
+                    gid,
+                    pid,
+                    data,
+                    join,
+                }),
+            );
         }
         R::Retry(d) => {
-            sim.schedule_event_in(d, E::storage(StorageOp::SdcSend { gid, pid, data, join }));
+            sim.schedule_event_in(
+                d,
+                E::storage(StorageOp::SdcSend {
+                    gid,
+                    pid,
+                    data,
+                    join,
+                }),
+            );
         }
         R::Degraded => sdc_leg_finished(state, sim, join, LegDone::Degraded),
     }
@@ -719,7 +749,12 @@ pub(crate) fn sdc_leg_arrive<S, E>(
     };
     match a {
         A::Persist(done) => {
-            let op = StorageOp::SdcPersisted { gid, pid, data, join };
+            let op = StorageOp::SdcPersisted {
+                gid,
+                pid,
+                data,
+                join,
+            };
             sim.schedule_event_at(done, E::storage(op));
         }
         A::Degraded => sdc_leg_finished(state, sim, join, LegDone::Degraded),
@@ -783,8 +818,12 @@ pub(crate) fn sdc_leg_done<S, E>(
 
 /// Schedule a transfer-pump cycle for an ADC group if one is not already
 /// pending. `delay` overrides the jittered pump interval.
-pub fn kick_transfer<S, E>(state: &mut S, sim: &mut Sim<S, E>, gid: GroupId, delay: Option<SimDuration>)
-where
+pub fn kick_transfer<S, E>(
+    state: &mut S,
+    sim: &mut Sim<S, E>,
+    gid: GroupId,
+    delay: Option<SimDuration>,
+) where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
 {
@@ -822,7 +861,10 @@ where
         },
         /// Parked on `link`'s wait list; schedule the link's wake at
         /// `wake`, if none was pending.
-        Parked { link: LinkId, wake: Option<SimTime> },
+        Parked {
+            link: LinkId,
+            wake: Option<SimTime>,
+        },
         RetryIn(SimDuration),
         RetryAt(SimTime),
     }
@@ -831,7 +873,12 @@ where
         st.fabric.group_mut(gid).pump_scheduled = false;
         let (active, jid, link, first_pair) = {
             let g = st.fabric.group(gid);
-            (g.is_active(), g.primary_jnl, g.link, g.pairs.first().copied())
+            (
+                g.is_active(),
+                g.primary_jnl,
+                g.link,
+                g.pairs.first().copied(),
+            )
         };
         let primary_failed = first_pair
             .map(|pid| {
@@ -848,77 +895,83 @@ where
             // The pump waits on the link's list for the wake that fires
             // when the backlog has drained (`link_wake`); it does not poll.
             if st.net.link(link).backlog(now) > MAX_LINK_BACKLOG {
-                T::Parked { link, wake: st.park_transfer(gid, gen, link, now) }
+                T::Parked {
+                    link,
+                    wake: st.park_transfer(gid, gen, link, now),
+                }
             } else {
-            let max_e = st.config.batch_max_entries;
-            let batch = st.fabric.journal(jid).peek_unsent(max_e, BATCH_MAX_BYTES);
-            if batch.is_empty() {
-                T::Idle
-            } else {
-                let payload: u64 = batch
-                    .iter()
-                    .map(|e| st.fabric.journal(jid).entry_size(e.data.len()))
-                    .sum::<u64>()
-                    + FRAME_OVERHEAD;
-                match st.offer_link(link, now, payload) {
-                    TransferOutcome::DeliveredAt { at, serialized } => {
-                        let mut batch = batch;
-                        let last = batch.last().expect("invariant: batch checked non-empty above").seq;
-                        st.fabric.journal_mut(jid).mark_sent(last);
-                        let g = st.fabric.group_mut(gid);
-                        g.stats.frames_sent += 1;
-                        g.stats.entries_transferred += batch.len() as u64;
-                        g.stats.bytes_transferred += payload;
-                        if st.tracer.is_enabled() {
-                            for e in &mut batch {
-                                let seq = e.seq;
-                                let w = st.tracer.span_complete(
-                                    spans::WAN_TRANSFER,
-                                    now,
-                                    at,
-                                    e.span,
-                                    || {
-                                        vec![
-                                            ("seq", seq.into()),
-                                            ("group", (gid.0 as u64).into()),
-                                        ]
-                                    },
-                                );
-                                e.span = w;
+                let max_e = st.config.batch_max_entries;
+                let batch = st.fabric.journal(jid).peek_unsent(max_e, BATCH_MAX_BYTES);
+                if batch.is_empty() {
+                    T::Idle
+                } else {
+                    let payload: u64 = batch
+                        .iter()
+                        .map(|e| st.fabric.journal(jid).entry_size(e.data.len()))
+                        .sum::<u64>()
+                        + FRAME_OVERHEAD;
+                    match st.offer_link(link, now, payload) {
+                        TransferOutcome::DeliveredAt { at, serialized } => {
+                            let mut batch = batch;
+                            let last = batch
+                                .last()
+                                .expect("invariant: batch checked non-empty above")
+                                .seq;
+                            st.fabric.journal_mut(jid).mark_sent(last);
+                            let g = st.fabric.group_mut(gid);
+                            g.stats.frames_sent += 1;
+                            g.stats.entries_transferred += batch.len() as u64;
+                            g.stats.bytes_transferred += payload;
+                            if st.tracer.is_enabled() {
+                                for e in &mut batch {
+                                    let seq = e.seq;
+                                    let w = st.tracer.span_complete(
+                                        spans::WAN_TRANSFER,
+                                        now,
+                                        at,
+                                        e.span,
+                                        || {
+                                            vec![
+                                                ("seq", seq.into()),
+                                                ("group", (gid.0 as u64).into()),
+                                            ]
+                                        },
+                                    );
+                                    e.span = w;
+                                }
+                            }
+                            st.sample_replication_series(now);
+                            T::Sent {
+                                batch,
+                                arrive_at: at,
+                                serialized,
                             }
                         }
-                        st.sample_replication_series(now);
-                        T::Sent {
-                            batch,
-                            arrive_at: at,
-                            serialized,
+                        TransferOutcome::Lost => {
+                            st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
+                                vec![("group", (gid.0 as u64).into()), ("reason", "loss".into())]
+                            });
+                            T::RetryIn(LOSS_RETRY)
+                        }
+                        TransferOutcome::Down(Some(up)) => {
+                            st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
+                                vec![("group", (gid.0 as u64).into()), ("reason", "down".into())]
+                            });
+                            T::RetryAt(up.max(now + SimDuration::from_nanos(1)))
+                        }
+                        // Indefinite outage: the pump goes idle; a new append or
+                        // an explicit kick_all_pumps after healing restarts it.
+                        TransferOutcome::Down(None) => {
+                            st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
+                                vec![
+                                    ("group", (gid.0 as u64).into()),
+                                    ("reason", "down-parked".into()),
+                                ]
+                            });
+                            T::Idle
                         }
                     }
-                    TransferOutcome::Lost => {
-                        st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
-                            vec![("group", (gid.0 as u64).into()), ("reason", "loss".into())]
-                        });
-                        T::RetryIn(LOSS_RETRY)
-                    }
-                    TransferOutcome::Down(Some(up)) => {
-                        st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
-                            vec![("group", (gid.0 as u64).into()), ("reason", "down".into())]
-                        });
-                        T::RetryAt(up.max(now + SimDuration::from_nanos(1)))
-                    }
-                    // Indefinite outage: the pump goes idle; a new append or
-                    // an explicit kick_all_pumps after healing restarts it.
-                    TransferOutcome::Down(None) => {
-                        st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
-                            vec![
-                                ("group", (gid.0 as u64).into()),
-                                ("reason", "down-parked".into()),
-                            ]
-                        });
-                        T::Idle
-                    }
                 }
-            }
             }
         }
     };
@@ -985,9 +1038,13 @@ where
             continue;
         }
         st.fabric.group_mut(w.gid).pump_parked = false;
-        st.tracer.span_complete(spans::LANE_WAIT, w.since, now, w.span, || {
-            vec![("group", (w.gid.0 as u64).into()), ("link", (link.0 as u64).into())]
-        });
+        st.tracer
+            .span_complete(spans::LANE_WAIT, w.since, now, w.span, || {
+                vec![
+                    ("group", (w.gid.0 as u64).into()),
+                    ("link", (link.0 as u64).into()),
+                ]
+            });
         run_transfer(state, sim, w.gid, w.gen);
     }
     if let Some(at) = state.storage_mut().arm_lane_wake(link, now) {
@@ -1015,13 +1072,14 @@ pub(crate) fn receive_batch<S, E>(
         let st = state.storage_mut();
         if st.fabric.group(gid).generation != gen {
             let n = batch.len() as u64;
-            st.tracer.instant(spans::FRAME_DISCARD, now, SpanId::NONE, || {
-                vec![
-                    ("group", (gid.0 as u64).into()),
-                    ("entries", n.into()),
-                    ("reason", "stale-generation".into()),
-                ]
-            });
+            st.tracer
+                .instant(spans::FRAME_DISCARD, now, SpanId::NONE, || {
+                    vec![
+                        ("group", (gid.0 as u64).into()),
+                        ("entries", n.into()),
+                        ("reason", "stale-generation".into()),
+                    ]
+                });
             return; // frame from a superseded replication epoch
         }
         let (active, sjid, remote_failed, primary_lost_frame) = {
@@ -1051,20 +1109,21 @@ pub(crate) fn receive_batch<S, E>(
         };
         if !active || remote_failed || primary_lost_frame {
             let n = batch.len() as u64;
-            st.tracer.instant(spans::FRAME_DISCARD, now, SpanId::NONE, || {
-                let reason = if primary_lost_frame {
-                    "primary-lost-frame"
-                } else if remote_failed {
-                    "remote-failed"
-                } else {
-                    "inactive"
-                };
-                vec![
-                    ("group", (gid.0 as u64).into()),
-                    ("entries", n.into()),
-                    ("reason", reason.into()),
-                ]
-            });
+            st.tracer
+                .instant(spans::FRAME_DISCARD, now, SpanId::NONE, || {
+                    let reason = if primary_lost_frame {
+                        "primary-lost-frame"
+                    } else if remote_failed {
+                        "remote-failed"
+                    } else {
+                        "inactive"
+                    };
+                    vec![
+                        ("group", (gid.0 as u64).into()),
+                        ("entries", n.into()),
+                        ("reason", reason.into()),
+                    ]
+                });
             return; // in-flight data discarded on promote/suspend/disaster
         }
         let sjid = sjid.expect("invariant: active ADC groups always carry a secondary journal");
@@ -1103,8 +1162,7 @@ where
         return;
     }
     let cow = st.array(sec.array).cow_would_save(sec.volume, lba);
-    let service =
-        st.array(sec.array).perf().apply_service + COW_PENALTY.saturating_mul(cow as u64);
+    let service = st.array(sec.array).perf().apply_service + COW_PENALTY.saturating_mul(cow as u64);
     let done = st.array_mut(sec.array).admit(sec.volume, now, service);
     st.fabric.group_mut(gid).apply_scheduled = true;
     sim.schedule_event_at(
@@ -1155,9 +1213,10 @@ pub(crate) fn finish_apply<S, E>(
             st.fabric.update_pair(e.pair, |p| p.applied_writes += 1);
             let drained = st.fabric.journal(sjid).is_empty();
             let seq = e.seq;
-            st.tracer.span_complete(spans::BACKUP_APPLY, started, now, parent, || {
-                vec![("seq", seq.into()), ("group", (gid.0 as u64).into())]
-            });
+            st.tracer
+                .span_complete(spans::BACKUP_APPLY, started, now, parent, || {
+                    vec![("seq", seq.into()), ("group", (gid.0 as u64).into())]
+                });
             st.sample_replication_series(now);
             let (reverse, ack_due) = {
                 let g = st.fabric.group_mut(gid);
@@ -1190,7 +1249,12 @@ pub(crate) fn finish_apply<S, E>(
 
 /// The applied-ack frame arrived: free primary-journal entries up to the
 /// acknowledged sequence (unless a resync/promote superseded the epoch).
-pub(crate) fn release_primary_upto<S: HasStorage>(state: &mut S, gid: GroupId, gen: u32, upto: u64) {
+pub(crate) fn release_primary_upto<S: HasStorage>(
+    state: &mut S,
+    gid: GroupId,
+    gen: u32,
+    upto: u64,
+) {
     let st = state.storage_mut();
     if st.fabric.group(gid).generation != gen {
         return;

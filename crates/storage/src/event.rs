@@ -284,15 +284,24 @@ where
                     .cloned();
                 done.call(state, sim, data)
             }
-            StorageOp::SdcSend { gid, pid, data, join } => {
-                engine::sdc_leg_send(state, sim, gid, pid, data, join)
-            }
-            StorageOp::SdcArrive { gid, pid, data, join } => {
-                engine::sdc_leg_arrive(state, sim, gid, pid, data, join)
-            }
-            StorageOp::SdcPersisted { gid, pid, data, join } => {
-                engine::sdc_leg_done(state, sim, gid, pid, data, join)
-            }
+            StorageOp::SdcSend {
+                gid,
+                pid,
+                data,
+                join,
+            } => engine::sdc_leg_send(state, sim, gid, pid, data, join),
+            StorageOp::SdcArrive {
+                gid,
+                pid,
+                data,
+                join,
+            } => engine::sdc_leg_arrive(state, sim, gid, pid, data, join),
+            StorageOp::SdcPersisted {
+                gid,
+                pid,
+                data,
+                join,
+            } => engine::sdc_leg_done(state, sim, gid, pid, data, join),
             StorageOp::SdcAck { pid, join } => {
                 state
                     .storage_mut()

@@ -235,7 +235,8 @@ impl ReplicationFabric {
 
     pub(crate) fn add_journal(&mut self, capacity_bytes: u64) -> JournalId {
         let id = JournalId(self.journals.len() as u32);
-        self.journals.push(Journal::new(id, capacity_bytes, JOURNAL_ENTRY_OVERHEAD));
+        self.journals
+            .push(Journal::new(id, capacity_bytes, JOURNAL_ENTRY_OVERHEAD));
         id
     }
 
@@ -380,32 +381,44 @@ impl ReplicationFabric {
 
     /// Borrow a pair.
     pub fn pair(&self, id: PairId) -> &Pair {
-        self.pairs.get(id.0 as usize).expect("invariant: PairId is only minted by register_pair")
+        self.pairs
+            .get(id.0 as usize)
+            .expect("invariant: PairId is only minted by register_pair")
     }
 
     /// Mutably borrow a pair.
     pub fn pair_mut(&mut self, id: PairId) -> &mut Pair {
-        self.pairs.get_mut(id.0 as usize).expect("invariant: PairId is only minted by register_pair")
+        self.pairs
+            .get_mut(id.0 as usize)
+            .expect("invariant: PairId is only minted by register_pair")
     }
 
     /// Borrow a group.
     pub fn group(&self, id: GroupId) -> &Group {
-        self.groups.get(id.0 as usize).expect("invariant: GroupId is only minted by register_group")
+        self.groups
+            .get(id.0 as usize)
+            .expect("invariant: GroupId is only minted by register_group")
     }
 
     /// Mutably borrow a group.
     pub fn group_mut(&mut self, id: GroupId) -> &mut Group {
-        self.groups.get_mut(id.0 as usize).expect("invariant: GroupId is only minted by register_group")
+        self.groups
+            .get_mut(id.0 as usize)
+            .expect("invariant: GroupId is only minted by register_group")
     }
 
     /// Borrow a journal.
     pub fn journal(&self, id: JournalId) -> &Journal {
-        self.journals.get(id.0 as usize).expect("invariant: JournalId is only minted by register_journal")
+        self.journals
+            .get(id.0 as usize)
+            .expect("invariant: JournalId is only minted by register_journal")
     }
 
     /// Mutably borrow a journal.
     pub fn journal_mut(&mut self, id: JournalId) -> &mut Journal {
-        self.journals.get_mut(id.0 as usize).expect("invariant: JournalId is only minted by register_journal")
+        self.journals
+            .get_mut(id.0 as usize)
+            .expect("invariant: JournalId is only minted by register_journal")
     }
 
     /// All group ids, ascending. The iterator does not borrow the fabric.

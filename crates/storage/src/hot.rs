@@ -87,13 +87,16 @@ impl TicketLanes {
     pub fn retire(&mut self, vol: VolRef) {
         let a = vol.array.0 as usize;
         let v = vol.volume.0 as usize;
-        let issued = self.next_ticket.get(a).and_then(|l| l.get(v)).copied().unwrap_or(0);
+        let issued = self
+            .next_ticket
+            .get(a)
+            .and_then(|l| l.get(v))
+            .copied()
+            .unwrap_or(0);
         if issued > 0 {
-            *self
-                .turn
-                .get_mut(a)
-                .and_then(|l| l.get_mut(v))
-                .expect("invariant: turn is sized in lockstep with next_ticket, which has this slot") += 1;
+            *self.turn.get_mut(a).and_then(|l| l.get_mut(v)).expect(
+                "invariant: turn is sized in lockstep with next_ticket, which has this slot",
+            ) += 1;
         }
     }
 }

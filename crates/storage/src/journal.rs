@@ -135,13 +135,7 @@ impl Journal {
     /// Append a new update, assigning the next sequence number (primary
     /// side). Returns `None` — and counts an overflow — if the journal is
     /// full.
-    pub fn append(
-        &mut self,
-        pair: PairId,
-        lba: u64,
-        data: BlockBuf,
-        hash: u64,
-    ) -> Option<u64> {
+    pub fn append(&mut self, pair: PairId, lba: u64, data: BlockBuf, hash: u64) -> Option<u64> {
         if !self.has_space(data.len()) {
             self.overflow_hits += 1;
             return None;
@@ -301,8 +295,12 @@ mod tests {
     #[test]
     fn append_assigns_contiguous_seqs() {
         let mut j = jnl(1 << 20);
-        let a = j.append(PairId(0), 1, blk("a"), 1).expect("invariant: journal has capacity");
-        let b = j.append(PairId(1), 2, blk("b"), 2).expect("invariant: journal has capacity");
+        let a = j
+            .append(PairId(0), 1, blk("a"), 1)
+            .expect("invariant: journal has capacity");
+        let b = j
+            .append(PairId(1), 2, blk("b"), 2)
+            .expect("invariant: journal has capacity");
         assert_eq!((a, b), (1, 2));
         assert_eq!(j.len(), 2);
         assert_eq!(j.total_appended(), 2);
@@ -326,10 +324,14 @@ mod tests {
     fn peek_unsent_respects_limits_and_watermark() {
         let mut j = jnl(1 << 20);
         for i in 0..10 {
-            j.append(PairId(0), i, blk("d"), 0).expect("invariant: journal has capacity");
+            j.append(PairId(0), i, blk("d"), 0)
+                .expect("invariant: journal has capacity");
         }
         let batch = j.peek_unsent(3, u64::MAX);
-        assert_eq!(batch.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(
+            batch.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
         j.mark_sent(3);
         let batch = j.peek_unsent(100, 2 * (64 + 4096));
         assert_eq!(batch.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![4, 5]);
@@ -340,7 +342,8 @@ mod tests {
     #[test]
     fn oversized_single_entry_still_batches() {
         let mut j = jnl(1 << 20);
-        j.append(PairId(0), 0, blk("big"), 0).expect("invariant: journal has capacity");
+        j.append(PairId(0), 0, blk("big"), 0)
+            .expect("invariant: journal has capacity");
         // max_bytes smaller than one entry: we still get that entry.
         let batch = j.peek_unsent(10, 16);
         assert_eq!(batch.len(), 1);
@@ -350,12 +353,16 @@ mod tests {
     fn release_frees_space_and_tolerates_stale_acks() {
         let mut j = jnl(1 << 20);
         for i in 0..5 {
-            j.append(PairId(0), i, blk("d"), 0).expect("invariant: journal has capacity");
+            j.append(PairId(0), i, blk("d"), 0)
+                .expect("invariant: journal has capacity");
         }
         j.mark_sent(5);
         j.release_upto(3);
         assert_eq!(j.len(), 2);
-        assert_eq!(j.peek_front().expect("invariant: two entries remain").seq, 4);
+        assert_eq!(
+            j.peek_front().expect("invariant: two entries remain").seq,
+            4
+        );
         // Stale ack is a no-op.
         j.release_upto(2);
         assert_eq!(j.len(), 2);
@@ -369,17 +376,23 @@ mod tests {
         let mut main = jnl(1 << 20);
         let mut remote = jnl(1 << 20);
         for i in 0..4 {
-            main.append(PairId(0), i, blk("d"), i).expect("invariant: journal has capacity");
+            main.append(PairId(0), i, blk("d"), i)
+                .expect("invariant: journal has capacity");
         }
         for e in main.peek_unsent(10, u64::MAX) {
             remote.push_arrived(e);
         }
         main.mark_sent(4);
         assert_eq!(remote.len(), 4);
-        let first = remote.pop_front().expect("invariant: remote holds arrived entries");
+        let first = remote
+            .pop_front()
+            .expect("invariant: remote holds arrived entries");
         assert_eq!(first.seq, 1);
         let rest = remote.drain_all();
-        assert_eq!(rest.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(
+            rest.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            vec![2, 3, 4]
+        );
         assert!(remote.is_empty());
     }
 
@@ -417,15 +430,23 @@ mod tests {
             hash: 0,
             span: SpanId::NONE,
         });
-        assert_eq!(remote.peek_front().expect("invariant: entry 5 just arrived").seq, 5);
+        assert_eq!(
+            remote
+                .peek_front()
+                .expect("invariant: entry 5 just arrived")
+                .seq,
+            5
+        );
     }
 
     #[test]
     #[should_panic(expected = "backwards")]
     fn sent_watermark_cannot_regress_via_mark() {
         let mut j = jnl(1 << 20);
-        j.append(PairId(0), 0, blk("a"), 0).expect("invariant: journal has capacity");
-        j.append(PairId(0), 1, blk("b"), 0).expect("invariant: journal has capacity");
+        j.append(PairId(0), 0, blk("a"), 0)
+            .expect("invariant: journal has capacity");
+        j.append(PairId(0), 1, blk("b"), 0)
+            .expect("invariant: journal has capacity");
         j.mark_sent(2);
         j.mark_sent(1);
     }

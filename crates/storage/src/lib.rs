@@ -61,8 +61,8 @@ pub use journal::{Journal, JournalEntry, JOURNAL_ENTRY_OVERHEAD};
 pub use lanewait::{LaneWaits, Waiter};
 pub use pool::{Pool, PoolId};
 pub use shard::{ShardLane, ShardLayout};
-pub use status::{group_status, render_pool_status, render_replication_status, GroupStatus};
 pub use snapshot::Snapshot;
+pub use status::{group_status, render_pool_status, render_replication_status, GroupStatus};
 pub use supervisor::{
     RecoveryStage, Supervisor, SupervisorPolicy, SupervisorStats, PROBE_INTERVAL,
 };

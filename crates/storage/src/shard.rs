@@ -48,7 +48,11 @@ impl ShardLayout {
     /// index (dense, starting at 0).
     pub fn add_lane(&mut self, link: LinkId, reverse: LinkId) -> u32 {
         let id = u32::try_from(self.lanes.len()).expect("shard count exceeds u32");
-        self.lanes.push(ShardLane { link, reverse, groups: Vec::new() });
+        self.lanes.push(ShardLane {
+            link,
+            reverse,
+            groups: Vec::new(),
+        });
         id
     }
 
@@ -67,12 +71,20 @@ impl ShardLayout {
     /// Assign `group` to `shard` (layout bookkeeping only — the caller
     /// creates the group on the lane's links).
     pub fn assign(&mut self, group: GroupId, shard: u32) {
-        assert!((shard as usize) < self.lanes.len(), "assign to unknown shard {shard}");
+        assert!(
+            (shard as usize) < self.lanes.len(),
+            "assign to unknown shard {shard}"
+        );
         let idx = group.0 as usize;
         if self.of_group.len() <= idx {
             self.of_group.resize(idx + 1, u32::MAX);
         }
-        assert_eq!(self.of_group[idx], u32::MAX, "group {} assigned twice", group.0);
+        assert_eq!(
+            self.of_group[idx],
+            u32::MAX,
+            "group {} assigned twice",
+            group.0
+        );
         self.of_group[idx] = shard;
         self.lanes[shard as usize].groups.push(group);
     }

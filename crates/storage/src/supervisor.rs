@@ -44,8 +44,8 @@ use tsuru_telemetry::{names, spans, SpanId};
 
 use crate::block::{GroupId, BLOCK_SIZE};
 use crate::engine::{kick_apply, kick_transfer};
-use crate::fabric::{GroupMode, GroupState, SuspendReason};
 use crate::event::StorageEvents;
+use crate::fabric::{GroupMode, GroupState, SuspendReason};
 use crate::world::HasStorage;
 
 /// Health-probe period (the `SupervisorTick` cadence): sized for the
@@ -266,7 +266,12 @@ impl Supervisor {
         metrics: &mut tsuru_telemetry::MetricsRegistry,
     ) -> bool {
         if attempt > self.policy.max_attempts {
-            self.set_stage(gid, RecoveryStage::Parked { attempts: attempt - 1 });
+            self.set_stage(
+                gid,
+                RecoveryStage::Parked {
+                    attempts: attempt - 1,
+                },
+            );
             self.stats.circuit_broken += 1;
             return true;
         }
@@ -432,12 +437,8 @@ fn attempt_resync<S, E>(
 
 /// After an auto-failover, establish reverse protection as soon as the
 /// failed site's arrays are back.
-fn try_begin_failback<S, E>(
-    state: &mut S,
-    sim: &mut Sim<S, E>,
-    sv: &mut Supervisor,
-    gid: GroupId,
-) where
+fn try_begin_failback<S, E>(state: &mut S, sim: &mut Sim<S, E>, sv: &mut Supervisor, gid: GroupId)
+where
     S: HasStorage + 'static,
     E: StorageEvents<S>,
 {
@@ -496,7 +497,10 @@ fn try_complete_failback<S, E>(
             .primary_jnl
             .map(|jid| st.fabric.journal(jid).capacity_bytes())
             .unwrap_or(1 << 20);
-        (rg.is_active() && !rg.pairs.is_empty() && drained && applied, cap)
+        (
+            rg.is_active() && !rg.pairs.is_empty() && drained && applied,
+            cap,
+        )
     };
     if !caught_up {
         return;
@@ -548,7 +552,11 @@ where
             _ => sv.set_stage(gid, RecoveryStage::FailedOver { at: now }),
         },
         GroupState::Suspended { since, .. } => match stage {
-            RecoveryStage::BackingOff { attempt, since, until } => {
+            RecoveryStage::BackingOff {
+                attempt,
+                since,
+                until,
+            } => {
                 if now < until {
                     return;
                 }
@@ -569,8 +577,13 @@ where
             }
             RecoveryStage::Recovering { attempt, since, .. } => {
                 // Re-suspended mid-recovery: the attempt failed.
-                if sv.begin_backoff(gid, attempt + 1, since, now, &mut state.storage_mut().metrics)
-                {
+                if sv.begin_backoff(
+                    gid,
+                    attempt + 1,
+                    since,
+                    now,
+                    &mut state.storage_mut().metrics,
+                ) {
                     raise_park_alarm(state, gid, attempt, now);
                 }
             }
@@ -583,7 +596,11 @@ where
             }
         },
         GroupState::Active => match stage {
-            RecoveryStage::Recovering { attempt, since, deadline } => {
+            RecoveryStage::Recovering {
+                attempt,
+                since,
+                deadline,
+            } => {
                 if now >= deadline {
                     let healed_in = now.saturating_since(since);
                     sv.record_heal(healed_in);
@@ -619,7 +636,10 @@ where
                     sv.set_stage(gid, RecoveryStage::FailedOver { at: now });
                     let st = state.storage_mut();
                     st.tracer.instant(spans::RECOVERY, now, SpanId::NONE, || {
-                        vec![("group", (gid.0 as u64).into()), ("action", "failover".into())]
+                        vec![
+                            ("group", (gid.0 as u64).into()),
+                            ("action", "failover".into()),
+                        ]
                     });
                 }
             }

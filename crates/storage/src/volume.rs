@@ -86,7 +86,11 @@ impl Volume {
 
     /// Read a block; `None` if it was never written.
     pub fn read(&self, lba: u64) -> Option<&BlockBuf> {
-        assert!(lba < self.size_blocks, "lba {lba} out of range on {}", self.name);
+        assert!(
+            lba < self.size_blocks,
+            "lba {lba} out of range on {}",
+            self.name
+        );
         self.index.get(lba).map(|h| self.buf(h))
     }
 
@@ -100,7 +104,11 @@ impl Volume {
     /// Overwrite a block, returning the previous content (for copy-on-write
     /// snapshot bookkeeping by the owning array).
     pub fn write(&mut self, lba: u64, data: BlockBuf) -> Option<BlockBuf> {
-        assert!(lba < self.size_blocks, "lba {lba} out of range on {}", self.name);
+        assert!(
+            lba < self.size_blocks,
+            "lba {lba} out of range on {}",
+            self.name
+        );
         if let Some(h) = self.index.get(lba) {
             let slot = self
                 .bufs

@@ -16,14 +16,14 @@ use crate::acklog::{AckLog, PrefixReport};
 use crate::array::{ArrayPerf, StorageArray, WriteError};
 use crate::block::{block_from, ArrayId, BlockBuf, GroupId, PairId, SnapshotId, VolRef, VolumeId};
 use crate::config::{EngineConfig, JournalFullPolicy};
+use crate::event::{OpCounts, OP_KINDS};
 use crate::fabric::{
     Group, GroupMode, GroupState, Pair, ReplicationFabric, ReplicationTotals, SuspendReason,
 };
-use crate::event::{OpCounts, OP_KINDS};
 use crate::hot::TicketLanes;
+use crate::journal::JournalEntry;
 use crate::lanewait::{LaneWaits, Waiter};
 use crate::shard::ShardLayout;
-use crate::journal::JournalEntry;
 use crate::supervisor::{Supervisor, SupervisorPolicy};
 use crate::volume::VolumeRole;
 
@@ -305,7 +305,8 @@ impl StorageWorld {
     /// If `id` was not minted by this world's [`StorageWorld::add_array`].
     /// Host I/O never gets here with such an id: admission refuses it.
     pub fn array(&self, id: ArrayId) -> &StorageArray {
-        self.find_array(id).expect("invariant: ArrayId is only minted by add_array")
+        self.find_array(id)
+            .expect("invariant: ArrayId is only minted by add_array")
     }
 
     /// Mutably borrow an array.
@@ -313,7 +314,9 @@ impl StorageWorld {
     /// # Panics
     /// As [`StorageWorld::array`].
     pub fn array_mut(&mut self, id: ArrayId) -> &mut StorageArray {
-        self.arrays.get_mut(id.0 as usize).expect("invariant: ArrayId is only minted by add_array")
+        self.arrays
+            .get_mut(id.0 as usize)
+            .expect("invariant: ArrayId is only minted by add_array")
     }
 
     /// The array `id`, if this world holds it — what host I/O admission
@@ -427,10 +430,7 @@ impl StorageWorld {
     /// (all current primary content is cloned to the secondary, §III-A1)
     /// and fences the secondary against host writes.
     pub fn add_pair(&mut self, group: GroupId, primary: VolRef, secondary: VolRef) -> PairId {
-        assert_ne!(
-            primary, secondary,
-            "a volume cannot replicate to itself"
-        );
+        assert_ne!(primary, secondary, "a volume cannot replicate to itself");
         // Initial copy: snapshot of the primary's current content.
         let (content, initial_hashes, primary_blocks) = {
             let pv = self.array(primary.array).volume(primary.volume);
@@ -558,7 +558,8 @@ impl StorageWorld {
         // tag.
         let capacity = {
             let g = self.fabric.group(id);
-            g.primary_jnl.map(|j| self.fabric.journal(j).capacity_bytes())
+            g.primary_jnl
+                .map(|j| self.fabric.journal(j).capacity_bytes())
         };
         if let Some(capacity) = capacity {
             let pj = self.fabric.add_journal(capacity);
@@ -692,11 +693,7 @@ impl StorageWorld {
     /// primaries again — and immediately re-protect the business in the
     /// original direction with a fresh forward group (full initial copy).
     /// Returns the new forward group's id.
-    pub fn complete_failback(
-        &mut self,
-        reverse: GroupId,
-        journal_capacity_bytes: u64,
-    ) -> GroupId {
+    pub fn complete_failback(&mut self, reverse: GroupId, journal_capacity_bytes: u64) -> GroupId {
         {
             let g = self.fabric.group(reverse);
             assert!(
@@ -734,7 +731,10 @@ impl StorageWorld {
         let name = name.into();
         self.metrics.inc(names::SNAPSHOTS_TAKEN);
         self.tracer.instant(spans::SNAPSHOT, now, SpanId::NONE, || {
-            vec![("vol", vol.to_string().into()), ("name", name.clone().into())]
+            vec![
+                ("vol", vol.to_string().into()),
+                ("name", name.clone().into()),
+            ]
         });
         self.array_mut(vol.array)
             .create_snapshot(vol.volume, name, now)
@@ -848,13 +848,19 @@ impl StorageWorld {
                 }
                 *live.entry(w.gid).or_default() += 1;
                 if g.link != link {
-                    out.push(format!("group g{} waits on link {}, sends on {}", w.gid.0, link.0, g.link.0));
+                    out.push(format!(
+                        "group g{} waits on link {}, sends on {}",
+                        w.gid.0, link.0, g.link.0
+                    ));
                 }
             }
             match self.lane_waits.wake_at(link) {
                 _ if waiters == 0 => {}
                 Some(at) if at >= now => {}
-                armed => out.push(format!("link {}: {waiters} waiters, wake {armed:?} at {now}", link.0)),
+                armed => out.push(format!(
+                    "link {}: {waiters} waiters, wake {armed:?} at {now}",
+                    link.0
+                )),
             }
         }
         for gid in self.fabric.group_ids() {
@@ -949,12 +955,7 @@ impl StorageWorld {
     }
 
     /// Offer a frame on a link.
-    pub(crate) fn offer_link(
-        &mut self,
-        link: LinkId,
-        now: SimTime,
-        bytes: u64,
-    ) -> TransferOutcome {
+    pub(crate) fn offer_link(&mut self, link: LinkId, now: SimTime, bytes: u64) -> TransferOutcome {
         self.net.link_mut(link).offer(now, bytes)
     }
 
@@ -985,12 +986,23 @@ impl StorageWorld {
             SpanId::NONE
         };
         self.tracer.instant(spans::PUMP_STALL, now, span, || {
-            vec![("group", (gid.0 as u64).into()), ("reason", "backlog".into())]
+            vec![
+                ("group", (gid.0 as u64).into()),
+                ("reason", "backlog".into()),
+            ]
         });
         let g = self.fabric.group_mut(gid);
         g.pump_scheduled = true;
         g.pump_parked = true;
-        self.lane_waits.park(link, Waiter { gid, gen, since: now, span });
+        self.lane_waits.park(
+            link,
+            Waiter {
+                gid,
+                gen,
+                since: now,
+                span,
+            },
+        );
         self.arm_lane_wake(link, now)
     }
 
@@ -1157,10 +1169,7 @@ mod tests {
         w.add_pair(g, p, s);
         let applied = w.promote_group(g);
         assert_eq!(applied, 0);
-        assert_eq!(
-            w.array(backup).volume(s.volume).role(),
-            VolumeRole::Primary
-        );
+        assert_eq!(w.array(backup).volume(s.volume).role(), VolumeRole::Primary);
         assert_eq!(w.fabric.group(g).state, GroupState::Promoted);
     }
 

@@ -40,7 +40,10 @@ use tsuru_storage::{block_from, content_hash, BlockBuf, BlockWriter, BLOCK_SIZE}
 /// The fingerprint's definition, from the bytes alone: `content_hash` of
 /// the block up to and including its last non-zero byte.
 fn reference_fingerprint(block: &[u8]) -> u64 {
-    let extent = block.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
+    let extent = block
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |last| last + 1);
     content_hash(&block[..extent])
 }
 
@@ -209,7 +212,10 @@ fn fingerprints_tell_trailing_bytes_and_their_position_apart() {
         let mut bytes = vec![0u8; 100];
         bytes[0] = b'x';
         bytes[99] = last;
-        assert!(seen.insert(block_from(&bytes).fingerprint()), "byte {last} collides");
+        assert!(
+            seen.insert(block_from(&bytes).fingerprint()),
+            "byte {last} collides"
+        );
     }
     // Zeros appended after the last non-zero byte are padding, however they
     // got there.
@@ -224,7 +230,10 @@ fn fingerprints_tell_trailing_bytes_and_their_position_apart() {
     }
     // An empty block and an all-zero one are the same block.
     assert_eq!(BlockWriter::new().image().fingerprint(), content_hash(b""));
-    assert_eq!(block_from(&[0u8; BLOCK_SIZE]).fingerprint(), content_hash(b""));
+    assert_eq!(
+        block_from(&[0u8; BLOCK_SIZE]).fingerprint(),
+        content_hash(b"")
+    );
 }
 
 /// What the re-mint oracle does next: the writer's own calls, plus holders

@@ -80,7 +80,11 @@ fn an_unwatched_worlds_write_block_allocates_nothing() {
     }
     TRACK.with(|t| t.set(false));
 
-    assert_eq!(ALLOCS.load(Ordering::Relaxed), 0, "64 000 overwrites, unwatched");
+    assert_eq!(
+        ALLOCS.load(Ordering::Relaxed),
+        0,
+        "64 000 overwrites, unwatched"
+    );
     assert_eq!(a.drain_feed().count(), 0, "nobody watches, nothing is fed");
 }
 
@@ -104,7 +108,9 @@ fn a_watched_volumes_feed_replays_to_a_byte_identical_volume() {
     for seed in 0..8u64 {
         let mut rng = DetRng::new(seed);
         let mut a = array();
-        let vols: Vec<VolumeId> = (0..3).map(|i| a.create_volume(format!("v{i}"), 256)).collect();
+        let vols: Vec<VolumeId> = (0..3)
+            .map(|i| a.create_volume(format!("v{i}"), 256))
+            .collect();
         // History from before the watch is in the copy, not in the feed.
         for lba in 0..40 {
             a.write_block(vols[0], lba, block_from(&[seed as u8, lba as u8]));
@@ -127,7 +133,9 @@ fn a_watched_volumes_feed_replays_to_a_byte_identical_volume() {
                     a.replace_content(vol, content);
                 }
                 2 => drop(a.create_snapshot(vol, format!("s{step}"), SimTime::from_nanos(step))),
-                _ => drop(a.write_block(vol, rng.gen_range(256), block_from(&payload.to_le_bytes()))),
+                _ => {
+                    drop(a.write_block(vol, rng.gen_range(256), block_from(&payload.to_le_bytes())))
+                }
             }
             // Some steps span several mutations.
             if rng.gen_range(3) != 0 {
@@ -138,7 +146,11 @@ fn a_watched_volumes_feed_replays_to_a_byte_identical_volume() {
                 for e in a.drain_feed() {
                     boundaries += u32::from(replay(&mut copy, e));
                 }
-                assert_eq!(bytes_of(&copy), bytes_of(a.volume(watched)), "seed {seed} step {step}");
+                assert_eq!(
+                    bytes_of(&copy),
+                    bytes_of(a.volume(watched)),
+                    "seed {seed} step {step}"
+                );
                 assert_eq!(copy.content_hashes(), a.volume(watched).content_hashes());
             }
         }

@@ -106,7 +106,10 @@ fn unpaired_write_acks_at_local_service_time() {
         }
     );
     assert_eq!(at, SimTime::from_micros(100));
-    assert_eq!(&r.world.st.read_direct(vol, 0).unwrap()[..8], &1u64.to_le_bytes());
+    assert_eq!(
+        &r.world.st.read_direct(vol, 0).unwrap()[..8],
+        &1u64.to_le_bytes()
+    );
 }
 
 /// Every data-plane step the kernel dispatches is counted under its kind:
@@ -124,11 +127,18 @@ fn op_counts_cover_every_dispatched_step() {
     }
     r.sim.run(&mut r.world);
     let counts: std::collections::BTreeMap<_, _> = r.world.st.op_counts().collect();
-    assert_eq!(counts.len(), tsuru_storage::OP_KINDS.len(), "kind names are distinct");
+    assert_eq!(
+        counts.len(),
+        tsuru_storage::OP_KINDS.len(),
+        "kind names are distinct"
+    );
     assert_eq!(counts.values().sum::<u64>(), r.sim.events_executed() - 20);
     assert_eq!(counts["persist"], 20);
     assert_eq!(counts["finish_apply"], 20);
-    assert_eq!(counts["receive_batch"], r.world.st.fabric.group(g).stats.frames_sent);
+    assert_eq!(
+        counts["receive_batch"],
+        r.world.st.fabric.group(g).stats.frames_sent
+    );
     assert_eq!(counts["link_wake"], 0, "an idle lane parks nobody");
 }
 
@@ -158,7 +168,10 @@ fn adc_ack_is_local_even_on_a_slow_wan() {
         other => panic!("unexpected ack {other:?}"),
     }
     // After the run drains, the secondary holds the data.
-    assert_eq!(&r.world.st.read_direct(s, 0).unwrap()[..8], &7u64.to_le_bytes());
+    assert_eq!(
+        &r.world.st.read_direct(s, 0).unwrap()[..8],
+        &7u64.to_le_bytes()
+    );
     let rep = r.world.st.verify_consistency(&[GroupId(0)]);
     assert!(rep.is_consistent(), "{rep:?}");
 }
@@ -189,7 +202,10 @@ fn sdc_ack_pays_the_round_trip() {
         }
         other => panic!("unexpected ack {other:?}"),
     }
-    assert_eq!(&r.world.st.read_direct(s, 0).unwrap()[..8], &9u64.to_le_bytes());
+    assert_eq!(
+        &r.world.st.read_direct(s, 0).unwrap()[..8],
+        &9u64.to_le_bytes()
+    );
 }
 
 /// One write, issued at 1 ms, to a volume with a synchronous leg to a
@@ -273,20 +289,17 @@ fn adc_applies_in_ack_order_across_the_group() {
     let p2 = r.world.st.create_volume(r.main, "data", 256);
     let s1 = r.world.st.create_volume(r.backup, "wal-r", 256);
     let s2 = r.world.st.create_volume(r.backup, "data-r", 256);
-    let g = r.world.st.create_adc_group("cg", r.link, r.reverse, 1 << 24);
+    let g = r
+        .world
+        .st
+        .create_adc_group("cg", r.link, r.reverse, 1 << 24);
     r.world.st.add_pair(g, p1, s1);
     r.world.st.add_pair(g, p2, s2);
 
     // Alternate writes across the two volumes every 300 us.
     for i in 0..200u64 {
         let vol = if i % 2 == 0 { p1 } else { p2 };
-        write_at(
-            &mut r.sim,
-            SimTime::from_nanos(i * 300_000),
-            vol,
-            i / 2,
-            i,
-        );
+        write_at(&mut r.sim, SimTime::from_nanos(i * 300_000), vol, i / 2, i);
     }
     r.sim.run(&mut r.world);
 
@@ -319,7 +332,10 @@ fn consistency_group_survives_surprise_failure() {
         let p2 = r.world.st.create_volume(r.main, "v2", 1024);
         let s1 = r.world.st.create_volume(r.backup, "v1r", 1024);
         let s2 = r.world.st.create_volume(r.backup, "v2r", 1024);
-        let g = r.world.st.create_adc_group("cg", r.link, r.reverse, 1 << 24);
+        let g = r
+            .world
+            .st
+            .create_adc_group("cg", r.link, r.reverse, 1 << 24);
         r.world.st.add_pair(g, p1, s1);
         r.world.st.add_pair(g, p2, s2);
 
@@ -328,9 +344,13 @@ fn consistency_group_survives_surprise_failure() {
             write_at(&mut r.sim, SimTime::from_nanos(i * 100_000), vol, i / 2, i);
         }
         let main = r.main;
-        at(&mut r.sim, SimTime::from_millis(fail_ms), move |w: &mut World, sim| {
-            w.st.fail_array(main, sim.now());
-        });
+        at(
+            &mut r.sim,
+            SimTime::from_millis(fail_ms),
+            move |w: &mut World, sim| {
+                w.st.fail_array(main, sim.now());
+            },
+        );
         r.sim.run(&mut r.world);
         r.world.st.promote_group(g);
         let rep = r.world.st.verify_consistency(&[g]);
@@ -352,15 +372,24 @@ fn naive_per_volume_groups_collapse_under_lag() {
     // equivalent to two independent replication sessions.
     let link2 = r.world.st.add_link(LinkConfig::metro());
     let rev2 = r.world.st.add_link(LinkConfig::metro());
-    let g1 = r.world.st.create_adc_group("solo1", r.link, r.reverse, 1 << 24);
+    let g1 = r
+        .world
+        .st
+        .create_adc_group("solo1", r.link, r.reverse, 1 << 24);
     let g2 = r.world.st.create_adc_group("solo2", link2, rev2, 1 << 24);
     r.world.st.add_pair(g1, p1, s1);
     r.world.st.add_pair(g2, p2, s2);
 
     // v2's link stalls from 2 ms on: v2's backup freezes while v1 advances.
-    at(&mut r.sim, SimTime::from_millis(2), move |w: &mut World, _| {
-        w.st.net.link_mut(link2).set_down(SimTime::from_millis(2), None);
-    });
+    at(
+        &mut r.sim,
+        SimTime::from_millis(2),
+        move |w: &mut World, _| {
+            w.st.net
+                .link_mut(link2)
+                .set_down(SimTime::from_millis(2), None);
+        },
+    );
     // Strictly alternating dependent writes: v2's write i+1 "depends on"
     // v1's write i (like WAL before data).
     for i in 0..600u64 {
@@ -368,9 +397,13 @@ fn naive_per_volume_groups_collapse_under_lag() {
         write_at(&mut r.sim, SimTime::from_nanos(i * 100_000), vol, i / 2, i);
     }
     let main = r.main;
-    at(&mut r.sim, SimTime::from_millis(40), move |w: &mut World, sim| {
-        w.st.fail_array(main, sim.now());
-    });
+    at(
+        &mut r.sim,
+        SimTime::from_millis(40),
+        move |w: &mut World, sim| {
+            w.st.fail_array(main, sim.now());
+        },
+    );
     r.sim.run(&mut r.world);
     r.world.st.promote_group(g1);
     r.world.st.promote_group(g2);
@@ -410,7 +443,11 @@ fn journal_full_block_policy_stalls_but_loses_nothing() {
     assert_eq!(r.world.acks.len(), 64, "every write eventually acks");
     assert!(r.world.acks.iter().all(|(_, a, _)| a.is_persisted()));
     assert!(
-        r.world.st.metrics.counter(tsuru_storage::metric_names::JOURNAL_STALL_RETRIES) > 0,
+        r.world
+            .st
+            .metrics
+            .counter(tsuru_storage::metric_names::JOURNAL_STALL_RETRIES)
+            > 0,
         "the tiny journal must have caused stalls"
     );
     // Nothing lost: fully applied and consistent.
@@ -458,10 +495,7 @@ fn journal_smaller_than_one_entry_suspends_under_block_instead_of_stalling_forev
 fn journal_full_suspend_policy_degrades_and_resync_recovers() {
     let mut cfg = EngineConfig::default();
     cfg.journal_full_policy = JournalFullPolicy::Suspend;
-    let mut r = rig_with(
-        cfg,
-        LinkConfig::with(SimDuration::from_millis(5), 100_000),
-    );
+    let mut r = rig_with(cfg, LinkConfig::with(SimDuration::from_millis(5), 100_000));
     let p = r.world.st.create_volume(r.main, "p", 256);
     let s = r.world.st.create_volume(r.backup, "s", 256);
     let g = r
@@ -543,7 +577,10 @@ fn snapshot_group_stays_frozen_while_replication_continues() {
     let p2 = r.world.st.create_volume(r.main, "v2", 512);
     let s1 = r.world.st.create_volume(r.backup, "v1r", 512);
     let s2 = r.world.st.create_volume(r.backup, "v2r", 512);
-    let g = r.world.st.create_adc_group("cg", r.link, r.reverse, 1 << 24);
+    let g = r
+        .world
+        .st
+        .create_adc_group("cg", r.link, r.reverse, 1 << 24);
     r.world.st.add_pair(g, p1, s1);
     r.world.st.add_pair(g, p2, s2);
 
@@ -555,11 +592,14 @@ fn snapshot_group_stays_frozen_while_replication_continues() {
     // Snapshot the backup volumes mid-run, then keep writing (tags >= 1000).
     let backup = r.backup;
     let (sv1, sv2) = (s1.volume, s2.volume);
-    at(&mut r.sim, SimTime::from_millis(60), move |w: &mut World, sim| {
-        let snaps =
-            w.st.snapshot_group(backup, &[sv1, sv2], "pit", sim.now());
-        assert_eq!(snaps.len(), 2);
-    });
+    at(
+        &mut r.sim,
+        SimTime::from_millis(60),
+        move |w: &mut World, sim| {
+            let snaps = w.st.snapshot_group(backup, &[sv1, sv2], "pit", sim.now());
+            assert_eq!(snaps.len(), 2);
+        },
+    );
     for i in 0..100u64 {
         let vol = if i % 2 == 0 { p1 } else { p2 };
         write_at(
@@ -607,9 +647,13 @@ fn writes_to_fenced_secondary_and_failed_array_are_rejected() {
 
     write_at(&mut r.sim, SimTime::ZERO, s, 0, 1); // fenced secondary
     let main = r.main;
-    at(&mut r.sim, SimTime::from_millis(1), move |w: &mut World, sim| {
-        w.st.fail_array(main, sim.now());
-    });
+    at(
+        &mut r.sim,
+        SimTime::from_millis(1),
+        move |w: &mut World, sim| {
+            w.st.fail_array(main, sim.now());
+        },
+    );
     write_at(&mut r.sim, SimTime::from_millis(2), p, 0, 2); // failed array
     r.sim.run(&mut r.world);
 
@@ -619,7 +663,13 @@ fn writes_to_fenced_secondary_and_failed_array_are_rejected() {
         WriteAck::Failed(WriteError::VolumeFenced)
     );
     assert_eq!(r.world.acks[1].1, WriteAck::Failed(WriteError::ArrayFailed));
-    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::WRITES_FAILED), 2);
+    assert_eq!(
+        r.world
+            .st
+            .metrics
+            .counter(tsuru_storage::metric_names::WRITES_FAILED),
+        2
+    );
 }
 
 /// A host write past the end of a volume is refused at admission — typed,
@@ -634,7 +684,10 @@ fn writes_past_the_end_of_a_volume_are_rejected_at_admission() {
     let adc_s = r.world.st.create_volume(r.backup, "adc-s", 64);
     let sdc_p = r.world.st.create_volume(r.main, "sdc-p", 64);
     let sdc_s = r.world.st.create_volume(r.backup, "sdc-s", 64);
-    let adc = r.world.st.create_adc_group("adc", r.link, r.reverse, 1 << 24);
+    let adc = r
+        .world
+        .st
+        .create_adc_group("adc", r.link, r.reverse, 1 << 24);
     let sdc = r.world.st.create_sdc_group("sdc", r.link, r.reverse);
     r.world.st.add_pair(adc, adc_p, adc_s);
     r.world.st.add_pair(sdc, sdc_p, sdc_s);
@@ -653,20 +706,50 @@ fn writes_past_the_end_of_a_volume_are_rejected_at_admission() {
     assert_eq!(r.world.acks.len(), 9);
     for (tag, ack, at) in &r.world.acks {
         if tag % 10 == 2 {
-            assert!(matches!(ack, WriteAck::Ok { .. }), "in-range write {tag}: {ack:?}");
+            assert!(
+                matches!(ack, WriteAck::Ok { .. }),
+                "in-range write {tag}: {ack:?}"
+            );
         } else {
-            assert_eq!(*ack, WriteAck::Failed(WriteError::OutOfRange), "write {tag}");
-            assert_eq!(*at, SimTime::ZERO, "rejected at admission, not after service");
+            assert_eq!(
+                *ack,
+                WriteAck::Failed(WriteError::OutOfRange),
+                "write {tag}"
+            );
+            assert_eq!(
+                *at,
+                SimTime::ZERO,
+                "rejected at admission, not after service"
+            );
         }
     }
-    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::WRITES_FAILED), 6);
+    assert_eq!(
+        r.world
+            .st
+            .metrics
+            .counter(tsuru_storage::metric_names::WRITES_FAILED),
+        6
+    );
     for vol in vols {
         assert_eq!(r.world.st.ack_log.count_for(vol), 1);
-        assert_eq!(r.world.st.array(vol.array).volume(vol.volume).allocated_blocks(), 1);
+        assert_eq!(
+            r.world
+                .st
+                .array(vol.array)
+                .volume(vol.volume)
+                .allocated_blocks(),
+            1
+        );
     }
     assert!(r.world.st.verify_consistency(&[adc, sdc]).is_consistent());
-    assert_eq!(r.world.st.read_direct(adc_s, 63), r.world.st.read_direct(adc_p, 63));
-    assert_eq!(r.world.st.read_direct(sdc_s, 63), r.world.st.read_direct(sdc_p, 63));
+    assert_eq!(
+        r.world.st.read_direct(adc_s, 63),
+        r.world.st.read_direct(adc_p, 63)
+    );
+    assert_eq!(
+        r.world.st.read_direct(sdc_s, 63),
+        r.world.st.read_direct(sdc_p, 63)
+    );
 }
 
 #[test]
@@ -678,11 +761,25 @@ fn reads_complete_with_service_latency() {
         host_read(w, sim, v, 5, |w: &mut World, sim, data| {
             assert_eq!(&data.expect("block exists")[..8], b"readable");
             assert_eq!(sim.now(), SimTime::from_micros(200));
-            w.acks.push((0, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
+            w.acks.push((
+                0,
+                WriteAck::Ok {
+                    latency: SimDuration::ZERO,
+                    global: 0,
+                },
+                sim.now(),
+            ));
         });
         host_read(w, sim, v, 9, |w: &mut World, sim, data| {
             assert!(data.is_none(), "unwritten block reads as None");
-            w.acks.push((1, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
+            w.acks.push((
+                1,
+                WriteAck::Ok {
+                    latency: SimDuration::ZERO,
+                    global: 0,
+                },
+                sim.now(),
+            ));
         });
     });
     r.sim.run(&mut r.world);
@@ -725,7 +822,13 @@ fn reads_past_the_end_of_a_volume_are_rejected_at_admission() {
         (true, SimTime::from_micros(400)),
     ];
     assert_eq!(r.world.reads, want);
-    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::READS_FAILED), 4);
+    assert_eq!(
+        r.world
+            .st
+            .metrics
+            .counter(tsuru_storage::metric_names::READS_FAILED),
+        4
+    );
 }
 
 /// Host I/O naming an array the world does not hold (an `ArrayId` is a
@@ -741,10 +844,20 @@ fn a_write_to_an_array_the_world_does_not_hold_fails_with_no_such_volume() {
     r.sim.run(&mut r.world);
     assert_eq!(r.world.acks.len(), 2);
     let (tag, ack, acked_at) = r.world.acks[0];
-    assert_eq!((tag, acked_at), (1, SimTime::ZERO), "refused on the next tick");
+    assert_eq!(
+        (tag, acked_at),
+        (1, SimTime::ZERO),
+        "refused on the next tick"
+    );
     assert_eq!(ack, WriteAck::Failed(WriteError::NoSuchVolume));
     assert!(matches!(r.world.acks[1].1, WriteAck::Ok { .. }));
-    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::WRITES_FAILED), 1);
+    assert_eq!(
+        r.world
+            .st
+            .metrics
+            .counter(tsuru_storage::metric_names::WRITES_FAILED),
+        1
+    );
     assert_eq!(r.world.st.ack_log.len(), 1);
 }
 
@@ -757,13 +870,26 @@ fn a_read_from_an_array_the_world_does_not_hold_returns_none() {
     at(&mut r.sim, SimTime::ZERO, move |w: &mut World, sim| {
         host_read(w, sim, ghost, 0, |w: &mut World, sim, data| {
             assert!(data.is_none());
-            w.acks.push((0, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
+            w.acks.push((
+                0,
+                WriteAck::Ok {
+                    latency: SimDuration::ZERO,
+                    global: 0,
+                },
+                sim.now(),
+            ));
         });
     });
     r.sim.run(&mut r.world);
     assert_eq!(r.world.acks.len(), 1);
     assert_eq!(r.world.acks[0].2, SimTime::ZERO, "refused on the next tick");
-    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::READS_FAILED), 1);
+    assert_eq!(
+        r.world
+            .st
+            .metrics
+            .counter(tsuru_storage::metric_names::READS_FAILED),
+        1
+    );
 }
 
 #[test]
@@ -778,15 +904,27 @@ fn a_read_of_a_deleted_snapshot_returns_none() {
         for array in [main, ghost] {
             host_read_snapshot(w, sim, array, snap, 0, |w: &mut World, sim, data| {
                 assert!(data.is_none());
-                let ack = WriteAck::Ok { latency: SimDuration::ZERO, global: 0 };
+                let ack = WriteAck::Ok {
+                    latency: SimDuration::ZERO,
+                    global: 0,
+                };
                 w.acks.push((0, ack, sim.now()));
             });
         }
     });
     r.sim.run(&mut r.world);
     assert_eq!(r.world.acks.len(), 2);
-    assert!(r.world.acks.iter().all(|a| a.2 == SimTime::ZERO), "refused on the next tick");
-    assert_eq!(r.world.st.metrics.counter(tsuru_storage::metric_names::READS_FAILED), 2);
+    assert!(
+        r.world.acks.iter().all(|a| a.2 == SimTime::ZERO),
+        "refused on the next tick"
+    );
+    assert_eq!(
+        r.world
+            .st
+            .metrics
+            .counter(tsuru_storage::metric_names::READS_FAILED),
+        2
+    );
 
     // Deleted while the read is in service: admitted, then finds nothing.
     let snap = r.world.st.snapshot(v, "pit-2", r.sim.now());
@@ -794,15 +932,30 @@ fn a_read_of_a_deleted_snapshot_returns_none() {
     at(&mut r.sim, start, move |w: &mut World, sim| {
         host_read_snapshot(w, sim, main, snap, 0, |w: &mut World, sim, data| {
             assert!(data.is_none(), "the snapshot is gone");
-            w.acks.push((2, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
+            w.acks.push((
+                2,
+                WriteAck::Ok {
+                    latency: SimDuration::ZERO,
+                    global: 0,
+                },
+                sim.now(),
+            ));
         });
     });
-    at(&mut r.sim, start + SimDuration::from_micros(100), move |w: &mut World, _| {
-        w.st.array_mut(main).delete_snapshot(snap);
-    });
+    at(
+        &mut r.sim,
+        start + SimDuration::from_micros(100),
+        move |w: &mut World, _| {
+            w.st.array_mut(main).delete_snapshot(snap);
+        },
+    );
     r.sim.run(&mut r.world);
     assert_eq!(r.world.acks.len(), 3);
-    assert_eq!(r.world.acks[2].2, start + SimDuration::from_micros(200), "served, not refused");
+    assert_eq!(
+        r.world.acks[2].2,
+        start + SimDuration::from_micros(200),
+        "served, not refused"
+    );
 }
 
 #[test]
@@ -815,11 +968,15 @@ fn link_outage_with_auto_heal_catches_up() {
 
     // Outage window 5..30 ms.
     let link = r.link;
-    at(&mut r.sim, SimTime::from_millis(5), move |w: &mut World, _| {
-        w.st.net
-            .link_mut(link)
-            .set_down(SimTime::from_millis(5), Some(SimTime::from_millis(30)));
-    });
+    at(
+        &mut r.sim,
+        SimTime::from_millis(5),
+        move |w: &mut World, _| {
+            w.st.net
+                .link_mut(link)
+                .set_down(SimTime::from_millis(5), Some(SimTime::from_millis(30)));
+        },
+    );
     for i in 0..200u64 {
         write_at(&mut r.sim, SimTime::from_nanos(i * 100_000), p, i % 256, i);
     }
@@ -860,10 +1017,14 @@ fn indefinite_outage_requires_manual_heal_and_pump_kick() {
         0
     );
     // Heal + kick: replication drains.
-    at(&mut r.sim, SimTime::from_millis(101), move |w: &mut World, sim| {
-        w.st.net.link_mut(link).set_up();
-        kick_all_pumps(w, sim);
-    });
+    at(
+        &mut r.sim,
+        SimTime::from_millis(101),
+        move |w: &mut World, sim| {
+            w.st.net.link_mut(link).set_up();
+            kick_all_pumps(w, sim);
+        },
+    );
     r.sim.run(&mut r.world);
     assert_eq!(
         r.world.st.array(r.backup).volume(s.volume).content_hashes(),
@@ -930,7 +1091,10 @@ fn runs_are_deterministic() {
         let p2 = r.world.st.create_volume(r.main, "v2", 512);
         let s1 = r.world.st.create_volume(r.backup, "v1r", 512);
         let s2 = r.world.st.create_volume(r.backup, "v2r", 512);
-        let g = r.world.st.create_adc_group("cg", r.link, r.reverse, 1 << 24);
+        let g = r
+            .world
+            .st
+            .create_adc_group("cg", r.link, r.reverse, 1 << 24);
         r.world.st.add_pair(g, p1, s1);
         r.world.st.add_pair(g, p2, s2);
         for i in 0..300u64 {
@@ -968,22 +1132,25 @@ fn promote_drains_remote_journal() {
         write_at(&mut sim, SimTime::from_nanos(i * 100_000), p, i, i);
     }
     // Stop mid-apply: fail main at 10 ms, then let arrivals land.
-    at(&mut sim, SimTime::from_millis(10), move |w: &mut World, sim| {
-        w.st.fail_array(main, sim.now());
-    });
+    at(
+        &mut sim,
+        SimTime::from_millis(10),
+        move |w: &mut World, sim| {
+            w.st.fail_array(main, sim.now());
+        },
+    );
     sim.run_until(&mut world, SimTime::from_millis(50));
     let applied_during_promote = world.st.promote_group(g);
     // The run stopped with the remote journal non-empty (slow apply), so
     // promotion had work to do.
-    assert!(applied_during_promote > 0, "promote should drain the journal");
+    assert!(
+        applied_during_promote > 0,
+        "promote should drain the journal"
+    );
     let rep = world.st.verify_consistency(&[g]);
     assert!(rep.is_consistent(), "{rep:?}");
     assert_eq!(
-        world
-            .st
-            .array(backup)
-            .volume(s.volume)
-            .role(),
+        world.st.array(backup).volume(s.volume).role(),
         tsuru_storage::VolumeRole::Primary
     );
 }
@@ -1000,11 +1167,15 @@ fn backup_array_brownout_grows_lag_but_never_breaks_order() {
     r.world.st.add_pair(g, p, s);
 
     let backup = r.backup;
-    at(&mut r.sim, SimTime::from_millis(5), move |w: &mut World, _| {
-        let mut slow = ArrayPerf::default();
-        slow.apply_service = SimDuration::from_millis(5);
-        w.st.array_mut(backup).set_perf(slow);
-    });
+    at(
+        &mut r.sim,
+        SimTime::from_millis(5),
+        move |w: &mut World, _| {
+            let mut slow = ArrayPerf::default();
+            slow.apply_service = SimDuration::from_millis(5);
+            w.st.array_mut(backup).set_perf(slow);
+        },
+    );
     for i in 0..300u64 {
         write_at(&mut r.sim, SimTime::from_nanos(i * 100_000), p, i % 256, i);
     }
@@ -1014,9 +1185,13 @@ fn backup_array_brownout_grows_lag_but_never_breaks_order() {
     assert!(st[0].lag_writes > 10, "brownout must grow lag: {st:?}");
     assert!(r.world.st.verify_consistency(&[g]).is_consistent());
     // Recovery: back to normal speed; everything drains.
-    at(&mut r.sim, SimTime::from_millis(41), move |w: &mut World, _| {
-        w.st.array_mut(backup).set_perf(ArrayPerf::default());
-    });
+    at(
+        &mut r.sim,
+        SimTime::from_millis(41),
+        move |w: &mut World, _| {
+            w.st.array_mut(backup).set_perf(ArrayPerf::default());
+        },
+    );
     r.sim.run(&mut r.world);
     assert_eq!(
         r.world.st.array(r.backup).volume(s.volume).content_hashes(),
@@ -1037,23 +1212,48 @@ fn snapshot_reads_are_timed_and_point_in_time() {
         tsuru_storage::host_read_snapshot(w, sim, main, snap, 3, |w, sim, data| {
             assert_eq!(&data.expect("preserved")[..8], b"original");
             assert_eq!(sim.now(), SimTime::from_micros(200), "read service time");
-            w.acks.push((0, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
+            w.acks.push((
+                0,
+                WriteAck::Ok {
+                    latency: SimDuration::ZERO,
+                    global: 0,
+                },
+                sim.now(),
+            ));
         });
         tsuru_storage::host_read_snapshot(w, sim, main, snap, 9, |w, sim, data| {
             assert!(data.is_none(), "unwritten at snapshot time");
-            w.acks.push((1, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
+            w.acks.push((
+                1,
+                WriteAck::Ok {
+                    latency: SimDuration::ZERO,
+                    global: 0,
+                },
+                sim.now(),
+            ));
         });
     });
     r.sim.run(&mut r.world);
     assert_eq!(r.world.acks.len(), 2);
     // Reads on a failed array return None.
     r.world.st.fail_array(main, r.sim.now());
-    after(&mut r.sim, SimDuration::from_millis(1), move |w: &mut World, sim| {
-        tsuru_storage::host_read_snapshot(w, sim, main, snap, 3, |w, sim, data| {
-            assert!(data.is_none());
-            w.acks.push((2, WriteAck::Ok { latency: SimDuration::ZERO, global: 0 }, sim.now()));
-        });
-    });
+    after(
+        &mut r.sim,
+        SimDuration::from_millis(1),
+        move |w: &mut World, sim| {
+            tsuru_storage::host_read_snapshot(w, sim, main, snap, 3, |w, sim, data| {
+                assert!(data.is_none());
+                w.acks.push((
+                    2,
+                    WriteAck::Ok {
+                        latency: SimDuration::ZERO,
+                        global: 0,
+                    },
+                    sim.now(),
+                ));
+            });
+        },
+    );
     r.sim.run(&mut r.world);
     assert_eq!(r.world.acks.len(), 3);
 }

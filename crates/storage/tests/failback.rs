@@ -13,8 +13,7 @@ use tsuru_sim::{Sim, SimDuration, SimTime};
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::host_write;
 use tsuru_storage::{
-    block_from, ArrayPerf, EngineConfig, GroupState, HasStorage, StorageWorld, VolumeRole,
-    WriteAck,
+    block_from, ArrayPerf, EngineConfig, GroupState, HasStorage, StorageWorld, VolumeRole, WriteAck,
 };
 
 struct World {
@@ -58,17 +57,32 @@ fn full_disaster_recovery_round_trip() {
     // Phase 1: normal operation, then disaster.
     for i in 0..100u64 {
         let vol = if i % 2 == 0 { p1 } else { p2 };
-        at(&mut sim, SimTime::from_nanos(i * 100_000), move |w: &mut World, sim| {
-            host_write(w, sim, vol, i / 2, block_from(&i.to_le_bytes()), |w, _, ack| {
-                if ack.is_persisted() {
-                    w.acks += 1;
-                }
-            });
-        });
+        at(
+            &mut sim,
+            SimTime::from_nanos(i * 100_000),
+            move |w: &mut World, sim| {
+                host_write(
+                    w,
+                    sim,
+                    vol,
+                    i / 2,
+                    block_from(&i.to_le_bytes()),
+                    |w, _, ack| {
+                        if ack.is_persisted() {
+                            w.acks += 1;
+                        }
+                    },
+                );
+            },
+        );
     }
-    at(&mut sim, SimTime::from_millis(6), move |w: &mut World, sim| {
-        w.st.fail_array(main, sim.now());
-    });
+    at(
+        &mut sim,
+        SimTime::from_millis(6),
+        move |w: &mut World, sim| {
+            w.st.fail_array(main, sim.now());
+        },
+    );
     sim.run_until(&mut world, SimTime::from_millis(100));
     world.st.promote_group(g);
     assert!(world.st.verify_consistency(&[g]).is_consistent());
@@ -82,12 +96,17 @@ fn full_disaster_recovery_round_trip() {
             &mut sim,
             SimTime::from_millis(100) + tsuru_sim::SimDuration::from_nanos((i - 100) * 100_000),
             move |w: &mut World, sim| {
-                host_write(w, sim, vol, i / 2, block_from(&i.to_le_bytes()), |w, _, ack| {
-                    match ack {
+                host_write(
+                    w,
+                    sim,
+                    vol,
+                    i / 2,
+                    block_from(&i.to_le_bytes()),
+                    |w, _, ack| match ack {
                         WriteAck::Failed(_) => w.rejected += 1,
                         _ => w.acks += 1,
-                    }
-                });
+                    },
+                );
             },
         );
     }
@@ -115,11 +134,18 @@ fn full_disaster_recovery_round_trip() {
             &mut sim,
             SimTime::from_millis(150) + tsuru_sim::SimDuration::from_nanos((i - 160) * 100_000),
             move |w: &mut World, sim| {
-                host_write(w, sim, vol, i / 2, block_from(&i.to_le_bytes()), |w, _, ack| {
-                    if ack.is_persisted() {
-                        w.acks += 1;
-                    }
-                });
+                host_write(
+                    w,
+                    sim,
+                    vol,
+                    i / 2,
+                    block_from(&i.to_le_bytes()),
+                    |w, _, ack| {
+                        if ack.is_persisted() {
+                            w.acks += 1;
+                        }
+                    },
+                );
             },
         );
     }

@@ -79,7 +79,14 @@ fn rig(seed: u64, config: EngineConfig, link_cfg: LinkConfig) -> Rig {
 
 fn write_at(sim: &mut Sim<World, Ev<World>>, t: SimTime, vol: VolRef, lba: u64, tag: u64) {
     at(sim, t, move |w: &mut World, sim| {
-        host_write(w, sim, vol, lba, block_from(&tag.to_le_bytes()), |_, _, _| {});
+        host_write(
+            w,
+            sim,
+            vol,
+            lba,
+            block_from(&tag.to_le_bytes()),
+            |_, _, _| {},
+        );
     });
 }
 
@@ -137,9 +144,11 @@ fn silent_group_resumes_after_indefinite_outage_heal() {
     heal_link(&mut r.world, &mut r.sim, r.link);
     r.sim.run(&mut r.world);
 
-    let jnl = r.world.st.fabric.journal(
-        r.world.st.fabric.group(r.group).primary_jnl.unwrap(),
-    );
+    let jnl = r
+        .world
+        .st
+        .fabric
+        .journal(r.world.st.fabric.group(r.group).primary_jnl.unwrap());
     assert!(jnl.is_empty(), "journal must drain after heal");
     assert_group_consistent(&r);
     for i in 0..8u64 {
@@ -168,11 +177,7 @@ fn set_up_alone_leaves_pump_parked() {
     r.sim.run(&mut r.world);
     let g = r.world.st.fabric.group(r.group);
     assert!(
-        !r.world
-            .st
-            .fabric
-            .journal(g.primary_jnl.unwrap())
-            .is_empty(),
+        !r.world.st.fabric.journal(g.primary_jnl.unwrap()).is_empty(),
         "set_up without a kick must leave the backlog stuck (parked pump)"
     );
 }
@@ -235,7 +240,13 @@ impl LaneRig {
     /// comes first, as it did when the pump polled).
     fn saturate(&mut self) {
         for (i, &v) in self.vols.iter().enumerate() {
-            write_at(&mut self.sim, SimTime::from_micros(i as u64), v, 0, 100 + i as u64);
+            write_at(
+                &mut self.sim,
+                SimTime::from_micros(i as u64),
+                v,
+                0,
+                100 + i as u64,
+            );
         }
         self.sim.run_until(&mut self.world, SimTime::from_millis(2));
         let mut expect = self.groups[2..].to_vec();
@@ -286,7 +297,11 @@ impl LaneRig {
     fn assert_drained(&self, g: GroupId) {
         let grp = self.world.st.fabric.group(g);
         for j in [grp.primary_jnl.unwrap(), grp.secondary_jnl.unwrap()] {
-            assert!(self.world.st.fabric.journal(j).is_empty(), "g{} journal", g.0);
+            assert!(
+                self.world.st.fabric.journal(j).is_empty(),
+                "g{} journal",
+                g.0
+            );
         }
     }
 }
@@ -304,7 +319,10 @@ fn parked_pumps_ride_out_a_definite_outage() {
     r.world.st.net.link_mut(r.link).set_down(now, Some(up));
 
     r.sim.run_until(&mut r.world, SimTime::from_millis(10));
-    assert!(r.parked().is_empty(), "the wake hands every waiter to its RetryAt");
+    assert!(
+        r.parked().is_empty(),
+        "the wake hands every waiter to its RetryAt"
+    );
     for &g in &r.groups[2..] {
         assert!(r.world.st.fabric.group(g).pump_scheduled);
         assert_eq!(r.sent(g), (0, 0));
@@ -356,9 +374,17 @@ fn parked_pumps_keep_an_exact_wake_across_a_bandwidth_stall() {
     let mut r = lane_rig(23, 6);
     r.saturate();
     let wake = r.world.st.lane_waits().wake_at(r.link).expect("armed");
-    r.world.st.net.link_mut(r.link).set_bandwidth(LANE_BYTES_PER_SEC / 50);
+    r.world
+        .st
+        .net
+        .link_mut(r.link)
+        .set_bandwidth(LANE_BYTES_PER_SEC / 50);
     assert_eq!(
-        r.world.st.net.link(r.link).backlog_clears_at(r.sim.now(), MAX_LINK_BACKLOG),
+        r.world
+            .st
+            .net
+            .link(r.link)
+            .backlog_clears_at(r.sim.now(), MAX_LINK_BACKLOG),
         wake,
         "a bandwidth drop does not move the instant the backlog clears"
     );
@@ -367,13 +393,25 @@ fn parked_pumps_keep_an_exact_wake_across_a_bandwidth_stall() {
     assert_eq!(r.sent(r.groups[2]), (1, 1));
     assert_eq!(r.parked().len(), 5);
     let slow_wake = r.world.st.lane_waits().wake_at(r.link).expect("re-armed");
-    assert!(slow_wake > wake + SimDuration::from_millis(200), "211 ms frame ahead");
+    assert!(
+        slow_wake > wake + SimDuration::from_millis(200),
+        "211 ms frame ahead"
+    );
 
-    r.world.st.net.link_mut(r.link).set_bandwidth(LANE_BYTES_PER_SEC);
+    r.world
+        .st
+        .net
+        .link_mut(r.link)
+        .set_bandwidth(LANE_BYTES_PER_SEC);
     assert_eq!(r.world.st.lane_waits().wake_at(r.link), Some(slow_wake));
-    r.sim.run_until(&mut r.world, SimTime::from_nanos(slow_wake.as_nanos() - 1));
+    r.sim
+        .run_until(&mut r.world, SimTime::from_nanos(slow_wake.as_nanos() - 1));
     // (Six again: the group that sent is back in line for its next cycle.)
-    assert_eq!(r.parked().len(), 6, "restoring bandwidth frees no admitted bits");
+    assert_eq!(
+        r.parked().len(),
+        6,
+        "restoring bandwidth frees no admitted bits"
+    );
     r.assert_lane_invariant();
 
     r.sim.run(&mut r.world);
@@ -401,7 +439,14 @@ fn resync_while_parked_leaves_one_live_entry_and_drops_the_stale_one() {
     let now = r.sim.now();
     write_at(&mut r.sim, now + SimDuration::from_micros(10), vol, 1, 777);
     r.sim.run_until(&mut r.world, SimTime::from_millis(3));
-    let entries = |r: &LaneRig| r.world.st.lane_waits().waiters(r.link).filter(|w| w.gid == g).count();
+    let entries = |r: &LaneRig| {
+        r.world
+            .st
+            .lane_waits()
+            .waiters(r.link)
+            .filter(|w| w.gid == g)
+            .count()
+    };
     assert_eq!(entries(&r), 2, "stale + live");
     assert_eq!(r.parked().iter().filter(|&&w| w == g).count(), 1);
     r.assert_lane_invariant();
@@ -417,7 +462,10 @@ fn resync_while_parked_leaves_one_live_entry_and_drops_the_stale_one() {
         r.assert_drained(g);
     }
     r.assert_quiescent_and_consistent();
-    assert_eq!(&r.world.st.read_direct(vol, 1).unwrap()[..8], &777u64.to_le_bytes());
+    assert_eq!(
+        &r.world.st.read_direct(vol, 1).unwrap()[..8],
+        &777u64.to_le_bytes()
+    );
 }
 
 /// Suspend and promote while parked: the suspended group is popped by the
@@ -444,8 +492,15 @@ fn suspend_and_promote_while_parked_release_the_lane() {
     assert_eq!(st.fabric.group(promoted).state, GroupState::Promoted);
     assert_eq!(r.sent(promoted), (0, 0));
     let psec = st.fabric.pair(st.fabric.group(promoted).pairs[0]).secondary;
-    assert_eq!(st.array(psec.array).volume(psec.volume).role(), VolumeRole::Primary);
-    for &g in r.groups.iter().filter(|&&g| g != suspended && g != promoted) {
+    assert_eq!(
+        st.array(psec.array).volume(psec.volume).role(),
+        VolumeRole::Primary
+    );
+    for &g in r
+        .groups
+        .iter()
+        .filter(|&&g| g != suspended && g != promoted)
+    {
         assert_eq!(r.sent(g), (1, 1));
         r.assert_drained(g);
     }
@@ -480,7 +535,11 @@ fn lane_wait_check_reports_a_lost_pump() {
     let now = r.sim.now();
     let (head, idle) = (r.parked()[0], r.groups[0]);
     r.world.st.fabric.group_mut(head).pump_parked = false;
-    assert_eq!(r.world.st.lane_wait_violations(now).len(), 1, "unclaimed entry");
+    assert_eq!(
+        r.world.st.lane_wait_violations(now).len(),
+        1,
+        "unclaimed entry"
+    );
     r.world.st.fabric.group_mut(head).pump_parked = true;
 
     r.world.st.resync_group(idle); // strands its entry as stale

@@ -53,18 +53,26 @@ fn exhausted_pool_rejects_new_allocations_but_allows_overwrites() {
     let mut sim: Sim<World, Ev<World>> = Sim::new();
     // Five writes to distinct blocks: the fifth must be refused.
     for lba in 0..5u64 {
-        at(&mut sim, SimTime::from_millis(lba), move |w: &mut World, sim| {
-            host_write(w, sim, v, lba, block_from(&[lba as u8]), |w, _, ack| {
-                w.acks.push(ack)
-            });
-        });
+        at(
+            &mut sim,
+            SimTime::from_millis(lba),
+            move |w: &mut World, sim| {
+                host_write(w, sim, v, lba, block_from(&[lba as u8]), |w, _, ack| {
+                    w.acks.push(ack)
+                });
+            },
+        );
     }
     // An overwrite of an existing block still succeeds afterwards.
-    at(&mut sim, SimTime::from_millis(10), move |w: &mut World, sim| {
-        host_write(w, sim, v, 0, block_from(b"rewrite"), |w, _, ack| {
-            w.acks.push(ack)
-        });
-    });
+    at(
+        &mut sim,
+        SimTime::from_millis(10),
+        move |w: &mut World, sim| {
+            host_write(w, sim, v, 0, block_from(b"rewrite"), |w, _, ack| {
+                w.acks.push(ack)
+            });
+        },
+    );
     sim.run(&mut world);
 
     let ok = world.acks.iter().filter(|a| a.is_persisted()).count();
@@ -132,19 +140,20 @@ fn replication_apply_overcommits_rather_than_corrupting() {
     };
     let mut sim: Sim<World, Ev<World>> = Sim::new();
     for lba in 0..20u64 {
-        at(&mut sim, SimTime::from_micros(lba * 200), move |w: &mut World, sim| {
-            host_write(w, sim, p, lba, block_from(&[lba as u8]), |w, _, ack| {
-                w.acks.push(ack)
-            });
-        });
+        at(
+            &mut sim,
+            SimTime::from_micros(lba * 200),
+            move |w: &mut World, sim| {
+                host_write(w, sim, p, lba, block_from(&[lba as u8]), |w, _, ack| {
+                    w.acks.push(ack)
+                });
+            },
+        );
     }
     sim.run(&mut world);
     assert!(world.acks.iter().all(|a| a.is_persisted()));
     // Fully replicated despite the undersized pool...
-    assert_eq!(
-        world.st.array(backup).volume(sid).allocated_blocks(),
-        20
-    );
+    assert_eq!(world.st.array(backup).volume(sid).allocated_blocks(), 20);
     // ...with the overcommit visible to the operator.
     let pool = world.st.array(backup).pool(spool);
     assert!(pool.allocated_blocks() > pool.capacity_blocks());

@@ -18,8 +18,8 @@ use tsuru_simnet::LinkConfig;
 use tsuru_storage::engine::{host_write, host_write_tagged, FRAME_OVERHEAD, MAX_LINK_BACKLOG};
 use tsuru_storage::{
     block_from, content_hash, AckLog, ArrayId, ArrayPerf, BlockBuf, BlockDevice, BlockDeviceMut,
-    EngineConfig, GroupId, HasStorage, MemDevice, PairId, JOURNAL_ENTRY_OVERHEAD, PoolId, SnapshotId,
-    StorageArray, StorageWorld, VolRef, Volume, VolumeId, WriteAck, WriteError,
+    EngineConfig, GroupId, HasStorage, MemDevice, PairId, PoolId, SnapshotId, StorageArray,
+    StorageWorld, VolRef, Volume, VolumeId, WriteAck, WriteError, JOURNAL_ENTRY_OVERHEAD,
 };
 
 // ---------------------------------------------------------------------
@@ -166,8 +166,11 @@ struct W {
 
 fn writes_strategy() -> impl Strategy<Value = Vec<W>> {
     prop::collection::vec(
-        (0usize..3, 0u64..64, 0u64..20_000_000u64)
-            .prop_map(|(vol, lba, at_ns)| W { vol, lba, at_ns }),
+        (0usize..3, 0u64..64, 0u64..20_000_000u64).prop_map(|(vol, lba, at_ns)| W {
+            vol,
+            lba,
+            at_ns,
+        }),
         10..150,
     )
 }
@@ -727,18 +730,34 @@ enum FOp {
     /// Host write to business volume `vol`: one of four payload buffers
     /// every writer shares (`Some`, as the tenant worlds do — the cell is
     /// filled once and read through every clone) or a fresh one.
-    Write { vol: usize, lba: u64, shared: Option<usize>, tag: u16 },
+    Write {
+        vol: usize,
+        lba: u64,
+        shared: Option<usize>,
+        tag: u16,
+    },
     /// Let the data plane run.
-    Run { us: u64 },
+    Run {
+        us: u64,
+    },
     /// Snapshot backup volume `vol`: later applies copy-on-write into it.
-    Snapshot { vol: usize },
+    Snapshot {
+        vol: usize,
+    },
     /// `Volume::clone_content_from` of primary `vol` into a scratch volume.
-    CloneOut { vol: usize },
+    CloneOut {
+        vol: usize,
+    },
     Suspend,
-    Resync { full: bool },
+    Resync {
+        full: bool,
+    },
     /// Overwrite a block of backup volume `vol` behind replication's back,
     /// so the consistency verdict takes both values.
-    Tamper { vol: usize, lba: u64 },
+    Tamper {
+        vol: usize,
+        lba: u64,
+    },
     /// Fail the main array and promote the backup; ends the script.
     Failover,
 }
@@ -761,13 +780,18 @@ fn fop_strategy() -> impl Strategy<Value = FOp> {
 /// `content_hash` of the block up to and including its last non-zero byte.
 /// Every comparison below goes through this one function.
 fn reference_fingerprint(block: &[u8]) -> u64 {
-    let extent = block.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
+    let extent = block
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |last| last + 1);
     content_hash(&block[..extent])
 }
 
 /// `lba → reference_fingerprint(bytes)` from the bytes alone.
 fn recomputed(v: &Volume) -> BTreeMap<u64, u64> {
-    v.iter_blocks().map(|(lba, b)| (lba, reference_fingerprint(b))).collect()
+    v.iter_blocks()
+        .map(|(lba, b)| (lba, reference_fingerprint(b)))
+        .collect()
 }
 
 /// Everything the oracle compares against, kept outside the storage world
@@ -790,7 +814,10 @@ fn recomputed_verdict(st: &StorageWorld, re: &Recomputed, g: GroupId) -> bool {
             let p = st.fabric.pair(pid);
             let mut expect = re.initial[&pid].clone();
             let replayed = st.ack_log.writes_for(p.primary).iter();
-            for &global in replayed.skip(p.ack_offset as usize).take(p.applied_writes as usize) {
+            for &global in replayed
+                .skip(p.ack_offset as usize)
+                .take(p.applied_writes as usize)
+            {
                 expect.insert(st.ack_log.entries()[global as usize].lba, re.acked[&global]);
             }
             expect == recomputed(st.array(p.secondary.array).volume(p.secondary.volume))
@@ -814,7 +841,10 @@ fn check_fingerprints(
     snapshots: &[SnapshotId],
 ) -> Result<bool, String> {
     for &(_, p, s) in pairs {
-        for v in [st.array(p.array).volume(p.volume), st.array(s.array).volume(s.volume)] {
+        for v in [
+            st.array(p.array).volume(p.volume),
+            st.array(s.array).volume(s.volume),
+        ] {
             prop_assert_eq!(v.content_hashes(), recomputed(v), "{}", v.name());
             prop_assert!(v.iter_blocks().all(|(_, b)| fingerprint_is_hash(b)));
         }
@@ -823,11 +853,21 @@ fn check_fingerprints(
     for &snap in snapshots {
         for lba in 0..16 {
             let block = backup.read_snapshot_block(snap, lba);
-            prop_assert!(block.map_or(true, fingerprint_is_hash), "snapshot {:?} lba {}", snap, lba);
+            prop_assert!(
+                block.map_or(true, fingerprint_is_hash),
+                "snapshot {:?} lba {}",
+                snap,
+                lba
+            );
         }
     }
     for e in st.ack_log.entries() {
-        prop_assert_eq!(e.hash, re.acked[&e.global], "ack {} carries a stale fingerprint", e.global);
+        prop_assert_eq!(
+            e.hash,
+            re.acked[&e.global],
+            "ack {} carries a stale fingerprint",
+            e.global
+        );
     }
     let verdict = st.verify_consistency(&[g]).is_consistent();
     prop_assert_eq!(verdict, recomputed_verdict(st, re, g));

@@ -64,7 +64,14 @@ fn rig(seed: u64) -> Rig {
 
 fn write_at(sim: &mut Sim<World, Ev<World>>, t: SimTime, vol: VolRef, lba: u64, tag: u64) {
     at(sim, t, move |w: &mut World, sim| {
-        host_write(w, sim, vol, lba, block_from(&tag.to_le_bytes()), |_, _, _| {});
+        host_write(
+            w,
+            sim,
+            vol,
+            lba,
+            block_from(&tag.to_le_bytes()),
+            |_, _, _| {},
+        );
     });
 }
 
@@ -73,7 +80,13 @@ fn delta_resync_copies_only_the_dirty_set() {
     let mut r = rig(1);
     // Normal replication for a while.
     for i in 0..50u64 {
-        write_at(&mut r.sim, SimTime::from_nanos(i * 100_000), r.p[i as usize % 2], i, i);
+        write_at(
+            &mut r.sim,
+            SimTime::from_nanos(i * 100_000),
+            r.p[i as usize % 2],
+            i,
+            i,
+        );
     }
     r.sim.run(&mut r.world);
 
@@ -102,7 +115,11 @@ fn delta_resync_copies_only_the_dirty_set() {
     // Content converged.
     for i in 0..2 {
         assert_eq!(
-            r.world.st.array(r.main).volume(r.p[i].volume).content_hashes(),
+            r.world
+                .st
+                .array(r.main)
+                .volume(r.p[i].volume)
+                .content_hashes(),
             r.world
                 .st
                 .array(r.backup)
@@ -113,11 +130,21 @@ fn delta_resync_copies_only_the_dirty_set() {
     // And replication works again in the new epoch.
     let now = r.sim.now();
     for i in 0..20u64 {
-        write_at(&mut r.sim, now + SimDuration::from_nanos((i + 1) * 100_000), r.p[0], i, 2000 + i);
+        write_at(
+            &mut r.sim,
+            now + SimDuration::from_nanos((i + 1) * 100_000),
+            r.p[0],
+            i,
+            2000 + i,
+        );
     }
     r.sim.run(&mut r.world);
     assert_eq!(
-        r.world.st.array(r.main).volume(r.p[0].volume).content_hashes(),
+        r.world
+            .st
+            .array(r.main)
+            .volume(r.p[0].volume)
+            .content_hashes(),
         r.world
             .st
             .array(r.backup)
@@ -151,18 +178,26 @@ fn stale_in_flight_frames_are_discarded_after_resync() {
     let mut world = World { st };
     let mut sim: Sim<World, Ev<World>> = Sim::new();
     for i in 0..40u64 {
-        at(&mut sim, SimTime::from_nanos(i * 100_000), move |w: &mut World, sim| {
-            host_write(w, sim, p, i, block_from(&i.to_le_bytes()), |_, _, _| {});
-        });
+        at(
+            &mut sim,
+            SimTime::from_nanos(i * 100_000),
+            move |w: &mut World, sim| {
+                host_write(w, sim, p, i, block_from(&i.to_le_bytes()), |_, _, _| {});
+            },
+        );
     }
     // Suspend + resync at 10 ms: frames offered before that are still on
     // the 50 ms wire and must be dropped on arrival (old generation).
-    at(&mut sim, SimTime::from_millis(10), move |w: &mut World, sim| {
-        w.st.suspend_group(g, sim.now());
-        let report = w.st.resync_group(g);
-        assert!(report.delta);
-        kick_all_pumps(w, sim);
-    });
+    at(
+        &mut sim,
+        SimTime::from_millis(10),
+        move |w: &mut World, sim| {
+            w.st.suspend_group(g, sim.now());
+            let report = w.st.resync_group(g);
+            assert!(report.delta);
+            kick_all_pumps(w, sim);
+        },
+    );
     sim.run(&mut world);
     // No out-of-order panic, and the end state is exact + consistent.
     assert_eq!(
@@ -197,7 +232,19 @@ fn dirty_tracking_starts_at_suspension_only() {
     assert!(r.world.st.fabric.pair(pid).dirty_since_suspend.is_empty());
     r.world.st.suspend_group(r.g, r.sim.now());
     let now = r.sim.now();
-    write_at(&mut r.sim, now + SimDuration::from_millis(1), r.p[0], 77, 77);
+    write_at(
+        &mut r.sim,
+        now + SimDuration::from_millis(1),
+        r.p[0],
+        77,
+        77,
+    );
     r.sim.run(&mut r.world);
-    assert!(r.world.st.fabric.pair(pid).dirty_since_suspend.contains(&77));
+    assert!(r
+        .world
+        .st
+        .fabric
+        .pair(pid)
+        .dirty_since_suspend
+        .contains(&77));
 }

@@ -75,17 +75,23 @@ fn stale_epoch_pump_is_discarded_after_resync() {
         });
     });
     // t=2ms: with that pump still pending, open a new replication epoch.
-    at(&mut sim, SimTime::from_millis(2), move |w: &mut World, sim| {
-        assert!(
-            w.st.fabric.group(g).pump_scheduled,
-            "test premise: the gen-{gen0} pump must still be in flight"
-        );
-        w.st.fabric.group_mut(g).suspend(sim.now(), SuspendReason::Operator);
-        let report = w.st.resync_group(g);
-        assert!(report.delta, "a suspended group gets a delta resync");
-        assert_eq!(w.st.fabric.group(g).generation, gen0 + 1);
-        assert!(!w.st.fabric.group(g).pump_scheduled);
-    });
+    at(
+        &mut sim,
+        SimTime::from_millis(2),
+        move |w: &mut World, sim| {
+            assert!(
+                w.st.fabric.group(g).pump_scheduled,
+                "test premise: the gen-{gen0} pump must still be in flight"
+            );
+            w.st.fabric
+                .group_mut(g)
+                .suspend(sim.now(), SuspendReason::Operator);
+            let report = w.st.resync_group(g);
+            assert!(report.delta, "a suspended group gets a delta resync");
+            assert_eq!(w.st.fabric.group(g).generation, gen0 + 1);
+            assert!(!w.st.fabric.group(g).pump_scheduled);
+        },
+    );
     // The stale RunTransfer fires at ~5ms and must hit the epoch guard.
     sim.run(&mut world);
 
@@ -166,17 +172,28 @@ fn supervisor_drives_failover_then_failback() {
             &mut sim,
             SimTime::from_nanos(i * 500_000),
             move |w: &mut World, sim| {
-                host_write(w, sim, p, i % 8, block_from(&i.to_le_bytes()), |w, _, ack| {
-                    if ack.is_persisted() {
-                        w.acks += 1;
-                    }
-                });
+                host_write(
+                    w,
+                    sim,
+                    p,
+                    i % 8,
+                    block_from(&i.to_le_bytes()),
+                    |w, _, ack| {
+                        if ack.is_persisted() {
+                            w.acks += 1;
+                        }
+                    },
+                );
             },
         );
     }
-    at(&mut sim, SimTime::from_millis(10), move |w: &mut World, sim| {
-        w.st.fail_array(main, sim.now());
-    });
+    at(
+        &mut sim,
+        SimTime::from_millis(10),
+        move |w: &mut World, sim| {
+            w.st.fail_array(main, sim.now());
+        },
+    );
 
     // Step 1: after the grace period the supervisor promotes on its own.
     sim.run_until(&mut world, SimTime::from_millis(20));
@@ -194,26 +211,39 @@ fn supervisor_drives_failover_then_failback() {
             &mut sim,
             SimTime::from_millis(20) + SimDuration::from_nanos((i - 16) * 500_000),
             move |w: &mut World, sim| {
-                host_write(w, sim, s, i % 16, block_from(&i.to_le_bytes()), |w, _, ack| {
-                    match ack {
+                host_write(
+                    w,
+                    sim,
+                    s,
+                    i % 16,
+                    block_from(&i.to_le_bytes()),
+                    |w, _, ack| match ack {
                         tsuru_storage::WriteAck::Failed(_) => w.rejected += 1,
                         _ => w.acks += 1,
-                    }
-                });
+                    },
+                );
             },
         );
     }
     // Step 2: repair the main site at t=40ms; the supervisor establishes
     // reverse protection, waits for catch-up and completes the failback.
-    at(&mut sim, SimTime::from_millis(40), move |w: &mut World, _sim| {
-        w.st.array_mut(main).recover();
-    });
+    at(
+        &mut sim,
+        SimTime::from_millis(40),
+        move |w: &mut World, _sim| {
+            w.st.array_mut(main).recover();
+        },
+    );
     sim.run(&mut world);
 
     assert_eq!(world.rejected, 0, "promoted volumes accept writes");
     let sv = world.st.supervisor().expect("armed");
     assert_eq!(sv.stats().failovers, 1);
-    assert_eq!(sv.stats().failbacks, 1, "repair → reverse sync → one failback");
+    assert_eq!(
+        sv.stats().failbacks,
+        1,
+        "repair → reverse sync → one failback"
+    );
     assert!(
         world.st.fabric.group_ids().all(|gid| !sv.is_parked(gid)),
         "no group is parked"

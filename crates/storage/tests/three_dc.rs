@@ -49,10 +49,22 @@ fn rig(seed: u64) -> Rig {
     let main = st.add_array("vsp-main", ArrayPerf::default());
     let metro = st.add_array("vsp-metro", ArrayPerf::default());
     let far = st.add_array("vsp-far", ArrayPerf::default());
-    let metro_link = st.add_link(LinkConfig::with(SimDuration::from_millis(1), 10_000_000_000 / 8));
-    let metro_rev = st.add_link(LinkConfig::with(SimDuration::from_millis(1), 10_000_000_000 / 8));
-    let far_link = st.add_link(LinkConfig::with(SimDuration::from_millis(25), 1_000_000_000 / 8));
-    let far_rev = st.add_link(LinkConfig::with(SimDuration::from_millis(25), 1_000_000_000 / 8));
+    let metro_link = st.add_link(LinkConfig::with(
+        SimDuration::from_millis(1),
+        10_000_000_000 / 8,
+    ));
+    let metro_rev = st.add_link(LinkConfig::with(
+        SimDuration::from_millis(1),
+        10_000_000_000 / 8,
+    ));
+    let far_link = st.add_link(LinkConfig::with(
+        SimDuration::from_millis(25),
+        1_000_000_000 / 8,
+    ));
+    let far_rev = st.add_link(LinkConfig::with(
+        SimDuration::from_millis(25),
+        1_000_000_000 / 8,
+    ));
 
     let sdc_group = st.create_sdc_group("metro-sdc", metro_link, metro_rev);
     let adc_group = st.create_adc_group("far-adc", far_link, far_rev, 1 << 24);
@@ -90,14 +102,21 @@ fn rig(seed: u64) -> Rig {
 
 fn write_at(sim: &mut Sim<World, Ev<World>>, t: SimTime, vol: VolRef, lba: u64, tag: u64) {
     at(sim, t, move |w: &mut World, sim| {
-        host_write(w, sim, vol, lba, block_from(&tag.to_le_bytes()), |w, _, ack| match ack {
-            WriteAck::Ok { latency, .. } => w.latencies.push(latency),
-            WriteAck::Degraded { latency, .. } => {
-                w.degraded += 1;
-                w.latencies.push(latency);
-            }
-            WriteAck::Failed(_) => {}
-        });
+        host_write(
+            w,
+            sim,
+            vol,
+            lba,
+            block_from(&tag.to_le_bytes()),
+            |w, _, ack| match ack {
+                WriteAck::Ok { latency, .. } => w.latencies.push(latency),
+                WriteAck::Degraded { latency, .. } => {
+                    w.degraded += 1;
+                    w.latencies.push(latency);
+                }
+                WriteAck::Failed(_) => {}
+            },
+        );
     });
 }
 
@@ -105,7 +124,13 @@ fn write_at(sim: &mut Sim<World, Ev<World>>, t: SimTime, vol: VolRef, lba: u64, 
 fn ack_latency_is_metro_rtt_and_both_targets_converge() {
     let mut r = rig(1);
     for i in 0..120u64 {
-        write_at(&mut r.sim, SimTime::from_nanos(i * 400_000), r.p[(i % 2) as usize], i / 2, i);
+        write_at(
+            &mut r.sim,
+            SimTime::from_nanos(i * 400_000),
+            r.p[(i % 2) as usize],
+            i / 2,
+            i,
+        );
     }
     r.sim.run(&mut r.world);
 
@@ -119,14 +144,27 @@ fn ack_latency_is_metro_rtt_and_both_targets_converge() {
     }
     // Both targets hold the exact primary content.
     for i in 0..2 {
-        let expect = r.world.st.array(r.main).volume(r.p[i].volume).content_hashes();
+        let expect = r
+            .world
+            .st
+            .array(r.main)
+            .volume(r.p[i].volume)
+            .content_hashes();
         assert_eq!(
-            r.world.st.array(r.metro).volume(r.metro_s[i].volume).content_hashes(),
+            r.world
+                .st
+                .array(r.metro)
+                .volume(r.metro_s[i].volume)
+                .content_hashes(),
             expect,
             "metro leg diverged"
         );
         assert_eq!(
-            r.world.st.array(r.far).volume(r.far_s[i].volume).content_hashes(),
+            r.world
+                .st
+                .array(r.far)
+                .volume(r.far_s[i].volume)
+                .content_hashes(),
             expect,
             "far leg diverged"
         );
@@ -140,7 +178,13 @@ fn ack_latency_is_metro_rtt_and_both_targets_converge() {
 fn disaster_metro_has_everything_far_has_a_prefix() {
     let mut r = rig(2);
     for i in 0..200u64 {
-        write_at(&mut r.sim, SimTime::from_nanos(i * 400_000), r.p[(i % 2) as usize], i / 2, i);
+        write_at(
+            &mut r.sim,
+            SimTime::from_nanos(i * 400_000),
+            r.p[(i % 2) as usize],
+            i / 2,
+            i,
+        );
     }
     let fail_at = SimTime::from_millis(40);
     let main = r.main;
@@ -190,18 +234,32 @@ fn far_link_outage_degrades_only_the_async_leg() {
         w.st.net.link_mut(far_link).set_down(SimTime::ZERO, None);
     });
     for i in 0..40u64 {
-        write_at(&mut r.sim, SimTime::from_nanos(1 + i * 400_000), r.p[0], i, i);
+        write_at(
+            &mut r.sim,
+            SimTime::from_nanos(1 + i * 400_000),
+            r.p[0],
+            i,
+            i,
+        );
     }
     r.sim.run_until(&mut r.world, SimTime::from_millis(100));
     assert_eq!(r.world.latencies.len(), 40);
     assert_eq!(r.world.degraded, 0, "SDC leg keeps acks green");
     // Metro is current; far is empty.
     assert_eq!(
-        r.world.st.array(r.metro).volume(r.metro_s[0].volume).allocated_blocks(),
+        r.world
+            .st
+            .array(r.metro)
+            .volume(r.metro_s[0].volume)
+            .allocated_blocks(),
         40
     );
     assert_eq!(
-        r.world.st.array(r.far).volume(r.far_s[0].volume).allocated_blocks(),
+        r.world
+            .st
+            .array(r.far)
+            .volume(r.far_s[0].volume)
+            .allocated_blocks(),
         0
     );
     // The far journal is holding the backlog for later catch-up.
@@ -217,14 +275,24 @@ fn metro_outage_degrades_acks_but_far_leg_continues() {
         w.st.net.link_mut(metro_link).set_down(SimTime::ZERO, None);
     });
     for i in 0..40u64 {
-        write_at(&mut r.sim, SimTime::from_nanos(1 + i * 400_000), r.p[0], i, i);
+        write_at(
+            &mut r.sim,
+            SimTime::from_nanos(1 + i * 400_000),
+            r.p[0],
+            i,
+            i,
+        );
     }
     r.sim.run(&mut r.world);
     // First write degrades (link down → SDC group suspends); the rest are
     // suspended-group degraded acks too... but the ADC leg still protects.
     assert!(r.world.degraded > 0);
     assert_eq!(
-        r.world.st.array(r.far).volume(r.far_s[0].volume).allocated_blocks(),
+        r.world
+            .st
+            .array(r.far)
+            .volume(r.far_s[0].volume)
+            .allocated_blocks(),
         40,
         "ADC leg unaffected by the metro outage"
     );
@@ -237,18 +305,19 @@ fn three_dc_runs_are_deterministic() {
     let run = |seed| {
         let mut r = rig(seed);
         for i in 0..100u64 {
-            write_at(&mut r.sim, SimTime::from_nanos(i * 300_000), r.p[(i % 2) as usize], i / 2, i);
+            write_at(
+                &mut r.sim,
+                SimTime::from_nanos(i * 300_000),
+                r.p[(i % 2) as usize],
+                i / 2,
+                i,
+            );
         }
         r.sim.run(&mut r.world);
         (
             r.world.latencies.clone(),
             r.world.st.ack_log.len(),
-            r.world
-                .st
-                .fabric
-                .group(r.adc_group)
-                .stats
-                .entries_applied,
+            r.world.st.fabric.group(r.adc_group).stats.entries_applied,
         )
     };
     assert_eq!(run(9), run(9));

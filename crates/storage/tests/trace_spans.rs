@@ -47,11 +47,15 @@ fn traced_run() -> (World, Tracer) {
     let mut world = World { st, acks: 0 };
     let mut sim: Sim<World, Ev<World>> = Sim::new();
     for (i, vol) in [p0, p1].into_iter().enumerate() {
-        at(&mut sim, SimTime::from_micros(i as u64 * 10), move |w: &mut World, sim| {
-            host_write(w, sim, vol, 3, block_from(b"traced"), |w, _sim, _ack| {
-                w.acks += 1;
-            });
-        });
+        at(
+            &mut sim,
+            SimTime::from_micros(i as u64 * 10),
+            move |w: &mut World, sim| {
+                host_write(w, sim, vol, 3, block_from(b"traced"), |w, _sim, _ack| {
+                    w.acks += 1;
+                });
+            },
+        );
     }
     sim.run(&mut world);
     (world, tracer)
@@ -70,7 +74,12 @@ fn traced_adc_write_yields_lifecycle_chain_ending_in_backup_apply() {
     for r in &records {
         assert!(r.id.0 >= 1, "record ids start at 1");
         if !r.parent.is_none() {
-            assert!(r.parent.0 < r.id.0, "parent #{} not before #{}", r.parent.0, r.id.0);
+            assert!(
+                r.parent.0 < r.id.0,
+                "parent #{} not before #{}",
+                r.parent.0,
+                r.id.0
+            );
         }
     }
 
@@ -104,11 +113,9 @@ fn traced_adc_write_yields_lifecycle_chain_ending_in_backup_apply() {
 
     // The root span closed with an ack: a matching End record exists.
     assert!(
-        records
-            .iter()
-            .any(|r| r.name == span_names::HOST_WRITE
-                && r.id == root.id
-                && matches!(r.kind, RecordKind::End)),
+        records.iter().any(|r| r.name == span_names::HOST_WRITE
+            && r.id == root.id
+            && matches!(r.kind, RecordKind::End)),
         "host_write span must be closed by its ack"
     );
 
@@ -165,13 +172,19 @@ fn traced_lane_wait_fills_the_gap_between_append_and_transfer() {
     let mut world = World { st, acks: 0 };
     let mut sim: Sim<World, Ev<World>> = Sim::new();
     for i in 0..4u64 {
-        let g = world.st.create_adc_group(format!("g{i}"), link, reverse, 1 << 24);
+        let g = world
+            .st
+            .create_adc_group(format!("g{i}"), link, reverse, 1 << 24);
         let p = world.st.create_volume(main, format!("p{i}"), 16);
         let s = world.st.create_volume(backup, format!("s{i}"), 16);
         world.st.add_pair(g, p, s);
-        at(&mut sim, SimTime::from_micros(i), move |w: &mut World, sim| {
-            host_write(w, sim, p, 0, block_from(b"queued"), |w, _, _| w.acks += 1);
-        });
+        at(
+            &mut sim,
+            SimTime::from_micros(i),
+            move |w: &mut World, sim| {
+                host_write(w, sim, p, 0, block_from(b"queued"), |w, _, _| w.acks += 1);
+            },
+        );
     }
     sim.run(&mut world);
     assert_eq!(world.acks, 4);
@@ -186,7 +199,10 @@ fn traced_lane_wait_fills_the_gap_between_append_and_transfer() {
         let RecordKind::Span { end } = w.kind else {
             panic!("lane_wait is a complete span, got {:?}", w.kind);
         };
-        let append = records.iter().find(|r| r.id == w.parent).expect("parent recorded");
+        let append = records
+            .iter()
+            .find(|r| r.id == w.parent)
+            .expect("parent recorded");
         assert_eq!(append.name, span_names::JOURNAL_APPEND);
         assert!(append.t <= w.t && w.t < end);
         let transfer = records

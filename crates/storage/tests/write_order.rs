@@ -72,7 +72,10 @@ fn stalled_writes_apply_in_issue_order() {
     // write_service = 100 µs, stall retry = 200 µs. Issue order: OLD then
     // NEW. Service completes at 100 µs / 200 µs, so the retry grids are
     // OLD @ {300, 500, …} and NEW @ {400, 600, …}.
-    for (t, tag) in [(SimTime::ZERO, 0xDEAD_0001u64), (SimTime::from_micros(1), 0xDEAD_0002)] {
+    for (t, tag) in [
+        (SimTime::ZERO, 0xDEAD_0001u64),
+        (SimTime::from_micros(1), 0xDEAD_0002),
+    ] {
         at(&mut sim, t, move |w: &mut World, sim| {
             host_write(w, sim, p, 0, block_from(&tag.to_le_bytes()), |w, _, ack| {
                 assert!(ack.is_persisted(), "{ack:?}");
@@ -83,19 +86,31 @@ fn stalled_writes_apply_in_issue_order() {
 
     // Heal between the two retry phases: the NEW write's retry at 400 µs
     // finds space *before* the OLD write's retry at 500 µs.
-    at(&mut sim, SimTime::from_micros(350), move |w: &mut World, _| {
-        w.st.fabric.journal_mut(jid).set_capacity_bytes(1 << 24);
-    });
+    at(
+        &mut sim,
+        SimTime::from_micros(350),
+        move |w: &mut World, _| {
+            w.st.fabric.journal_mut(jid).set_capacity_bytes(1 << 24);
+        },
+    );
 
     sim.run(&mut world);
 
     assert_eq!(world.acked, 2, "both writes must eventually persist");
     assert!(
-        world.st.metrics.counter(tsuru_storage::metric_names::JOURNAL_STALL_RETRIES) > 0,
+        world
+            .st
+            .metrics
+            .counter(tsuru_storage::metric_names::JOURNAL_STALL_RETRIES)
+            > 0,
         "the squeeze must actually stall the writes"
     );
     assert!(
-        world.st.metrics.counter(tsuru_storage::metric_names::WRITE_ORDER_WAITS) > 0,
+        world
+            .st
+            .metrics
+            .counter(tsuru_storage::metric_names::WRITE_ORDER_WAITS)
+            > 0,
         "the ordering gate must park the overtaking retry"
     );
     let newest = |vol: VolRef| {
@@ -114,5 +129,9 @@ fn stalled_writes_apply_in_issue_order() {
         "{:?}",
         report.content_mismatches
     );
-    assert_eq!(newest(s), 0xDEAD_0002, "backup must converge to the same bytes");
+    assert_eq!(
+        newest(s),
+        0xDEAD_0002,
+        "backup must converge to the same bytes"
+    );
 }

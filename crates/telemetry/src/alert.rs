@@ -339,7 +339,10 @@ impl AlertEngine {
                 RuleKind::RateOfChange { window, .. } => {
                     let cutoff = now.as_nanos().saturating_sub(window.as_nanos());
                     while state.recent.len() > 2
-                        && state.recent.front().is_some_and(|&(t, _)| t.as_nanos() < cutoff)
+                        && state
+                            .recent
+                            .front()
+                            .is_some_and(|&(t, _)| t.as_nanos() < cutoff)
                     {
                         state.recent.pop_front();
                     }
@@ -354,7 +357,10 @@ impl AlertEngine {
             // Decide breach and the value that evidences it.
             let (breaching, evidence) = match rule.kind {
                 RuleKind::Threshold { above } => (value > above, value),
-                RuleKind::Sustained { above, for_duration } => {
+                RuleKind::Sustained {
+                    above,
+                    for_duration,
+                } => {
                     if value > above {
                         let since = *state.breach_since.get_or_insert(now);
                         (now.saturating_since(since) >= for_duration, value)
@@ -438,11 +444,7 @@ mod tests {
 
     /// Drive `engine` over `samples` applied to a fresh registry series,
     /// evaluating after each sample.
-    fn run_series(
-        engine: &mut AlertEngine,
-        name: &'static str,
-        samples: &[(u64, f64)],
-    ) -> usize {
+    fn run_series(engine: &mut AlertEngine, name: &'static str, samples: &[(u64, f64)]) -> usize {
         let mut m = MetricsRegistry::new();
         m.enable_sampling();
         let tracer = Tracer::disabled();
@@ -471,7 +473,11 @@ mod tests {
             signal: Signal::Series("s"),
             kind: RuleKind::Threshold { above: 5.0 },
         });
-        let n = run_series(&mut e, "s", &[(100, 1.0), (200, 6.0), (300, 6.5), (400, 2.0)]);
+        let n = run_series(
+            &mut e,
+            "s",
+            &[(100, 1.0), (200, 6.0), (300, 6.5), (400, 2.0)],
+        );
         assert_eq!(n, 1);
         let inc = &e.log().incidents()[0];
         assert_eq!(inc.opened_at, at(200));

@@ -172,10 +172,7 @@ impl IncidentLog {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "{{\"span\":{},\"kind\":\"",
-                    f.span.0
-                ));
+                out.push_str(&format!("{{\"span\":{},\"kind\":\"", f.span.0));
                 crate::export::escape_json(&f.kind, &mut out);
                 out.push_str(&format!("\",\"seen_ns\":{}}}", f.first_seen.as_nanos()));
             }
@@ -235,7 +232,10 @@ mod tests {
         inc.observe_faults(at(10), &[(SpanId(3), "link-partition".into())]);
         inc.observe_faults(
             at(12),
-            &[(SpanId(3), "link-partition".into()), (SpanId(9), "journal-squeeze".into())],
+            &[
+                (SpanId(3), "link-partition".into()),
+                (SpanId(9), "journal-squeeze".into()),
+            ],
         );
         assert_eq!(inc.faults.len(), 2);
         assert_eq!(inc.faults[0].first_seen, at(10));

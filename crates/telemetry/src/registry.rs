@@ -108,7 +108,10 @@ impl MetricsRegistry {
         if !self.sampling {
             return;
         }
-        self.shard_series.entry((name, shard)).or_default().push(t, v);
+        self.shard_series
+            .entry((name, shard))
+            .or_default()
+            .push(t, v);
     }
 
     /// The shard-`shard` lane of series `name`, if ever sampled.
@@ -206,7 +209,10 @@ impl SeriesSummary {
             min,
             max,
             mean: sum / pts.len() as f64,
-            last: pts.last().expect("invariant: the empty case returned above").1,
+            last: pts
+                .last()
+                .expect("invariant: the empty case returned above")
+                .1,
         }
     }
 }

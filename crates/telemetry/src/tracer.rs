@@ -304,7 +304,12 @@ impl Tracer {
     /// The innermost open fault window, or [`SpanId::NONE`].
     pub fn current_fault(&self) -> SpanId {
         match &self.0 {
-            Some(core) => core.borrow().fault_stack.last().copied().unwrap_or(SpanId::NONE),
+            Some(core) => core
+                .borrow()
+                .fault_stack
+                .last()
+                .copied()
+                .unwrap_or(SpanId::NONE),
             None => SpanId::NONE,
         }
     }
@@ -326,7 +331,10 @@ impl Tracer {
                     .iter()
                     .find(|r| r.id == id && r.kind == RecordKind::Start)
                     .and_then(|r| {
-                        r.attrs.iter().find(|(k, _)| *k == "kind").map(|(_, v)| v.to_string())
+                        r.attrs
+                            .iter()
+                            .find(|(k, _)| *k == "kind")
+                            .map(|(_, v)| v.to_string())
                     })
                     .unwrap_or_default();
                 (id, kind)
@@ -419,7 +427,9 @@ mod tests {
         });
         assert!(id.is_none());
         t.span_end("host_write", id, at(2), || panic!("lazy"));
-        assert!(t.instant("snapshot", at(3), SpanId::NONE, || panic!("lazy")).is_none());
+        assert!(t
+            .instant("snapshot", at(3), SpanId::NONE, || panic!("lazy"))
+            .is_none());
         assert!(t.records().is_empty());
         assert!(t.tail(8).is_empty());
         assert_eq!(t.export_jsonl(), "");
@@ -497,7 +507,9 @@ mod tests {
     fn tail_renders_the_trailing_window() {
         let t = Tracer::enabled();
         for i in 0..10u64 {
-            t.instant("pump_stall", at(i), SpanId::NONE, || vec![("group", i.into())]);
+            t.instant("pump_stall", at(i), SpanId::NONE, || {
+                vec![("group", i.into())]
+            });
         }
         let tail = t.tail(3);
         assert_eq!(tail.len(), 3);

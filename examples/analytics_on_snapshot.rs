@@ -33,7 +33,8 @@ fn main() {
     );
 
     // Business keeps running for another stretch.
-    rig.sim.run_for(&mut rig.world, SimDuration::from_millis(200));
+    rig.sim
+        .run_for(&mut rig.world, SimDuration::from_millis(200));
     println!(
         "business kept running: {} orders committed by t={}",
         rig.committed_orders(),

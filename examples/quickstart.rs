@@ -56,5 +56,8 @@ fn main() {
         "business RPO: {} of {} committed orders survived ({} lost)",
         orders.recovered, orders.committed, orders.lost
     );
-    assert!(invariant.consistent(), "a consistency group never collapses");
+    assert!(
+        invariant.consistent(),
+        "a consistency group never collapses"
+    );
 }

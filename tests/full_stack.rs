@@ -352,9 +352,10 @@ fn operator_handles_many_namespaces_independently() {
         // Tag the even tenants only.
         if i % 2 == 0 {
             demo.main_api.namespaces.update(&ns, |n| {
-                n.meta
-                    .labels
-                    .insert(BACKUP_TAG_KEY.into(), tsuru_container::BACKUP_TAG_VALUE.into());
+                n.meta.labels.insert(
+                    BACKUP_TAG_KEY.into(),
+                    tsuru_container::BACKUP_TAG_VALUE.into(),
+                );
                 true
             });
         }
