@@ -222,7 +222,7 @@ fn rustish_soup(max_len: usize) -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 128 })]
 
     /// The tokenizer and parser are total: any string — not just valid
     /// Rust — parses without panicking, and parsing is a pure function.

@@ -290,7 +290,7 @@ impl Supervisor {
 
     fn record_heal(&mut self, healed_in: SimDuration) {
         self.stats.heals += 1;
-        self.stats.time_to_heal_total = self.stats.time_to_heal_total + healed_in;
+        self.stats.time_to_heal_total += healed_in;
         self.stats.time_to_heal_max = self.stats.time_to_heal_max.max(healed_in);
     }
 }

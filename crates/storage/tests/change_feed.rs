@@ -134,7 +134,7 @@ fn a_watched_volumes_feed_replays_to_a_byte_identical_volume() {
                 }
                 2 => drop(a.create_snapshot(vol, format!("s{step}"), SimTime::from_nanos(step))),
                 _ => {
-                    drop(a.write_block(vol, rng.gen_range(256), block_from(&payload.to_le_bytes())))
+                    a.write_block(vol, rng.gen_range(256), block_from(&payload.to_le_bytes()));
                 }
             }
             // Some steps span several mutations.

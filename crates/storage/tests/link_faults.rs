@@ -63,8 +63,8 @@ fn rig(seed: u64, config: EngineConfig, link_cfg: LinkConfig) -> Rig {
     let group = st.create_adc_group("g", link, reverse, 1 << 24);
     let mut primaries = Vec::new();
     for i in 0..2u64 {
-        let p = st.create_volume(main, &format!("p{i}"), 64);
-        let s = st.create_volume(backup, &format!("s{i}"), 64);
+        let p = st.create_volume(main, format!("p{i}"), 64);
+        let s = st.create_volume(backup, format!("s{i}"), 64);
         st.add_pair(group, p, s);
         primaries.push(p);
     }

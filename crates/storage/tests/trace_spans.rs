@@ -146,8 +146,7 @@ fn traced_run_samples_replication_series_and_counts_metrics() {
     let last_lag = snap
         .series
         .iter()
-        .filter(|(n, _)| n == tsuru_storage::metric_names::RPO_LAG)
-        .next_back()
+        .rfind(|(n, _)| n == tsuru_storage::metric_names::RPO_LAG)
         .map(|(_, s)| s.last)
         .expect("at least one rpo.lag_writes sample");
     assert_eq!(last_lag, 0.0);
