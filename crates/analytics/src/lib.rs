@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use tsuru_ecom::{OrderRow, StockRow, ORDERS_TABLE, STOCK_TABLE};
 use tsuru_minidb::MiniDb;
@@ -74,7 +74,7 @@ impl AnalyticsReport {
 
 /// Run the full analytics suite over a (recovered) sales + stock pair.
 pub fn run_analytics(sales: &MiniDb, stock: &MiniDb, top_k: usize) -> AnalyticsReport {
-    let mut units: HashMap<u64, u64> = HashMap::new();
+    let mut units: BTreeMap<u64, u64> = BTreeMap::new();
     let mut order_count = 0u64;
     for (_, buf) in sales.scan_table(ORDERS_TABLE) {
         if let Some(row) = OrderRow::decode(buf) {
@@ -82,7 +82,7 @@ pub fn run_analytics(sales: &MiniDb, stock: &MiniDb, top_k: usize) -> AnalyticsR
             order_count += 1;
         }
     }
-    let stock_rows: HashMap<u64, u64> = stock
+    let stock_rows: BTreeMap<u64, u64> = stock
         .scan_table(STOCK_TABLE)
         .into_iter()
         .filter_map(|(item, buf)| StockRow::decode(buf).map(|r| (item, r.quantity)))

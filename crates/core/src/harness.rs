@@ -121,7 +121,10 @@ impl TrialHarness {
         R: Send,
         F: Fn(TrialCtx) -> R + Sync,
     {
-        // detlint: allow(wall_clock) — batch wall-clock feeds ThroughputReport, never trial results
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "batch wall clock feeds ThroughputReport, never trial results"
+        )]
         let batch_start = Instant::now();
         let mut indexed: Vec<(usize, u64, R)> = if self.threads <= 1 || trials <= 1 {
             // The serial path is the reference: a plain in-order loop.
@@ -131,7 +134,10 @@ impl TrialHarness {
                         index,
                         seed: DetRng::trial_seed(base_seed, index as u64),
                     };
-                    // detlint: allow(wall_clock) — per-trial latency metric, reporting-only
+                    #[allow(
+                        clippy::disallowed_methods,
+                        reason = "per-trial latency metric, reporting only"
+                    )]
                     let t0 = Instant::now();
                     let row = run_trial(ctx);
                     (index, t0.elapsed().as_nanos() as u64, row)
@@ -141,6 +147,10 @@ impl TrialHarness {
             let next = AtomicUsize::new(0);
             let results: Mutex<Vec<(usize, u64, R)>> = Mutex::new(Vec::with_capacity(trials));
             let workers = self.threads.min(trials);
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the trial harness is the one place that runs threads; rows are re-sorted by trial index below"
+            )]
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -155,7 +165,10 @@ impl TrialHarness {
                                     index,
                                     seed: DetRng::trial_seed(base_seed, index as u64),
                                 };
-                                // detlint: allow(wall_clock) — per-trial latency metric, reporting-only
+                                #[allow(
+                                    clippy::disallowed_methods,
+                                    reason = "per-trial latency metric, reporting only"
+                                )]
                                 let t0 = Instant::now();
                                 let row = run_trial(ctx);
                                 local.push((index, t0.elapsed().as_nanos() as u64, row));

@@ -1,7 +1,10 @@
 //! End-to-end tests of the full demonstration system (container platforms,
 //! operator, plugins) and the experiment runners.
 
-#![allow(clippy::field_reassign_with_default)]
+#![allow(
+    clippy::field_reassign_with_default,
+    reason = "a test starts from the default config and sets the fields under test one line each"
+)]
 
 use tsuru_core::experiments::{e1_slowdown, e2_collapse, e5_operator, e6_demo, manual_steps};
 use tsuru_core::{BackupMode, DemoConfig, DemoSystem, RigConfig, TrialHarness, TwoSiteRig};

@@ -1,8 +1,8 @@
 //! Flow-aware rules on top of the call graph: `panic_reachable`,
 //! `sim_purity`, `float_ordering`.
 //!
-//! These are the v2 rules (DESIGN.md §12). Unlike the token rules they
-//! reason about *reachability*: a panic source is only a finding when the
+//! These rules (DESIGN.md §12) reason about what clippy's path lints
+//! cannot see, *reachability*: a panic source is only a finding when the
 //! replication hot path can actually arrive at it, and an ambient-state
 //! touch is only a finding when a kernel event handler can. Because the
 //! resolution is conservative (see [`crate::graph`]), findings carry the
@@ -105,17 +105,12 @@ pub fn sim_purity(graph: &CallGraph, config: &Config) -> Vec<Finding> {
 /// - `.partial_cmp(…).unwrap()/.expect(…)` comparison chains (NaN panics
 ///   *and* unstable ordering in one expression).
 ///
-/// Scope: the deterministic crates (the same list as `hash_collections`)
+/// Scope: the crates `detlint.toml` lists under `[rules.float_ordering]`
 /// — float state elsewhere (report formatting, benches) is fine.
 pub fn float_ordering(files: &[(String, FileSymbols)], config: &Config) -> Vec<Finding> {
-    let in_scope = |path: &str| {
-        path.contains("/src/")
-            && crate::crate_of(path)
-                .is_some_and(|c| config.deterministic_crates.iter().any(|d| d == c))
-    };
     let mut out = Vec::new();
     for (path, syms) in files {
-        if !in_scope(path) {
+        if !config.polices_floats(path) {
             continue;
         }
         for st in &syms.structs {
@@ -184,10 +179,7 @@ pub fn float_keyed_collections(
     toks: &[crate::token::Tok],
     config: &Config,
 ) -> Vec<Finding> {
-    let in_scope = path.contains("/src/")
-        && crate::crate_of(path)
-            .is_some_and(|c| config.deterministic_crates.iter().any(|d| d == c));
-    if !in_scope {
+    if !config.polices_floats(path) {
         return Vec::new();
     }
     let mut out = Vec::new();

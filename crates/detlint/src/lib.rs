@@ -1,39 +1,25 @@
-//! # detlint — workspace-wide determinism & safety lint
+//! # detlint — the call-graph half of the determinism lint
 //!
 //! The repo's core claim — byte-identical experiment output at any thread
 //! count, and prefix-consistent backup images — rests on discipline that no
-//! type system enforces: no wall-clock reads inside simulated code, no
-//! ambient randomness, no hash-order iteration where it can reach output,
-//! no stray threads, no unexplained `unsafe`, no bare `unwrap()` on
-//! replication hot paths. This crate encodes that discipline as
-//! machine-checked rules so CI fails the moment a PR reintroduces a
-//! nondeterministic input (DESIGN.md "Determinism invariants").
+//! type system enforces. Where the rule is about *which item a path
+//! names* — no wall-clock reads, no ambient randomness, no hash-ordered
+//! collections, no threads outside the trial harness, no `unsafe` without a
+//! `// SAFETY:` comment — clippy enforces it on resolved paths, configured
+//! by the root `clippy.toml` and `[workspace.lints]` (DESIGN.md §7). This
+//! crate keeps the rules that need to know what *reaches* what: whether a
+//! panic or an ambient-state touch lies within K call edges of a hot-path
+//! entry point, and whether a float sits in an ordering position.
 //!
 //! Everything is hand-rolled — no `syn`, no dependencies — so the lint
 //! builds fully offline and can never be broken by a vendored-dep change.
-//! Two analysis layers share one front end:
-//!
-//! - a per-line **lexer** ([`lex`]) feeding five token rules (string/char
-//!   literal contents blanked, comments routed to their own channel, so
-//!   `"Instant::now"` in a string or comment is never flagged);
-//! - a full **tokenizer** ([`token`]) + **item parser** ([`parse`])
-//!   building a per-crate symbol table and a conservative name-resolved
-//!   **call graph** ([`graph`], queryable via `detlint graph --dot`),
-//!   feeding three flow rules ([`flow`]).
+//! One lexer ([`token`]) feeds an item parser ([`parse`]) that builds a
+//! per-crate symbol table and a conservative name-resolved **call graph**
+//! ([`graph`], queryable via `detlint graph --dot`), on which three flow
+//! rules run ([`flow`]). The lexer also sets each line's comment text
+//! aside: that is where waivers are read.
 //!
 //! ## Rules
-//!
-//! Token rules (hard-fail — the tree is clean and stays clean):
-//!
-//! | rule | invariant |
-//! |------|-----------|
-//! | `wall_clock` | no `Instant::now` / `SystemTime` outside the sim clock |
-//! | `ambient_rng` | no `thread_rng` / `from_entropy` / `OsRng` — all randomness flows from `DetRng` |
-//! | `hash_collections` | no `HashMap`/`HashSet` in deterministic crates' `src/` — use `BTreeMap`/`BTreeSet` |
-//! | `thread_spawn` | no `thread::spawn` outside the trial harness |
-//! | `unsafe_safety` | every `unsafe` is preceded by a `// SAFETY:` comment |
-//!
-//! Flow rules (ratcheted against `detlint.lock` — see [`lock`]):
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -43,21 +29,21 @@
 //!
 //! `.expect("invariant: …")` — a message that *names the invariant* — is
 //! the sanctioned way to assert unreachable states on the hot path;
-//! `panic_reachable` accepts it and flags everything else.
+//! `panic_reachable` accepts it and flags everything else. Every finding
+//! ratchets against `detlint.lock` (see [`lock`]).
 //!
 //! ## Waivers
 //!
 //! A finding is waived by a comment on the same line or the line above:
 //!
 //! ```text
-//! // detlint: allow(wall_clock) — batch wall-clock is reporting-only
+//! // detlint: allow(panic_reachable) — index bounded by the check above
 //! ```
 //!
 //! The reason after the closing paren is mandatory; a reasonless waiver is
-//! itself reported. File-level allowlists live in `detlint.toml` at the
-//! workspace root. Flow-rule findings that are accepted debt live in
-//! `detlint.lock` instead — fingerprinted by rule + path + symbol (never
-//! line numbers) and burned down monotonically via `--update-lock`.
+//! itself reported. Findings that are accepted debt live in `detlint.lock`
+//! instead — fingerprinted by rule + path + symbol (never line numbers)
+//! and burned down monotonically via `--update-lock`.
 
 #![forbid(unsafe_code)]
 
@@ -74,222 +60,8 @@ pub mod token;
 pub use graph::CallGraph;
 pub use lock::{ratchet, Lock, RatchetReport};
 
-// ---------------------------------------------------------------------------
-// Lexer
-// ---------------------------------------------------------------------------
-
-/// One source line, split into its code text and its comment text.
-///
-/// String/char literal *contents* are blanked out of `code` (each literal
-/// collapses to a single space), so pattern scans can never match inside
-/// them. Comment text — line comments, doc comments, and each line's share
-/// of a (possibly nested) block comment — lands in `comment`, where the
-/// waiver and `SAFETY:` scanners look.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Line {
-    /// Code with literal contents removed.
-    pub code: String,
-    /// Comment text on this line.
-    pub comment: String,
-}
-
-/// Split `source` into per-line code/comment channels.
-pub fn lex(source: &str) -> Vec<Line> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum State {
-        Normal,
-        LineComment,
-        /// Nested block comment at the given depth.
-        Block(u32),
-        /// Ordinary (escaped) string literal.
-        Str,
-        /// Raw string terminated by `"` followed by this many `#`.
-        RawStr(u32),
-    }
-
-    let chars: Vec<char> = source.chars().collect();
-    let mut lines: Vec<Line> = vec![Line::default()];
-    let mut st = State::Normal;
-    let mut i = 0usize;
-
-    // Can `chars[idx]` start a raw-string prefix? `r` / `br` only count when
-    // not glued onto a preceding identifier (`for"x"` is not valid Rust, but
-    // `r#raw_ident` is, and must not be read as a raw string).
-    let prev_is_ident = |idx: usize, chars: &[char]| -> bool {
-        idx > 0 && (chars[idx - 1].is_alphanumeric() || chars[idx - 1] == '_')
-    };
-
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '\n' {
-            if st == State::LineComment {
-                st = State::Normal;
-            }
-            lines.push(Line::default());
-            i += 1;
-            continue;
-        }
-        let cur = lines.last_mut().expect("lines is never empty");
-        match st {
-            State::Normal => {
-                if c == '/' && chars.get(i + 1) == Some(&'/') {
-                    st = State::LineComment;
-                    i += 2;
-                    continue;
-                }
-                if c == '/' && chars.get(i + 1) == Some(&'*') {
-                    st = State::Block(1);
-                    i += 2;
-                    continue;
-                }
-                if c == '"' {
-                    cur.code.push(' ');
-                    st = State::Str;
-                    i += 1;
-                    continue;
-                }
-                // Raw strings: r"..." / r#"..."# / br"..." / br#"..."#.
-                if c == 'r' {
-                    let raw_ok = !prev_is_ident(i, &chars)
-                        || (chars[i - 1] == 'b' && !prev_is_ident(i - 1, &chars));
-                    if raw_ok {
-                        let mut j = i + 1;
-                        let mut hashes = 0u32;
-                        while chars.get(j) == Some(&'#') {
-                            hashes += 1;
-                            j += 1;
-                        }
-                        if chars.get(j) == Some(&'"') {
-                            cur.code.push(' ');
-                            st = State::RawStr(hashes);
-                            i = j + 1;
-                            continue;
-                        }
-                    }
-                }
-                // Char literal vs lifetime.
-                if c == '\'' {
-                    match chars.get(i + 1) {
-                        // Escaped char: '\n', '\'', '\u{..}' — scan to the
-                        // closing quote, skipping escape pairs.
-                        Some('\\') => {
-                            let mut j = i + 1;
-                            while j < chars.len() {
-                                if chars[j] == '\\' {
-                                    j += 2;
-                                } else if chars[j] == '\'' {
-                                    break;
-                                } else {
-                                    j += 1;
-                                }
-                            }
-                            cur.code.push(' ');
-                            i = (j + 1).min(chars.len());
-                            continue;
-                        }
-                        // Simple one-char literal 'a' (the middle char may
-                        // itself be anything, including '"').
-                        Some(_) if chars.get(i + 2) == Some(&'\'') => {
-                            cur.code.push(' ');
-                            i += 3;
-                            continue;
-                        }
-                        // A lifetime ('a, 'static): the quote is plain code.
-                        _ => {}
-                    }
-                }
-                cur.code.push(c);
-                i += 1;
-            }
-            State::LineComment => {
-                cur.comment.push(c);
-                i += 1;
-            }
-            State::Block(depth) => {
-                if c == '/' && chars.get(i + 1) == Some(&'*') {
-                    st = State::Block(depth + 1);
-                    cur.comment.push_str("/*");
-                    i += 2;
-                } else if c == '*' && chars.get(i + 1) == Some(&'/') {
-                    st = if depth == 1 {
-                        State::Normal
-                    } else {
-                        cur.comment.push_str("*/");
-                        State::Block(depth - 1)
-                    };
-                    i += 2;
-                } else {
-                    cur.comment.push(c);
-                    i += 1;
-                }
-            }
-            State::Str => {
-                if c == '\\' {
-                    i += 2; // skip the escaped char (may be a quote)
-                } else if c == '"' {
-                    st = State::Normal;
-                    i += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            State::RawStr(hashes) => {
-                if c == '"' {
-                    let mut j = i + 1;
-                    let mut seen = 0u32;
-                    while seen < hashes && chars.get(j) == Some(&'#') {
-                        seen += 1;
-                        j += 1;
-                    }
-                    if seen == hashes {
-                        st = State::Normal;
-                        i = j;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-    lines
-}
-
-/// Does `haystack` contain `needle` with identifier boundaries on both
-/// sides? (`HashMap` matches in `std::collections::HashMap<K, V>` but not
-/// in `FxHashMap` or `HashMapLike`; `unsafe` does not match `unsafe_code`.)
-pub fn find_word(haystack: &str, needle: &str) -> bool {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut from = 0;
-    while let Some(pos) = haystack[from..].find(needle) {
-        let start = from + pos;
-        let end = start + needle.len();
-        let ok_before = start == 0 || !haystack[..start].chars().next_back().is_some_and(is_ident);
-        let ok_after =
-            end == haystack.len() || !haystack[end..].chars().next().is_some_and(is_ident);
-        if ok_before && ok_after {
-            return true;
-        }
-        from = start + 1;
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// Rules
-// ---------------------------------------------------------------------------
-
-/// The eight rule identifiers, in reporting order: the five token rules,
-/// then the three flow rules (which ratchet against `detlint.lock`).
-pub const RULE_NAMES: [&str; 8] = [
-    "wall_clock",
-    "ambient_rng",
-    "hash_collections",
-    "thread_spawn",
-    "unsafe_safety",
-    "panic_reachable",
-    "sim_purity",
-    "float_ordering",
-];
+/// The three rule identifiers, in reporting order.
+pub const RULE_NAMES: [&str; 3] = ["panic_reachable", "sim_purity", "float_ordering"];
 
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,8 +72,8 @@ pub struct Finding {
     pub line: usize,
     /// Rule identifier (one of [`RULE_NAMES`]).
     pub rule: &'static str,
-    /// Enclosing symbol (qualified fn or type name) for flow-rule
-    /// findings; `None` for the token rules. Part of the lock
+    /// Enclosing symbol (qualified fn or type name); `None` for a
+    /// reasonless waiver, which belongs to no symbol. Part of the lock
     /// fingerprint, so it must be stable under unrelated line edits.
     pub symbol: Option<String>,
     /// Human-readable explanation.
@@ -318,14 +90,13 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Lint configuration: per-rule file allowlists plus rule scoping, loaded
-/// from `detlint.toml` (see [`parse_config`] and [`Config::default_repo`]).
+/// Lint configuration, loaded from `detlint.toml` (see [`parse_config`]
+/// and [`Config::default_repo`]).
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// rule name → workspace-relative paths where findings are allowed.
-    pub allow: BTreeMap<String, Vec<String>>,
-    /// Crates (directory names under `crates/`) whose `src/` must not use
-    /// hash collections (and whose state `float_ordering` polices).
+    /// Crates (directory names under `crates/`) whose `src/` state
+    /// `float_ordering` polices: those whose ordering can reach experiment
+    /// output or backup images.
     pub deterministic_crates: Vec<String>,
     /// `panic_reachable` entry-point patterns (see
     /// [`CallGraph::match_pattern`] for the pattern grammar).
@@ -340,10 +111,9 @@ pub struct Config {
 }
 
 impl Config {
-    /// An empty configuration (nothing scoped, nothing allowed).
+    /// An empty configuration (nothing scoped, no entry points).
     pub fn empty() -> Self {
         Config {
-            allow: BTreeMap::new(),
             deterministic_crates: Vec::new(),
             panic_entry_points: Vec::new(),
             panic_max_depth: 12,
@@ -360,47 +130,84 @@ impl Config {
             .expect("invariant: the shipped detlint.toml parses")
     }
 
-    fn is_allowed(&self, rule: &str, path: &str) -> bool {
-        self.allow
-            .get(rule)
-            .is_some_and(|paths| paths.iter().any(|p| p == path))
+    /// Is `path` in the `src/` of a crate `float_ordering` polices?
+    pub(crate) fn polices_floats(&self, path: &str) -> bool {
+        path.contains("/src/")
+            && crate_of(path).is_some_and(|c| self.deterministic_crates.iter().any(|d| d == c))
     }
 }
 
 /// A waiver parsed from a comment: `detlint: allow(rule, ...) — reason`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Waiver {
+    line: usize,
     rules: Vec<String>,
     has_reason: bool,
 }
 
-fn parse_waivers(comment: &str) -> Vec<Waiver> {
+/// Every waiver in a file's comments.
+fn parse_waivers(comments: &[token::Comment]) -> Vec<Waiver> {
     const MARKER: &str = "detlint: allow(";
     let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = comment[from..].find(MARKER) {
-        let start = from + pos + MARKER.len();
-        let Some(close) = comment[start..].find(')') else {
-            break;
-        };
-        let inner = &comment[start..start + close];
-        let rest = &comment[start + close + 1..];
-        // The reason is whatever follows the closing paren, minus
-        // decorative separators. It must say *something*.
-        let reason = rest
-            .trim_start_matches([' ', '\t', '—', '-', '–', ':'])
-            .trim();
-        out.push(Waiver {
-            rules: inner
-                .split(',')
-                .map(|r| r.trim().to_owned())
-                .filter(|r| !r.is_empty())
-                .collect(),
-            has_reason: !reason.is_empty(),
-        });
-        from = start + close + 1;
+    for c in comments {
+        let mut from = 0;
+        while let Some(pos) = c.text[from..].find(MARKER) {
+            let start = from + pos + MARKER.len();
+            let Some(close) = c.text[start..].find(')') else {
+                break;
+            };
+            // The reason is whatever follows the closing paren, minus
+            // decorative separators. It must say *something*.
+            let reason = c.text[start + close + 1..]
+                .trim_start_matches([' ', '\t', '—', '-', '–', ':'])
+                .trim();
+            out.push(Waiver {
+                line: c.line,
+                rules: c.text[start..start + close]
+                    .split(',')
+                    .map(|r| r.trim().to_owned())
+                    .filter(|r| !r.is_empty())
+                    .collect(),
+                has_reason: !reason.is_empty(),
+            });
+            from = start + close + 1;
+        }
     }
     out
+}
+
+/// Is `f` waived by a reasoned waiver on its own line or the line above?
+fn is_waived(f: &Finding, waivers: &[Waiver]) -> bool {
+    waivers.iter().any(|w| {
+        w.has_reason
+            && (w.line == f.line || w.line + 1 == f.line)
+            && w.rules.iter().any(|r| r == f.rule)
+    })
+}
+
+/// Reasonless waivers are findings in their own right — otherwise the
+/// waiver syntax silently degrades into a no-questions-asked off switch.
+fn reasonless_waivers(path: &str, waivers: &[Waiver]) -> Vec<Finding> {
+    waivers
+        .iter()
+        .filter(|w| !w.has_reason)
+        .filter_map(|w| {
+            let rule = RULE_NAMES
+                .into_iter()
+                .find(|r| w.rules.iter().any(|x| x == r))?;
+            Some(Finding {
+                file: path.to_owned(),
+                line: w.line,
+                rule,
+                symbol: None,
+                message: format!(
+                    "waiver `allow({})` has no reason; write \
+                     `// detlint: allow(rule) — why this is sound`",
+                    w.rules.join(", ")
+                ),
+            })
+        })
+        .collect()
 }
 
 /// Crate directory name for a `crates/<name>/...` path, if any.
@@ -408,182 +215,24 @@ pub(crate) fn crate_of(path: &str) -> Option<&str> {
     path.strip_prefix("crates/")?.split('/').next()
 }
 
-/// Lint one file. `path` is the workspace-relative path with forward
-/// slashes — it drives rule scoping (deterministic crates, allowlists);
-/// `source` is the file's contents.
-pub fn check_file(path: &str, source: &str, config: &Config) -> Vec<Finding> {
-    let lines = lex(source);
-    let waivers: Vec<Vec<Waiver>> = lines.iter().map(|l| parse_waivers(&l.comment)).collect();
-
-    let in_det_crate_src = path.contains("/src/")
-        && crate_of(path).is_some_and(|c| config.deterministic_crates.iter().any(|d| d == c));
-
-    let mut found: Vec<Finding> = Vec::new();
-    let mut push = |line: usize, rule: &'static str, message: String| {
-        found.push(Finding {
-            file: path.to_owned(),
-            line,
-            rule,
-            symbol: None,
-            message,
-        });
-    };
-
-    for (idx, line) in lines.iter().enumerate() {
-        let n = idx + 1;
-        let code = line.code.as_str();
-        if code.trim().is_empty() {
-            continue;
-        }
-
-        if !config.is_allowed("wall_clock", path) {
-            for pat in ["Instant::now", "SystemTime"] {
-                if find_word(code, pat) {
-                    push(
-                        n,
-                        "wall_clock",
-                        format!(
-                            "`{pat}` reads the wall clock; simulated code must \
-                             use the sim clock (tsuru_sim::SimTime)"
-                        ),
-                    );
-                }
-            }
-        }
-
-        if !config.is_allowed("ambient_rng", path) {
-            for pat in ["thread_rng", "from_entropy", "OsRng"] {
-                if find_word(code, pat) {
-                    push(
-                        n,
-                        "ambient_rng",
-                        format!(
-                            "`{pat}` draws ambient randomness; all randomness \
-                             must flow from a seeded DetRng"
-                        ),
-                    );
-                }
-            }
-        }
-
-        if in_det_crate_src && !config.is_allowed("hash_collections", path) {
-            for (pat, fix) in [("HashMap", "BTreeMap"), ("HashSet", "BTreeSet")] {
-                if find_word(code, pat) {
-                    push(
-                        n,
-                        "hash_collections",
-                        format!(
-                            "`{pat}` iteration order is nondeterministic; use \
-                             `{fix}` in deterministic crates"
-                        ),
-                    );
-                }
-            }
-        }
-
-        if !config.is_allowed("thread_spawn", path) && code.contains("thread::spawn") {
-            push(
-                n,
-                "thread_spawn",
-                "raw thread spawn; all parallelism must go through the \
-                 trial harness (crates/core/src/harness.rs)"
-                    .to_owned(),
-            );
-        }
-
-        if !config.is_allowed("unsafe_safety", path) && find_word(code, "unsafe") {
-            // Accept a SAFETY: comment on the same line or on the run of
-            // comment-only lines immediately above.
-            let mut justified = line.comment.contains("SAFETY:");
-            let mut k = idx;
-            while !justified && k > 0 {
-                k -= 1;
-                if !lines[k].code.trim().is_empty() {
-                    break;
-                }
-                justified = lines[k].comment.contains("SAFETY:");
-            }
-            if !justified {
-                push(
-                    n,
-                    "unsafe_safety",
-                    "`unsafe` without a preceding `// SAFETY:` comment \
-                     explaining why it is sound"
-                        .to_owned(),
-                );
-            }
-        }
-    }
-
-    // Apply waivers: a waiver covers its own line and the line below it.
-    found.retain(|f| {
-        let mut lines_to_check = vec![f.line - 1];
-        if f.line >= 2 {
-            lines_to_check.push(f.line - 2);
-        }
-        for li in lines_to_check {
-            for w in &waivers[li] {
-                if w.rules.iter().any(|r| r == f.rule) {
-                    return !w.has_reason; // reasonless waivers do not count
-                }
-            }
-        }
-        true
-    });
-
-    // Reasonless waivers are findings in their own right — otherwise the
-    // waiver syntax silently degrades into a no-questions-asked off switch.
-    for (idx, ws) in waivers.iter().enumerate() {
-        for w in ws {
-            if !w.has_reason && !w.rules.is_empty() {
-                found.push(Finding {
-                    file: path.to_owned(),
-                    line: idx + 1,
-                    rule: RULE_NAMES
-                        .iter()
-                        .find(|r| w.rules.iter().any(|x| x == **r))
-                        .copied()
-                        .unwrap_or("wall_clock"),
-                    symbol: None,
-                    message: format!(
-                        "waiver `allow({})` has no reason; write \
-                         `// detlint: allow(rule) — why this is sound`",
-                        w.rules.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-
-    found.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    found
-}
-
 // ---------------------------------------------------------------------------
 // Workspace walk
 // ---------------------------------------------------------------------------
 
-/// Collect every lintable `.rs` file under `root`: `crates/*/src`,
-/// `crates/*/tests` and the workspace-level `tests/`, skipping any
-/// `fixtures` directory (detlint's own test corpus intentionally violates
-/// every rule). Returns workspace-relative paths, sorted, so output order —
-/// like everything else in this repo — is deterministic.
-pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Collect every `.rs` file under `crates/*/src` of the workspace at
+/// `root`, sorted, so output order — like everything else in this repo —
+/// is deterministic. The graph models production code: `tests/` trees
+/// never feed the symbol table (test helpers share names like `apply` with
+/// hot-path fns and would pollute reachability), and `#[cfg(test)]` mods
+/// are dropped by the parser itself.
+pub fn source_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let crates = root.join("crates");
     if crates.is_dir() {
-        let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        crate_dirs.sort();
-        for dir in crate_dirs {
-            for sub in ["src", "tests"] {
-                collect_rs(&dir.join(sub), &mut out)?;
-            }
+        for entry in std::fs::read_dir(&crates)? {
+            collect_rs(&entry?.path().join("src"), &mut out)?;
         }
     }
-    collect_rs(&root.join("tests"), &mut out)?;
     out.sort();
     Ok(out)
 }
@@ -592,15 +241,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    entries.sort();
-    for p in entries {
+    for entry in std::fs::read_dir(dir)? {
+        let p = entry?.path();
         if p.is_dir() {
-            if p.file_name().is_some_and(|n| n == "fixtures") {
-                continue;
-            }
             collect_rs(&p, out)?;
         } else if p.extension().is_some_and(|e| e == "rs") {
             out.push(p);
@@ -609,102 +252,49 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lint a whole workspace rooted at `root` with the token rules only.
-/// Paths in findings are `root`-relative with forward slashes.
-pub fn check_workspace(root: &Path, config: &Config) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for file in workspace_files(root)? {
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = std::fs::read_to_string(&file)?;
-        findings.extend(check_file(&rel, &source, config));
-    }
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(findings)
-}
-
-/// The result of a full v2 analysis: the call graph (queryable via
-/// `detlint graph`) plus every finding from all eight rules.
+/// The result of a full analysis: the call graph (queryable via
+/// `detlint graph`) plus every finding.
 pub struct Analysis {
     /// The workspace call graph over production (`src/`) code.
     pub graph: CallGraph,
-    /// All findings — token rules and flow rules — sorted and deduped,
-    /// with allowlists and inline waivers already applied. Callers diff
-    /// the ratcheted subset against `detlint.lock` via [`lock::ratchet`].
+    /// All findings, sorted and deduped, with inline waivers already
+    /// applied. Callers diff them against `detlint.lock` via
+    /// [`lock::ratchet`].
     pub findings: Vec<Finding>,
 }
 
-/// Run the full analysis: the five token rules over every lintable file,
-/// then the item parser + call graph over production `src/` code feeding
-/// the three flow rules (`panic_reachable`, `sim_purity`,
-/// `float_ordering`). Inline waivers and `[allow.<rule>]` lists apply to
-/// flow findings exactly as they do to token findings.
+/// Run the full analysis: the item parser + call graph over every
+/// `crates/*/src` file, feeding the three flow rules (`panic_reachable`,
+/// `sim_purity`, `float_ordering`), then the inline waivers.
 pub fn analyze_workspace(root: &Path, config: &Config) -> std::io::Result<Analysis> {
-    let mut findings = check_workspace(root, config)?;
-
     let mut fns = Vec::new();
     let mut parsed: Vec<(String, parse::FileSymbols)> = Vec::new();
-    let mut flow_findings: Vec<Finding> = Vec::new();
-    let mut waiver_tables: BTreeMap<String, Vec<Vec<Waiver>>> = BTreeMap::new();
-    for file in workspace_files(root)? {
+    let mut findings: Vec<Finding> = Vec::new();
+    let mut waivers: BTreeMap<String, Vec<Waiver>> = BTreeMap::new();
+    for file in source_files(root)? {
         let rel = file
             .strip_prefix(root)
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        // The graph models production code: `tests/` never feeds the
-        // symbol table (test helpers share names like `apply` with hot-path
-        // fns and would pollute reachability). `#[cfg(test)]` mods are
-        // dropped by the parser itself.
-        if !rel.contains("/src/") {
-            continue;
-        }
         let source = std::fs::read_to_string(&file)?;
         let krate = crate_of(&rel).unwrap_or("workspace").to_owned();
-        let toks = token::tokenize(&source);
-        flow_findings.extend(flow::float_keyed_collections(&rel, &toks, config));
+        let (toks, comments) = token::tokenize_with_comments(&source);
+        findings.extend(flow::float_keyed_collections(&rel, &toks, config));
         let syms = parse::parse_file(&rel, &krate, &toks);
         fns.extend(syms.fns.clone());
         parsed.push((rel.clone(), syms));
-        waiver_tables.insert(
-            rel,
-            lex(&source)
-                .iter()
-                .map(|l| parse_waivers(&l.comment))
-                .collect(),
-        );
+        waivers.insert(rel, parse_waivers(&comments));
     }
     let graph = CallGraph::build(fns);
-    flow_findings.extend(flow::panic_reachable(&graph, config));
-    flow_findings.extend(flow::sim_purity(&graph, config));
-    flow_findings.extend(flow::float_ordering(&parsed, config));
+    findings.extend(flow::panic_reachable(&graph, config));
+    findings.extend(flow::sim_purity(&graph, config));
+    findings.extend(flow::float_ordering(&parsed, config));
 
-    flow_findings.retain(|f| {
-        if config.is_allowed(f.rule, &f.file) {
-            return false;
-        }
-        let Some(waivers) = waiver_tables.get(&f.file) else {
-            return true;
-        };
-        let mut lines_to_check = vec![f.line - 1];
-        if f.line >= 2 {
-            lines_to_check.push(f.line - 2);
-        }
-        for li in lines_to_check {
-            let Some(ws) = waivers.get(li) else { continue };
-            for w in ws {
-                if w.rules.iter().any(|r| r == f.rule) {
-                    return !w.has_reason; // reasonless waivers do not count
-                }
-            }
-        }
-        true
-    });
-
-    findings.extend(flow_findings);
+    findings.retain(|f| !waivers.get(&f.file).is_some_and(|ws| is_waived(f, ws)));
+    for (path, ws) in &waivers {
+        findings.extend(reasonless_waivers(path, ws));
+    }
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.symbol).cmp(&(&b.file, b.line, b.rule, &b.symbol))
     });
@@ -720,8 +310,7 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> std::io::Result<Analys
 /// `key = ["a", "b"]` string arrays (single- or multi-line), bare
 /// `key = 12` integers, `#` comments. Sections map onto [`Config`]:
 ///
-/// - `[allow.<rule>]` / `paths = [...]` — per-rule file allowlist;
-/// - `[rules.hash_collections]` / `crates = [...]` — deterministic crates;
+/// - `[rules.float_ordering]` / `crates = [...]` — the crates it polices;
 /// - `[rules.panic_reachable]` / `entry_points = [...]`, `max_depth = K`;
 /// - `[rules.sim_purity]` / `entry_points = [...]`, `max_depth = K`.
 pub fn parse_config(text: &str) -> Result<Config, String> {
@@ -743,18 +332,7 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
                 TomlValue::Strings(_) => Err(format!("[{section}] `{key}` expects an integer")),
             }
         };
-        if let Some(rule) = section.strip_prefix("allow.") {
-            if key != "paths" {
-                return Err(format!("[{section}] supports only `paths`, got `{key}`"));
-            }
-            if !RULE_NAMES.contains(&rule) {
-                return Err(format!("unknown rule `{rule}` in [{section}]"));
-            }
-            cfg.allow
-                .entry(rule.to_owned())
-                .or_default()
-                .extend(strings(value)?);
-        } else if section == "rules.hash_collections" && key == "crates" {
+        if section == "rules.float_ordering" && key == "crates" {
             cfg.deterministic_crates = strings(value)?;
         } else if section == "rules.panic_reachable" && key == "entry_points" {
             cfg.panic_entry_points = strings(value)?;
@@ -923,178 +501,151 @@ fn json_escape(out: &mut String, v: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::tokenize_with_comments;
 
-    fn code_of(src: &str) -> String {
-        lex(src)
-            .iter()
-            .map(|l| l.code.clone())
-            .collect::<Vec<_>>()
-            .join("\n")
+    /// The waivers the one lexer finds in `src`.
+    fn waivers_of(src: &str) -> Vec<Waiver> {
+        parse_waivers(&tokenize_with_comments(src).1)
     }
 
-    fn comment_of(src: &str) -> String {
-        lex(src)
-            .iter()
-            .map(|l| l.comment.clone())
-            .collect::<Vec<_>>()
-            .join("\n")
+    fn finding(line: usize, rule: &'static str) -> Finding {
+        Finding {
+            file: "crates/storage/src/x.rs".to_owned(),
+            line,
+            rule,
+            symbol: Some("x::f".to_owned()),
+            message: "m".to_owned(),
+        }
     }
 
     #[test]
     fn lexer_strips_string_contents() {
-        let src = r#"let s = "call Instant::now here"; f(s);"#;
-        let code = code_of(src);
-        assert!(
-            !code.contains("Instant::now"),
-            "string content leaked: {code}"
-        );
-        assert!(code.contains("let s ="));
-        assert!(code.contains("f(s);"));
+        // A waiver spelled inside a string literal is not a comment.
+        let src = r#"let s = "detlint: allow(panic_reachable) — in a string"; f(s);"#;
+        assert!(waivers_of(src).is_empty());
+        let src = "let s = \"x\"; // detlint: allow(panic_reachable) — after a string\n";
+        assert_eq!(waivers_of(src).len(), 1);
     }
 
     #[test]
     fn lexer_strips_raw_and_byte_strings() {
-        let src =
-            "let a = r#\"Instant::now \"quoted\" inside\"#; let b = br\"thread_rng\"; g(a, b);";
-        let code = code_of(src);
-        assert!(!code.contains("Instant::now"));
-        assert!(!code.contains("thread_rng"));
-        assert!(code.contains("g(a, b);"));
+        let src = "let a = r#\"// detlint: allow(sim_purity) \"quoted\" inside\"#; \
+                   let b = br\"/* detlint: allow(sim_purity) */\"; g(a, b);";
+        assert!(waivers_of(src).is_empty());
     }
 
     #[test]
     fn lexer_routes_line_comments_to_comment_channel() {
-        let src = "let x = 1; // Instant::now is banned";
-        assert!(!code_of(src).contains("Instant::now"));
-        assert!(comment_of(src).contains("Instant::now is banned"));
+        let src = "let x = 1;\nlet y = v[x]; // detlint: allow(panic_reachable) — bounded above\n";
+        let ws = waivers_of(src);
+        assert_eq!(ws.len(), 1);
+        assert_eq!(ws[0].line, 2);
+        assert_eq!(ws[0].rules, ["panic_reachable"]);
+        assert!(ws[0].has_reason);
     }
 
     #[test]
     fn lexer_handles_nested_block_comments() {
-        let src = "a(); /* outer /* inner Instant::now */ still comment */ b();";
-        let code = code_of(src);
-        assert!(!code.contains("Instant::now"));
-        assert!(code.contains("a();"));
-        assert!(code.contains("b();"));
-        assert!(comment_of(src).contains("inner Instant::now"));
+        let src = "a(); /* outer /* inner */\n detlint: allow(sim_purity) — config load */ b();";
+        let ws = waivers_of(src);
+        assert_eq!(ws.len(), 1);
+        assert_eq!(ws[0].line, 2, "a block comment's text keeps its own line");
+        assert!(ws[0].has_reason);
     }
 
     #[test]
     fn lexer_distinguishes_char_literals_from_lifetimes() {
         // A quote char literal must not open a string state that would
-        // swallow the following code.
-        let src = "let q = '\"'; let esc = '\\''; fn f<'a>(x: &'a str) -> &'a str { x }";
-        let code = code_of(src);
-        assert!(code.contains("fn f<'a>(x: &'a str)"));
-        // And a real string after the char literals is still stripped.
-        let src2 = "let c = 'x'; let s = \"Instant::now\"; h(c, s);";
-        let code2 = code_of(src2);
-        assert!(!code2.contains("Instant::now"));
-        assert!(code2.contains("h(c, s);"));
-    }
-
-    #[test]
-    fn find_word_respects_identifier_boundaries() {
-        assert!(find_word("std::collections::HashMap<K, V>", "HashMap"));
-        assert!(!find_word("FxHashMap<K, V>", "HashMap"));
-        assert!(!find_word("HashMapLike", "HashMap"));
-        assert!(find_word("unsafe { x }", "unsafe"));
-        assert!(!find_word("#![forbid(unsafe_code)]", "unsafe"));
+        // swallow the comment after it.
+        let src = "let q = '\"'; fn f<'a>(x: &'a str) -> &'a str { x } \
+                   // detlint: allow(float_ordering) — r";
+        assert_eq!(waivers_of(src).len(), 1);
     }
 
     #[test]
     fn strings_and_comments_are_never_findings() {
-        let cfg = Config::default_repo();
-        let src = "//! docs mention Instant::now and thread_rng\n\
-                   pub fn f() -> &'static str {\n\
-                       /* HashMap in a block comment */\n\
-                       \"SystemTime thread::spawn .unwrap() unsafe\"\n\
+        // Panic sources and ambient calls spelled in comments and strings
+        // of a reachable fn are not sites.
+        let src = "//! docs mention x.unwrap() and std::fs::read\n\
+                   pub fn persist() -> &'static str {\n\
+                       /* panic!(\"in a block comment\") */\n\
+                       \"v[0].unwrap() std::process::exit(1)\"\n\
                    }\n";
-        let findings = check_file("crates/storage/src/journal.rs", src, &cfg);
-        assert!(findings.is_empty(), "false positives: {findings:?}");
+        let syms = parse::parse_file(
+            "crates/storage/src/engine.rs",
+            "storage",
+            &token::tokenize(src),
+        );
+        let graph = CallGraph::build(syms.fns);
+        let cfg = Config::default_repo();
+        assert!(flow::panic_reachable(&graph, &cfg).is_empty());
+        assert!(flow::sim_purity(&graph, &cfg).is_empty());
     }
 
     #[test]
     fn waiver_requires_reason() {
-        let cfg = Config::default_repo();
         let with_reason =
-            "// detlint: allow(wall_clock) — reporting only\nlet t = Instant::now();\n";
-        assert!(check_file("crates/core/src/x.rs", with_reason, &cfg).is_empty());
+            waivers_of("// detlint: allow(panic_reachable) — bounded\nlet y = v[0];\n");
+        assert!(is_waived(&finding(2, "panic_reachable"), &with_reason));
+        assert!(reasonless_waivers("crates/storage/src/x.rs", &with_reason).is_empty());
 
-        let reasonless = "// detlint: allow(wall_clock)\nlet t = Instant::now();\n";
-        let findings = check_file("crates/core/src/x.rs", reasonless, &cfg);
+        let reasonless = waivers_of("// detlint: allow(panic_reachable)\nlet y = v[0];\n");
         // The original finding survives AND the empty waiver is reported.
-        assert!(findings
-            .iter()
-            .any(|f| f.rule == "wall_clock" && f.line == 2));
-        assert!(findings.iter().any(|f| f.message.contains("no reason")));
+        assert!(!is_waived(&finding(2, "panic_reachable"), &reasonless));
+        let reported = reasonless_waivers("crates/storage/src/x.rs", &reasonless);
+        assert_eq!(reported.len(), 1);
+        assert_eq!((reported[0].line, reported[0].rule), (1, "panic_reachable"));
+        assert!(reported[0].message.contains("no reason"));
     }
 
     #[test]
     fn waiver_covers_same_line_and_next_line_only() {
-        let cfg = Config::default_repo();
-        let same = "let t = Instant::now(); // detlint: allow(wall_clock) — metric\n";
-        assert!(check_file("crates/core/src/x.rs", same, &cfg).is_empty());
+        let same = waivers_of("let y = v[0]; // detlint: allow(panic_reachable) — bounded\n");
+        assert!(is_waived(&finding(1, "panic_reachable"), &same));
+        assert!(
+            !is_waived(&finding(1, "sim_purity"), &same),
+            "waives only the rule it names"
+        );
 
-        let too_far = "// detlint: allow(wall_clock) — metric\n\nlet t = Instant::now();\n";
-        let findings = check_file("crates/core/src/x.rs", too_far, &cfg);
-        assert_eq!(findings.len(), 1, "waiver two lines up must not apply");
+        let too_far = waivers_of("// detlint: allow(panic_reachable) — bounded\n\nlet y = v[0];\n");
+        assert!(
+            !is_waived(&finding(3, "panic_reachable"), &too_far),
+            "two lines up must not apply"
+        );
     }
 
     #[test]
-    fn hash_rule_scopes_to_deterministic_crate_src() {
+    fn float_rule_scopes_to_deterministic_crate_src() {
         let cfg = Config::default_repo();
-        let src = "use std::collections::HashMap;\n";
-        assert!(!check_file("crates/storage/src/x.rs", src, &cfg).is_empty());
+        let toks = token::tokenize("pub type M = BTreeMap<f64, u64>;\n");
+        let at = |path| flow::float_keyed_collections(path, &toks, &cfg).len();
+        assert_eq!(at("crates/storage/src/x.rs"), 1);
         // tests/ of a deterministic crate: out of scope.
-        assert!(check_file("crates/storage/tests/x.rs", src, &cfg).is_empty());
-        // src/ of a non-deterministic crate: out of scope.
-        assert!(check_file("crates/bench/src/x.rs", src, &cfg).is_empty());
+        assert_eq!(at("crates/storage/tests/x.rs"), 0);
+        // src/ of a crate outside the list: out of scope.
+        assert_eq!(at("crates/bench/src/x.rs"), 0);
     }
 
     #[test]
     fn the_built_in_config_is_the_shipped_file() {
         let cfg = Config::default_repo();
-        let src = "use std::collections::HashMap;\n";
-        let findings = check_file("crates/ecom/src/x.rs", src, &cfg);
         assert!(
-            findings.iter().any(|f| f.rule == "hash_collections"),
-            "ecom is a deterministic crate in detlint.toml: {findings:?}"
+            cfg.polices_floats("crates/ecom/src/x.rs"),
+            "ecom is a deterministic crate in detlint.toml: {:?}",
+            cfg.deterministic_crates
         );
-    }
-
-    #[test]
-    fn allowlists_suppress_findings() {
-        let cfg = Config::default_repo();
-        let src = "let t = Instant::now();\n";
-        assert!(check_file("crates/sim/src/time.rs", src, &cfg).is_empty());
-        assert!(!check_file("crates/sim/src/kernel.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn unsafe_requires_safety_comment() {
-        let cfg = Config::default_repo();
-        let bad = "let y = unsafe { f(x) };\n";
-        assert_eq!(check_file("crates/core/src/x.rs", bad, &cfg).len(), 1);
-
-        let same_line = "let y = unsafe { f(x) }; // SAFETY: f is total\n";
-        assert!(check_file("crates/core/src/x.rs", same_line, &cfg).is_empty());
-
-        let above = "// SAFETY: f is total on u32\nlet y = unsafe { f(x) };\n";
-        assert!(check_file("crates/core/src/x.rs", above, &cfg).is_empty());
+        assert!(cfg
+            .panic_entry_points
+            .iter()
+            .any(|e| e == "engine::persist"));
+        assert!(cfg.purity_entry_points.iter().any(|e| e == "*::dispatch"));
     }
 
     #[test]
     fn config_roundtrip_parses_every_section() {
         let toml = r##"
             # comment
-            [allow.wall_clock]
-            paths = ["crates/sim/src/time.rs"]
-
-            [allow.thread_spawn]
-            paths = ["crates/core/src/harness.rs"]
-
-            [rules.hash_collections]
+            [rules.float_ordering]
             crates = ["sim", "storage", "core", "minidb", "plugin", "chaos"]
 
             [rules.panic_reachable]
@@ -1106,8 +657,6 @@ mod tests {
             max_depth = 9
         "##;
         let cfg = parse_config(toml).expect("parses");
-        let def = Config::default_repo();
-        assert_eq!(cfg.allow, def.allow);
         assert_eq!(
             cfg.deterministic_crates,
             ["sim", "storage", "core", "minidb", "plugin", "chaos"].map(str::to_owned)
@@ -1124,9 +673,12 @@ mod tests {
     #[test]
     fn config_rejects_unknown_rules_and_keys() {
         assert!(parse_config("[allow.made_up]\npaths = [\"x\"]\n").is_err());
-        assert!(parse_config("[allow.wall_clock]\nbogus = [\"x\"]\n").is_err());
-        assert!(parse_config("[allow.wall_clock]\npaths = [\"x\"\n").is_err());
-        // The retired hot-path file list is refused, not silently ignored.
+        assert!(parse_config("[rules.float_ordering]\nbogus = [\"x\"]\n").is_err());
+        assert!(parse_config("[rules.float_ordering]\ncrates = [\"x\"\n").is_err());
+        // Retired sections are refused, not silently ignored: file
+        // allowlists, the token rules' crate list, the hot-path file list.
+        assert!(parse_config("[allow.wall_clock]\npaths = [\"x\"]\n").is_err());
+        assert!(parse_config("[rules.hash_collections]\ncrates = [\"x\"]\n").is_err());
         assert!(parse_config("[rules.hot_path_unwrap]\npaths = [\"x\"]\n").is_err());
         assert!(parse_config("[rules.panic_reachable]\nmax_depth = [\"x\"]\n").is_err());
         assert!(parse_config("[rules.sim_purity]\nentry_points = 3\n").is_err());
@@ -1138,7 +690,7 @@ mod tests {
             Finding {
                 file: "a/b.rs".to_owned(),
                 line: 3,
-                rule: "wall_clock",
+                rule: "panic_reachable",
                 symbol: None,
                 message: "a \"quoted\" message".to_owned(),
             },

@@ -20,17 +20,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::Finding;
-
-/// The rules whose findings are ratcheted (everything the call-graph
-/// analyzer produces). The five token rules stay hard-fail: the tree is
-/// already clean under them and must stay clean.
-pub const RATCHETED_RULES: [&str; 3] = ["panic_reachable", "sim_purity", "float_ordering"];
-
-/// Is this finding subject to the lock?
-pub fn is_ratcheted(f: &Finding) -> bool {
-    RATCHETED_RULES.contains(&f.rule)
-}
+use crate::{Finding, RULE_NAMES};
 
 /// A finding's stable fingerprint: `rule<TAB>path<TAB>symbol`.
 pub fn fingerprint(f: &Finding) -> String {
@@ -84,9 +74,9 @@ pub fn parse_lock(text: &str) -> Result<Lock, String> {
                 n + 1
             ));
         }
-        if !RATCHETED_RULES.contains(&fields[0]) {
+        if !RULE_NAMES.contains(&fields[0]) {
             return Err(format!(
-                "detlint.lock:{}: `{}` is not a ratcheted rule",
+                "detlint.lock:{}: `{}` is not a detlint rule",
                 n + 1,
                 fields[0]
             ));
@@ -114,16 +104,11 @@ pub fn render_lock(entries: &BTreeSet<String>) -> String {
     s
 }
 
-/// Diff `findings` (all rules) against the lock. Non-ratcheted findings
-/// pass through as `new` (they are hard-fail regardless of the lock).
+/// Diff `findings` against the lock.
 pub fn ratchet(findings: &[Finding], lock: &Lock) -> RatchetReport {
     let mut report = RatchetReport::default();
     let mut live: BTreeSet<String> = BTreeSet::new();
     for f in findings {
-        if !is_ratcheted(f) {
-            report.new.push(f.clone());
-            continue;
-        }
         let fp = fingerprint(f);
         if lock.entries.contains(&fp) {
             report.baselined += 1;
@@ -140,15 +125,11 @@ pub fn ratchet(findings: &[Finding], lock: &Lock) -> RatchetReport {
     report
 }
 
-/// Compute the updated lock for `--update-lock`: current ratcheted
+/// Compute the updated lock for `--update-lock`: the current findings'
 /// fingerprints. Errors when the update would *grow* the lock (new
 /// fingerprints not already accepted).
 pub fn updated_lock(findings: &[Finding], old: &Lock) -> Result<BTreeSet<String>, String> {
-    let current: BTreeSet<String> = findings
-        .iter()
-        .filter(|f| is_ratcheted(f))
-        .map(fingerprint)
-        .collect();
+    let current: BTreeSet<String> = findings.iter().map(fingerprint).collect();
     let added: Vec<&String> = current.difference(&old.entries).collect();
     if !added.is_empty() {
         return Err(format!(
@@ -249,22 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn non_ratcheted_rules_bypass_the_lock() {
-        let legacy = Finding {
-            file: "crates/a/src/x.rs".to_owned(),
-            line: 3,
-            rule: "wall_clock",
-            symbol: None,
-            message: "m".to_owned(),
-        };
-        let r = ratchet(&[legacy], &Lock::default());
-        assert_eq!(r.new.len(), 1, "legacy findings stay hard-fail");
-    }
-
-    #[test]
     fn malformed_locks_are_rejected() {
         assert!(parse_lock("panic_reachable only-two-fields\n").is_err());
         assert!(parse_lock("made_up\ta\tb\n").is_err());
+        // The token rules moved to clippy: they have no lock entries.
+        assert!(parse_lock("wall_clock\ta\tb\n").is_err());
         assert!(parse_lock("# just comments\n\n")
             .expect("ok")
             .entries

@@ -202,7 +202,10 @@ struct Cursor {
 /// Parse a run of items until `toks` is exhausted or an unmatched `}`
 /// closes the enclosing block. `depth` caps pathological nesting so the
 /// parser stays linear on adversarial input.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the recursive-descent state is threaded explicitly through each level"
+)]
 fn parse_items(
     toks: &[Tok],
     cur: &mut Cursor,

@@ -1,15 +1,16 @@
-//! Token-level lexer for the v2 static analyzer.
+//! detlint's one lexer.
 //!
-//! The original per-line lexer ([`crate::lex`]) collapses every literal to
-//! a single space, which is exactly right for the pattern-scanning rules —
-//! but the item parser needs more: identifiers with their spelling, string
-//! literal *contents* (to distinguish `expect("invariant: …")` from a bare
+//! The item parser needs identifiers with their spelling, string literal
+//! *contents* (to distinguish `expect("invariant: …")` from a bare
 //! `expect("oops")`), and punctuation it can bracket-match (turbofish,
-//! generics, attribute groups). This module lexes the same surface —
-//! nested block comments, ordinary/byte/raw/raw-byte strings (`"…"`,
-//! `b"…"`, `r#"…"#`, `br#"…"#`, `c"…"`), char and byte-char literals,
-//! lifetimes, raw identifiers (`r#type` lexes as the identifier `type`
-//! with a raw marker) — into a flat token stream with line numbers.
+//! generics, attribute groups); the waiver reader needs each line's
+//! comment text. This module lexes the Rust surface — nested block
+//! comments, ordinary/byte/raw/raw-byte strings (`"…"`, `b"…"`, `r#"…"#`,
+//! `br#"…"#`, `c"…"`), char and byte-char literals, lifetimes, raw
+//! identifiers (`r#type` lexes as the identifier `type` with a raw
+//! marker) — into a flat token stream with line numbers, and sets the
+//! comments aside with theirs. Text inside a literal is never a comment,
+//! and text inside a comment is never a token.
 //!
 //! The lexer is total: any byte soup produces a token stream without
 //! panicking (property-tested in `tests/graph.rs`).
@@ -64,11 +65,27 @@ impl Tok {
     }
 }
 
+/// One line's share of a comment: a line comment's text after the `//`,
+/// or the part of a block comment that lies on this line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Comment {
+    /// 1-based source line.
+    pub line: usize,
+    /// The comment text on that line, delimiters removed.
+    pub text: String,
+}
+
 /// Lex `source` into a token stream. Comments vanish; literals keep their
 /// contents only where the parser needs them (strings).
 pub fn tokenize(source: &str) -> Vec<Tok> {
+    tokenize_with_comments(source).0
+}
+
+/// [`tokenize`], plus the comments it skipped, in source order.
+pub fn tokenize_with_comments(source: &str) -> (Vec<Tok>, Vec<Comment>) {
     let chars: Vec<char> = source.chars().collect();
     let mut toks = Vec::new();
+    let mut comments = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
 
@@ -100,25 +117,43 @@ pub fn tokenize(source: &str) -> Vec<Tok> {
 
         // Comments.
         if c == '/' && chars.get(i + 1) == Some(&'/') {
+            let start = i + 2;
             while i < chars.len() && chars[i] != '\n' {
                 i += 1;
             }
+            comments.push(Comment {
+                line,
+                text: chars[start..i].iter().collect(),
+            });
             continue;
         }
         if c == '/' && chars.get(i + 1) == Some(&'*') {
             let mut depth = 1u32;
+            let mut text = String::new();
             bump!(2);
             while i < chars.len() && depth > 0 {
                 if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
                     depth += 1;
+                    text.push_str("/*");
                     bump!(2);
                 } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
                     depth -= 1;
+                    if depth > 0 {
+                        text.push_str("*/");
+                    }
                     bump!(2);
+                } else if chars[i] == '\n' {
+                    comments.push(Comment {
+                        line,
+                        text: std::mem::take(&mut text),
+                    });
+                    bump!(1);
                 } else {
+                    text.push(chars[i]);
                     bump!(1);
                 }
             }
+            comments.push(Comment { line, text });
             continue;
         }
 
@@ -231,17 +266,16 @@ pub fn tokenize(source: &str) -> Vec<Tok> {
             continue;
         }
 
-        // Char literal vs lifetime (same disambiguation as `lex`).
+        // Char literal vs lifetime.
         if c == '\'' {
             match chars.get(i + 1) {
                 Some('\\') => {
-                    bump!(2);
+                    // The quote, the backslash and the escaped char (which
+                    // may itself be `'` or `\`), then on to the closing
+                    // quote: `\u{…}` and `\x..` run longer.
+                    bump!(3);
                     while i < chars.len() && chars[i] != '\'' {
-                        if chars[i] == '\\' {
-                            bump!(2);
-                        } else {
-                            bump!(1);
-                        }
+                        bump!(1);
                     }
                     bump!(1);
                     toks.push(Tok {
@@ -313,7 +347,7 @@ pub fn tokenize(source: &str) -> Vec<Tok> {
             kind: TokKind::Punct(c),
         });
     }
-    toks
+    (toks, comments)
 }
 
 #[cfg(test)]
@@ -397,6 +431,37 @@ mod tests {
             2
         );
         assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Char).count(), 2);
+    }
+
+    #[test]
+    fn comments_keep_their_lines() {
+        let (toks, comments) =
+            tokenize_with_comments("a(); // one\n/* two\nthree */ b(); /* x /* y */ z */\n");
+        let lines: Vec<(usize, &str)> =
+            comments.iter().map(|c| (c.line, c.text.as_str())).collect();
+        assert_eq!(
+            lines,
+            [
+                (1, " one"),
+                (2, " two"),
+                (3, "three "),
+                (3, " x /* y */ z ")
+            ]
+        );
+        assert_eq!(
+            toks.iter().find(|t| t.ident() == Some("b")).map(|t| t.line),
+            Some(3)
+        );
+    }
+
+    #[test]
+    fn escaped_quote_and_backslash_chars_end_where_they_end() {
+        // Neither `'\''` nor `'\\'` may run on and swallow what follows.
+        let (toks, comments) =
+            tokenize_with_comments("f('\\'', '\\\\', '\\u{41}'); g(); // after\n");
+        assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Char).count(), 3);
+        assert!(toks.iter().any(|t| t.ident() == Some("g")));
+        assert_eq!(comments.len(), 1);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Fixture: ambient randomness.
+//! Fixture: ambient randomness — std's per-process random hasher keys,
+//! by either of their paths.
+use std::hash::{BuildHasher, RandomState};
+
 pub fn roll() -> u64 {
-    let mut rng = rand::thread_rng();
-    rand::Rng::gen(&mut rng)
+    RandomState::new().hash_one(0u64)
 }
 
-pub fn seeded_from_os() -> u64 {
-    use rand::SeedableRng;
-    let mut r = rand::rngs::StdRng::from_entropy();
-    rand::Rng::gen(&mut r)
+pub fn roll_again() -> u64 {
+    std::collections::hash_map::RandomState::new().hash_one(1u64)
 }

@@ -1,6 +1,10 @@
-//! Fixture: ambient randomness behind a reasoned waiver.
+//! Fixture: ambient randomness behind a reasoned `#[allow]`.
+use std::hash::BuildHasher;
+
+#[allow(
+    clippy::disallowed_types,
+    reason = "interactive demo path, never inside a trial"
+)]
 pub fn roll() -> u64 {
-    // detlint: allow(ambient_rng) — interactive demo path, never inside a trial
-    let mut rng = rand::thread_rng();
-    rand::Rng::gen(&mut rng)
+    std::hash::RandomState::new().hash_one(0u64)
 }

@@ -1,9 +1,10 @@
-//! Fixture: a hash map that never reaches output, waived with a reason.
-// detlint: allow(hash_collections) — membership cache, iteration order never observed
-use std::collections::HashSet;
-
+//! Fixture: a hash set that never reaches output, behind a reasoned
+//! `#[allow]`.
+#[allow(
+    clippy::disallowed_types,
+    reason = "membership cache, iteration order never observed"
+)]
 pub fn dedup_count(xs: &[u64]) -> usize {
-    // detlint: allow(hash_collections) — same cache as above
-    let seen: HashSet<u64> = xs.iter().copied().collect();
+    let seen: std::collections::HashSet<u64> = xs.iter().copied().collect();
     seen.len()
 }

@@ -1,6 +1,9 @@
-//! Fixture: a spawn with a reasoned waiver.
+//! Fixture: a spawn behind a reasoned `#[allow]`.
 pub fn watchdog() {
-    // detlint: allow(thread_spawn) — watchdog thread, never touches trial state
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "watchdog thread, never touches trial state"
+    )]
     std::thread::spawn(|| loop {
         std::thread::sleep(std::time::Duration::from_secs(60));
     });

@@ -1,5 +1,7 @@
-//! Fixture: unsafe without a SAFETY comment.
-pub fn transmute_free(x: u32) -> u32 {
-    let y = unsafe { std::mem::transmute::<u32, u32>(x) };
-    y
+//! Fixture: an `unsafe` block without a SAFETY comment.
+pub fn first(xs: &[u32]) -> Option<u32> {
+    if xs.is_empty() {
+        return None;
+    }
+    Some(unsafe { *xs.get_unchecked(0) })
 }

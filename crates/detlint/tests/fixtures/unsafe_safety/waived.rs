@@ -1,7 +1,8 @@
-//! Fixture: unsafe justified by a SAFETY comment (same line and above).
-pub fn justified(x: u32) -> u32 {
-    // SAFETY: u32 -> u32 transmute is trivially sound.
-    let y = unsafe { std::mem::transmute::<u32, u32>(x) };
-    let z = unsafe { std::mem::transmute::<u32, u32>(y) }; // SAFETY: as above
-    z
+//! Fixture: `unsafe` justified by a SAFETY comment.
+pub fn first(xs: &[u32]) -> Option<u32> {
+    if xs.is_empty() {
+        return None;
+    }
+    // SAFETY: `xs` is not empty, so index 0 is in bounds.
+    Some(unsafe { *xs.get_unchecked(0) })
 }

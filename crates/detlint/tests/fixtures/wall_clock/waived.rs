@@ -1,8 +1,8 @@
-//! Fixture: wall-clock reads, each with a reasoned waiver.
-use std::time::Instant; // detlint: allow(wall_clock) — import only feeds the waived metric below
+//! Fixture: a wall-clock read behind a reasoned `#[allow]`.
+use std::time::Instant;
 
 pub fn metric() -> u128 {
-    // detlint: allow(wall_clock) — reporting-only latency metric
+    #[allow(clippy::disallowed_methods, reason = "reporting-only latency metric")]
     let t0 = Instant::now();
     t0.elapsed().as_millis()
 }

@@ -3,18 +3,18 @@
 //! injected violation; and the real repo itself analyzes ratchet-clean
 //! under the shipped `detlint.toml` + `detlint.lock`.
 //!
-//! Fixtures are read from disk (they intentionally violate the rules, so
-//! the walker skips `fixtures` directories, and they are never compiled).
-//! Token-rule fixtures are checked under a *virtual* workspace path chosen
-//! to put them in the rule's scope; flow-rule fixtures are materialized
-//! into a throwaway workspace so the call-graph analyzer runs for real.
+//! Fixtures are read from disk (they intentionally violate the rules and
+//! are never compiled) and materialized into a throwaway workspace at a
+//! path that puts them in the rule's scope, so the call-graph analyzer
+//! runs for real. The other fixture directories there belong to the path
+//! rules clippy checks (`clippy_control.sh`).
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 
 use detlint::lock::{parse_lock, ratchet};
-use detlint::{analyze_workspace, check_file, check_workspace, parse_config, Config, Finding};
+use detlint::{analyze_workspace, parse_config, Config, Finding};
 
 fn fixture(rule: &str, kind: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -25,27 +25,7 @@ fn fixture(rule: &str, kind: &str) -> String {
         .unwrap_or_else(|e| panic!("reading fixture {}: {e}", path.display()))
 }
 
-/// A virtual path that puts the fixture inside the rule's scope.
-fn scoped_path(rule: &str) -> &'static str {
-    match rule {
-        // Any deterministic-crate src file is in scope for these.
-        "wall_clock" | "ambient_rng" | "hash_collections" | "thread_spawn" | "unsafe_safety" => {
-            "crates/storage/src/fixture_under_test.rs"
-        }
-        other => panic!("unknown rule {other}"),
-    }
-}
-
-const ALL_RULES: [&str; 5] = [
-    "wall_clock",
-    "ambient_rng",
-    "hash_collections",
-    "thread_spawn",
-    "unsafe_safety",
-];
-
-/// The flow rules need the full analyzer, not `check_file`: the fixture is
-/// placed into a throwaway workspace at a path that puts it in scope.
+/// Each fixture's place in a throwaway workspace.
 const FLOW_RULES: [(&str, &str); 3] = [
     // `engine.rs` file-stem makes its free fns match `engine::persist`.
     ("panic_reachable", "crates/demo/src/engine.rs"),
@@ -55,15 +35,22 @@ const FLOW_RULES: [(&str, &str); 3] = [
     ("float_ordering", "crates/demo/src/state.rs"),
 ];
 
+/// `Config::default_repo()` with the throwaway `demo` crate in scope.
+fn demo_config() -> Config {
+    let mut cfg = Config::default_repo();
+    cfg.deterministic_crates.push("demo".to_owned());
+    cfg
+}
+
 fn flow_analyze(rule: &str, kind: &str, rel: &str) -> Vec<Finding> {
     let root =
         PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("detlint_flow_{rule}_{kind}"));
     let dst = root.join(rel);
     std::fs::create_dir_all(dst.parent().expect("fixture path has a parent")).expect("mkdir");
     std::fs::write(&dst, fixture(rule, kind)).expect("write fixture");
-    let mut cfg = Config::default_repo();
-    cfg.deterministic_crates.push("demo".to_owned());
-    analyze_workspace(&root, &cfg).expect("analyze").findings
+    analyze_workspace(&root, &demo_config())
+        .expect("analyze")
+        .findings
 }
 
 #[test]
@@ -109,55 +96,15 @@ fn every_flow_rule_accepts_its_clean_fixture() {
 }
 
 #[test]
-fn every_rule_flags_its_flagged_fixture() {
-    let cfg = Config::default_repo();
-    for rule in ALL_RULES {
-        let findings = check_file(scoped_path(rule), &fixture(rule, "flagged"), &cfg);
-        assert!(
-            findings.iter().any(|f| f.rule == rule),
-            "{rule}/flagged.rs produced no {rule} finding: {findings:?}"
-        );
-    }
-}
-
-#[test]
-fn every_rule_accepts_its_waived_fixture() {
-    let cfg = Config::default_repo();
-    for rule in ALL_RULES {
-        let findings = check_file(scoped_path(rule), &fixture(rule, "waived"), &cfg);
-        assert!(
-            findings.is_empty(),
-            "{rule}/waived.rs still has findings: {findings:?}"
-        );
-    }
-}
-
-#[test]
-fn every_rule_accepts_its_clean_fixture() {
-    let cfg = Config::default_repo();
-    for rule in ALL_RULES {
-        let findings = check_file(scoped_path(rule), &fixture(rule, "clean"), &cfg);
-        assert!(
-            findings.is_empty(),
-            "{rule}/clean.rs has findings: {findings:?}"
-        );
-    }
-}
-
-#[test]
 fn diagnostics_carry_file_line_and_rule() {
-    let cfg = Config::default_repo();
-    let findings = check_file(
-        scoped_path("wall_clock"),
-        &fixture("wall_clock", "flagged"),
-        &cfg,
-    );
+    let (rule, rel) = FLOW_RULES[0];
+    let findings = flow_analyze(rule, "flagged", rel);
     let f = findings.first().expect("flagged fixture has findings");
-    assert_eq!(f.file, scoped_path("wall_clock"));
+    assert_eq!(f.file, rel);
     assert!(f.line > 0);
     let rendered = f.to_string();
     assert!(
-        rendered.starts_with(&format!("{}:{}: wall_clock — ", f.file, f.line)),
+        rendered.starts_with(&format!("{}:{}: {rule} — ", f.file, f.line)),
         "unexpected diagnostic format: {rendered}"
     );
 }
@@ -171,33 +118,31 @@ fn workspace_walk_catches_injected_violation() {
     std::fs::create_dir_all(&src_dir).expect("mkdir fake workspace");
     let lib = src_dir.join("lib.rs");
 
-    let cfg = {
-        let mut c = Config::default_repo();
-        c.deterministic_crates.push("demo".to_owned());
-        c
-    };
-
-    // Injected violation: a hash map in a deterministic crate.
+    // Injected violation: a float-keyed ordered map in a deterministic crate.
     std::fs::write(
         &lib,
-        "use std::collections::HashMap;\npub type M = HashMap<u64, u64>;\n",
+        "use std::collections::BTreeMap;\npub type M = BTreeMap<f64, u64>;\n",
     )
     .expect("write violation");
-    let findings = check_workspace(&root, &cfg).expect("walk");
+    let findings = analyze_workspace(&root, &demo_config())
+        .expect("walk")
+        .findings;
     assert!(
         findings
             .iter()
-            .any(|f| f.rule == "hash_collections" && f.file == "crates/demo/src/lib.rs"),
+            .any(|f| f.rule == "float_ordering" && f.file == "crates/demo/src/lib.rs"),
         "injected violation not caught: {findings:?}"
     );
 
-    // Fixed: deterministic collection, no findings.
+    // Fixed: integer keys, no findings.
     std::fs::write(
         &lib,
-        "use std::collections::BTreeMap;\npub type M = BTreeMap<u64, u64>;\n",
+        "use std::collections::BTreeMap;\npub type M = BTreeMap<u64, f64>;\n",
     )
     .expect("write fix");
-    let findings = check_workspace(&root, &cfg).expect("walk");
+    let findings = analyze_workspace(&root, &demo_config())
+        .expect("walk")
+        .findings;
     assert!(
         findings.is_empty(),
         "fixed tree still flagged: {findings:?}"
@@ -206,15 +151,19 @@ fn workspace_walk_catches_injected_violation() {
 
 #[test]
 fn fixtures_directories_are_skipped_by_the_walk() {
+    // Rule-violating material under a crate's tests/ (where detlint keeps
+    // its own fixtures) never reaches the analysis.
     let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("detlint_skip");
     let fix_dir = root.join("crates/demo/tests/fixtures");
     std::fs::create_dir_all(&fix_dir).expect("mkdir");
     std::fs::write(
         fix_dir.join("bad.rs"),
-        "pub fn f() { let _ = std::time::Instant::now(); }\n",
+        "pub type M = std::collections::BTreeMap<f64, u64>;\n",
     )
     .expect("write");
-    let findings = check_workspace(&root, &Config::default_repo()).expect("walk");
+    let findings = analyze_workspace(&root, &demo_config())
+        .expect("walk")
+        .findings;
     assert!(
         findings.is_empty(),
         "fixtures dir was not skipped: {findings:?}"
@@ -223,9 +172,9 @@ fn fixtures_directories_are_skipped_by_the_walk() {
 
 /// The repo's own acceptance gate: the tree this test ships in must
 /// analyze ratchet-clean under the shipped `detlint.toml` +
-/// `detlint.lock` — no new flow findings, no stale lock entries, and the
-/// token rules spotless. This is what `cargo run -p detlint` asserts in
-/// CI, pinned here so `cargo test` alone catches a regression.
+/// `detlint.lock` — no new findings and no stale lock entries. This is
+/// what `cargo run -p detlint` asserts in CI, pinned here so `cargo test`
+/// alone catches a regression.
 #[test]
 fn repo_analyzes_clean_under_shipped_config_and_lock() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

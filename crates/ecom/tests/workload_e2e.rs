@@ -1,7 +1,10 @@
 //! End-to-end: the e-commerce workload over replicated storage, site
 //! failure, failover, recovery, and the collapse/no-collapse dichotomy.
 
-#![allow(clippy::field_reassign_with_default)]
+#![allow(
+    clippy::field_reassign_with_default,
+    reason = "a test starts from the default config and sets the fields under test one line each"
+)]
 
 use tsuru_ecom::driver::start_clients;
 use tsuru_ecom::{EcomEvents, EcomOp, EcomState, HasEcom, RecoveryOutcome, WorkloadConfig};

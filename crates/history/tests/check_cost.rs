@@ -3,11 +3,12 @@
 //! observation, and keep their chains in arrays sized once — so twice the
 //! history is the same number of allocations.
 
-mod support;
-
-use support::allocations;
+use tsuru_allocs::{allocations, CountingAlloc};
 use tsuru_history::{space, CheckConfig, KeyVer, OpData, Recorder, Site, TxnOps, Verdict};
 use tsuru_sim::SimTime;
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 /// A clean history of about `records` records from all three checkers'
 /// workloads: orders and appends committed as serial transactions (each

@@ -2,11 +2,12 @@
 //! allocates is the growth of that one string, not a temporary per record
 //! or per number.
 
-mod support;
-
-use support::allocations;
+use tsuru_allocs::{allocations, CountingAlloc};
 use tsuru_history::{KeyVer, OpData, Recorder, Site, TxnOps};
 use tsuru_sim::SimTime;
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 /// 1 000 records of every shape that carries numbers or lists: the output
 /// string doubles its way to ≈ 100 KB (17 growths from empty at most).

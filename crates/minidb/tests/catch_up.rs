@@ -27,14 +27,15 @@
 //! the forged `Page` image in `every_recovery_error_variant_…`.
 
 use proptest::prelude::*;
+use tsuru_allocs::{allocations, CountingAlloc};
 use tsuru_minidb::{
     encode_record, scan_wal_from, DbConfig, DbVol, IoRequest, MiniDb, RecoveryError,
     RecoveryReport, Superblock, TableId, WalOp, WalRecord,
 };
 use tsuru_storage::{BlockDevice, BlockDeviceMut, MemDevice, BLOCK_SIZE};
 
-mod support;
-use support::allocations;
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 const T: TableId = TableId(3);
 const CFG: DbConfig = DbConfig {

@@ -2,7 +2,7 @@
 //! keeps it, never when it is looked at (DESIGN.md §24), and a row or a
 //! redo record costs no allocation of its own (DESIGN.md §26).
 //!
-//! Counted with the allocator `catch_up.rs` uses (`support/mod.rs`): a
+//! Counted with `tsuru_allocs` (as in `catch_up.rs`): a
 //! transaction's values go into the database's reused write-set buffer and
 //! from there into the leaf that holds them; a flush fills the phase list
 //! and request vector the driver handed back, and the log's writer mints
@@ -10,11 +10,12 @@
 //! recovery decodes the log into one buffer; reads borrow; a scan
 //! allocates for its result vector's growth, not per row.
 
+use tsuru_allocs::{allocations, CountingAlloc};
 use tsuru_minidb::{DbConfig, DbVol, IoPlan, IoRequest, LogFlusher, MiniDb, Progress, TableId};
 use tsuru_storage::{BlockDeviceMut, MemDevice, BLOCK_SIZE};
 
-mod support;
-use support::allocations;
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 const T: TableId = TableId(1);
 

@@ -68,7 +68,10 @@ impl DetRng {
     }
 
     /// Next raw 64-bit output (xoshiro256++).
-    #[allow(clippy::should_implement_trait)] // not an Iterator: infinite stream of u64
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "not an Iterator: an infinite stream of u64 never yields None"
+    )]
     #[inline]
     pub fn next(&mut self) -> u64 {
         // Destructured, not indexed: four words by construction, so no

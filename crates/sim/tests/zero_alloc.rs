@@ -1,6 +1,7 @@
 //! Proof of the typed-event kernel's headline property: scheduling and
 //! dispatching a typed event costs **zero heap allocations** in steady
-//! state. A counting global allocator wraps the system allocator; after a
+//! state. A counting global allocator (`tsuru_allocs`) wraps the system
+//! allocator; after a
 //! warm-up phase (which lets every touched wheel slot reach its reserved
 //! capacity), a long self-rescheduling event chain must not allocate at
 //! all.
@@ -8,43 +9,8 @@
 //! This lives in its own integration-test binary because a global
 //! allocator is process-wide: no other test may share the process.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use tsuru_allocs::{allocations, CountingAlloc};
 use tsuru_sim::{Event, Sim, SimDuration};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // Counting is gated per-thread: libtest's monitor thread allocates on
-    // its own schedule and must not pollute the measurement.
-    static TRACK: Cell<bool> = const { Cell::new(false) };
-}
-
-// SAFETY: pure pass-through to the system allocator; the count is the only
-// added behaviour and does not affect the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: sound iff the system allocator is — we only count and forward.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // try_with: TLS may be mid-teardown; missing a count there is fine.
-        let _ = TRACK.try_with(|t| {
-            if t.get() {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: sound iff the system allocator is — pure forwarding.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc` above, which returned
-        // system-allocator memory for this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
@@ -82,14 +48,11 @@ fn typed_event_chain_allocates_nothing_in_steady_state() {
         assert!(sim.step(&mut count));
     }
 
-    TRACK.with(|t| t.set(true));
-    while sim.step(&mut count) {}
-    TRACK.with(|t| t.set(false));
+    let (allocs, ()) = allocations(|| while sim.step(&mut count) {});
 
     assert_eq!(count, 50_001, "every event fired exactly once");
     assert_eq!(
-        ALLOCS.load(Ordering::Relaxed),
-        0,
+        allocs, 0,
         "typed event schedule+dispatch must not allocate in steady state"
     );
 }

@@ -11,43 +11,11 @@
 //!
 //! Own integration-test binary: the counting allocator is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use tsuru_allocs::{allocations, CountingAlloc};
 use tsuru_sim::{DetRng, SimTime};
 use tsuru_storage::{
     block_from, ArrayId, ArrayPerf, BlockBuf, FeedEntry, StorageArray, Volume, VolumeId,
 };
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // Per-thread gate: libtest's own threads allocate on their own schedule.
-    static TRACK: Cell<bool> = const { Cell::new(false) };
-}
-
-// SAFETY: pure pass-through to the system allocator; the count is the only
-// added behaviour and does not affect the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: sound iff the system allocator is — we only count and forward.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = TRACK.try_with(|t| {
-            if t.get() {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: sound iff the system allocator is — pure forwarding.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc` above for this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
@@ -71,20 +39,16 @@ fn an_unwatched_worlds_write_block_allocates_nothing() {
     }
     a.end_boundary(Some(SimTime::ZERO));
 
-    TRACK.with(|t| t.set(true));
-    for round in 0..1_000u64 {
-        for (lba, b) in (0u64..).zip(&payloads) {
-            a.write_block(v, ((lba + round) % 64) * 700, b.clone());
-            a.end_boundary(Some(SimTime::from_nanos(round)));
+    let (allocs, ()) = allocations(|| {
+        for round in 0..1_000u64 {
+            for (lba, b) in (0u64..).zip(&payloads) {
+                a.write_block(v, ((lba + round) % 64) * 700, b.clone());
+                a.end_boundary(Some(SimTime::from_nanos(round)));
+            }
         }
-    }
-    TRACK.with(|t| t.set(false));
+    });
 
-    assert_eq!(
-        ALLOCS.load(Ordering::Relaxed),
-        0,
-        "64 000 overwrites, unwatched"
-    );
+    assert_eq!(allocs, 0, "64 000 overwrites, unwatched");
     assert_eq!(a.drain_feed().count(), 0, "nobody watches, nothing is fed");
 }
 

@@ -3,8 +3,10 @@
 //! script's own steps (a fault at an instant, a write issued mid-run, a
 //! probe) ride in one boxed variant.
 
-// Each test binary compiles this module and uses a subset of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary compiles this module and uses a subset of it"
+)]
 
 use tsuru_sim::{Event, Sim, SimDuration, SimTime};
 use tsuru_storage::{HasStorage, StorageEvents, StorageOp};

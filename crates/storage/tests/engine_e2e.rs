@@ -1,7 +1,10 @@
 //! End-to-end tests of the replication engine: ADC, SDC, consistency
 //! groups, journal overflow, snapshots under replication, failover, RPO.
 
-#![allow(clippy::field_reassign_with_default)]
+#![allow(
+    clippy::field_reassign_with_default,
+    reason = "a test starts from the default config and sets the fields under test one line each"
+)]
 
 mod common;
 

@@ -10,9 +10,13 @@
 
 mod write_alloc;
 
+use tsuru_allocs::CountingAlloc;
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::{ArrayPerf, EngineConfig, StorageWorld};
 use write_alloc::{count_round, GROWTH, WRITES};
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 #[test]
 fn an_unreplicated_write_allocates_nothing() {

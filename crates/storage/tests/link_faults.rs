@@ -18,7 +18,10 @@
 //!   either woken by the lane's one wake or dropped as stale — never lost,
 //!   never doubled, nothing sent twice.
 
-#![allow(clippy::field_reassign_with_default)]
+#![allow(
+    clippy::field_reassign_with_default,
+    reason = "a test starts from the default config and sets the fields under test one line each"
+)]
 
 mod common;
 

@@ -5,7 +5,10 @@
 //! a prefix-consistent cut of the primary's ack order, no matter when the
 //! site dies.**
 
-#![allow(clippy::field_reassign_with_default)]
+#![allow(
+    clippy::field_reassign_with_default,
+    reason = "a test starts from the default config and sets the fields under test one line each"
+)]
 
 mod common;
 

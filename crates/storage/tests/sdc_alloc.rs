@@ -9,9 +9,13 @@
 
 mod write_alloc;
 
+use tsuru_allocs::CountingAlloc;
 use tsuru_simnet::LinkConfig;
 use tsuru_storage::{ArrayPerf, EngineConfig, StorageWorld};
 use write_alloc::{count_round, GROWTH, WRITES};
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 #[test]
 fn a_synchronously_replicated_write_allocates_only_its_join() {

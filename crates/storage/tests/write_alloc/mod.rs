@@ -1,54 +1,18 @@
-//! The allocation tests' instrument and rig: a counting global allocator
-//! and an open-loop writer over one volume.
-//!
-//! The allocator wraps the system allocator and counts only on a thread
-//! that asked it to, into that thread's own counter: libtest's monitor
-//! thread allocates on its own schedule, and the tests of one binary run
-//! on threads of their own, so no count pollutes another.
+//! The allocation tests' rig: an open-loop writer over one volume, whose
+//! rounds are counted by `tsuru_allocs`. Each test binary that uses it
+//! installs `tsuru_allocs::CountingAlloc` as its global allocator.
 
-// Each test binary compiles this module and uses a subset of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary compiles this module and uses a subset of it"
+)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use tsuru_allocs::allocations;
 use tsuru_sim::{Event, Sim, SimDuration, SimTime};
 use tsuru_storage::engine::host_write_tagged;
 use tsuru_storage::{
     block_from, BlockBuf, HasStorage, StorageEvents, StorageOp, StorageWorld, VolRef, WriteAck,
 };
-
-struct CountingAlloc;
-
-thread_local! {
-    static TRACK: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: pure pass-through to the system allocator; the count is the only
-// added behaviour and does not affect the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: sound iff the system allocator is — we only count and forward.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // try_with: TLS may be mid-teardown; missing a count there is fine.
-        let _ = TRACK.try_with(|t| {
-            if t.get() {
-                ALLOCS.with(|n| n.set(n.get() + 1));
-            }
-        });
-        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: sound iff the system allocator is — pure forwarding.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc` above, which returned
-        // system-allocator memory for this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
 
 struct World {
     st: StorageWorld,
@@ -144,11 +108,8 @@ pub fn count_round(st: StorageWorld, vol: VolRef) -> Round {
 
     let (start, wheel_before, frames_before) = (sim.now(), sim.alloc_events(), frames(&w.st));
     sim.schedule_event_at(start, Ev::Submit { left: WRITES });
-    ALLOCS.with(|n| n.set(0));
-    TRACK.with(|t| t.set(true));
-    sim.run(&mut w);
-    TRACK.with(|t| t.set(false));
-    let allocs = ALLOCS.with(Cell::get) - (sim.alloc_events() - wheel_before);
+    let (counted, ()) = allocations(|| sim.run(&mut w));
+    let allocs = counted - (sim.alloc_events() - wheel_before);
 
     let n = 2 * u64::from(WRITES);
     assert_eq!(w.acked, n, "every write was acknowledged");

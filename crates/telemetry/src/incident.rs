@@ -88,7 +88,10 @@ impl IncidentLog {
 
     /// Open a new incident and return its index into
     /// [`IncidentLog::incidents`]. The id is allocated densely.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "an incident is opened with every field it reports; a struct for one call site would only rename them"
+    )]
     pub fn open(
         &mut self,
         rule: &'static str,
