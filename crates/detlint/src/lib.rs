@@ -675,8 +675,8 @@ mod tests {
         assert!(parse_config("[allow.made_up]\npaths = [\"x\"]\n").is_err());
         assert!(parse_config("[rules.float_ordering]\nbogus = [\"x\"]\n").is_err());
         assert!(parse_config("[rules.float_ordering]\ncrates = [\"x\"\n").is_err());
-        // Retired sections are refused, not silently ignored: file
-        // allowlists, the token rules' crate list, the hot-path file list.
+        // Sections for rules detlint does not run are refused, not
+        // silently ignored.
         assert!(parse_config("[allow.wall_clock]\npaths = [\"x\"]\n").is_err());
         assert!(parse_config("[rules.hash_collections]\ncrates = [\"x\"]\n").is_err());
         assert!(parse_config("[rules.hot_path_unwrap]\npaths = [\"x\"]\n").is_err());

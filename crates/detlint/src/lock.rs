@@ -233,7 +233,7 @@ mod tests {
     fn malformed_locks_are_rejected() {
         assert!(parse_lock("panic_reachable only-two-fields\n").is_err());
         assert!(parse_lock("made_up\ta\tb\n").is_err());
-        // The token rules moved to clippy: they have no lock entries.
+        // Only detlint's own rules have lock entries.
         assert!(parse_lock("wall_clock\ta\tb\n").is_err());
         assert!(parse_lock("# just comments\n\n")
             .expect("ok")
