@@ -409,7 +409,7 @@ impl Auditor {
             }
             let has_backlog = g
                 .primary_jnl
-                .map(|j| !st.fabric.journal(j).peek_unsent(1, u64::MAX).is_empty())
+                .map(|j| st.fabric.journal(j).has_unsent())
                 .unwrap_or(false);
             if has_backlog {
                 self.violate(

@@ -6,7 +6,8 @@
 //!   fns in a module named `Qual` (so `engine::persist` works);
 //! - `Self::name(…)` resolves within the calling fn's own container;
 //! - `.name(…)` resolves to **every** method named `name` in the
-//!   workspace (the analyzer knows no receiver types);
+//!   workspace (the analyzer knows no receiver types) except the methods
+//!   of `impl GlobalAlloc` blocks, which only the runtime calls;
 //! - bare `name(…)` resolves to every free fn named `name`.
 //!
 //! Calls into std or vendored crates resolve to nothing and vanish. The
@@ -45,7 +46,9 @@ impl CallGraph {
         for (i, f) in fns.iter().enumerate() {
             match &f.container {
                 Some(c) => {
-                    methods.entry(&f.name).or_default().push(i);
+                    if !f.allocator {
+                        methods.entry(&f.name).or_default().push(i);
+                    }
                     by_container
                         .entry((c.as_str(), &f.name))
                         .or_default()

@@ -105,6 +105,9 @@ pub struct FnSym {
     pub calls: Vec<CallSite>,
     /// Panic/ambient sites in the body, in source order.
     pub sites: Vec<Site>,
+    /// A method of an `impl GlobalAlloc` block: the runtime calls it
+    /// through the global allocator, never by name at a call site.
+    pub allocator: bool,
 }
 
 impl FnSym {
@@ -317,7 +320,13 @@ fn parse_items(
                     } else {
                         Some(target.as_str())
                     };
+                    let first_fn = out.fns.len();
                     parse_items(toks, cur, file, krate, module, cont, out, depth + 1);
+                    if trait_name.as_deref() == Some("GlobalAlloc") {
+                        for f in &mut out.fns[first_fn..] {
+                            f.allocator = true;
+                        }
+                    }
                 }
             }
             pending_derives.clear();
@@ -445,6 +454,7 @@ fn parse_items(
                 line,
                 calls: Vec::new(),
                 sites: Vec::new(),
+                allocator: false,
             };
             if toks.get(cur.i).is_some_and(|t| t.is_punct('{')) {
                 let end = match_bracket(toks, cur.i, '{', '}');

@@ -171,6 +171,56 @@ fn shadowed_names_resolve_by_container() {
 }
 
 #[test]
+fn method_calls_never_reach_the_global_allocator() {
+    // The runtime calls an allocator's methods; no `.alloc(` call site
+    // does. Linking one to `CountingAlloc::alloc` by name would make every
+    // allocating path reach whatever the allocator calls — here a `.load(`
+    // that resolves to an unrelated `BTree::load` with a panic in it.
+    let g = graph_of(&[
+        (
+            "crates/allocs/src/lib.rs",
+            "pub struct CountingAlloc;\n\
+             unsafe impl GlobalAlloc for CountingAlloc {\n\
+                 unsafe fn alloc(&self, l: Layout) -> *mut u8 {\n\
+                     INSTALLED.load(Ordering::Relaxed);\n\
+                     unsafe { System.alloc(l) }\n\
+                 }\n\
+             }\n",
+        ),
+        (
+            "crates/telemetry/src/trace.rs",
+            "impl Tracer { pub fn span_complete(&mut self) { self.arena.alloc(); } }\n\
+             impl Arena { pub fn alloc(&mut self) {} }\n",
+        ),
+        (
+            "crates/minidb/src/btree.rs",
+            "impl BTree { pub fn load(&self) { self.root.unwrap(); } }\n",
+        ),
+    ]);
+    let counting = g.match_pattern("CountingAlloc::alloc");
+    let arena = g.match_pattern("Arena::alloc");
+    let load = g.match_pattern("BTree::load");
+    assert_eq!((counting.len(), arena.len(), load.len()), (1, 1, 1));
+    assert!(g.fns[counting[0]].allocator && !g.fns[arena[0]].allocator);
+
+    let reach = g.reach(&g.match_pattern("Tracer::span_complete"), 8);
+    assert!(
+        reach.contains_key(&arena[0]),
+        "a method call still reaches every ordinary method of its name"
+    );
+    assert!(
+        !reach.contains_key(&counting[0]),
+        "a `.alloc(` call site reached the global allocator"
+    );
+    assert!(
+        !reach.contains_key(&load[0]),
+        "an allocating path reached `BTree::load` through the allocator"
+    );
+    // The allocator's own calls resolve as before.
+    assert!(g.reach(&counting, 1).contains_key(&load[0]));
+}
+
+#[test]
 fn test_modules_never_reach_the_symbol_table() {
     let s = parse(
         "pub fn real() {}\n\

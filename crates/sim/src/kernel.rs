@@ -107,9 +107,10 @@ impl<S, E: Event<S>> Sim<S, E> {
         self.peak_pending
     }
 
-    /// Deterministic count of heap reallocations performed by the
-    /// pending-event store (wheel bucket / ready-heap capacity growths)
-    /// since construction. Depends only on the schedule — never on
+    /// Deterministic count of the heap allocations the pending-event
+    /// store has made since construction (wheel chunks made; chunk-table,
+    /// run and ready-heap growths): exactly what a counting allocator
+    /// sees it make. Depends only on the schedule — never on
     /// wall-clock or addresses — the ledger's `sim.allocs_per_event`.
     #[inline]
     pub fn alloc_events(&self) -> u64 {

@@ -5,14 +5,21 @@
 //! is 64× coarser. Insert is O(1): an event is hashed to a slot by the
 //! bits of its deadline that differ from the wheel's `elapsed` cursor.
 //!
+//! A slot holds its entries in a list of fixed-size chunks ([`CHUNK`]
+//! entries each, values inline) drawn from one arena; a slot that empties
+//! gives its chunks back to the arena's free list, so the wheel holds
+//! storage for what is pending, not for the largest fill each of its 704
+//! slots ever had. A new wheel holds no chunk and allocates nothing.
+//!
 //! A pending entry lives in exactly one of three residences, split by
 //! `horizon` (the last deadline of the most recently drained slot):
 //!
 //! - the **wheel** holds every entry *later* than `horizon`;
 //! - the **run** is one drained slot — a *fine* one (level ≤
 //!   [`DRAIN_MAX_LEVEL`], at most 4 096 ns wide) or a coarser one that
-//!   held a single entry — taken out of the wheel by a buffer swap, sorted
-//!   once by `(when, seq)` and served by `Vec::pop`;
+//!   held a single entry — whose entries are moved out of its chunks into
+//!   one reused vector, sorted once by `(when, seq)` and served by
+//!   `Vec::pop`;
 //! - the **heap** takes every push at or below `horizon` — a handler
 //!   scheduling inside the span the run covers, zero-delay hops included.
 //!
@@ -32,7 +39,10 @@
 //! Determinism contract: [`TimerWheel::pop`] yields entries in exactly
 //! ascending `(when, seq)` order — the same order a binary heap with a
 //! `(time, seq)` key would produce — which is what keeps simulation runs
-//! bit-identical to the old `BinaryHeap` kernel. The proof obligations:
+//! bit-identical to the old `BinaryHeap` kernel. The order of entries
+//! inside a slot's chunks is never observed: a drained slot is sorted by
+//! its unique keys, a cascaded one re-homed entry by entry. The proof
+//! obligations:
 //!
 //! 1. *Drain soundness.* The front slot (lowest occupied slot of the
 //!    lowest occupied level) holds the wheel's minimum, and every wheel
@@ -64,10 +74,14 @@ const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels; 64^11 ≥ 2^64 so any `u64` deadline fits.
 const LEVELS: usize = 11;
-/// Eagerly reserved capacity per slot, so pushing into a never-touched
-/// slot does not allocate. Steady-state workloads with fewer than this
-/// many co-resident entries per slot run allocation-free.
-const SLOT_PREALLOC: usize = 4;
+/// Entries per chunk. A slot's storage is whole chunks, so it holds at
+/// most `CHUNK - 1` unused places, and the wheel's slot storage stays
+/// within its peak pending count plus `CHUNK` per occupied slot. A chunk
+/// is made once and recycled through the free list, so a steady schedule
+/// runs allocation-free once its busiest moment has been seen.
+const CHUNK: usize = 64;
+/// The end of a chunk list (a slot's or the free list).
+const NIL: u32 = u32::MAX;
 /// The coarsest level whose slots are drained into the run whatever they
 /// hold; a coarser front slot is cascaded unless it holds a single entry
 /// (nothing to sort, and a sparse timeline — one timer per millisecond —
@@ -119,6 +133,16 @@ impl<T> PartialEq for Entry<T> {
 
 impl<T> Eq for Entry<T> {}
 
+/// Up to [`CHUNK`] entries of one slot, linked to the slot's older chunks
+/// — or, while free, to the next free chunk.
+struct Chunk<T> {
+    /// Reserved to exactly `CHUNK` when the chunk is made and never
+    /// pushed past it, so it never reallocates.
+    entries: Vec<Entry<T>>,
+    /// The next chunk of the same list, or [`NIL`].
+    next: u32,
+}
+
 /// A popped event: `(deadline, seq, value)`.
 pub(crate) type Popped<T> = (u64, u64, T);
 
@@ -135,8 +159,15 @@ pub(crate) struct TimerWheel<T> {
     /// Per-level occupancy bitmaps: bit `s` set ⇔ `slot(level, s)` is
     /// non-empty.
     occupied: [u64; LEVELS],
-    /// `LEVELS * SLOTS` buckets, flattened; index `level * SLOTS + slot`.
-    slots: Vec<Vec<Entry<T>>>,
+    /// Per slot, the first chunk of its list, or [`NIL`] while the slot is
+    /// empty; index `level * SLOTS + slot`. Pushes fill the first chunk,
+    /// and a full one gets a fresh chunk linked in front of it.
+    heads: [u32; LEVELS * SLOTS],
+    /// Every chunk made so far, indexed by the ids in `heads` and `next`.
+    /// Each is on exactly one list: one occupied slot's, or the free one.
+    chunks: Vec<Chunk<T>>,
+    /// The first free chunk, or [`NIL`].
+    free: u32,
     /// The ready run: one drained slot, sorted earliest-last so service
     /// is `Vec::pop` from the tail.
     run: Vec<Entry<T>>,
@@ -145,9 +176,10 @@ pub(crate) struct TimerWheel<T> {
     /// The last deadline of the most recently drained slot. Every wheel
     /// entry is later; every run and heap entry is at or below it.
     horizon: u64,
-    /// Deterministic allocation counter: how many times a bucket grew
-    /// past its capacity (each growth is one heap reallocation). Zero in
-    /// steady state — the ledger reports it per event.
+    /// Deterministic allocation counter: one per chunk made, and one per
+    /// growth of the chunk table, the run or the heap (each growth is
+    /// one heap reallocation). Zero in steady state — the ledger reports
+    /// it per event.
     grow_events: u64,
 }
 
@@ -158,11 +190,11 @@ impl<T> TimerWheel<T> {
             len: 0,
             levels: 0,
             occupied: [0; LEVELS],
-            slots: (0..LEVELS * SLOTS)
-                .map(|_| Vec::with_capacity(SLOT_PREALLOC))
-                .collect(),
-            run: Vec::with_capacity(SLOT_PREALLOC),
-            heap: BinaryHeap::with_capacity(SLOT_PREALLOC),
+            heads: [NIL; LEVELS * SLOTS],
+            chunks: Vec::new(),
+            free: NIL,
+            run: Vec::new(),
+            heap: BinaryHeap::new(),
             horizon: 0,
             grow_events: 0,
         }
@@ -173,9 +205,9 @@ impl<T> TimerWheel<T> {
         self.len
     }
 
-    /// How many bucket capacity growths (heap reallocations) the wheel
-    /// has performed since construction. Deterministic: depends only on
-    /// the schedule, never on wall-clock or addresses.
+    /// How many heap allocations the wheel has made since construction:
+    /// chunks made plus chunk-table, run and heap growths. Deterministic:
+    /// depends only on the schedule, never on wall-clock or addresses.
     #[inline]
     pub(crate) fn grow_events(&self) -> u64 {
         self.grow_events
@@ -194,6 +226,32 @@ impl<T> TimerWheel<T> {
         (level, slot)
     }
 
+    #[inline]
+    fn chunk(&self, c: u32) -> &Chunk<T> {
+        self.chunks
+            .get(c as usize)
+            .expect("invariant: every chunk id on a list indexes `chunks`")
+    }
+
+    #[inline]
+    fn chunk_mut(&mut self, c: u32) -> &mut Chunk<T> {
+        self.chunks
+            .get_mut(c as usize)
+            .expect("invariant: every chunk id on a list indexes `chunks`")
+    }
+
+    /// The chunks of the list that starts at `head`, in list order.
+    fn list(&self, head: u32) -> impl Iterator<Item = &Chunk<T>> {
+        std::iter::successors((head != NIL).then(|| self.chunk(head)), |c| {
+            (c.next != NIL).then(|| self.chunk(c.next))
+        })
+    }
+
+    /// How many entries the list that starts at `head` holds.
+    fn list_len(&self, head: u32) -> usize {
+        self.list(head).map(|c| c.entries.len()).sum()
+    }
+
     /// Insert into the wheel without touching `len` (shared by push and
     /// cascade).
     #[inline]
@@ -210,16 +268,56 @@ impl<T> TimerWheel<T> {
             .get_mut(level)
             .expect("invariant: level_and_slot returns level < LEVELS") |= 1 << slot;
         self.levels |= 1 << level;
-        let bucket = self
-            .slots
-            .get_mut(level * SLOTS + slot)
+        let idx = level * SLOTS + slot;
+        let head = *self
+            .heads
+            .get(idx)
             .expect("invariant: level < LEVELS and slot < SLOTS, so the flat index is in range");
-        if bucket.len() == bucket.capacity() {
-            // `push` below reallocates; count it so the ledger can report
-            // allocations-per-event without an allocator shim.
-            self.grow_events += 1;
-        }
-        bucket.push(e);
+        let c = if head != NIL && self.chunk(head).entries.len() < CHUNK {
+            head
+        } else {
+            self.link_chunk(idx, head)
+        };
+        self.chunk_mut(c).entries.push(e);
+    }
+
+    /// Put a free chunk — made now if the free list is empty — in front
+    /// of slot `idx`'s list, whose first chunk is `head`, and return it.
+    fn link_chunk(&mut self, idx: usize, head: u32) -> u32 {
+        let c = if self.free != NIL {
+            let c = self.free;
+            self.free = self.chunk(c).next;
+            c
+        } else {
+            // The chunk's buffer is one allocation; a full table grows
+            // by one more.
+            self.grow_events += 1 + u64::from(self.chunks.len() == self.chunks.capacity());
+            let c = u32::try_from(self.chunks.len())
+                .ok()
+                .filter(|&c| c != NIL)
+                .expect("invariant: fewer than 2^32 - 1 chunks, each holding a pending entry");
+            self.chunks.push(Chunk {
+                entries: Vec::with_capacity(CHUNK),
+                next: NIL,
+            });
+            c
+        };
+        self.chunk_mut(c).next = head;
+        *self
+            .heads
+            .get_mut(idx)
+            .expect("invariant: level < LEVELS and slot < SLOTS, so the flat index is in range") =
+            c;
+        c
+    }
+
+    /// Give emptied chunk `c` to the free list; returns the chunk that
+    /// followed it on its slot's list.
+    #[inline]
+    fn free_chunk(&mut self, c: u32) -> u32 {
+        let free = self.free;
+        self.free = c;
+        std::mem::replace(&mut self.chunk_mut(c).next, free)
     }
 
     /// Mark `(level, slot)` empty in both bitmaps.
@@ -296,15 +394,14 @@ impl<T> TimerWheel<T> {
             (Some(r), Some(h)) => Some(r.when.min(h.when)),
             (Some(e), None) | (None, Some(e)) => Some(e.when),
             (None, None) => {
-                // A slot mixes deadlines; scan the bucket. Once per run:
+                // A slot mixes deadlines; scan its chunks. Once per run:
                 // the next pop drains or cascades this slot.
                 let (level, slot) = self.front()?;
-                self.slots
-                    .get(level * SLOTS + slot)
-                    .expect(
-                        "invariant: level < LEVELS and slot < SLOTS, so the flat index is in range",
-                    )
-                    .iter()
+                let head = *self.heads.get(level * SLOTS + slot).expect(
+                    "invariant: level < LEVELS and slot < SLOTS, so the flat index is in range",
+                );
+                self.list(head)
+                    .flat_map(|c| &c.entries)
                     .map(|e| e.when)
                     .min()
             }
@@ -337,6 +434,7 @@ impl<T> TimerWheel<T> {
 
     /// Run and heap are both empty: cascade the wheel's front slot down
     /// until it is fine or holds one entry, then drain it into the run.
+    /// Either way the slot's chunks go to the free list as they empty.
     /// Returns `false` when the wheel is empty too. Out-of-line: it runs
     /// once per run, not once per pop.
     #[inline(never)]
@@ -347,12 +445,29 @@ impl<T> TimerWheel<T> {
             // digits above `level`, so moving the cursor here preserves
             // every other residence.
             self.elapsed = self.block_start(level, slot);
-            let idx = level * SLOTS + slot;
-            let bucket = self.slots.get_mut(idx).expect(
-                "invariant: level < LEVELS and slot < SLOTS, so the flat index is in range",
+            let mut c = std::mem::replace(
+                self.heads.get_mut(level * SLOTS + slot).expect(
+                    "invariant: level < LEVELS and slot < SLOTS, so the flat index is in range",
+                ),
+                NIL,
             );
-            if level <= DRAIN_MAX_LEVEL || bucket.len() == 1 {
-                std::mem::swap(&mut self.run, bucket);
+            let first = self.chunk(c);
+            if level <= DRAIN_MAX_LEVEL || (first.next == NIL && first.entries.len() == 1) {
+                // The run is empty here; make room for the whole slot at
+                // once, so the appends below never reallocate.
+                let n = self.list_len(c);
+                if self.run.capacity() < n {
+                    self.grow_events += 1;
+                    self.run.reserve(n);
+                }
+                while c != NIL {
+                    let chunk = self
+                        .chunks
+                        .get_mut(c as usize)
+                        .expect("invariant: every chunk id on a list indexes `chunks`");
+                    self.run.append(&mut chunk.entries);
+                    c = self.free_chunk(c);
+                }
                 self.run.sort_unstable();
                 self.horizon = self
                     .run
@@ -363,15 +478,16 @@ impl<T> TimerWheel<T> {
             }
             // Every entry re-homes strictly below `level` (it now agrees
             // with `elapsed` on digit `level` and above), so this ends.
-            let mut moved = std::mem::take(bucket);
-            for e in moved.drain(..) {
-                self.place(e);
+            // A chunk is off every list while its entries move, and free
+            // for the next chunk's once they have.
+            while c != NIL {
+                let mut moved = std::mem::take(&mut self.chunk_mut(c).entries);
+                for e in moved.drain(..) {
+                    self.place(e);
+                }
+                self.chunk_mut(c).entries = moved;
+                c = self.free_chunk(c);
             }
-            // Give the (now empty) bucket its allocation back so the
-            // cascade path stays allocation-free in steady state.
-            *self.slots.get_mut(idx).expect(
-                "invariant: level < LEVELS and slot < SLOTS, so the flat index is in range",
-            ) = moved;
         }
         false
     }
@@ -542,19 +658,75 @@ mod tests {
     #[test]
     fn slab_and_allocation_counters_track_batches() {
         let mut w = TimerWheel::new();
-        assert_eq!(w.grow_events(), 0);
-        // SLOT_PREALLOC entries fit without growing; one more grows the
-        // bucket exactly once.
-        for seq in 0..=SLOT_PREALLOC as u64 {
+        assert_eq!(w.grow_events(), 0, "a new wheel allocates nothing");
+        // The first entry makes a chunk (its buffer) and grows the empty
+        // chunk table: two allocations. The chunk takes CHUNK entries;
+        // one more makes a second chunk, which the table has room for.
+        for seq in 0..CHUNK as u64 {
             w.push(90, seq, 0u32);
         }
-        assert_eq!(w.grow_events(), 1);
+        assert_eq!((w.chunks.len(), w.grow_events()), (1, 2));
+        w.push(90, CHUNK as u64, 0u32);
+        assert_eq!((w.chunks.len(), w.grow_events()), (2, 3));
+        // The first pop moves the whole slot into the empty run, which
+        // grows once, and frees both chunks.
         assert_eq!(w.pop().map(|(_, s, _)| s), Some(0));
-        // The whole slot (all 5 entries) was drained into the run, by a
-        // buffer swap that allocates nothing.
-        assert_eq!(w.run.len(), SLOT_PREALLOC);
-        assert_eq!(drain(&mut w).len(), SLOT_PREALLOC);
-        assert_eq!(w.grow_events(), 1);
+        assert_eq!(w.run.len(), CHUNK);
+        assert_eq!(w.grow_events(), 4);
+        assert_eq!(w.list(w.free).count(), 2, "both chunks are free");
+        assert_eq!(drain(&mut w).len(), CHUNK);
+        // A later burst of the same size, in another fine slot, reuses
+        // both chunks and the run's capacity: nothing allocates.
+        for seq in 0..=CHUNK as u64 {
+            w.push(2_000, 1_000 + seq, 0u32);
+        }
+        assert_eq!(drain(&mut w).len(), CHUNK + 1);
+        assert_eq!((w.chunks.len(), w.grow_events()), (2, 4));
+    }
+
+    /// Entry places the wheel holds: its chunks, the run and the heap.
+    fn retained(w: &TimerWheel<u32>) -> usize {
+        w.chunks.len() * CHUNK + w.run.capacity() + w.heap.capacity()
+    }
+
+    fn occupied_slots(w: &TimerWheel<u32>) -> usize {
+        w.occupied.iter().map(|o| o.count_ones() as usize).sum()
+    }
+
+    #[test]
+    fn retained_storage_is_bounded_by_what_is_pending() {
+        // Lap after lap, a burst of 1 024 entries spread over eight
+        // coarse (level-3, 262 µs) slots, drained before the next lap
+        // schedules its burst a few slots further on: the laps walk every
+        // level-3 slot, and a level-4 slot whenever a burst lies past the
+        // cursor's 16.8 ms block. Storage kept per slot at its largest
+        // fill would grow with every lap; chunks come back to the free
+        // list as slots empty.
+        let mut w = TimerWheel::new();
+        let coarse = 1u64 << ((DRAIN_MAX_LEVEL as u32 + 1) * LEVEL_BITS);
+        let (mut seq, mut peak_pending, mut peak_occupied) = (0u64, 0, 0);
+        for lap in 0..40u64 {
+            let now = w.elapsed.max(w.horizon);
+            let first = (now / coarse + 1 + lap % 3) * coarse;
+            for i in 0..1_024u64 {
+                let slot = i % 8;
+                let at = first + slot * coarse + (i / 8) * (coarse / 128) + 1;
+                w.push(at, seq, 0);
+                seq += 1;
+                peak_pending = peak_pending.max(w.len());
+                peak_occupied = peak_occupied.max(occupied_slots(&w));
+            }
+            while w.pop().is_some() {
+                peak_occupied = peak_occupied.max(occupied_slots(&w));
+            }
+        }
+        let bound = peak_pending + CHUNK * peak_occupied;
+        assert!(
+            retained(&w) <= bound,
+            "{} entry places retained for a peak of {peak_pending} pending \
+             over at most {peak_occupied} occupied slots (bound {bound})",
+            retained(&w)
+        );
     }
 
     #[test]

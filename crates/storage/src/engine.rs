@@ -904,8 +904,12 @@ where
                 }
             } else {
                 let max_e = st.config.batch_max_entries;
-                let batch = st.fabric.journal(jid).peek_unsent(max_e, BATCH_MAX_BYTES);
+                let mut batch = st.take_batch();
+                st.fabric
+                    .journal(jid)
+                    .fill_unsent(&mut batch, max_e, BATCH_MAX_BYTES);
                 if batch.is_empty() {
+                    st.recycle_batch(batch);
                     T::Idle
                 } else {
                     let payload: u64 = batch
@@ -915,7 +919,6 @@ where
                         + FRAME_OVERHEAD;
                     match st.offer_link(link, now, payload) {
                         TransferOutcome::DeliveredAt { at, serialized } => {
-                            let mut batch = batch;
                             let last = batch
                                 .last()
                                 .expect("invariant: batch checked non-empty above")
@@ -951,12 +954,14 @@ where
                             }
                         }
                         TransferOutcome::Lost => {
+                            st.recycle_batch(batch);
                             st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
                                 vec![("group", (gid.0 as u64).into()), ("reason", "loss".into())]
                             });
                             T::RetryIn(LOSS_RETRY)
                         }
                         TransferOutcome::Down(Some(up)) => {
+                            st.recycle_batch(batch);
                             st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
                                 vec![("group", (gid.0 as u64).into()), ("reason", "down".into())]
                             });
@@ -965,6 +970,7 @@ where
                         // Indefinite outage: the pump goes idle; a new append or
                         // an explicit kick_all_pumps after healing restarts it.
                         TransferOutcome::Down(None) => {
+                            st.recycle_batch(batch);
                             st.tracer.instant(spans::PUMP_STALL, now, SpanId::NONE, || {
                                 vec![
                                     ("group", (gid.0 as u64).into()),
@@ -985,7 +991,8 @@ where
             arrive_at,
             serialized,
         } => {
-            // The batch vector moves into the event — no per-frame copy.
+            // The batch vector moves into the event — no per-frame copy —
+            // and its arrival hands it back to the world's spares.
             sim.schedule_event_at(
                 arrive_at,
                 E::storage(StorageOp::ReceiveBatch {
@@ -1058,12 +1065,13 @@ where
 /// A batch of journal entries reached the backup-site journal volume.
 /// `serialized` is the instant the frame's last bit left the main site: if
 /// the main site failed before then, the frame never really made it out and
-/// is discarded here.
+/// is discarded here. Either way the emptied vector goes back to the
+/// world's spares for the next frame.
 pub(crate) fn receive_batch<S, E>(
     state: &mut S,
     sim: &mut Sim<S, E>,
     gid: GroupId,
-    batch: Vec<JournalEntry>,
+    mut batch: Vec<JournalEntry>,
     serialized: SimTime,
     gen: u32,
 ) where
@@ -1083,6 +1091,7 @@ pub(crate) fn receive_batch<S, E>(
                         ("reason", "stale-generation".into()),
                     ]
                 });
+            st.recycle_batch(batch);
             return; // frame from a superseded replication epoch
         }
         let (active, sjid, remote_failed, primary_lost_frame) = {
@@ -1127,12 +1136,14 @@ pub(crate) fn receive_batch<S, E>(
                         ("reason", reason.into()),
                     ]
                 });
+            st.recycle_batch(batch);
             return; // in-flight data discarded on promote/suspend/disaster
         }
         let sjid = sjid.expect("invariant: active ADC groups always carry a secondary journal");
-        for e in batch {
+        for e in batch.drain(..) {
             st.fabric.journal_mut(sjid).push_arrived(e);
         }
+        st.recycle_batch(batch);
     }
     kick_apply(state, sim, gid);
 }

@@ -183,16 +183,32 @@ impl Journal {
         self.entries.push_back(entry);
     }
 
-    /// Entries not yet handed to the link, up to `max_entries`/`max_bytes`
-    /// (at least one entry if any is unsent, so a single oversized entry
-    /// cannot wedge the pump). Does not advance the `sent` watermark.
-    pub fn peek_unsent(&self, max_entries: usize, max_bytes: u64) -> Vec<JournalEntry> {
+    /// The oldest entry not yet handed to the link, if any.
+    pub fn first_unsent(&self) -> Option<&JournalEntry> {
         // Sequence numbers are contiguous within the deque, so the first
         // unsent entry sits at a computable offset — no scan over the
         // already-sent prefix.
+        let front = self.entries.front()?;
+        self.entries
+            .get((self.sent + 1).saturating_sub(front.seq) as usize)
+    }
+
+    /// Whether any entry is waiting to be handed to the link.
+    pub fn has_unsent(&self) -> bool {
+        self.first_unsent().is_some()
+    }
+
+    /// Replace `out`'s contents with the entries not yet handed to the
+    /// link, up to `max_entries`/`max_bytes` (at least one entry if any is
+    /// unsent, so a single oversized entry cannot wedge the pump). Does
+    /// not advance the `sent` watermark. Allocates only when `out` has
+    /// less room than the batch: a caller that hands its vectors back
+    /// batch after batch allocates nothing in steady state.
+    pub fn fill_unsent(&self, out: &mut Vec<JournalEntry>, max_entries: usize, max_bytes: u64) {
+        out.clear();
         let start = match self.entries.front() {
             Some(front) => (self.sent + 1).saturating_sub(front.seq) as usize,
-            None => return Vec::new(),
+            None => return,
         };
         // Pass 1: find the batch boundary without cloning anything.
         let mut take = 0usize;
@@ -208,10 +224,16 @@ impl Journal {
                 break;
             }
         }
-        // Pass 2: one exact allocation; the entry clones themselves are
-        // cheap (`Bytes` payloads clone by refcount).
-        let mut out = Vec::with_capacity(take);
+        // Pass 2: at most one allocation; the entry clones themselves are
+        // cheap (block payloads clone by refcount).
+        out.reserve(take);
         out.extend(self.entries.iter().skip(start).take(take).cloned());
+    }
+
+    /// [`Journal::fill_unsent`] into a new vector.
+    pub fn peek_unsent(&self, max_entries: usize, max_bytes: u64) -> Vec<JournalEntry> {
+        let mut out = Vec::new();
+        self.fill_unsent(&mut out, max_entries, max_bytes);
         out
     }
 
@@ -337,6 +359,30 @@ mod tests {
         assert_eq!(batch.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![4, 5]);
         j.mark_sent(10);
         assert!(j.peek_unsent(100, u64::MAX).is_empty());
+    }
+
+    #[test]
+    fn fill_unsent_reuses_the_callers_vector() {
+        let mut j = jnl(1 << 20);
+        assert!(!j.has_unsent());
+        for i in 0..6 {
+            j.append(PairId(0), i, blk("d"), 0)
+                .expect("invariant: journal has capacity");
+        }
+        assert_eq!(j.first_unsent().map(|e| e.seq), Some(1));
+        let mut out = Vec::with_capacity(4);
+        let buf = out.as_ptr();
+        j.fill_unsent(&mut out, 4, u64::MAX);
+        assert_eq!(out.iter().map(|e| e.seq).collect::<Vec<_>>(), [1, 2, 3, 4]);
+        j.mark_sent(4);
+        assert_eq!(j.first_unsent().map(|e| e.seq), Some(5));
+        j.fill_unsent(&mut out, 4, u64::MAX);
+        assert_eq!(out.iter().map(|e| e.seq).collect::<Vec<_>>(), [5, 6]);
+        assert_eq!(out.as_ptr(), buf, "a batch that fits reuses the buffer");
+        j.mark_sent(6);
+        assert!(!j.has_unsent());
+        j.fill_unsent(&mut out, 4, u64::MAX);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -371,7 +371,7 @@ where
         let kick_t = !g.pump_scheduled
             && st.net.link(g.link).is_up(now)
             && g.primary_jnl
-                .map(|jid| !st.fabric.journal(jid).peek_unsent(1, u64::MAX).is_empty())
+                .map(|jid| st.fabric.journal(jid).has_unsent())
                 .unwrap_or(false);
         let kick_a = !g.apply_scheduled
             && g.secondary_jnl

@@ -129,6 +129,9 @@ pub struct StorageWorld {
     alerts: Option<AlertEngine>,
     rng: DetRng,
     control_time: SimTime,
+    /// Emptied transfer-frame vectors: a pump fills one for each frame it
+    /// sends, and the frame's arrival hands it back.
+    spare_batches: Vec<Vec<JournalEntry>>,
 }
 
 impl StorageWorld {
@@ -150,7 +153,21 @@ impl StorageWorld {
             alerts: None,
             rng: DetRng::new(seed),
             control_time: SimTime::ZERO,
+            spare_batches: Vec::new(),
         }
+    }
+
+    /// An empty vector for a transfer frame's entries: a spare one, with
+    /// the capacity an earlier frame gave it, if there is one.
+    pub(crate) fn take_batch(&mut self) -> Vec<JournalEntry> {
+        self.spare_batches.pop().unwrap_or_default()
+    }
+
+    /// Hand back a frame's vector once its entries are applied or
+    /// discarded, for [`StorageWorld::take_batch`] to give out again.
+    pub(crate) fn recycle_batch(&mut self, mut batch: Vec<JournalEntry>) {
+        batch.clear();
+        self.spare_batches.push(batch);
     }
 
     /// Arm the self-healing replication supervisor with the given policy.
@@ -980,7 +997,7 @@ impl StorageWorld {
         let span = if self.tracer.is_enabled() {
             // The write that waits longest: the oldest unsent entry's.
             let jid = self.fabric.group(gid).primary_jnl;
-            jid.and_then(|j| self.fabric.journal(j).peek_unsent(1, u64::MAX).pop())
+            jid.and_then(|j| self.fabric.journal(j).first_unsent())
                 .map_or(SpanId::NONE, |e| e.span)
         } else {
             SpanId::NONE

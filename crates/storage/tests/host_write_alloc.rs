@@ -1,9 +1,10 @@
 //! What an unreplicated or asynchronously replicated host write costs the
 //! host heap: nothing. Its completion is a function pointer and a tag,
 //! carried by value through every hop, so a warmed-up world takes 1 000
-//! tagged writes within the ack log's amortised growth — plus, with a
-//! replication leg, one vector per journal-batch frame, which the writes
-//! share.
+//! tagged writes within the ack log's amortised growth, with or without
+//! a replication leg: a journal-batch frame carries its entries in a
+//! vector the world hands back when the frame arrives, so a warm world's
+//! frames reuse the first round's vectors.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is process-wide.
@@ -52,7 +53,7 @@ fn an_asynchronously_replicated_write_allocates_nothing_of_its_own() {
         "{frames} frames for {WRITES} writes: the link must batch"
     );
     assert!(
-        allocs <= frames + GROWTH,
-        "{allocs} allocations for {WRITES} ADC writes in {frames} frames (+ {GROWTH} growth allowed)"
+        allocs <= GROWTH,
+        "{allocs} allocations for {WRITES} ADC writes in {frames} frames ({GROWTH} growth allowed)"
     );
 }

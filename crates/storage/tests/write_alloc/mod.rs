@@ -79,19 +79,18 @@ pub const GROWTH: u64 = 2;
 
 /// One counted round of [`WRITES`] host writes.
 pub struct Round {
-    /// Heap allocations, less the wheel's own growths.
+    /// Heap allocations, less the kernel's own.
     pub allocs: u64,
-    /// Journal-batch frames the round's asynchronous replication sent:
-    /// each carries its entries in one vector of its own.
+    /// Journal-batch frames the round's asynchronous replication sent.
     pub frames: u64,
 }
 
 /// What [`WRITES`] host writes to `vol` cost once `st` is warm: a first
 /// round of as many writes sets every block on every array, the wheel's
-/// slots and the metrics at their steady size, then the second round is
-/// counted. The wheel counts its own capacity growths — slots that a new
-/// stretch of simulated time fills for the first time — and they are the
-/// kernel's, not the writes', so they are taken out.
+/// chunks and the metrics at their steady size, then the second round is
+/// counted. The kernel counts its own allocations — chunks for more
+/// pending events than it has held before, run and heap growths — and
+/// they are the kernel's, not the writes', so they are taken out.
 pub fn count_round(st: StorageWorld, vol: VolRef) -> Round {
     let mut w = World {
         st,
